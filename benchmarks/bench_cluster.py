@@ -47,7 +47,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.cluster import LocalCluster, parse_worker_spec
+from repro.cluster import LocalCluster
 from repro.conformance.generators import RandomChooser, large_sparse_world
 from repro.core import CopyParams, InvertedIndex, SingleRoundDetector
 from repro.fusion import run_fusion, vote_probabilities
@@ -229,7 +229,7 @@ def _fusion_broadcast_once(dataset, params) -> dict:
                 config=FusionConfig(max_rounds=3, min_rounds=3),
                 workspace=workspace,
             )
-            stats = workspace.cluster(parse_worker_spec(spec)).stats
+            stats = workspace.executor("remote", spec).stats
             worlds = [w.worlds for w in stats.workers.values()]
             updates = [w.updates for w in stats.workers.values()]
             return {

@@ -251,8 +251,7 @@ def _cluster_from_args(args):
     from .cluster import ClusterError, resolve_cluster
 
     try:
-        executor, _ = resolve_cluster(args.workers)
-        return executor
+        return resolve_cluster(args.workers)
     except ClusterError as exc:
         raise SystemExit(str(exc))
 

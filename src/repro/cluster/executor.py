@@ -1,19 +1,19 @@
 """Driver-side cluster executor: broadcast, schedule, tree-reduce.
 
-:class:`ClusterExecutor` is the remote sibling of the in-process
-thread/process pools behind ``executor="threads"/"processes"``: the
-parallel engine hands it the same position partitions and gets back
-one merged :class:`~repro.core.kernel.PairTable`, so results are
-bit-identical to the local executors by construction —
+:class:`ClusterExecutor` is the remote implementation of the executor
+protocol the in-process ones in :mod:`repro.parallel.executors` follow:
+the parallel engine hands it the same world and position partitions and
+gets back one merged :class:`~repro.core.kernel.PairTable`, so results
+are bit-identical to the local executors by construction —
 
 * the map step runs the identical :func:`scan_columnar` over identical
   bytes (arrays travel as raw buffers, never re-encoded floats);
 * the reduce step replays the engine's exact associativity: ``"flat"``
   merges all non-empty partials in partition order in one
   :meth:`PairTable.merge`, ``"tree"`` pairs them ``(0,1), (2,3), ...``
-  level by level exactly like ``_tree_reduce`` — but each pair merges
-  **on a worker**, pulling the right-hand partial peer-to-peer, so the
-  driver only receives the root.
+  level by level exactly like the engine's ``_tree_reduce`` — but each
+  pair merges **on a worker**, pulling the right-hand partial
+  peer-to-peer, so the driver only receives the root.
 
 Scheduling is LPT over the engine's per-partition work estimates
 (:func:`~repro.parallel.partition.assign_buckets_lpt`): partitions are
@@ -23,9 +23,9 @@ independent of the worker count, so 7 work-balanced partitions run on
 The world (columnar entries + accuracies) is broadcast to each worker
 **once per executor session** and thereafter rewritten in place via
 ``world-update`` frames carrying only the fields whose bytes changed —
-the TCP mirror of :meth:`SharedWorld.write
-<repro.parallel.shm.SharedWorld.write>` — so multi-round fusion never
-re-ships an unchanged provider structure.
+the TCP counterpart of the process executor's in-place shared-memory
+rewrite — so multi-round fusion never re-ships an unchanged provider
+structure.
 
 Fault handling: a worker dying mid-round (killed process, dropped
 socket, hung past the timeout) marks its connection dead and the whole
@@ -46,10 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.kernel import PairTable
+from ..core.kernel import PairTable, world_arrays
+from ..data.frames import layout_arrays
 from ..parallel.partition import assign_buckets_lpt
 from .wire import ClusterError, recv_message, send_message
-from .worker import WORLD_FIELDS, table_from_arrays
+from .worker import table_from_arrays
 
 
 @dataclass
@@ -208,8 +209,16 @@ def parse_worker_spec(spec) -> list[tuple[str, int]]:
     """Parse a worker list: ``"host:port,host:port"`` or a sequence.
 
     Sequence elements may be ``"host:port"`` strings or ``(host, port)``
-    pairs.  Raises :class:`ClusterError` on anything malformed.
+    pairs; None reads the ``REPRO_CLUSTER_WORKERS`` environment
+    variable.  Raises :class:`ClusterError` on anything malformed.
     """
+    if spec is None:
+        spec = os.environ.get("REPRO_CLUSTER_WORKERS", "").strip()
+        if not spec:
+            raise ClusterError(
+                "executor='remote' needs workers: pass cluster=/--workers "
+                "host:port[,host:port...] or set REPRO_CLUSTER_WORKERS"
+            )
     if isinstance(spec, str):
         spec = [part for part in spec.split(",") if part.strip()]
     addresses = []
@@ -241,9 +250,10 @@ class ClusterExecutor:
         retries: how many times a failed round is re-run on the
             surviving workers before giving up (default 1).
 
-    Usage mirrors the in-process pools: the parallel engine calls
-    :meth:`broadcast` once per round and :meth:`map_reduce` per scan;
-    :meth:`close` tears the session down.  Also a context manager.
+    Follows the executor protocol of :mod:`repro.parallel.executors`:
+    the parallel engine calls :meth:`map_reduce` once per round (which
+    starts with a :meth:`broadcast` of the round's world); :meth:`close`
+    tears the session down.  Also a context manager.
     """
 
     def __init__(self, workers, timeout: float = 120.0, retries: int = 1):
@@ -254,7 +264,6 @@ class ClusterExecutor:
         self.stats = ClusterStats()
         self._round = 0
         self._world_cache: dict[str, np.ndarray] | None = None
-        self._n_sources: int | None = None
         self._lock = threading.Lock()
         self._closed = False
         self._connections: list[_Connection] = []
@@ -291,17 +300,6 @@ class ClusterExecutor:
         return alive
 
     # -- world broadcast ------------------------------------------------
-    @staticmethod
-    def _pack_world(cols, accuracies) -> dict[str, np.ndarray]:
-        """The five broadcast arrays (mirrors ``SharedWorld._pack``)."""
-        return {
-            "probs": np.ascontiguousarray(cols.probs, dtype=np.float64),
-            "main": np.ascontiguousarray(cols.main, dtype=np.uint8),
-            "offsets": np.ascontiguousarray(cols.offsets, dtype=np.int64),
-            "providers": np.ascontiguousarray(cols.providers, dtype=np.int64),
-            "accuracies": np.ascontiguousarray(accuracies, dtype=np.float64),
-        }
-
     def broadcast(self, cols, accuracies, n_sources: int) -> None:
         """Ship the columnar world to every live worker.
 
@@ -311,21 +309,15 @@ class ClusterExecutor:
         unchanged), falling back to a full broadcast when a worker
         answers ``stale`` or any array's length/dtype changed.
         """
-        arrays = self._pack_world(cols, accuracies)
+        arrays = world_arrays(cols, accuracies)
         cache = self._world_cache
-        same_layout = cache is not None and all(
-            cache[k].dtype == arrays[k].dtype and len(cache[k]) == len(arrays[k])
-            for k in WORLD_FIELDS
-        )
-        changed = (
-            {
-                k: arrays[k]
-                for k in WORLD_FIELDS
-                if not np.array_equal(cache[k], arrays[k])
+        changed = None  # first broadcast, or the layout moved: ship it all
+        if cache is not None and layout_arrays(cache)[0] == layout_arrays(arrays)[0]:
+            changed = {
+                name: arr
+                for name, arr in arrays.items()
+                if not np.array_equal(cache[name], arr)
             }
-            if same_layout
-            else None
-        )
         for conn in self._alive():
             try:
                 self._broadcast_one(conn, arrays, changed, n_sources)
@@ -335,7 +327,6 @@ class ClusterExecutor:
                 conn.stats.failures += 1
         self._alive()  # every worker died mid-broadcast: give up clearly
         self._world_cache = arrays
-        self._n_sources = n_sources
 
     def _broadcast_one(self, conn, arrays, changed, n_sources) -> None:
         if conn.world_sent and changed is not None:
@@ -364,20 +355,23 @@ class ClusterExecutor:
     # -- map + reduce ---------------------------------------------------
     def map_reduce(
         self,
-        position_arrays: Sequence[np.ndarray],
+        world,
+        partitions: Sequence[Sequence[int]],
         weights: Sequence[int],
         params,
         reduce_mode: str = "flat",
     ) -> PairTable | None:
-        """Scan every partition remotely and reduce to one table.
+        """Broadcast the world, scan every partition remotely, reduce.
 
         Args:
-            position_arrays: one int64 entry-position array per
-                partition (already filtered of empties by the engine).
+            world: the round's columnar
+                :class:`~repro.parallel.engine.ScanWorld`.
+            partitions: one entry-position sequence per partition
+                (already filtered of empties by the engine).
             weights: per-partition work estimates for LPT scheduling.
             params: the round's :class:`~repro.core.params.CopyParams`.
             reduce_mode: ``"flat"`` or ``"tree"`` — same associativity
-                as the engine's in-process ``_merge_tables``.
+                as the in-process executors' reduce.
 
         Returns:
             The merged table, or None when every partition scanned
@@ -386,8 +380,12 @@ class ClusterExecutor:
         Raises:
             ClusterError: after a failed retry or with no live workers.
         """
-        if not position_arrays:
+        if not partitions:
             return None
+        self.broadcast(world.cols, world.accuracies, world.n_sources)
+        position_arrays = [
+            np.asarray(positions, dtype=np.int64) for positions in partitions
+        ]
         last_error: ClusterError | None = None
         for attempt in range(self.retries + 1):
             alive = self._alive()  # raises when none remain
@@ -444,7 +442,7 @@ class ClusterExecutor:
         self._per_worker(zip(alive, buckets), run_tasks)
 
         # Reduce over non-empty partials in partition order — the same
-        # filter-then-merge the in-process _merge_tables applies.
+        # filter-then-merge the in-process ScanWorld.reduce applies.
         live_tasks = [ti for ti in range(len(tasks)) if n_pairs.get(ti)]
         if not live_tasks:
             return None
@@ -458,24 +456,17 @@ class ClusterExecutor:
         """Run pairwise merge levels on the workers; returns the root.
 
         Pairing is ``(0,1), (2,3), ...`` per level over the surviving
-        items — exactly ``_tree_reduce``'s topology — and each pair's
-        merge runs on the left item's owner, which pulls the right
+        items — exactly the engine's ``_tree_reduce`` topology — and each
+        pair's merge runs on the left item's owner, which pulls the right
         partial peer-to-peer when it lives on another worker.
         """
         while len(items) > 1:
-            ops = []  # (dest_conn, dest_task, src_task, src_conn)
-            next_items = []
-            for i in range(0, len(items), 2):
-                if i + 1 >= len(items):
-                    next_items.append(items[i])
-                    continue
-                dest, src = items[i], items[i + 1]
-                ops.append((owner[dest], tasks[dest], tasks[src], owner[src]))
-                next_items.append(dest)
-            by_conn: dict[str, tuple[_Connection, list]] = {}
-            for dest_conn, dest_task, src_task, src_conn in ops:
-                by_conn.setdefault(dest_conn.label, (dest_conn, []))[1].append(
-                    (dest_task, src_task, src_conn)
+            # dest owner -> [(dest_task, src_task, src_conn)]; an odd last
+            # item has no partner and rides up a level unmerged.
+            by_conn: dict[_Connection, list] = {}
+            for dest, src in zip(items[0::2], items[1::2]):
+                by_conn.setdefault(owner[dest], []).append(
+                    (tasks[dest], tasks[src], owner[src])
                 )
 
             def run_merges(conn, merge_ops):
@@ -499,8 +490,8 @@ class ClusterExecutor:
                     conn.stats.merges += 1
                     conn.stats.busy_seconds += float(meta["busy_seconds"])
 
-            self._per_worker(by_conn.values(), run_merges)
-            items = next_items
+            self._per_worker(by_conn.items(), run_merges)
+            items = items[0::2]
         return items[0]
 
     def _fetch(self, conn: _Connection, task: str) -> PairTable:
@@ -513,15 +504,15 @@ class ClusterExecutor:
 
     def _fetch_all(self, live_tasks, tasks, owner) -> list[PairTable]:
         results: dict[int, PairTable] = {}
-        by_conn: dict[str, tuple[_Connection, list[int]]] = {}
+        by_conn: dict[_Connection, list[int]] = {}
         for ti in live_tasks:
-            by_conn.setdefault(owner[ti].label, (owner[ti], []))[1].append(ti)
+            by_conn.setdefault(owner[ti], []).append(ti)
 
         def run_fetches(conn, task_indices):
             for ti in task_indices:
                 results[ti] = self._fetch(conn, tasks[ti])
 
-        self._per_worker(by_conn.values(), run_fetches)
+        self._per_worker(by_conn.items(), run_fetches)
         return [results[ti] for ti in live_tasks]
 
     def _per_worker(self, conn_ops, fn) -> None:
@@ -576,31 +567,17 @@ class ClusterExecutor:
         self.close()
 
 
-def resolve_cluster(spec, workspace=None) -> tuple[ClusterExecutor, bool]:
-    """Resolve a ``cluster=`` argument into ``(executor, owned)``.
+def resolve_cluster(spec) -> ClusterExecutor:
+    """Resolve a ``cluster=`` argument into a :class:`ClusterExecutor`.
 
-    ``spec`` may be a live :class:`ClusterExecutor` (returned as-is,
-    never closed by the engine), a worker list (string or sequence,
-    see :func:`parse_worker_spec`), or None — in which case the
-    ``REPRO_CLUSTER_WORKERS`` environment variable supplies the list.
-    With a workspace, address-list specs resolve to the workspace's
-    persistent executor (``owned`` False — the workspace closes it);
-    otherwise a transient executor is created (``owned`` True — the
-    caller closes it after the call).
+    A live executor is returned as-is; anything else — a worker list
+    (string or sequence) or None for ``REPRO_CLUSTER_WORKERS``, see
+    :func:`parse_worker_spec` — dials a new session the caller closes.
 
     Raises:
-        ClusterError: when no worker list can be found anywhere.
+        ClusterError: when no worker list can be found anywhere, or a
+            worker cannot be reached.
     """
     if isinstance(spec, ClusterExecutor):
-        return spec, False
-    if spec is None:
-        spec = os.environ.get("REPRO_CLUSTER_WORKERS", "").strip()
-        if not spec:
-            raise ClusterError(
-                "executor='remote' needs workers: pass cluster=/--workers "
-                "host:port[,host:port...] or set REPRO_CLUSTER_WORKERS"
-            )
-    addresses = parse_worker_spec(spec)
-    if workspace is not None:
-        return workspace.cluster(addresses), False
-    return ClusterExecutor(addresses), True
+        return spec
+    return ClusterExecutor(spec)

@@ -1,21 +1,15 @@
 """Length-prefixed binary wire format for the cluster worker protocol.
 
-One message is one frame, mirroring the ``serving/codec.py`` snapshot
-discipline on a socket instead of a file::
-
-    magic "RCLW" | u32 wire version | u32 header length
-    | header JSON (utf-8) | zero padding to 8-byte alignment
-    | raw little-endian array payload
-
+One message is one :mod:`repro.data.frames` frame with magic ``"RCLW"``
+— the layout ``serving/codec.py`` writes to files, read off a socket.
 The header carries the message ``kind`` (``"world"``, ``"task"``,
-``"partial"``, ...), a JSON ``meta`` dict, one descriptor per payload
-array — ``(name, dtype, offset, count)`` with offsets relative to the
-payload start — and a CRC-32 of the whole payload.  Arrays travel as
-raw typed buffers (never pickle), so a worker written against wire
-version N can refuse frames from version N+1 with a clear error
-instead of misreading them, and a corrupted or truncated frame
-surfaces as :class:`ClusterError` naming the peer — callers never see
-a raw ``struct``/``json``/``socket`` traceback.
+``"partial"``, ...) and a JSON ``meta`` dict beside the array table and
+the payload's CRC-32.  Arrays travel as raw typed buffers (never
+pickle), so a worker written against wire version N can refuse frames
+from version N+1 with a clear error instead of misreading them, and a
+corrupted or truncated frame surfaces as :class:`ClusterError` naming
+the peer — callers never see a raw ``struct``/``json``/``socket``
+traceback.
 
 ``CopyParams`` ships inside ``meta`` as plain JSON: Python's float
 repr round-trips exactly (shortest-repr), so the worker reconstructs
@@ -24,13 +18,12 @@ bit-identical parameters without pickling.
 
 from __future__ import annotations
 
-import json
 import socket
-import struct
-import zlib
 from typing import Mapping
 
 import numpy as np
+
+from ..data.frames import FrameFormat
 
 #: Frame magic: Repro CLuster Wire.
 MAGIC = b"RCLW"
@@ -39,12 +32,6 @@ MAGIC = b"RCLW"
 #: on any incompatible protocol change; older peers refuse newer
 #: frames with a clear :class:`ClusterError` instead of misreading.
 WIRE_VERSION = 1
-
-_PREAMBLE = struct.Struct("<4sII")
-
-#: Upper bound on a sane header, to reject garbage length prefixes
-#: before allocating (a corrupt u32 can claim gigabytes).
-_MAX_HEADER = 1 << 24
 
 
 class ClusterError(Exception):
@@ -58,8 +45,16 @@ class ClusterError(Exception):
     """
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
+#: ``max_header`` rejects garbage length prefixes before allocating (a
+#: corrupt u32 can claim gigabytes).
+_FRAME = FrameFormat(
+    MAGIC,
+    WIRE_VERSION,
+    ClusterError,
+    "cluster frame",
+    fields=("kind", "meta"),
+    max_header=1 << 24,
+)
 
 
 def encode_message(
@@ -76,42 +71,11 @@ def encode_message(
         arrays: named 1-D arrays; each is stored contiguously in its
             own dtype at an 8-byte-aligned payload offset.
     """
-    descriptors = []
-    chunks = []
-    offset = 0
-    for name, arr in (arrays or {}).items():
-        arr = np.ascontiguousarray(arr)
-        offset = _align8(offset)
-        descriptors.append((name, arr.dtype.str, offset, int(arr.size)))
-        chunks.append((offset, arr.tobytes()))
-        offset += arr.nbytes
-    payload = bytearray(_align8(offset))
-    for start, data in chunks:
-        payload[start : start + len(data)] = data
-    header = json.dumps(
-        {
-            "kind": kind,
-            "meta": dict(meta or {}),
-            "arrays": descriptors,
-            "payload_crc32": zlib.crc32(bytes(payload)) & 0xFFFFFFFF,
-            "payload_length": len(payload),
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    preamble = _PREAMBLE.pack(MAGIC, WIRE_VERSION, len(header))
-    pad = b"\0" * (_align8(_PREAMBLE.size + len(header)) - _PREAMBLE.size - len(header))
-    return preamble + header + pad + bytes(payload)
+    return _FRAME.encode({"kind": kind, "meta": dict(meta or {})}, arrays)
 
 
-def _recv_exact(sock: socket.socket, n: int, source: str) -> bytes | None:
-    """Read exactly ``n`` bytes, or ``None`` on EOF at offset zero.
-
-    EOF anywhere past the first byte is a truncated frame and raises;
-    EOF before any byte arrived is a clean close, which the caller
-    decides how to treat.
-    """
-    if n == 0:
-        return b""
+def _recv_exact(sock: socket.socket, n: int, source: str) -> bytes:
+    """Read exactly ``n`` bytes of a frame already under way."""
     buf = bytearray(n)
     view = memoryview(buf)
     got = 0
@@ -121,8 +85,6 @@ def _recv_exact(sock: socket.socket, n: int, source: str) -> bytes | None:
         except OSError as exc:
             raise ClusterError(f"{source}: connection lost mid-frame ({exc})") from exc
         if chunk == 0:
-            if got == 0:
-                return None
             raise ClusterError(
                 f"{source}: connection closed mid-frame ({got} of {n} bytes)"
             )
@@ -167,50 +129,19 @@ def recv_message(
             failed checksum, or a newer wire version.
     """
     source = _peer_label(sock)
-    preamble = _recv_exact(sock, _PREAMBLE.size, source)
-    if preamble is None:
+    # EOF before a frame's first byte is a clean close; anywhere later
+    # it is a truncated frame, which _recv_exact reports.
+    try:
+        hung_up = sock.recv(1, socket.MSG_PEEK) == b""
+    except OSError as exc:
+        raise ClusterError(f"{source}: connection lost mid-frame ({exc})") from exc
+    if hung_up:
         if eof_ok:
             return None
         raise ClusterError(f"{source}: connection closed before a reply arrived")
-    magic, version, header_len = _PREAMBLE.unpack(preamble)
-    if magic != MAGIC:
-        raise ClusterError(f"{source}: not a cluster frame (bad magic {magic!r})")
-    if version > WIRE_VERSION:
-        raise ClusterError(
-            f"{source}: wire format version {version} is newer than this "
-            f"build speaks (max {WIRE_VERSION}); upgrade the library"
-        )
-    if header_len > _MAX_HEADER:
-        raise ClusterError(
-            f"{source}: corrupted frame (header claims {header_len} bytes)"
-        )
-    padded_len = _align8(_PREAMBLE.size + header_len) - _PREAMBLE.size
-    header_bytes = _recv_exact(sock, padded_len, source)
-    if header_bytes is None:
-        raise ClusterError(f"{source}: connection closed mid-frame (no header)")
-    try:
-        header = json.loads(header_bytes[:header_len].decode("utf-8"))
-        kind = header["kind"]
-        meta = header["meta"]
-        descriptors = header["arrays"]
-        crc_expected = header["payload_crc32"]
-        payload_length = header["payload_length"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ClusterError(f"{source}: corrupted frame header ({exc})") from exc
-    payload = _recv_exact(sock, payload_length, source)
-    if payload is None and payload_length:
-        raise ClusterError(f"{source}: connection closed mid-frame (no payload)")
-    payload = payload or b""
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_expected:
-        raise ClusterError(f"{source}: frame payload fails its checksum")
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for name, dtype, offset, count in descriptors:
-            arr = np.frombuffer(payload, dtype=np.dtype(dtype), count=count, offset=offset)
-            arr.flags.writeable = False
-            arrays[name] = arr
-    except (ValueError, TypeError) as exc:
-        raise ClusterError(f"{source}: corrupted frame array table ({exc})") from exc
+    (kind, meta), arrays = _FRAME.decode(
+        lambda n: _recv_exact(sock, n, source), source
+    )
     return kind, meta, arrays
 
 

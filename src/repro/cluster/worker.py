@@ -3,9 +3,10 @@
 One worker is one long-lived process (``repro-copydetect
 cluster-worker``) holding cached worlds and partial results in memory:
 
-* ``world`` — the driver broadcasts the full columnar world (the same
-  five arrays :class:`~repro.parallel.shm.SharedWorld` packs: probs,
-  main flags, CSR offsets, providers, accuracies) **once per session**.
+* ``world`` — the driver broadcasts the full columnar world (the five
+  :func:`~repro.core.kernel.world_arrays` a shared-memory block also
+  carries: probs, main flags, CSR offsets, providers, accuracies)
+  **once per session**.
   The worker copies them into writable buffers and keeps them for the
   session's lifetime.
 * ``world-update`` — between fusion rounds the driver ships only the
@@ -44,12 +45,9 @@ import time
 
 import numpy as np
 
-from ..core.kernel import ColumnarEntries, PairTable, scan_columnar
+from ..core.kernel import WORLD_FIELDS, PairTable, scan_columnar, world_from_arrays
 from ..core.params import CopyParams
 from .wire import ClusterError, recv_message, send_message
-
-#: World-broadcast fields in pack order (mirrors ``SharedWorld._pack``).
-WORLD_FIELDS = ("probs", "main", "offsets", "providers", "accuracies")
 
 
 class _Session:
@@ -60,13 +58,7 @@ class _Session:
         # Writable copies: world-update rewrites these buffers in place
         # and the ColumnarEntries views below see the new values.
         self.arrays = {name: np.array(arrays[name]) for name in WORLD_FIELDS}
-        self.cols = ColumnarEntries(
-            probs=self.arrays["probs"],
-            main=self.arrays["main"].view(bool),
-            offsets=self.arrays["offsets"],
-            providers=self.arrays["providers"],
-        )
-        self.accuracies = self.arrays["accuracies"]
+        self.cols, self.accuracies = world_from_arrays(self.arrays)
         self.partials: dict[str, PairTable] = {}
         self.lock = threading.Lock()
 
@@ -159,7 +151,7 @@ def _handle_world_update(server: WorkerServer, sock, meta, arrays):
                 send_message(sock, "stale", {"reason": f"layout changed for {name!r}"})
                 return
         for name, arr in arrays.items():
-            sess.arrays[name][:] = arr  # in place: SharedWorld.write's mirror
+            sess.arrays[name][:] = arr  # in place: cols/accuracies alias these
         sess.partials.clear()  # a new round invalidates old partials
     send_message(sock, "ok", {"updated": sorted(arrays)})
 

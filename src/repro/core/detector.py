@@ -35,7 +35,7 @@ from .incremental import (
 from .index import EntryOrdering
 from .index_algo import detect_index
 from .pairwise import detect_pairwise
-from .params import EXECUTORS, PARTITION_AXES, REDUCE_MODES, CopyParams
+from .params import CopyParams, validate_execution
 from .result import DetectionResult
 
 #: Names accepted by :func:`detect` and the CLI.
@@ -191,8 +191,8 @@ class _WorkspaceMixin:
     :class:`~repro.fusion.FusionWorkspace` for the duration of a fusion
     run (and unbinds it on the way out, exceptions included).  While
     bound, the workspace supplies the shared-item counts, the frozen
-    columnar entry skeleton and — for the parallel methods — persistent
-    executor pools and the persistent shared-memory broadcast.
+    columnar entry skeleton and — for the parallel methods — the
+    persistent executors (pool, shared-memory block, cluster session).
     """
 
     _workspace = None
@@ -250,19 +250,7 @@ class SingleRoundDetector(_WorkspaceMixin):
                 f"n_partitions > 1 supports methods {PARALLEL_METHODS}, "
                 f"not {method!r}"
             )
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        if reduce not in REDUCE_MODES:
-            raise ValueError(
-                f"unknown reduce mode {reduce!r}; expected one of {REDUCE_MODES}"
-            )
-        if partition_by not in PARTITION_AXES:
-            raise ValueError(
-                f"unknown partition_by {partition_by!r}; "
-                f"expected one of {PARTITION_AXES}"
-            )
+        validate_execution(params, executor, reduce, partition_by)
         self.params = params
         self.method = method
         self.ordering = ordering

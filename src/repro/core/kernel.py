@@ -192,6 +192,47 @@ class ColumnarEntries:
         return cls._from_rows(probs, [True] * len(probs), provider_lists)
 
 
+#: The named arrays of a broadcast world, in pack order: the four
+#: :class:`ColumnarEntries` columns plus the accuracy vector.
+WORLD_FIELDS = ("probs", "main", "offsets", "providers", "accuracies")
+
+
+def world_arrays(
+    cols: ColumnarEntries, accuracies: Sequence[float] | np.ndarray
+) -> dict[str, np.ndarray]:
+    """Pack a columnar world + accuracies as :data:`WORLD_FIELDS` arrays.
+
+    The one form every transport ships a world in (the process pool's
+    shared-memory block, the cluster's ``world``/``world-update``
+    frames); receivers rebuild it with :func:`world_from_arrays`.
+    """
+    return {
+        "probs": np.ascontiguousarray(cols.probs, dtype=np.float64),
+        # bool stored as uint8 for a stable cross-process dtype token.
+        "main": np.ascontiguousarray(cols.main, dtype=np.uint8),
+        "offsets": np.ascontiguousarray(cols.offsets, dtype=np.int64),
+        "providers": np.ascontiguousarray(cols.providers, dtype=np.int64),
+        "accuracies": np.ascontiguousarray(accuracies, dtype=np.float64),
+    }
+
+
+def world_from_arrays(
+    arrays: dict[str, np.ndarray],
+) -> tuple[ColumnarEntries, np.ndarray]:
+    """Zero-copy ``(ColumnarEntries, accuracies)`` over packed world arrays.
+
+    The views alias ``arrays``: rewriting those buffers in place (a new
+    fusion round's probabilities and accuracies) is seen through them.
+    """
+    cols = ColumnarEntries(
+        probs=arrays["probs"],
+        main=arrays["main"].view(bool),
+        offsets=arrays["offsets"],
+        providers=arrays["providers"],
+    )
+    return cols, arrays["accuracies"]
+
+
 def expand_incidences(
     cols: ColumnarEntries,
     with_meta: bool = True,

@@ -195,3 +195,39 @@ class CopyParams:
         if accuracy > high:
             return high
         return accuracy
+
+
+def validate_execution(
+    params: CopyParams,
+    executor: str,
+    reduce: str,
+    partition_by: str = "entries",
+    backend: str | None = None,
+) -> str:
+    """Check a partitioned scan's execution arguments; return the backend.
+
+    The one validation point behind :class:`SingleRoundDetector` and both
+    parallel-engine entry points.  ``backend`` overrides
+    ``params.backend`` when given.
+
+    Raises:
+        ValueError: for an unknown executor, backend, reduce mode or
+            partition axis, or ``executor="remote"`` off the numpy
+            backend.
+    """
+    if backend is None:
+        backend = params.backend
+    for what, value, allowed in (
+        ("executor", executor, EXECUTORS),
+        ("backend", backend, BACKENDS),
+        ("reduce mode", reduce, REDUCE_MODES),
+        ("partition_by", partition_by, PARTITION_AXES),
+    ):
+        if value not in allowed:
+            raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")
+    if executor == "remote" and backend != "numpy":
+        raise ValueError(
+            "executor='remote' requires backend='numpy' (cluster workers "
+            "scan columnar payloads; the python reference loops stay local)"
+        )
+    return backend

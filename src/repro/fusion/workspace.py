@@ -21,38 +21,33 @@ them for every round of a :func:`~repro.fusion.run_fusion` call:
   round's :class:`~repro.core.kernel.ColumnarEntries` from it with one
   vectorized gather in index processing order, replacing the per-entry
   Python loops of ``ColumnarEntries.from_index``.
-* a **persistent executor pool** per kind (threads / processes), created
-  on first use and reused across rounds; worker processes keep their
-  per-process shared-memory attachment caches warm.
-* a **persistent shared-memory block**: each round re-broadcasts only
-  probabilities, main/tail flags and accuracies by rewriting the block
-  in place (:meth:`~repro.parallel.shm.SharedWorld.write`), so workers
-  never re-attach and the block is created — and unlinked — exactly
-  once.
+* the **executors** (:meth:`FusionWorkspace.executor`): one per kind —
+  and, for ``"remote"``, per worker list — created on first use and
+  reused across rounds.  Each owns its own lifetime state (see
+  :mod:`repro.parallel.executors`): the thread pool; the process pool
+  whose workers keep their shared-memory attachments warm, plus the one
+  shared-memory block each round merely rewrites in place; the cluster
+  session whose per-round broadcast shrinks to a ``world-update`` diff.
 
 Lifecycle: the workspace is a context manager.  ``run_fusion`` creates
 one internally when none is passed and closes it on the way out —
 **including on detector exceptions** — while an explicitly passed
 workspace stays open for the caller to reuse (and close) across several
-fusion runs.  :meth:`close` is idempotent: pools are shut down and the
-shared block is unlinked at most once.
+fusion runs.  :meth:`close` is idempotent: every executor is closed —
+pools shut down, the shared block unlinked, sessions ended — at most
+once.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-from ..core.params import CopyParams
+from ..core.params import EXECUTORS, CopyParams
 from ..data import Dataset
-from ..parallel.engine import _pool_workers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.index import InvertedIndex
     from ..core.kernel import ColumnarEntries
-    from ..cluster.executor import ClusterExecutor
-    from ..parallel.shm import SharedWorld
     from .accu_kernel import FusionColumns
 
 
@@ -74,9 +69,7 @@ class FusionWorkspace:
         self._fusion_columns: "FusionColumns" | None = None
         self._skeleton: "ColumnarEntries" | None = None
         self._value_row = None
-        self._pools: dict[str, Executor] = {}
-        self._world: "SharedWorld" | None = None
-        self._clusters: dict[tuple, "ClusterExecutor"] = {}
+        self._executors: dict = {}
 
     # ------------------------------------------------------------------
     # Static structure caches
@@ -159,110 +152,63 @@ class FusionWorkspace:
         return cols
 
     # ------------------------------------------------------------------
-    # Persistent executors + shared-memory broadcast
+    # Persistent executors
     # ------------------------------------------------------------------
-    def pool(self, executor: str, n_tasks: int = 0) -> Executor | None:
-        """The persistent pool for an executor kind (None for serial).
+    def executor(self, kind: str, cluster=None):
+        """The persistent executor of one kind, created on first use.
 
-        Created on first use and reused by every subsequent round until
-        :meth:`close`.  Always sized to the core count (both pool kinds
-        start workers lazily, on demand), never to the first caller's
-        task count — a later run with more partitions must not be capped
-        by an earlier, narrower one.
-        """
-        if self.closed:
-            raise RuntimeError("the fusion workspace is closed")
-        if executor == "serial":
-            return None
-        pool = self._pools.get(executor)
-        if pool is not None and getattr(pool, "_broken", False):
-            # A worker died (BrokenProcessPool): the pool is unusable for
-            # every future round.  Retire it and build a fresh one so one
-            # crashed worker doesn't poison the rest of the fusion run.
-            pool.shutdown(wait=False)
-            self._pools.pop(executor, None)
-            pool = None
-        if pool is None:
-            workers = _pool_workers(os.cpu_count() or 1)
-            if executor == "threads":
-                pool = ThreadPoolExecutor(max_workers=workers)
-            elif executor == "processes":
-                pool = ProcessPoolExecutor(max_workers=workers)
-            else:
-                raise ValueError(f"unknown executor {executor!r}")
-            self._pools[executor] = pool
-        return pool
+        Every round of a fusion run (and every epoch of a streaming
+        engine) gets the same object back until :meth:`close`, so the
+        executor's pool, shared-memory block or cluster session stays
+        warm across rounds.
 
-    def cluster(self, addresses) -> "ClusterExecutor":
-        """The persistent remote-cluster executor for a worker list.
-
-        The remote analogue of :meth:`pool`: the first round dials the
-        workers, later rounds reuse the open connections — and, because
-        :class:`~repro.cluster.executor.ClusterExecutor` caches the last
-        world it shipped per session, reuse is what turns the per-round
-        broadcast into the cheap ``world-update`` diff.  Keyed by the
-        address tuple so one workspace can serve runs against different
-        clusters; every executor is closed by :meth:`close`.
+        Args:
+            kind: one of :data:`~repro.core.params.EXECUTORS`.
+            cluster: for ``"remote"``: a live
+                :class:`~repro.cluster.ClusterExecutor` (returned as-is;
+                it stays the caller's to close), a worker list, or None
+                for ``REPRO_CLUSTER_WORKERS``.  Dialed sessions are keyed
+                by address list, so one workspace can serve runs against
+                different clusters.
 
         Raises:
             RuntimeError: when the workspace is closed.
+            ValueError: for an unknown kind.
             ClusterError: when a worker cannot be reached.
         """
         if self.closed:
             raise RuntimeError("the fusion workspace is closed")
-        from ..cluster.executor import ClusterExecutor
+        if kind not in EXECUTORS:
+            raise ValueError(f"unknown executor {kind!r}")
+        key = kind
+        if kind == "remote":
+            from ..cluster.executor import ClusterExecutor, parse_worker_spec
 
-        key = tuple((host, port) for host, port in addresses)
-        executor = self._clusters.get(key)
-        if executor is None:
-            executor = ClusterExecutor(key)
-            self._clusters[key] = executor
-        return executor
+            if isinstance(cluster, ClusterExecutor):
+                return cluster
+            key = tuple(parse_worker_spec(cluster))
+        if key not in self._executors:
+            from ..parallel.executors import LOCAL_EXECUTORS
 
-    def broadcast(
-        self,
-        cols: "ColumnarEntries",
-        accuracies: Sequence[float],
-        n_sources: int,
-    ) -> "SharedWorld":
-        """The persistent shared-memory world, freshened for this round.
-
-        The first call creates the block; later calls rewrite it in
-        place (same name, same layout — workers keep their cached
-        attachments).  A layout change (impossible within one fusion
-        run, where the entry set is frozen) falls back to a fresh block.
-
-        Raises:
-            OSError: when shared memory is unavailable (callers fall
-                back to pickled payloads, exactly as without a
-                workspace).
-        """
-        if self.closed:
-            raise RuntimeError("the fusion workspace is closed")
-        from ..parallel.shm import SharedWorld
-
-        if self._world is not None and self._world.write(cols, accuracies):
-            return self._world
-        if self._world is not None:
-            self._world.close()
-            self._world = None
-        self._world = SharedWorld.create(cols, accuracies, n_sources)
-        return self._world
+            self._executors[key] = (
+                ClusterExecutor(key) if kind == "remote" else LOCAL_EXECUTORS[kind]()
+            )
+        return self._executors[key]
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def rebind(self, dataset: Dataset) -> None:
-        """Point the workspace at a new dataset, keeping pools and shm.
+        """Point the workspace at a new dataset, keeping the executors.
 
         The streaming service's claim ledger produces a fresh immutable
         :class:`Dataset` every epoch, which invalidates the dataset-derived
         caches (shared-item counts, fusion columns, entry skeleton) — but
-        *not* the expensive runtime state: the persistent executor pools
-        keep their warm workers, and the shared-memory block is reused as
-        long as the columnar layout still fits (:meth:`broadcast` already
-        falls back to a fresh block on a layout change).  Rebinding to the
-        same dataset object is a no-op.
+        *not* the expensive runtime state: the persistent executors keep
+        their warm workers, and the process executor reuses its
+        shared-memory block as long as the columnar layout still fits
+        (falling back to a fresh block on a layout change).  Rebinding to
+        the same dataset object is a no-op.
 
         Raises:
             RuntimeError: when the workspace is closed.
@@ -278,19 +224,13 @@ class FusionWorkspace:
         self._value_row = None
 
     def close(self) -> None:
-        """Shut down pools and unlink the shared block (idempotent)."""
+        """Close every executor the workspace created (idempotent)."""
         if self.closed:
             return
         self.closed = True
-        for pool in self._pools.values():
-            pool.shutdown(wait=True)
-        self._pools.clear()
-        for executor in self._clusters.values():
+        for executor in self._executors.values():
             executor.close()
-        self._clusters.clear()
-        if self._world is not None:
-            self._world.close()
-            self._world = None
+        self._executors.clear()
 
     def __enter__(self) -> "FusionWorkspace":
         return self

@@ -12,21 +12,15 @@ accumulation is a plain sum, the merged result is *bit-identical* to the
 sequential algorithm regardless of partitioning — verified by property
 tests.
 
-Executors:
-
-* ``"serial"`` — run partitions one after another in-process (the
-  deterministic reference; also what the tests use).
-* ``"threads"`` — a thread pool.  CPython's GIL serialises the pure-
-  Python math, so this demonstrates plumbing rather than speedup, but it
-  exercises real concurrency in the merge path.
-* ``"processes"`` — a process pool via :mod:`concurrent.futures`; gives
-  real parallelism for large worlds.  Under ``backend="numpy"`` the
-  columnar world is broadcast to the pool **once** through
-  :mod:`multiprocessing.shared_memory` (:mod:`repro.parallel.shm`) and
-  each task ships only its partition's entry positions; when shared
-  memory is unavailable the engine falls back to pickling one columnar
-  payload per partition (the Hadoop analogue of shipping a partition to
-  a node).
+Executors: *where* a partition is scanned can never change a verdict,
+so this module knows nothing about pools, shared memory or sockets.
+Both detectors describe a round as a :class:`ScanWorld` plus position
+partitions and hand it to one executor through one call
+(:func:`_map_reduce`); ``"serial"``, ``"threads"``, ``"processes"``
+(:mod:`repro.parallel.executors`) and ``"remote"``
+(:class:`repro.cluster.ClusterExecutor`) are four implementations of the
+same ``map_reduce`` protocol, each owning its own pool, shared block or
+session.
 
 Reduction topologies (``reduce=``):
 
@@ -53,31 +47,25 @@ map/reduced exactly like INDEX (shared-memory broadcast, tree reduce and
 work-balanced suffix shares included).  Pairs concluded inside the
 prefix keep their early verdicts; everything else resolves exactly.
 
-Backends: with ``backend="numpy"`` (or ``params.backend == "numpy"``)
-each partition is scanned with the vectorized kernel over columnar
-payloads (:class:`repro.core.kernel.ColumnarEntries`) and the reduce
-step merges flat :class:`~repro.core.kernel.PairTable` partials with
-``np.add.at``/``np.bincount`` instead of dict churn.
+Backends differ only in their ``(scan, merge)`` pair: with
+``backend="numpy"`` (or ``params.backend == "numpy"``) each partition is
+scanned with the vectorized kernel over columnar payloads
+(:class:`repro.core.kernel.ColumnarEntries`) and the reduce step merges
+flat :class:`~repro.core.kernel.PairTable` partials with
+``np.add.at``/``np.bincount``; ``"python"`` scans per-entry tuples into
+dict partials.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from math import log
 from typing import Literal, Sequence
 
 from ..core.bound import DEFAULT_HYBRID_THRESHOLD, PrefixScanState, scan_with_bounds
 from ..core.contribution import posterior
 from ..core.index import InvertedIndex
-from ..core.params import (
-    BACKENDS,
-    EXECUTORS,
-    PARTITION_AXES,
-    REDUCE_MODES,
-    CopyParams,
-)
+from ..core.params import CopyParams, validate_execution
 from ..core.result import CostCounter, DetectionResult, PairDecision
 from ..data import Dataset
 from .partition import (
@@ -142,38 +130,7 @@ def _scan_partition(
     return partial
 
 
-def _pool_workers(n_tasks: int) -> int:
-    """Worker count for a pool: one per task, capped at the core count."""
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
-def _run_map(worker, payloads, executor: Executor, *extra, pool=None):
-    """Run ``worker(payload, *extra)`` per payload under the executor.
-
-    ``worker`` must be a top-level (picklable) function so the same
-    dispatch serves thread and process pools.  When ``pool`` is given
-    (a :class:`FusionWorkspace`'s persistent executor) the tasks run on
-    it and it is *not* shut down here — the workspace owns its
-    lifetime; otherwise a throwaway pool is created per call.
-    """
-    if not payloads:
-        # Every partition was empty (a world with no shared values):
-        # nothing to scan, and ThreadPoolExecutor rejects max_workers=0.
-        return []
-    if executor == "serial" or len(payloads) == 1:
-        return [worker(pl, *extra) for pl in payloads]
-    if pool is not None:
-        futures = [pool.submit(worker, pl, *extra) for pl in payloads]
-        return [f.result() for f in futures]
-    if executor == "threads":
-        with ThreadPoolExecutor(max_workers=_pool_workers(len(payloads))) as pool:
-            return list(pool.map(lambda pl: worker(pl, *extra), payloads))
-    with ProcessPoolExecutor(max_workers=_pool_workers(len(payloads))) as pool:
-        futures = [pool.submit(worker, pl, *extra) for pl in payloads]
-        return [f.result() for f in futures]
-
-
-def _payload(index: InvertedIndex, partition: EntryPartition):
+def _payload(index: InvertedIndex, positions: Sequence[int]):
     tail_start = index.tail_start
     return [
         (
@@ -181,13 +138,10 @@ def _payload(index: InvertedIndex, partition: EntryPartition):
             index.entries[pos].providers,
             pos >= tail_start,
         )
-        for pos in partition.positions
+        for pos in positions
     ]
 
 
-# ----------------------------------------------------------------------
-# Reduce topologies
-# ----------------------------------------------------------------------
 def _merge_partial_into(target: _Partial, partial: _Partial) -> _Partial:
     """Accumulate one dict partial into another (the binary merge op)."""
     for pair, cell in partial.items():
@@ -207,8 +161,8 @@ def _tree_reduce(items: list, merge_pair):
     """Pairwise (tree-wise) reduction: each level halves the item count.
 
     O(log P) merge depth — the topology a distributed combiner tree
-    would run, shared by both partial representations (and by whatever
-    a future multi-host reduce plugs in as ``merge_pair``).
+    runs, shared by both partial representations (the cluster executor
+    replays the same pairing on its workers).
     """
     while len(items) > 1:
         items = [
@@ -218,237 +172,151 @@ def _tree_reduce(items: list, merge_pair):
     return items[0]
 
 
-def _merge_partials(partials: Sequence[_Partial], reduce_mode: ReduceMode) -> _Partial:
-    """Merge dict partials flat (one pass) or tree-wise (pairwise)."""
-    live = [p for p in partials if p]
-    if not live:
-        return {}
-    if reduce_mode == "tree":
-        return _tree_reduce(live, _merge_partial_into)
-    merged: _Partial = {}
-    for partial in live:
-        _merge_partial_into(merged, partial)
-    return merged
+@dataclass
+class ScanWorld:
+    """One round's scan input, as every executor sees it.
 
+    Bundles what a partition task reads with the backend's
+    ``(scan, merge)`` pair, so an executor only decides *where* tasks run
+    and never branches on the backend: the python backend scans per-entry
+    tuples into dict partials, the numpy backend scans
+    :class:`~repro.core.kernel.ColumnarEntries` into
+    :class:`~repro.core.kernel.PairTable` partials (``columnar``).
 
-def _merge_tables(tables, reduce_mode: ReduceMode, layout: str = "auto"):
-    """Merge :class:`PairTable` partials; None when all are empty.
-
-    ``"flat"`` concatenates every table and reduces once; ``"tree"``
-    runs :func:`_tree_reduce` over them.  ``layout`` is the pair-state
-    layout of the reduction (``params.pair_layout`` at the call sites).
+    Attributes:
+        index: the round's inverted index.
+        accuracies: ``A(S)`` per source id.
+        n_sources: source count (the pair-key stride).
+        columnar: True under the numpy backend.
     """
-    from ..core.kernel import PairTable
 
-    live = [t for t in tables if len(t)]
-    if not live:
-        return None
-    if reduce_mode == "tree":
-        return _tree_reduce(
-            live, lambda a, b: PairTable.merge([a, b], layout=layout)
-        )
-    return PairTable.merge(live, layout=layout)
+    index: InvertedIndex
+    accuracies: list[float]
+    n_sources: int
+    columnar: bool
 
+    @property
+    def cols(self):
+        """The whole index as columnar entries (numpy backend only)."""
+        return self.index.columnar_entries()
 
-# ----------------------------------------------------------------------
-# Columnar map step (shared-memory broadcast under "processes")
-# ----------------------------------------------------------------------
-def _map_columnar_shm(
-    index: InvertedIndex,
-    parts: list[EntryPartition],
-    accuracies: Sequence[float],
-    params: CopyParams,
-    n_sources: int,
-    workspace=None,
-):
-    """Scan partitions in a process pool over one broadcast world.
+    def task(self, positions: Sequence[int], params: CopyParams):
+        """``(fn, args)`` scanning one partition from a self-contained payload.
 
-    With a :class:`~repro.fusion.FusionWorkspace` attached, the pool and
-    the shared block persist across fusion rounds: the block is merely
-    rewritten in place each round and workers keep their cached
-    attachments.  Returns None when shared memory is unavailable (the
-    caller falls back to pickled per-partition payloads).
-    """
-    try:
-        import numpy as np
+        ``fn`` is top-level and ``args`` picklable, so the same task runs
+        inline, on a thread or in another process.
+        """
+        if self.columnar:
+            from ..core.kernel import scan_columnar
 
-        from .shm import SharedWorld, scan_shm_partition
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return None
-    cols = index.columnar_entries()
-    if workspace is not None:
-        try:
-            world = workspace.broadcast(cols, list(accuracies), n_sources)
-        except OSError:
+            payload = self.cols.take(positions)
+            return scan_columnar, (payload, self.accuracies, params, self.n_sources)
+        payload = _payload(self.index, positions)
+        return _scan_partition, (payload, self.accuracies, params)
+
+    def _merge(self, partials: list, params: CopyParams):
+        if self.columnar:
+            from ..core.kernel import PairTable
+
+            return PairTable.merge(partials, layout=params.pair_layout)
+        merged: _Partial = {}
+        for partial in partials:
+            _merge_partial_into(merged, partial)
+        return merged
+
+    def reduce(self, partials: Sequence, params: CopyParams, reduce_mode: ReduceMode):
+        """Merge the non-empty partials; None when every one is empty.
+
+        ``"flat"`` merges them all in one pass, in partition order;
+        ``"tree"`` runs :func:`_tree_reduce` over them.
+        """
+        live = [partial for partial in partials if len(partial)]
+        if not live:
             return None
-        pool = workspace.pool("processes", len(parts))
-        futures = [
-            pool.submit(
-                scan_shm_partition,
-                world.handle,
-                np.asarray(part.positions, dtype=np.int64),
-                params,
-            )
-            for part in parts
-        ]
-        return [f.result() for f in futures]
-    try:
-        world = SharedWorld.create(cols, list(accuracies), n_sources)
-    except OSError:
-        # No usable shared memory on this platform (e.g. read-only or
-        # missing /dev/shm): pickle payloads instead.
-        return None
-    try:
-        with ProcessPoolExecutor(max_workers=_pool_workers(len(parts))) as pool:
-            futures = [
-                pool.submit(
-                    scan_shm_partition,
-                    world.handle,
-                    np.asarray(part.positions, dtype=np.int64),
-                    params,
-                )
-                for part in parts
-            ]
-            return [f.result() for f in futures]
-    finally:
-        world.close()
+        if reduce_mode == "tree":
+            return _tree_reduce(live, lambda a, b: self._merge([a, b], params))
+        return self._merge(live, params)
 
 
-def _map_columnar(
+def _map_reduce(
+    dataset: Dataset,
     index: InvertedIndex,
     partitions: Sequence[EntryPartition],
     accuracies: Sequence[float],
     params: CopyParams,
-    n_sources: int,
-    executor: Executor,
-    workspace=None,
-):
-    """Map step over columnar payloads: one :class:`PairTable` per share.
-
-    Under the ``"processes"`` executor the world is broadcast once via
-    shared memory; ``"serial"``/``"threads"`` share the parent's address
-    space already, and platforms without shm fall back to pickled
-    payloads — all three paths run the identical ``scan_columnar`` over
-    identical arrays, so the choice never affects results.  A workspace
-    supplies persistent pools (and the persistent broadcast block) that
-    survive across fusion rounds.
-    """
-    from ..core.kernel import scan_columnar
-
-    parts = [part for part in partitions if part.positions]
-    if executor == "processes" and len(parts) > 1:
-        tables = _map_columnar_shm(
-            index, parts, accuracies, params, n_sources, workspace=workspace
-        )
-        if tables is not None:
-            return tables
-    cols = index.columnar_entries()
-    payloads = [cols.take(part.positions) for part in parts]
-    pool = (
-        workspace.pool(executor, len(parts))
-        if workspace is not None and executor != "serial"
-        else None
-    )
-    return _run_map(
-        scan_columnar, payloads, executor, list(accuracies), params, n_sources,
-        pool=pool,
-    )
-
-
-def _validate(executor: str, backend: str | None, reduce: str, params: CopyParams):
-    """Shared argument validation; returns the effective backend."""
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-        )
-    if backend is None:
-        backend = params.backend
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    if executor == "remote" and backend != "numpy":
-        raise ValueError(
-            "executor='remote' requires backend='numpy' (cluster workers "
-            "scan columnar payloads; the python reference loops stay local)"
-        )
-    if reduce not in REDUCE_MODES:
-        raise ValueError(
-            f"unknown reduce mode {reduce!r}; expected one of {REDUCE_MODES}"
-        )
-    return backend
-
-
-def _map_reduce_remote(
-    index: InvertedIndex,
-    parts: list[EntryPartition],
-    accuracies: Sequence[float],
-    params: CopyParams,
-    n_sources: int,
-    reduce_mode: ReduceMode,
-    workspace=None,
-    cluster=None,
-):
-    """Scan + reduce on cluster workers; returns the merged table.
-
-    The world is broadcast to every worker once per executor session
-    (in-place updates thereafter — see
-    :meth:`repro.cluster.ClusterExecutor.broadcast`), each partition
-    ships only its entry positions, and the reduce runs the engine's
-    exact flat/tree associativity on the workers, so results are
-    bit-identical to the in-process executors.  ``cluster`` may be a
-    live :class:`~repro.cluster.ClusterExecutor`, a worker list, or
-    None (the ``REPRO_CLUSTER_WORKERS`` environment variable); with a
-    workspace, list specs resolve to its session-persistent executor.
-    """
-    import numpy as np
-
-    from ..cluster import resolve_cluster
-
-    executor, owned = resolve_cluster(cluster, workspace)
-    try:
-        executor.broadcast(index.columnar_entries(), list(accuracies), n_sources)
-        return executor.map_reduce(
-            [np.asarray(part.positions, dtype=np.int64) for part in parts],
-            [partition_weights(index, part) for part in parts],
-            params,
-            reduce_mode=reduce_mode,
-        )
-    finally:
-        if owned:
-            executor.close()
-
-
-def _map_reduce_columnar(
-    index: InvertedIndex,
-    partitions: Sequence[EntryPartition],
-    accuracies: Sequence[float],
-    params: CopyParams,
-    n_sources: int,
     executor: Executor,
     reduce_mode: ReduceMode,
-    workspace=None,
-    cluster=None,
+    workspace,
+    cluster,
 ):
-    """Columnar map step + reduce under any executor; None when empty.
+    """Scan the partitions on the named executor and reduce the partials.
 
-    The single dispatch point the numpy INDEX and HYBRID paths share:
-    local executors run :func:`_map_columnar` then :func:`_merge_tables`
-    in-process; ``"remote"`` ships both steps to cluster workers
-    (:func:`_map_reduce_remote`) — same scan, same merge associativity,
-    identical results.
+    The single dispatch point INDEX and HYBRID share.  Returns the merged
+    partial — a dict under the python backend, a
+    :class:`~repro.core.kernel.PairTable` under numpy — or None when
+    nothing was scanned.  Executors live in a
+    :class:`~repro.fusion.FusionWorkspace`; a call without one opens a
+    transient workspace, so pools, shared blocks and dialed cluster
+    sessions are torn down on the way out exactly as a fusion run's are.
     """
     parts = [part for part in partitions if part.positions]
     if not parts:
+        # Every partition was empty (a world with no shared values).
         return None
-    if executor == "remote":
-        return _map_reduce_remote(
-            index, parts, accuracies, params, n_sources, reduce_mode,
-            workspace=workspace, cluster=cluster,
-        )
-    tables = _map_columnar(
-        index, parts, accuracies, params, n_sources, executor,
-        workspace=workspace,
+    if workspace is None:
+        from ..fusion.workspace import FusionWorkspace
+
+        with FusionWorkspace(dataset, params) as transient:
+            return _map_reduce(
+                dataset, index, parts, accuracies, params, executor,
+                reduce_mode, transient, cluster,
+            )
+    world = ScanWorld(
+        index, list(accuracies), dataset.n_sources, params.backend == "numpy"
     )
-    return _merge_tables(tables, reduce_mode, layout=params.pair_layout)
+    return workspace.executor(executor, cluster).map_reduce(
+        world,
+        [part.positions for part in parts],
+        [partition_weights(index, part) for part in parts],
+        params,
+        reduce_mode,
+    )
+
+
+def _cells(merged) -> _Partial:
+    """A merged partial as ``pair -> [c_fwd, c_bwd, n_shared, saw_main]``."""
+    if merged is None:
+        return {}
+    if isinstance(merged, dict):
+        return merged
+    return {
+        pair: [c_fwd, c_bwd, float(n_shared), float(saw_main)]
+        for pair, c_fwd, c_bwd, n_shared, saw_main in zip(
+            merged.pairs(),
+            merged.c_fwd.tolist(),
+            merged.c_bwd.tolist(),
+            merged.n_shared.tolist(),
+            merged.saw_main.tolist(),
+        )
+    }
+
+
+def _decide(
+    c_fwd: float, c_bwd: float, n_shared: int, l_shared: int, params: CopyParams
+) -> PairDecision:
+    """Exact verdict for one pair from its accumulated shared-value scores.
+
+    Applies the different-value penalty ``ln(1-s) * (l - n)`` for the
+    ``l_shared - n_shared`` items the pair shares with differing values,
+    then Eq. (2).
+    """
+    penalty = (l_shared - n_shared) * params.ln_one_minus_s
+    c_fwd += penalty
+    c_bwd += penalty
+    post = posterior(c_fwd, c_bwd, params)
+    return PairDecision(
+        c_fwd=c_fwd, c_bwd=c_bwd, posterior=post, copying=post.copying, early=False
+    )
 
 
 def detect_index_parallel(
@@ -485,9 +353,10 @@ def detect_index_parallel(
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
             O(log P) depth; under ``"remote"`` the pairwise merges run
             *on the workers* so the driver only receives the root).
-        workspace: a :class:`~repro.fusion.FusionWorkspace` supplying
-            persistent pools and the persistent shared-memory broadcast
-            when the engine runs once per fusion round.
+        workspace: a :class:`~repro.fusion.FusionWorkspace` whose
+            persistent executor (pool, shared-memory block, cluster
+            session) is reused when the engine runs once per fusion
+            round; a transient one is opened when omitted.
         cluster: for ``executor="remote"``: a live
             :class:`~repro.cluster.ClusterExecutor`, a worker list
             (``"host:port,host:port"`` or a sequence), or None to read
@@ -497,98 +366,36 @@ def detect_index_parallel(
         ValueError: for an unknown executor, backend, strategy or reduce
             mode.
     """
-    backend = _validate(executor, backend, reduce, params)
+    backend = validate_execution(params, executor, reduce, backend=backend)
+    if backend != params.backend:
+        params = replace(params, backend=backend)
     if index is None:
         index = InvertedIndex.build(dataset, probabilities, accuracies, params)
-    partitions = partition_entries(index, n_partitions, strategy)
-    if backend == "numpy":
-        return _detect_parallel_numpy(
-            index, accuracies, params, partitions, executor, dataset.n_sources,
-            reduce, workspace, cluster,
-        )
-    payloads = [_payload(index, part) for part in partitions]
-    pool = (
-        workspace.pool(executor, len(payloads))
-        if workspace is not None and executor != "serial"
-        else None
+    merged = _map_reduce(
+        dataset, index, partition_entries(index, n_partitions, strategy),
+        accuracies, params, executor, reduce, workspace, cluster,
     )
-    partials = _run_map(
-        _scan_partition, payloads, executor, list(accuracies), params, pool=pool
-    )
-    return _reduce(partials, index, dataset.n_sources, params, reduce)
-
-
-def _detect_parallel_numpy(
-    index: InvertedIndex,
-    accuracies: Sequence[float],
-    params: CopyParams,
-    partitions: list[EntryPartition],
-    executor: Executor,
-    n_sources: int,
-    reduce_mode: ReduceMode,
-    workspace=None,
-    cluster=None,
-) -> DetectionResult:
-    """Map/reduce over columnar payloads via the vectorized kernel."""
-    from ..core.kernel import decide_pairs
-
-    merged = _map_reduce_columnar(
-        index, partitions, accuracies, params, n_sources, executor,
-        reduce_mode, workspace=workspace, cluster=cluster,
-    )
+    shared_items = index.shared_items
     cost = CostCounter()
-    if merged is None:
-        return DetectionResult(
-            method="index-parallel", n_sources=n_sources, decisions={}, cost=cost
-        )
-    decisions = decide_pairs(merged, index.shared_items, params, require_main=True)
-    # Same accounting as the dict-based reduce: every merged incidence is
-    # examined, only opened (non-tail) pairs are considered.
-    cost.values_examined = int(merged.n_shared.sum())
+    decisions: dict[tuple[int, int], PairDecision] = {}
+    if isinstance(merged, dict):
+        for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
+            cost.values_examined += int(n_shared)
+            if saw_main:  # tail-only pairs: INDEX never opens them
+                decisions[pair] = _decide(
+                    c_fwd, c_bwd, int(n_shared), shared_items[pair], params
+                )
+    elif merged is not None:
+        from ..core.kernel import decide_pairs
+
+        # Same verdicts and accounting as the loop above, vectorized.
+        decisions = decide_pairs(merged, shared_items, params, require_main=True)
+        cost.values_examined = int(merged.n_shared.sum())
     cost.pairs_considered = len(decisions)
     cost.computations = 2 * cost.values_examined + 2 * cost.pairs_considered
     return DetectionResult(
         method="index-parallel",
-        n_sources=n_sources,
-        decisions=decisions,
-        cost=cost,
-    )
-
-
-def _reduce(
-    partials: list[_Partial],
-    index: InvertedIndex,
-    n_sources: int,
-    params: CopyParams,
-    reduce_mode: ReduceMode = "flat",
-) -> DetectionResult:
-    """Reduce step: merge partials, apply penalties, decide."""
-    merged = _merge_partials(partials, reduce_mode)
-
-    ln_diff = params.ln_one_minus_s
-    shared_items = index.shared_items
-    cost = CostCounter()
-    decisions: dict[tuple[int, int], PairDecision] = {}
-    for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
-        cost.values_examined += int(n_shared)
-        if not saw_main:
-            continue  # tail-only pair: INDEX never opens it
-        cost.pairs_considered += 1
-        n_diff = shared_items[pair] - int(n_shared)
-        c_fwd += n_diff * ln_diff
-        c_bwd += n_diff * ln_diff
-        post = posterior(c_fwd, c_bwd, params)
-        decisions[pair] = PairDecision(
-            c_fwd=c_fwd,
-            c_bwd=c_bwd,
-            posterior=post,
-            copying=post.copying,
-            early=False,
-        )
-    cost.computations = 2 * cost.values_examined + 2 * cost.pairs_considered
-    return DetectionResult(
-        method="index-parallel",
-        n_sources=n_sources,
+        n_sources=dataset.n_sources,
         decisions=decisions,
         cost=cost,
     )
@@ -650,12 +457,7 @@ def detect_hybrid_parallel(
         ValueError: for an unknown executor, backend, reduce mode or
             partition axis.
     """
-    backend = _validate(executor, backend, reduce, params)
-    if partition_by not in PARTITION_AXES:
-        raise ValueError(
-            f"unknown partition_by {partition_by!r}; "
-            f"expected one of {PARTITION_AXES}"
-        )
+    backend = validate_execution(params, executor, reduce, partition_by, backend)
     if backend != params.backend:
         params = replace(params, backend=backend)
     if index is None:
@@ -681,40 +483,15 @@ def detect_hybrid_parallel(
         )
     else:
         suffix_parts = partitions[1:]
-    suffix_parts = [part for part in suffix_parts if part.positions]
-
     # Map/reduce the suffix into per-pair [c_fwd, c_bwd, n, saw_main].
-    merged: _Partial = {}
-    if suffix_parts:
-        if backend == "numpy":
-            table = _map_reduce_columnar(
-                index, suffix_parts, accuracies, params, dataset.n_sources,
-                executor, reduce, workspace=workspace, cluster=cluster,
-            )
-            if table is not None:
-                for pair, c_fwd, c_bwd, n_shared, saw_main in zip(
-                    table.pairs(),
-                    table.c_fwd.tolist(),
-                    table.c_bwd.tolist(),
-                    table.n_shared.tolist(),
-                    table.saw_main.tolist(),
-                ):
-                    merged[pair] = [c_fwd, c_bwd, float(n_shared), float(saw_main)]
-        else:
-            payloads = [_payload(index, part) for part in suffix_parts]
-            pool = (
-                workspace.pool(executor, len(payloads))
-                if workspace is not None and executor != "serial"
-                else None
-            )
-            partials = _run_map(
-                _scan_partition, payloads, executor, list(accuracies), params,
-                pool=pool,
-            )
-            merged = _merge_partials(partials, reduce)
+    merged = _cells(
+        _map_reduce(
+            dataset, index, suffix_parts, accuracies, params, executor, reduce,
+            workspace, cluster,
+        )
+    )
 
     # Reduce: early verdicts stand; survivors absorb their suffix sums.
-    ln_diff = params.ln_one_minus_s
     shared_items = index.shared_items
     cost = CostCounter()
     decisions: dict[tuple[int, int], PairDecision] = dict(prefix.done)
@@ -723,22 +500,14 @@ def detect_hybrid_parallel(
     suffix_incidences = 0
     exact_pairs = 0
     for survivors in (prefix.active, prefix.exact):
-        for pair, (c0_fwd, c0_bwd, n0) in survivors.items():
+        for pair, (c_fwd, c_bwd, n_shared) in survivors.items():
             cell = merged.get(pair)
             if cell is not None:
-                c0_fwd += cell[0]
-                c0_bwd += cell[1]
-                n0 += int(cell[2])
-            penalty = (shared_items[pair] - n0) * ln_diff
-            c_fwd = c0_fwd + penalty
-            c_bwd = c0_bwd + penalty
-            post = posterior(c_fwd, c_bwd, params)
-            decisions[pair] = PairDecision(
-                c_fwd=c_fwd,
-                c_bwd=c_bwd,
-                posterior=post,
-                copying=post.copying,
-                early=False,
+                c_fwd += cell[0]
+                c_bwd += cell[1]
+                n_shared += int(cell[2])
+            decisions[pair] = _decide(
+                c_fwd, c_bwd, n_shared, shared_items[pair], params
             )
             exact_pairs += 1
     for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
@@ -747,16 +516,8 @@ def detect_hybrid_parallel(
             continue  # early verdicts stand; survivors already resolved
         if not saw_main:
             continue  # suffix-tail-only pair: INDEX never opens it
-        penalty = (shared_items[pair] - int(n_shared)) * ln_diff
-        c_fwd += penalty
-        c_bwd += penalty
-        post = posterior(c_fwd, c_bwd, params)
-        decisions[pair] = PairDecision(
-            c_fwd=c_fwd,
-            c_bwd=c_bwd,
-            posterior=post,
-            copying=post.copying,
-            early=False,
+        decisions[pair] = _decide(
+            c_fwd, c_bwd, int(n_shared), shared_items[pair], params
         )
         exact_pairs += 1
     cost.values_examined += suffix_incidences

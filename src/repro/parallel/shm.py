@@ -17,11 +17,16 @@ This module broadcasts the whole world **once** instead:
    reconstruct zero-copy array views over the buffer, and slice their
    partition out with :meth:`ColumnarEntries.take`.
 
-The engine falls back to pickled per-partition payloads whenever shared
-memory is unavailable (platforms without ``/dev/shm``, permission errors,
-or an interpreter built without ``multiprocessing.shared_memory``) — the
-scan itself is byte-for-byte the same either way, so the fallback changes
-performance only, never results.
+The block is a plain :mod:`repro.data.frames` array block holding the
+:func:`~repro.core.kernel.world_arrays` of the world; the handle's
+``fields`` is its array table.
+
+The process executor (:mod:`repro.parallel.executors`) falls back to
+pickled per-partition payloads whenever shared memory is unavailable
+(platforms without ``/dev/shm``, permission errors, or an interpreter
+built without ``multiprocessing.shared_memory``) — the scan itself is
+byte-for-byte the same either way, so the fallback changes performance
+only, never results.
 """
 
 from __future__ import annotations
@@ -29,12 +34,17 @@ from __future__ import annotations
 import atexit
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.kernel import ColumnarEntries
+from ..core.kernel import (
+    ColumnarEntries,
+    scan_columnar,
+    world_arrays,
+    world_from_arrays,
+)
+from ..data.frames import layout_arrays, view_arrays, write_arrays
 
 #: Every live parent-side SharedWorld.  Weak references: a world that is
 #: garbage-collected drops out on its own (``__del__`` unlinks it), and
@@ -91,51 +101,45 @@ class ShmWorldHandle:
 
 
 def _attach(handle: ShmWorldHandle):
-    """Attach to a broadcast block and rebuild the arrays (worker side)."""
+    """Attach to a broadcast block (worker side)."""
     from multiprocessing import shared_memory
 
     try:
         # Python 3.13+: opt out of resource tracking — the parent owns
         # the block's lifetime and unlinks it.
-        block = shared_memory.SharedMemory(name=handle.name, track=False)
+        return shared_memory.SharedMemory(name=handle.name, track=False)
     except TypeError:
         # Pre-3.13 interpreters register the attachment with the resource
         # tracker too.  The tracker's name cache is shared across the
         # process tree (registrations of the same name collapse), so the
         # parent's unlink-time unregister clears it — workers must NOT
         # unregister themselves or the tracker sees double removals.
-        block = shared_memory.SharedMemory(name=handle.name)
-    arrays = {}
-    for field, dtype, offset, length in handle.fields:
-        arrays[field] = np.ndarray(
-            (length,), dtype=np.dtype(dtype), buffer=block.buf, offset=offset
-        )
-    return block, arrays
+        return shared_memory.SharedMemory(name=handle.name)
 
 
-#: Worker-process cache: one attachment per broadcast block, reused by
-#: every task the worker executes (the pool outlives the tasks).
+#: Worker-process cache of the *current* broadcast block — ``name ->
+#: (block, cols, accuracies)``, at most one entry — reused by every task
+#: the worker executes (the pool outlives the tasks).
 _ATTACHED: dict = {}
 
 
 def attached_world(handle: ShmWorldHandle):
     """Worker-side accessor: ``(ColumnarEntries, accuracies)`` views.
 
-    The views are zero-copy over the shared block; attachments are cached
-    per process so the cost is paid once per worker, not per partition.
+    The views are zero-copy over the shared block; the attachment is
+    cached per process so the cost is paid once per worker, not per
+    partition.  A new block name means the parent replaced the block (a
+    world that outgrew it) and already unlinked the old one, so the stale
+    mapping is closed instead of staying mapped for the pool's lifetime.
     """
     cached = _ATTACHED.get(handle.name)
     if cached is None:
-        from ..core.kernel import ColumnarEntries
-
-        block, arrays = _attach(handle)
-        cols = ColumnarEntries(
-            probs=arrays["probs"],
-            main=arrays["main"].view(bool),
-            offsets=arrays["offsets"],
-            providers=arrays["providers"],
-        )
-        cached = (block, cols, arrays["accuracies"])
+        while _ATTACHED:
+            # Indexing drops the tuple, and with it the last views into
+            # the stale buffer, before close() releases the mapping.
+            _ATTACHED.popitem()[1][0].close()
+        block = _attach(handle)
+        cached = (block, *world_from_arrays(view_arrays(block.buf, handle.fields)))
         _ATTACHED[handle.name] = cached
     return cached[1], cached[2]
 
@@ -157,24 +161,10 @@ class SharedWorld:
         self.handle = handle
         _LIVE_WORLDS.add(self)
 
-    @staticmethod
-    def _pack(
-        cols: "ColumnarEntries", accuracies: Sequence[float] | np.ndarray
-    ) -> dict[str, np.ndarray]:
-        """The contiguous arrays a broadcast block carries, in pack order."""
-        return {
-            "probs": np.ascontiguousarray(cols.probs, dtype=np.float64),
-            # bool stored as uint8 for a stable cross-process dtype token.
-            "main": np.ascontiguousarray(cols.main, dtype=np.uint8),
-            "offsets": np.ascontiguousarray(cols.offsets, dtype=np.int64),
-            "providers": np.ascontiguousarray(cols.providers, dtype=np.int64),
-            "accuracies": np.ascontiguousarray(accuracies, dtype=np.float64),
-        }
-
     @classmethod
     def create(
         cls,
-        cols: "ColumnarEntries",
+        cols: ColumnarEntries,
         accuracies: Sequence[float] | np.ndarray,
         n_sources: int,
     ) -> "SharedWorld":
@@ -182,24 +172,15 @@ class SharedWorld:
 
         Raises:
             OSError: when the platform cannot allocate shared memory (the
-                engine catches this and falls back to pickled payloads).
+                process executor catches this and pickles per-partition
+                payloads instead).
         """
         from multiprocessing import shared_memory
 
-        arrays = cls._pack(cols, accuracies)
-        fields = []
-        offset = 0
-        for field, arr in arrays.items():
-            # 8-byte alignment keeps every view's dtype happy.
-            offset = (offset + 7) & ~7
-            fields.append((field, arr.dtype.str, offset, len(arr)))
-            offset += arr.nbytes
-        block = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        for (_, dtype, start, length), arr in zip(fields, arrays.values()):
-            view = np.ndarray(
-                (length,), dtype=np.dtype(dtype), buffer=block.buf, offset=start
-            )
-            view[:] = arr
+        arrays = world_arrays(cols, accuracies)
+        fields, size = layout_arrays(arrays)
+        block = shared_memory.SharedMemory(create=True, size=max(size, 1))
+        write_arrays(block.buf, fields, arrays)
         handle = ShmWorldHandle(
             name=block.name, fields=tuple(fields), n_sources=n_sources
         )
@@ -207,7 +188,7 @@ class SharedWorld:
 
     def write(
         self,
-        cols: "ColumnarEntries",
+        cols: ColumnarEntries,
         accuracies: Sequence[float] | np.ndarray,
     ) -> bool:
         """Rewrite the packed arrays in place (the round-reuse fast path).
@@ -227,20 +208,12 @@ class SharedWorld:
         """
         if self._block is None:
             return False
-        arrays = self._pack(cols, accuracies)
-        if tuple(
-            (field, arr.dtype.str, len(arr)) for field, arr in arrays.items()
-        ) != tuple(
-            (field, dtype, length) for field, dtype, _, length in self.handle.fields
-        ):
+        arrays = world_arrays(cols, accuracies)
+        # Offsets follow from dtypes and lengths, so equal tables mean
+        # every array still fits exactly where it was.
+        if tuple(layout_arrays(arrays)[0]) != self.handle.fields:
             return False
-        for (_, dtype, start, length), arr in zip(
-            self.handle.fields, arrays.values()
-        ):
-            view = np.ndarray(
-                (length,), dtype=np.dtype(dtype), buffer=self._block.buf, offset=start
-            )
-            view[:] = arr
+        write_arrays(self._block.buf, self.handle.fields, arrays)
         return True
 
     def close(self) -> None:
@@ -277,8 +250,6 @@ def scan_shm_partition(handle: ShmWorldHandle, positions, params):
     Top-level (picklable) so the engine can submit it to worker
     processes; ``positions`` is the only per-task payload of any size.
     """
-    from ..core.kernel import scan_columnar
-
     cols, accuracies = attached_world(handle)
     part = cols.take(np.asarray(positions, dtype=np.int64))
     return scan_columnar(part, accuracies, params, handle.n_sources)

@@ -1,17 +1,11 @@
 """Binary codec for verdict-store snapshot files.
 
-One snapshot is one immutable file::
-
-    magic "RVSS" | u32 format version | u32 header length
-    | header JSON (utf-8) | zero padding to 8-byte alignment
-    | raw little-endian array payload
-
-The header carries the snapshot metadata (id, kind, base id, counts,
-optional display labels) plus one descriptor per payload array —
-``(name, dtype, offset, count)`` with offsets relative to the payload
-start — and a CRC-32 of the whole payload.  Decoding reconstructs
-read-only NumPy views over the payload bytes, so opening a snapshot
-costs one file read and no per-row work.
+One snapshot is one immutable file: a :mod:`repro.data.frames` frame with
+magic ``"RVSS"`` whose header carries the snapshot metadata (id, kind,
+base id, counts, optional display labels) beside the array table and the
+payload's CRC-32.  Decoding reconstructs read-only NumPy views over the
+payload bytes, so opening a snapshot costs one file read and no per-row
+work.
 
 Every way a file can be bad — short reads, foreign bytes, a mangled
 header, a payload that fails its checksum, or a snapshot written by a
@@ -23,13 +17,12 @@ robustness tests in ``tests/test_serving.py`` pin this down.
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+
+from ..data.frames import FrameFormat
 
 #: File magic: Repro Verdict Snapshot Store.
 MAGIC = b"RVSS"
@@ -38,8 +31,6 @@ MAGIC = b"RVSS"
 #: Bump on any incompatible schema change; older readers refuse newer
 #: files with a clear :class:`ServingError` instead of misreading them.
 FORMAT_VERSION = 1
-
-_PREAMBLE = struct.Struct("<4sII")
 
 
 class ServingError(Exception):
@@ -53,8 +44,9 @@ class ServingError(Exception):
     """
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
+_SNAPSHOT = FrameFormat(
+    MAGIC, FORMAT_VERSION, ServingError, "verdict snapshot", fields=("meta",)
+)
 
 
 def encode_snapshot(meta: Mapping, arrays: Mapping[str, np.ndarray]) -> bytes:
@@ -66,30 +58,7 @@ def encode_snapshot(meta: Mapping, arrays: Mapping[str, np.ndarray]) -> bytes:
         arrays: named 1-D arrays; each is stored contiguously in its own
             dtype with an 8-byte-aligned offset.
     """
-    descriptors = []
-    chunks = []
-    offset = 0
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        offset = _align8(offset)
-        descriptors.append((name, arr.dtype.str, offset, int(arr.size)))
-        chunks.append((offset, arr.tobytes()))
-        offset += arr.nbytes
-    payload = bytearray(_align8(offset))
-    for start, data in chunks:
-        payload[start : start + len(data)] = data
-    header = json.dumps(
-        {
-            "meta": dict(meta),
-            "arrays": descriptors,
-            "payload_crc32": zlib.crc32(bytes(payload)) & 0xFFFFFFFF,
-            "payload_length": len(payload),
-        },
-        separators=(",", ":"),
-    ).encode("utf-8")
-    preamble = _PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header))
-    pad = b"\0" * (_align8(_PREAMBLE.size + len(header)) - _PREAMBLE.size - len(header))
-    return preamble + header + pad + bytes(payload)
+    return _SNAPSHOT.encode({"meta": dict(meta)}, arrays)
 
 
 def decode_snapshot(data: bytes, source: str = "<bytes>") -> tuple[dict, dict]:
@@ -107,56 +76,20 @@ def decode_snapshot(data: bytes, source: str = "<bytes>") -> tuple[dict, dict]:
             build can read — truncation, corruption, wrong magic, or a
             newer format version.
     """
-    if len(data) < _PREAMBLE.size:
-        raise ServingError(
-            f"{source}: truncated snapshot ({len(data)} bytes is shorter "
-            f"than the {_PREAMBLE.size}-byte preamble)"
-        )
-    magic, version, header_len = _PREAMBLE.unpack_from(data)
-    if magic != MAGIC:
-        raise ServingError(
-            f"{source}: not a verdict snapshot (bad magic {magic!r})"
-        )
-    if version > FORMAT_VERSION:
-        raise ServingError(
-            f"{source}: snapshot format version {version} is newer than "
-            f"this build supports (max {FORMAT_VERSION}); upgrade the "
-            f"library to read it"
-        )
-    header_end = _PREAMBLE.size + header_len
-    if header_end > len(data):
-        raise ServingError(
-            f"{source}: truncated snapshot (header claims {header_len} "
-            f"bytes but only {len(data) - _PREAMBLE.size} follow)"
-        )
-    try:
-        header = json.loads(data[_PREAMBLE.size : header_end].decode("utf-8"))
-        meta = header["meta"]
-        descriptors = header["arrays"]
-        crc_expected = header["payload_crc32"]
-        payload_length = header["payload_length"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ServingError(f"{source}: corrupted snapshot header ({exc})") from exc
-    payload_start = _align8(header_end)
-    payload = data[payload_start:]
-    if len(payload) < payload_length:
-        raise ServingError(
-            f"{source}: truncated snapshot payload ({len(payload)} of "
-            f"{payload_length} bytes present)"
-        )
-    payload = payload[:payload_length]
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_expected:
-        raise ServingError(f"{source}: snapshot payload fails its checksum")
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        for name, dtype, offset, count in descriptors:
-            arr = np.frombuffer(payload, dtype=np.dtype(dtype), count=count, offset=offset)
-            arr.flags.writeable = False
-            arrays[name] = arr
-    except (ValueError, TypeError) as exc:
-        raise ServingError(
-            f"{source}: corrupted snapshot array table ({exc})"
-        ) from exc
+    data = bytes(data)
+    pos = 0
+
+    def read(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise ServingError(
+                f"{source}: truncated snapshot ({len(data) - pos} of the "
+                f"next {n} bytes present)"
+            )
+        pos += n
+        return data[pos - n : pos]
+
+    (meta,), arrays = _SNAPSHOT.decode(read, source)
     return meta, arrays
 
 

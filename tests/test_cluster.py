@@ -32,6 +32,7 @@ from repro.cluster.wire import (
 )
 from repro.core import CopyParams, InvertedIndex
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
+from repro.parallel.engine import ScanWorld
 from repro.parallel.partition import (
     assign_buckets_lpt,
     partition_entries,
@@ -177,7 +178,7 @@ class TestWorkerSpec:
         with pytest.raises(ClusterError):
             parse_worker_spec(bad)
 
-    def test_resolve_passthrough_not_owned(self, monkeypatch):
+    def test_no_worker_list_anywhere_raises(self, monkeypatch):
         monkeypatch.delenv("REPRO_CLUSTER_WORKERS", raising=False)
         with pytest.raises(ClusterError, match="REPRO_CLUSTER_WORKERS"):
             resolve_cluster(None)
@@ -339,7 +340,7 @@ class TestStats:
                 example, params, detector=detector,
                 config=FusionConfig(max_rounds=3, min_rounds=3), workspace=ws,
             )
-            ex = ws.cluster(parse_worker_spec(spec))
+            ex = ws.executor("remote", spec)
             assert ex.stats.rounds >= 3
             for label, worker in ex.stats.workers.items():
                 # One full world frame per worker per session; later
@@ -348,49 +349,54 @@ class TestStats:
                 assert worker.updates >= 1, label
             assert ex.stats.update_bytes > 0
 
-    def test_workspace_reuses_and_closes_executor(self, cluster, example, params):
+    def test_workspace_reuses_and_closes_executor(
+        self, cluster, executor, example, params
+    ):
         from repro.fusion.workspace import FusionWorkspace
 
-        addresses = parse_worker_spec(",".join(cluster.addresses))
+        spec = ",".join(cluster.addresses)
         ws = FusionWorkspace(example, params)
-        first = ws.cluster(addresses)
-        assert ws.cluster(addresses) is first
+        first = ws.executor("remote", spec)
+        # Any spelling of the same worker list is the same session.
+        assert ws.executor("remote", parse_worker_spec(spec)) is first
+        # A live executor passes through and stays the caller's to close.
+        assert ws.executor("remote", executor) is executor
+        assert resolve_cluster(executor) is executor
         ws.close()
         assert first.closed
+        assert not executor.closed
         with pytest.raises(RuntimeError):
-            ws.cluster(addresses)
+            ws.executor("remote", spec)
 
 
 @pytest.mark.cluster
 class TestFaults:
-    def _broadcast(self, ex, example, example_probabilities,
-                   example_accuracies, params):
+    def _round(self, example, example_probabilities, example_accuracies, params):
+        """``map_reduce`` arguments for one tree-reduced round."""
         index = _index(
             example, example_probabilities, example_accuracies, params
         )
-        ex.broadcast(
-            index.columnar_entries(),
-            list(example_accuracies),
-            example.n_sources,
+        world = ScanWorld(
+            index, list(example_accuracies), example.n_sources, columnar=True
         )
         parts = [
             p for p in partition_entries(index, 4, strategy="work")
             if p.positions
         ]
-        positions = [np.asarray(p.positions, dtype=np.int64) for p in parts]
+        positions = [p.positions for p in parts]
         weights = [partition_weights(index, p) for p in parts]
-        return positions, weights
+        return world, positions, weights, params, "tree"
 
     def test_round_retries_on_surviving_worker(
         self, example, example_probabilities, example_accuracies, params
     ):
         with LocalCluster(2) as lc, lc.executor() as ex:
-            positions, weights = self._broadcast(
-                ex, example, example_probabilities, example_accuracies, params
+            round_args = self._round(
+                example, example_probabilities, example_accuracies, params
             )
-            baseline = ex.map_reduce(positions, weights, params, "tree")
+            baseline = ex.map_reduce(*round_args)
             lc.kill_worker(0)
-            retried = ex.map_reduce(positions, weights, params, "tree")
+            retried = ex.map_reduce(*round_args)
             assert ex.stats.retries >= 1
             assert retried.keys.tobytes() == baseline.keys.tobytes()
             assert retried.c_fwd.tobytes() == baseline.c_fwd.tobytes()
@@ -400,13 +406,14 @@ class TestFaults:
         self, example, example_probabilities, example_accuracies, params
     ):
         with LocalCluster(2) as lc, lc.executor() as ex:
-            positions, weights = self._broadcast(
-                ex, example, example_probabilities, example_accuracies, params
+            round_args = self._round(
+                example, example_probabilities, example_accuracies, params
             )
+            ex.map_reduce(*round_args)
             lc.kill_worker(0)
             lc.kill_worker(1)
             with pytest.raises(ClusterError) as excinfo:
-                ex.map_reduce(positions, weights, params, "tree")
+                ex.map_reduce(*round_args)
             # Transport failures surface as ClusterError, never as a raw
             # socket exception.
             assert not isinstance(excinfo.value, ConnectionError)

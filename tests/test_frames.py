@@ -1,0 +1,169 @@
+"""Format stability of the two binary formats over the shared framing module.
+
+The golden bytes under ``tests/data/golden_frames/`` were written by the
+public encoders at commit 465d2c0, when ``serving/codec.py`` and
+``cluster/wire.py`` each hand-rolled their own framing (see
+``tests/make_golden_frames.py``).  Both now sit on
+:mod:`repro.data.frames`; these tests hold them to the same bytes and the
+same error contract.
+"""
+
+from __future__ import annotations
+
+import socket
+import struct
+
+import numpy as np
+import pytest
+
+from repro.cluster import ClusterError
+from repro.cluster.wire import WIRE_VERSION, encode_message, recv_message
+from repro.data.frames import align8, layout_arrays, view_arrays, write_arrays
+from repro.serving import FORMAT_VERSION, ServingError, decode_snapshot, encode_snapshot
+from tests.make_golden_frames import GOLDEN_DIR, golden_frames
+
+GOLDEN = {path.name: path.read_bytes() for path in sorted(GOLDEN_DIR.iterdir())}
+
+
+def _decode(name: str, data: bytes):
+    """Decode one golden (or damaged) frame the way its consumer would."""
+    if name.endswith(".rvs"):
+        return ("snapshot", *decode_snapshot(data, source=name))
+    left, right = socket.socketpair()
+    try:
+        left.sendall(data)
+        left.close()
+        return recv_message(right)
+    finally:
+        right.close()
+
+
+def _encode(kind, meta, arrays) -> bytes:
+    if kind == "snapshot":
+        return encode_snapshot(meta, arrays)
+    return encode_message(kind, meta, arrays)
+
+
+class TestGoldenBytes:
+    def test_fixture_set(self):
+        assert set(GOLDEN) == {"snapshot.rvs", "world.rclw", "task.rclw"}
+
+    def test_encoders_still_write_the_golden_bytes(self):
+        assert golden_frames() == GOLDEN
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_decode_then_reencode_is_byte_identical(self, name):
+        kind, meta, arrays = _decode(name, GOLDEN[name])
+        assert arrays  # every fixture carries a payload
+        assert all(not arr.flags.writeable for arr in arrays.values())
+        assert _encode(kind, meta, arrays) == GOLDEN[name]
+
+    def test_decoded_content(self):
+        _, meta, arrays = _decode("snapshot.rvs", GOLDEN["snapshot.rvs"])
+        assert meta["labels"] == ["S0", "S1", "S2", "S3"]
+        assert arrays["pair_c_fwd"].tolist() == [5.0, -0.125, 1e-300]
+        assert arrays["item_truth"].dtype == np.int64 and len(arrays["item_truth"]) == 0
+        kind, meta, arrays = _decode("task.rclw", GOLDEN["task.rclw"])
+        assert kind == "task" and meta["params"]["alpha"] == 0.2
+        assert arrays["positions"].tolist() == [0, 2]
+
+
+def _with_version(data: bytes, version: int) -> bytes:
+    return data[:4] + struct.pack("<I", version) + data[8:]
+
+
+def _flip_last_byte(data: bytes) -> bytes:
+    return data[:-1] + bytes([data[-1] ^ 0xFF])
+
+
+#: (fixture, damage, error type, pinned message fragment)
+DAMAGE = [
+    ("snapshot.rvs", lambda d: b"ZZZZ" + d[4:], ServingError, "not a verdict snapshot"),
+    (
+        "snapshot.rvs",
+        lambda d: _with_version(d, FORMAT_VERSION + 1),
+        ServingError,
+        "newer than this build",
+    ),
+    ("snapshot.rvs", _flip_last_byte, ServingError, "checksum"),
+    ("snapshot.rvs", lambda d: d[:-20], ServingError, "truncated"),
+    ("snapshot.rvs", lambda d: d[:7], ServingError, "truncated"),
+    ("world.rclw", lambda d: b"XXXX" + d[4:], ClusterError, "magic"),
+    (
+        "world.rclw",
+        lambda d: _with_version(d, WIRE_VERSION + 1),
+        ClusterError,
+        "version",
+    ),
+    ("world.rclw", _flip_last_byte, ClusterError, "checksum"),
+    ("task.rclw", lambda d: d[:-3], ClusterError, "closed mid-frame"),
+    (
+        "task.rclw",
+        lambda d: d[:8] + struct.pack("<I", 1 << 30) + d[12:],
+        ClusterError,
+        "corrupted",
+    ),
+]
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "name, damage, error, fragment",
+        DAMAGE,
+        ids=[f"{name}-{fragment}" for name, _, _, fragment in DAMAGE],
+    )
+    def test_damage_raises_the_formats_own_error(self, name, damage, error, fragment):
+        with pytest.raises(error, match=fragment):
+            _decode(name, damage(GOLDEN[name]))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_header_damage_never_leaks_a_codec_traceback(self, name):
+        """Every single-byte flip inside the JSON header — which the CRC
+        does not cover — decodes or raises the format's error, nothing else."""
+        data = GOLDEN[name]
+        error = ServingError if name.endswith(".rvs") else ClusterError
+        header_len = struct.unpack_from("<4sII", data)[2]
+        for pos in range(12, 12 + header_len):
+            damaged = data[:pos] + bytes([data[pos] ^ 0x10]) + data[pos + 1 :]
+            try:
+                _decode(name, damaged)
+            except error:
+                pass
+
+
+class TestArrayBlocks:
+    ARRAYS = {
+        "flags": np.array([1, 0, 1], dtype=np.uint8),
+        "scores": np.array([0.5, -2.0]),
+        "empty": np.empty(0, dtype=np.int64),
+        "keys": np.arange(5, dtype=np.int64),
+    }
+
+    def test_layout_is_eight_aligned_and_in_order(self):
+        table, end = layout_arrays(self.ARRAYS)
+        assert [row[0] for row in table] == list(self.ARRAYS)
+        assert table == [
+            ("flags", "|u1", 0, 3),
+            ("scores", "<f8", 8, 2),
+            ("empty", "<i8", 24, 0),
+            ("keys", "<i8", 24, 5),
+        ]
+        assert end == 64
+        assert [align8(n) for n in (0, 1, 8, 9)] == [0, 8, 8, 16]
+
+    def test_write_then_view_roundtrips_through_any_buffer(self):
+        table, end = layout_arrays(self.ARRAYS)
+        buffer = bytearray(end)
+        write_arrays(buffer, table, self.ARRAYS)
+        views = view_arrays(buffer, table)
+        for name, arr in self.ARRAYS.items():
+            assert views[name].dtype == arr.dtype
+            assert np.array_equal(views[name], arr)
+        # Views alias the buffer: writable exactly when it is.
+        views["keys"][0] = 99
+        assert view_arrays(bytes(buffer), table)["keys"][0] == 99
+        assert not view_arrays(bytes(buffer), table)["keys"].flags.writeable
+
+    def test_a_table_that_overruns_the_buffer_is_rejected(self):
+        with pytest.raises(ValueError):
+            view_arrays(bytes(8), [("keys", "<i8", 0, 2)])

@@ -27,6 +27,7 @@ from repro.fusion.workspace import FusionWorkspace
 from repro.parallel.shm import SharedWorld, shared_memory_available
 from repro.synth import book_cs
 from tests.strategies import worlds
+from tests.test_shm_teardown import scan_round
 
 TOL = 1e-9
 
@@ -293,18 +294,20 @@ class TestFusionWorkspace:
         with FusionWorkspace(dataset, CopyParams(backend="python")) as ws_python:
             assert ws_python.shared_items == counts_numpy
 
-    def test_pool_is_persistent_and_closed(self):
+    def test_executor_is_persistent_and_closed(self):
         with FusionWorkspace(motivating_example(), CopyParams()) as workspace:
-            pool = workspace.pool("threads", 2)
-            assert workspace.pool("threads", 4) is pool
-            assert workspace.pool("serial") is None
+            threads = workspace.executor("threads")
+            assert workspace.executor("threads") is threads
+            assert workspace.executor("serial") is not threads
+            with pytest.raises(ValueError, match="unknown executor"):
+                workspace.executor("gpu")
         assert workspace.closed
         with pytest.raises(RuntimeError):
-            workspace.pool("threads", 2)
+            workspace.executor("threads")
 
     def test_close_is_idempotent(self):
         workspace = FusionWorkspace(motivating_example(), CopyParams())
-        workspace.pool("threads", 1)
+        workspace.executor("threads")
         workspace.close()
         workspace.close()
         assert workspace.closed
@@ -407,25 +410,27 @@ class TestLifecycleHygiene:
     @pytest.mark.skipif(
         not shared_memory_available(), reason="no shared memory on this platform"
     )
-    def test_workspace_broadcast_reuses_block_and_unlinks_once(self, params):
+    def test_process_executor_reuses_block_and_unlinks_once(self, params):
         """Across rounds the block is rewritten in place, never re-created,
         and closing the workspace (twice) unlinks it exactly once."""
         dataset = book_cs(scale=0.05).dataset
-        accs = [0.8] * dataset.n_sources
-        probs = value_probabilities(dataset, accs, params)
-        index = InvertedIndex.build(dataset, probs, accs, params)
-        cols = ColumnarEntries.from_index(index)
+
+        def round_args(accuracy):
+            accs = [accuracy] * dataset.n_sources
+            return scan_round(
+                dataset, value_probabilities(dataset, accs, params), accs
+            )
+
         workspace = FusionWorkspace(dataset, params)
-        first = workspace.broadcast(cols, accs, dataset.n_sources)
+        executor = workspace.executor("processes")
+        executor.map_reduce(*round_args(0.8))
+        first = executor._shared
         # "Next round": same layout, fresh per-round contents.
-        fresh_probs = value_probabilities(dataset, [0.6] * dataset.n_sources, params)
-        index2 = InvertedIndex.build(
-            dataset, fresh_probs, [0.6] * dataset.n_sources, params
-        )
-        cols2 = ColumnarEntries.from_index(index2)
-        second = workspace.broadcast(cols2, [0.6] * dataset.n_sources, dataset.n_sources)
-        assert second is first
+        next_round = round_args(0.6)
+        executor.map_reduce(*next_round)
+        assert executor._shared is first
         # The rewritten buffer carries round 2's probabilities.
+        cols2 = next_round[0].cols
         reread = np.ndarray(
             (len(cols2.probs),),
             dtype=np.float64,
@@ -433,6 +438,7 @@ class TestLifecycleHygiene:
             offset=first.handle.fields[0][2],
         )
         np.testing.assert_array_equal(reread, cols2.probs)
+        del reread
         unlinks = []
         original_unlink = first._block.unlink
         first._block.unlink = lambda: (unlinks.append(1), original_unlink())

@@ -5,6 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CopyParams, InvertedIndex, detect_index
+from repro.data import (
+    DatasetBuilder,
+    motivating_accuracies,
+    motivating_example,
+    motivating_value_probabilities,
+)
 from repro.parallel import (
     detect_hybrid_parallel,
     detect_index_parallel,
@@ -167,22 +173,6 @@ class TestEquivalence:
         assert parallel.copying_pairs() == sequential.copying_pairs()
         assert set(parallel.decisions) == set(sequential.decisions)
 
-    def test_thread_executor(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        sequential = detect_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        parallel = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=3,
-            executor="threads",
-        )
-        assert parallel.copying_pairs() == sequential.copying_pairs()
-
     def test_unknown_executor(
         self, example, example_probabilities, example_accuracies, params
     ):
@@ -213,34 +203,6 @@ class TestEquivalence:
 
 class TestColumnarBackend:
     """The numpy backend's columnar payload path mirrors the dict path."""
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_executors_match_sequential(
-        self, example, example_probabilities, example_accuracies, params, executor
-    ):
-        # Explicit python reference (the default backend is numpy now —
-        # this comparison is columnar-payload vs reference dict path).
-        sequential = detect_index(
-            example,
-            example_probabilities,
-            example_accuracies,
-            CopyParams(backend="python"),
-        )
-        parallel = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=3,
-            executor=executor,
-            backend="numpy",
-        )
-        assert set(parallel.decisions) == set(sequential.decisions)
-        for pair, decision in parallel.decisions.items():
-            reference = sequential.decisions[pair]
-            assert decision.c_fwd == pytest.approx(reference.c_fwd, abs=1e-9)
-            assert decision.c_bwd == pytest.approx(reference.c_bwd, abs=1e-9)
-            assert decision.copying == reference.copying
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -389,20 +351,6 @@ class TestHybridParallel:
             assert decision.c_fwd == pytest.approx(reference.c_fwd, abs=1e-9)
             assert decision.c_bwd == pytest.approx(reference.c_bwd, abs=1e-9)
 
-    def test_processes_executor(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        """A real process pool reproduces the serial outcome."""
-        serial = detect_hybrid_parallel(
-            example, example_probabilities, example_accuracies, params,
-            n_partitions=3,
-        )
-        processes = detect_hybrid_parallel(
-            example, example_probabilities, example_accuracies, params,
-            n_partitions=3, executor="processes",
-        )
-        assert processes.decisions == serial.decisions
-
     def test_unknown_executor(
         self, example, example_probabilities, example_accuracies, params
     ):
@@ -459,29 +407,6 @@ class TestHybridParallel:
                 assert decision.copying == reference.copying
                 assert decision.early == reference.early
                 assert decision.c_fwd == pytest.approx(reference.c_fwd, abs=1e-9)
-
-
-class TestEmptyWorld:
-    def test_no_shared_values_all_executors(self):
-        """A world with no multi-provider value yields empty results
-        (regression: the columnar path filtered every partition out and
-        handed ThreadPoolExecutor an illegal max_workers=0)."""
-        from repro.data import DatasetBuilder
-
-        b = DatasetBuilder()
-        b.add("S0", "item0", "a")
-        b.add("S1", "item1", "b")
-        dataset = b.build()
-        probs = [0.5] * dataset.n_values
-        accs = [0.8] * dataset.n_sources
-        for backend in ("python", "numpy"):
-            params = CopyParams(backend=backend)
-            for executor in ("serial", "threads", "processes"):
-                result = detect_index_parallel(
-                    dataset, probs, accs, params,
-                    n_partitions=3, executor=executor,
-                )
-                assert result.decisions == {}, (backend, executor)
 
 
 class TestTreeReduce:
@@ -573,7 +498,8 @@ class TestTreeReduce:
 
 
 class TestSharedMemory:
-    """The shm broadcast path and its pickling fallback."""
+    """The shm broadcast block (executor parity, the pickled-payload
+    path included, is :class:`TestExecutorParity`)."""
 
     def test_shared_memory_available_probe(self):
         assert isinstance(shared_memory_available(), bool)
@@ -619,101 +545,124 @@ class TestSharedMemory:
             assert np.array_equal(attached.offsets, cols.offsets)
             assert np.array_equal(attached.providers, cols.providers)
             assert np.array_equal(accuracies, np.asarray(example_accuracies))
-            # Drop the cached attachment before the block disappears.
+            # Drop the views, then the cached attachment, before the
+            # block disappears.
+            del attached, accuracies
             from repro.parallel import shm
 
             shm._ATTACHED.pop(world.handle.name, None)
 
+
+# ----------------------------------------------------------------------
+# Executor parity through the single entry point
+# ----------------------------------------------------------------------
+def _example_case(n_partitions, axis):
+    dataset = motivating_example()
+    return (
+        dataset,
+        motivating_value_probabilities(dataset),
+        motivating_accuracies(dataset),
+        n_partitions,
+        axis,
+    )
+
+
+def _no_shared_values_case():
+    """No multi-provider value: every partition is empty (regression:
+    the columnar path once handed ThreadPoolExecutor max_workers=0)."""
+    b = DatasetBuilder()
+    b.add("S0", "item0", "a")
+    b.add("S1", "item1", "b")
+    dataset = b.build()
+    return dataset, [0.5] * dataset.n_values, [0.8] * dataset.n_sources, 3, "entries"
+
+
+#: id -> (dataset, probabilities, accuracies, n_partitions, partition axis).
+PARITY_CASES = {
+    "example-3-by-entries": _example_case(3, "entries"),
+    # 13 entries: more partitions than entries, work-balanced.
+    "example-16-by-work": _example_case(16, "work"),
+    "no-shared-values": _no_shared_values_case(),
+}
+
+#: Executor inputs; ``processes-no-shm`` is the process pool with
+#: ``SharedWorld.create`` raising ``OSError`` (pickled payloads instead).
+#: The python backend's loops stay local, so ``remote`` is numpy-only, and
+#: only columnar worlds ever touch shared memory.
+PARITY_EXECUTORS = {
+    "python": ["serial", "threads", "processes"],
+    "numpy": [
+        "serial",
+        "threads",
+        "processes",
+        "processes-no-shm",
+        pytest.param("remote", marks=pytest.mark.cluster),
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def remote_executor():
+    """One live 2-worker localhost cluster session for the module."""
+    from repro.cluster import LocalCluster
+
+    with LocalCluster(2) as cluster:
+        yield cluster.executor()
+
+
+class TestExecutorParity:
+    """Where a partition runs never changes a verdict: every executor,
+    reduce topology, backend and method reproduces the serial executor's
+    decisions and cost counters exactly."""
+
+    def _check(self, request, monkeypatch, case, executor, reduce, backend, method):
+        dataset, probs, accs, n_partitions, axis = PARITY_CASES[case]
+        params = CopyParams(backend=backend)
+        if method == "index":
+            detect = detect_index_parallel
+            split = {"strategy": "work" if axis == "work" else "stride"}
+        else:
+            detect = detect_hybrid_parallel
+            split = {"partition_by": axis}
+
+        def run(executor, cluster=None):
+            return detect(
+                dataset, probs, accs, params, n_partitions=n_partitions,
+                executor=executor, reduce=reduce, cluster=cluster, **split,
+            )
+
+        serial = run("serial")
+        if executor == "remote":
+            got = run("remote", request.getfixturevalue("remote_executor"))
+        elif executor == "processes-no-shm":
+            from repro.parallel.shm import SharedWorld
+
+            def no_shm(*args, **kwargs):
+                raise OSError("shared memory disabled for this test")
+
+            monkeypatch.setattr(SharedWorld, "create", classmethod(no_shm))
+            got = run("processes")
+        else:
+            got = run(executor)
+        assert got.decisions == serial.decisions
+        assert got.cost == serial.cost
+        if case == "no-shared-values":
+            assert got.decisions == {}
+
+    @pytest.mark.parametrize("method", ["index", "hybrid"])
     @pytest.mark.parametrize("reduce", ["flat", "tree"])
-    def test_processes_with_many_partitions_match_serial(
-        self, example, example_probabilities, example_accuracies, reduce
+    @pytest.mark.parametrize("executor", PARITY_EXECUTORS["python"])
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_python_backend(
+        self, request, monkeypatch, case, executor, reduce, method
     ):
-        """>= 8 partitions through a real pool over one broadcast world."""
-        pytest.importorskip("numpy")
-        params = CopyParams(backend="numpy")
-        serial = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=8,
-            reduce=reduce,
-        )
-        pooled = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=8,
-            executor="processes",
-            reduce=reduce,
-        )
-        assert pooled.decisions == serial.decisions
-        assert pooled.cost.values_examined == serial.cost.values_examined
+        self._check(request, monkeypatch, case, executor, reduce, "python", method)
 
-    def test_fallback_to_pickled_payloads(
-        self, example, example_probabilities, example_accuracies, monkeypatch
+    @pytest.mark.parametrize("method", ["index", "hybrid"])
+    @pytest.mark.parametrize("reduce", ["flat", "tree"])
+    @pytest.mark.parametrize("executor", PARITY_EXECUTORS["numpy"])
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_numpy_backend(
+        self, request, monkeypatch, case, executor, reduce, method
     ):
-        """With shm unavailable the engine pickles payloads and agrees."""
-        pytest.importorskip("numpy")
-        from repro.parallel import engine
-        from repro.parallel.shm import SharedWorld
-
-        def no_shm(*args, **kwargs):
-            raise OSError("shared memory disabled for this test")
-
-        monkeypatch.setattr(SharedWorld, "create", classmethod(no_shm))
-        params = CopyParams(backend="numpy")
-        serial = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=3,
-        )
-        fallback = detect_index_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=3,
-            executor="processes",
-        )
-        assert fallback.decisions == serial.decisions
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        assert engine._map_columnar_shm(
-            index,
-            partition_entries(index, 2),
-            list(example_accuracies),
-            params,
-            example.n_sources,
-        ) is None
-
-    def test_hybrid_suffix_through_processes(
-        self, example, example_probabilities, example_accuracies
-    ):
-        """HYBRID's suffix blocks ride the same broadcast machinery."""
-        pytest.importorskip("numpy")
-        params = CopyParams(backend="numpy")
-        serial = detect_hybrid_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=8,
-            reduce="tree",
-            partition_by="work",
-        )
-        pooled = detect_hybrid_parallel(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            n_partitions=8,
-            executor="processes",
-            reduce="tree",
-            partition_by="work",
-        )
-        assert pooled.decisions == serial.decisions
+        self._check(request, monkeypatch, case, executor, reduce, "numpy", method)

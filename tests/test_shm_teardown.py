@@ -10,8 +10,11 @@ reboot.  The fixes under test:
   WeakSet of live worlds) unlinks anything still owned at interpreter
   exit, with ``close()`` idempotent so double sweeps never warn;
 * ``SharedWorld.__del__`` unlinks garbage-collected worlds;
-* ``FusionWorkspace.pool()`` retires a broken process pool and builds a
-  fresh one instead of resubmitting into the corpse.
+* ``ProcessesExecutor`` retires a broken process pool where it collects
+  results and builds a fresh one next round instead of resubmitting into
+  the corpse;
+* pool workers keep only the *current* block attached, so a persistent
+  pool that outlives a block does not keep the unlinked segment mapped.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import CopyParams
+from repro.core import CopyParams, InvertedIndex
 from repro.core.kernel import ColumnarEntries
 from repro.fusion.workspace import FusionWorkspace
+from repro.parallel.engine import ScanWorld
+from repro.parallel.executors import ProcessesExecutor
 from repro.parallel.shm import (
     _LIVE_WORLDS,
     SharedWorld,
@@ -130,22 +135,57 @@ class TestAtexitSafetyNet:
         assert "FileNotFoundError" not in proc.stderr
 
 
+def scan_round(dataset, probabilities, accuracies, n_partitions=2):
+    """``map_reduce`` arguments scanning a dataset's index in stride shares."""
+    params = CopyParams()
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params)
+    world = ScanWorld(index, list(accuracies), dataset.n_sources, columnar=True)
+    positions = [
+        tuple(range(pid, index.n_entries, n_partitions))
+        for pid in range(n_partitions)
+    ]
+    return world, positions, [1] * n_partitions, params, "flat"
+
+
+def _die(*args):
+    os._exit(1)
+
+
+class _DyingWorld(ScanWorld):
+    """A world whose tasks kill the worker that runs them."""
+
+    def task(self, positions, params):
+        return _die, ()
+
+
+def _attached_blocks():
+    from repro.parallel import shm
+
+    return list(shm._ATTACHED)
+
+
 class TestWorkerDeathMidRound:
-    def test_worker_death_breaks_pool_but_leaks_nothing(self, example):
+    def test_worker_death_breaks_pool_but_leaks_nothing(
+        self, example, example_probabilities, example_accuracies
+    ):
         workspace = FusionWorkspace(example, CopyParams())
         try:
-            world = workspace.broadcast(
-                _toy_columns(), [0.8] * example.n_sources, example.n_sources
+            executor = workspace.executor("processes")
+            round_args = scan_round(example, example_probabilities, example_accuracies)
+            healthy = executor.map_reduce(*round_args)
+            name = executor._shared.handle.name
+            assert _segment_exists(name)
+            # Kill the workers mid-task: the pool breaks, the round raises.
+            world = round_args[0]
+            dying = _DyingWorld(
+                world.index, world.accuracies, world.n_sources, columnar=False
             )
-            name = world.handle.name
-            pool = workspace.pool("processes")
-            # Kill a worker mid-task: the pool breaks, the "round" raises.
             with pytest.raises(BrokenProcessPool):
-                pool.submit(os._exit, 1).result(timeout=60)
+                executor.map_reduce(dying, *round_args[1:])
             # The next round must get a *fresh, working* pool, not the corpse.
-            fresh = workspace.pool("processes")
-            assert fresh is not pool
-            assert fresh.submit(os.getpid).result(timeout=60) > 0
+            again = executor.map_reduce(*round_args)
+            assert again.c_fwd.tobytes() == healthy.c_fwd.tobytes()
+            assert workspace.executor("processes") is executor
         finally:
             workspace.close()
         assert not _segment_exists(name)
@@ -154,12 +194,33 @@ class TestWorkerDeathMidRound:
             warnings.simplefilter("error")
             workspace.close()
 
-    def test_broken_thread_pool_attr_missing_is_fine(self, example):
-        # ThreadPoolExecutor has no _broken attribute on some versions;
-        # pool() must not trip over it.
-        workspace = FusionWorkspace(example, CopyParams())
+
+class TestWorkerAttachmentCache:
+    def test_persistent_pool_keeps_only_the_current_block(
+        self, example, example_probabilities, example_accuracies, monkeypatch
+    ):
+        """A grown world forces a fresh block; the worker that served the
+        old one must unmap it rather than cache both forever."""
+        from repro.synth import book_cs
+
+        # One worker, so both rounds and the probe share one cache.
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        bigger = book_cs(scale=0.05).dataset
+        executor = ProcessesExecutor()
         try:
-            first = workspace.pool("threads")
-            assert workspace.pool("threads") is first
+            executor.map_reduce(
+                *scan_round(example, example_probabilities, example_accuracies)
+            )
+            first = executor._shared.handle.name
+            executor.map_reduce(
+                *scan_round(
+                    bigger, [0.5] * bigger.n_values, [0.8] * bigger.n_sources
+                )
+            )
+            second = executor._shared.handle.name
+            assert second != first and not _segment_exists(first)
+            attached = executor._pool.submit(_attached_blocks).result(timeout=60)
+            assert attached == [second]
         finally:
-            workspace.close()
+            executor.close()
+        assert not _segment_exists(second)

@@ -7,11 +7,13 @@ Two checks, both stdlib-only so the CI docs job needs no installs:
   (anchors are stripped; ``http(s)``/``mailto`` targets are skipped so
   the gate stays offline-deterministic).
 * **Doc coverage** — every *public* module, class, function and method
-  in the product-surface packages (``src/repro/serving/`` and
-  ``src/repro/streaming/``) must carry a docstring.  Parsed with
-  :mod:`ast`, so nothing is imported and missing optional deps can't
-  mask a gap.  Names with a leading underscore, ``__init__`` (the class
-  docstring covers construction) and other dunders are exempt.
+  in the packages listed in :data:`DOC_COVERAGE_PACKAGES` (the product
+  surface — serving, streaming — and the layers it stands on: cluster,
+  fusion, and data with its shared binary framing) must carry a
+  docstring.  Parsed with :mod:`ast`, so nothing is imported and
+  missing optional deps can't mask a gap.  Names with a leading
+  underscore, ``__init__`` (the class docstring covers construction)
+  and other dunders are exempt.
 
 Run it locally::
 
@@ -35,6 +37,7 @@ MARKDOWN = ["README.md", "ROADMAP.md", "docs"]
 #: Packages whose public surface must be fully docstringed.
 DOC_COVERAGE_PACKAGES = [
     "src/repro/cluster",
+    "src/repro/data",
     "src/repro/fusion",
     "src/repro/serving",
     "src/repro/streaming",
