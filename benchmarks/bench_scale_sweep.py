@@ -149,7 +149,9 @@ def _bench_world(
         bound_row["numpy_sparse"] = _best_of(run_sparse)
     row["timings_seconds"]["bound+"] = bound_row
 
-    # One ACCUCOPY fusion round discounting with the sparse detection.
+    # One ACCUCOPY fusion round, each side discounting with its own
+    # backend's (bit-identical) detection result — the reference loop
+    # reads a plain dict, as a python-backend run would hand it.
     cols = FusionColumns.from_dataset(dataset)
     acc = np.asarray(accuracies, dtype=np.float64)
     sparse_probs = value_probabilities_columnar(
@@ -158,11 +160,11 @@ def _bench_world(
     run_sparse_fusion = lambda: value_probabilities_columnar(  # noqa: E731
         cols, acc, params_sparse, sparse_result
     )
-    run_python_fusion = lambda: value_probabilities(  # noqa: E731
-        dataset, accuracies, params_python, detection=sparse_result
-    )
     fusion_row: dict = {}
     if reference_timed:
+        run_python_fusion = lambda: value_probabilities(  # noqa: E731
+            dataset, accuracies, params_python, detection=python_result
+        )
         python_probs = run_python_fusion()
         diff = float(
             np.max(

@@ -7,7 +7,7 @@ baselines under ``benchmarks/output/`` and **fails** (exit code 1) when:
   ``bound``/``bound+`` speedups, or the fusion pipeline's
   ``run_fusion`` reused-workspace speedup drop below the ROADMAP's 3x
   floor, or the scale sweep's sparse-vs-reference speedups drop below
-  their parity floor, or the serving layer's LRU read API drops below
+  their 1.25x floor, or the serving layer's LRU read API drops below
   its 10x floor over recomputed verdicts, or the streaming service
   slips below the absolute ingest/latency floors recorded in its own
   artifact (``BENCH_FLOORS``)
@@ -59,11 +59,14 @@ DEFAULT_FLOOR = 3.0
 DEFAULT_TOLERANCE = 0.15
 
 #: Per-benchmark floor overrides.  The scale sweep gates the sparse
-#: pair layout against the pure-Python reference at parity, not the 3x
+#: pair layout against the pure-Python reference at 1.25x, not the 3x
 #: backend floor: its point is completing Zipf worlds past the dense
-#: ``n_sources**2`` ceiling at all, and speed parity with the loop it
-#: replaced keeps that honest.  The serving bench gates the LRU read
-#: API at 10x over recomputing verdicts from the in-memory
+#: ``n_sources**2`` ceiling at all.  Since the scans hand back columns
+#: instead of per-pair objects the slowest measured ratio is BOUND+ on
+#: zipf_10k at 1.5-1.7x (smoke zipf_2k: 2.2x; ACCUCOPY 2.4-3.4x); the
+#: floor is that minimum less the 15% tolerance below, so falling back
+#: to parity with the loop it replaced now fails.  The serving bench
+#: gates the LRU read API at 10x over recomputing verdicts from the in-memory
 #: ``DetectionResult`` — below that the store isn't paying for itself.
 #: The streaming bench gates *absolute* figures (sustained claims/sec,
 #: verdict-update p99) against floors the artifact itself records; the
@@ -78,7 +81,7 @@ DEFAULT_TOLERANCE = 0.15
 #: (its real gate is the 1e-9 lockstep self-check; the measured speedup
 #: is ~15x, but parity is what must never regress).
 BENCH_FLOORS = {
-    "scale": 1.0,
+    "scale": 1.25,
     "serve": 10.0,
     "stream": 1.0,
     "cluster": 2.0,

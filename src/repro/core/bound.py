@@ -241,8 +241,10 @@ def scan_with_bounds(
             sequential reference ignores it.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's
             strong-evidence prefix); ``None`` scans everything.
-        collect_state: return the raw :class:`PrefixScanState` at the cut
-            instead of resolving remaining pairs (engine hand-off).
+        collect_state: return the state at the cut instead of resolving
+            remaining pairs (engine hand-off): a :class:`PrefixScanState`
+            from this reference loop, the live
+            :class:`~repro.core.bound_kernel.EpochScan` under numpy.
         eval_log: when a list is passed, every bound evaluation is
             appended as a :class:`BoundEval` (forces the Python
             reference path).

@@ -82,15 +82,16 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .contribution import CopyPosterior
 from .kernel import (
+    PairTable,
     clamp_accuracies,
     expand_incidences_ordered,
     score_incidence_args,
+    shared_item_counts,
 )
 from .pairspace import PairSpace, encode_pair_keys, resolve_pair_layout
 from .params import CopyParams
-from .result import CostCounter, DetectionResult, PairDecision
+from .result import CostCounter, DecisionView, DetectionResult, PairColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
@@ -145,9 +146,9 @@ class EpochScan:
     """Mutable scan state for one epoch-batched pass over an index.
 
     Drive it with :meth:`run`, then read the outcome with
-    :meth:`finalize` (full-scan results) or :meth:`raw_state` (the
-    mid-scan per-pair accumulators the parallel engine's prefix
-    partitioning consumes).
+    :meth:`finalize`.  The parallel engine's prefix partitioning stops
+    the run early (``run(stop_at=...)``) and calls :meth:`absorb` with
+    the map/reduced suffix sums before finalizing.
     """
 
     def __init__(
@@ -237,13 +238,9 @@ class EpochScan:
         self.max_check_n2 = space.zeros()
         self.l_arr = space.zeros(dtype=np.int64)
         self.n_after = space.zeros(dtype=np.int64)
-        #: queued early conclusions, one compact array batch per epoch
-        #: flush: (slots, c_fwd, c_bwd, a0, a1, a2, is_min, positions,
-        #: n_before).  Decision objects are materialized once, lazily —
-        #: building ~1 dataclass per pair inside the scan loop costs
-        #: more than the scan itself on large sparse worlds.
+        #: queued early conclusions, one compact array batch per replay
+        #: bucket: (slots, c_fwd, c_bwd, is_min, positions, n_before).
         self._done_batches: list[tuple[np.ndarray, ...]] = []
-        self._done_cache: dict[int, tuple[PairDecision, int, int]] | None = None
         self.n_src = np.zeros(self.n_sources, dtype=np.int64)
         self.incidences = 0
         self.score_updates = 0
@@ -296,19 +293,7 @@ class EpochScan:
             opened = (row[unseen][first_idx] + e0) < self.tail_start
             open_slots = new_slots[opened]
             if len(open_slots):
-                if self._l_by_slot is not None:
-                    l_new = self._l_by_slot[open_slots]
-                else:
-                    shared = self.shared_items
-                    s1_o, s2_o = self.space.decode(open_slots)
-                    l_new = np.fromiter(
-                        (
-                            shared[pair]
-                            for pair in zip(s1_o.tolist(), s2_o.tolist())
-                        ),
-                        np.int64,
-                        count=len(open_slots),
-                    )
+                l_new = self._shared_counts(open_slots)
                 self.l_arr[open_slots] = l_new
                 self.status[open_slots] = np.where(
                     l_new <= self.hybrid_threshold, _EXACT, _ACTIVE
@@ -732,305 +717,158 @@ class EpochScan:
     ) -> None:
         """Queue early verdicts for concluded (row, cell) pairs.
 
-        Only compact arrays are stored here — the hot scan never builds
-        a Python object per conclusion.  ``finalize`` (or the ``done``
-        property) materializes :class:`PairDecision` objects exactly
-        once.  contribution.posterior's additions, max, and shift
-        subtractions are lifted into numpy: those operations are IEEE
-        order-independent (max of finite floats, subtract of the same
-        operands), so the scalars later fed to ``exp`` — and therefore
-        every float stored — match the reference bit for bit.
+        Only compact arrays are stored — the scan never builds a Python
+        object per conclusion; :meth:`finalize` turns the batches into
+        columns.
         """
-        la = self._log_alpha
-        lb = self._log_beta
-        c_fwd = np.where(is_min, cmin_f[rows, cells], cmax_f[rows, cells])
-        c_bwd = np.where(is_min, cmin_b[rows, cells], cmax_b[rows, cells])
-        t1 = la + c_fwd
-        t2 = la + c_bwd
-        shift = np.maximum(np.maximum(t1, t2), lb)
         self._done_batches.append((
-            keys_b[rows], c_fwd, c_bwd,
-            lb - shift, t1 - shift, t2 - shift,
-            is_min, pos_m[rows, cells], n0_m[rows, cells],
+            keys_b[rows],
+            np.where(is_min, cmin_f[rows, cells], cmax_f[rows, cells]),
+            np.where(is_min, cmin_b[rows, cells], cmax_b[rows, cells]),
+            is_min,
+            pos_m[rows, cells],
+            n0_m[rows, cells],
         ))
-        self._done_cache = None
-
-    @property
-    def done(self) -> dict[int, tuple[PairDecision, int, int]]:
-        """Concluded pairs: slot -> (decision, decision_pos, n_before).
-
-        Materialized lazily from the queued array batches; the scan
-        itself never pays for decision-object construction.
-        """
-        if self._done_cache is None:
-            self._done_cache = self._materialize_done()
-        return self._done_cache
-
-    def _materialize_done(self) -> dict[int, tuple[PairDecision, int, int]]:
-        done: dict[int, tuple[PairDecision, int, int]] = {}
-        # The frozen-dataclass __init__ costs ~1us per decision in
-        # object.__setattr__ calls; at one decision per concluded pair
-        # that dominates, so construction goes through __new__ +
-        # __dict__ directly.  Field values, __eq__, and pickling are
-        # unaffected.
-        new_decision = object.__new__
-        new_posterior = tuple.__new__
-        for batch in self._done_batches:
-            keys, c_fwd, c_bwd, a0, a1, a2, is_min, positions, n_before = batch
-            keys_l = keys.tolist()
-            cf_l = c_fwd.tolist()
-            cb_l = c_bwd.tolist()
-            a0_l = a0.tolist()
-            a1_l = a1.tolist()
-            a2_l = a2.tolist()
-            pos_l = positions.tolist()
-            nb_l = n_before.tolist()
-            for i, copying in enumerate(is_min.tolist()):
-                e0 = exp(a0_l[i])
-                e1 = exp(a1_l[i])
-                e2 = exp(a2_l[i])
-                total = e0 + e1 + e2
-                decision = new_decision(PairDecision)
-                decision.__dict__.update({
-                    "c_fwd": cf_l[i],
-                    "c_bwd": cb_l[i],
-                    "posterior": new_posterior(
-                        CopyPosterior, (e0 / total, e1 / total, e2 / total)
-                    ),
-                    "copying": copying,
-                    "early": True,
-                })
-                done[keys_l[i]] = (decision, pos_l[i], nb_l[i])
-        return done
 
     # ------------------------------------------------------------------
     # Outcomes
     # ------------------------------------------------------------------
+    def _shared_counts(self, slots: np.ndarray) -> np.ndarray:
+        """``l(S1, S2)`` of the pairs behind ``slots``."""
+        if self._l_by_slot is not None:
+            return self._l_by_slot[slots]
+        return shared_item_counts(self.shared_items, slots, self.n_sources)
+
+    def absorb(self, suffix: PairTable) -> None:
+        """Fold a map/reduced suffix scan into a prefix-only scan's state.
+
+        The parallel engine's reduce step (``run(stop_at=prefix)``, then
+        this, then :meth:`finalize`): survivors add the suffix sums of
+        their shared values to their prefix accumulators, pairs first
+        seen in the suffix open INDEX-style (only with a non-tail
+        incidence) in exact mode, and early verdicts stand — their
+        suffix contributions are counted and discarded.
+        """
+        slots = self.space.slots(suffix.keys)
+        status = self.status[slots]
+        n_incidences = int(suffix.n_shared.sum())
+        self.incidences += n_incidences
+        self.score_updates += 2 * n_incidences
+        live = (status == _ACTIVE) | (status == _EXACT)
+        self.c0_fwd[slots[live]] += suffix.c_fwd[live]
+        self.c0_bwd[slots[live]] += suffix.c_bwd[live]
+        self.n0[slots[live]] += suffix.n_shared[live]
+        new = (status == _UNSEEN) & suffix.saw_main
+        opened = slots[new]
+        self.c0_fwd[opened] = suffix.c_fwd[new]
+        self.c0_bwd[opened] = suffix.c_bwd[new]
+        self.n0[opened] = suffix.n_shared[new]
+        self.l_arr[opened] = self._shared_counts(opened)
+        self.status[opened] = _EXACT
+
     def finalize(self, method_name: str):
         """Step IV: resolve surviving pairs exactly; assemble the result.
+
+        Every verdict — the queued early conclusions and the survivors
+        resolved here — lands in one key-sorted
+        :class:`~repro.core.result.PairColumns` table; no per-pair object
+        is built (INCREMENTAL's bookkeeping, when tracked, is the one
+        per-pair loop left).  The posterior replays
+        :func:`repro.core.contribution.posterior` bit for bit: its
+        additions, max and shift subtractions are IEEE order-independent
+        and run vectorized, ``exp`` is ``math.exp`` per scalar (NumPy's
+        SIMD exp can stray by an ulp), and the fold ``(e0 + e1) + e2``
+        and the divisions run vectorized over the same operands in the
+        same order.
 
         Returns:
             ``(result, bookkeeping)`` matching the reference scan's
             values bit for bit (bookkeeping ``None`` unless tracked).
         """
-        end_position = len(self.entries)
-        cost = CostCounter()
-        cost.values_examined = self.incidences
-        cost.computations = self.score_updates + self.bound_evals
-        decisions: dict[tuple[int, int], PairDecision] = {}
-        bookkeeping = {} if self.track else None
-        n = self.n_sources
-        ln_diff = self.ln_diff
-        if bookkeeping is not None:
-            from .bound import PairBookkeeping
         live_slots = np.nonzero(self.status)[0]
-        status_live = self.status[live_slots]
-        cost.pairs_considered += len(live_slots)
-        la = self._log_alpha
-        lb = self._log_beta
-        if bookkeeping is None:
-            # Fast path: the scan queued concluded pairs as compact
-            # array batches; survivors (active/exact) get the same
-            # vectorized posterior-argument treatment (IEEE
-            # order-independent ops, bit-identical scalars), then one
-            # key-sorted pass materializes every PairDecision exactly
-            # once.  Ascending keys reproduce the dense path's dict
-            # population order.
-            surv_idx = np.nonzero(status_live <= _EXACT)[0]
-            parts = [
-                (b[0], b[1], b[2], b[3], b[4], b[5], b[6].astype(np.int8))
-                for b in self._done_batches
-            ]
-            if len(surv_idx):
-                cost.score_update(2 * len(surv_idx))
-                surv_keys = live_slots[surv_idx]
-                penalty = (
-                    self.l_arr[surv_keys] - self.n0[surv_keys]
-                ) * ln_diff
-                c_fwd_s = self.c0_fwd[surv_keys] + penalty
-                c_bwd_s = self.c0_bwd[surv_keys] + penalty
-                t1 = la + c_fwd_s
-                t2 = la + c_bwd_s
-                shift = np.maximum(np.maximum(t1, t2), lb)
-                # flag -1: decision from the posterior, early=False.
-                parts.append((
-                    surv_keys, c_fwd_s, c_bwd_s,
-                    lb - shift, t1 - shift, t2 - shift,
-                    np.full(len(surv_idx), -1, dtype=np.int8),
-                ))
-            if parts:
-                keys_all = np.concatenate([p[0] for p in parts])
-                order = np.argsort(keys_all)
-                s1_all, s2_all = self.space.decode(keys_all[order])
-                s1_l = s1_all.tolist()
-                s2_l = s2_all.tolist()
-                cf_l = np.concatenate([p[1] for p in parts])[order].tolist()
-                cb_l = np.concatenate([p[2] for p in parts])[order].tolist()
-                a0_l = np.concatenate([p[3] for p in parts])[order].tolist()
-                a1_l = np.concatenate([p[4] for p in parts])[order].tolist()
-                a2_l = np.concatenate([p[5] for p in parts])[order].tolist()
-                flags = np.concatenate([p[6] for p in parts])[order]
-                # math.exp per scalar (the reference's exp), batched
-                # through map; the fold (e0 + e1) + e2 and the
-                # divisions then run vectorized over the same operands
-                # in the same order — bit-identical posteriors.
-                e0 = np.array(list(map(exp, a0_l)))
-                e1 = np.array(list(map(exp, a1_l)))
-                e2 = np.array(list(map(exp, a2_l)))
-                total = (e0 + e1) + e2
-                ind_l = (e0 / total).tolist()
-                fwd_l = (e1 / total).tolist()
-                bwd_l = (e2 / total).tolist()
-                cop_l = np.where(
-                    flags < 0, np.asarray(ind_l) <= 0.5, flags == 1
-                ).tolist()
-                early_l = (flags >= 0).tolist()
-                new_decision = object.__new__
-                new_posterior = tuple.__new__
-                for i in range(len(s1_l)):
-                    decision = new_decision(PairDecision)
-                    decision.__dict__.update({
-                        "c_fwd": cf_l[i],
-                        "c_bwd": cb_l[i],
-                        "posterior": new_posterior(
-                            CopyPosterior, (ind_l[i], fwd_l[i], bwd_l[i])
-                        ),
-                        "copying": cop_l[i],
-                        "early": early_l[i],
-                    })
-                    decisions[(s1_l[i], s2_l[i])] = decision
-        else:
-            # Ascending slots iterate in ascending key order in both
-            # layouts (sparse slots are sorted-key ranks), so the
-            # result dicts are populated in the same order as the dense
-            # path always was.
-            s1_live, s2_live = self.space.decode(live_slots)
-            slots_l = live_slots.tolist()
-            s1_l = s1_live.tolist()
-            s2_l = s2_live.tolist()
-            status_l = status_live.tolist()
-            l_list = self.l_arr[live_slots].tolist()
-            c0f_list = self.c0_fwd[live_slots].tolist()
-            c0b_list = self.c0_bwd[live_slots].tolist()
-            n0_list = self.n0[live_slots].tolist()
-            n_aft_list = self.n_after[live_slots].tolist()
-            for i, key in enumerate(slots_l):
-                pair = (s1_l[i], s2_l[i])
-                l_shared = l_list[i]
-                c0f = c0f_list[i]
-                c0b = c0b_list[i]
-                if status_l[i] in (_ACTIVE, _EXACT):
-                    # Scan-end resolution (Step IV): contribution.
-                    # posterior inlined with the logs hoisted —
-                    # identical operations in identical order, so the
-                    # floats match the reference bit for bit.
-                    cost.score_update(2)
-                    n0 = n0_list[i]
-                    penalty = (l_shared - n0) * ln_diff
-                    c_fwd = c0f + penalty
-                    c_bwd = c0b + penalty
-                    t1 = la + c_fwd
-                    t2 = la + c_bwd
-                    shift = lb
-                    if t1 > shift:
-                        shift = t1
-                    if t2 > shift:
-                        shift = t2
-                    e0 = exp(lb - shift)
-                    e1 = exp(t1 - shift)
-                    e2 = exp(t2 - shift)
-                    total = e0 + e1 + e2
-                    post = CopyPosterior(
-                        independent=e0 / total,
-                        forward=e1 / total,
-                        backward=e2 / total,
-                    )
-                    decision = PairDecision(
-                        c_fwd=c_fwd,
-                        c_bwd=c_bwd,
-                        posterior=post,
-                        copying=post.copying,
-                        early=False,
-                    )
-                    decision_pos = end_position
-                    n_before = n0
-                    n_aft = 0
-                else:
-                    decision, decision_pos, n_before = self.done[key]
-                    n_aft = n_aft_list[i]
-                decisions[pair] = decision
-                n_total = n_before + n_aft
-                base_penalty = (l_shared - n_total) * ln_diff
-                bookkeeping[pair] = PairBookkeeping(
-                    copying=decision.copying,
-                    early=decision.early,
-                    c_base_fwd=c0f + base_penalty,
-                    c_base_bwd=c0b + base_penalty,
-                    decision_pos=decision_pos,
-                    n_before=n_before,
-                    n_after=n_aft,
-                    l=l_shared,
-                )
+        survivors = live_slots[self.status[live_slots] <= _EXACT]
+        cost = CostCounter(
+            computations=self.score_updates + self.bound_evals + 2 * len(survivors),
+            values_examined=self.incidences,
+            pairs_considered=len(live_slots),
+        )
+        n0_s = self.n0[survivors]
+        penalty = (self.l_arr[survivors] - n0_s) * self.ln_diff
+        # (slots, c_fwd, c_bwd, verdict, decision_pos, n_before) per
+        # batch; verdict 1 = early copy, 0 = early no-copy, -1 = resolved
+        # here from the posterior.
+        parts = [
+            (b[0], b[1], b[2], b[3].astype(np.int8), b[4], b[5])
+            for b in self._done_batches
+        ]
+        parts.append((
+            survivors,
+            self.c0_fwd[survivors] + penalty,
+            self.c0_bwd[survivors] + penalty,
+            np.full(len(survivors), -1, dtype=np.int8),
+            np.full(len(survivors), len(self.entries), dtype=np.int64),
+            n0_s,
+        ))
+        slots, c_fwd, c_bwd, verdict, decision_pos, n_before = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        # Ascending slots are ascending keys in both layouts.
+        order = np.argsort(slots)
+        slots, c_fwd, c_bwd, verdict = (
+            slots[order], c_fwd[order], c_bwd[order], verdict[order]
+        )
+        t1 = self._log_alpha + c_fwd
+        t2 = self._log_alpha + c_bwd
+        shift = np.maximum(np.maximum(t1, t2), self._log_beta)
+        e0, e1, e2 = (
+            np.fromiter(map(exp, arg.tolist()), np.float64, count=len(arg))
+            for arg in (self._log_beta - shift, t1 - shift, t2 - shift)
+        )
+        total = (e0 + e1) + e2
+        independent = e0 / total
+        columns = PairColumns(
+            self.n_sources,
+            self.space.slot_keys(slots),
+            c_fwd,
+            c_bwd,
+            independent,
+            e1 / total,
+            e2 / total,
+            copying=np.where(verdict < 0, independent <= 0.5, verdict == 1),
+            early=verdict >= 0,
+        )
         result = DetectionResult(
             method=method_name,
-            n_sources=n,
-            decisions=decisions,
+            n_sources=self.n_sources,
+            decisions=DecisionView(columns),
             cost=cost,
         )
-        return result, bookkeeping
+        if not self.track:
+            return result, None
+        from .bound import PairBookkeeping
 
-    def raw_state(self):
-        """Mid-scan accumulators for the prefix-partitioned engine.
-
-        Returns:
-            An ``repro.core.bound.PrefixScanState`` snapshot: live pair
-            accumulators (bound-mode and exact-mode separately), early
-            decisions, and the cost tallies so far.
-        """
-        from .bound import PrefixScanState
-
-        active: dict[tuple[int, int], tuple[float, float, int]] = {}
-        exact: dict[tuple[int, int], tuple[float, float, int]] = {}
-        live_slots = np.nonzero(self.status)[0]
-        s1_live, s2_live = self.space.decode(live_slots)
-        for key, s1, s2 in zip(
-            live_slots.tolist(), s1_live.tolist(), s2_live.tolist()
-        ):
-            state = int(self.status[key])
-            pair = (s1, s2)
-            if state == _ACTIVE:
-                active[pair] = (
-                    float(self.c0_fwd[key]),
-                    float(self.c0_bwd[key]),
-                    int(self.n0[key]),
-                )
-            elif state == _EXACT:
-                exact[pair] = (
-                    float(self.c0_fwd[key]),
-                    float(self.c0_bwd[key]),
-                    int(self.n0[key]),
-                )
-        if self.done:
-            done_slots = np.fromiter(
-                self.done.keys(), np.int64, count=len(self.done)
+        l_shared = self.l_arr[slots]
+        n_before = n_before[order]
+        n_after = self.n_after[slots]
+        # C0 stopped growing at the decision entry, so for early pairs
+        # this is the base score at the decision point; for survivors it
+        # is the exact final score again.
+        base_penalty = (l_shared - (n_before + n_after)) * self.ln_diff
+        bookkeeping = {
+            pair: PairBookkeeping(*row)
+            for pair, *row in zip(
+                columns.pairs(),
+                columns.copying.tolist(),
+                columns.early.tolist(),
+                (self.c0_fwd[slots] + base_penalty).tolist(),
+                (self.c0_bwd[slots] + base_penalty).tolist(),
+                decision_pos[order].tolist(),
+                n_before.tolist(),
+                n_after.tolist(),
+                l_shared.tolist(),
             )
-            ds1, ds2 = self.space.decode(done_slots)
-            done = {
-                (a, b): rec[0]
-                for a, b, rec in zip(
-                    ds1.tolist(), ds2.tolist(), self.done.values()
-                )
-            }
-        else:
-            done = {}
-        return PrefixScanState(
-            active=active,
-            exact=exact,
-            done=done,
-            incidences=self.incidences,
-            score_updates=self.score_updates,
-            bound_evals=self.bound_evals,
-        )
+        }
+        return result, bookkeeping
 
 
 def scan_with_bounds_numpy(
@@ -1050,8 +888,9 @@ def scan_with_bounds_numpy(
 ):
     """Run the epoch-batched scan; the numpy half of ``scan_with_bounds``.
 
-    Returns ``(result, bookkeeping)``, or a
-    :class:`~repro.core.bound.PrefixScanState` when ``collect_state``.
+    Returns ``(result, bookkeeping)``, or — when ``collect_state`` — the
+    live :class:`EpochScan` itself: the parallel engine :meth:`absorbs
+    <EpochScan.absorb>` the suffix sums into it and finalizes.
     """
     scan = EpochScan(
         dataset,
@@ -1067,5 +906,5 @@ def scan_with_bounds_numpy(
     )
     scan.run(stop_at=stop_at)
     if collect_state:
-        return scan.raw_state()
+        return scan
     return scan.finalize(method_name)

@@ -38,7 +38,7 @@ from ..data import Dataset
 from .contribution import posterior
 from .index import EntryOrdering, InvertedIndex
 from .params import CopyParams
-from .result import CostCounter, DetectionResult, PairDecision
+from .result import CostCounter, DecisionView, DetectionResult, PairDecision
 
 
 def detect_index(
@@ -163,18 +163,18 @@ def _detect_index_numpy(
     n_sources = dataset.n_sources
     cols = index.columnar_entries()
     table = scan_columnar(cols, accuracies, params, n_sources)
-    decisions = decide_pairs(table, index.shared_items, params, require_main=True)
+    columns = decide_pairs(table, index.shared_items, params, require_main=True)
     # Mirror the Python scan's accounting: incidences of never-opened
     # (tail-only) pairs are skipped, not counted.
     kept_incidences = int(table.n_shared[table.saw_main].sum())
     cost = CostCounter(
-        computations=2 * kept_incidences + 2 * len(decisions),
+        computations=2 * kept_incidences + 2 * len(columns),
         values_examined=kept_incidences,
-        pairs_considered=len(decisions),
+        pairs_considered=len(columns),
     )
     return DetectionResult(
         method="index",
         n_sources=n_sources,
-        decisions=decisions,
+        decisions=DecisionView(columns),
         cost=cost,
     )

@@ -55,10 +55,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .contribution import CopyPosterior
-from .pairspace import encode_pair_keys, reduce_by_key, resolve_pair_layout
+from .pairspace import (
+    decode_pairs,
+    encode_pair_keys,
+    reduce_by_key,
+    resolve_pair_layout,
+)
 from .params import CopyParams
-from .result import PairDecision
+from .result import PairColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
@@ -570,11 +574,10 @@ class PairTable:
             layout=layout,
         )
 
+
     def pairs(self) -> list[tuple[int, int]]:
         """Decode ``keys`` back into ``(s1, s2)`` id pairs."""
-        s1 = (self.keys // self.n_sources).tolist()
-        s2 = (self.keys % self.n_sources).tolist()
-        return list(zip(s1, s2))
+        return decode_pairs(self.keys, self.n_sources)
 
 
 def scan_columnar(
@@ -629,9 +632,16 @@ def count_shared_items_columnar(
         counts = dense[uniq]
     else:
         uniq, counts = np.unique(keys, return_counts=True)
-    s1 = (uniq // n_sources).tolist()
-    s2 = (uniq % n_sources).tolist()
-    return dict(zip(zip(s1, s2), counts.tolist()))
+    return dict(zip(decode_pairs(uniq, n_sources), counts.tolist()))
+
+
+def shared_item_counts(shared_items, keys: np.ndarray, n_sources: int) -> np.ndarray:
+    """``l(S1, S2)`` per pair key, read from the pair-keyed count dict."""
+    return np.fromiter(
+        map(shared_items.__getitem__, decode_pairs(keys, n_sources)),
+        dtype=np.int64,
+        count=len(keys),
+    )
 
 
 def posterior_arrays(
@@ -661,8 +671,8 @@ def decide_pairs(
     shared_items,
     params: CopyParams,
     require_main: bool = True,
-) -> dict[tuple[int, int], PairDecision]:
-    """Finalize a pair table into INDEX-style verdicts.
+) -> PairColumns:
+    """Finalize a pair table into INDEX-style verdict columns.
 
     Applies the different-value penalty ``ln(1-s) * (l - n)`` and Eq. (2)
     to every pair (dropping tail-only pairs when ``require_main``); the
@@ -677,39 +687,24 @@ def decide_pairs(
         require_main: drop pairs never seen in a non-tail entry (INDEX's
             skip rule); pass False to decide every accumulated pair.
     """
-    if require_main and not table.saw_main.all():
-        keep = table.saw_main
-        table = PairTable(
-            n_sources=table.n_sources,
-            keys=table.keys[keep],
-            c_fwd=table.c_fwd[keep],
-            c_bwd=table.c_bwd[keep],
-            n_shared=table.n_shared[keep],
-            saw_main=table.saw_main[keep],
-        )
-    pairs = table.pairs()
-    ln_diff = params.ln_one_minus_s
-    n_diff = np.fromiter(
-        (shared_items[pair] for pair in pairs), dtype=np.int64, count=len(pairs)
-    ) - table.n_shared
-    c_fwd = table.c_fwd + n_diff * ln_diff
-    c_bwd = table.c_bwd + n_diff * ln_diff
+    keep = table.saw_main if require_main else slice(None)
+    keys = table.keys[keep]
+    n_diff = (
+        shared_item_counts(shared_items, keys, table.n_sources)
+        - table.n_shared[keep]
+    )
+    penalty = n_diff * params.ln_one_minus_s
+    c_fwd = table.c_fwd[keep] + penalty
+    c_bwd = table.c_bwd[keep] + penalty
     independent, forward, backward = posterior_arrays(c_fwd, c_bwd, params)
-    decisions: dict[tuple[int, int], PairDecision] = {}
-    for pair, cf, cb, p_ind, p_fwd, p_bwd in zip(
-        pairs,
-        c_fwd.tolist(),
-        c_bwd.tolist(),
-        independent.tolist(),
-        forward.tolist(),
-        backward.tolist(),
-    ):
-        post = CopyPosterior(independent=p_ind, forward=p_fwd, backward=p_bwd)
-        decisions[pair] = PairDecision(
-            c_fwd=cf,
-            c_bwd=cb,
-            posterior=post,
-            copying=post.copying,
-            early=False,
-        )
-    return decisions
+    return PairColumns(
+        table.n_sources,
+        keys,
+        c_fwd,
+        c_bwd,
+        independent,
+        forward,
+        backward,
+        copying=independent <= 0.5,
+        early=np.zeros(len(keys), dtype=bool),
+    )

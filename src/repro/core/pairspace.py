@@ -16,8 +16,8 @@ coverage a 10k-source world observes tens of thousands of pairs out of a
 This module factorizes the *observed* pairs once — a sorted-unique int64
 key array — and gives every kernel compact per-pair slots:
 
-* :func:`encode_pair_keys` / :func:`decode_pair_keys` — the one true
-  int64 key codec (at 50k sources the key reaches ``~2.5e9`` and would
+* :func:`encode_pair_keys` / :func:`decode_pair_keys` (and
+  :func:`decode_pairs`, the tuple form) — the one true int64 key codec (at 50k sources the key reaches ``~2.5e9`` and would
   silently wrap in int32; everything routes through here).
 * :class:`PairSpace` — the slot universe: ``slots()`` maps a key stream
   to compact indices (identity for the dense layout,
@@ -45,6 +45,7 @@ key array — and gives every kernel compact per-pair slots:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 import logging
 
@@ -79,6 +80,12 @@ def decode_pair_keys(
     return keys // n_sources, keys % n_sources
 
 
+def decode_pairs(keys: np.ndarray, n_sources: int) -> list[tuple[int, int]]:
+    """Pair keys as ``(s1, s2)`` tuples of Python ints, in ``keys`` order."""
+    s1, s2 = decode_pair_keys(keys, n_sources)
+    return list(zip(s1.tolist(), s2.tolist()))
+
+
 def resolve_pair_layout(
     requested: str, n_sources: int, dense_limit: int, kernel: str
 ) -> str:
@@ -89,7 +96,8 @@ def resolve_pair_layout(
     sparse compact slots beyond it.  Crossing the limit under ``"auto"``
     emits a :mod:`logging` warning naming the kernel, the limit hit and
     the layout chosen — the observable replacement for the silent
-    pure-Python fallbacks this package shipped before the sparse layer.
+    pure-Python fallbacks this package shipped before the sparse layer
+    — once per ``(kernel, n_sources, dense_limit)`` per process.
 
     Args:
         requested: ``"auto"``, ``"dense"`` or ``"sparse"`` (explicit
@@ -107,18 +115,29 @@ def resolve_pair_layout(
         )
     if requested != "auto":
         return requested
-    key_space = int(n_sources) * int(n_sources)
-    if key_space <= dense_limit:
+    if int(n_sources) * int(n_sources) <= dense_limit:
         return "dense"
+    _warn_sparse(kernel, int(n_sources), dense_limit)
+    return "sparse"
+
+
+@lru_cache(maxsize=256)
+def _warn_sparse(kernel: str, n_sources: int, dense_limit: int) -> None:
+    """Log the auto switch once per ``(kernel, world size, limit)``.
+
+    Every kernel resolves its layout on every call — several times per
+    fusion round, once per streaming epoch — and the answer for one
+    world never changes, so the cache keeps the record to the first
+    call per process (a world that grows warns again).
+    """
     logger.warning(
         "%s: pair key space %d (n_sources=%d) exceeds the dense limit %d; "
         "auto-selected the sparse pair layout",
         kernel,
-        key_space,
+        n_sources * n_sources,
         n_sources,
         dense_limit,
     )
-    return "sparse"
 
 
 class PairSpace:
@@ -288,26 +307,6 @@ class PairValueMap:
         self.keys = keys
         self.values = values
         self.default = default
-
-    @classmethod
-    def from_items(
-        cls,
-        n_sources: int,
-        items: Iterable[tuple[tuple[int, int], float]],
-        default: float = 0.0,
-    ) -> "PairValueMap":
-        """Build from ``((src, dst), value)`` items (directed keys)."""
-        items = list(items)
-        keys = np.fromiter(
-            (src * n_sources + dst for (src, dst), _ in items),
-            dtype=np.int64,
-            count=len(items),
-        )
-        values = np.fromiter(
-            (value for _, value in items), dtype=np.float64, count=len(items)
-        )
-        order = np.argsort(keys, kind="stable")
-        return cls(n_sources, keys[order], values[order], default)
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Values for (broadcast) directed pairs; misses read ``default``."""

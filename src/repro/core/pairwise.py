@@ -24,7 +24,7 @@ from typing import Sequence
 from ..data import Dataset
 from .contribution import posterior, same_value_scores_both
 from .params import CopyParams
-from .result import CostCounter, DetectionResult, PairDecision
+from .result import CostCounter, DecisionView, DetectionResult, PairDecision
 
 
 def detect_pairwise(
@@ -156,7 +156,7 @@ def _detect_pairwise_numpy(
             saw_main=np.ones(len(missing), dtype=bool),
         )
         table = PairTable.merge([table, zeros], layout=params.pair_layout)
-    decisions = decide_pairs(table, shared_items, params, require_main=False)
+    columns = decide_pairs(table, shared_items, params, require_main=False)
     total_shared = sum(shared_items.values())
     cost = CostCounter(
         computations=2 * total_shared,
@@ -166,6 +166,6 @@ def _detect_pairwise_numpy(
     return DetectionResult(
         method="pairwise",
         n_sources=n_sources,
-        decisions=decisions,
+        decisions=DecisionView(columns),
         cost=cost,
     )

@@ -19,9 +19,15 @@ computations and INDEX performs ``2 * (shared-value incidences) +
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import index
+from typing import Iterator
+
+import numpy as np
 
 from .contribution import CopyPosterior
+from .pairspace import decode_pair_keys, decode_pairs, encode_pair_keys
 
 
 class PairNotObservedError(LookupError):
@@ -87,17 +93,213 @@ class PairDecision:
     early: bool = False
 
 
+#: Float columns of a :class:`PairColumns` table, in storage order.
+PAIR_FLOAT_COLUMNS = ("c_fwd", "c_bwd", "independent", "forward", "backward")
+
+#: Every per-pair value column (all but the key), in field order.
+_VALUE_COLUMNS = PAIR_FLOAT_COLUMNS + ("copying", "early")
+
+
+@dataclass
+class PairColumns:
+    """The per-pair verdict table in columnar layout, sorted by key.
+
+    The one shape verdicts travel in from the numpy kernels through
+    fusion to the snapshot store: row ``i`` is the :class:`PairDecision`
+    of the pair ``keys[i] = s1 * n_sources + s2`` (``s1 < s2``, the int64
+    key codec of :mod:`repro.core.pairspace`).
+
+    Attributes:
+        n_sources: key stride.
+        keys: int64 pair keys, sorted ascending, unique.
+        c_fwd: accumulated ``C(s1 -> s2)`` per pair.
+        c_bwd: accumulated ``C(s1 <- s2)`` per pair.
+        independent: ``Pr(s1 _|_ s2 | Phi)``.
+        forward: ``Pr(s1 -> s2 | Phi)``.
+        backward: ``Pr(s1 <- s2 | Phi)``.
+        copying: the binary decision (bool).
+        early: True where the verdict came from a Section IV bound (bool).
+    """
+
+    n_sources: int
+    keys: np.ndarray
+    c_fwd: np.ndarray
+    c_bwd: np.ndarray
+    independent: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
+    copying: np.ndarray
+    early: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def from_decisions(
+        cls, decisions: Mapping[tuple[int, int], "PairDecision"], n_sources: int
+    ) -> "PairColumns":
+        """Columnarize a ``pair -> PairDecision`` mapping (one pass).
+
+        Only the public :class:`PairDecision` fields are read, so a
+        dict-backed result and a columnar one holding the same verdicts
+        yield array-identical tables.
+        """
+        n_rows = len(decisions)
+        keys = np.fromiter(
+            (int(s1) * n_sources + int(s2) for s1, s2 in decisions),
+            dtype=np.int64,
+            count=n_rows,
+        )
+        table = np.array(
+            [
+                (d.c_fwd, d.c_bwd, *d.posterior, d.copying, d.early)
+                for d in decisions.values()
+            ],
+            dtype=np.float64,
+        ).reshape(n_rows, 7)
+        order = np.argsort(keys, kind="stable")
+        table = table[order].T
+        return cls(
+            n_sources,
+            keys[order],
+            *(np.ascontiguousarray(column) for column in table[:5]),
+            table[5] != 0.0,
+            table[6] != 0.0,
+        )
+
+    def take(self, rows: np.ndarray) -> "PairColumns":
+        """The table restricted to ``rows`` (an ascending index or mask)."""
+        return PairColumns(
+            self.n_sources,
+            self.keys[rows],
+            *(getattr(self, name)[rows] for name in _VALUE_COLUMNS),
+        )
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """``keys`` decoded into ``(s1, s2)`` id pairs, in key order."""
+        return decode_pairs(self.keys, self.n_sources)
+
+    def rekeyed(self, n_sources: int) -> "PairColumns":
+        """The same rows keyed for another stride (row order is preserved:
+        key order is the lexicographic pair order under any stride)."""
+        if n_sources == self.n_sources:
+            return self
+        keys = encode_pair_keys(
+            *decode_pair_keys(self.keys, self.n_sources), n_sources
+        )
+        return PairColumns(
+            n_sources, keys, *(getattr(self, name) for name in _VALUE_COLUMNS)
+        )
+
+
+class DecisionView(Mapping):
+    """Read-only ``(s1, s2) -> PairDecision`` mapping over a column table.
+
+    What :attr:`DetectionResult.decisions` is when a numpy kernel
+    produced the result.  Length, membership and key iteration (in
+    ascending key order) read the columns only; a :class:`PairDecision`
+    is built — and memoised, so repeated reads return the same object —
+    the first time ``[]``/``get``/``values()``/``items()`` asks for it.
+
+    ``s1 * n_sources + s2`` aliases a neighbouring pair when an id is out
+    of range (``(0, n)`` and ``(1, 0)`` share a key), so lookups check
+    ``0 <= s1 < s2 < n_sources`` first: a pair that cannot have been
+    observed is reported missing, never answered with another's verdict.
+    """
+
+    def __init__(self, columns: PairColumns):
+        self.columns = columns
+        self._built: dict[int, PairDecision] = {}
+
+    @property
+    def materialized(self) -> int:
+        """How many :class:`PairDecision` objects this view has built."""
+        return len(self._built)
+
+    def _row(self, key) -> int:
+        """Row of ``key`` in the table, -1 when it is not an observed pair."""
+        cols = self.columns
+        try:
+            s1, s2 = key
+            s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
+        except (TypeError, ValueError):
+            return -1
+        if not 0 <= s1 < s2 < cols.n_sources:
+            return -1
+        flat = s1 * cols.n_sources + s2
+        row = int(np.searchsorted(cols.keys, flat))
+        if row < len(cols.keys) and cols.keys[row] == flat:
+            return row
+        return -1
+
+    def _build(self, start: int, stop: int) -> None:
+        """Materialise the not-yet-built decisions of rows ``[start, stop)``."""
+        cols = self.columns
+        rows = zip(
+            *(getattr(cols, name)[start:stop].tolist() for name in _VALUE_COLUMNS)
+        )
+        for row, (c_fwd, c_bwd, ind, fwd, bwd, copying, early) in enumerate(rows, start):
+            if row not in self._built:
+                self._built[row] = PairDecision(
+                    c_fwd, c_bwd, CopyPosterior(ind, fwd, bwd), copying, early
+                )
+
+    def __getitem__(self, key) -> PairDecision:
+        row = self._row(key)
+        if row < 0:
+            raise KeyError(key)
+        if row not in self._built:
+            self._build(row, row + 1)
+        return self._built[row]
+
+    def __contains__(self, key) -> bool:
+        return self._row(key) >= 0
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self.columns.pairs())
+
+    def values(self) -> list[PairDecision]:
+        """Every decision, in key order (builds the ones not yet read)."""
+        if len(self._built) < len(self):
+            self._build(0, len(self))
+        return [self._built[row] for row in range(len(self))]
+
+    def items(self) -> list[tuple[tuple[int, int], PairDecision]]:
+        """``(pair, decision)`` for every row, in key order."""
+        return list(zip(self.columns.pairs(), self.values()))
+
+    def __eq__(self, other) -> bool:
+        mine = self.columns
+        if isinstance(other, DecisionView) and other.columns.n_sources == mine.n_sources:
+            return all(
+                np.array_equal(getattr(mine, name), getattr(other.columns, name))
+                for name in ("keys",) + _VALUE_COLUMNS
+            )
+        return Mapping.__eq__(self, other)
+
+    def __reduce__(self):
+        return DecisionView, (self.columns,)
+
+    def __repr__(self) -> str:
+        return f"DecisionView({len(self)} pairs, {self.materialized} materialized)"
+
+
 @dataclass(frozen=True)
 class DecisionDelta:
     """What changed between two detection rounds, for delta publishing.
 
     Attributes:
         changed: pairs whose verdict/scores differ from the previous
-            round (including newly opened pairs), with their new decision.
+            round (including newly opened pairs), with their new decision
+            — a :class:`DecisionView` whose ``columns`` are the changed
+            rows, so publishers copy arrays and never walk it.
         removed: pairs present previously but absent now.
     """
 
-    changed: dict[tuple[int, int], "PairDecision"]
+    changed: DecisionView
     removed: frozenset[tuple[int, int]]
 
     def __bool__(self) -> bool:
@@ -114,7 +316,12 @@ class DetectionResult:
     Attributes:
         method: name of the algorithm that produced the result.
         n_sources: number of sources in the dataset.
-        decisions: per-pair verdicts keyed by sorted source-id pairs.
+        decisions: per-pair verdicts keyed by sorted source-id pairs —
+            a read-only :class:`DecisionView` over the kernel's column
+            table under ``backend="numpy"``, a plain dict from the
+            python reference and INCREMENTAL's bookkeeping rounds.
+            Treat it as frozen either way; bulk consumers read
+            :meth:`columns` instead of walking it.
         cost: the computation/incidence tally.
         elapsed_seconds: wall-clock detection time (filled by callers that
             time the run; 0.0 otherwise).
@@ -130,47 +337,76 @@ class DetectionResult:
 
     method: str
     n_sources: int
-    decisions: dict[tuple[int, int], PairDecision] = field(default_factory=dict)
+    decisions: Mapping[tuple[int, int], PairDecision] = field(default_factory=dict)
     cost: CostCounter = field(default_factory=CostCounter)
     elapsed_seconds: float = 0.0
     changed_pairs: set[tuple[int, int]] | None = None
+    _columns: PairColumns | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def columns(self) -> PairColumns:
+        """The verdicts as one sorted-key column table.
+
+        Free when a numpy kernel produced the result (it *is* the table
+        behind :attr:`decisions`); built from the dict once, and cached,
+        otherwise.  Fusion, :meth:`decision_delta` and the snapshot
+        publisher read only this.
+        """
+        if isinstance(self.decisions, DecisionView):
+            return self.decisions.columns
+        if self._columns is None:
+            self._columns = PairColumns.from_decisions(self.decisions, self.n_sources)
+        return self._columns
 
     def decision_delta(self, previous: "DetectionResult | None") -> DecisionDelta:
         """The decision changes since ``previous``.
 
         With no ``previous`` everything counts as changed.  When this
         result carries :attr:`changed_pairs` the delta comes straight
-        from it (plus any key the set missed but a dict comparison
-        catches — belt and braces for hand-built results); otherwise it
-        falls back to a field-exact comparison of the two decision
-        dicts (:class:`PairDecision` is a frozen dataclass, so ``!=``
-        compares scores and posteriors exactly).
+        from it (plus any newly opened pair the set missed — belt and
+        braces for hand-built results); otherwise a pair is changed when
+        any column differs from its ``previous`` row — the exact
+        comparison ``PairDecision.__ne__`` would make, one vector
+        operation per column.
         """
+        cur = self.columns()
         if previous is None:
-            return DecisionDelta(changed=dict(self.decisions), removed=frozenset())
-        prev = previous.decisions
-        if self.changed_pairs is not None:
-            changed = {
-                key: self.decisions[key]
-                for key in self.changed_pairs
-                if key in self.decisions
-            }
-            # Newly opened pairs the producer forgot to record.
-            for key, decision in self.decisions.items():
-                if key not in prev and key not in changed:
-                    changed[key] = decision
+            return DecisionDelta(changed=DecisionView(cur), removed=frozenset())
+        # Compare under one stride: pair identity is what matters, and a
+        # streaming ledger may have grown sources between the two rounds.
+        stride = max(self.n_sources, previous.n_sources)
+        keys = cur.rekeyed(stride).keys
+        prev = previous.columns().rekeyed(stride)
+        if len(prev):
+            at = np.minimum(np.searchsorted(prev.keys, keys), len(prev) - 1)
+            known = prev.keys[at] == keys
         else:
-            changed = {
-                key: decision
-                for key, decision in self.decisions.items()
-                if prev.get(key) != decision
-            }
-        removed = frozenset(key for key in prev if key not in self.decisions)
-        return DecisionDelta(changed=changed, removed=removed)
+            at = np.zeros(len(cur), dtype=np.int64)
+            known = np.zeros(len(cur), dtype=bool)
+        if self.changed_pairs is not None:
+            reported = np.fromiter(
+                (s1 * stride + s2 for s1, s2 in self.changed_pairs),
+                dtype=np.int64,
+                count=len(self.changed_pairs),
+            )
+            changed = ~known | np.isin(keys, reported)
+        else:
+            same = known.copy()
+            rows = at[known]
+            for name in _VALUE_COLUMNS:
+                same[known] &= getattr(cur, name)[known] == getattr(prev, name)[rows]
+            changed = ~same
+        gone = prev.keys[~np.isin(prev.keys, keys)]
+        return DecisionDelta(
+            changed=DecisionView(cur.take(changed)),
+            removed=frozenset(decode_pairs(gone, stride)),
+        )
 
     def copying_pairs(self) -> set[tuple[int, int]]:
         """The set of pairs judged to be copying (either direction)."""
-        return {pair for pair, d in self.decisions.items() if d.copying}
+        cols = self.columns()
+        return set(decode_pairs(cols.keys[cols.copying], cols.n_sources))
 
     def decision_for(self, s1: int, s2: int) -> PairDecision | None:
         """Verdict for a pair given in any order (``None`` if never opened)."""

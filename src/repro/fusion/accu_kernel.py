@@ -60,7 +60,12 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..core.pairspace import PairValueMap, resolve_pair_layout
+from ..core.pairspace import (
+    PairValueMap,
+    decode_pair_keys,
+    encode_pair_keys,
+    resolve_pair_layout,
+)
 from ..core.params import CopyParams
 from ..core.result import DetectionResult
 
@@ -202,10 +207,11 @@ def copy_probability_matrix(
     never opened stay 0 (independent), matching
     :meth:`~repro.core.result.DetectionResult.copy_probability`.
     """
+    cols = detection.columns()
+    s1, s2 = decode_pair_keys(cols.keys, cols.n_sources)
     matrix = np.zeros((n_sources, n_sources))
-    for (s1, s2), decision in detection.decisions.items():
-        matrix[s1, s2] = decision.posterior.forward
-        matrix[s2, s1] = decision.posterior.backward
+    matrix[s1, s2] = cols.forward
+    matrix[s2, s1] = cols.backward
     return matrix
 
 
@@ -218,11 +224,15 @@ def sparse_copy_probabilities(
     of never-opened pairs — and the diagonal — read 0, exactly like the
     dense matrix's untouched zeros.
     """
-    items: list[tuple[tuple[int, int], float]] = []
-    for (s1, s2), decision in detection.decisions.items():
-        items.append(((s1, s2), decision.posterior.forward))
-        items.append(((s2, s1), decision.posterior.backward))
-    return PairValueMap.from_items(n_sources, items)
+    cols = detection.columns()
+    s1, s2 = decode_pair_keys(cols.keys, cols.n_sources)
+    keys = np.concatenate(
+        [encode_pair_keys(s1, s2, n_sources), encode_pair_keys(s2, s1, n_sources)]
+    )
+    order = np.argsort(keys, kind="stable")
+    return PairValueMap(
+        n_sources, keys[order], np.concatenate([cols.forward, cols.backward])[order]
+    )
 
 
 def independence_weight_stream(

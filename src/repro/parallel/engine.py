@@ -60,13 +60,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import log
-from typing import Literal, Sequence
+from typing import Literal, Mapping, Sequence
 
 from ..core.bound import DEFAULT_HYBRID_THRESHOLD, PrefixScanState, scan_with_bounds
 from ..core.contribution import posterior
 from ..core.index import InvertedIndex
 from ..core.params import CopyParams, validate_execution
-from ..core.result import CostCounter, DetectionResult, PairDecision
+from ..core.result import CostCounter, DecisionView, DetectionResult, PairDecision
 from ..data import Dataset
 from .partition import (
     EntryPartition,
@@ -283,24 +283,6 @@ def _map_reduce(
     )
 
 
-def _cells(merged) -> _Partial:
-    """A merged partial as ``pair -> [c_fwd, c_bwd, n_shared, saw_main]``."""
-    if merged is None:
-        return {}
-    if isinstance(merged, dict):
-        return merged
-    return {
-        pair: [c_fwd, c_bwd, float(n_shared), float(saw_main)]
-        for pair, c_fwd, c_bwd, n_shared, saw_main in zip(
-            merged.pairs(),
-            merged.c_fwd.tolist(),
-            merged.c_bwd.tolist(),
-            merged.n_shared.tolist(),
-            merged.saw_main.tolist(),
-        )
-    }
-
-
 def _decide(
     c_fwd: float, c_bwd: float, n_shared: int, l_shared: int, params: CopyParams
 ) -> PairDecision:
@@ -377,7 +359,7 @@ def detect_index_parallel(
     )
     shared_items = index.shared_items
     cost = CostCounter()
-    decisions: dict[tuple[int, int], PairDecision] = {}
+    decisions: Mapping[tuple[int, int], PairDecision] = {}
     if isinstance(merged, dict):
         for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
             cost.values_examined += int(n_shared)
@@ -389,7 +371,9 @@ def detect_index_parallel(
         from ..core.kernel import decide_pairs
 
         # Same verdicts and accounting as the loop above, vectorized.
-        decisions = decide_pairs(merged, shared_items, params, require_main=True)
+        decisions = DecisionView(
+            decide_pairs(merged, shared_items, params, require_main=True)
+        )
         cost.values_examined = int(merged.n_shared.sum())
     cost.pairs_considered = len(decisions)
     cost.computations = 2 * cost.values_examined + 2 * cost.pairs_considered
@@ -476,7 +460,6 @@ def detect_hybrid_parallel(
         collect_state=True,
         epoch_size=epoch_size,
     )
-    assert isinstance(prefix, PrefixScanState)
     if partition_by == "work" and n_partitions > 1:
         suffix_parts = partition_positions_by_work(
             index, range(prefix_len, index.n_entries), n_partitions - 1
@@ -484,12 +467,17 @@ def detect_hybrid_parallel(
     else:
         suffix_parts = partitions[1:]
     # Map/reduce the suffix into per-pair [c_fwd, c_bwd, n, saw_main].
-    merged = _cells(
-        _map_reduce(
-            dataset, index, suffix_parts, accuracies, params, executor, reduce,
-            workspace, cluster,
-        )
+    merged = _map_reduce(
+        dataset, index, suffix_parts, accuracies, params, executor, reduce,
+        workspace, cluster,
     )
+    if not isinstance(prefix, PrefixScanState):
+        # numpy backend: the prefix is the live epoch scan, the suffix a
+        # PairTable — the reduce below, on columns.
+        if merged is not None:
+            prefix.absorb(merged)
+        return prefix.finalize("hybrid-parallel")[0]
+    merged = merged or {}
 
     # Reduce: early verdicts stand; survivors absorb their suffix sums.
     shared_items = index.shared_items

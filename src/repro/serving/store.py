@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
 from .codec import (
     FORMAT_VERSION,
     ServingError,
@@ -62,9 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Pair-row flag bits.
 FLAG_COPYING = 1
 FLAG_EARLY = 2
-
-#: Float pair columns stored per row (beyond the key).
-PAIR_FLOAT_COLUMNS = ("c_fwd", "c_bwd", "independent", "forward", "backward")
 
 _SNAP_PATTERN = "snap-%08d.rvs"
 
@@ -100,43 +98,49 @@ class PairRows:
         )
 
     @classmethod
+    def from_columns(
+        cls,
+        columns: PairColumns,
+        decision_positions: Mapping[tuple[int, int], int] | None = None,
+    ) -> "PairRows":
+        """The storage rows of a verdict column table — field copies.
+
+        The columns are already sorted by key, so nothing is walked: the
+        two bool columns fold into ``flags`` and ``decision_pos`` is -1
+        unless the detector's bookkeeping supplies positions.
+        """
+        if decision_positions is None:
+            positions = np.full(len(columns), -1, dtype=np.int64)
+        else:
+            positions = np.fromiter(
+                (decision_positions.get(pair, -1) for pair in columns.pairs()),
+                dtype=np.int64,
+                count=len(columns),
+            )
+        return cls(
+            keys=columns.keys,
+            flags=(columns.copying * FLAG_COPYING + columns.early * FLAG_EARLY).astype(
+                np.uint8
+            ),
+            decision_pos=positions,
+            **{name: getattr(columns, name) for name in PAIR_FLOAT_COLUMNS},
+        )
+
+    @classmethod
     def from_decisions(
         cls,
         decisions: Mapping[tuple[int, int], "object"],
         n_sources: int,
         decision_positions: Mapping[tuple[int, int], int] | None = None,
     ) -> "PairRows":
-        """Build sorted pair rows from a ``DetectionResult.decisions`` map.
+        """Build sorted pair rows from a ``pair -> PairDecision`` map.
 
         The construction only reads the public :class:`PairDecision`
         fields, so dense- and sparse-layout results (whose decisions
-        dicts are value-identical) serialize to byte-identical rows.
+        are value-identical) serialize to byte-identical rows.
         """
-        n_rows = len(decisions)
-        keys = np.empty(n_rows, dtype=np.int64)
-        cols = {name: np.empty(n_rows) for name in PAIR_FLOAT_COLUMNS}
-        flags = np.empty(n_rows, dtype=np.uint8)
-        positions = np.full(n_rows, -1, dtype=np.int64)
-        stride = np.int64(n_sources)
-        for row, ((s1, s2), decision) in enumerate(decisions.items()):
-            keys[row] = np.int64(s1) * stride + np.int64(s2)
-            cols["c_fwd"][row] = decision.c_fwd
-            cols["c_bwd"][row] = decision.c_bwd
-            post = decision.posterior
-            cols["independent"][row] = post.independent
-            cols["forward"][row] = post.forward
-            cols["backward"][row] = post.backward
-            flags[row] = (FLAG_COPYING if decision.copying else 0) | (
-                FLAG_EARLY if decision.early else 0
-            )
-            if decision_positions is not None:
-                positions[row] = decision_positions.get((s1, s2), -1)
-        order = np.argsort(keys, kind="stable")
-        return cls(
-            keys=keys[order],
-            flags=flags[order],
-            decision_pos=positions[order],
-            **{name: cols[name][order] for name in PAIR_FLOAT_COLUMNS},
+        return cls.from_columns(
+            PairColumns.from_decisions(decisions, n_sources), decision_positions
         )
 
     def to_arrays(self, prefix: str = "pair_") -> dict[str, np.ndarray]:
@@ -672,11 +676,12 @@ class SnapshotPublisher:
         method = detection.method if detection is not None else "none"
         chosen = choose_values(dataset, probabilities)
         items = ItemRows.from_truths(dataset, chosen, probabilities)
-        decisions = detection.decisions if detection is not None else {}
 
         if self.last_snapshot_id is None:
-            pairs = PairRows.from_decisions(
-                decisions, n_sources, decision_positions
+            pairs = (
+                PairRows.from_columns(detection.columns(), decision_positions)
+                if detection is not None
+                else PairRows.empty()
             )
             snapshot_id = self.store.write_full(
                 pairs,
@@ -710,13 +715,12 @@ class SnapshotPublisher:
         n_sources = self.dataset.n_sources
         if detection is not None:
             delta = detection.decision_delta(self._prev_detection)
-            changed, removed = delta.changed, delta.removed
+            pair_upserts = PairRows.from_columns(
+                delta.changed.columns, decision_positions
+            )
+            removed = delta.removed
         else:
-            changed, removed = {}, frozenset()
-
-        pair_upserts = PairRows.from_decisions(
-            changed, n_sources, decision_positions
-        )
+            pair_upserts, removed = PairRows.empty(), frozenset()
         removed_keys = np.fromiter(
             (s1 * n_sources + s2 for s1, s2 in sorted(removed)),
             dtype=np.int64,

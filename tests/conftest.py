@@ -36,6 +36,15 @@ settings.register_profile("ci", deadline=None, max_examples=60, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
+@pytest.fixture(autouse=True)
+def _fresh_layout_warnings():
+    """The sparse-layout warning fires once per process; tests that
+    assert on it must not depend on which test resolved a layout first."""
+    from repro.core.pairspace import _warn_sparse
+
+    _warn_sparse.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def params() -> CopyParams:
     """The paper's default parameters (alpha=.1, s=.8, n=50)."""

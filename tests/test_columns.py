@@ -1,0 +1,395 @@
+"""The columnar verdict table and the read-only view over it.
+
+Under ``backend="numpy"`` every producer hands back one sorted-key
+:class:`~repro.core.result.PairColumns` table; ``DetectionResult.decisions``
+is a :class:`~repro.core.result.DecisionView` that builds a
+``PairDecision`` only when someone reads one.  These tests pin that
+contract: dict semantics, the key-aliasing guard, zero materialisation on
+the fuse-and-publish path, byte-identical storage rows and snapshots, and
+``decision_delta`` parity with the per-pair dict comparison it replaced.
+"""
+
+from __future__ import annotations
+
+import pickle
+import random
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.conformance.generators import RandomChooser, large_sparse_world
+from repro.core import (
+    CopyParams,
+    CopyPosterior,
+    DetectionResult,
+    IncrementalDetector,
+    PairDecision,
+    SingleRoundDetector,
+    detect,
+)
+from repro.core.result import DecisionView, PairColumns
+from repro.fusion import run_fusion
+from repro.serving.store import PairRows, VerdictStore
+from tests.strategies import worlds
+
+NUMPY = CopyParams(backend="numpy")
+
+
+def _decision(seed: float, copying: bool = False, early: bool = False):
+    return PairDecision(
+        c_fwd=seed,
+        c_bwd=-seed,
+        posterior=CopyPosterior(0.25, 0.5 + seed / 100, 0.25 - seed / 100),
+        copying=copying,
+        early=early,
+    )
+
+
+def _columnar(decisions: dict, n_sources: int, **kwargs) -> DetectionResult:
+    """A result backed by a column table holding ``decisions``."""
+    columns = PairColumns.from_decisions(decisions, n_sources)
+    return DetectionResult("test", n_sources, DecisionView(columns), **kwargs)
+
+
+def _sparse_world(seed: int = 0):
+    return large_sparse_world(
+        RandomChooser(random.Random(seed)), n_sources=30, n_items=12
+    ).materialize()
+
+
+# ----------------------------------------------------------------------
+# The view is a dict to every reader
+# ----------------------------------------------------------------------
+class TestMappingSemantics:
+    @pytest.fixture(scope="class")
+    def result(self):
+        dataset, probs, accs = _sparse_world()
+        return detect(dataset, probs, accs, NUMPY, method="hybrid")
+
+    def test_equals_its_dict_both_ways(self, result):
+        as_dict = dict(result.decisions)
+        assert isinstance(result.decisions, DecisionView)
+        assert result.decisions == as_dict
+        assert as_dict == result.decisions
+        assert len(result.decisions) == len(as_dict) > 0
+
+    def test_matches_the_python_oracle(self, result):
+        dataset, probs, accs = _sparse_world()
+        oracle = detect(dataset, probs, accs, CopyParams(backend="python"),
+                        method="hybrid")
+        assert isinstance(oracle.decisions, dict)
+        assert result.decisions == oracle.decisions
+        assert result.copying_pairs() == oracle.copying_pairs()
+
+    def test_iterates_in_ascending_key_order(self, result):
+        pairs = list(result.decisions)
+        assert pairs == sorted(pairs)
+        assert all(type(s) is int for pair in pairs for s in pair)
+        assert [pair for pair, _ in result.decisions.items()] == pairs
+        assert list(result.decisions.keys()) == pairs
+
+    def test_membership_and_get(self, result):
+        pair = next(iter(result.decisions))
+        assert pair in result.decisions
+        assert result.decisions.get(pair) is result.decisions[pair]
+        assert result.decision_for(pair[1], pair[0]) == result.decisions[pair]
+        missing = (0, 0)
+        assert missing not in result.decisions
+        assert result.decisions.get(missing) is None
+        with pytest.raises(KeyError):
+            result.decisions[missing]
+
+    def test_values_are_plain_python(self, result):
+        decision = next(iter(result.decisions.values()))
+        assert type(decision.c_fwd) is float
+        assert type(decision.copying) is bool and type(decision.early) is bool
+        assert isinstance(decision.posterior, CopyPosterior)
+        assert decision.copying == (decision.posterior.independent <= 0.5) or decision.early
+
+    def test_read_only(self, result):
+        pair = next(iter(result.decisions))
+        with pytest.raises(TypeError):
+            result.decisions[pair] = None
+        with pytest.raises(TypeError):
+            hash(result.decisions)
+
+    def test_copying_pairs_reads_columns_only(self):
+        dataset, probs, accs = _sparse_world(1)
+        result = detect(dataset, probs, accs, NUMPY, method="index")
+        expected = {p for p, d in dict(result.decisions).items() if d.copying}
+        fresh = detect(dataset, probs, accs, NUMPY, method="index")
+        assert fresh.copying_pairs() == expected
+        assert fresh.decisions.materialized == 0
+
+    def test_pickle_round_trip(self, result):
+        result.decisions[next(iter(result.decisions))]  # warm the memo
+        clone = pickle.loads(pickle.dumps(result))
+        assert clone == result
+        assert isinstance(clone.decisions, DecisionView)
+        assert clone.decisions.materialized == 0
+        assert clone.decisions == dict(result.decisions)
+        assert clone.cost == result.cost
+
+    def test_columns_accessor(self, result):
+        assert result.columns() is result.decisions.columns
+        as_dict = replace(result, decisions=dict(result.decisions))
+        built = as_dict.columns()
+        assert as_dict.columns() is built  # cached
+        for name in ("keys", "c_fwd", "c_bwd", "independent", "forward",
+                     "backward", "copying", "early"):
+            np.testing.assert_array_equal(
+                getattr(built, name), getattr(result.columns(), name)
+            )
+            assert getattr(built, name).dtype == getattr(result.columns(), name).dtype
+
+
+# ----------------------------------------------------------------------
+# s1 * n + s2 must never answer with a neighbour's verdict
+# ----------------------------------------------------------------------
+class TestKeyAliasing:
+    def test_out_of_range_ids_are_not_observed(self):
+        # n = 4: key(1, 2) = 6 = key(0, 6) = key(-1, 10) = key(2, -2).
+        result = _columnar({(1, 2): _decision(1.0, copying=True)}, 4)
+        view = result.decisions
+        assert view[(1, 2)].copying
+        for alias in [(0, 6), (-1, 10), (2, -2), (6, 0), (1, 6)]:
+            assert alias not in view
+            assert view.get(alias) is None
+            with pytest.raises(KeyError):
+                view[alias]
+            assert result.decision_for(*alias) is None
+            assert result.copy_probability(*alias) == 0.0
+            assert result.copy_probability(*alias[::-1]) == 0.0
+
+    def test_unordered_and_malformed_keys(self):
+        result = _columnar({(1, 2): _decision(1.0)}, 4)
+        view = result.decisions
+        # The mapping is keyed by sorted pairs, exactly like the dict ...
+        assert (2, 1) not in view and view.get((2, 1)) is None
+        # ... while the any-order accessors sort first.
+        assert result.decision_for(2, 1) == view[(1, 2)]
+        assert result.copy_probability(2, 1) == view[(1, 2)].posterior.backward
+        for junk in [(1, 1), (1,), (1, 2, 3), "12", 6, None, (1.0, 2.0), ("1", "2")]:
+            assert junk not in view
+            assert view.get(junk) is None
+
+    def test_ids_beyond_two_pow_sixteen_do_not_wrap(self):
+        # 65_536 * 70_000 overflows int32: both the table's keys and a
+        # lookup fed NumPy int32 ids must stay exact.
+        n = 70_000
+        decisions = {
+            (65_536, 69_999): _decision(1.0, copying=True),
+            (3, 65_537): _decision(2.0),
+            (0, 1): _decision(3.0),
+        }
+        result = _columnar(decisions, n)
+        assert result.columns().keys.dtype == np.int64
+        assert result.columns().keys.tolist() == sorted(
+            s1 * n + s2 for s1, s2 in decisions
+        )
+        assert result.decisions == decisions
+        got = result.decisions[(np.int32(65_536), np.int32(69_999))]
+        assert got == decisions[(65_536, 69_999)]
+        assert result.copying_pairs() == {(65_536, 69_999)}
+        # (65_535, 139_999) aliases key(65_536, 69_999).
+        assert result.decision_for(65_535, n + 69_999) is None
+        assert result.copy_probability(n + 69_999, 65_535) == 0.0
+        wrapped = int(np.int64(65_536 * n + 69_999).astype(np.int32))
+        assert result.decisions.get((0, wrapped)) is None
+
+
+# ----------------------------------------------------------------------
+# (a) fuse + publish never builds a PairDecision
+# ----------------------------------------------------------------------
+PRODUCERS = {
+    "hybrid": dict(method="hybrid"),
+    "bound+": dict(method="bound+"),
+    "index": dict(method="index"),
+    "pairwise": dict(method="pairwise"),
+    "hybrid-partitioned": dict(method="hybrid", n_partitions=2, reduce="tree"),
+    "index-partitioned": dict(method="index", n_partitions=3),
+}
+
+
+class TestNoMaterialisationOnTheProductPath:
+    @pytest.mark.parametrize("producer", PRODUCERS)
+    def test_run_fusion_with_store_builds_no_decisions(self, producer, tmp_path):
+        dataset, _, _ = _sparse_world()
+        params = CopyParams(backend="numpy", pair_layout="sparse")
+        detector = SingleRoundDetector(params, **PRODUCERS[producer])
+        fusion = run_fusion(dataset, params, detector, snapshot_store=tmp_path)
+        assert len(fusion.snapshot_ids) == fusion.n_rounds >= 2
+        views = [record.detection.decisions for record in fusion.rounds]
+        assert all(isinstance(view, DecisionView) and len(view) for view in views)
+        assert [view.materialized for view in views] == [0] * len(views)
+
+        final = views[-1]
+        pair = next(iter(final))
+        first = final[pair]
+        assert final.materialized == 1
+        assert final[pair] is first and final.get(pair) is first
+        assert final.materialized == 1
+        assert len(final.values()) == len(final) == final.materialized
+        assert final[pair] is first
+
+    def test_incremental_prep_round_is_columnar(self, tmp_path):
+        dataset, _, _ = _sparse_world()
+        fusion = run_fusion(
+            dataset, NUMPY, IncrementalDetector(NUMPY), snapshot_store=tmp_path
+        )
+        for record in fusion.rounds[:2]:
+            assert record.detection.decisions.materialized == 0
+        # Rounds >= 3 come from the per-pair bookkeeping: a plain dict.
+        assert all(
+            isinstance(record.detection.decisions, dict)
+            for record in fusion.rounds[2:]
+        )
+
+
+# ----------------------------------------------------------------------
+# (b) storage rows and snapshots: identical bytes either way
+# ----------------------------------------------------------------------
+def _assert_rows_identical(got: PairRows, want: PairRows):
+    for name, array in want.to_arrays().items():
+        other = got.to_arrays()[name]
+        assert other.dtype == array.dtype, name
+        np.testing.assert_array_equal(other, array, err_msg=name)
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("method", ["hybrid", "index"])
+    def test_rows_from_columns_equal_rows_from_decisions(self, layout, method):
+        dataset, probs, accs = _sparse_world(2)
+        result = detect(dataset, probs, accs, NUMPY, method=method,
+                        pair_layout=layout)
+        positions = {pair: i for i, pair in enumerate(result.decisions) if i % 3}
+        _assert_rows_identical(
+            PairRows.from_columns(result.columns(), positions),
+            PairRows.from_decisions(
+                dict(result.decisions), result.n_sources, positions
+            ),
+        )
+        oracle = detect(dataset, probs, accs, CopyParams(backend="python"),
+                        method=method)
+        if method == "hybrid":  # bit-exact family
+            _assert_rows_identical(
+                PairRows.from_columns(result.columns()),
+                PairRows.from_columns(oracle.columns()),
+            )
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_snapshots_equal_the_dict_backed_run(self, layout, tmp_path):
+        """Publishing columnar results writes what publishing the same
+        verdicts as plain dicts writes — every array, every meta field
+        but the ``created`` stamp, fulls and deltas alike."""
+        from repro.serving.store import SnapshotPublisher
+
+        dataset, _, _ = _sparse_world(3)
+        params = CopyParams(backend="numpy", pair_layout=layout)
+        fusion = run_fusion(
+            dataset, params, SingleRoundDetector(params, "hybrid"),
+            snapshot_store=tmp_path / "columnar",
+        )
+        publisher = SnapshotPublisher(tmp_path / "dicts", dataset)
+        probabilities = fusion.probabilities
+        for record in fusion.rounds:
+            as_dict = replace(
+                record.detection, decisions=dict(record.detection.decisions)
+            )
+            publisher.publish_round(record.round_no, as_dict, probabilities)
+        columnar, dicts = VerdictStore(tmp_path / "columnar"), publisher.store
+        assert columnar.snapshot_ids() == dicts.snapshot_ids()
+        for snapshot_id in columnar.snapshot_ids():
+            meta_a, arrays_a = columnar.load(snapshot_id)
+            meta_b, arrays_b = dicts.load(snapshot_id)
+            meta_a.pop("created"), meta_b.pop("created")
+            # Item rows follow the probabilities handed in, which differ
+            # by design here; the pair half is what this test pins.
+            assert {k: v for k, v in meta_a.items() if k != "n_items"} == {
+                k: v for k, v in meta_b.items() if k != "n_items"
+            }
+            for name in arrays_a:
+                if name.startswith(("pair_", "removed_pair", "copier_")):
+                    assert arrays_a[name].dtype == arrays_b[name].dtype
+                    np.testing.assert_array_equal(arrays_a[name], arrays_b[name])
+
+
+# ----------------------------------------------------------------------
+# (c) decision_delta: the column path against the dict path it replaced
+# ----------------------------------------------------------------------
+def _dict_delta(current: DetectionResult, previous: DetectionResult | None):
+    """``decision_delta`` as it was: two dicts compared pair by pair."""
+    decisions = dict(current.decisions)
+    if previous is None:
+        return decisions, frozenset()
+    prev = dict(previous.decisions)
+    if current.changed_pairs is not None:
+        changed = {
+            key: decisions[key] for key in current.changed_pairs if key in decisions
+        }
+        for key, decision in decisions.items():
+            if key not in prev and key not in changed:
+                changed[key] = decision
+    else:
+        changed = {
+            key: decision
+            for key, decision in decisions.items()
+            if prev.get(key) != decision
+        }
+    return changed, frozenset(key for key in prev if key not in decisions)
+
+
+class TestDeltaParity:
+    @settings(max_examples=60, deadline=None)
+    @given(world=worlds(), data=st.data())
+    def test_column_delta_equals_dict_delta(self, world, data):
+        dataset, probs, accs = world
+        python = CopyParams(backend="python")
+        now = dict(detect(dataset, probs, accs, python, method="index").decisions)
+        before = dict(
+            detect(dataset, probs, accs[::-1], python, method="index").decisions
+        )
+        # Vanished and newly opened pairs; untouched rows on both sides.
+        for pair in list(now):
+            fate = data.draw(st.sampled_from(["keep", "same", "new", "gone"]))
+            if fate == "same":
+                before[pair] = now[pair]
+            elif fate == "new":
+                before.pop(pair, None)
+            elif fate == "gone":
+                before.setdefault(pair, now[pair])
+                del now[pair]
+        changed_pairs = None
+        if data.draw(st.booleans()):
+            changed_pairs = set(
+                data.draw(st.lists(st.sampled_from(sorted(now) + sorted(before)
+                                                   or [(0, 1)]), max_size=6))
+            )
+        n = dataset.n_sources
+        for wrap in (lambda d, **kw: DetectionResult("t", n, d, **kw),
+                     lambda d, **kw: _columnar(d, n, **kw)):
+            current = wrap(dict(now), changed_pairs=changed_pairs)
+            for previous in (wrap(dict(before)), None):
+                want_changed, want_removed = _dict_delta(current, previous)
+                delta = current.decision_delta(previous)
+                assert dict(delta.changed) == want_changed
+                assert delta.removed == want_removed
+                assert bool(delta) == bool(want_changed or want_removed)
+                keys = delta.changed.columns.keys
+                assert keys.tolist() == sorted(s1 * n + s2 for s1, s2 in want_changed)
+
+    def test_delta_across_a_grown_source_count(self):
+        # A streaming ledger can grow sources between two results; pair
+        # identity, not the stride-dependent key, is what is compared.
+        before = _columnar({(0, 1): _decision(1.0), (1, 2): _decision(2.0)}, 3)
+        after = _columnar(
+            {(0, 1): _decision(1.0), (1, 2): _decision(2.5), (2, 4): _decision(3.0)}, 5
+        )
+        delta = after.decision_delta(before)
+        assert set(delta.changed) == {(1, 2), (2, 4)}
+        assert delta.removed == frozenset()
+        assert set(before.decision_delta(after).removed) == {(2, 4)}

@@ -108,6 +108,17 @@ class TestResolvePairLayout:
         assert "121" in record.getMessage()
         assert "sparse" in record.getMessage()
 
+    def test_auto_sparse_warns_once_per_world(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.core.pairspace"):
+            for _ in range(2):
+                assert resolve_pair_layout("auto", 11, 100, "k") == "sparse"
+            assert len(caplog.records) == 1
+            # A different world, limit or kernel is a different fact.
+            resolve_pair_layout("auto", 12, 100, "k")
+            resolve_pair_layout("auto", 11, 99, "k")
+            resolve_pair_layout("auto", 11, 100, "other.kernel")
+        assert len(caplog.records) == 4
+
     def test_unknown_layout_rejected(self):
         with pytest.raises(ValueError, match="pair_layout"):
             resolve_pair_layout("columnar", 10, 100, "k")
@@ -221,9 +232,20 @@ class TestReduceByKey:
 # ----------------------------------------------------------------------
 # PairValueMap
 # ----------------------------------------------------------------------
+def _value_map(n_sources, items, default=0.0):
+    """A PairValueMap over ``((src, dst), value)`` items."""
+    items = sorted(((src * n_sources + dst, v) for (src, dst), v in items))
+    return PairValueMap(
+        n_sources,
+        np.array([key for key, _ in items], dtype=np.int64),
+        np.array([value for _, value in items], dtype=np.float64),
+        default,
+    )
+
+
 class TestPairValueMap:
     def test_gather_hits_and_misses(self):
-        table = PairValueMap.from_items(
+        table = _value_map(
             10, [((1, 2), 0.25), ((2, 1), 0.5), ((7, 3), 0.125)]
         )
         got = table.gather(
@@ -232,7 +254,7 @@ class TestPairValueMap:
         np.testing.assert_array_equal(got, [0.25, 0.5, 0.125, 0.0, 0.0])
 
     def test_empty_map_returns_default(self):
-        table = PairValueMap.from_items(10, [], default=0.75)
+        table = _value_map(10, [], default=0.75)
         got = table.gather(np.array([[1, 2]]), np.array([[3, 4]]))
         np.testing.assert_array_equal(got, [[0.75, 0.75]])
 
@@ -249,7 +271,7 @@ class TestPairValueMap:
         # Later duplicates overwrite in the matrix; drop them from the
         # sparse build the same way.
         last = {pair: value for pair, value in items}
-        table = PairValueMap.from_items(n, last.items())
+        table = _value_map(n, last.items())
         ranked = rng.integers(0, n, size=(5, 4))
         dense = matrix[ranked[:, :, None], ranked[:, None, :]]
         sparse = table.gather(ranked[:, :, None], ranked[:, None, :])
