@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from .core import (
@@ -42,9 +41,8 @@ from .core import (
     PARTITION_AXES,
     REDUCE_MODES,
     CopyParams,
-    IncrementalDetector,
-    SingleRoundDetector,
     detect,
+    make_detector,
 )
 from .data import load_claims, load_gold, save_claims, save_gold
 from .eval import render_table
@@ -240,54 +238,43 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cluster_from_args(args):
-    """Build the CLI-owned cluster executor for ``--executor remote``.
+def _execution_from_args(args) -> dict:
+    """Validated partition arguments for :func:`detect` / :func:`make_detector`.
 
-    Returns None for local executors.  The caller closes it (and may
-    print its wire/timing stats first).
+    Checks the flags before anything acts on them; empty for a
+    sequential run.  ``--executor remote`` dials the CLI-owned cluster
+    executor into ``"cluster"`` (None for local executors): the caller
+    closes it (and may print its wire/timing stats first).
     """
-    if getattr(args, "executor", "serial") != "remote":
-        return None
-    from .cluster import ClusterError, resolve_cluster
-
-    try:
-        return resolve_cluster(args.workers)
-    except ClusterError as exc:
-        raise SystemExit(str(exc))
-
-
-def _detect_parallel(args, dataset, probabilities, accuracies, params, cluster=None):
-    """Route ``detect --n-partitions > 1`` through the parallel engine."""
-    from .parallel import detect_hybrid_parallel, detect_index_parallel
-
-    if args.method == "index":
-        return detect_index_parallel(
-            dataset,
-            probabilities,
-            accuracies,
-            params,
-            n_partitions=args.n_partitions,
-            strategy="work" if args.partition_by == "work" else "stride",
-            executor=args.executor,
-            reduce=args.reduce,
-            cluster=cluster,
+    if args.method not in PARALLEL_METHODS and (
+        args.n_partitions > 1 or args.executor != "serial"
+    ):
+        # Reject rather than silently run sequentially: a user asking for
+        # a partitioned scan or a pool must pick a partitionable method.
+        raise SystemExit(
+            f"--n-partitions > 1 / --executor supports methods "
+            f"{'/'.join(PARALLEL_METHODS)}, not {args.method!r}"
         )
-    if args.method == "hybrid":
-        return detect_hybrid_parallel(
-            dataset,
-            probabilities,
-            accuracies,
-            params,
-            n_partitions=args.n_partitions,
-            executor=args.executor,
-            epoch_size=args.epoch_size,
-            reduce=args.reduce,
-            partition_by=args.partition_by,
-            cluster=cluster,
-        )
-    raise SystemExit(
-        f"--n-partitions > 1 supports methods 'index' and 'hybrid', "
-        f"not {args.method!r}"
+    if args.executor != "serial" and args.n_partitions <= 1:
+        raise SystemExit("--executor requires --n-partitions > 1")
+    if args.n_partitions < 1:
+        raise SystemExit(f"--n-partitions must be >= 1, got {args.n_partitions}")
+    if args.n_partitions == 1:
+        return {}
+    cluster = None
+    if args.executor == "remote":
+        from .cluster import ClusterError, resolve_cluster
+
+        try:
+            cluster = resolve_cluster(args.workers)
+        except ClusterError as exc:
+            raise SystemExit(str(exc))
+    return dict(
+        n_partitions=args.n_partitions,
+        executor=args.executor,
+        reduce=args.reduce,
+        partition_by=args.partition_by,
+        cluster=cluster,
     )
 
 
@@ -296,18 +283,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     params = _params(args)
     probabilities = vote_probabilities(dataset)
     accuracies = [0.8] * dataset.n_sources
-    start = time.perf_counter()
-    cluster = _cluster_from_args(args) if args.n_partitions > 1 else None
-    if args.n_partitions > 1:
-        try:
-            result = _detect_parallel(
-                args, dataset, probabilities, accuracies, params, cluster=cluster
-            )
-        except Exception:
-            if cluster is not None:
-                cluster.close()
-            raise
-    else:
+    execution = _execution_from_args(args)
+    cluster = execution.get("cluster")
+    try:
         result = detect(
             dataset,
             probabilities,
@@ -315,8 +293,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             params,
             method=args.method,
             epoch_size=args.epoch_size,
+            **execution,
         )
-    elapsed = time.perf_counter() - start
+    except Exception:
+        if cluster is not None:
+            cluster.close()
+        raise
     copying = sorted(
         (pair for pair, d in result.decisions.items() if d.copying),
         key=lambda pair: result.decisions[pair].posterior.independent,
@@ -336,7 +318,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     print(
         render_table(
             f"Copying detected by {args.method} "
-            f"({elapsed:.3f}s, {result.cost.computations:,} computations)",
+            f"({result.elapsed_seconds:.3f}s, "
+            f"{result.cost.computations:,} computations)",
             ["source 1", "source 2", "Pr(indep)", "Pr(1->2)", "Pr(2->1)"],
             rows,
         )
@@ -360,35 +343,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_fuse(args: argparse.Namespace) -> int:
     dataset = load_claims(args.claims)
     params = _params(args)
-    if args.method not in PARALLEL_METHODS and (
-        args.n_partitions > 1 or args.executor != "serial"
-    ):
-        # Reject rather than silently run sequentially: a user asking for
-        # a partitioned scan or a pool must pick a partitionable method.
-        raise SystemExit(
-            f"--n-partitions > 1 / --executor supports methods "
-            f"{'/'.join(PARALLEL_METHODS)}, not {args.method!r}"
-        )
-    if args.executor != "serial" and args.n_partitions <= 1:
-        raise SystemExit("--executor requires --n-partitions > 1")
-    cluster = None
-    if args.method == "none":
-        detector = None
-    elif args.method == "incremental":
-        detector = IncrementalDetector(params, epoch_size=args.epoch_size)
-    else:
-        cluster = _cluster_from_args(args)
-        detector = SingleRoundDetector(
-            params,
-            method=args.method,
-            epoch_size=args.epoch_size,
-            n_partitions=args.n_partitions,
-            executor=args.executor,
-            reduce=args.reduce,
-            partition_by=args.partition_by,
-            cluster=cluster,
-        )
     config = _fusion_config(args)
+    execution = _execution_from_args(args)
+    cluster = execution.get("cluster")
+    detector = make_detector(
+        args.method, params, epoch_size=args.epoch_size, **execution
+    )
     try:
         result = run_fusion(dataset, params, detector=detector, config=config)
     finally:
@@ -433,14 +393,7 @@ def _cmd_serve_snapshot(args: argparse.Namespace) -> int:
 
     dataset = load_claims(args.claims)
     params = _params(args)
-    if args.method == "none":
-        detector = None
-    elif args.method == "incremental":
-        detector = IncrementalDetector(params, epoch_size=args.epoch_size)
-    else:
-        detector = SingleRoundDetector(
-            params, method=args.method, epoch_size=args.epoch_size
-        )
+    detector = make_detector(args.method, params, epoch_size=args.epoch_size)
     config = FusionConfig(max_rounds=args.max_rounds)
     result = run_fusion(
         dataset, params, detector=detector, config=config, snapshot_store=args.store

@@ -62,9 +62,8 @@ from ..core import (
     METHODS,
     PAIR_LAYOUTS,
     CopyParams,
-    IncrementalDetector,
-    SingleRoundDetector,
     detect,
+    make_detector,
     scan_with_bounds,
 )
 from ..core.index import EntryOrdering
@@ -231,51 +230,31 @@ def _shared_cluster():
     return _SHARED_CLUSTER[1]
 
 
-def _case_cluster(config: "CaseConfig"):
-    return _shared_cluster() if config.executor == "remote" else None
+def _execution(config: "CaseConfig") -> dict:
+    """The case's scan arguments, as ``detect`` / ``make_detector`` take them."""
+    execution: dict = {"epoch_size": config.epoch_size}
+    if config.n_partitions > 1:
+        execution.update(
+            n_partitions=config.n_partitions,
+            executor=config.executor,
+            reduce=config.reduce,
+            partition_by=config.partition_by,
+            cluster=_shared_cluster() if config.executor == "remote" else None,
+        )
+    return execution
 
 
 def _run_detect(dataset, probabilities, accuracies, config: CaseConfig):
-    params = _params(config.backend, config.pair_layout)
-    if config.n_partitions > 1:
-        from ..parallel import detect_hybrid_parallel, detect_index_parallel
-
-        cluster = _case_cluster(config)
-        if config.method == "index":
-            return detect_index_parallel(
-                dataset,
-                probabilities,
-                accuracies,
-                params,
-                n_partitions=config.n_partitions,
-                strategy="work" if config.partition_by == "work" else "stride",
-                executor=config.executor,
-                reduce=config.reduce,
-                cluster=cluster,
-            )
-        return detect_hybrid_parallel(
-            dataset,
-            probabilities,
-            accuracies,
-            params,
-            n_partitions=config.n_partitions,
-            executor=config.executor,
-            epoch_size=config.epoch_size,
-            reduce=config.reduce,
-            partition_by=config.partition_by,
-            cluster=cluster,
-        )
-    kwargs = {}
+    kwargs = _execution(config)
     if config.hybrid_threshold is not None:
         kwargs["hybrid_threshold"] = config.hybrid_threshold
     return detect(
         dataset,
         probabilities,
         accuracies,
-        params,
+        _params(config.backend, config.pair_layout),
         method=config.method,
         ordering=_ORDERINGS[config.ordering],
-        epoch_size=config.epoch_size,
         **kwargs,
     )
 
@@ -299,20 +278,10 @@ def _run_scan(dataset, probabilities, accuracies, config: CaseConfig):
 
 
 def _make_detector(config: CaseConfig):
-    params = _params(config.backend, config.pair_layout)
-    if config.method == "none":
-        return None
-    if config.method == "incremental":
-        return IncrementalDetector(params, epoch_size=config.epoch_size)
-    return SingleRoundDetector(
-        params,
-        method=config.method,
-        epoch_size=config.epoch_size,
-        n_partitions=config.n_partitions,
-        executor=config.executor,
-        reduce=config.reduce,
-        partition_by=config.partition_by,
-        cluster=_case_cluster(config),
+    return make_detector(
+        config.method,
+        _params(config.backend, config.pair_layout),
+        **_execution(config),
     )
 
 

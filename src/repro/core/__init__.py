@@ -27,6 +27,7 @@ from .detector import (
     IncrementalDetector,
     SingleRoundDetector,
     detect,
+    make_detector,
 )
 from .explain import EvidenceItem, PairExplanation, explain_pair
 from .incremental import (
@@ -125,6 +126,7 @@ __all__ = [
     "explain_pair",
     "estimate_relative_popularity",
     "incremental_round",
+    "make_detector",
     "max_score",
     "max_score_bruteforce",
     "no_copy_probability",

@@ -207,7 +207,6 @@ def scan_with_bounds(
     hybrid_threshold: int = 0,
     track_bookkeeping: bool = False,
     method_name: str = "bound+",
-    shared_items_hint=None,
     band: tuple[float, float] | None = None,
     epoch_size: int | None = None,
     stop_at: int | None = None,
@@ -259,7 +258,6 @@ def scan_with_bounds(
             accuracies,
             params,
             ordering=ordering,
-            shared_items=shared_items_hint,
         )
     cost = CostCounter()
     ln_diff = params.ln_one_minus_s
@@ -648,7 +646,6 @@ def detect_hybrid(
     ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     track_bookkeeping: bool = False,
-    shared_items_hint=None,
     epoch_size: int | None = None,
 ) -> ScanOutcome:
     """HYBRID: INDEX for low-overlap pairs, BOUND+ for the rest.
@@ -667,6 +664,5 @@ def detect_hybrid(
         hybrid_threshold=hybrid_threshold,
         track_bookkeeping=track_bookkeeping,
         method_name="hybrid",
-        shared_items_hint=shared_items_hint,
         epoch_size=epoch_size,
     )

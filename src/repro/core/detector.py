@@ -15,9 +15,9 @@ Two call styles are provided:
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import replace
 from typing import Sequence
 
 from ..data import Dataset
@@ -32,7 +32,7 @@ from .incremental import (
     incremental_round,
     prepare_incremental,
 )
-from .index import EntryOrdering
+from .index import EntryOrdering, InvertedIndex
 from .index_algo import detect_index
 from .pairwise import detect_pairwise
 from .params import CopyParams, validate_execution
@@ -46,27 +46,77 @@ METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")
 PARALLEL_METHODS = ("index", "hybrid")
 
 
-def _cached_shared_items(
-    cache: tuple[Dataset, dict] | None,
-    dataset: Dataset,
+def _check_round(
     params: CopyParams,
-) -> tuple[Dataset, dict]:
-    """Shared-item counts, computed once per dataset (claims are static).
+    method: str,
+    n_partitions: int,
+    executor: str,
+    reduce: str,
+    partition_by: str,
+) -> None:
+    """Validate one round's method and partition arguments.
 
-    The cache is keyed by the dataset object itself (a strong reference),
-    not ``id(dataset)``: ids are recycled after garbage collection, so an
-    id-keyed cache can serve one dataset's counts to another.
+    Raises:
+        ValueError: for an unknown method, ``n_partitions < 1``, a
+            partitioned method outside :data:`PARALLEL_METHODS`, or
+            anything :func:`validate_execution` rejects.
     """
-    if cache is not None and cache[0] is dataset:
-        return cache
-    if params.backend == "numpy":
-        from .kernel import count_shared_items_columnar as count
-    else:
-        from ..simjoin import count_shared_items as count
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if n_partitions < 1:
+        raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
+    if n_partitions > 1 and method not in PARALLEL_METHODS:
+        raise ValueError(
+            f"n_partitions > 1 supports methods {PARALLEL_METHODS}, "
+            f"not {method!r}"
+        )
+    validate_execution(params, executor, reduce, partition_by)
 
-    return (dataset, count(dataset))
+
+def _stamped(run_round):
+    """Stamp ``elapsed_seconds`` on the round ``run_round`` returns."""
+
+    @functools.wraps(run_round)
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        result = run_round(*args, **kwargs)
+        result.elapsed_seconds = time.perf_counter() - start
+        return result
+
+    return wrapper
 
 
+def _round_index(
+    dataset: Dataset,
+    probabilities: Sequence[float],
+    accuracies: Sequence[float],
+    params: CopyParams,
+    ordering: EntryOrdering,
+    rng: random.Random | None,
+    shared_items,
+    workspace,
+) -> InvertedIndex:
+    """Build one round's index; under numpy, seed it from the workspace.
+
+    The workspace assembles the columnar entries from its frozen
+    provider skeleton (one vectorized gather) instead of
+    re-columnarizing the index with Python loops.
+    """
+    index = InvertedIndex.build(
+        dataset,
+        probabilities,
+        accuracies,
+        params,
+        ordering=ordering,
+        rng=rng,
+        shared_items=shared_items,
+    )
+    if workspace is not None and params.backend == "numpy":
+        index.set_columnar_entries(workspace.columnar_for_index(index))
+    return index
+
+
+@_stamped
 def detect(
     dataset: Dataset,
     probabilities: Sequence[float],
@@ -77,12 +127,21 @@ def detect(
     rng: random.Random | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     shared_items=None,
-    backend: str | None = None,
     epoch_size: int | None = None,
     workspace=None,
-    pair_layout: str | None = None,
+    n_partitions: int = 1,
+    executor: str = "serial",
+    reduce: str = "flat",
+    partition_by: str = "entries",
+    cluster=None,
 ) -> DetectionResult:
     """Run one copy-detection round with the named algorithm.
+
+    The single round dispatcher: the only place a method name, an index
+    build and an executor meet.  ``params.backend == "numpy"`` routes
+    ``pairwise``/``index`` through the vectorized kernel and the BOUND
+    family through the epoch-batched scan
+    (:mod:`repro.core.bound_kernel`, bit-identical decisions).
 
     Args:
         dataset: the claims.
@@ -96,92 +155,87 @@ def detect(
         shared_items: precomputed ``l(S1, S2)`` counts to reuse across
             rounds (the claims are static; see
             :meth:`InvertedIndex.build`).
-        backend: overrides ``params.backend`` (``"python"``/``"numpy"``)
-            for this call.  ``"numpy"`` routes ``pairwise``/``index``
-            through the vectorized kernel and the BOUND family through
-            the epoch-batched scan (:mod:`repro.core.bound_kernel`,
-            bit-identical decisions).
         epoch_size: entries per epoch for the numpy BOUND scans (``None``
             picks the default; exhaustive methods ignore it).
-        workspace: a :class:`~repro.fusion.FusionWorkspace`; under the
-            numpy backend the round's columnar entries are assembled
-            from its frozen provider skeleton (one vectorized gather)
-            instead of re-columnarizing the index with Python loops.
-        pair_layout: overrides ``params.pair_layout``
-            (``"auto"``/``"dense"``/``"sparse"``) for this call — the
-            pair-state layout of the numpy kernels (see
-            :mod:`repro.core.pairspace`).
+        workspace: a :class:`~repro.fusion.FusionWorkspace` for this
+            dataset (one built for another dataset is ignored).  Under
+            the numpy backend it supplies the round's columnar entries;
+            a partitioned round also reuses its persistent executors.
+        n_partitions: ``> 1`` (methods :data:`PARALLEL_METHODS` only)
+            runs the scan through :mod:`repro.parallel` — partitioned,
+            map/reduced — instead of sequentially.
+        executor: where partitions run (``"serial"``, ``"threads"``,
+            ``"processes"``, ``"remote"``); ignored at ``n_partitions=1``.
+        reduce: ``"flat"`` or ``"tree"`` merge topology.
+        partition_by: ``"entries"`` or ``"work"`` balanced shares.
+        cluster: for ``executor="remote"``: a live ClusterExecutor, a
+            worker list, or None (``REPRO_CLUSTER_WORKERS``).
 
     Returns:
         The round's :class:`DetectionResult`, with ``elapsed_seconds``
         filled in.
 
     Raises:
-        ValueError: for an unknown method name.
+        ValueError: for an unknown method or execution argument, or a
+            partitioned method outside :data:`PARALLEL_METHODS`.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if backend is not None and backend != params.backend:
-        params = replace(params, backend=backend)
-    if pair_layout is not None and pair_layout != params.pair_layout:
-        params = replace(params, pair_layout=pair_layout)
-    start = time.perf_counter()
+    _check_round(params, method, n_partitions, executor, reduce, partition_by)
+    world = (dataset, probabilities, accuracies, params)
     if method == "pairwise":
-        result = detect_pairwise(
-            dataset, probabilities, accuracies, params, shared_items=shared_items
-        )
-    else:
-        from .index import InvertedIndex
+        return detect_pairwise(*world, shared_items=shared_items)
+    if workspace is not None and workspace.dataset is not dataset:
+        workspace = None
+    index = _round_index(*world, ordering, rng, shared_items, workspace)
+    if n_partitions > 1:
+        # Resolved through the package at call time: tracing tools wrap
+        # these attributes of ``repro.parallel``.
+        from ..parallel import detect_hybrid_parallel, detect_index_parallel
 
-        index = InvertedIndex.build(
-            dataset,
-            probabilities,
-            accuracies,
-            params,
-            ordering=ordering,
-            rng=rng,
-            shared_items=shared_items,
+        execution = dict(
+            n_partitions=n_partitions,
+            executor=executor,
+            index=index,
+            reduce=reduce,
+            workspace=workspace,
+            cluster=cluster,
         )
-        if (
-            workspace is not None
-            and workspace.dataset is dataset
-            and params.backend == "numpy"
-        ):
-            index.set_columnar_entries(workspace.columnar_for_index(index))
         if method == "index":
-            result = detect_index(
-                dataset, probabilities, accuracies, params, index=index
+            return detect_index_parallel(
+                *world,
+                strategy="work" if partition_by == "work" else "stride",
+                **execution,
             )
-        elif method == "bound":
-            result = detect_bound(
-                dataset,
-                probabilities,
-                accuracies,
-                params,
-                index=index,
-                epoch_size=epoch_size,
-            )
-        elif method == "bound+":
-            result = detect_bound_plus(
-                dataset,
-                probabilities,
-                accuracies,
-                params,
-                index=index,
-                epoch_size=epoch_size,
-            )
-        else:  # hybrid
-            result = detect_hybrid(
-                dataset,
-                probabilities,
-                accuracies,
-                params,
-                index=index,
-                hybrid_threshold=hybrid_threshold,
-                epoch_size=epoch_size,
-            ).result
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
+        return detect_hybrid_parallel(
+            *world,
+            hybrid_threshold=hybrid_threshold,
+            epoch_size=epoch_size,
+            partition_by=partition_by,
+            **execution,
+        )
+    if method == "index":
+        return detect_index(*world, index=index)
+    if method == "bound":
+        return detect_bound(*world, index=index, epoch_size=epoch_size)
+    if method == "bound+":
+        return detect_bound_plus(*world, index=index, epoch_size=epoch_size)
+    return detect_hybrid(
+        *world, index=index, hybrid_threshold=hybrid_threshold, epoch_size=epoch_size
+    ).result
+
+
+def make_detector(method: str, params: CopyParams, **execution):
+    """The per-round detector :func:`repro.fusion.run_fusion` drives.
+
+    ``"none"`` gives ``None`` (copy-oblivious fusion), ``"incremental"``
+    an :class:`IncrementalDetector`, any of :data:`METHODS` a
+    :class:`SingleRoundDetector`; ``execution`` is forwarded to the
+    chosen class's constructor.
+    """
+    if method == "none":
+        return None
+    if method == "incremental":
+        return IncrementalDetector(params, **execution)
+    return SingleRoundDetector(params, method, **execution)
 
 
 class _WorkspaceMixin:
@@ -196,29 +250,47 @@ class _WorkspaceMixin:
     """
 
     _workspace = None
+    _shared_items_cache: tuple[Dataset, dict] | None = None
 
     def bind_workspace(self, workspace) -> None:
         """Attach (or, with ``None``, detach) a fusion workspace."""
         self._workspace = workspace
 
-    def _shared_items(self, dataset: Dataset):
-        """Per-dataset shared-item counts (see :func:`_cached_shared_items`)."""
+    def _workspace_for(self, dataset: Dataset):
+        """The bound workspace, unless it was built for another dataset."""
         workspace = self._workspace
         if workspace is not None and workspace.dataset is dataset:
+            return workspace
+        return None
+
+    def _shared_items(self, dataset: Dataset):
+        """Shared-item counts, computed once per dataset (claims are static).
+
+        The cache is keyed by the dataset object itself (a strong
+        reference), not ``id(dataset)``: ids are recycled after garbage
+        collection, so an id-keyed cache can serve one dataset's counts
+        to another.
+        """
+        workspace = self._workspace_for(dataset)
+        if workspace is not None:
             return workspace.shared_items
-        self._shared_items_cache = _cached_shared_items(
-            self._shared_items_cache, dataset, self.params
-        )
-        return self._shared_items_cache[1]
+        cache = self._shared_items_cache
+        if cache is None or cache[0] is not dataset:
+            if self.params.backend == "numpy":
+                from .kernel import count_shared_items_columnar as count
+            else:
+                from ..simjoin import count_shared_items as count
+
+            cache = self._shared_items_cache = (dataset, count(dataset))
+        return cache[1]
 
 
 class SingleRoundDetector(_WorkspaceMixin):
     """Stateless per-round detector: re-runs the named method every round.
 
-    With ``n_partitions > 1`` (methods ``"index"`` and ``"hybrid"``
-    only) each round's scan runs through the parallel engine —
-    partitioned, optionally on a thread/process pool, with the chosen
-    reduce topology — instead of the sequential dispatch.
+    Stores one :func:`detect` configuration and forwards it each round;
+    with ``n_partitions > 1`` (methods ``"index"`` and ``"hybrid"``
+    only) that round runs through the parallel engine.
     """
 
     def __init__(
@@ -228,29 +300,14 @@ class SingleRoundDetector(_WorkspaceMixin):
         ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
         rng: random.Random | None = None,
         hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-        backend: str | None = None,
         epoch_size: int | None = None,
         n_partitions: int = 1,
         executor: str = "serial",
         reduce: str = "flat",
         partition_by: str = "entries",
-        pair_layout: str | None = None,
         cluster=None,
     ):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-        if backend is not None and backend != params.backend:
-            params = replace(params, backend=backend)
-        if pair_layout is not None and pair_layout != params.pair_layout:
-            params = replace(params, pair_layout=pair_layout)
-        if n_partitions < 1:
-            raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
-        if n_partitions > 1 and method not in PARALLEL_METHODS:
-            raise ValueError(
-                f"n_partitions > 1 supports methods {PARALLEL_METHODS}, "
-                f"not {method!r}"
-            )
-        validate_execution(params, executor, reduce, partition_by)
+        _check_round(params, method, n_partitions, executor, reduce, partition_by)
         self.params = params
         self.method = method
         self.ordering = ordering
@@ -264,7 +321,6 @@ class SingleRoundDetector(_WorkspaceMixin):
         #: for ``executor="remote"``: a live ClusterExecutor, a worker
         #: list, or None (the REPRO_CLUSTER_WORKERS environment variable).
         self.cluster = cluster
-        self._shared_items_cache: tuple[Dataset, dict] | None = None
 
     @property
     def wants_workspace(self) -> bool:
@@ -290,11 +346,6 @@ class SingleRoundDetector(_WorkspaceMixin):
             if self.method == "pairwise" and self.params.backend == "python"
             else self._shared_items(dataset)
         )
-        if self.n_partitions > 1:
-            return self._run_parallel_round(
-                dataset, probabilities, accuracies, shared
-            )
-        workspace = self._workspace
         return detect(
             dataset,
             probabilities,
@@ -306,71 +357,13 @@ class SingleRoundDetector(_WorkspaceMixin):
             hybrid_threshold=self.hybrid_threshold,
             shared_items=shared,
             epoch_size=self.epoch_size,
-            workspace=(
-                workspace
-                if workspace is not None and workspace.dataset is dataset
-                else None
-            ),
+            workspace=self._workspace,
+            n_partitions=self.n_partitions,
+            executor=self.executor,
+            reduce=self.reduce,
+            partition_by=self.partition_by,
+            cluster=self.cluster,
         )
-
-    def _run_parallel_round(
-        self,
-        dataset: Dataset,
-        probabilities: Sequence[float],
-        accuracies: Sequence[float],
-        shared,
-    ) -> DetectionResult:
-        """One round through the partitioned map/reduce engine."""
-        from ..parallel import detect_hybrid_parallel, detect_index_parallel
-        from .index import InvertedIndex
-
-        start = time.perf_counter()
-        index = InvertedIndex.build(
-            dataset,
-            probabilities,
-            accuracies,
-            self.params,
-            ordering=self.ordering,
-            rng=self.rng,
-            shared_items=shared,
-        )
-        workspace = self._workspace
-        if workspace is not None and workspace.dataset is not dataset:
-            workspace = None  # bound for another dataset: ignore, like _shared_items
-        if workspace is not None and self.params.backend == "numpy":
-            index.set_columnar_entries(workspace.columnar_for_index(index))
-        if self.method == "index":
-            result = detect_index_parallel(
-                dataset,
-                probabilities,
-                accuracies,
-                self.params,
-                n_partitions=self.n_partitions,
-                strategy="work" if self.partition_by == "work" else "stride",
-                executor=self.executor,
-                index=index,
-                reduce=self.reduce,
-                workspace=workspace,
-                cluster=self.cluster,
-            )
-        else:  # hybrid
-            result = detect_hybrid_parallel(
-                dataset,
-                probabilities,
-                accuracies,
-                self.params,
-                n_partitions=self.n_partitions,
-                executor=self.executor,
-                index=index,
-                hybrid_threshold=self.hybrid_threshold,
-                epoch_size=self.epoch_size,
-                reduce=self.reduce,
-                partition_by=self.partition_by,
-                workspace=workspace,
-                cluster=self.cluster,
-            )
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
 
 
 class IncrementalDetector(_WorkspaceMixin):
@@ -393,18 +386,8 @@ class IncrementalDetector(_WorkspaceMixin):
         rho_value: float = 1.0,
         rho_accuracy: float = 0.2,
         prepare_round: int = 2,
-        backend: str | None = None,
         epoch_size: int | None = None,
-        pair_layout: str | None = None,
     ):
-        if backend is not None and backend != params.backend:
-            # Routes the from-scratch HYBRID rounds (1, 2 and the
-            # preparation round's bookkeeping) through the epoch-batched
-            # numpy scan; the bookkeeping it hands to incremental_round
-            # is bit-identical to the Python reference's.
-            params = replace(params, backend=backend)
-        if pair_layout is not None and pair_layout != params.pair_layout:
-            params = replace(params, pair_layout=pair_layout)
         self.params = params
         self.ordering = ordering
         self.hybrid_threshold = hybrid_threshold
@@ -413,13 +396,25 @@ class IncrementalDetector(_WorkspaceMixin):
         self.rho_accuracy = rho_accuracy
         self.prepare_round = prepare_round
         self.state: IncrementalState | None = None
-        self._shared_items_cache: tuple[Dataset, dict] | None = None
 
     @property
     def wants_workspace(self) -> bool:
         """Whether a fusion workspace would pay off for this detector."""
         return self.params.backend == "numpy"
 
+    def decision_positions(self) -> dict[tuple[int, int], int] | None:
+        """Per-pair decision positions from the bookkeeping, once prepared.
+
+        The index position where each opened pair's verdict was reached
+        (:class:`~repro.core.bound.PairBookkeeping`); ``None`` before
+        the preparation round.  Snapshots store -1 for pairs of
+        detectors without this method.
+        """
+        if self.state is None:
+            return None
+        return {key: record.decision_pos for key, record in self.state.pairs.items()}
+
+    @_stamped
     def run_round(
         self,
         round_no: int,
@@ -428,31 +423,8 @@ class IncrementalDetector(_WorkspaceMixin):
         accuracies: Sequence[float],
     ) -> DetectionResult:
         """Detect copying for one fusion round (``round_no`` is 1-based)."""
-        start = time.perf_counter()
-        if round_no < self.prepare_round:
-            result = detect_hybrid(
-                dataset,
-                probabilities,
-                accuracies,
-                self.params,
-                ordering=self.ordering,
-                hybrid_threshold=self.hybrid_threshold,
-                shared_items_hint=self._shared_items(dataset),
-                epoch_size=self.epoch_size,
-            ).result
-        elif round_no == self.prepare_round or self.state is None:
-            result, self.state = prepare_incremental(
-                dataset,
-                probabilities,
-                accuracies,
-                self.params,
-                ordering=self.ordering,
-                hybrid_threshold=self.hybrid_threshold,
-                shared_items_hint=self._shared_items(dataset),
-                epoch_size=self.epoch_size,
-            )
-        else:
-            result = incremental_round(
+        if round_no > self.prepare_round and self.state is not None:
+            return incremental_round(
                 self.state,
                 probabilities,
                 accuracies,
@@ -460,5 +432,24 @@ class IncrementalDetector(_WorkspaceMixin):
                 rho_value=self.rho_value,
                 rho_accuracy=self.rho_accuracy,
             )
-        result.elapsed_seconds = time.perf_counter() - start
+        world = (dataset, probabilities, accuracies, self.params)
+        shared = self._shared_items(dataset)
+        if round_no < self.prepare_round:
+            return detect(
+                *world,
+                method="hybrid",
+                ordering=self.ordering,
+                hybrid_threshold=self.hybrid_threshold,
+                shared_items=shared,
+                epoch_size=self.epoch_size,
+                workspace=self._workspace,
+            )
+        result, self.state = prepare_incremental(
+            *world,
+            index=_round_index(
+                *world, self.ordering, None, shared, self._workspace_for(dataset)
+            ),
+            hybrid_threshold=self.hybrid_threshold,
+            epoch_size=self.epoch_size,
+        )
         return result

@@ -58,7 +58,7 @@ from typing import Sequence
 from ..data import Dataset
 from .bound import DEFAULT_HYBRID_THRESHOLD, PairBookkeeping, detect_hybrid
 from .contribution import posterior, same_value_scores_both
-from .index import EntryOrdering, InvertedIndex
+from .index import InvertedIndex
 from .maxscore import max_score
 from .params import CopyParams
 from .result import CostCounter, DetectionResult, PairDecision
@@ -139,15 +139,15 @@ def prepare_incremental(
     probabilities: Sequence[float],
     accuracies: Sequence[float],
     params: CopyParams,
-    ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
+    index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-    shared_items_hint=None,
     epoch_size: int | None = None,
 ) -> tuple[DetectionResult, IncrementalState]:
     """Run the from-scratch (HYBRID) round and set up incremental state.
 
     Returns the round's detection result and the state that
-    :func:`incremental_round` will evolve in subsequent rounds.  With
+    :func:`incremental_round` will evolve in subsequent rounds.  The
+    state keeps ``index`` (built here, BY_CONTRIBUTION, when omitted).  With
     ``params.backend == "numpy"`` the preparation scan runs epoch-batched
     (:mod:`repro.core.bound_kernel`); the bookkeeping it yields — and
     therefore every subsequent incremental round — is bit-identical to
@@ -158,10 +158,9 @@ def prepare_incremental(
         probabilities,
         accuracies,
         params,
-        ordering=ordering,
+        index=index,
         hybrid_threshold=hybrid_threshold,
         track_bookkeeping=True,
-        shared_items_hint=shared_items_hint,
         epoch_size=epoch_size,
     )
     assert outcome.bookkeeping is not None

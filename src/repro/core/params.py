@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-#: Score-accumulation backends accepted by :attr:`CopyParams.backend`
-#: (and every ``backend=`` parameter downstream).  Lives here rather
-#: than in :mod:`repro.core.kernel` so validation never imports NumPy.
+#: Score-accumulation backends accepted by :attr:`CopyParams.backend`.
+#: Lives here rather than in :mod:`repro.core.kernel` so validation
+#: never imports NumPy.
 BACKENDS = ("python", "numpy")
 
 #: Executors accepted by the parallel engine's ``executor=`` parameter
@@ -202,32 +202,25 @@ def validate_execution(
     executor: str,
     reduce: str,
     partition_by: str = "entries",
-    backend: str | None = None,
-) -> str:
-    """Check a partitioned scan's execution arguments; return the backend.
+) -> None:
+    """Check a partitioned scan's execution arguments.
 
-    The one validation point behind :class:`SingleRoundDetector` and both
-    parallel-engine entry points.  ``backend`` overrides
-    ``params.backend`` when given.
+    The one validation point behind :func:`repro.core.detect`,
+    :class:`SingleRoundDetector` and both parallel-engine entry points.
 
     Raises:
-        ValueError: for an unknown executor, backend, reduce mode or
-            partition axis, or ``executor="remote"`` off the numpy
-            backend.
+        ValueError: for an unknown executor, reduce mode or partition
+            axis, or ``executor="remote"`` off the numpy backend.
     """
-    if backend is None:
-        backend = params.backend
     for what, value, allowed in (
         ("executor", executor, EXECUTORS),
-        ("backend", backend, BACKENDS),
         ("reduce mode", reduce, REDUCE_MODES),
         ("partition_by", partition_by, PARTITION_AXES),
     ):
         if value not in allowed:
             raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")
-    if executor == "remote" and backend != "numpy":
+    if executor == "remote" and params.backend != "numpy":
         raise ValueError(
             "executor='remote' requires backend='numpy' (cluster workers "
             "scan columnar payloads; the python reference loops stay local)"
         )
-    return backend

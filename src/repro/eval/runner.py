@@ -40,8 +40,7 @@ from typing import Sequence
 from ..core import (
     CopyParams,
     DetectionResult,
-    IncrementalDetector,
-    SingleRoundDetector,
+    make_detector,
 )
 from ..data import Dataset, GoldStandard
 from ..fusion import FusionConfig, FusionResult, run_fusion
@@ -68,7 +67,8 @@ RUNNER_METHODS = (
     "fagininput",
 )
 
-_SAMPLED = {"sample1", "sample2", "scalesample"}
+#: Sampled methods -> the detector each runs on its item sample.
+_SAMPLED = {"sample1": "pairwise", "sample2": "pairwise", "scalesample": "incremental"}
 
 
 @dataclass
@@ -142,17 +142,9 @@ class _FaginInputDetector:
 
 
 def _make_detector(method: str, params: CopyParams):
-    if method in ("pairwise", "sample1", "sample2"):
-        return SingleRoundDetector(params, method="pairwise")
-    if method in ("index", "bound", "bound+", "hybrid"):
-        return SingleRoundDetector(params, method=method)
-    if method in ("incremental", "scalesample"):
-        return IncrementalDetector(params)
     if method == "fagininput":
         return _FaginInputDetector(params)
-    raise ValueError(
-        f"unknown method {method!r}; expected one of {RUNNER_METHODS}"
-    )
+    return make_detector(_SAMPLED.get(method, method), params)
 
 
 def run_method(

@@ -181,21 +181,6 @@ def _as_float_list(values) -> list[float]:
     return list(values)
 
 
-def _decision_positions(detector) -> dict[tuple[int, int], int] | None:
-    """Per-pair decision positions from a stateful detector's bookkeeping.
-
-    The INCREMENTAL detector keeps a ``_PairRecord`` (with the
-    :class:`~repro.core.bound.PairBookkeeping` decision position) per
-    opened pair; stateless detectors have none, and the snapshot stores
-    -1 for their pairs.
-    """
-    state = getattr(detector, "state", None)
-    pairs = getattr(state, "pairs", None)
-    if pairs is None:
-        return None
-    return {key: record.decision_pos for key, record in pairs.items()}
-
-
 def run_fusion(
     dataset: Dataset,
     params: CopyParams,
@@ -418,11 +403,12 @@ def run_fusion(
                 )
             )
             if publisher is not None:
+                positions = getattr(detector, "decision_positions", None)
                 publisher.publish_round(
                     round_no,
                     detection,
                     probabilities,
-                    _decision_positions(detector),
+                    positions() if positions is not None else None,
                 )
             if round_no >= cfg.min_rounds and change < cfg.tolerance:
                 converged = True

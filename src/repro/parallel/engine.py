@@ -48,7 +48,7 @@ work-balanced suffix shares included).  Pairs concluded inside the
 prefix keep their early verdicts; everything else resolves exactly.
 
 Backends differ only in their ``(scan, merge)`` pair: with
-``backend="numpy"`` (or ``params.backend == "numpy"``) each partition is
+``params.backend == "numpy"`` each partition is
 scanned with the vectorized kernel over columnar payloads
 (:class:`repro.core.kernel.ColumnarEntries`) and the reduce step merges
 flat :class:`~repro.core.kernel.PairTable` partials with
@@ -58,7 +58,7 @@ dict partials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import log
 from typing import Literal, Mapping, Sequence
 
@@ -310,7 +310,6 @@ def detect_index_parallel(
     strategy: PartitionStrategy = "stride",
     executor: Executor = "serial",
     index: InvertedIndex | None = None,
-    backend: str | None = None,
     reduce: ReduceMode = "flat",
     workspace=None,
     cluster=None,
@@ -328,10 +327,6 @@ def detect_index_parallel(
         executor: ``"serial"``, ``"threads"``, ``"processes"`` or
             ``"remote"`` (cluster workers over TCP; numpy backend only).
         index: prebuilt index to reuse.
-        backend: ``"python"`` (per-entry tuple payloads, dict merge) or
-            ``"numpy"`` (columnar payloads — broadcast once via shared
-            memory under ``"processes"`` — and flat-array merge);
-            defaults to ``params.backend``.
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
             O(log P) depth; under ``"remote"`` the pairwise merges run
             *on the workers* so the driver only receives the root).
@@ -345,12 +340,9 @@ def detect_index_parallel(
             ``REPRO_CLUSTER_WORKERS``.
 
     Raises:
-        ValueError: for an unknown executor, backend, strategy or reduce
-            mode.
+        ValueError: for an unknown executor, strategy or reduce mode.
     """
-    backend = validate_execution(params, executor, reduce, backend=backend)
-    if backend != params.backend:
-        params = replace(params, backend=backend)
+    validate_execution(params, executor, reduce)
     if index is None:
         index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     merged = _map_reduce(
@@ -394,7 +386,6 @@ def detect_hybrid_parallel(
     executor: Executor = "serial",
     index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-    backend: str | None = None,
     epoch_size: int | None = None,
     reduce: ReduceMode = "flat",
     partition_by: str = "entries",
@@ -438,12 +429,10 @@ def detect_hybrid_parallel(
     equals :func:`repro.core.detect_hybrid`'s bit for bit.
 
     Raises:
-        ValueError: for an unknown executor, backend, reduce mode or
-            partition axis.
+        ValueError: for an unknown executor, reduce mode or partition
+            axis.
     """
-    backend = validate_execution(params, executor, reduce, partition_by, backend)
-    if backend != params.backend:
-        params = replace(params, backend=backend)
+    validate_execution(params, executor, reduce, partition_by)
     if index is None:
         index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     partitions = partition_entries(index, n_partitions, "blocks")

@@ -53,12 +53,7 @@ from ..core.detector import IncrementalDetector
 from ..core.explain import PairExplanation, explain_pair
 from ..core.params import CopyParams
 from ..data import ClaimDelta, ClaimLedger, Dataset, LedgerUpdate
-from ..fusion.pipeline import (
-    FusionConfig,
-    FusionResult,
-    _decision_positions,
-    run_fusion,
-)
+from ..fusion.pipeline import FusionConfig, FusionResult, run_fusion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.result import DetectionResult
@@ -340,11 +335,12 @@ class StreamEngine:
             # previous *epoch*.  Drop it so the publisher falls back to
             # the field-exact diff between the two epochs.
             detection = replace(detection, changed_pairs=None)
+        positions = getattr(self._last_detector, "decision_positions", None)
         return self._publisher.publish_round(
             self._epoch + 1,
             detection,
             list(fusion.probabilities),
-            _decision_positions(self._last_detector),
+            positions() if positions is not None else None,
         )
 
     # ------------------------------------------------------------------

@@ -155,7 +155,7 @@ class TestIncrementalEquivalence:
     def test_rounds_identical(self, world):
         dataset, probs, accs = world
         detectors = {
-            backend: IncrementalDetector(CopyParams(), backend=backend)
+            backend: IncrementalDetector(CopyParams(backend=backend))
             for backend in ("python", "numpy")
         }
         # Drift probabilities/accuracies deterministically across rounds.

@@ -135,6 +135,57 @@ class TestDetectParallel:
             main(["detect", claims, "--reduce", "sum"])
 
 
+class TestParallelFlagValidation:
+    """detect and fuse check the partition flags through one helper,
+    before anything acts on them."""
+
+    @staticmethod
+    def _exit_message(argv) -> str:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        return str(exit_info.value)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--method", "index", "--executor", "processes"],
+             "--executor requires --n-partitions > 1"),
+            (["--method", "bound", "--executor", "processes"],
+             "supports methods index/hybrid, not 'bound'"),
+            (["--method", "bound", "--n-partitions", "2"],
+             "supports methods index/hybrid, not 'bound'"),
+            (["--method", "index", "--n-partitions", "0"],
+             "--n-partitions must be >= 1"),
+        ],
+    )
+    def test_same_exit_message_on_both_commands(self, dataset_dir, flags, message):
+        """`detect --executor processes` used to run sequentially without
+        a word while `fuse` refused the same flags."""
+        claims = str(dataset_dir / "claims.csv")
+        on_detect = self._exit_message(["detect", claims, *flags])
+        on_fuse = self._exit_message(["fuse", claims, *flags])
+        assert message in on_detect
+        assert on_detect == on_fuse
+
+    @pytest.mark.parametrize("command", ["detect", "fuse"])
+    def test_method_is_rejected_before_any_worker_is_dialed(
+        self, dataset_dir, command
+    ):
+        """A closed port would surface as a connection error if the
+        cluster were dialed first."""
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            closed_port = probe.getsockname()[1]
+        message = self._exit_message(
+            [command, str(dataset_dir / "claims.csv"), "--method", "bound",
+             "--n-partitions", "2", "--executor", "remote",
+             "--workers", f"127.0.0.1:{closed_port}"]
+        )
+        assert "supports methods index/hybrid, not 'bound'" in message
+
+
 class TestFuseParallel:
     """--n-partitions/--executor/--reduce/--partition-by on fuse."""
 

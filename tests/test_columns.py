@@ -264,8 +264,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("method", ["hybrid", "index"])
     def test_rows_from_columns_equal_rows_from_decisions(self, layout, method):
         dataset, probs, accs = _sparse_world(2)
-        result = detect(dataset, probs, accs, NUMPY, method=method,
-                        pair_layout=layout)
+        result = detect(dataset, probs, accs, replace(NUMPY, pair_layout=layout),
+                        method=method)
         positions = {pair: i for i, pair in enumerate(result.decisions) if i % 3}
         _assert_rows_identical(
             PairRows.from_columns(result.columns(), positions),

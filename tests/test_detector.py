@@ -4,9 +4,12 @@ import pytest
 
 from repro.core import (
     METHODS,
+    PARALLEL_METHODS,
+    CopyParams,
     IncrementalDetector,
     SingleRoundDetector,
     detect,
+    make_detector,
 )
 
 
@@ -152,3 +155,139 @@ class TestSharedItemsCache:
         gc.collect()
         second = build(3)
         assert detector._shared_items(second) == {(0, 1): 3}
+
+
+# ----------------------------------------------------------------------
+# One round dispatcher
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def book_world():
+    from repro.fusion import vote_probabilities
+    from repro.synth import make_profile
+
+    dataset = make_profile("book_cs", scale=0.08, seed=3).dataset
+    return dataset, vote_probabilities(dataset), [0.8] * dataset.n_sources
+
+
+def _partition_cells():
+    for method in METHODS:
+        yield method, 1
+        if method in PARALLEL_METHODS:
+            yield method, 3
+
+
+class TestDispatchParity:
+    """detect(), SingleRoundDetector and make_detector are one dispatch:
+    every (method, partitioning, backend) cell gives the same round."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("method, n_partitions", list(_partition_cells()))
+    def test_three_entry_points_agree(self, book_world, method, n_partitions, backend):
+        dataset, probs, accs = book_world
+        params = CopyParams(backend=backend)
+        world = (dataset, probs, accs, params)
+        direct = detect(*world, method=method, n_partitions=n_partitions)
+        rounds = [
+            SingleRoundDetector(params, method, n_partitions=n_partitions),
+            make_detector(method, params, n_partitions=n_partitions),
+        ]
+        if n_partitions > 1:
+            from repro.parallel import detect_hybrid_parallel, detect_index_parallel
+
+            engine = (
+                detect_index_parallel if method == "index" else detect_hybrid_parallel
+            )
+            others = [engine(*world, n_partitions=n_partitions)]
+        else:
+            others = []
+        others += [detector.run_round(1, dataset, probs, accs) for detector in rounds]
+        assert direct.decisions
+        for other in others:
+            assert other.method == direct.method
+            assert other.decisions == direct.decisions
+            assert other.cost == direct.cost
+
+    def test_make_detector_picks_the_class(self, params):
+        assert make_detector("none", params) is None
+        incremental = make_detector("incremental", params, prepare_round=1)
+        assert isinstance(incremental, IncrementalDetector)
+        assert incremental.prepare_round == 1
+        single = make_detector("bound+", params, epoch_size=5)
+        assert isinstance(single, SingleRoundDetector)
+        assert (single.method, single.epoch_size) == ("bound+", 5)
+        with pytest.raises(ValueError):
+            make_detector("nope", params)
+
+    @pytest.mark.parametrize("method", ["pairwise", "bound", "bound+"])
+    def test_partitioning_needs_a_parallel_method(self, book_world, params, method):
+        dataset, probs, accs = book_world
+        with pytest.raises(ValueError, match="n_partitions > 1 supports"):
+            detect(dataset, probs, accs, params, method=method, n_partitions=2)
+
+    @pytest.mark.parametrize("prepare_round", [2, 1])
+    def test_incremental_rounds_take_their_columns_from_the_workspace(
+        self, book_world, monkeypatch, prepare_round
+    ):
+        """Every from-scratch INCREMENTAL round is seeded by the fusion
+        workspace like any other numpy round: neither the run nor a
+        later read of the kept index's columns re-columnarizes it with
+        ``ColumnarEntries.from_index``."""
+        from repro.core.kernel import ColumnarEntries
+        from repro.fusion import run_fusion
+
+        calls = []
+        original = ColumnarEntries.from_index.__func__
+
+        def counting(cls, index):
+            calls.append(index)
+            return original(cls, index)
+
+        monkeypatch.setattr(ColumnarEntries, "from_index", classmethod(counting))
+        params = CopyParams(backend="numpy")
+        detector = IncrementalDetector(params, prepare_round=prepare_round)
+        result = run_fusion(book_world[0], params, detector=detector)
+        assert result.n_rounds > prepare_round  # incremental rounds ran too
+        assert detector.decision_positions()
+        index = detector.state.index
+        assert index.columnar_entries().n_entries == index.n_entries
+        assert calls == []
+
+
+class TestOneDispatcherStructure:
+    """A structural guard: the round-assembly copies must not grow back."""
+
+    @staticmethod
+    def _calls():
+        """``(relative path, dotted callee)`` for every call in src/repro."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    yield path.relative_to(root).as_posix(), ast.unparse(node.func)
+
+    def test_round_assembly_lives_in_one_place(self):
+        sites = {}
+        for path, callee in self._calls():
+            sites.setdefault(callee.rsplit(".", 1)[-1], []).append((path, callee))
+
+        def outside_parallel(name):
+            return [p for p, _ in sites[name] if not p.startswith("parallel/")]
+
+        assert outside_parallel("detect_index_parallel") == ["core/detector.py"]
+        assert outside_parallel("detect_hybrid_parallel") == ["core/detector.py"]
+        builds = [
+            p for p, callee in sites["build"]
+            if callee == "InvertedIndex.build" and p == "core/detector.py"
+        ]
+        assert builds == ["core/detector.py"]
+        for cls in ("SingleRoundDetector", "IncrementalDetector"):
+            assert {p for p, _ in sites[cls]} <= {
+                "core/detector.py", "streaming/engine.py"
+            }
+        clocks = [p for p, _ in sites["perf_counter"] if p == "core/detector.py"]
+        assert len(clocks) <= 2  # one start/stop pair: the elapsed_seconds stamp

@@ -5,6 +5,8 @@ compared to the pure-Python reference at 1e-9; verdicts (the booleans the
 paper actually reports) must be *identical*.
 """
 
+from dataclasses import replace
+
 import pytest
 
 np = pytest.importorskip("numpy", reason="the vectorized backend needs numpy")
@@ -221,17 +223,15 @@ class TestBackendEquivalence:
             example,
             example_probabilities,
             example_accuracies,
-            params,
+            replace(params, backend="python"),
             method=method,
-            backend="python",
         )
         vec = detect(
             example,
             example_probabilities,
             example_accuracies,
-            params,
+            replace(params, backend="numpy"),
             method=method,
-            backend="numpy",
         )
         assert vec.cost.computations == ref.cost.computations
         assert vec.cost.values_examined == ref.cost.values_examined

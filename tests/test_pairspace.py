@@ -16,6 +16,7 @@ Three groups of pins:
 
 import logging
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,10 +288,10 @@ class TestLayoutParity:
     def test_forced_layouts_agree(self, method, seed):
         dataset, probs, accs = sparse_problem(seed)
         params = CopyParams(backend="numpy")
-        dense = detect(dataset, probs, accs, params, method=method,
-                       pair_layout="dense")
-        sparse = detect(dataset, probs, accs, params, method=method,
-                        pair_layout="sparse")
+        dense = detect(dataset, probs, accs,
+                       replace(params, pair_layout="dense"), method=method)
+        sparse = detect(dataset, probs, accs,
+                        replace(params, pair_layout="sparse"), method=method)
         assert set(dense.decisions) == set(sparse.decisions)
         if method in BITEXACT_METHODS:
             assert dense.decisions == sparse.decisions

@@ -1,5 +1,7 @@
 """Partitioned detection: partitions, merge equivalence, executors."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,10 +229,9 @@ class TestColumnarBackend:
             dataset,
             probs,
             accs,
-            params,
+            replace(params, backend="numpy"),
             n_partitions=n_partitions,
             strategy=strategy,
-            backend="numpy",
         )
         assert set(numpy_.decisions) == set(python.decisions)
         for pair, decision in numpy_.decisions.items():
@@ -267,8 +268,7 @@ class TestColumnarBackend:
                 example,
                 example_probabilities,
                 example_accuracies,
-                params,
-                backend="gpu",
+                replace(params, backend="gpu"),
             )
 
 

@@ -85,37 +85,36 @@ class TestExecutionValidation:
         ({"executor": "gpu"}, "unknown executor 'gpu'; expected one of"),
         ({"reduce": "sum"}, "unknown reduce mode 'sum'; expected one of"),
         ({"partition_by": "value"}, "unknown partition_by 'value'; expected one of"),
-        ({"backend": "gpu"}, "unknown backend 'gpu'; expected one of"),
-        ({"executor": "remote", "backend": "python"}, "requires backend='numpy'"),
+        ({"executor": "remote"}, "requires backend='numpy'"),
     ]
 
     @pytest.mark.parametrize("kwargs, message", BAD)
     def test_function_and_callers_agree(
         self, kwargs, message, example, example_probabilities, example_accuracies
     ):
-        from repro.core import SingleRoundDetector
+        from repro.core import SingleRoundDetector, detect
         from repro.core.params import validate_execution
         from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 
-        params = CopyParams()
+        params = CopyParams(backend="python")
         args = {"executor": "serial", "reduce": "flat", **kwargs}
         with pytest.raises(ValueError) as expected:
             validate_execution(params, **args)
         assert message in str(expected.value)
         world = (example, example_probabilities, example_accuracies, params)
-        callers = [lambda: detect_hybrid_parallel(*world, **args)]
+        callers = [
+            lambda: detect_hybrid_parallel(*world, **args),
+            lambda: SingleRoundDetector(params, "hybrid", **args),
+            lambda: detect(*world, **args),
+        ]
         if "partition_by" not in kwargs:  # INDEX has no partition axis
             callers.append(lambda: detect_index_parallel(*world, **args))
-        if kwargs.get("backend") != "gpu":  # CopyParams words that one itself
-            callers.append(lambda: SingleRoundDetector(params, "hybrid", **args))
         for call in callers:
             with pytest.raises(ValueError) as got:
                 call()
             assert str(got.value) == str(expected.value)
 
-    def test_returns_the_effective_backend(self):
-        from repro.core.params import validate_execution
-
-        params = CopyParams(backend="python")
-        assert validate_execution(params, "serial", "flat") == "python"
-        assert validate_execution(params, "serial", "flat", backend="numpy") == "numpy"
+    def test_unknown_backend_is_rejected_by_the_params(self):
+        """The backend has one home — ``CopyParams`` — and it validates."""
+        with pytest.raises(ValueError, match="backend must be one of"):
+            CopyParams(backend="gpu")
