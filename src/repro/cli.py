@@ -75,7 +75,8 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="entries per epoch for the numpy bound scans "
-        "(default: the library's tuned value)",
+        "(default: epochs sized by incidence mass; outcomes do not "
+        "depend on it)",
     )
     parser.add_argument(
         "--pair-layout",

@@ -51,6 +51,7 @@ from .generators import (
     generate_world,
     profile_world,
     random_world,
+    saturated_world,
     shared_run_world,
     theta_edge_worlds,
     world_from_problem,
@@ -81,6 +82,7 @@ __all__ = [
     "run_case",
     "run_grid",
     "save_case",
+    "saturated_world",
     "shared_run_world",
     "shrink_world",
     "smoke_grid",

@@ -751,6 +751,11 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("detect", "bound+", pair_layout="sparse"),
         CaseConfig("detect", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=3, pair_layout="sparse"),
+        # Mass-derived epochs under sparse slots; with 34 configurations
+        # against nine world kinds every configuration meets every kind,
+        # so the saturated worlds' probability-keyed log grid is
+        # refereed under both layouts at push time.
+        CaseConfig("scan", "hybrid", pair_layout="sparse"),
         CaseConfig("fusion", "bound+", rounds=3, pair_layout="sparse"),
         # Multi-round fusion: ACCU ("none"), ACCUCOPY under every
         # detector, INCREMENTAL's prepare + incremental rounds.
@@ -796,7 +801,6 @@ def full_grid() -> list[CaseConfig]:
         # parallel merge path, and an epoch sweep.
         CaseConfig("detect", "pairwise", pair_layout="sparse"),
         CaseConfig("detect", "bound", pair_layout="sparse"),
-        CaseConfig("scan", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=1, pair_layout="sparse"),
         CaseConfig("detect", "index", n_partitions=2, executor="threads",
                    reduce="tree", pair_layout="sparse"),

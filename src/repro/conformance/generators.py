@@ -415,6 +415,62 @@ def large_sparse_world(
     )
 
 
+#: What a saturated ACCU run leaves of an item's losing values.
+SATURATED_FALSE_PROBABILITIES = (0.0, 1e-12, 0.02)
+
+
+def saturated_world(
+    choose: Chooser, max_sources: int = 14, max_items: int = 20
+) -> World:
+    """Dense sources agreeing at probability exactly 1.0, accuracies distinct.
+
+    The regime a converged fusion run leaves behind on Deep-Web data:
+    nearly every source covers nearly every item, each item's agreed-on
+    value has saturated to ``P = 1.0``, and every source has its own
+    accuracy (the first and last sit beyond the clamp, so both clamp
+    edges occur).  The bound scans then see long runs of many-provider
+    entries sharing one probability — the input on which the numpy
+    backend takes its log arguments from a ``(probability, accuracy,
+    accuracy)`` grid instead of per incidence — beside a handful of
+    few-provider false values that keep the per-incidence path and the
+    switch between the two in play.
+    """
+    n_sources = choose.integer(6, max_sources)
+    n_items = choose.integer(6, max_items)
+    sources = [f"S{source_id}" for source_id in range(n_sources)]
+    claims: list[tuple[str, str, str]] = []
+    prob_by_value: dict[tuple[str, str], float] = {}
+    for source in sources:
+        for item_id in range(n_items):
+            roll = choose.unit_float(0.0, 1.0)
+            if roll < 0.1:
+                continue  # the rare uncovered item
+            value = "t" if roll < 0.85 else f"f{choose.integer(0, 1)}"
+            key = (f"item{item_id}", value)
+            claims.append((source, *key))
+            if key not in prob_by_value:
+                prob_by_value[key] = (
+                    1.0
+                    if value == "t"
+                    else choose.choice(SATURATED_FALSE_PROBABILITIES)
+                )
+    # One accuracy per source from its own slot of [0, 1] — distinct by
+    # construction; the outer two are pinned past the clamp.
+    acc_by_source = {
+        source: (rank + choose.unit_float(0.1, 0.9)) / n_sources
+        for rank, source in enumerate(sources)
+    }
+    acc_by_source[sources[0]] = 0.0
+    acc_by_source[sources[-1]] = 1.0
+    return World(
+        kind="saturated",
+        sources=sources,
+        claims=claims,
+        prob_by_value=prob_by_value,
+        acc_by_source=acc_by_source,
+    )
+
+
 def shared_run_world(
     n_shared: int, p_true: float, accuracy: float = 0.8
 ) -> tuple[Dataset, list[float], list[float]]:
@@ -528,6 +584,7 @@ WORLD_KINDS = (
     "profile",
     "large_sparse",
     "theta_edge",
+    "saturated",
 )
 
 _theta_edge_cache: dict[tuple, list] = {}
@@ -541,7 +598,8 @@ def generate_world(case_index: int, seed: int) -> World:
     Cycles through :data:`WORLD_KINDS` so every configuration meets
     random, adversarial (clones/extremes/ties), equal-run, profile
     (zipf/heterogeneous), sparse-coverage (many sources, few observed
-    pairs) and threshold-edge worlds.
+    pairs), threshold-edge and saturated (dense agreement at ``P = 1``)
+    worlds.
     """
     kind = WORLD_KINDS[case_index % len(WORLD_KINDS)]
     rng = random.Random(seed * 1_000_003 + case_index)
@@ -568,6 +626,8 @@ def generate_world(case_index: int, seed: int) -> World:
             n_sources=choose.integer(24, 40),
             n_items=choose.integer(8, 16),
         )
+    elif kind == "saturated":
+        world = saturated_world(choose)
     else:  # theta_edge
         from ..core.params import CopyParams
 
@@ -597,6 +657,7 @@ _STRATEGY_EXPORTS = (
     "datasets",
     "worlds",
     "adversarial_worlds",
+    "saturated_worlds",
 )
 
 _strategies: dict | None = None
@@ -647,12 +708,20 @@ def _hypothesis_strategies() -> dict:
             DrawChooser(draw), max_sources=max_sources, max_items=max_items
         ).materialize()
 
+    @st.composite
+    def saturated_worlds(draw, max_sources: int = 14, max_items: int = 20):
+        """Dense worlds saturated at ``P = 1`` with distinct accuracies."""
+        return saturated_world(
+            DrawChooser(draw), max_sources=max_sources, max_items=max_items
+        ).materialize()
+
     _strategies = {
         "probabilities": probabilities,
         "accuracies": accuracies,
         "datasets": datasets,
         "worlds": worlds,
         "adversarial_worlds": adversarial_worlds,
+        "saturated_worlds": saturated_worlds,
     }
     return _strategies
 

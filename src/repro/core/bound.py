@@ -235,9 +235,11 @@ def scan_with_bounds(
             and early *no-copy* conclusions ``Pr(indep) > p_high`` (up to
             the Eq. 10 estimate); pairs in between resolve exactly at
             scan end.  ``None`` keeps the binary 0.5/0.5 thresholds.
-        epoch_size: entries per epoch for the numpy backend (``None`` =
-            :data:`repro.core.bound_kernel.DEFAULT_EPOCH_SIZE`); the
-            sequential reference ignores it.
+        epoch_size: entries per epoch for the numpy backend; ``None``
+            (the product setting) derives the boundaries from incidence
+            mass (see :data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`).
+            Outcomes do not depend on it; the sequential reference
+            ignores it.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's
             strong-evidence prefix); ``None`` scans everything.
         collect_state: return the state at the cut instead of resolving

@@ -7,8 +7,13 @@ sequential *across* pairs — and between two consecutive bound evaluations
 of one pair, its state evolves by plain summation.  This module exploits
 that structure to batch the scan without changing a single observable bit:
 
-1. **Epochs.**  The ordered entry stream is processed in fixed-size
-   blocks.  Within an epoch, incidences are expanded columnarly
+1. **Epochs.**  The ordered entry stream is processed in blocks of
+   roughly equal *incidence mass*: an entry with ``k`` providers weighs
+   ``C(k, 2)`` and a block closes once :data:`EPOCH_INCIDENCE_BUDGET`
+   incidences have accumulated, so a few 40-provider entries and a few
+   thousand 2-provider ones cost one epoch's vector overhead each.  (An explicit ``epoch_size=`` means entries per epoch instead —
+   the conformance grid's boundary-stress axis.)  Within an epoch,
+   incidences are expanded columnarly
    (:func:`repro.core.kernel.expand_incidences_ordered` — entry order is
    preserved so per-pair addition order matches the reference).
 2. **Exact contributions.**  The Eq. (6) log *arguments* are computed
@@ -16,7 +21,12 @@ that structure to batch the scan without changing a single observable bit:
    reference's scalar arithmetic expression by expression; the log itself
    is taken with ``math.log`` per element because ``np.log``'s SIMD path
    can differ from ``math.log`` by an ulp.  Contributions are therefore
-   bit-equal to the pure-Python scan's.
+   bit-equal to the pure-Python scan's.  An argument depends only on the
+   entry's probability and the two accuracies, so when the epoch's
+   ``distinct probabilities x distinct accuracies**2`` grid is smaller
+   than its live incidence stream the logs are taken once per grid cell
+   and gathered — saturated truth probabilities (every agreed-on value
+   at exactly 1.0) make that the common case on dense worlds.
 3. **Compact per-pair state.**  ``(n0, C0_fwd, C0_bwd)``, the BOUND+
    timer milestones and the pair lifecycle live in flat arrays indexed
    by :class:`repro.core.pairspace.PairSpace` slots — the full
@@ -64,7 +74,8 @@ The net effect: decisions, decision positions, ``CostCounter`` fields and
 :class:`~repro.core.bound.PairBookkeeping` — including the stored float
 scores — are bit-identical to ``backend="python"``, while the per-entry
 Python interpreter work collapses to two ``math.log`` calls per *live*
-incidence plus a handful of vector operations per epoch.
+incidence — or per distinct ``(probability, accuracy, accuracy)`` cell,
+whichever is fewer — plus a handful of vector operations per epoch.
 
 State sizing: ``CopyParams.pair_layout`` picks the layout — ``"auto"``
 keeps the dense flat key space while ``n_sources ** 2`` fits under
@@ -104,12 +115,17 @@ _EXACT = 2
 _DONE_COPY = 3
 _DONE_NOCOPY = 4
 
-#: Entries per epoch when the caller does not choose.  Small enough that
-#: replay windows stay short (a concluding pair is replayed only within
-#: the epoch it concludes in), large enough that the per-epoch vector
-#: overhead amortises; ``benchmarks/bench_bound_backend.py`` sweeps the
-#: knob and 128 sits at the sweet spot on the dense reference world.
-DEFAULT_EPOCH_SIZE = 128
+#: Epoch sizing when the caller does not choose entries per epoch: an
+#: epoch closes once it holds this many incidences (``C(k, 2)`` summed
+#: over its entries).  An epoch costs a fixed vector overhead plus work
+#: linear in its incidences, so the boundary follows incidence mass, not
+#: entry count (128 two-provider entries are ~130 incidences, 128
+#: forty-provider ones ~100k).  Larger epochs stop paying: a pair is
+#: replayed to the end of the epoch it concludes in, and the
+#: per-incidence temporaries grow with it.  docs/ARCHITECTURE.md records
+#: the sweep behind the number; ``benchmarks/bench_bound_backend.py``
+#: sweeps explicit entry counts against it.
+EPOCH_INCIDENCE_BUDGET = 32_768
 
 #: Largest flat key space (``n_sources ** 2``) the ``"auto"`` layout
 #: allocates dense per-pair state arrays for (eight dense arrays at this
@@ -214,17 +230,12 @@ class EpochScan:
         self._log_alpha = log(params.alpha)
         self._log_beta = log(params.beta)
         self.acc = clamp_accuracies(accuracies, params)
-        # Factorized accuracies for the grid-deduplicated log path: when
-        # few distinct accuracy values exist (synthetic worlds often use
-        # one), every incidence's log argument is one of
-        # (entry, acc, acc) grid cells — math.log per cell, gather per
-        # incidence, bit-identical to the direct computation.
+        # Factorized accuracies for the grid-deduplicated log path (see
+        # _exact_contributions): every incidence's log argument is one of
+        # (probability, acc, acc) grid cells.
         self.acc_unique, self.acc_ids = np.unique(self.acc, return_inverse=True)
-        self.epoch_size = (
-            DEFAULT_EPOCH_SIZE
-            if epoch_size is None
-            else max(int(epoch_size), 1)
-        )
+        #: entries per epoch when the caller chose; None = by incidence mass
+        self.epoch_size = None if epoch_size is None else max(int(epoch_size), 1)
         space = self.space
         self.status = space.zeros(dtype=np.int8)
         self.n0 = space.zeros(dtype=np.int64)
@@ -252,15 +263,35 @@ class EpochScan:
     def run(self, stop_at: int | None = None) -> None:
         """Scan entries ``[0, stop_at)`` (the whole index by default)."""
         end = len(self.entries) if stop_at is None else stop_at
-        for e0 in range(0, end, self.epoch_size):
-            self._run_epoch(e0, min(e0 + self.epoch_size, end))
+        counts = np.fromiter(
+            (len(entry.providers) for entry in self.entries[:end]),
+            np.int64,
+            count=end,
+        )
+        bounds = self._epoch_bounds(counts)
+        for e0, e1 in zip(bounds[:-1], bounds[1:]):
+            self._run_epoch(e0, e1, counts[e0:e1])
 
-    def _run_epoch(self, e0: int, e1: int) -> None:
+    def _epoch_bounds(self, counts: np.ndarray) -> list[int]:
+        """Epoch boundaries ``[0, ..., end]`` over ``end = len(counts)``
+        entries with the given provider counts.
+
+        With an explicit ``epoch_size`` every epoch holds that many
+        entries.  Otherwise a boundary falls wherever the cumulative
+        incidence mass ``sum C(k, 2)`` crosses a multiple of
+        :data:`EPOCH_INCIDENCE_BUDGET`, so an epoch holds at most the
+        budget plus one entry's incidences.
+        """
+        end = len(counts)
+        if self.epoch_size is not None:
+            return [*range(0, end, self.epoch_size), end]
+        bucket = np.cumsum(counts * (counts - 1) // 2) // EPOCH_INCIDENCE_BUDGET
+        cuts = np.nonzero(np.diff(bucket))[0] + 1
+        return [0, *cuts.tolist(), end] if end else [0]
+
+    def _run_epoch(self, e0: int, e1: int, counts: np.ndarray) -> None:
         rows = self.entries[e0:e1]
         n_rows = e1 - e0
-        counts = np.fromiter(
-            (len(entry.providers) for entry in rows), np.int64, count=n_rows
-        )
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         prov = np.fromiter(
@@ -441,18 +472,21 @@ class EpochScan:
         The log arguments come out of
         :func:`~repro.core.kernel.score_incidence_args` (exact
         arithmetic); the logs themselves must be ``math.log`` (NumPy's
-        SIMD log can stray by an ulp).  When the distinct accuracy count
-        is small, arguments are computed once per
-        ``(entry, accuracy, accuracy)`` grid cell and gathered per
-        incidence — identical floats in, identical floats out, at a
-        fraction of the per-incidence log cost.
+        SIMD log can stray by an ulp).  An argument is a function of
+        ``(probability, accuracy, accuracy)`` alone, so when the epoch's
+        distinct probabilities times the squared distinct accuracy count
+        is below its live incidence count the arguments are computed
+        once per grid cell and gathered per incidence — identical floats
+        in, identical floats out, at a fraction of the per-incidence log
+        cost.  Equal initial accuracies (round 1) and saturated truth
+        probabilities (many agreeing sources) both land here.
         """
         n_acc = len(self.acc_unique)
-        n_rows = len(probs_e)
         n_inc = len(lrow)
-        if n_acc * n_acc * n_rows < n_inc:
+        p_unique, p_ids = np.unique(probs_e, return_inverse=True)
+        if n_acc * n_acc * len(p_unique) < n_inc:
             grid_f, grid_b = score_incidence_args(
-                probs_e[:, None, None],
+                p_unique[:, None, None],
                 self.acc_unique[None, :, None],
                 self.acc_unique[None, None, :],
                 self.params,
@@ -466,7 +500,7 @@ class EpochScan:
                 map(log, flat_b.tolist()), np.float64, count=len(flat_b)
             )
             cell = (
-                lrow * (n_acc * n_acc)
+                p_ids[lrow] * (n_acc * n_acc)
                 + self.acc_ids[s1] * n_acc
                 + self.acc_ids[s2]
             )

@@ -156,7 +156,7 @@ def detect(
             rounds (the claims are static; see
             :meth:`InvertedIndex.build`).
         epoch_size: entries per epoch for the numpy BOUND scans (``None``
-            picks the default; exhaustive methods ignore it).
+            sizes epochs by incidence mass; exhaustive methods ignore it).
         workspace: a :class:`~repro.fusion.FusionWorkspace` for this
             dataset (one built for another dataset is ignored).  Under
             the numpy backend it supplies the round's columnar entries;

@@ -53,13 +53,13 @@ same verdicts; only the pass at which a rare pair terminates can differ.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from ..data import Dataset
 from .bound import DEFAULT_HYBRID_THRESHOLD, PairBookkeeping, detect_hybrid
 from .contribution import posterior, same_value_scores_both
 from .index import InvertedIndex
-from .maxscore import max_score
 from .params import CopyParams
 from .result import CostCounter, DetectionResult, PairDecision
 
@@ -126,7 +126,9 @@ class IncrementalState:
     s_ref: list[float]  #: reference M-hat score per entry position
     a_ref: list[float]  #: reference accuracy per source
     pairs: dict[tuple[int, int], _PairRecord]
-    entry_pairs: list[list[_PairRecord]]  #: booked pairs per entry position
+    #: booked pairs per entry position, enumerated the first time pass 1
+    #: needs them (``None`` until then — see ``_enumerate_booked_pairs``)
+    entry_pairs: list[list[_PairRecord] | None]
     source_entries: list[list[int]]  #: entry positions touching each source
     history: list[RoundStats] = field(default_factory=list)
     #: tail-score-sum level above which unbooked tail pairs are
@@ -169,16 +171,6 @@ def prepare_incremental(
         key: _PairRecord(key[0], key[1], book)
         for key, book in outcome.bookkeeping.items()
     }
-    entry_pairs: list[list[_PairRecord]] = []
-    for entry in index.entries:
-        providers = entry.providers
-        records = []
-        for i in range(len(providers)):
-            for j in range(i + 1, len(providers)):
-                record = pairs.get((providers[i], providers[j]))
-                if record is not None:
-                    records.append(record)
-        entry_pairs.append(records)
     source_entries: list[list[int]] = [[] for _ in range(dataset.n_sources)]
     for position, entry in enumerate(index.entries):
         for source in entry.providers:
@@ -189,7 +181,7 @@ def prepare_incremental(
         s_ref=[entry.score for entry in index.entries],
         a_ref=list(accuracies),
         pairs=pairs,
-        entry_pairs=entry_pairs,
+        entry_pairs=[None] * len(index.entries),
         source_entries=source_entries,
         reopen_level=params.theta_ind,
     )
@@ -231,14 +223,11 @@ def incremental_round(
     # Categorize entries by score change on reference accuracies.
     # ------------------------------------------------------------------
     categories = [_UNCHANGED] * n_entries
-    new_scores = [0.0] * n_entries
     delta_small_dec = 0.0
     delta_small_inc = 0.0
     a_ref = state.a_ref
-    for pos, entry in enumerate(entries):
-        ref_accs = [a_ref[s] for s in entry.providers]
-        score_now = max_score(probabilities[entry.value_id], ref_accs, params)
-        new_scores[pos] = score_now
+    new_scores = index.rescore(probabilities, a_ref, params)
+    for pos, score_now in enumerate(new_scores):
         delta = score_now - state.s_ref[pos]
         magnitude = abs(delta)
         if magnitude < _NEGLIGIBLE:
@@ -307,7 +296,10 @@ def incremental_round(
             continue
         p_now = probabilities[entry.value_id]
         p_ref = state.p_ref[pos]
-        for record in state.entry_pairs[pos]:
+        records = state.entry_pairs[pos]
+        if records is None:
+            records = state.entry_pairs[pos] = _enumerate_booked_pairs(state, pos)
+        for record in records:
             key = (record.s1, record.s2)
             if key in pending_full:
                 continue
@@ -456,9 +448,9 @@ def incremental_round(
             state.a_ref[s] = accuracies[s]
         touched = {pos for s in refresh_sources for pos in state.source_entries[s]}
         for pos in touched:
-            entry = entries[pos]
-            ref_accs = [state.a_ref[src] for src in entry.providers]
-            state.s_ref[pos] = max_score(state.p_ref[pos], ref_accs, params)
+            state.s_ref[pos] = entries[pos].score_under(
+                state.p_ref[pos], state.a_ref, params
+            )
 
     state.history.append(stats)
     cost.pairs_considered = len(state.pairs)
@@ -469,6 +461,23 @@ def incremental_round(
         cost=cost,
         changed_pairs=changed_pairs,
     )
+
+
+def _enumerate_booked_pairs(state: IncrementalState, pos: int) -> list[_PairRecord]:
+    """The booked pairs among entry ``pos``'s providers, in triangle order.
+
+    Costs ``C(k, 2)`` dict probes, which is why it runs on demand: a
+    dense world's many-provider entries are exactly the saturated ones
+    whose scores stop moving, and pass 1 never asks for an
+    ``_UNCHANGED`` entry's pairs.  The caller keeps the list in
+    ``state.entry_pairs`` so an entry is enumerated at most once.
+    """
+    providers = state.index.entries[pos].providers
+    return [
+        record
+        for record in map(state.pairs.get, combinations(providers, 2))
+        if record is not None
+    ]
 
 
 def _shared_positions(state: IncrementalState, s1: int, s2: int) -> list[int]:
@@ -510,9 +519,9 @@ def _reopen_tail_pairs(
     share-two-popular-values pairs that the index exists to skip.
     Qualifying pairs get a fresh record (with the no-copying verdict
     skipping implied) and are handed to the pass-3 rebuild for exact
-    scoring; the record is registered in ``entry_pairs`` at every position
-    where the two sources co-occur, which is exactly their set of shared
-    values.
+    scoring; the record joins ``entry_pairs`` at every shared position
+    whose list has already been enumerated — lists enumerated later find
+    it through ``state.pairs``, so each list holds it exactly once.
     """
     index = state.index
     n_entries = len(index.entries)
@@ -559,7 +568,9 @@ def _reopen_tail_pairs(
         )
         state.pairs[key] = record
         for position in shared_positions:
-            state.entry_pairs[position].append(record)
+            records = state.entry_pairs[position]
+            if records is not None:
+                records.append(record)
         opened.add(key)
     return opened
 

@@ -64,6 +64,19 @@ class IndexEntry:
     score: float
     providers: list[int]
 
+    def score_under(
+        self, probability: float, accuracies: Sequence[float], params: CopyParams
+    ) -> float:
+        """``M-hat`` of this entry's providers under other estimates.
+
+        :meth:`InvertedIndex.rescore` and INCREMENTAL's reference refresh
+        both score through it — the same expression ``build`` evaluates,
+        so the floats agree bit for bit.
+        """
+        return max_score(
+            probability, [accuracies[s] for s in self.providers], params
+        )
+
 
 class InvertedIndex:
     """Scored inverted index over shared values, plus pair-level metadata.
@@ -218,19 +231,17 @@ class InvertedIndex:
     ) -> list[float]:
         """Compute fresh ``M-hat`` scores without changing entry order.
 
-        Used by INCREMENTAL, which keeps the processing order of the last
+        INCREMENTAL categorises entries with it each round (on its
+        reference accuracies), keeping the processing order of the last
         from-scratch round fixed while probabilities drift.
 
         Returns:
             New score per entry, aligned with ``self.entries``.
         """
-        scores = []
-        for entry in self.entries:
-            provider_accuracies = [accuracies[s] for s in entry.providers]
-            scores.append(
-                max_score(probabilities[entry.value_id], provider_accuracies, params)
-            )
-        return scores
+        return [
+            entry.score_under(probabilities[entry.value_id], accuracies, params)
+            for entry in self.entries
+        ]
 
     # ------------------------------------------------------------------
     # Columnar view (numpy backend)

@@ -4,9 +4,12 @@
 outcome — verdicts, exact scores (as ``float.hex`` strings, so the round
 trip is bit-exact), posteriors, cost counters, and the HYBRID
 preparation round's INCREMENTAL bookkeeping — of every bound-family
-method on a small deterministic synthetic world.  The companion test in
-``tests/test_bound_backend.py`` diffs both backends against the fixture,
-catching *any* silent behaviour drift during the numpy-backend soak.
+method on a small deterministic synthetic world, and (under the
+``"saturated"`` key) on a dense world whose agreed-on values sit at
+probability exactly 1.0 with all-distinct accuracies — the input on which
+the numpy backend takes its logs from the probability-keyed grid.  The
+companion test in ``tests/test_bound_backend.py`` diffs both backends
+against the fixture, catching *any* silent behaviour drift.
 
 Regenerate (only after an intentional behaviour change)::
 
@@ -16,8 +19,10 @@ Regenerate (only after an intentional behaviour change)::
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
+from repro.conformance.generators import RandomChooser, saturated_world
 from repro.core import CopyParams, detect, detect_hybrid
 from repro.fusion import vote_probabilities
 from repro.synth.generator import GeneratorConfig, generate
@@ -46,6 +51,12 @@ def golden_world():
     return dataset, probabilities, accuracies
 
 
+def golden_saturated_world():
+    """The dense saturated problem (13 sources x 19 items)."""
+    chooser = RandomChooser(random.Random(11))
+    return saturated_world(chooser, max_sources=14, max_items=20).materialize()
+
+
 def _decision_row(pair, decision) -> dict:
     return {
         "pair": list(pair),
@@ -60,10 +71,20 @@ def _decision_row(pair, decision) -> dict:
 
 
 def golden_payload(backend: str) -> dict:
-    """Full bound-family outcome for one backend, JSON-ready."""
-    dataset, probabilities, accuracies = golden_world()
+    """Full bound-family outcome for one backend, JSON-ready.
+
+    The saturated world's outcome rides under its own key, after the
+    original world's, so the older entries' bytes never move.
+    """
     params = CopyParams(backend=backend)
-    payload: dict = {"backend": backend, "methods": {}}
+    payload = {"backend": backend, **_world_payload(golden_world(), params)}
+    payload["saturated"] = _world_payload(golden_saturated_world(), params)
+    return payload
+
+
+def _world_payload(world, params: CopyParams) -> dict:
+    dataset, probabilities, accuracies = world
+    payload: dict = {"methods": {}}
     for method in METHODS:
         result = detect(dataset, probabilities, accuracies, params, method=method)
         payload["methods"][method] = {

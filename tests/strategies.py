@@ -16,6 +16,7 @@ from repro.conformance.generators import (  # noqa: F401
     adversarial_worlds,
     datasets,
     probabilities,
+    saturated_worlds,
     shared_run_world,
     theta_edge_worlds,
     worlds,
@@ -28,6 +29,7 @@ __all__ = [
     "adversarial_worlds",
     "datasets",
     "probabilities",
+    "saturated_worlds",
     "shared_run_world",
     "theta_edge_worlds",
     "worlds",

@@ -17,6 +17,7 @@ import pytest
 np = pytest.importorskip("numpy", reason="the epoch-batched backend needs numpy")
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CopyParams,
@@ -25,7 +26,12 @@ from repro.core import (
     scan_with_bounds,
 )
 from repro.core.index import EntryOrdering
-from tests.strategies import adversarial_worlds, theta_edge_worlds, worlds
+from tests.strategies import (
+    adversarial_worlds,
+    saturated_worlds,
+    theta_edge_worlds,
+    worlds,
+)
 
 #: (label, use_timers, hybrid_threshold) — BOUND, BOUND+ and HYBRID at
 #: the thresholds the issue calls out (1 routes almost nothing to exact
@@ -145,6 +151,218 @@ class TestDecisionEquivalence:
             assert other.result.decisions == first.result.decisions
             assert other.bookkeeping == first.bookkeeping
             assert other.result.cost.computations == first.result.cost.computations
+
+
+def _reference_logs(p, acc1, acc2, params):
+    """Eq. (6) both ways as the reference scan's inner loop spells it
+    (``core/bound.py``): scalar floats, ``math.log``, clamped accuracies."""
+    import math
+
+    a1, a2 = params.clamp_accuracy(acc1), params.clamp_accuracy(acc2)
+    q = 1.0 - p
+    q_over_n = q * (1.0 / params.n)
+    single1 = p * a1 + q * (1.0 - a1)
+    single2 = p * a2 + q * (1.0 - a2)
+    denom = p * a1 * a2 + q_over_n * (1.0 - a1) * (1.0 - a2)
+    one_minus_s = 1.0 - params.s
+    return (
+        math.log(one_minus_s + params.s * single2 / denom),
+        math.log(one_minus_s + params.s * single1 / denom),
+    )
+
+
+def _epoch_scan(dataset, probabilities, accuracies):
+    """A fresh BOUND+ ``EpochScan`` over the world (nothing scanned yet)."""
+    from repro.core import bound_kernel
+    from repro.core.index import InvertedIndex
+
+    params = CopyParams(backend="numpy")
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params)
+    return bound_kernel.EpochScan(
+        dataset, accuracies, params, index, params.theta_cp, params.theta_ind,
+        use_timers=True, hybrid_threshold=0, track_bookkeeping=False,
+    )
+
+
+def _bare_scan(accuracies):
+    """An ``EpochScan`` over ``len(accuracies)`` sources sharing one value."""
+    from repro.data import DatasetBuilder
+
+    builder = DatasetBuilder()
+    for source in range(len(accuracies)):
+        builder.add(f"S{source}", "item", "v")
+    return _epoch_scan(builder.build(), [0.5], accuracies)
+
+
+class TestProbabilityGrid:
+    """Eq. (6) logs taken per distinct ``(probability, accuracy, accuracy)``.
+
+    ``EpochScan._exact_contributions`` switches to the grid whenever
+    ``n_acc**2 * n_distinct_p < n_inc``; either side of the switch must
+    return the scalar reference's floats exactly (plain ``==``, no
+    tolerance), and the ``math.log`` count must be that of the cheaper
+    side — the point of the grid.
+    """
+
+    #: exactly 1.0 / 0.0 (saturated ACCU), near-saturated, and mid-range
+    PROBABILITIES = (1.0, 0.0, 1e-12, 0.02, 0.5, 0.999, 1.0 - 2.0**-53)
+    #: both clamp edges, values the clamp moves onto them, and interior
+    ACCURACIES = (0.0, 0.004, 0.005, 0.0051, 0.3, 0.5, 0.8, 0.9949, 0.995, 0.999, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_grid_equals_per_incidence_logs(self, data):
+        from unittest import mock
+
+        from repro.core import bound_kernel
+
+        accs = data.draw(
+            st.lists(st.sampled_from(self.ACCURACIES), min_size=2, max_size=6,
+                     unique=True)
+        )
+        menu = data.draw(
+            st.lists(st.sampled_from(self.PROBABILITIES), min_size=1, max_size=3,
+                     unique=True)
+        )
+        scan = _bare_scan(accs)
+        n_acc = len(scan.acc_unique)  # clamping may merge drawn accuracies
+        # Every menu probability occurs, so n_distinct_p == len(menu).
+        extra = data.draw(st.lists(st.sampled_from(menu), max_size=5))
+        probs_e = np.asarray(menu + extra, dtype=np.float64)
+        cells = n_acc * n_acc * len(menu)
+        n_inc = max(1, cells + data.draw(st.sampled_from((-7, -1, 0, 1, 2, 40))))
+        lrow = np.asarray(
+            data.draw(st.lists(st.integers(0, len(probs_e) - 1),
+                               min_size=n_inc, max_size=n_inc)),
+            dtype=np.int64,
+        )
+        sources = st.integers(0, len(accs) - 1)
+        s1 = np.asarray(
+            data.draw(st.lists(sources, min_size=n_inc, max_size=n_inc)), np.int64
+        )
+        s2 = np.asarray(
+            data.draw(st.lists(sources, min_size=n_inc, max_size=n_inc)), np.int64
+        )
+        calls = []
+        real_log = bound_kernel.log
+
+        def counting_log(x):
+            calls.append(x)
+            return real_log(x)
+
+        with mock.patch.object(bound_kernel, "log", counting_log):
+            fwd, bwd = scan._exact_contributions(probs_e, lrow, s1, s2)
+
+        expected = [
+            _reference_logs(float(probs_e[r]), accs[a], accs[b], scan.params)
+            for r, a, b in zip(lrow.tolist(), s1.tolist(), s2.tolist())
+        ]
+        assert fwd.tolist() == [f for f, _ in expected]
+        assert bwd.tolist() == [b for _, b in expected]
+        # Strictly fewer cells than incidences -> the grid; else direct.
+        assert len(calls) == 2 * (cells if cells < n_inc else n_inc)
+
+    def test_switch_sits_exactly_at_equal_cost(self, monkeypatch):
+        """cells == n_inc stays per-incidence; one more incidence flips."""
+        from repro.core import bound_kernel
+
+        scan = _bare_scan([0.2, 0.4, 0.6, 0.8])
+        probs_e = np.asarray([1.0, 0.25])
+        cells = 4 * 4 * 2
+        shapes = []
+        real = bound_kernel.score_incidence_args
+
+        def spy(probs, acc1, acc2, params):
+            shapes.append(np.shape(probs))
+            return real(probs, acc1, acc2, params)
+
+        monkeypatch.setattr(bound_kernel, "score_incidence_args", spy)
+        for n_inc in (cells - 1, cells, cells + 1):
+            lrow = np.arange(n_inc) % 2
+            s1 = np.arange(n_inc) % 4
+            s2 = (np.arange(n_inc) // 4) % 4
+            scan._exact_contributions(probs_e, lrow, s1, s2)
+        assert shapes == [(cells - 1,), (cells,), (2, 1, 1)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(world=saturated_worlds())
+    def test_saturated_worlds_bit_identical(self, world):
+        """BOUND / BOUND+ / HYBRID on dense worlds saturated at P = 1:
+        decisions, decision positions, cost and bookkeeping equal the
+        reference under mass-derived epochs and explicit entry counts."""
+        assert_scan_identical(world, epoch_sizes=(None, 1, 3, 128))
+
+    @settings(max_examples=15, deadline=None)
+    @given(world=saturated_worlds(), layout=st.sampled_from(("dense", "sparse")))
+    def test_saturated_worlds_over_several_derived_epochs(self, world, layout):
+        """A budget small enough to cut these worlds into several
+        mass-derived epochs, under both pair layouts."""
+        from unittest import mock
+
+        from repro.core import bound_kernel
+
+        dataset, probs, accs = world
+        for label, use_timers, threshold in CONFIGS:
+            with mock.patch.object(bound_kernel, "EPOCH_INCIDENCE_BUDGET", 150):
+                reference, batched = (
+                    scan_with_bounds(
+                        dataset, probs, accs, params,
+                        use_timers=use_timers, hybrid_threshold=threshold,
+                        track_bookkeeping=True,
+                    )
+                    for params in (
+                        CopyParams(backend="python"),
+                        CopyParams(backend="numpy", pair_layout=layout),
+                    )
+                )
+            assert batched.result.decisions == reference.result.decisions, label
+            assert batched.bookkeeping == reference.bookkeeping, label
+            assert batched.result.cost == reference.result.cost, label
+
+
+class TestEpochBounds:
+    """``epoch_size=None`` cuts epochs by incidence mass, not entry count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world=worlds(),
+        budget=st.sampled_from((1, 2, 5, 40, 32_768)),
+        stop=st.integers(0, 40),
+    )
+    def test_derived_bounds_follow_cumulative_mass(self, world, budget, stop):
+        from unittest import mock
+
+        from repro.core import bound_kernel
+
+        scan = _epoch_scan(*world)
+        index = scan.index
+        end = min(stop, len(index.entries))
+        counts = np.asarray(
+            [len(e.providers) for e in index.entries[:end]], dtype=np.int64
+        )
+        with mock.patch.object(bound_kernel, "EPOCH_INCIDENCE_BUDGET", budget):
+            bounds = scan._epoch_bounds(counts)
+        mass = (counts * (counts - 1) // 2).tolist()
+        # A new epoch starts at each entry whose running incidence total
+        # lands in a later budget-sized bucket than its predecessor's.
+        expected, total, bucket = [0], 0, None
+        for position, entry_mass in enumerate(mass):
+            total += entry_mass
+            if position and total // budget != bucket:
+                expected.append(position)
+            bucket = total // budget
+        assert bounds == (expected + [end] if end else [0])
+        # Hence an epoch holds under one budget beyond its first entry.
+        for e0, e1 in zip(bounds[:-1], bounds[1:]):
+            assert sum(mass[e0 + 1 : e1]) < budget
+
+    def test_explicit_epoch_size_still_counts_entries(self):
+        scan = _bare_scan([0.5, 0.6, 0.7])
+        scan.epoch_size = 4
+        counts = np.full(10, 2, dtype=np.int64)
+        assert scan._epoch_bounds(counts) == [0, 4, 8, 10]
+        assert scan._epoch_bounds(counts[:8]) == [0, 4, 8]
+        assert scan._epoch_bounds(counts[:0]) == [0]
 
 
 class TestIncrementalEquivalence:
@@ -303,11 +521,16 @@ class TestGoldenFixtures:
 
         live = golden_payload(backend)
         del live["backend"]
-        assert live["methods"].keys() == golden["methods"].keys()
-        for method, stored in golden["methods"].items():
-            assert live["methods"][method]["cost"] == stored["cost"], method
-            assert live["methods"][method]["decisions"] == stored["decisions"], method
-        assert live["hybrid_bookkeeping"] == golden["hybrid_bookkeeping"]
+        assert live.keys() == golden.keys()
+        # The original world, then the dense saturated one (same shape).
+        for got, want in ((live, golden), (live["saturated"], golden["saturated"])):
+            assert got["methods"].keys() == want["methods"].keys()
+            for method, stored in want["methods"].items():
+                assert got["methods"][method]["cost"] == stored["cost"], method
+                assert (
+                    got["methods"][method]["decisions"] == stored["decisions"]
+                ), method
+            assert got["hybrid_bookkeeping"] == want["hybrid_bookkeeping"]
 
     def test_fixture_is_nontrivial(self, golden):
         """The frozen world must exercise early conclusions and costs."""
@@ -318,6 +541,20 @@ class TestGoldenFixtures:
             assert any(row["copying"] for row in rows)
             assert golden["methods"][method]["cost"]["computations"] > 0
         assert any(book["early"] for book in golden["hybrid_bookkeeping"])
+
+    def test_saturated_fixture_is_dense_and_saturated(self, golden):
+        """Every pair observed, early and exact verdicts both present."""
+        from tests.make_golden_bound import golden_saturated_world
+
+        dataset, probs, accs = golden_saturated_world()
+        n = dataset.n_sources
+        assert len(set(accs)) == n and 1.0 in probs
+        for method in ("bound", "bound+", "hybrid"):
+            rows = golden["saturated"]["methods"][method]["decisions"]
+            assert len(rows) == n * (n - 1) // 2
+            assert any(row["early"] for row in rows)
+            assert not all(row["early"] for row in rows)
+        assert any(b["early"] for b in golden["saturated"]["hybrid_bookkeeping"])
 
 
 class TestOversizedKeySpace:

@@ -39,10 +39,10 @@ class TestGenerators:
         assert generate_world(0, seed=1).claims != generate_world(0, seed=2).claims
 
     def test_stream_cycles_all_kinds(self):
-        kinds = {generate_world(i, seed=7).kind.split(":")[0] for i in range(16)}
+        kinds = {generate_world(i, seed=7).kind.split(":")[0] for i in range(18)}
         assert kinds == {
             "random", "adversarial", "shared_run", "profile",
-            "large_sparse", "theta_edge",
+            "large_sparse", "theta_edge", "saturated",
         }
 
     def test_materialize_is_stable(self):
@@ -143,6 +143,24 @@ class TestCaseConfig:
             c.mode == "fusion" and c.method == "incremental" and c.rounds >= 3
             for c in grid
         )
+
+    def test_smoke_run_scans_saturated_worlds_in_both_layouts(self):
+        """Push-time coverage of the probability-keyed log grid: within
+        the default 240 cases the saturated worlds meet a mass-derived
+        epoch scan under dense and under sparse pair slots."""
+        from repro.conformance.generators import WORLD_KINDS
+
+        grid = smoke_grid()
+        met = [
+            grid[i % len(grid)]
+            for i in range(240)
+            if WORLD_KINDS[i % len(WORLD_KINDS)] == "saturated"
+        ]
+        layouts = {
+            c.pair_layout for c in met if c.mode == "scan" and c.epoch_size is None
+        }
+        assert layouts == {"auto", "sparse"}
+        assert any(c.method == "incremental" for c in met)
 
 
 class TestRunCase:

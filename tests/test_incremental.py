@@ -205,3 +205,157 @@ class TestProfiles:
         total_p1 = sum(s.done_pass1 for s in history)
         total = sum(s.pairs_total for s in history)
         assert total_p1 / total >= 0.8
+
+
+def _prefill_entry_pairs(state):
+    """What ``prepare_incremental`` did before the map went on demand:
+    enumerate every entry's booked pairs up front."""
+    from repro.core import incremental as module
+
+    for pos in range(len(state.entry_pairs)):
+        state.entry_pairs[pos] = module._enumerate_booked_pairs(state, pos)
+
+
+class _EagerIncrementalDetector(IncrementalDetector):
+    """``IncrementalDetector`` with the map pre-filled after preparation."""
+
+    def run_round(self, round_no, dataset, probabilities, accuracies):
+        prepared = self.state is not None
+        result = super().run_round(round_no, dataset, probabilities, accuracies)
+        if not prepared and self.state is not None:
+            _prefill_entry_pairs(self.state)
+        return result
+
+
+class TestOnDemandEntryPairs:
+    """``IncrementalState.entry_pairs`` is filled the first time pass 1
+    needs an entry's booked pairs — never by the preparation round."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+
+        from tests.make_golden_incremental import GOLDEN_PATH
+
+        return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        """Entry positions handed to the enumeration helper, in call order."""
+        from repro.core import incremental as module
+
+        calls = []
+        real = module._enumerate_booked_pairs
+
+        def spy(state, pos):
+            calls.append(pos)
+            return real(state, pos)
+
+        monkeypatch.setattr(module, "_enumerate_booked_pairs", spy)
+        return calls
+
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_enumerates_only_moved_entries_once(self, enumerated, backend):
+        from repro.core.incremental import _NEGLIGIBLE
+        from repro.fusion import vote_probabilities
+        from repro.synth import make_profile
+
+        params = CopyParams(backend=backend)
+        dataset = make_profile("stock_1day", 0.02).dataset
+        probs = vote_probabilities(dataset)
+        accs = [0.8] * dataset.n_sources
+        _, state = prepare_incremental(dataset, probs, accs, params)
+        assert enumerated == []
+        assert state.entry_pairs == [None] * len(state.index.entries)
+
+        def moved_positions(new_probs):
+            scores = state.index.rescore(new_probs, state.a_ref, params)
+            return [
+                pos
+                for pos, (now, ref) in enumerate(zip(scores, state.s_ref))
+                if abs(now - ref) >= _NEGLIGIBLE
+            ]
+
+        entries = state.index.entries
+        seen: list[int] = []
+        # Overlapping waves of drift over every fifth / third entry; the
+        # last repeats the first wave's entries and enumerates nothing.
+        fresh_per_wave = []
+        for stride, magnitude in ((5, 0.02), (3, 0.3), (5, 0.1)):
+            drifted = list(probs)
+            for entry in entries[::stride]:
+                drifted[entry.value_id] = max(probs[entry.value_id] - magnitude, 0.001)
+            expected = [pos for pos in moved_positions(drifted) if pos not in seen]
+            del enumerated[:]
+            incremental_round(state, drifted, accs, params)
+            assert enumerated == expected
+            seen += expected
+            fresh_per_wave.append(len(expected))
+        assert fresh_per_wave[0] > 0 and fresh_per_wave[1] > 0
+        assert fresh_per_wave[2] == 0
+        assert len(seen) == len(set(seen)) < len(entries)
+        for pos, records in enumerate(state.entry_pairs):
+            assert (records is not None) == (pos in seen)
+
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_reopened_record_moves_once_per_entry(self, golden, backend):
+        """Tail re-open, then a big change on one entry whose list
+        pre-dates the re-open (``ix``) and one whose list is first
+        enumerated after it (``iy``)."""
+        from repro.core.contribution import same_value_scores_both
+        from tests.make_golden_incremental import (
+            REOPEN_ROUNDS,
+            reopen_probabilities,
+            reopen_world,
+            run_reopen,
+        )
+
+        payload, state = run_reopen(backend)
+        # The parent commit's eager build, captured and re-enacted.
+        assert payload == golden["reopen"]
+        assert run_reopen(backend, after_prepare=_prefill_entry_pairs)[0] == payload
+
+        dataset = reopen_world()
+        position = {
+            dataset.item_names[entry.item_id]: pos
+            for pos, entry in enumerate(state.index.entries)
+        }
+        reopened = [r["stats"]["reopened_pairs"] for r in payload["rounds"][1:]]
+        assert reopened == [0, 1, 0]
+        record = state.pairs[(0, 1)]
+        for item in ("ix", "iy"):
+            assert state.entry_pairs[position[item]].count(record) == 1
+
+        # Stop after the re-open, then apply round 3's two deltas by hand.
+        params = CopyParams(backend=backend)
+        _, replay = run_reopen(backend, schedule=REOPEN_ROUNDS[:2])
+        assert replay.entry_pairs[position["iy"]] is None  # built in round 3
+        assert replay.entry_pairs[position["ix"]].count(replay.pairs[(0, 1)]) == 1
+        before = replay.pairs[(0, 1)]
+        fwd, bwd = before.c_base_fwd, before.c_base_bwd
+        final = reopen_probabilities(dataset, REOPEN_ROUNDS[2][0])
+        for pos in sorted(position[item] for item in ("ix", "iy")):
+            value = replay.index.entries[pos].value_id
+            a1, a2 = replay.a_ref[0], replay.a_ref[1]
+            old = same_value_scores_both(replay.p_ref[pos], a1, a2, params)
+            new = same_value_scores_both(final[value], a1, a2, params)
+            fwd += new[0] - old[0]
+            bwd += new[1] - old[1]
+        assert (record.c_base_fwd, record.c_base_bwd) == (fwd, bwd)
+
+    @pytest.mark.parametrize("profile, scale", [("stock_1day", 0.02), ("book_cs", 0.15)])
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_fusion_rounds_equal_eager_build(self, golden, backend, profile, scale):
+        from tests.make_golden_incremental import run_fusion_profile
+
+        lazy, detector = run_fusion_profile(backend, profile, scale)
+        eager, _ = run_fusion_profile(
+            backend, profile, scale,
+            detector=_EagerIncrementalDetector(CopyParams(backend=backend)),
+        )
+        assert lazy == eager
+        assert len(lazy["rounds"]) >= 3
+        if backend == "python":  # the fixture pins the reference backend
+            assert lazy == golden["fusion"][profile]
+        untouched = sum(records is None for records in detector.state.entry_pairs)
+        assert 0 < untouched or profile == "book_cs"
