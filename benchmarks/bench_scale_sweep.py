@@ -1,40 +1,38 @@
-"""Scale benchmark: the sparse pair layout on 10k+ source Zipf worlds.
+"""Manual wide-world referee: the sparse pair layout on 10k+ source worlds.
 
-The dense flat-array kernels allocate ``n_sources ** 2`` slots; before
-PR 6 every kernel silently fell back to the pure-Python reference loops
-the moment that quadratic allocation crossed its limit — so the regime
-the paper actually targets (many sources, Zipf coverage, observed pairs
-a vanishing fraction of the key space) ran at reference speed.  This
-benchmark drives :func:`repro.conformance.generators.large_sparse_world`
-to 10k sources (plus a 50k numpy-only data point in full mode), runs
-BOUND+ detection and one ACCUCOPY fusion round end-to-end on
-``backend="numpy"`` with ``pair_layout="sparse"`` — at these scales the
-``auto`` heuristic picks the same layout — and times them against the
-pure-Python reference loops on the identical world.
-
-The acceptance bar recorded by ``check``: bit-identical BOUND+
-decisions, fusion probabilities within 1e-9, and the sparse numpy path
-at least as fast as the reference loop it replaced (a ~1x floor, gated
-by ``check_regression.py``; in practice the margin is large).
-
-Run it directly::
+The repo benchmark (``BENCHMARK.json``, ``benchmarks/e2e/``) is the one
+place wall-clock numbers are recorded and gated; its widest workload,
+``batch_wide``, has 2,124 sources.  This script is what runs the regime
+beyond it — ``large_sparse_world`` at 10k and 50k Zipf sources, where
+observed pairs are a vanishing fraction of the ``n_sources ** 2`` key
+space — until a ``benchmark`` PR gives the registry a wide point.  Run it
+by hand, on the parent commit and on the change, whenever a change
+touches epoch sizing, the sparse pair layout or the columnar fusion
+round (it is what caught an epoch budget that made the 50k world 2.4x
+slower at twice the memory)::
 
     PYTHONPATH=src python benchmarks/bench_scale_sweep.py [--smoke]
-        [--output PATH]
 
-``--smoke`` runs a downsized 2k-source world (same construction, same
-checks) for CI budgets; ``--output`` redirects the artifact so the
-committed baseline stays untouched.
+Per world it runs BOUND+ detection and one ACCUCOPY fusion round on
+``backend="numpy"`` with ``pair_layout="sparse"`` (at these scales the
+``auto`` heuristic picks the same layout) and prints **absolute seconds**
+(best of three) and the process's **peak RSS** once the sparse path has
+run — before the pure-Python reference, which runs afterwards and only to
+check the result, is allowed to raise it.  Nothing is written and no
+ratio is gated; the exit code is the self-check alone: BOUND+ decisions
+bit-identical to the reference loop and fusion probabilities within
+1e-9, on every world small enough to run the reference.
+
+``--smoke`` runs one downsized 2k-source world (same construction, same
+checks, a few seconds).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import random
+import resource
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -44,25 +42,25 @@ from repro.core.bound import detect_bound_plus
 from repro.fusion import value_probabilities, vote_probabilities
 from repro.fusion.accu_kernel import FusionColumns, value_probabilities_columnar
 
-OUTPUT_PATH = Path(__file__).parent / "output" / "BENCH_scale.json"
-
 #: Fusion-round parity tolerance (the kernels' property-tested bound).
 NUMERIC_TOL = 1e-9
 
-#: (label, n_sources, n_items, zipf_exponent, reference_timed) — the
+#: (label, n_sources, n_items, zipf_exponent, reference_checked) — the
 #: 50k point is numpy-only: its purpose is proving the sparse path
-#: *completes* well past the dense ceiling, not re-measuring the same
-#: speedup.  The exponent is kept below 1 so head sources overlap on
-#: enough items for the scans to be non-trivial (pairs sharing a single
-#: item conclude immediately and time nothing but dispatch overhead).
+#: *completes* well past the dense ceiling, at a cost worth watching.
+#: The exponent is kept below 1 so head sources overlap on enough items
+#: for the scans to be non-trivial (pairs sharing a single item conclude
+#: immediately and time nothing but dispatch overhead).
 FULL_WORLDS = (
     ("zipf_10k", 10_000, 400, 0.8, True),
     ("zipf_50k", 50_000, 2_000, 1.0, False),
 )
 SMOKE_WORLDS = (("zipf_2k", 2_000, 300, 0.8, True),)
 
+WORLD_SEED = 1205
 
-def _best_of(fn, repeats: int = 2) -> float:
+
+def _best_of(fn, repeats: int = 3) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -71,156 +69,82 @@ def _best_of(fn, repeats: int = 2) -> float:
     return best
 
 
-def _interleaved_best(fn_a, fn_b, rounds: int = 3) -> tuple[float, float]:
-    """Best-of timings for two contenders, alternating A/B each round.
-
-    Sequential best-of blocks are fragile on shared machines: a load
-    spike during one contender's block skews the ratio arbitrarily.
-    Alternating rounds expose both sides to the same interference.
-    """
-    best_a = best_b = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - start)
-        start = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - start)
-    return best_a, best_b
+def _peak_rss_mb() -> float:
+    """The process's high-water RSS so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _bench_world(
+def _run_world(
     label: str,
     n_sources: int,
     n_items: int,
     zipf_exponent: float,
-    reference_timed: bool,
-    seed: int,
-) -> dict:
+    reference_checked: bool,
+) -> bool:
+    """Time one world's sparse path, print it, and self-check it."""
     world = large_sparse_world(
-        RandomChooser(random.Random(seed)),
+        RandomChooser(random.Random(WORLD_SEED)),
         n_sources=n_sources,
         n_items=n_items,
         zipf_exponent=zipf_exponent,
         coverage=1.0,
     )
-    dataset, probabilities, accuracies = world.materialize()
+    dataset, _, _ = world.materialize()
     probabilities = vote_probabilities(dataset)
     accuracies = [0.8] * dataset.n_sources
     params_sparse = CopyParams(backend="numpy", pair_layout="sparse")
     params_python = CopyParams(backend="python")
-
-    index = InvertedIndex.build(
-        dataset, probabilities, accuracies, params_python
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params_python)
+    print(
+        f"{label}: {dataset.n_sources:,} sources, "
+        f"{len(index.shared_items):,} observed pairs of a "
+        f"{dataset.n_sources * dataset.n_sources:,} key space"
     )
-    row: dict = {
-        "world": {
-            "n_sources": dataset.n_sources,
-            "n_items": dataset.n_items,
-            "claims": sum(len(c) for c in dataset.claims),
-            "observed_pairs": len(index.shared_items),
-            "dense_key_space": dataset.n_sources * dataset.n_sources,
-        },
-        "timings_seconds": {},
-    }
 
-    # BOUND+ end-to-end on the sparse layout.  The untimed calls double
-    # as warmup so first-call costs never land on either contender.
+    # The untimed first call doubles as warmup and as the checked result.
     sparse_result = detect_bound_plus(
         dataset, probabilities, accuracies, params_sparse, index=index
     )
-    run_sparse = lambda: detect_bound_plus(  # noqa: E731
-        dataset, probabilities, accuracies, params_sparse, index=index
-    )
-    run_python = lambda: detect_bound_plus(  # noqa: E731
-        dataset, probabilities, accuracies, params_python, index=index
-    )
-    bound_row: dict = {"pairs": len(sparse_result.decisions)}
-    if reference_timed:
-        python_result = run_python()
-        row["bit_identical"] = (
-            sparse_result.decisions == python_result.decisions
+    bound_s = _best_of(
+        lambda: detect_bound_plus(
+            dataset, probabilities, accuracies, params_sparse, index=index
         )
-        sparse_t, python_t = _interleaved_best(run_sparse, run_python)
-        bound_row["numpy_sparse"] = sparse_t
-        bound_row["python"] = python_t
-        bound_row["speedup"] = python_t / sparse_t
-    else:
-        bound_row["numpy_sparse"] = _best_of(run_sparse)
-    row["timings_seconds"]["bound+"] = bound_row
-
-    # One ACCUCOPY fusion round, each side discounting with its own
-    # backend's (bit-identical) detection result — the reference loop
-    # reads a plain dict, as a python-backend run would hand it.
+    )
     cols = FusionColumns.from_dataset(dataset)
     acc = np.asarray(accuracies, dtype=np.float64)
     sparse_probs = value_probabilities_columnar(
         cols, acc, params_sparse, sparse_result
     )
-    run_sparse_fusion = lambda: value_probabilities_columnar(  # noqa: E731
-        cols, acc, params_sparse, sparse_result
+    fusion_s = _best_of(
+        lambda: value_probabilities_columnar(
+            cols, acc, params_sparse, sparse_result
+        )
     )
-    fusion_row: dict = {}
-    if reference_timed:
-        run_python_fusion = lambda: value_probabilities(  # noqa: E731
-            dataset, accuracies, params_python, detection=python_result
-        )
-        python_probs = run_python_fusion()
-        diff = float(
-            np.max(
-                np.abs(sparse_probs - np.asarray(python_probs, dtype=np.float64))
-            )
-            if len(python_probs)
-            else 0.0
-        )
-        row["fusion_max_abs_diff"] = diff
-        sparse_t, python_t = _interleaved_best(
-            run_sparse_fusion, run_python_fusion
-        )
-        fusion_row["numpy_sparse"] = sparse_t
-        fusion_row["python"] = python_t
-        fusion_row["speedup"] = python_t / sparse_t
-    else:
-        fusion_row["numpy_sparse"] = _best_of(run_sparse_fusion)
-    row["timings_seconds"]["accucopy_round"] = fusion_row
-    return row
+    print(
+        f"  bound+          {bound_s:.3f} s  "
+        f"({len(sparse_result.decisions):,} pairs decided)"
+    )
+    print(f"  accucopy round  {fusion_s:.3f} s")
+    print(f"  peak RSS        {_peak_rss_mb():.0f} MB (process high-water mark)")
+    if not reference_checked:
+        return True
 
-
-def run(smoke: bool = False) -> dict:
-    worlds = {}
-    for label, n_sources, n_items, zipf_exponent, reference_timed in (
-        SMOKE_WORLDS if smoke else FULL_WORLDS
-    ):
-        worlds[label] = _bench_world(
-            label, n_sources, n_items, zipf_exponent, reference_timed,
-            seed=1205,
-        )
-    passed = True
-    for row in worlds.values():
-        if "bit_identical" in row:
-            passed = passed and row["bit_identical"]
-        if "fusion_max_abs_diff" in row:
-            passed = passed and row["fusion_max_abs_diff"] <= NUMERIC_TOL
-        for timing in row["timings_seconds"].values():
-            if "speedup" in timing:
-                passed = passed and timing["speedup"] >= 1.0
-    return {
-        "benchmark": "scale_sweep",
-        "smoke": smoke,
-        "platform": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-        "worlds": worlds,
-        "check": {
-            "target": (
-                "sparse-layout BOUND+ and ACCUCOPY run end-to-end past the "
-                "dense ceiling, bit-identical/1e-9 vs the reference loops, "
-                "at >= 1x their speed"
-            ),
-            "passed": passed,
-        },
-    }
+    # The reference loop reads a plain dict, as a python-backend run
+    # would hand it — not the numpy result's column view.
+    python_result = detect_bound_plus(
+        dataset, probabilities, accuracies, params_python, index=index
+    )
+    bit_identical = sparse_result.decisions == python_result.decisions
+    python_probs = value_probabilities(
+        dataset, accuracies, params_python, detection=python_result
+    )
+    drift = (
+        float(np.max(np.abs(sparse_probs - np.asarray(python_probs))))
+        if len(python_probs)
+        else 0.0
+    )
+    print(f"  bit_identical={bit_identical}  fusion_max_abs_diff={drift:.2e}")
+    return bit_identical and drift <= NUMERIC_TOL
 
 
 def main(argv=None) -> int:
@@ -228,38 +152,14 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI smoke run: one downsized 2k-source world, same checks",
-    )
-    parser.add_argument(
-        "--output", type=Path, default=OUTPUT_PATH, help="artifact path"
+        help="one downsized 2k-source world, same checks",
     )
     args = parser.parse_args(argv)
-    report = run(smoke=args.smoke)
-    args.output.parent.mkdir(parents=True, exist_ok=True)
-    args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for label, row in report["worlds"].items():
-        world = row["world"]
-        print(
-            f"{label}: {world['n_sources']:,} sources, "
-            f"{world['observed_pairs']:,} observed pairs of a "
-            f"{world['dense_key_space']:,} key space"
-        )
-        for name, timing in row["timings_seconds"].items():
-            line = f"  {name:15s} numpy_sparse={timing['numpy_sparse']:.3f}s"
-            if "python" in timing:
-                line += (
-                    f" python={timing['python']:.3f}s"
-                    f" speedup={timing['speedup']:.1f}x"
-                )
-            print(line)
-        if "bit_identical" in row:
-            print(f"  bit_identical={row['bit_identical']}")
-    print(
-        f"check: {report['check']['target']} -> "
-        f"passed={report['check']['passed']}"
-    )
-    print(f"artifact -> {args.output}")
-    return 0 if report["check"]["passed"] else 1
+    passed = True
+    for world in SMOKE_WORLDS if args.smoke else FULL_WORLDS:
+        passed = _run_world(*world) and passed
+    print(f"check: sparse path == reference (bit-identical / 1e-9) -> {passed}")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -1,17 +1,21 @@
 """Shared infrastructure for the paper-reproduction benchmarks.
 
-Every bench module reproduces one table or figure of the paper (see
-DESIGN.md's experiment index).  Conventions:
+Every ``bench_table*`` / ``bench_fig*`` / ``bench_ablation_*`` module
+reproduces one table, figure or ablation of the paper (its docstring
+names which; README.md, "Tests, goldens, benchmarks").  They are
+opt-in pytest modules, not the repo benchmark — that is
+``BENCHMARK.json`` + ``benchmarks/e2e/``.  Conventions:
 
 * Worlds are generated at module scope from the Table V profiles, at the
   scales in ``BENCH_SCALES`` (full paper sizes are hours in pure Python;
-  EXPERIMENTS.md records the scales used and why the shapes still hold).
+  the shapes the paper reports — who beats whom, by what order — hold
+  at these scales, which is what each module's report compares).
 * Heavy end-to-end runs are timed with ``benchmark.pedantic(...,
   rounds=1)`` — the paper's tables are one-shot wall-clock numbers, not
   micro-benchmarks.
 * Each module's final ``test_report_*`` renders the paper-style table,
-  prints it, and appends it to ``benchmarks/output/<module>.txt`` so the
-  reproduction artefacts survive the run.
+  prints it, and appends it to ``benchmarks/output/<module>.txt``
+  (git-ignored) so the reproduction artefacts survive the run.
 """
 
 from __future__ import annotations

@@ -70,15 +70,6 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
         "reference loops)",
     )
     parser.add_argument(
-        "--epoch-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entries per epoch for the numpy bound scans "
-        "(default: epochs sized by incidence mass; outcomes do not "
-        "depend on it)",
-    )
-    parser.add_argument(
         "--pair-layout",
         choices=list(PAIR_LAYOUTS),
         default="auto",
@@ -293,7 +284,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             accuracies,
             params,
             method=args.method,
-            epoch_size=args.epoch_size,
             **execution,
         )
     except Exception:
@@ -347,9 +337,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     config = _fusion_config(args)
     execution = _execution_from_args(args)
     cluster = execution.get("cluster")
-    detector = make_detector(
-        args.method, params, epoch_size=args.epoch_size, **execution
-    )
+    detector = make_detector(args.method, params, **execution)
     try:
         result = run_fusion(dataset, params, detector=detector, config=config)
     finally:
@@ -394,7 +382,7 @@ def _cmd_serve_snapshot(args: argparse.Namespace) -> int:
 
     dataset = load_claims(args.claims)
     params = _params(args)
-    detector = make_detector(args.method, params, epoch_size=args.epoch_size)
+    detector = make_detector(args.method, params)
     config = FusionConfig(max_rounds=args.max_rounds)
     result = run_fusion(
         dataset, params, detector=detector, config=config, snapshot_store=args.store

@@ -6,7 +6,8 @@ processes on localhost — genuinely separate Python interpreters with
 executor does (world broadcast, task shipping, peer-to-peer tree
 merges) pays true wire costs.  This is the harness behind the
 conformance grid's ``remote`` axis, the fault-injection tests (kill a
-worker mid-round) and ``benchmarks/bench_cluster.py``.
+worker mid-round) and the end-to-end benchmark's cluster probe
+(``benchmarks/e2e/layers.py``).
 
 Workers bind ``port=0`` (the kernel picks a free port — the same
 collision-free pattern the streaming tests use) and print their bound

@@ -68,7 +68,8 @@ from ..core import (
 )
 from ..core.index import EntryOrdering
 from ..core.result import DetectionResult
-from ..fusion.pipeline import FUSION_METHOD_VALUES
+from ..fusion.accu import choose_values
+from ..fusion.pipeline import FUSION_METHOD_VALUES, FusionConfig, fusion_steps
 from .generators import World, generate_world
 
 #: Absolute tolerance of the ``numeric`` contract — the property-tested
@@ -428,83 +429,23 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     surface at the same tolerance; the accuracy update is the shared
     ACCU re-estimate either way, exactly as in ``run_fusion``.
     """
-    from ..fusion import choose_values, update_accuracies, value_probabilities
-    from ..fusion.ds import ds_value_probabilities
-
-    ds = config.fusion_method == "ds"
+    fusion_config = FusionConfig(fusion_method=config.fusion_method)
     params = _params(config.backend, config.pair_layout)
-    ref_params = _params("python")
-    fusion_backend = config.fusion_backend or config.backend
-    if fusion_backend == "numpy":
-        import numpy as np
+    columns = None
+    # Same reference loops on both sides under a python fusion backend:
+    # any difference is nondeterminism, which is itself a divergence.
+    update_tol = 0.0
+    if (config.fusion_backend or config.backend) == "numpy":
+        from ..fusion.accu_kernel import FusionColumns
 
-        from ..fusion.accu_kernel import (
-            FusionColumns,
-            update_accuracies_columnar,
-            value_probabilities_columnar,
-        )
-
-        cols = FusionColumns.from_dataset(dataset)
-
-        if ds:
-            from ..fusion.ds import ds_value_probabilities_columnar
-
-            def candidate_probs(accs, detection=None):
-                round_ = ds_value_probabilities_columnar(
-                    cols, accs, params, detection=detection
-                )
-                return round_.probabilities, round_.conflict
-
-        else:
-
-            def candidate_probs(accs, detection=None):
-                return (
-                    value_probabilities_columnar(cols, accs, params, detection),
-                    None,
-                )
-
-        def candidate_accs(probs):
-            return update_accuracies_columnar(
-                cols, np.asarray(probs, dtype=np.float64), params
-            )
-
+        columns = FusionColumns.from_dataset(dataset)
         update_tol = NUMERIC_TOL
-    else:
-        if ds:
-
-            def candidate_probs(accs, detection=None):
-                round_ = ds_value_probabilities(
-                    dataset, accs, params, detection=detection
-                )
-                return round_.probabilities, round_.conflict
-
-        else:
-
-            def candidate_probs(accs, detection=None):
-                return (
-                    value_probabilities(
-                        dataset, accs, params, detection=detection
-                    ),
-                    None,
-                )
-
-        def candidate_accs(probs):
-            return update_accuracies(dataset, probs, params)
-
-        # Same reference loops on both sides: any difference is
-        # nondeterminism, which is itself a divergence.
-        update_tol = 0.0
-
-    def reference_probs(accs, detection=None):
-        if ds:
-            round_ = ds_value_probabilities(
-                dataset, accs, ref_params, detection=detection
-            )
-            return round_.probabilities, round_.conflict
-        return (
-            value_probabilities(dataset, accs, ref_params, detection=detection),
-            None,
-        )
+    candidate_probs, candidate_accs = fusion_steps(
+        dataset, params, fusion_config, columns
+    )
+    reference_probs, reference_accs = fusion_steps(
+        dataset, _params("python"), fusion_config
+    )
 
     if config.backend == "python":
         detection_contract = "bitexact"
@@ -612,10 +553,7 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
         compare_conflict(round_no, cand_conflict, ref_conflict)
         new_accs = [float(a) for a in candidate_accs(new_probs)]
         compare_vector(
-            round_no,
-            "accuracies",
-            new_accs,
-            update_accuracies(dataset, new_probs, ref_params),
+            round_no, "accuracies", new_accs, reference_accs(new_probs)
         )
         probabilities, accuracies = new_probs, new_accs
     return problems

@@ -123,8 +123,8 @@ _DONE_NOCOPY = 4
 #: forty-provider ones ~100k).  Larger epochs stop paying: a pair is
 #: replayed to the end of the epoch it concludes in, and the
 #: per-incidence temporaries grow with it.  docs/ARCHITECTURE.md records
-#: the sweep behind the number; ``benchmarks/bench_bound_backend.py``
-#: sweeps explicit entry counts against it.
+#: the sweep behind the number; a change to it is refereed by the
+#: ``batch_stock`` workload and ``benchmarks/bench_scale_sweep.py``.
 EPOCH_INCIDENCE_BUDGET = 32_768
 
 #: Largest flat key space (``n_sources ** 2``) the ``"auto"`` layout

@@ -32,7 +32,7 @@ from .incremental import (
     incremental_round,
     prepare_incremental,
 )
-from .index import EntryOrdering, InvertedIndex
+from .index import EntryOrdering, InvertedIndex, count_shared_items_for
 from .index_algo import detect_index
 from .pairwise import detect_pairwise
 from .params import CopyParams, validate_execution
@@ -276,12 +276,10 @@ class _WorkspaceMixin:
             return workspace.shared_items
         cache = self._shared_items_cache
         if cache is None or cache[0] is not dataset:
-            if self.params.backend == "numpy":
-                from .kernel import count_shared_items_columnar as count
-            else:
-                from ..simjoin import count_shared_items as count
-
-            cache = self._shared_items_cache = (dataset, count(dataset))
+            cache = self._shared_items_cache = (
+                dataset,
+                count_shared_items_for(dataset, self.params),
+            )
         return cache[1]
 
 

@@ -38,6 +38,15 @@ from .maxscore import max_score
 from .params import CopyParams
 
 
+def count_shared_items_for(dataset: Dataset, params: CopyParams) -> PairCounts:
+    """``l(S1, S2)`` by ``params.backend``'s counter (identical counts)."""
+    if params.backend == "numpy":
+        from .kernel import count_shared_items_columnar
+
+        return count_shared_items_columnar(dataset)
+    return count_shared_items(dataset)
+
+
 class EntryOrdering(enum.Enum):
     """Processing order for non-tail index entries (Section VI-C)."""
 

@@ -26,11 +26,13 @@ from ..core.result import DetectionResult
 from ..data import Dataset
 from .accu import choose_values, update_accuracies, value_probabilities
 from .credibility import CredibilityModel
+from .ds import ds_value_probabilities
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
     from ..serving.store import VerdictStore
+    from .accu_kernel import FusionColumns
     from .workspace import FusionWorkspace
 
 #: Valid ``FusionConfig.fusion_method`` values: the ACCU/ACCUCOPY
@@ -181,6 +183,65 @@ def _as_float_list(values) -> list[float]:
     return list(values)
 
 
+def fusion_steps(
+    dataset: Dataset,
+    params: CopyParams,
+    config: FusionConfig,
+    columns: "FusionColumns | None" = None,
+):
+    """One fusion round's two update steps, for one backend x method cell.
+
+    Returns ``(value_probs, update_accs)``:
+    ``value_probs(accuracies, detection=None)`` yields the round's
+    ``(probabilities, conflict-or-None)`` — the DS conflict degrees ride
+    the same path the ACCU probabilities do — and
+    ``update_accs(probabilities)`` re-estimates the accuracies (the
+    shared ACCU re-estimate under either method).  With ``columns`` (a
+    :class:`~repro.fusion.accu_kernel.FusionColumns` over ``dataset``)
+    both run the vectorized kernels, without it the reference loops.
+    :func:`run_fusion` and the conformance engine's fusion lockstep both
+    step through this pair, so they cannot drift apart.
+    """
+    world, accu, ds, update = (
+        dataset,
+        value_probabilities,
+        ds_value_probabilities,
+        update_accuracies,
+    )
+    if columns is not None:
+        from .accu_kernel import update_accuracies_columnar as update
+        from .accu_kernel import value_probabilities_columnar as accu
+        from .ds import ds_value_probabilities_columnar as ds
+
+        world = columns
+
+    if config.fusion_method == "ds":
+        cred_model = config.credibility
+
+        def value_probs(accs, detection=None):
+            round_ = ds(
+                world,
+                accs,
+                params,
+                detection=detection,
+                credibility=None
+                if cred_model is None
+                else cred_model.effective(dataset.source_names, accs),
+                uncertainty=config.ds_uncertainty,
+            )
+            return round_.probabilities, round_.conflict
+
+    else:
+
+        def value_probs(accs, detection=None):
+            return accu(world, accs, params, detection=detection), None
+
+    def update_accs(probs):
+        return update(world, probs, params)
+
+    return value_probs, update_accs
+
+
 def run_fusion(
     dataset: Dataset,
     params: CopyParams,
@@ -279,76 +340,12 @@ def run_fusion(
         workspace = FusionWorkspace(dataset, params)
         owns_workspace = True
 
-    # The per-round update step: ``_value_probs`` returns the round's
-    # ``(probabilities, conflict-or-None)`` so the DS conflict degrees
-    # ride the same code path the ACCU probabilities do.
-    cred_model = cfg.credibility
-
-    def _effective_credibility(accs):
-        if cred_model is None:
-            return None
-        return cred_model.effective(dataset.source_names, accs)
-
-    if backend == "numpy":
-        from .accu_kernel import (
-            update_accuracies_columnar,
-            value_probabilities_columnar,
-        )
-
-        cols = workspace.fusion_columns
-
-        if cfg.fusion_method == "ds":
-            from .ds import ds_value_probabilities_columnar
-
-            def _value_probs(accs, detection=None):
-                round_ = ds_value_probabilities_columnar(
-                    cols,
-                    accs,
-                    params,
-                    detection=detection,
-                    credibility=_effective_credibility(accs),
-                    uncertainty=cfg.ds_uncertainty,
-                )
-                return round_.probabilities, round_.conflict
-
-        else:
-
-            def _value_probs(accs, detection=None):
-                return (
-                    value_probabilities_columnar(cols, accs, params, detection),
-                    None,
-                )
-
-        def _update_accs(probs):
-            return update_accuracies_columnar(cols, probs, params)
-
-    else:
-        if cfg.fusion_method == "ds":
-            from .ds import ds_value_probabilities
-
-            def _value_probs(accs, detection=None):
-                round_ = ds_value_probabilities(
-                    dataset,
-                    accs,
-                    params,
-                    detection=detection,
-                    credibility=_effective_credibility(accs),
-                    uncertainty=cfg.ds_uncertainty,
-                )
-                return round_.probabilities, round_.conflict
-
-        else:
-
-            def _value_probs(accs, detection=None):
-                return (
-                    value_probabilities(
-                        dataset, accs, params, detection=detection
-                    ),
-                    None,
-                )
-
-        def _update_accs(probs):
-            return update_accuracies(dataset, probs, params)
+    _value_probs, _update_accs = fusion_steps(
+        dataset,
+        params,
+        cfg,
+        columns=workspace.fusion_columns if backend == "numpy" else None,
+    )
 
     publisher = None
     if snapshot_store is not None:
@@ -416,7 +413,7 @@ def run_fusion(
 
         credibility = None
         if cfg.fusion_method == "ds":
-            credibility = (cred_model or CredibilityModel.flat()).effective(
+            credibility = (cfg.credibility or CredibilityModel.flat()).effective(
                 dataset.source_names, accuracies
             )
         return FusionResult(

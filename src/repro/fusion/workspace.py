@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.index import count_shared_items_for
 from ..core.params import EXECUTORS, CopyParams
 from ..data import Dataset
 
@@ -78,12 +79,7 @@ class FusionWorkspace:
     def shared_items(self):
         """``l(S1, S2)`` counts, computed once (claims never change)."""
         if self._shared_items is None:
-            if self.params.backend == "numpy":
-                from ..core.kernel import count_shared_items_columnar as count
-            else:
-                from ..simjoin import count_shared_items as count
-
-            self._shared_items = count(self.dataset)
+            self._shared_items = count_shared_items_for(self.dataset, self.params)
         return self._shared_items
 
     @property

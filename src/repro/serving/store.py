@@ -66,6 +66,22 @@ FLAG_EARLY = 2
 
 _SNAP_PATTERN = "snap-%08d.rvs"
 
+#: An item row is re-published when its truth flips or its probability
+#: moves by more than this (the float noise of a re-converged round is
+#: orders of magnitude smaller).
+ITEM_TOLERANCE = 1e-6
+
+#: A delta touching more than this share of the published pair rows is
+#: written as a full snapshot instead.  Why 0.6: a reader resolves a
+#: delta by loading its whole base chain and merging, so a delta that
+#: rewrites most rows is slower to read than the full snapshot it avoids
+#: and barely smaller on disk; a cut a little past one half keeps chains
+#: short and stops early (pre-convergence) rounds, where nearly every
+#: score moves, from masquerading as deltas.  It has never been tuned
+#: against a workload — ROADMAP's O(delta) streaming item asks why
+#: deltas lose on ``stream_book`` before anyone moves it.
+FULL_REWRITE_FRACTION = 0.6
+
 
 @dataclass
 class PairRows:
@@ -578,27 +594,16 @@ class SnapshotPublisher:
       or accuracy-refreshed pairs, straight from the bookkeeping) when
       available, a field-exact diff otherwise;
     * item changes are truths whose chosen value flipped or whose
-      probability moved by more than ``item_tolerance``.
+      probability moved by more than :data:`ITEM_TOLERANCE`.
 
-    When the pair delta would touch more than ``full_rewrite_fraction``
-    of the published rows, a fresh full snapshot is written instead —
-    chains stay short and early (pre-convergence) rounds don't masquerade
-    as deltas.
+    When the pair delta would touch more than
+    :data:`FULL_REWRITE_FRACTION` of the published rows, a fresh full
+    snapshot is written instead.
     """
 
-    def __init__(
-        self,
-        store: VerdictStore | Path | str,
-        dataset: "Dataset",
-        include_labels: bool = True,
-        item_tolerance: float = 1e-6,
-        full_rewrite_fraction: float = 0.6,
-    ):
+    def __init__(self, store: VerdictStore | Path | str, dataset: "Dataset"):
         self.store = store if isinstance(store, VerdictStore) else VerdictStore(store)
         self.dataset = dataset
-        self.include_labels = include_labels
-        self.item_tolerance = item_tolerance
-        self.full_rewrite_fraction = full_rewrite_fraction
         self.last_snapshot_id: int | None = None
         self.snapshot_ids: list[int] = []
         self._prev_detection: "DetectionResult | None" = None
@@ -606,9 +611,7 @@ class SnapshotPublisher:
         self._prev_items: ItemRows = ItemRows.empty()
         self._published_label_sizes: tuple[int, int, int] | None = None
 
-    def _labels(self) -> dict[str, Sequence[str]] | None:
-        if not self.include_labels:
-            return None
+    def _labels(self) -> dict[str, Sequence[str]]:
         return {
             "sources": self.dataset.source_names,
             "items": self.dataset.item_names,
@@ -629,8 +632,6 @@ class SnapshotPublisher:
         the stale tables would fall off the end.  Unchanged sizes ship no
         labels: interning is append-only, so same size means same tables.
         """
-        if not self.include_labels:
-            return None
         if self._published_label_sizes == self._label_sizes():
             return None
         return self._labels()
@@ -700,8 +701,7 @@ class SnapshotPublisher:
         self.snapshot_ids.append(snapshot_id)
         self._prev_detection = detection
         self._prev_items = items
-        if self.include_labels:
-            self._published_label_sizes = self._label_sizes()
+        self._published_label_sizes = self._label_sizes()
         return snapshot_id
 
     def _publish_update(
@@ -732,7 +732,7 @@ class SnapshotPublisher:
 
         n_published = max(len(self._prev_pairs), 1)
         touched = len(pair_upserts) + len(removed_keys)
-        if touched > self.full_rewrite_fraction * n_published:
+        if touched > FULL_REWRITE_FRACTION * n_published:
             snapshot_id = self.store.write_full(
                 merged_pairs,
                 items,
@@ -770,7 +770,7 @@ class SnapshotPublisher:
         close_prob = np.zeros(len(items), dtype=bool)
         close_prob[known] = (
             np.abs(prev.probability[pos_clipped[known]] - items.probability[known])
-            <= self.item_tolerance
+            <= ITEM_TOLERANCE
         )
         changed_rows = np.nonzero(~(known & same_truth & close_prob))[0]
         removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]

@@ -46,30 +46,6 @@ class TestDetect:
         assert "Copying detected" in out
         assert "computations" in out
 
-    @pytest.mark.parametrize("method", ["bound", "bound+", "hybrid"])
-    def test_numpy_backend_with_epoch_size(self, dataset_dir, capsys, method):
-        """The epoch-batched bound backend is reachable from the CLI."""
-        pytest.importorskip("numpy")
-        claims = str(dataset_dir / "claims.csv")
-        code = main(
-            [
-                "detect", claims, "--method", method,
-                "--backend", "numpy", "--epoch-size", "32",
-            ]
-        )
-        assert code == 0
-        numpy_out = capsys.readouterr().out
-        assert main(["detect", claims, "--method", method]) == 0
-        python_out = capsys.readouterr().out
-
-        def table_rows(text):
-            return [
-                line for line in text.splitlines() if line.count("|") >= 4
-            ]
-
-        # Identical verdict tables (timing in the header differs).
-        assert table_rows(numpy_out) == table_rows(python_out)
-
 
 class TestDetectParallel:
     """--n-partitions/--executor/--reduce/--partition-by round-trips."""

@@ -2,9 +2,10 @@
 
 The parity and fault tests spawn real worker interpreters
 (:class:`repro.cluster.LocalCluster`) and talk to them over localhost
-TCP — exactly the simulated-cluster setup of ``benchmarks/bench_cluster``
-— so they carry the ``cluster`` marker for selective runs
-(``pytest -m "not cluster"`` skips every subprocess-spawning test).
+TCP — the same simulated cluster the end-to-end benchmark probes
+(``benchmarks/e2e/layers.py``) — so they carry the ``cluster`` marker
+for selective runs (``pytest -m "not cluster"`` skips every
+subprocess-spawning test).
 """
 
 from __future__ import annotations
@@ -286,6 +287,34 @@ class TestRemoteParity:
                 n_partitions=3, executor="remote", reduce="tree", cluster=ex,
             )
         _assert_bit_identical(ref, got)
+
+    def test_four_workers_on_a_wide_sparse_world(self):
+        """Worker count and pair layout are invisible to the merge: four
+        workers on a 1,200-source Zipf world, sparse pair tables on the
+        wire, reproduce the serial executor bit for bit (INDEX and
+        HYBRID).  The other tests here run 1 or 2 workers on the dense
+        13-entry example."""
+        from tests.test_pairspace import sparse_problem
+
+        dataset, probs, accs = sparse_problem(1205, n_sources=1200, n_items=120)
+        params = CopyParams(backend="numpy", pair_layout="sparse")
+        runs = (
+            (detect_index_parallel, dict(n_partitions=8, strategy="work")),
+            (detect_hybrid_parallel, dict(n_partitions=4, partition_by="work")),
+        )
+        with LocalCluster(4) as lc, lc.executor() as ex:
+            for detect, split in runs:
+                ref = detect(
+                    dataset, probs, accs, params,
+                    executor="serial", reduce="tree", **split,
+                )
+                got = detect(
+                    dataset, probs, accs, params,
+                    executor="remote", reduce="tree", cluster=ex, **split,
+                )
+                assert len(ref.decisions) > 5_000
+                _assert_bit_identical(ref, got)
+            assert all(w.tasks for w in ex.stats.workers.values())
 
     def test_remote_requires_numpy_backend(
         self, example, example_probabilities, example_accuracies

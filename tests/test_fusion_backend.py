@@ -1,6 +1,8 @@
 """The columnar fusion backend: ACCU/ACCUCOPY kernel parity, the
 round-persistent FusionWorkspace, and executor lifecycle hygiene."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,45 @@ class TestFusionWorkspace:
         workspace.close()
         workspace.close()
         assert workspace.closed
+
+    @pytest.mark.parametrize(
+        "execution",
+        [{}, dict(n_partitions=3, executor="threads", reduce="tree")],
+        ids=["sequential", "partitioned-threads"],
+    )
+    def test_reused_workspace_matches_fresh_runs(self, execution):
+        """One open workspace carried across two consecutive fusion runs
+        (the long-lived-service shape: layouts, shared-item counts and
+        the executor all warm the second time) changes nothing: truths,
+        accuracies, probabilities and every verdict column equal a run
+        that built and closed its own workspace."""
+        dataset = book_cs(scale=0.06).dataset
+        params = CopyParams(backend="numpy")
+
+        def fuse(workspace=None):
+            return run_fusion(
+                dataset,
+                params,
+                detector=SingleRoundDetector(params, method="index", **execution),
+                config=FIVE_ROUNDS,
+                workspace=workspace,
+            )
+
+        fresh = fuse()
+        with FusionWorkspace(dataset, params) as workspace:
+            reused = [fuse(workspace), fuse(workspace)]
+            assert not workspace.closed
+        want = fresh.final_detection().columns()
+        assert len(want) > 0
+        for run in reused:
+            assert run.chosen == fresh.chosen
+            assert run.accuracies == fresh.accuracies
+            assert run.probabilities == fresh.probabilities
+            got = run.final_detection().columns()
+            for column in fields(want):
+                np.testing.assert_array_equal(
+                    getattr(got, column.name), getattr(want, column.name)
+                )
 
     def test_workspace_for_other_dataset_rejected(self, params):
         with FusionWorkspace(motivating_example(), params) as workspace:

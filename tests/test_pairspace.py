@@ -21,11 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.conformance.generators import (
-    RandomChooser,
-    large_sparse_world,
-    random_world,
-)
+from repro.conformance.generators import RandomChooser, large_sparse_world
 from repro.core import METHODS, CopyParams, IncrementalDetector, detect
 from repro.core.pairspace import (
     PairSpace,
@@ -336,6 +332,44 @@ class TestLayoutParity:
             )
         np.testing.assert_allclose(
             out["sparse"], out["dense"], atol=NUMERIC_TOL, rtol=0.0
+        )
+
+    def test_auto_layout_past_the_dense_limit_matches_reference(self, caplog):
+        """A generated world wide enough that ``auto`` itself goes sparse
+        (1,200 sources: 1.44M keys > ``DENSE_STATE_LIMIT``): BOUND+ is
+        bit-identical to the reference loop and the ACCUCOPY round it
+        feeds agrees within 1e-9 — the wide-world referee's self-check
+        (``benchmarks/bench_scale_sweep.py``) at tier-1 size."""
+        import repro.fusion.accu_kernel as ak
+        from repro.core import bound_kernel
+        from repro.fusion import value_probabilities
+
+        dataset, probs, accs = sparse_problem(1205, n_sources=1200, n_items=120)
+        assert dataset.n_sources**2 > bound_kernel.DENSE_STATE_LIMIT
+        reference = detect(
+            dataset, probs, accs, CopyParams(backend="python"), method="bound+"
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.core.pairspace"):
+            result = detect(
+                dataset, probs, accs, CopyParams(backend="numpy"), method="bound+"
+            )
+        assert any("sparse" in rec.message for rec in caplog.records)
+        assert len(reference.decisions) > 5_000
+        assert result.decisions == reference.decisions
+        assert result.cost == reference.cost
+        fused = ak.value_probabilities_columnar(
+            ak.FusionColumns.from_dataset(dataset),
+            np.asarray(accs),
+            CopyParams(backend="numpy"),
+            result,
+        )
+        np.testing.assert_allclose(
+            fused,
+            value_probabilities(
+                dataset, accs, CopyParams(backend="python"), detection=reference
+            ),
+            atol=NUMERIC_TOL,
+            rtol=0.0,
         )
 
     def test_empty_world_all_methods(self):

@@ -485,6 +485,34 @@ class TestPipelineHook:
                 result.probabilities[value]
             )
 
+    def test_served_scores_are_exact_where_the_final_round_scored(self, tmp_path):
+        """Through a full + delta chain, a pair the final round scored
+        exactly serves that round's scores; one it merely re-confirmed by
+        its bounds (``early``) keeps the scores of the round that last
+        scored it, so only its verdict is compared."""
+        dataset = make_profile("book_cs", scale=0.04, seed=7).dataset
+        params = CopyParams()
+        result = run_fusion(
+            dataset,
+            params,
+            detector=IncrementalDetector(params),
+            config=FusionConfig(max_rounds=8),
+            snapshot_store=tmp_path,
+        )
+        store = VerdictStore(tmp_path)
+        assert "delta" in [store.load(s)[0]["kind"] for s in result.snapshot_ids]
+        reader = VerdictReader(tmp_path)
+        decisions = result.final_detection().decisions
+        exact = {pair: d for pair, d in decisions.items() if not d.early}
+        assert 0 < len(exact) < len(decisions)
+        for (s1, s2), decision in exact.items():
+            verdict = reader.get_verdict(s2, s1)  # callers need not order ids
+            assert verdict.copying == decision.copying
+            assert verdict.c_fwd == decision.c_fwd
+            assert verdict.independent == pytest.approx(
+                decision.posterior.independent, abs=1e-9
+            )
+
     def test_decision_positions_served(self, tmp_path, world):
         params = CopyParams()
         run_fusion(

@@ -572,6 +572,42 @@ class TestServiceEpochs:
                 == result.fusion.final_detection().decisions
             )
 
+    def test_every_epoch_event_names_the_snapshot_readers_land_on(
+        self, tmp_path, epochs
+    ):
+        """After each epoch an outside reader refreshes to exactly the
+        snapshot the event announced, and everything it serves — every
+        observed pair's verdict, every fused truth — is the engine's
+        state for that epoch."""
+
+        async def main():
+            async with _service(tmp_path) as service:
+                queue = service.subscribe()
+                reader, verified = None, 0
+                for epoch in epochs:
+                    service.submit(epoch)
+                    await service.flush()
+                    event, state = queue.get_nowait(), service.state
+                    if reader is None:
+                        reader = VerdictReader(tmp_path / "store")
+                    else:
+                        reader.refresh()
+                    assert (
+                        reader.snapshot_id
+                        == event["snapshot_id"]
+                        == state.snapshot_id
+                    )
+                    for (s1, s2), decision in state.detection.decisions.items():
+                        verdict = reader.get_verdict(s1, s2)
+                        assert verdict.copying == decision.copying
+                        assert verdict.snapshot_id == state.snapshot_id
+                        verified += 1
+                    for item_id, value in state.chosen.items():
+                        assert reader.get_truth(item_id).value == value
+                return verified
+
+        assert asyncio.run(main()) > 0
+
     def test_live_queries_answer_from_freshest_snapshot(
         self, tmp_path, world
     ):
