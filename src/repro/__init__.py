@@ -15,8 +15,6 @@ Xin Luna Dong, Kenneth B. Lyons, Weiyi Meng, Divesh Srivastava — ICDE
 * :mod:`repro.sampling` — BYITEM / BYCELL / SCALESAMPLE.
 * :mod:`repro.nra` — Fagin's NRA and the FAGININPUT baseline.
 * :mod:`repro.simjoin` — set-overlap counting (shared items per pair).
-* :mod:`repro.fingerprint` — text copy-detection baselines (Q-grams,
-  sketches, winnowing) from the related work.
 * :mod:`repro.eval` — metrics and the experiment runner behind every
   table and figure reproduction in ``benchmarks/``.
 

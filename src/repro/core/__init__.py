@@ -48,13 +48,6 @@ from .params import (
     REDUCE_MODES,
     CopyParams,
 )
-from .popularity import (
-    detect_pairwise_popular,
-    estimate_relative_popularity,
-    pr_independent_popular,
-    pr_single_popular,
-    same_value_scores_popular,
-)
 from .result import (
     CostCounter,
     DecisionDelta,
@@ -69,7 +62,6 @@ _KERNEL_EXPORTS = frozenset(
     {
         "ColumnarEntries",
         "PairTable",
-        "entry_triangle_scores",
         "scan_columnar",
     }
 )
@@ -120,11 +112,8 @@ __all__ = [
     "detect_hybrid",
     "detect_index",
     "detect_pairwise",
-    "detect_pairwise_popular",
     "different_value_score",
-    "entry_triangle_scores",
     "explain_pair",
-    "estimate_relative_popularity",
     "incremental_round",
     "make_detector",
     "max_score",
@@ -132,13 +121,10 @@ __all__ = [
     "no_copy_probability",
     "posterior",
     "pr_independent",
-    "pr_independent_popular",
     "pr_single",
-    "pr_single_popular",
     "prepare_incremental",
     "same_value_score",
     "same_value_scores_both",
-    "same_value_scores_popular",
     "scan_columnar",
     "scan_with_bounds",
 ]

@@ -27,23 +27,28 @@ The scanner optionally records the per-pair bookkeeping INCREMENTAL needs
 see :class:`PairBookkeeping`.
 
 Backends.  The loop in this module is the bit-exactness reference
-(``CopyParams(backend="python")``, the default); with
+(``CopyParams(backend="python")``); under the default
 ``backend="numpy"`` the scan is delegated to the epoch-batched
-implementation in :mod:`repro.core.bound_kernel`.  That backend processes
-the entry stream in fixed-size *epochs*: per-epoch score contributions
-are computed columnarly (with the reference's exact arithmetic — see
+implementation in :mod:`repro.core.bound_kernel`.  That backend reads
+the index's columnar entries and processes them in *epochs* of roughly
+equal incidence mass (:data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`):
+per-epoch score contributions are computed columnarly (with the
+reference's exact arithmetic — see
 :func:`repro.core.kernel.score_incidence_args`), the per-pair
 ``(n0, C0_fwd, C0_bwd)`` state and BOUND+ timer milestones live in flat
-arrays keyed by ``s1 * n_sources + s2`` and are bulk-updated with
-order-preserving scatter-adds, and ``C^min`` / ``C^max`` are screened for
-all still-active pairs at epoch boundaries.  The few pairs whose timers
-fire or that approach a threshold inside an epoch are *replayed* through
-the exact per-incidence logic, so a concluding pair's recorded decision
-position is the first entry that crosses the threshold — decisions,
-decision positions, :class:`~repro.core.result.CostCounter` tallies and
+arrays indexed by :class:`~repro.core.pairspace.PairSpace` slots and are
+bulk-updated with order-preserving scatter-adds, and ``C^min`` /
+``C^max`` are screened for all still-active pairs at epoch boundaries.
+The few pairs whose timers fire or that approach a threshold inside an
+epoch are *replayed* through the exact per-incidence logic, so a
+concluding pair's recorded decision position is the first entry that
+crosses the threshold — decisions, decision positions,
+:class:`~repro.core.result.CostCounter` tallies and
 :class:`PairBookkeeping` (stored scores included) are bit-identical to
-this reference.  Worlds whose ``n_sources ** 2`` exceeds
-:data:`repro.core.bound_kernel.DENSE_STATE_LIMIT` fall back to this loop.
+this reference.  Every world size runs vectorized: past
+:data:`repro.core.bound_kernel.DENSE_STATE_LIMIT` the state arrays hold
+one slot per observed pair (``CopyParams.pair_layout``) instead of the
+full ``n_sources ** 2`` key space.
 """
 
 from __future__ import annotations

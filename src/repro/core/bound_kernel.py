@@ -11,9 +11,12 @@ that structure to batch the scan without changing a single observable bit:
    roughly equal *incidence mass*: an entry with ``k`` providers weighs
    ``C(k, 2)`` and a block closes once :data:`EPOCH_INCIDENCE_BUDGET`
    incidences have accumulated, so a few 40-provider entries and a few
-   thousand 2-provider ones cost one epoch's vector overhead each.  (An explicit ``epoch_size=`` means entries per epoch instead —
-   the conformance grid's boundary-stress axis.)  Within an epoch,
-   incidences are expanded columnarly
+   thousand 2-provider ones cost one epoch's vector overhead each.
+   (An explicit ``epoch_size=`` means entries per epoch instead — the
+   conformance grid's boundary-stress axis.)  An epoch is a slice of
+   the index's one columnar view (``index.columnar_entries()``, which
+   the fusion workspace seeds once per round); its incidences are
+   expanded columnarly
    (:func:`repro.core.kernel.expand_incidences_ordered` — entry order is
    preserved so per-pair addition order matches the reference).
 2. **Exact contributions.**  The Eq. (6) log *arguments* are computed
@@ -87,7 +90,6 @@ retired: big worlds now run vectorized.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import exp, log
 from typing import TYPE_CHECKING, Sequence
 
@@ -100,7 +102,12 @@ from .kernel import (
     score_incidence_args,
     shared_item_counts,
 )
-from .pairspace import PairSpace, encode_pair_keys, resolve_pair_layout
+from .pairspace import (
+    PairSpace,
+    encode_pair_keys,
+    encode_pairs,
+    resolve_pair_layout,
+)
 from .params import CopyParams
 from .result import CostCounter, DecisionView, DetectionResult, PairColumns
 
@@ -198,20 +205,15 @@ class EpochScan:
             # universe and the aligned l(S1, S2) counts ride along, so
             # opening a pair later never touches the Python dict.
             shared = index.shared_items
-            flat = np.fromiter(
-                chain.from_iterable(shared.keys()),
-                dtype=np.int64,
-                count=2 * len(shared),
-            )
-            keys = flat[0::2] * np.int64(dataset.n_sources) + flat[1::2]
+            keys = encode_pairs(shared, self.n_sources)
             l_values = np.fromiter(
                 shared.values(), dtype=np.int64, count=len(shared)
             )
             order = np.argsort(keys, kind="stable")
             self.space = PairSpace(self.n_sources, "sparse", keys[order])
             self._l_by_slot = l_values[order]
-        self.index = index
-        self.entries = index.entries
+        #: the round's one columnar index (the fusion workspace seeds it)
+        self.cols = index.columnar_entries()
         self.tail_start = index.tail_start
         self.suffix_list = index.suffix_max
         self.suffix_arr = np.asarray(index.suffix_max, dtype=np.float64)
@@ -262,15 +264,10 @@ class EpochScan:
     # ------------------------------------------------------------------
     def run(self, stop_at: int | None = None) -> None:
         """Scan entries ``[0, stop_at)`` (the whole index by default)."""
-        end = len(self.entries) if stop_at is None else stop_at
-        counts = np.fromiter(
-            (len(entry.providers) for entry in self.entries[:end]),
-            np.int64,
-            count=end,
-        )
-        bounds = self._epoch_bounds(counts)
+        end = self.cols.n_entries if stop_at is None else stop_at
+        bounds = self._epoch_bounds(np.diff(self.cols.offsets[: end + 1]))
         for e0, e1 in zip(bounds[:-1], bounds[1:]):
-            self._run_epoch(e0, e1, counts[e0:e1])
+            self._run_epoch(e0, e1)
 
     def _epoch_bounds(self, counts: np.ndarray) -> list[int]:
         """Epoch boundaries ``[0, ..., end]`` over ``end = len(counts)``
@@ -289,19 +286,12 @@ class EpochScan:
         cuts = np.nonzero(np.diff(bucket))[0] + 1
         return [0, *cuts.tolist(), end] if end else [0]
 
-    def _run_epoch(self, e0: int, e1: int, counts: np.ndarray) -> None:
-        rows = self.entries[e0:e1]
-        n_rows = e1 - e0
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        prov = np.fromiter(
-            (src for entry in rows for src in entry.providers),
-            np.int64,
-            count=int(offsets[-1]),
-        )
-        probs_e = np.fromiter(
-            (entry.probability for entry in rows), np.float64, count=n_rows
-        )
+    def _run_epoch(self, e0: int, e1: int) -> None:
+        cols = self.cols
+        lo, hi = cols.offsets[e0], cols.offsets[e1]
+        offsets = cols.offsets[e0 : e1 + 1] - lo
+        prov = cols.providers[lo:hi]
+        probs_e = cols.probs[e0:e1]
         # Per-slot scan counts n(S) *after* the owning entry's bump —
         # the value the reference reads at that entry's pair loop.
         nsrc_slot = self.n_src[prov] + _cumcount(prov) + 1
@@ -840,7 +830,7 @@ class EpochScan:
             self.c0_fwd[survivors] + penalty,
             self.c0_bwd[survivors] + penalty,
             np.full(len(survivors), -1, dtype=np.int8),
-            np.full(len(survivors), len(self.entries), dtype=np.int64),
+            np.full(len(survivors), self.cols.n_entries, dtype=np.int64),
             n0_s,
         ))
         slots, c_fwd, c_bwd, verdict, decision_pos, n_before = (

@@ -19,7 +19,7 @@ computation columnarly:
    grouped by provider count ``k`` so each group's upper triangle is
    produced by one fancy-indexing broadcast (``np.triu_indices``), giving
    flat ``(src1, src2, probability, main)`` streams over *all* incidences.
-3. **Scoring** (:func:`score_incidences` / :func:`entry_triangle_scores`):
+3. **Scoring** (:func:`score_incidences`):
    ``p*a_i*a_j + (q/n)*(1-a_i)*(1-a_j)`` is broadcast over the provider
    arrays and the forward/backward contributions come out of a single
    ``np.log`` per direction over the whole stream — no per-incidence
@@ -38,8 +38,8 @@ computation columnarly:
    map/reduce engine needs.
 
 The pure-Python loops are deliberately **kept** as the reference
-implementation (``backend="python"`` on :class:`~repro.core.params.CopyParams`,
-the default): they are the bit-exactness anchor the property tests compare
+implementation (``backend="python"`` on :class:`~repro.core.params.CopyParams`):
+they are the bit-exactness anchor the property tests compare
 against (the vectorized path reorders floating-point additions, so
 agreement is asserted to 1e-9 rather than bit-identity), they document the
 paper's algorithms line-by-line, and they keep :mod:`repro.core` free of
@@ -416,39 +416,6 @@ def score_incidences(
     fwd = np.log(one_minus_s + s * (probs * acc2 + q * (1.0 - acc2)) / denom)
     bwd = np.log(one_minus_s + s * (probs * acc1 + q * (1.0 - acc1)) / denom)
     return fwd, bwd
-
-
-def entry_triangle_scores(
-    p_true: float,
-    accuracies: Sequence[float],
-    params: CopyParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full ``k x k`` upper triangle of one entry's contributions.
-
-    Broadcasts ``p*a_i*a_j + (q/n)*(1-a_i)*(1-a_j)`` over the provider
-    accuracies and takes a single ``np.log`` per direction — the
-    one-entry building block the batch path generalises.
-
-    Args:
-        p_true: the entry's ``P(D.v)``.
-        accuracies: raw accuracies of the entry's ``k`` providers.
-        params: model parameters.
-
-    Returns:
-        ``(fwd, bwd)`` flattened in ``np.triu_indices(k, 1)`` order:
-        ``fwd[m]`` is ``C(S_i -> S_j)(D)`` for the m-th pair ``(i, j)``,
-        ``bwd[m]`` the opposite direction.
-    """
-    a = clamp_accuracies(accuracies, params)
-    q = 1.0 - p_true
-    s = params.s
-    singles = p_true * a + q * (1.0 - a)
-    denom = p_true * np.outer(a, a) + (q / params.n) * np.outer(1.0 - a, 1.0 - a)
-    full = np.log(1.0 - s + s * singles[None, :] / denom)
-    iu = np.triu_indices(len(a), 1)
-    # full[i, j] scores "i copies j" (uses pr_single of j); its transpose
-    # scores the opposite direction (denom is symmetric).
-    return full[iu], full.T[iu]
 
 
 @dataclass

@@ -1,24 +1,22 @@
-"""Shared sparse pair-state abstraction for the vectorized kernels.
+"""The pair-key codec and the slot universe of the vectorized kernels.
 
 Every vectorized layer of the detector keys source pairs by the single
 integer ``s1 * n_sources + s2`` (``s1 < s2`` for undirected pair state,
-either order for directed copy probabilities).  Until PR 6 each layer
-then allocated *dense* flat arrays over the full ``n_sources ** 2`` key
-space — and silently fell back to the pure-Python reference loops the
-moment that quadratic allocation crossed a limit
-(:data:`repro.core.kernel.DENSE_KEY_SPACE`,
-:data:`repro.core.bound_kernel.DENSE_STATE_LIMIT`,
-:data:`repro.fusion.accu_kernel.DENSE_MATRIX_LIMIT`).  Real worlds are
-sparse in exactly the regime where those limits bite: with Zipf-shaped
-coverage a 10k-source world observes tens of thousands of pairs out of a
-10\\ :sup:`8` key space.
+either order for directed copy probabilities).  This module owns that
+format: the kernels, the verdict table, the snapshot store and its
+reader all encode and decode through the functions below, so changing
+the key is an edit here.  It also owns where per-pair state lives —
+*slots*: the full ``n_sources ** 2`` key space while that is small
+(dense layout), one slot per *observed* pair beyond it (sparse layout).
+Real worlds are sparse in exactly the regime where the quadratic
+allocation bites: with Zipf-shaped coverage a 10k-source world observes
+tens of thousands of pairs out of a 10\\ :sup:`8` key space.
 
-This module factorizes the *observed* pairs once — a sorted-unique int64
-key array — and gives every kernel compact per-pair slots:
-
-* :func:`encode_pair_keys` / :func:`decode_pair_keys` (and
-  :func:`decode_pairs`, the tuple form) — the one true int64 key codec (at 50k sources the key reaches ``~2.5e9`` and would
-  silently wrap in int32; everything routes through here).
+* :func:`encode_pair_keys` / :func:`decode_pair_keys` (arrays),
+  :func:`encode_pairs` / :func:`decode_pairs` (the tuple forms) and
+  :func:`pair_key` (one pair, Python ints) — the one true int64 key
+  codec (at 50k sources the key reaches ``~2.5e9`` and would silently
+  wrap in int32; everything routes through here).
 * :class:`PairSpace` — the slot universe: ``slots()`` maps a key stream
   to compact indices (identity for the dense layout,
   ``np.searchsorted`` for the sparse one), ``decode()`` maps slots back
@@ -39,14 +37,14 @@ key array — and gives every kernel compact per-pair slots:
 * :func:`resolve_pair_layout` — the ``"auto"`` heuristic: dense below a
   kernel's limit, sparse above it, with a module-level ``logging``
   warning naming the limit and the layout chosen, so leaving the dense
-  fast path is observable, never silent (the former behaviour — a
-  silent fallback to the pure-Python loops — is retired).
+  fast path is observable, never silent.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Collection, Sequence
 import logging
 
 import numpy as np
@@ -84,6 +82,31 @@ def decode_pairs(keys: np.ndarray, n_sources: int) -> list[tuple[int, int]]:
     """Pair keys as ``(s1, s2)`` tuples of Python ints, in ``keys`` order."""
     s1, s2 = decode_pair_keys(keys, n_sources)
     return list(zip(s1.tolist(), s2.tolist()))
+
+
+def encode_pairs(
+    pairs: Collection[tuple[int, int]], n_sources: int
+) -> np.ndarray:
+    """``(s1, s2)`` tuples as int64 keys, in iteration order.
+
+    The inverse of :func:`decode_pairs`.  The tuples are flattened at C
+    speed, so a pair-keyed dict or a set of pairs goes in as it is.
+    """
+    flat = np.fromiter(
+        chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)
+    )
+    return encode_pair_keys(flat[0::2], flat[1::2], n_sources)
+
+
+def pair_key(s1: int, s2: int, n_sources: int) -> int:
+    """The key of one pair, on Python ints.
+
+    The scalar form of :func:`encode_pair_keys` for per-call lookups
+    (:class:`~repro.core.result.DecisionView`, the snapshot reader):
+    Python ints cannot wrap.  An id outside ``[0, n_sources)`` aliases
+    a neighbouring pair's key, so callers range-check first.
+    """
+    return s1 * n_sources + s2
 
 
 def resolve_pair_layout(
@@ -189,25 +212,6 @@ class PairSpace:
         """Sparse space over a (possibly duplicated, unsorted) key stream."""
         uniq = np.unique(np.asarray(keys).astype(np.int64, copy=False))
         return cls(n_sources, "sparse", uniq)
-
-    @classmethod
-    def from_pairs(
-        cls, n_sources: int, pairs: Iterable[tuple[int, int]]
-    ) -> "PairSpace":
-        """Sparse space over an iterable of ``(s1, s2)`` pairs.
-
-        The bound scan builds its universe this way from
-        ``index.shared_items`` — every pair that can ever appear in the
-        entry stream shares at least one item, so the dict's keys are a
-        superset of the scan's live pairs.
-        """
-        pairs = list(pairs) if not isinstance(pairs, (list, tuple)) else pairs
-        keys = np.fromiter(
-            (s1 * n_sources + s2 for s1, s2 in pairs),
-            dtype=np.int64,
-            count=len(pairs),
-        )
-        return cls(n_sources, "sparse", np.unique(keys))
 
     def __len__(self) -> int:
         return self.n_slots

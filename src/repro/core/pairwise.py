@@ -132,6 +132,7 @@ def _detect_pairwise_numpy(
         decide_pairs,
         scan_columnar,
     )
+    from .pairspace import encode_pairs
 
     if shared_items is None:
         shared_items = count_shared_items_columnar(dataset)
@@ -140,16 +141,11 @@ def _detect_pairwise_numpy(
     table = scan_columnar(cols, accuracies, params, n_sources)
     # Pairs sharing items but never a value still get decided (their
     # score is pure penalty); splice zero-score rows into the table.
-    decided_keys = set(table.keys.tolist())
-    missing = [
-        s1 * n_sources + s2
-        for (s1, s2) in shared_items
-        if s1 * n_sources + s2 not in decided_keys
-    ]
-    if missing:
+    missing = np.setdiff1d(encode_pairs(shared_items, n_sources), table.keys)
+    if len(missing):
         zeros = PairTable(
             n_sources=n_sources,
-            keys=np.asarray(sorted(missing), dtype=np.int64),
+            keys=missing,
             c_fwd=np.zeros(len(missing)),
             c_bwd=np.zeros(len(missing)),
             n_shared=np.zeros(len(missing), dtype=np.int64),

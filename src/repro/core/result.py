@@ -27,7 +27,13 @@ from typing import Iterator
 import numpy as np
 
 from .contribution import CopyPosterior
-from .pairspace import decode_pair_keys, decode_pairs, encode_pair_keys
+from .pairspace import (
+    decode_pair_keys,
+    decode_pairs,
+    encode_pair_keys,
+    encode_pairs,
+    pair_key,
+)
 
 
 class PairNotObservedError(LookupError):
@@ -145,11 +151,7 @@ class PairColumns:
         yield array-identical tables.
         """
         n_rows = len(decisions)
-        keys = np.fromiter(
-            (int(s1) * n_sources + int(s2) for s1, s2 in decisions),
-            dtype=np.int64,
-            count=n_rows,
-        )
+        keys = encode_pairs(decisions, n_sources)
         table = np.array(
             [
                 (d.c_fwd, d.c_bwd, *d.posterior, d.copying, d.early)
@@ -226,7 +228,7 @@ class DecisionView(Mapping):
             return -1
         if not 0 <= s1 < s2 < cols.n_sources:
             return -1
-        flat = s1 * cols.n_sources + s2
+        flat = pair_key(s1, s2, cols.n_sources)
         row = int(np.searchsorted(cols.keys, flat))
         if row < len(cols.keys) and cols.keys[row] == flat:
             return row
@@ -385,11 +387,7 @@ class DetectionResult:
             at = np.zeros(len(cur), dtype=np.int64)
             known = np.zeros(len(cur), dtype=bool)
         if self.changed_pairs is not None:
-            reported = np.fromiter(
-                (s1 * stride + s2 for s1, s2 in self.changed_pairs),
-                dtype=np.int64,
-                count=len(self.changed_pairs),
-            )
+            reported = encode_pairs(self.changed_pairs, stride)
             changed = ~known | np.isin(keys, reported)
         else:
             same = known.copy()

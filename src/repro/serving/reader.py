@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..core.pairspace import pair_key
 from .codec import ServingError
 from .store import (
     FLAG_COPYING,
@@ -163,7 +164,7 @@ class _SnapshotView:
         if s1 == s2:
             raise ValueError("a pair needs two distinct sources")
         a, b = (s1, s2) if s1 < s2 else (s2, s1)
-        key = a * self.n_sources + b
+        key = pair_key(a, b, self.n_sources)
         keys = self.pairs.keys
         pos = int(np.searchsorted(keys, key))
         if pos >= len(keys) or keys[pos] != key:

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.pairspace import decode_pair_keys, encode_pairs
 from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
 from .codec import (
     FORMAT_VERSION,
@@ -316,8 +317,7 @@ def copier_totals(pairs: PairRows, n_sources: int) -> tuple[np.ndarray, np.ndarr
     """
     totals = np.zeros(n_sources)
     if len(pairs):
-        s1 = pairs.keys // n_sources
-        s2 = pairs.keys % n_sources
+        s1, s2 = decode_pair_keys(pairs.keys, n_sources)
         np.add.at(totals, s1, pairs.forward)
         np.add.at(totals, s2, pairs.backward)
     sources = np.nonzero(totals > 0.0)[0]
@@ -721,11 +721,7 @@ class SnapshotPublisher:
             removed = delta.removed
         else:
             pair_upserts, removed = PairRows.empty(), frozenset()
-        removed_keys = np.fromiter(
-            (s1 * n_sources + s2 for s1, s2 in sorted(removed)),
-            dtype=np.int64,
-            count=len(removed),
-        )
+        removed_keys = encode_pairs(sorted(removed), n_sources)
         merged_pairs = merge_pair_rows(self._prev_pairs, pair_upserts, removed_keys)
 
         item_upserts, removed_item_ids = self._item_delta(items)

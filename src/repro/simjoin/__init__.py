@@ -1,15 +1,8 @@
 """Set-similarity-join utilities for counting shared items between sources."""
 
-from .overlap import (
-    PairCounts,
-    count_shared_items,
-    count_shared_values,
-    overlap_join,
-)
+from .overlap import PairCounts, count_shared_items
 
 __all__ = [
     "PairCounts",
     "count_shared_items",
-    "count_shared_values",
-    "overlap_join",
 ]

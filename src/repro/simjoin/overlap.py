@@ -12,15 +12,9 @@ item bump a counter for every pair of its providers.  Total cost is
 ``D`` — proportional to the number of *actual* overlaps rather than the
 number of source pairs, which is exactly the asymptotic win the
 set-similarity-join literature targets for sparse data.
-
-A thresholded prefix-filter variant (:func:`overlap_join`) is provided for
-standalone use and exercised by the test suite; the index builder uses
-:func:`count_shared_items`.
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Mapping, Sequence
 
 from ..data import Dataset
 
@@ -54,95 +48,3 @@ def count_shared_items(dataset: Dataset) -> PairCounts:
                 key = _pair_key(si, providers[j])
                 counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def count_shared_values(dataset: Dataset) -> PairCounts:
-    """Count shared *values* ``n(S1, S2)`` for every overlapping pair.
-
-    Same structure as :func:`count_shared_items` but grouped by value id:
-    two sources share a value when they claim the same value id.
-    """
-    counts: PairCounts = {}
-    for providers in dataset.providers:
-        k = len(providers)
-        if k < 2:
-            continue
-        for i in range(k):
-            si = providers[i]
-            for j in range(i + 1, k):
-                key = _pair_key(si, providers[j])
-                counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def overlap_join(
-    sets: Sequence[Iterable[int]] | Mapping[int, Iterable[int]],
-    threshold: int,
-) -> PairCounts:
-    """Exact set-overlap join with a prefix filter (Arasu et al., VLDB'06).
-
-    Finds all pairs of input sets whose intersection size is at least
-    ``threshold`` and returns their exact overlap counts.
-
-    The prefix filter orders each set by a global element order (here:
-    ascending element id) and indexes only the first ``len - threshold + 1``
-    elements of each set: two sets with overlap >= t must share an element
-    within those prefixes.  Candidate pairs found via the prefix index are
-    then verified with an exact merge-count.
-
-    Args:
-        sets: the input sets, as a sequence (ids are positions) or a
-            mapping ``id -> iterable``.
-        threshold: minimum overlap, >= 1.
-
-    Returns:
-        Dict keyed by sorted id pairs with exact overlap counts
-        (only pairs meeting the threshold are present).
-    """
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    if isinstance(sets, Mapping):
-        items = list(sets.items())
-    else:
-        items = list(enumerate(sets))
-    sorted_sets: dict[int, list[int]] = {
-        set_id: sorted(set(elements)) for set_id, elements in items
-    }
-
-    prefix_index: dict[int, list[int]] = {}
-    for set_id, elements in sorted_sets.items():
-        prefix_len = len(elements) - threshold + 1
-        if prefix_len <= 0:
-            continue  # too small to ever reach the threshold
-        for element in elements[:prefix_len]:
-            prefix_index.setdefault(element, []).append(set_id)
-
-    candidates: set[tuple[int, int]] = set()
-    for posting in prefix_index.values():
-        k = len(posting)
-        for i in range(k):
-            for j in range(i + 1, k):
-                candidates.add(_pair_key(posting[i], posting[j]))
-
-    results: PairCounts = {}
-    for a, b in candidates:
-        count = _merge_count(sorted_sets[a], sorted_sets[b])
-        if count >= threshold:
-            results[(a, b)] = count
-    return results
-
-
-def _merge_count(left: list[int], right: list[int]) -> int:
-    """Intersection size of two sorted lists via a linear merge."""
-    i = j = count = 0
-    len_left, len_right = len(left), len(right)
-    while i < len_left and j < len_right:
-        if left[i] == right[j]:
-            count += 1
-            i += 1
-            j += 1
-        elif left[i] < right[j]:
-            i += 1
-        else:
-            j += 1
-    return count

@@ -59,11 +59,6 @@ class GeneratorConfig:
             own observation on top of the copied ones.
         chain_copying: allow copiers to copy from earlier copiers in
             their group (creates transitive copying).
-        false_value_skew: 0 draws false values uniformly (the base
-            model's assumption); larger values skew picks toward
-            low-numbered false values with Zipf weight
-            ``1/(k+1)^skew`` — the "popular falsehood" regime the
-            popularity-aware model (paper footnote 2) targets.
         gold_size: number of items exposed in the gold standard.
         seed: RNG seed.
     """
@@ -81,7 +76,6 @@ class GeneratorConfig:
     copier_accuracy: float = 0.6
     copier_extra_coverage: float = 0.1
     chain_copying: bool = True
-    false_value_skew: float = 0.0
     gold_size: int = 200
     seed: int = 7
 
@@ -159,25 +153,11 @@ class _WorldBuilder:
             fraction = min(low * raw, high)
         return max(int(round(fraction * cfg.n_items)), 1)
 
-    def _false_pick_weights(self) -> np.ndarray | None:
-        cfg = self.config
-        if cfg.false_value_skew <= 0.0:
-            return None
-        ranks = np.arange(1, cfg.n_false_values + 1, dtype=float)
-        weights = ranks ** (-cfg.false_value_skew)
-        return weights / weights.sum()
-
     def _own_claims(self, items: np.ndarray, accuracy: float) -> dict[int, str]:
         """Claims a source makes from its own observation of the world."""
         cfg = self.config
         is_true = self.rng.random(len(items)) < accuracy
-        weights = self._false_pick_weights()
-        if weights is None:
-            false_picks = self.rng.integers(0, cfg.n_false_values, size=len(items))
-        else:
-            false_picks = self.rng.choice(
-                cfg.n_false_values, size=len(items), p=weights
-            )
+        false_picks = self.rng.integers(0, cfg.n_false_values, size=len(items))
         claims: dict[int, str] = {}
         for item, ok, pick in zip(items.tolist(), is_true.tolist(), false_picks.tolist()):
             claims[item] = _true_value(item) if ok else _false_value(item, pick)

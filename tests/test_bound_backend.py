@@ -335,11 +335,8 @@ class TestEpochBounds:
         from repro.core import bound_kernel
 
         scan = _epoch_scan(*world)
-        index = scan.index
-        end = min(stop, len(index.entries))
-        counts = np.asarray(
-            [len(e.providers) for e in index.entries[:end]], dtype=np.int64
-        )
+        end = min(stop, scan.cols.n_entries)
+        counts = np.diff(scan.cols.offsets[: end + 1])
         with mock.patch.object(bound_kernel, "EPOCH_INCIDENCE_BUDGET", budget):
             bounds = scan._epoch_bounds(counts)
         mass = (counts * (counts - 1) // 2).tolist()

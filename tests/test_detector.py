@@ -291,3 +291,49 @@ class TestOneDispatcherStructure:
             }
         clocks = [p for p, _ in sites["perf_counter"] if p == "core/detector.py"]
         assert len(clocks) <= 2  # one start/stop pair: the elapsed_seconds stamp
+
+
+class TestReachability:
+    """A structural guard: side packages nothing reaches must not grow back."""
+
+    def test_every_package_is_imported_from_the_cli_or_the_package_root(self):
+        """Walking imports (module- and function-level) from ``repro.cli``,
+        ``repro/__init__.py`` and ``repro/__main__.py`` reaches every
+        package directory under ``src/repro``."""
+        import ast
+        from importlib.util import resolve_name
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+
+        def module_file(dotted):
+            path = root.parent.joinpath(*dotted.split("."))
+            for candidate in (path / "__init__.py", path.with_suffix(".py")):
+                if candidate.is_file():
+                    return candidate
+
+        def imported(path):
+            package = ".".join(("repro", *path.relative_to(root).parts[:-1]))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    source = "." * node.level + (node.module or "")
+                    module = resolve_name(source, package)
+                    yield from (f"{module}.{alias.name}" for alias in node.names)
+
+        seen = set()
+        todo = [root / name for name in ("__init__.py", "cli.py", "__main__.py")]
+        while todo:
+            path = todo.pop()
+            if path not in seen:
+                seen.add(path)
+                for dotted in imported(path):
+                    parts = dotted.split(".")  # importing a.b.c runs a and a.b too
+                    prefixes = (".".join(parts[:n]) for n in range(1, len(parts) + 1))
+                    todo.extend(filter(None, map(module_file, prefixes)))
+        packages = {init.parent for init in root.rglob("__init__.py")}
+        unreached = packages - {path.parent for path in seen}
+        assert sorted(d.relative_to(root).as_posix() for d in unreached) == []

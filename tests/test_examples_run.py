@@ -30,8 +30,6 @@ CASES = [
     ("quickstart.py", []),
     ("book_aggregator.py", ["0.1"]),
     ("stock_feeds.py", ["0.01"]),
-    ("structured_vs_text.py", []),
-    ("customer_dedupe.py", []),
     ("parallel_detection.py", []),
     # The ROADMAP's backend-flip soak: INCREMENTAL multi-round fusion
     # under backend="numpy" must reproduce the python reference on a

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 
 from repro.conformance import CaseConfig, run_case, world_from_problem
 from repro.core import (
+    DEFAULT_HYBRID_THRESHOLD,
     CopyParams,
     IncrementalDetector,
     InvertedIndex,
     SingleRoundDetector,
     detect_pairwise,
+    scan_with_bounds,
 )
 from repro.core.kernel import ColumnarEntries
 from repro.data import DatasetBuilder, motivating_example
@@ -274,6 +276,54 @@ class TestFusionWorkspace:
         np.testing.assert_array_equal(fast.main, slow.main)
         np.testing.assert_array_equal(fast.offsets, slow.offsets)
         np.testing.assert_array_equal(fast.providers, slow.providers)
+
+    def test_seeded_bound_scans_never_walk_entry_providers(self):
+        """The numpy bound family reads the round's one columnar index:
+        once the workspace has seeded it, poisoning every
+        ``IndexEntry.providers`` changes nothing — verdicts, cost and
+        INCREMENTAL bookkeeping equal the run over the intact index, for
+        the full scan and for the parallel engine's ``stop_at`` prefix."""
+
+        class Poisoned:
+            def __iter__(self):
+                raise AssertionError("a numpy bound scan walked IndexEntry.providers")
+
+            __len__ = __iter__
+
+        params = CopyParams(backend="numpy")
+        dataset = book_cs(scale=0.06).dataset
+        accs = [0.55 + 0.08 * (source % 5) for source in range(dataset.n_sources)]
+        probs = value_probabilities(dataset, accs, params)
+
+        def outcomes(poison: bool) -> list:
+            index = InvertedIndex.build(dataset, probs, accs, params)
+            with FusionWorkspace(dataset, params) as workspace:
+                index.set_columnar_entries(workspace.columnar_for_index(index))
+            if poison:
+                for entry in index.entries:
+                    entry.providers = Poisoned()
+            seen = []
+            for use_timers, threshold in (
+                (False, 0), (True, 0), (True, DEFAULT_HYBRID_THRESHOLD)
+            ):
+                scan = dict(
+                    index=index, use_timers=use_timers,
+                    hybrid_threshold=threshold, track_bookkeeping=True,
+                )
+                full = scan_with_bounds(dataset, probs, accs, params, **scan)
+                prefix, prefix_books = scan_with_bounds(
+                    dataset, probs, accs, params, **scan,
+                    stop_at=index.n_entries // 2, collect_state=True,
+                ).finalize("prefix")
+                seen.append((
+                    full.result.decisions, full.result.cost, full.bookkeeping,
+                    prefix.decisions, prefix.cost, prefix_books,
+                ))
+            return seen
+
+        intact = outcomes(poison=False)
+        assert all(len(decisions) for decisions, *_ in intact)
+        assert outcomes(poison=True) == intact
 
     def test_index_caches_columnar_entries(self, params):
         """Satellite: ColumnarEntries is built once per index, not per

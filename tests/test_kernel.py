@@ -20,11 +20,15 @@ from repro.core import (
     InvertedIndex,
     PairTable,
     detect,
-    entry_triangle_scores,
     same_value_scores_both,
     scan_columnar,
 )
-from repro.core.kernel import count_shared_items_columnar, posterior_arrays
+from repro.core.kernel import (
+    clamp_accuracies,
+    count_shared_items_columnar,
+    posterior_arrays,
+    score_incidences,
+)
 from repro.core.contribution import posterior
 from repro.simjoin import count_shared_items
 from tests.strategies import worlds
@@ -32,12 +36,19 @@ from tests.strategies import worlds
 METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")
 
 
+def _entry_triangle(p_true, accuracies, params):
+    """One entry's provider triangle through the scan's own scoring calls."""
+    acc = clamp_accuracies(accuracies, params)
+    iu, ju = np.triu_indices(len(acc), 1)
+    return score_incidences(np.full(len(iu), p_true), acc[iu], acc[ju], params)
+
+
 class TestEntryTriangle:
     def test_matches_scalar_contribution(self, params):
         """The broadcast Eq. (6) agrees with the scalar reference."""
         p_true = 0.3
         accs = [0.9, 0.6, 0.75, 0.2]
-        fwd, bwd = entry_triangle_scores(p_true, accs, params)
+        fwd, bwd = _entry_triangle(p_true, accs, params)
         k = len(accs)
         m = 0
         for i in range(k):
@@ -51,7 +62,7 @@ class TestEntryTriangle:
         assert m == len(fwd) == len(bwd) == k * (k - 1) // 2
 
     def test_clamps_extreme_accuracies(self, params):
-        fwd, bwd = entry_triangle_scores(0.5, [0.0, 1.0], params)
+        fwd, bwd = _entry_triangle(0.5, [0.0, 1.0], params)
         assert np.isfinite(fwd).all() and np.isfinite(bwd).all()
 
 

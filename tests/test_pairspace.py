@@ -27,7 +27,10 @@ from repro.core.pairspace import (
     PairSpace,
     PairValueMap,
     decode_pair_keys,
+    decode_pairs,
     encode_pair_keys,
+    encode_pairs,
+    pair_key,
     reduce_by_key,
     resolve_pair_layout,
 )
@@ -62,6 +65,12 @@ class TestKeyCodec:
         d1, d2 = decode_pair_keys(keys, 9)
         np.testing.assert_array_equal(d1, s1)
         np.testing.assert_array_equal(d2, s2)
+        # The tuple and scalar forms are the same codec.
+        pairs = decode_pairs(keys, 9)
+        assert pairs == [(0, 1), (1, 2), (3, 5), (7, 8)]
+        np.testing.assert_array_equal(encode_pairs(dict.fromkeys(pairs), 9), keys)
+        assert encode_pairs(set(), 9).dtype == np.int64
+        assert [pair_key(a, b, 9) for a, b in pairs] == keys.tolist()
 
     def test_keys_stay_int64_beyond_two_pow_sixteen_sources(self):
         # At 70k sources the largest key is ~4.9e9 > 2**32: an int32
@@ -71,8 +80,11 @@ class TestKeyCodec:
         s2 = np.array([1, 2, n - 1], dtype=np.int32)
         keys = encode_pair_keys(s1, s2, n)
         assert keys.dtype == np.int64
-        assert keys[-1] == (n - 2) * n + (n - 1)
+        assert keys[-1] == (n - 2) * n + (n - 1) == pair_key(n - 2, n - 1, n)
         assert keys[-1] > 2**32
+        np.testing.assert_array_equal(
+            encode_pairs(list(zip(s1.tolist(), s2.tolist())), n), keys
+        )
         d1, d2 = decode_pair_keys(keys, n)
         np.testing.assert_array_equal(d1, s1.astype(np.int64))
         np.testing.assert_array_equal(d2, s2.astype(np.int64))
@@ -150,20 +162,16 @@ class TestPairSpace:
             space.slot_keys(np.array([2, 0])), [31, 7]
         )
 
-    def test_from_pairs_matches_from_keys(self):
-        pairs = [(1, 3), (0, 2), (1, 3)]
-        a = PairSpace.from_pairs(5, pairs)
-        b = PairSpace.from_keys(5, np.array([8, 2, 8]))
-        np.testing.assert_array_equal(a.keys, b.keys)
-
     def test_empty_sparse_space(self):
-        space = PairSpace.from_pairs(100, [])
+        space = PairSpace.from_keys(100, np.array([], dtype=np.int64))
         assert len(space) == 0
         assert space.zeros().shape == (0,)
         assert space.slots(np.array([], dtype=np.int64)).shape == (0,)
 
     def test_single_observed_pair(self):
-        space = PairSpace.from_pairs(50_000, [(17, 40_123)])
+        space = PairSpace.from_keys(
+            50_000, encode_pair_keys([17], [40_123], 50_000)
+        )
         assert len(space) == 1
         slot = space.slots(encode_pair_keys([17], [40_123], 50_000))
         assert slot[0] == 0

@@ -1,14 +1,8 @@
-"""Set-overlap counting and the prefix-filter join."""
+"""Set-overlap counting: the reference l(S1, S2) counter."""
 
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.simjoin import (
-    count_shared_items,
-    count_shared_values,
-    overlap_join,
-)
+from repro.simjoin import count_shared_items
 from tests.strategies import datasets
 
 
@@ -22,78 +16,12 @@ def _bruteforce_shared_items(ds):
     return counts
 
 
-def _bruteforce_shared_values(ds):
-    counts = {}
-    for s1 in range(ds.n_sources):
-        for s2 in range(s1 + 1, ds.n_sources):
-            shared = sum(
-                1
-                for item, value in ds.claims[s1].items()
-                if ds.claims[s2].get(item) == value
-            )
-            if shared:
-                counts[(s1, s2)] = shared
-    return counts
-
-
 class TestSharedCounts:
     @given(ds=datasets())
     @settings(max_examples=60, deadline=None)
     def test_items_match_bruteforce(self, ds):
         assert count_shared_items(ds) == _bruteforce_shared_items(ds)
 
-    @given(ds=datasets())
-    @settings(max_examples=60, deadline=None)
-    def test_values_match_bruteforce(self, ds):
-        assert count_shared_values(ds) == _bruteforce_shared_values(ds)
-
     def test_motivating_example_counts(self, example):
         counts = count_shared_items(example)
         assert sum(counts.values()) == 181  # see test_pairwise notes
-
-    @given(ds=datasets())
-    @settings(max_examples=40, deadline=None)
-    def test_values_never_exceed_items(self, ds):
-        items = count_shared_items(ds)
-        values = count_shared_values(ds)
-        for pair, count in values.items():
-            assert count <= items[pair]
-
-
-class TestOverlapJoin:
-    def test_simple(self):
-        sets = [[1, 2, 3], [2, 3, 4], [9]]
-        result = overlap_join(sets, threshold=2)
-        assert result == {(0, 1): 2}
-
-    def test_threshold_one_equals_any_overlap(self):
-        sets = [[1], [1], [2]]
-        result = overlap_join(sets, threshold=1)
-        assert result == {(0, 1): 1}
-
-    def test_mapping_input(self):
-        result = overlap_join({"a": [1, 2], "b": [2, 3]}, threshold=1)
-        assert result == {("a", "b"): 1}
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            overlap_join([[1]], threshold=0)
-
-    @given(
-        sets=st.lists(
-            st.lists(st.integers(min_value=0, max_value=20), max_size=15),
-            min_size=2,
-            max_size=8,
-        ),
-        threshold=st.integers(min_value=1, max_value=5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_bruteforce(self, sets, threshold):
-        expected = {}
-        normalized = [set(s) for s in sets]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                overlap = len(normalized[i] & normalized[j])
-                if overlap >= threshold:
-                    expected[(i, j)] = overlap
-        assert overlap_join(sets, threshold) == expected

@@ -31,6 +31,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(**kwargs)
 
+    def test_zero_copier_groups_allowed(self):
+        world = generate(GeneratorConfig(n_items=50, n_copier_groups=0, seed=1))
+        assert world.copy_pairs == set()
+
 
 class TestDeterminism:
     def test_same_seed_same_world(self):
