@@ -90,10 +90,17 @@ def test_report_table08(benchmark):
 
     # Shape assertions: pass 1 dominates; incremental rounds are cheaper.
     for profile in PROFILES:
-        _, incremental, detector = _results[profile]
+        hybrid, incremental, detector = _results[profile]
         history = detector.state.history if detector.state else []
         if not history:
             continue
         total = sum(s.pairs_total for s in history)
         pass1 = sum(s.done_pass1 for s in history)
         assert pass1 / total >= 0.7, profile
+        # Rounds >= 3 both loops ran: the patch must cost less than
+        # starting over.
+        patched = {r.round_no: r.detection_seconds for r in incremental.rounds[2:]}
+        scratch = {r.round_no: r.detection_seconds for r in hybrid.rounds[2:]}
+        shared = patched.keys() & scratch.keys()
+        assert shared, profile
+        assert sum(patched[r] for r in shared) < sum(scratch[r] for r in shared), profile

@@ -410,6 +410,45 @@ def _compare_scan(reference, candidate, config: CaseConfig) -> list[str]:
     return problems
 
 
+def _state_bits(state) -> dict:
+    """An INCREMENTAL state in terms ``==`` compares bit for bit (floats
+    as ``float.hex``; records through ``records()``, so a python and a
+    columnar state read alike)."""
+
+    def bits(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return {
+        "round stats": state.history[-1],
+        "reopen_level": float(state.reopen_level).hex(),
+        **{
+            name: [float(x).hex() for x in getattr(state, name)]
+            for name in ("p_ref", "s_ref", "a_ref")
+        },
+        "records": {
+            pair: tuple(bits(getattr(record, name)) for name in record.__slots__)
+            for pair, record in state.records().items()
+        },
+    }
+
+
+def incremental_state_problems(reference, candidate) -> list[str]:
+    """Diff two INCREMENTAL states that saw identical rounds, bit for bit:
+    the last round's :class:`~repro.core.RoundStats`, the re-open level,
+    the three reference vectors and every per-pair record column."""
+    want, got = _state_bits(reference), _state_bits(candidate)
+    want_records, got_records = want.pop("records"), got.pop("records")
+    problems = [
+        f"state {name} differs" for name in want if got[name] != want[name]
+    ]
+    if got_records != want_records:
+        odd = sorted(set(want_records) ^ set(got_records)) or sorted(
+            pair for pair in want_records if got_records[pair] != want_records[pair]
+        )
+        problems.append(f"state records differ, first at pair {odd[0]}")
+    return problems
+
+
 def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     """Lockstep conformance along the candidate's fusion trajectory.
 
@@ -545,6 +584,20 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
                     config.method,
                 )
             )
+            state = getattr(detector, "state", None)
+            if (
+                detection_contract == "bitexact"
+                and state is not None
+                and round_no > detector.prepare_round
+            ):
+                if detection.changed_pairs != ref_detection.changed_pairs:
+                    problems.append(f"round {round_no}: changed_pairs differ")
+                problems.extend(
+                    f"round {round_no}: {problem}"
+                    for problem in incremental_state_problems(
+                        ref_detector.state, state
+                    )
+                )
         cand_probs, cand_conflict = candidate_probs(accuracies, detection)
         new_probs = [float(p) for p in cand_probs]
         ref_probs, ref_conflict = reference_probs(accuracies, detection)

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import log
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ..data import Dataset
 from .contribution import posterior
@@ -134,11 +134,17 @@ class PairBookkeeping:
 
 @dataclass
 class ScanOutcome:
-    """A detection result, the index scanned, and optional bookkeeping."""
+    """A detection result, the index scanned, and optional bookkeeping.
+
+    ``bookkeeping`` reads as ``pair -> PairBookkeeping`` either way: the
+    reference scan's dict, or — from the numpy scan — a lazy
+    :class:`~repro.core.result.PairRowView` over the kernel's columns
+    that builds a :class:`PairBookkeeping` only when one is read.
+    """
 
     result: DetectionResult
     index: InvertedIndex
-    bookkeeping: dict[tuple[int, int], PairBookkeeping] | None = None
+    bookkeeping: Mapping[tuple[int, int], PairBookkeeping] | None = None
 
 
 @dataclass

@@ -109,7 +109,13 @@ from .pairspace import (
     resolve_pair_layout,
 )
 from .params import CopyParams
-from .result import CostCounter, DecisionView, DetectionResult, PairColumns
+from .result import (
+    CostCounter,
+    DecisionView,
+    DetectionResult,
+    PairColumns,
+    PairRowView,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
@@ -163,6 +169,48 @@ def _cumcount(values: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.int64)
     out[order] = rank_sorted
     return out
+
+
+def incidence_mass_bounds(counts: np.ndarray) -> list[int]:
+    """Block boundaries ``[0, ..., len(counts)]`` by incidence mass.
+
+    ``counts`` are the provider counts of an entry stream; a boundary
+    falls wherever the cumulative mass ``sum C(k, 2)`` crosses a multiple
+    of :data:`EPOCH_INCIDENCE_BUDGET`, so a block holds at most the
+    budget plus one entry's incidences.
+    """
+    end = len(counts)
+    bucket = np.cumsum(counts * (counts - 1) // 2) // EPOCH_INCIDENCE_BUDGET
+    cuts = np.nonzero(np.diff(bucket))[0] + 1
+    return [0, *cuts.tolist(), end] if end else [0]
+
+
+def exact_posteriors(
+    c_fwd: np.ndarray, c_bwd: np.ndarray, params: CopyParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. (2) per pair, bit-equal to the scalar reference.
+
+    Replays :func:`repro.core.contribution.posterior` bit for bit: its
+    additions, max and shift subtractions are IEEE order-independent
+    and run vectorized, ``exp`` is ``math.exp`` per scalar (NumPy's
+    SIMD exp can stray by an ulp), and the fold ``(e0 + e1) + e2`` and
+    the divisions run vectorized over the same operands in the same
+    order.
+
+    Returns:
+        ``(independent, forward, backward)`` probability arrays.
+    """
+    log_alpha = log(params.alpha)
+    log_beta = log(params.beta)
+    t1 = log_alpha + c_fwd
+    t2 = log_alpha + c_bwd
+    shift = np.maximum(np.maximum(t1, t2), log_beta)
+    e0, e1, e2 = (
+        np.fromiter(map(exp, arg.tolist()), np.float64, count=len(arg))
+        for arg in (log_beta - shift, t1 - shift, t2 - shift)
+    )
+    total = (e0 + e1) + e2
+    return e0 / total, e1 / total, e2 / total
 
 
 class EpochScan:
@@ -226,11 +274,6 @@ class EpochScan:
         self.hybrid_threshold = hybrid_threshold
         self.track = track_bookkeeping
         self.ln_diff = params.ln_one_minus_s
-        # Hoisted Eq. (2) constants: the decision materialization below
-        # replays contribution.posterior's arithmetic term for term, so
-        # the two logs can be taken once without moving a single bit.
-        self._log_alpha = log(params.alpha)
-        self._log_beta = log(params.beta)
         self.acc = clamp_accuracies(accuracies, params)
         # Factorized accuracies for the grid-deduplicated log path (see
         # _exact_contributions): every incidence's log argument is one of
@@ -274,17 +317,12 @@ class EpochScan:
         entries with the given provider counts.
 
         With an explicit ``epoch_size`` every epoch holds that many
-        entries.  Otherwise a boundary falls wherever the cumulative
-        incidence mass ``sum C(k, 2)`` crosses a multiple of
-        :data:`EPOCH_INCIDENCE_BUDGET`, so an epoch holds at most the
-        budget plus one entry's incidences.
+        entries; otherwise see :func:`incidence_mass_bounds`.
         """
-        end = len(counts)
         if self.epoch_size is not None:
+            end = len(counts)
             return [*range(0, end, self.epoch_size), end]
-        bucket = np.cumsum(counts * (counts - 1) // 2) // EPOCH_INCIDENCE_BUDGET
-        cuts = np.nonzero(np.diff(bucket))[0] + 1
-        return [0, *cuts.tolist(), end] if end else [0]
+        return incidence_mass_bounds(counts)
 
     def _run_epoch(self, e0: int, e1: int) -> None:
         cols = self.cols
@@ -795,19 +833,18 @@ class EpochScan:
 
         Every verdict — the queued early conclusions and the survivors
         resolved here — lands in one key-sorted
-        :class:`~repro.core.result.PairColumns` table; no per-pair object
-        is built (INCREMENTAL's bookkeeping, when tracked, is the one
-        per-pair loop left).  The posterior replays
-        :func:`repro.core.contribution.posterior` bit for bit: its
-        additions, max and shift subtractions are IEEE order-independent
-        and run vectorized, ``exp`` is ``math.exp`` per scalar (NumPy's
-        SIMD exp can stray by an ulp), and the fold ``(e0 + e1) + e2``
-        and the divisions run vectorized over the same operands in the
-        same order.
+        :class:`~repro.core.result.PairColumns` table, and INCREMENTAL's
+        bookkeeping, when tracked, in columns aligned with it; no
+        per-pair object is built.  The posteriors come from
+        :func:`exact_posteriors`.
 
         Returns:
             ``(result, bookkeeping)`` matching the reference scan's
-            values bit for bit (bookkeeping ``None`` unless tracked).
+            values bit for bit: ``bookkeeping`` is ``None`` unless
+            tracked, else a :class:`~repro.core.result.PairRowView` that
+            reads like the reference's ``pair -> PairBookkeeping`` dict
+            and builds a :class:`~repro.core.bound.PairBookkeeping` only
+            when one is read.
         """
         live_slots = np.nonzero(self.status)[0]
         survivors = live_slots[self.status[live_slots] <= _EXACT]
@@ -841,23 +878,15 @@ class EpochScan:
         slots, c_fwd, c_bwd, verdict = (
             slots[order], c_fwd[order], c_bwd[order], verdict[order]
         )
-        t1 = self._log_alpha + c_fwd
-        t2 = self._log_alpha + c_bwd
-        shift = np.maximum(np.maximum(t1, t2), self._log_beta)
-        e0, e1, e2 = (
-            np.fromiter(map(exp, arg.tolist()), np.float64, count=len(arg))
-            for arg in (self._log_beta - shift, t1 - shift, t2 - shift)
-        )
-        total = (e0 + e1) + e2
-        independent = e0 / total
+        independent, forward, backward = exact_posteriors(c_fwd, c_bwd, self.params)
         columns = PairColumns(
             self.n_sources,
             self.space.slot_keys(slots),
             c_fwd,
             c_bwd,
             independent,
-            e1 / total,
-            e2 / total,
+            forward,
+            backward,
             copying=np.where(verdict < 0, independent <= 0.5, verdict == 1),
             early=verdict >= 0,
         )
@@ -878,20 +907,21 @@ class EpochScan:
         # this is the base score at the decision point; for survivors it
         # is the exact final score again.
         base_penalty = (l_shared - (n_before + n_after)) * self.ln_diff
-        bookkeeping = {
-            pair: PairBookkeeping(*row)
-            for pair, *row in zip(
-                columns.pairs(),
-                columns.copying.tolist(),
-                columns.early.tolist(),
-                (self.c0_fwd[slots] + base_penalty).tolist(),
-                (self.c0_bwd[slots] + base_penalty).tolist(),
-                decision_pos[order].tolist(),
-                n_before.tolist(),
-                n_after.tolist(),
-                l_shared.tolist(),
-            )
-        }
+        bookkeeping = PairRowView(
+            self.n_sources,
+            columns.keys,
+            {
+                "copying": columns.copying,
+                "early": columns.early,
+                "c_base_fwd": self.c0_fwd[slots] + base_penalty,
+                "c_base_bwd": self.c0_bwd[slots] + base_penalty,
+                "decision_pos": decision_pos[order],
+                "n_before": n_before,
+                "n_after": n_after,
+                "l": l_shared,
+            },
+            PairBookkeeping,
+        )
         return result, bookkeeping
 
 

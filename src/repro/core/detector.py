@@ -27,11 +27,7 @@ from .bound import (
     detect_bound_plus,
     detect_hybrid,
 )
-from .incremental import (
-    IncrementalState,
-    incremental_round,
-    prepare_incremental,
-)
+from .incremental import incremental_round, prepare_incremental
 from .index import EntryOrdering, InvertedIndex, count_shared_items_for
 from .index_algo import detect_index
 from .pairwise import detect_pairwise
@@ -371,9 +367,12 @@ class IncrementalDetector(_WorkspaceMixin):
     the preparation round); rounds 3+ run :func:`incremental_round`.
 
     Attributes:
-        state: the cross-round :class:`IncrementalState` (available after
-            round 2; exposes per-round :class:`RoundStats` via
-            ``state.history`` for Table VIII).
+        state: the cross-round state (available after the preparation
+            round): an :class:`IncrementalState` under the python
+            backend, a
+            :class:`~repro.core.incremental_kernel.ColumnarIncrementalState`
+            under numpy.  Both expose ``index``, ``records()`` and
+            per-round :class:`RoundStats` via ``history`` (Table VIII).
     """
 
     def __init__(
@@ -393,24 +392,24 @@ class IncrementalDetector(_WorkspaceMixin):
         self.rho_value = rho_value
         self.rho_accuracy = rho_accuracy
         self.prepare_round = prepare_round
-        self.state: IncrementalState | None = None
+        self.state = None
 
     @property
     def wants_workspace(self) -> bool:
         """Whether a fusion workspace would pay off for this detector."""
         return self.params.backend == "numpy"
 
-    def decision_positions(self) -> dict[tuple[int, int], int] | None:
+    def decision_positions(self):
         """Per-pair decision positions from the bookkeeping, once prepared.
 
         The index position where each opened pair's verdict was reached
-        (:class:`~repro.core.bound.PairBookkeeping`); ``None`` before
-        the preparation round.  Snapshots store -1 for pairs of
+        (:class:`~repro.core.bound.PairBookkeeping`): a ``pair ->
+        position`` dict from the python backend's state, aligned
+        ``(keys, positions)`` arrays from the columnar one; ``None``
+        before the preparation round.  Snapshots store -1 for pairs of
         detectors without this method.
         """
-        if self.state is None:
-            return None
-        return {key: record.decision_pos for key, record in self.state.pairs.items()}
+        return None if self.state is None else self.state.decision_positions()
 
     @_stamped
     def run_round(

@@ -74,6 +74,7 @@ class PairExplanation:
 
     @property
     def copying(self) -> bool:
+        """The binary verdict of the exhaustive posterior."""
         return self.posterior.copying
 
     def top_evidence(self, k: int = 5) -> list[EvidenceItem]:

@@ -54,14 +54,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..data import Dataset
 from .bound import DEFAULT_HYBRID_THRESHOLD, PairBookkeeping, detect_hybrid
 from .contribution import posterior, same_value_scores_both
 from .index import InvertedIndex
 from .params import CopyParams
-from .result import CostCounter, DetectionResult, PairDecision
+from .result import CostCounter, DetectionResult, PairDecision, PairRowView
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .incremental_kernel import ColumnarIncrementalState
 
 # Entry change categories.
 _UNCHANGED = 0
@@ -135,6 +138,15 @@ class IncrementalState:
     #: re-examined (see ``_reopen_tail_pairs``); starts at theta_ind.
     reopen_level: float = float("inf")
 
+    def records(self) -> dict[tuple[int, int], _PairRecord]:
+        """The per-pair records by ``(s1, s2)`` — the accessor both
+        backends' states share (a lazy view under numpy)."""
+        return self.pairs
+
+    def decision_positions(self) -> dict[tuple[int, int], int]:
+        """Each booked pair's decision position."""
+        return {key: record.decision_pos for key, record in self.pairs.items()}
+
 
 def prepare_incremental(
     dataset: Dataset,
@@ -144,16 +156,18 @@ def prepare_incremental(
     index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     epoch_size: int | None = None,
-) -> tuple[DetectionResult, IncrementalState]:
+) -> "tuple[DetectionResult, IncrementalState | ColumnarIncrementalState]":
     """Run the from-scratch (HYBRID) round and set up incremental state.
 
     Returns the round's detection result and the state that
     :func:`incremental_round` will evolve in subsequent rounds.  The
     state keeps ``index`` (built here, BY_CONTRIBUTION, when omitted).  With
     ``params.backend == "numpy"`` the preparation scan runs epoch-batched
-    (:mod:`repro.core.bound_kernel`); the bookkeeping it yields — and
-    therefore every subsequent incremental round — is bit-identical to
-    the pure-Python scan's.
+    (:mod:`repro.core.bound_kernel`) and hands its bookkeeping over as
+    columns; the state is then a
+    :class:`~repro.core.incremental_kernel.ColumnarIncrementalState`,
+    whose rounds are bit-identical to the ones this module's loops run
+    on an :class:`IncrementalState`.
     """
     outcome = detect_hybrid(
         dataset,
@@ -167,6 +181,12 @@ def prepare_incremental(
     )
     assert outcome.bookkeeping is not None
     index = outcome.index
+    if isinstance(outcome.bookkeeping, PairRowView):  # the numpy scan's columns
+        from .incremental_kernel import ColumnarIncrementalState
+
+        return outcome.result, ColumnarIncrementalState(
+            index, outcome.bookkeeping, accuracies, params
+        )
     pairs = {
         key: _PairRecord(key[0], key[1], book)
         for key, book in outcome.bookkeeping.items()
@@ -189,7 +209,7 @@ def prepare_incremental(
 
 
 def incremental_round(
-    state: IncrementalState,
+    state: "IncrementalState | ColumnarIncrementalState",
     probabilities: Sequence[float],
     accuracies: Sequence[float],
     params: CopyParams,
@@ -199,7 +219,8 @@ def incremental_round(
     """Run one incremental detection round against fresh probabilities.
 
     Args:
-        state: cross-round state from :func:`prepare_incremental` (mutated).
+        state: cross-round state from :func:`prepare_incremental`
+            (mutated); its type picks the implementation.
         probabilities: current ``P(D.v)`` per value id.
         accuracies: current ``A(S)`` per source id.
         params: model parameters.
@@ -212,6 +233,10 @@ def incremental_round(
         The round's :class:`DetectionResult`; per-pass statistics are
         appended to ``state.history``.
     """
+    if not isinstance(state, IncrementalState):  # numpy-prepared: columnar
+        return state.run_round(
+            probabilities, accuracies, params, rho_value, rho_accuracy
+        )
     index = state.index
     entries = index.entries
     n_entries = len(entries)

@@ -78,9 +78,13 @@ class IndexEntry:
     ) -> float:
         """``M-hat`` of this entry's providers under other estimates.
 
-        :meth:`InvertedIndex.rescore` and INCREMENTAL's reference refresh
-        both score through it — the same expression ``build`` evaluates,
-        so the floats agree bit for bit.
+        :meth:`InvertedIndex.rescore` and the reference INCREMENTAL's
+        ``s_ref`` refresh both score through it — the same expression
+        ``build`` evaluates, so the floats agree bit for bit.  (Under
+        ``backend="numpy"`` ``build`` and the columnar INCREMENTAL state
+        score whole entry blocks with
+        :func:`repro.core.incremental_kernel.max_scores`, which is
+        bit-equal.)
         """
         return max_score(
             probability, [accuracies[s] for s in self.providers], params
@@ -165,21 +169,39 @@ class InvertedIndex:
                 f"need one accuracy per source "
                 f"({len(accuracies)} != {dataset.n_sources})"
             )
+        columnar = params.backend == "numpy"
         entries = []
         for value_id, providers in enumerate(dataset.providers):
             if len(providers) < 2:
                 continue
             p_true = probabilities[value_id]
-            provider_accuracies = [accuracies[s] for s in providers]
             entries.append(
                 IndexEntry(
                     value_id=value_id,
                     item_id=dataset.value_item[value_id],
                     probability=p_true,
-                    score=max_score(p_true, provider_accuracies, params),
+                    score=0.0
+                    if columnar
+                    else max_score(p_true, [accuracies[s] for s in providers], params),
                     providers=list(providers),
                 )
             )
+        if columnar:
+            # One M-hat scorer under numpy: the columnar INCREMENTAL
+            # state's, bit-equal to max_score.
+            from .incremental_kernel import max_scores
+            from .kernel import ColumnarEntries
+
+            cols = ColumnarEntries._from_rows(
+                [e.probability for e in entries],
+                [True] * len(entries),
+                [e.providers for e in entries],
+            )
+            scores = max_scores(
+                cols.probs, cols.offsets, cols.providers, accuracies, params
+            )
+            for entry, score in zip(entries, scores.tolist()):
+                entry.score = score
 
         main, tail = cls._split_tail(entries, params.theta_ind)
         cls._order_main(main, ordering, rng)

@@ -95,6 +95,7 @@ class ColumnarEntries:
 
     @property
     def n_entries(self) -> int:
+        """Number of entries in the block."""
         return len(self.probs)
 
     @classmethod
@@ -447,6 +448,7 @@ class PairTable:
 
     @classmethod
     def empty(cls, n_sources: int) -> "PairTable":
+        """A zero-pair table for the given key stride."""
         return cls(
             n_sources=n_sources,
             keys=np.empty(0, dtype=np.int64),

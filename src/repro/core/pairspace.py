@@ -26,6 +26,8 @@ tens of thousands of pairs out of a 10\\ :sup:`8` key space.
   ``np.add.at`` stream-order scatter-adds behave identically whether
   indexed by key or by slot, which is what lets the bound scans stay
   bit-identical to the reference in either layout.
+* :func:`member_rows` — maybe-missing lookups of a key stream in a
+  sorted key column (``np.searchsorted`` + equality mask).
 * :func:`reduce_by_key` — scatter-add a keyed incidence stream into
   compact per-pair sums (dense ``np.bincount`` or sparse ``np.unique`` +
   ``np.add.at``; both are stream-order left folds, so the two layouts
@@ -107,6 +109,20 @@ def pair_key(s1: int, s2: int, n_sources: int) -> int:
     a neighbouring pair's key, so callers range-check first.
     """
     return s1 * n_sources + s2
+
+
+def member_rows(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Look ``query`` keys up in a sorted unique key column.
+
+    Returns:
+        ``(rows, hit)``: ``hit[i]`` says whether ``query[i]`` is in
+        ``keys``, and where it is ``rows[i]`` is its row.  Either array
+        may be empty.
+    """
+    rows = np.searchsorted(keys, query)
+    hit = rows < len(keys)
+    hit[hit] = keys[rows[hit]] == query[hit]
+    return rows, hit
 
 
 def resolve_pair_layout(

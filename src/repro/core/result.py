@@ -194,6 +194,28 @@ class PairColumns:
         )
 
 
+def _key_row(keys: np.ndarray, n_sources: int, pair) -> int:
+    """Row of ``pair`` in a sorted key column, -1 when it is not in it.
+
+    ``s1 * n_sources + s2`` aliases a neighbouring pair when an id is out
+    of range (``(0, n)`` and ``(1, 0)`` share a key), so the lookup checks
+    ``0 <= s1 < s2 < n_sources`` first: a pair that cannot have been
+    observed is reported missing, never answered with another's row.
+    """
+    try:
+        s1, s2 = pair
+        s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
+    except (TypeError, ValueError):
+        return -1
+    if not 0 <= s1 < s2 < n_sources:
+        return -1
+    flat = pair_key(s1, s2, n_sources)
+    row = int(np.searchsorted(keys, flat))
+    if row < len(keys) and keys[row] == flat:
+        return row
+    return -1
+
+
 class DecisionView(Mapping):
     """Read-only ``(s1, s2) -> PairDecision`` mapping over a column table.
 
@@ -203,10 +225,8 @@ class DecisionView(Mapping):
     is built — and memoised, so repeated reads return the same object —
     the first time ``[]``/``get``/``values()``/``items()`` asks for it.
 
-    ``s1 * n_sources + s2`` aliases a neighbouring pair when an id is out
-    of range (``(0, n)`` and ``(1, 0)`` share a key), so lookups check
-    ``0 <= s1 < s2 < n_sources`` first: a pair that cannot have been
-    observed is reported missing, never answered with another's verdict.
+    Out-of-range ids are reported missing, never answered with an
+    aliased neighbour's verdict (see :func:`_key_row`).
     """
 
     def __init__(self, columns: PairColumns):
@@ -220,19 +240,7 @@ class DecisionView(Mapping):
 
     def _row(self, key) -> int:
         """Row of ``key`` in the table, -1 when it is not an observed pair."""
-        cols = self.columns
-        try:
-            s1, s2 = key
-            s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
-        except (TypeError, ValueError):
-            return -1
-        if not 0 <= s1 < s2 < cols.n_sources:
-            return -1
-        flat = pair_key(s1, s2, cols.n_sources)
-        row = int(np.searchsorted(cols.keys, flat))
-        if row < len(cols.keys) and cols.keys[row] == flat:
-            return row
-        return -1
+        return _key_row(self.columns.keys, self.columns.n_sources, key)
 
     def _build(self, start: int, stop: int) -> None:
         """Materialise the not-yet-built decisions of rows ``[start, stop)``."""
@@ -289,6 +297,51 @@ class DecisionView(Mapping):
         return f"DecisionView({len(self)} pairs, {self.materialized} materialized)"
 
 
+class PairRowView(Mapping):
+    """Read-only ``(s1, s2) -> row object`` mapping over key-sorted columns.
+
+    How the numpy backend's per-pair INCREMENTAL state stays readable
+    without being built: :attr:`~repro.core.bound.ScanOutcome.bookkeeping`
+    and the columnar state's ``records()`` are views of this kind.
+    ``make_row(*values)`` receives one Python value per column, in
+    ``columns`` order, and is called only when a row is read — the
+    product path reads :attr:`columns` and never calls it.
+
+    Attributes:
+        n_sources: key stride.
+        keys: int64 pair keys, sorted ascending, unique.
+        columns: ``name -> array`` aligned with ``keys``.
+    """
+
+    def __init__(self, n_sources: int, keys: np.ndarray, columns: dict, make_row):
+        self.n_sources = n_sources
+        self.keys = keys
+        self.columns = columns
+        self._make_row = make_row
+
+    def __getitem__(self, pair):
+        row = _key_row(self.keys, self.n_sources, pair)
+        if row < 0:
+            raise KeyError(pair)
+        return self._make_row(*(col[row].item() for col in self.columns.values()))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(decode_pairs(self.keys, self.n_sources))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def values(self) -> list:
+        """Every row object, in key order."""
+        return list(
+            map(self._make_row, *(col.tolist() for col in self.columns.values()))
+        )
+
+    def items(self) -> list:
+        """``(pair, row object)`` for every row, in key order."""
+        return list(zip(self, self.values()))
+
+
 @dataclass(frozen=True)
 class DecisionDelta:
     """What changed between two detection rounds, for delta publishing.
@@ -320,8 +373,8 @@ class DetectionResult:
         n_sources: number of sources in the dataset.
         decisions: per-pair verdicts keyed by sorted source-id pairs —
             a read-only :class:`DecisionView` over the kernel's column
-            table under ``backend="numpy"``, a plain dict from the
-            python reference and INCREMENTAL's bookkeeping rounds.
+            table under ``backend="numpy"`` (INCREMENTAL's patch rounds
+            included), a plain dict from the python reference.
             Treat it as frozen either way; bulk consumers read
             :meth:`columns` instead of walking it.
         cost: the computation/incidence tally.

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.pairspace import decode_pair_keys, encode_pairs
+from ..core.pairspace import decode_pair_keys, encode_pairs, member_rows
 from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
 from .codec import (
     FORMAT_VERSION,
@@ -60,6 +60,10 @@ from .codec import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.result import DetectionResult
     from ..data import Dataset
+
+#: Decision positions as a publisher takes them: ``pair -> position``,
+#: or ``(sorted int64 pair keys, positions)`` aligned arrays.
+DecisionPositions = Mapping[tuple[int, int], int] | tuple[np.ndarray, np.ndarray]
 
 #: Pair-row flag bits.
 FLAG_COPYING = 1
@@ -118,22 +122,29 @@ class PairRows:
     def from_columns(
         cls,
         columns: PairColumns,
-        decision_positions: Mapping[tuple[int, int], int] | None = None,
+        decision_positions: "DecisionPositions | None" = None,
     ) -> "PairRows":
         """The storage rows of a verdict column table — field copies.
 
         The columns are already sorted by key, so nothing is walked: the
         two bool columns fold into ``flags`` and ``decision_pos`` is -1
-        unless the detector's bookkeeping supplies positions.
+        unless the detector's bookkeeping supplies positions — as
+        ``(sorted keys, positions)`` arrays under ``columns``' stride
+        (one ``searchsorted`` gather) or as a ``pair -> position``
+        mapping (the python backend's form).
         """
-        if decision_positions is None:
-            positions = np.full(len(columns), -1, dtype=np.int64)
-        else:
+        if isinstance(decision_positions, Mapping):
             positions = np.fromiter(
                 (decision_positions.get(pair, -1) for pair in columns.pairs()),
                 dtype=np.int64,
                 count=len(columns),
             )
+        else:
+            positions = np.full(len(columns), -1, dtype=np.int64)
+            if decision_positions is not None:
+                keys, booked = decision_positions
+                rows, known = member_rows(keys, columns.keys)
+                positions[known] = booked[rows[known]]
         return cls(
             keys=columns.keys,
             flags=(columns.copying * FLAG_COPYING + columns.early * FLAG_EARLY).astype(
@@ -667,7 +678,7 @@ class SnapshotPublisher:
         round_no: int,
         detection: "DetectionResult | None",
         probabilities: Sequence[float],
-        decision_positions: Mapping[tuple[int, int], int] | None = None,
+        decision_positions: DecisionPositions | None = None,
     ) -> int:
         """Publish this round's verdicts + truths; returns the snapshot id."""
         from ..fusion.accu import choose_values
@@ -709,7 +720,7 @@ class SnapshotPublisher:
         round_no: int,
         detection: "DetectionResult | None",
         items: ItemRows,
-        decision_positions: Mapping[tuple[int, int], int] | None,
+        decision_positions: DecisionPositions | None,
         method: str,
     ) -> int:
         n_sources = self.dataset.n_sources

@@ -15,9 +15,11 @@ eagerly (c90a342), with ``backend="python"`` pinned.  It freezes
   plus cost, and the detector's ``RoundStats`` history and final records.
 
 The companion tests in ``tests/test_incremental.py`` hold the on-demand
-map to these values.  The script uses nothing newer than that commit's
-public API, so it can be pointed at an old checkout to re-derive the
-file.  Regenerate (only after an intentional behaviour change)::
+map *and the columnar numpy state* to these values.  Apart from the
+``records()`` accessor both backends' states share (``state.pairs`` at
+that commit) the script uses nothing newer than that commit's public
+API, so it can be pointed at an old checkout to re-derive the file.
+Regenerate (only after an intentional behaviour change)::
 
     PYTHONPATH=src:. python tests/make_golden_incremental.py
 """
@@ -116,7 +118,7 @@ def record_rows(state) -> list[dict]:
             "n_total": record.n_total,
             "l": record.l,
         }
-        for pair, record in sorted(state.pairs.items())
+        for pair, record in sorted(state.records().items())
     ]
 
 
@@ -158,8 +160,15 @@ def run_reopen(backend: str, after_prepare=None, schedule=REOPEN_ROUNDS):
     return {"rounds": rounds, "records": record_rows(state)}, state
 
 
-def run_fusion_profile(backend: str, profile: str, scale: float, detector=None):
-    """Multi-round fusion under INCREMENTAL; returns ``(payload, detector)``."""
+def run_fusion_profile(
+    backend: str, profile: str, scale: float, detector=None, fusion_backend=None
+):
+    """Multi-round fusion under INCREMENTAL; returns ``(payload, detector)``.
+
+    ``fusion_backend="python"`` keeps the truth updates on the reference
+    loops, so a numpy detector sees bit-equal inputs every round and its
+    payload must equal the python-pinned fixture.
+    """
     params = CopyParams(backend=backend)
     if detector is None:
         detector = IncrementalDetector(params)
@@ -168,6 +177,7 @@ def run_fusion_profile(backend: str, profile: str, scale: float, detector=None):
         params,
         detector=detector,
         config=FusionConfig(max_rounds=FUSION_ROUNDS),
+        fusion_backend=fusion_backend,
     )
     payload = {
         "rounds": [

@@ -235,18 +235,32 @@ class TestNoMaterialisationOnTheProductPath:
         assert len(final.values()) == len(final) == final.materialized
         assert final[pair] is first
 
-    def test_incremental_prep_round_is_columnar(self, tmp_path):
+    def test_incremental_prep_round_is_columnar(self, tmp_path, monkeypatch):
+        """Every INCREMENTAL round — preparation and patches alike — is a
+        column table, and a fuse + publish builds no per-pair object."""
+        from repro.core.bound import PairBookkeeping
+        from repro.core.incremental import _PairRecord
+
+        built = []
+        for cls in (_PairRecord, PairBookkeeping, PairDecision):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+
         dataset, _, _ = _sparse_world()
-        fusion = run_fusion(
-            dataset, NUMPY, IncrementalDetector(NUMPY), snapshot_store=tmp_path
-        )
-        for record in fusion.rounds[:2]:
+        detector = IncrementalDetector(NUMPY)
+        fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
+        assert len(fusion.snapshot_ids) == fusion.n_rounds >= 3
+        for record in fusion.rounds:
+            assert isinstance(record.detection.decisions, DecisionView)
             assert record.detection.decisions.materialized == 0
-        # Rounds >= 3 come from the per-pair bookkeeping: a plain dict.
-        assert all(
-            isinstance(record.detection.decisions, dict)
-            for record in fusion.rounds[2:]
-        )
+        assert fusion.rounds[-1].detection.method == "incremental"
+        assert built == []
+        # The guard counts: reading one record through the view builds it.
+        assert next(iter(detector.state.records().values())).n_total >= 1
+        assert sorted(set(built)) == ["PairBookkeeping", "_PairRecord"]
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +294,57 @@ class TestByteIdentity:
                 PairRows.from_columns(result.columns()),
                 PairRows.from_columns(oracle.columns()),
             )
+
+    def test_decision_positions_as_arrays_equal_the_mapping_form(self):
+        """``(keys, positions)`` gathers what the ``pair -> position``
+        dict answers: booked rows get their position, unbooked rows -1,
+        and a state that booked nothing leaves every row at -1."""
+        dataset, probs, accs = _sparse_world(2)
+        columns = detect(dataset, probs, accs, NUMPY, method="hybrid").columns()
+        assert len(columns) >= 4
+        booked = np.arange(len(columns)) % 3 != 0  # first and some inner rows unbooked
+        booked[-1] = False
+        mapping = {
+            pair: 7 * row
+            for row, pair in enumerate(columns.pairs())
+            if booked[row]
+        }
+        arrays = (columns.keys[booked], 7 * np.nonzero(booked)[0])
+        want = PairRows.from_columns(columns, mapping)
+        _assert_rows_identical(PairRows.from_columns(columns, arrays), want)
+        assert (want.decision_pos == -1).tolist() == (~booked).tolist()
+        nothing = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        _assert_rows_identical(
+            PairRows.from_columns(columns, nothing), PairRows.from_columns(columns, {})
+        )
+
+    def test_incremental_snapshots_equal_the_python_backend(self, tmp_path):
+        """INCREMENTAL fuse + publish under numpy (positions travel as
+        arrays) writes the pair rows the python backend (positions as a
+        dict) writes, ``decision_pos`` included, round for round."""
+        dataset, _, _ = _sparse_world(4)
+        stores = {}
+        for backend in ("python", "numpy"):
+            params = CopyParams(backend=backend)
+            fusion = run_fusion(
+                dataset, params, IncrementalDetector(params),
+                fusion_backend="python", snapshot_store=tmp_path / backend,
+            )
+            assert fusion.n_rounds >= 3
+            stores[backend] = VerdictStore(tmp_path / backend)
+        assert stores["numpy"].snapshot_ids() == stores["python"].snapshot_ids()
+        positions = []
+        for snapshot_id in stores["numpy"].snapshot_ids():
+            meta_a, arrays_a = stores["numpy"].load(snapshot_id)
+            meta_b, arrays_b = stores["python"].load(snapshot_id)
+            meta_a.pop("created"), meta_b.pop("created")
+            assert meta_a == meta_b
+            assert sorted(arrays_a) == sorted(arrays_b)
+            for name in arrays_a:
+                assert arrays_a[name].dtype == arrays_b[name].dtype, name
+                np.testing.assert_array_equal(arrays_a[name], arrays_b[name], name)
+            positions.extend(arrays_a["pair_decision_pos"].tolist())
+        assert -1 in positions and max(positions) >= 0  # round 1 books nothing
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_snapshots_equal_the_dict_backed_run(self, layout, tmp_path):

@@ -251,6 +251,37 @@ class TestRunCase:
         monkeypatch.setattr(accu_kernel, "update_accuracies_columnar", true_update)
         assert replay_case(path) == []  # green once fixed
 
+    def test_state_drift_the_verdicts_hide_is_a_divergence(self, monkeypatch):
+        """The fusion lockstep compares INCREMENTAL's cross-round state,
+        not only the round's verdicts: one ulp on a stored reference
+        score or one record's base score is reported by name."""
+        import numpy as np
+
+        from repro.core.incremental_kernel import ColumnarIncrementalState
+
+        config = CaseConfig("fusion", "incremental", rounds=3)
+        world = generate_world(5, seed=13)  # a profile world: pairs get booked
+        assert run_case(world, config).divergences == []
+        true_round = ColumnarIncrementalState.run_round
+
+        def nudged(column):
+            def run_round(state, *args):
+                result = true_round(state, *args)
+                values = getattr(state, column)
+                values[0] = np.nextafter(values[0], np.inf)
+                return result
+
+            return run_round
+
+        for column, message in (
+            ("s_ref", "state s_ref differs"),
+            ("c_base_fwd", "state records differ, first at pair"),
+        ):
+            monkeypatch.setattr(ColumnarIncrementalState, "run_round", nudged(column))
+            divergences = run_case(world, config).divergences
+            assert divergences and all("round 3" in d for d in divergences)
+            assert any(message in d for d in divergences), divergences[:3]
+
     def test_shrinker_minimises_against_a_predicate(self):
         world = generate_world(2, seed=13)
         assert world.n_claims > 2

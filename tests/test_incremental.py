@@ -12,6 +12,7 @@ from repro.core import (
     incremental_round,
     prepare_incremental,
 )
+from repro.core.result import PAIR_FLOAT_COLUMNS, DecisionView
 from repro.fusion import FusionConfig, run_fusion
 from tests.strategies import worlds
 
@@ -229,7 +230,12 @@ class _EagerIncrementalDetector(IncrementalDetector):
 
 class TestOnDemandEntryPairs:
     """``IncrementalState.entry_pairs`` is filled the first time pass 1
-    needs an entry's booked pairs — never by the preparation round."""
+    needs an entry's booked pairs — never by the preparation round.
+
+    The map belongs to the python reference's state: the columnar numpy
+    state has no entry -> pairs map to fill, so the map assertions run
+    under ``backend="python"`` only, while the golden payloads are held
+    to both backends."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -254,7 +260,7 @@ class TestOnDemandEntryPairs:
         monkeypatch.setattr(module, "_enumerate_booked_pairs", spy)
         return calls
 
-    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    @pytest.mark.parametrize("backend", ("python",))  # numpy: no map to fill
     def test_enumerates_only_moved_entries_once(self, enumerated, backend):
         from repro.core.incremental import _NEGLIGIBLE
         from repro.fusion import vote_probabilities
@@ -313,7 +319,9 @@ class TestOnDemandEntryPairs:
         payload, state = run_reopen(backend)
         # The parent commit's eager build, captured and re-enacted.
         assert payload == golden["reopen"]
-        assert run_reopen(backend, after_prepare=_prefill_entry_pairs)[0] == payload
+        if backend == "python":
+            eager = run_reopen(backend, after_prepare=_prefill_entry_pairs)[0]
+            assert eager == payload
 
         dataset = reopen_world()
         position = {
@@ -322,16 +330,18 @@ class TestOnDemandEntryPairs:
         }
         reopened = [r["stats"]["reopened_pairs"] for r in payload["rounds"][1:]]
         assert reopened == [0, 1, 0]
-        record = state.pairs[(0, 1)]
-        for item in ("ix", "iy"):
-            assert state.entry_pairs[position[item]].count(record) == 1
+        record = state.records()[(0, 1)]
+        if backend == "python":
+            for item in ("ix", "iy"):
+                assert state.entry_pairs[position[item]].count(record) == 1
 
         # Stop after the re-open, then apply round 3's two deltas by hand.
         params = CopyParams(backend=backend)
         _, replay = run_reopen(backend, schedule=REOPEN_ROUNDS[:2])
-        assert replay.entry_pairs[position["iy"]] is None  # built in round 3
-        assert replay.entry_pairs[position["ix"]].count(replay.pairs[(0, 1)]) == 1
-        before = replay.pairs[(0, 1)]
+        before = replay.records()[(0, 1)]
+        if backend == "python":
+            assert replay.entry_pairs[position["iy"]] is None  # built in round 3
+            assert replay.entry_pairs[position["ix"]].count(before) == 1
         fwd, bwd = before.c_base_fwd, before.c_base_bwd
         final = reopen_probabilities(dataset, REOPEN_ROUNDS[2][0])
         for pos in sorted(position[item] for item in ("ix", "iy")):
@@ -348,14 +358,223 @@ class TestOnDemandEntryPairs:
     def test_fusion_rounds_equal_eager_build(self, golden, backend, profile, scale):
         from tests.make_golden_incremental import run_fusion_profile
 
-        lazy, detector = run_fusion_profile(backend, profile, scale)
+        # fusion_backend="python" feeds both detection backends bit-equal
+        # inputs, so the python-pinned fixture holds the numpy state too.
+        lazy, detector = run_fusion_profile(
+            backend, profile, scale, fusion_backend="python"
+        )
+        assert len(lazy["rounds"]) >= 3
+        assert lazy == golden["fusion"][profile]
+        if backend == "numpy":
+            return
         eager, _ = run_fusion_profile(
             backend, profile, scale,
             detector=_EagerIncrementalDetector(CopyParams(backend=backend)),
         )
         assert lazy == eager
-        assert len(lazy["rounds"]) >= 3
-        if backend == "python":  # the fixture pins the reference backend
-            assert lazy == golden["fusion"][profile]
         untouched = sum(records is None for records in detector.state.entry_pairs)
         assert 0 < untouched or profile == "book_cs"
+
+
+def _result_bits(result):
+    """Everything a round reports, in terms ``==`` compares bit for bit."""
+    columns = result.columns()
+    return (
+        result.method,
+        result.n_sources,
+        columns.keys.tolist(),
+        {
+            name: getattr(columns, name).tobytes()
+            for name in PAIR_FLOAT_COLUMNS + ("copying", "early")
+        },
+        result.cost,
+        result.changed_pairs,
+    )
+
+
+def _lockstep(dataset, schedule, rho_value, rho_accuracy, pair_layout="auto"):
+    """Drive python and numpy INCREMENTAL through ``schedule`` —
+    ``(probabilities, accuracies)`` per round, the first prepares — and
+    hold every round's result and the state after it to ``float.hex``
+    equality.
+
+    Returns the two states, python first."""
+    from repro.conformance.engine import incremental_state_problems
+
+    reference_params = CopyParams(backend="python")
+    params = CopyParams(backend="numpy", pair_layout=pair_layout)
+    (probs, accs), *rounds = schedule
+    want, reference = prepare_incremental(dataset, probs, accs, reference_params)
+    got, state = prepare_incremental(dataset, probs, accs, params)
+    assert not isinstance(state, type(reference))
+    assert _result_bits(got) == _result_bits(want)
+    for round_no, (probs, accs) in enumerate(rounds, 1):
+        want = incremental_round(
+            reference, probs, accs, reference_params, rho_value, rho_accuracy
+        )
+        got = incremental_round(state, probs, accs, params, rho_value, rho_accuracy)
+        assert _result_bits(got) == _result_bits(want), round_no
+        assert incremental_state_problems(reference, state) == [], round_no
+        assert isinstance(got.decisions, DecisionView)
+        assert got.decisions.materialized == 0
+    return reference, state
+
+
+class TestColumnarLockstep:
+    """The numpy backend's columnar ``incremental_round`` against the
+    Python reference: decisions, ``changed_pairs``, cost, ``RoundStats``,
+    every record column and the three reference vectors, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        world=worlds(),
+        salt=st.integers(min_value=0, max_value=10),
+        rho_value=st.sampled_from([0.0, 0.3, 1.0]),
+        rho_accuracy=st.sampled_from([0.0, 0.01, 0.2]),
+        pair_layout=st.sampled_from(["auto", "sparse"]),
+    )
+    def test_three_round_drift(self, world, salt, rho_value, rho_accuracy, pair_layout):
+        dataset, probs, accs = world
+        schedule = [(probs, accs)]
+        # A small drift, a big one (tail re-open territory) with an
+        # accuracy swing past every rho_accuracy, then a partial return.
+        for step, (magnitude, swing) in enumerate(((0.01, 0.005), (0.4, 0.25), (0.05, 0.0))):
+            probs = _drift(probs, salt + step, magnitude)
+            accs = [
+                min(max(a + (swing if (i + salt) % 3 else -swing), 0.02), 0.98)
+                for i, a in enumerate(accs)
+            ]
+            schedule.append((probs, accs))
+        _lockstep(dataset, schedule, rho_value, rho_accuracy, pair_layout)
+
+    def test_zero_booked_pairs(self):
+        """Two sources, one item: nothing is booked by the preparation
+        round (``searchsorted`` into an empty key column), then the one
+        tail pair re-opens into the empty table."""
+        from repro.data import DatasetBuilder
+
+        builder = DatasetBuilder()
+        builder.add("A", "D", "v")
+        builder.add("B", "D", "v")
+        accs = [0.5, 0.5]
+        reference, state = _lockstep(
+            builder.build(), [([0.5], accs), ([0.5], accs), ([0.05], accs)], 1.0, 0.2
+        )
+        assert [stats.pairs_total for stats in state.history] == [0, 1]
+        assert state.history[-1].reopened_pairs == 1
+        assert list(state.records()) == [(0, 1)]
+
+    def test_reopen_inserts_keys_below_and_above(self):
+        """(A, B) and (E, F) share one tail value each, (C, D) a false
+        one: the booked key sits between the two the re-open inserts."""
+        from repro.data import DatasetBuilder
+
+        builder = DatasetBuilder()
+        for pair, item in (("AB", "t1"), ("CD", "m"), ("EF", "t2")):
+            for source in pair:
+                builder.add(source, item, "v")
+        dataset = builder.build()
+        accs = [0.5] * 6
+
+        def probabilities(tail):
+            by_item = {"t1": tail, "t2": tail, "m": 0.05}
+            return [
+                by_item[dataset.item_names[dataset.value_item[value]]]
+                for value in range(dataset.n_values)
+            ]
+
+        schedule = [(probabilities(0.98), accs), (probabilities(0.05), accs),
+                    (probabilities(0.1), accs)]
+        reference, state = _lockstep(dataset, schedule, 0.0, 0.2)
+        assert state.history[0].reopened_pairs == 2
+        assert state.keys.tolist() == sorted(state.keys.tolist())
+        assert list(state.records()) == [(0, 1), (2, 3), (4, 5)]
+        assert list(reference.records()) == [(2, 3), (0, 1), (4, 5)]
+
+    @pytest.mark.parametrize("profile, scale", [("book_cs", 0.15), ("stock_1day", 0.02)])
+    def test_refresh_touching_every_source(self, profile, scale):
+        """``rho_accuracy=0``: every source refreshes, every pair is
+        rebuilt in pass 3 and every entry's ``s_ref`` is re-scored."""
+        from repro.fusion import vote_probabilities
+        from repro.synth import make_profile
+
+        dataset = make_profile(profile, scale).dataset
+        probs = vote_probabilities(dataset)
+        accs = [0.8] * dataset.n_sources
+        moved = [0.8 - 0.3 * (i % 3 == 0) + 0.1 * (i % 2) for i in range(len(accs))]
+        _, state = _lockstep(
+            dataset, [(probs, accs), (_drift(probs, 1, 0.05), moved)], 1.0, 0.0
+        )
+        stats = state.history[-1]
+        assert stats.refresh_pairs == stats.done_pass3 == stats.pairs_total > 0
+        assert state.a_ref.tolist() == moved
+
+    def test_moved_dense_entry_straddles_a_pass1_block(self, monkeypatch):
+        """A 12-incidence budget against entries of up to 15 providers:
+        pass 1 expands the moved entries in several blocks, and a pair's
+        big changes still land in entry order."""
+        from repro.core import bound_kernel
+        from repro.fusion import vote_probabilities
+        from repro.synth import make_profile
+
+        blocks = []
+        real = bound_kernel.incidence_mass_bounds
+
+        def spy(counts):
+            bounds = real(counts)
+            blocks.append((int((counts * (counts - 1) // 2).max(initial=0)), bounds))
+            return bounds
+
+        monkeypatch.setattr(bound_kernel, "EPOCH_INCIDENCE_BUDGET", 12)
+        monkeypatch.setattr(bound_kernel, "incidence_mass_bounds", spy)
+        dataset = make_profile("stock_1day", 0.02).dataset
+        probs = vote_probabilities(dataset)
+        accs = [0.8] * dataset.n_sources
+        drifted = [max(p - 0.3, 0.001) for p in probs]
+        _, state = _lockstep(dataset, [(probs, accs), (drifted, accs)], 0.0, 0.2)
+        assert state.history[-1].entries_big > 0
+        heaviest, bounds = blocks[-1]  # the numpy round's pass-1 call
+        assert heaviest > 12 and len(bounds) > 3
+
+    def test_pass2_resolutions_along_a_fusion_trajectory(self):
+        """``book_full``: the profile whose cold-start rounds resolve
+        pairs in pass 2 (absorbed after-entries, decision point moved to
+        the end) beside refreshes and pass-3 rebuilds."""
+        from repro.fusion.pipeline import fusion_steps
+        from repro.synth import make_profile
+
+        dataset = make_profile("book_full", 0.03).dataset
+        params = CopyParams(backend="python")
+        value_probs, update_accs = fusion_steps(dataset, params, FusionConfig())
+        detector = IncrementalDetector(params)
+        accs = [0.8] * dataset.n_sources
+        probs, _ = value_probs(accs)
+        schedule = []
+        for round_no in range(1, 6):
+            schedule.append((probs, accs))
+            detection = detector.run_round(round_no, dataset, probs, accs)
+            probs, _ = value_probs(accs, detection)
+            accs = update_accs(probs)
+        # Round 2 prepares (the detector's default), rounds 3-5 patch.
+        _, state = _lockstep(dataset, schedule[1:], 1.0, 0.2)
+        assert state.history == detector.state.history
+        assert sum(stats.done_pass2 for stats in state.history) > 0
+        assert sum(stats.refresh_pairs for stats in state.history) > 0
+
+    def test_rho_value_zero_without_tail_growth(self):
+        """Probabilities firm up, so the tail's score sum shrinks: every
+        moved entry is a big change, nothing re-opens and the re-open
+        level stays where the preparation round put it."""
+        from repro.fusion import vote_probabilities
+        from repro.synth import make_profile
+
+        params = CopyParams()
+        dataset = make_profile("book_cs", 0.15).dataset
+        probs = vote_probabilities(dataset)
+        accs = [0.8] * dataset.n_sources
+        firmer = [min(p + 0.2, 0.999) for p in probs]
+        _, state = _lockstep(dataset, [(probs, accs), (firmer, accs)], 0.0, 0.2)
+        stats = state.history[-1]
+        assert stats.entries_big > 0 and stats.entries_small == 0
+        assert stats.reopened_pairs == 0
+        assert state.reopen_level == params.theta_ind

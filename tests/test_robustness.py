@@ -109,7 +109,7 @@ class TestIncrementalReopening:
         b.add("B", "D", "v")
         ds = b.build()
         _, state = prepare_incremental(ds, [0.5], [0.5, 0.5], params)
-        assert state.pairs == {}  # tail-only, skipped at prep
+        assert state.records() == {}  # tail-only, skipped at prep
         result = incremental_round(state, [0.05], [0.5, 0.5], params)
         assert state.history[-1].reopened_pairs == 1
         assert result.decision_for(0, 1).copying
@@ -127,7 +127,7 @@ class TestIncrementalReopening:
         ds = b.build()
         probs = [0.5] * ds.n_values
         _, state = prepare_incremental(ds, probs, [0.5, 0.5], params)
-        if state.pairs:
+        if state.records():
             pytest.skip("pair opened at prep; tail scenario not realised")
         new_probs = [0.1] + [0.5] * (ds.n_values - 1)
         incremental_round(state, new_probs, [0.5, 0.5], params)

@@ -9,8 +9,8 @@ Two checks, both stdlib-only so the CI docs job needs no installs:
 * **Doc coverage** — every *public* module, class, function and method
   in the packages listed in :data:`DOC_COVERAGE_PACKAGES` (the product
   surface — serving, streaming — and the layers it stands on: cluster,
-  fusion, and data with its shared binary framing) must carry a
-  docstring.  Parsed with :mod:`ast`, so nothing is imported and
+  fusion, the core kernels, and data with its shared binary framing)
+  must carry a docstring.  Parsed with :mod:`ast`, so nothing is imported and
   missing optional deps can't mask a gap.  Names with a leading
   underscore, ``__init__`` (the class docstring covers construction)
   and other dunders are exempt.
@@ -37,6 +37,7 @@ MARKDOWN = ["README.md", "ROADMAP.md", "docs"]
 #: Packages whose public surface must be fully docstringed.
 DOC_COVERAGE_PACKAGES = [
     "src/repro/cluster",
+    "src/repro/core",
     "src/repro/data",
     "src/repro/fusion",
     "src/repro/serving",
