@@ -6,11 +6,10 @@ Subcommands:
 * ``detect`` — single-round copy detection on a claims file with any
   algorithm (probabilities/accuracies bootstrapped by voting).
 * ``fuse`` — full iterative fusion with a chosen detector; prints the
-  fused truths, final accuracies, and detected copying.
+  fused truths, final accuracies, and detected copying; ``--store DIR``
+  also publishes every round as a versioned verdict snapshot.
 * ``stats`` — Table V-style statistics of a claims file.
 * ``bench`` — the Table VI/VII method grid on a claims file.
-* ``serve-snapshot`` — run fusion and publish versioned verdict
-  snapshots into a store directory.
 * ``query`` — read a published verdict store (pair verdicts, fused
   truths, top copiers) without any detection run.
 * ``serve`` — the streaming service: a long-running HTTP/SSE server
@@ -339,7 +338,10 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     cluster = execution.get("cluster")
     detector = make_detector(args.method, params, **execution)
     try:
-        result = run_fusion(dataset, params, detector=detector, config=config)
+        result = run_fusion(
+            dataset, params, detector=detector, config=config,
+            snapshot_store=args.store,
+        )
     finally:
         if cluster is not None:
             print(cluster.stats.summary())
@@ -374,20 +376,16 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             for item, value in sorted(result.chosen.items())
         ]
         print(render_table("Fused truths", ["item", "value"], rows[: args.truths]))
+    if args.store:
+        _print_snapshots(args.store, result)
     return 0
 
 
-def _cmd_serve_snapshot(args: argparse.Namespace) -> int:
+def _print_snapshots(root: str, result) -> None:
+    """The table of what a ``fuse --store`` run published."""
     from .serving import VerdictStore
 
-    dataset = load_claims(args.claims)
-    params = _params(args)
-    detector = make_detector(args.method, params)
-    config = FusionConfig(max_rounds=args.max_rounds)
-    result = run_fusion(
-        dataset, params, detector=detector, config=config, snapshot_store=args.store
-    )
-    store = VerdictStore(args.store)
+    store = VerdictStore(root)
     rows = []
     for snapshot_id in result.snapshot_ids:
         meta, _ = store.load(snapshot_id)
@@ -402,13 +400,12 @@ def _cmd_serve_snapshot(args: argparse.Namespace) -> int:
         )
     print(
         render_table(
-            f"Published {len(result.snapshot_ids)} snapshots -> {args.store} "
+            f"Published {len(result.snapshot_ids)} snapshots -> {root} "
             f"(converged={result.converged}, CURRENT={store.current_id()})",
             ["snapshot", "kind", "round", "pair rows", "item rows"],
             rows,
         )
     )
-    return 0
 
 
 def _resolve_source(reader, token: str) -> int:
@@ -436,7 +433,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
         queried = True
         s1 = _resolve_source(reader, args.pair[0])
         s2 = _resolve_source(reader, args.pair[1])
-        verdict = reader.get_verdict(s1, s2)
+        try:
+            verdict = reader.get_verdict(s1, s2)
+        except ValueError as exc:  # same source twice, or an id out of range
+            raise SystemExit(str(exc))
         if verdict is None:
             print(
                 f"pair ({args.pair[0]}, {args.pair[1]}): never observed — "
@@ -736,6 +736,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuse.add_argument(
         "--truths", type=int, default=0, metavar="N", help="print first N fused truths"
     )
+    p_fuse.add_argument(
+        "--store",
+        metavar="DIR",
+        help="also publish every round into this verdict-store directory "
+        "(created if missing): round 1 as a full snapshot, later rounds "
+        "as deltas over it; read it back with `query`",
+    )
     _add_params(p_fuse)
     _add_parallel(p_fuse)
     _add_fusion_method(p_fuse)
@@ -753,30 +760,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sample-fraction", type=float, default=0.1)
     _add_params(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
-
-    p_srv = sub.add_parser(
-        "serve-snapshot",
-        help="run fusion and publish versioned verdict snapshots into a store",
-    )
-    p_srv.add_argument("claims")
-    p_srv.add_argument(
-        "--store",
-        required=True,
-        metavar="DIR",
-        help="verdict-store directory (created if missing); round 1 "
-        "publishes a full snapshot, later rounds publish deltas over it",
-    )
-    p_srv.add_argument(
-        "--method",
-        choices=list(METHODS) + ["incremental", "none"],
-        default="incremental",
-    )
-    p_srv.add_argument(
-        "--max-rounds", type=int, default=12,
-        help="fusion round cap (default 12)",
-    )
-    _add_params(p_srv)
-    p_srv.set_defaults(func=_cmd_serve_snapshot)
 
     p_query = sub.add_parser(
         "query", help="query a published verdict store (no detection run)"

@@ -6,7 +6,7 @@ The header carries the message ``kind`` (``"world"``, ``"task"``,
 ``"partial"``, ...) and a JSON ``meta`` dict beside the array table and
 the payload's CRC-32.  Arrays travel as raw typed buffers (never
 pickle), so a worker written against wire version N can refuse frames
-from version N+1 with a clear error instead of misreading them, and a
+of any other version with a clear error instead of misreading them, and a
 corrupted or truncated frame surfaces as :class:`ClusterError` naming
 the peer — callers never see a raw ``struct``/``json``/``socket``
 traceback.
@@ -28,10 +28,11 @@ from ..data.frames import FrameFormat
 #: Frame magic: Repro CLuster Wire.
 MAGIC = b"RCLW"
 
-#: Highest wire format this build speaks and the one it writes.  Bump
-#: on any incompatible protocol change; older peers refuse newer
-#: frames with a clear :class:`ClusterError` instead of misreading.
-WIRE_VERSION = 1
+#: The wire format this build speaks, and the only one it reads.  Bump
+#: on any incompatible protocol change; peers of another version refuse
+#: each other's frames with a clear :class:`ClusterError` instead of
+#: misreading.  Version 2: partial tables carry ``(s1 << 32) | s2`` keys.
+WIRE_VERSION = 2
 
 
 class ClusterError(Exception):
@@ -39,7 +40,7 @@ class ClusterError(Exception):
 
     The single error type of :mod:`repro.cluster`: everything the wire
     codec, a worker, or the executor can reject — truncated or
-    corrupted frames, frames from a newer wire version, a worker that
+    corrupted frames, frames of another wire version, a worker that
     died mid-task, a connection refused — raises this, so callers
     catch one exception instead of raw ``socket``/``struct`` errors.
     """
@@ -53,6 +54,7 @@ _FRAME = FrameFormat(
     ClusterError,
     "cluster frame",
     fields=("kind", "meta"),
+    if_older="restart the peer on this build",
     max_header=1 << 24,
 )
 
@@ -126,7 +128,7 @@ def recv_message(
     Raises:
         ClusterError: for anything short of a well-formed frame this
             build can read — truncation, corruption, wrong magic, a
-            failed checksum, or a newer wire version.
+            failed checksum, or another wire version.
     """
     source = _peer_label(sock)
     # EOF before a frame's first byte is a clean close; anywhere later

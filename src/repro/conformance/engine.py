@@ -142,6 +142,11 @@ class CaseConfig:
                 f"fusion_method {self.fusion_method!r} applies to mode "
                 f"'fusion' only, not {self.mode!r}"
             )
+        if self.epoch_size is not None and self.mode != "scan":
+            raise ValueError(
+                f"epoch_size applies to mode 'scan' only (scan_with_bounds "
+                f"is where the boundary stress is applied), not {self.mode!r}"
+            )
 
     @property
     def label(self) -> str:
@@ -233,7 +238,7 @@ def _shared_cluster():
 
 def _execution(config: "CaseConfig") -> dict:
     """The case's scan arguments, as ``detect`` / ``make_detector`` take them."""
-    execution: dict = {"epoch_size": config.epoch_size}
+    execution: dict = {}
     if config.n_partitions > 1:
         execution.update(
             n_partitions=config.n_partitions,
@@ -775,8 +780,8 @@ def full_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound+", band=(0.1, 0.9), epoch_size=3),
         CaseConfig("scan", "bound+", epoch_size=1),
         CaseConfig("scan", "hybrid", epoch_size=128),
-        # Detection with explicit epoch sizes and orderings.
-        CaseConfig("detect", "bound", epoch_size=1),
+        CaseConfig("scan", "bound", epoch_size=1),
+        # Detection with alternative orderings and thresholds.
         CaseConfig("detect", "bound+", ordering="by_provider"),
         CaseConfig("detect", "hybrid", hybrid_threshold=1),
         # Deeper partitioning.

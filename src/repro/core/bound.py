@@ -48,7 +48,7 @@ crosses the threshold — decisions, decision positions,
 this reference.  Every world size runs vectorized: past
 :data:`repro.core.bound_kernel.DENSE_STATE_LIMIT` the state arrays hold
 one slot per observed pair (``CopyParams.pair_layout``) instead of the
-full ``n_sources ** 2`` key space.
+full ``n_sources ** 2`` pair grid.
 """
 
 from __future__ import annotations
@@ -246,9 +246,12 @@ def scan_with_bounds(
             and early *no-copy* conclusions ``Pr(indep) > p_high`` (up to
             the Eq. 10 estimate); pairs in between resolve exactly at
             scan end.  ``None`` keeps the binary 0.5/0.5 thresholds.
-        epoch_size: entries per epoch for the numpy backend; ``None``
-            (the product setting) derives the boundaries from incidence
-            mass (see :data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`).
+        epoch_size: entries per epoch for the numpy backend — the
+            conformance grid's boundary-stress axis, offered here and on
+            :class:`~repro.core.bound_kernel.EpochScan` only.  ``None``
+            (what every detector passes) derives the boundaries from
+            incidence mass (see
+            :data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`).
             Outcomes do not depend on it; the sequential reference
             ignores it.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's
@@ -601,7 +604,6 @@ def detect_bound(
     index: InvertedIndex | None = None,
     ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
     band: tuple[float, float] | None = None,
-    epoch_size: int | None = None,
 ) -> DetectionResult:
     """BOUND: bounds evaluated at every shared entry (Section IV-A)."""
     return scan_with_bounds(
@@ -615,7 +617,6 @@ def detect_bound(
         hybrid_threshold=0,
         method_name="bound",
         band=band,
-        epoch_size=epoch_size,
     ).result
 
 
@@ -627,7 +628,6 @@ def detect_bound_plus(
     index: InvertedIndex | None = None,
     ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
     band: tuple[float, float] | None = None,
-    epoch_size: int | None = None,
 ) -> DetectionResult:
     """BOUND+: BOUND with lazy bound re-evaluation timers (Section IV-B)."""
     return scan_with_bounds(
@@ -641,7 +641,6 @@ def detect_bound_plus(
         hybrid_threshold=0,
         method_name="bound+",
         band=band,
-        epoch_size=epoch_size,
     ).result
 
 
@@ -659,7 +658,6 @@ def detect_hybrid(
     ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     track_bookkeeping: bool = False,
-    epoch_size: int | None = None,
 ) -> ScanOutcome:
     """HYBRID: INDEX for low-overlap pairs, BOUND+ for the rest.
 
@@ -677,5 +675,4 @@ def detect_hybrid(
         hybrid_threshold=hybrid_threshold,
         track_bookkeeping=track_bookkeeping,
         method_name="hybrid",
-        epoch_size=epoch_size,
     )

@@ -33,12 +33,12 @@ that structure to batch the scan without changing a single observable bit:
 3. **Compact per-pair state.**  ``(n0, C0_fwd, C0_bwd)``, the BOUND+
    timer milestones and the pair lifecycle live in flat arrays indexed
    by :class:`repro.core.pairspace.PairSpace` slots — the full
-   ``s1 * n_sources + s2`` key space in the dense layout, one slot per
+   ``n_sources ** 2`` grid in the dense layout, one slot per
    *observed* pair (every key in ``index.shared_items``) in the sparse
    one.  Bulk accumulation uses ``np.add.at`` / ``np.bincount``, whose
    scatter-adds apply in stream order — an exact left fold, identical
-   to the reference's ``+=`` sequence.  Sparse slots are the ranks of
-   the sorted observed keys, so slot order is key order and every
+   to the reference's ``+=`` sequence.  Slot order is key order in both
+   layouts (grid cells and ranks of the sorted observed keys), so every
    ordering-sensitive step (stable sorts, ``np.unique`` grouping,
    ascending-slot finalization) is identical between the layouts: the
    bit-exactness contract below holds for both.
@@ -81,7 +81,7 @@ incidence — or per distinct ``(probability, accuracy, accuracy)`` cell,
 whichever is fewer — plus a handful of vector operations per epoch.
 
 State sizing: ``CopyParams.pair_layout`` picks the layout — ``"auto"``
-keeps the dense flat key space while ``n_sources ** 2`` fits under
+keeps the dense pair grid while ``n_sources ** 2`` fits under
 :data:`DENSE_STATE_LIMIT` and switches (with a logged warning) to the
 sparse observed-pair layout beyond it.  The former behaviour — silently
 falling back to the pure-Python reference scan above the limit — is
@@ -104,7 +104,7 @@ from .kernel import (
 )
 from .pairspace import (
     PairSpace,
-    encode_pair_keys,
+    decode_pair_keys,
     encode_pairs,
     resolve_pair_layout,
 )
@@ -140,7 +140,7 @@ _DONE_NOCOPY = 4
 #: ``batch_stock`` workload and ``benchmarks/bench_scale_sweep.py``.
 EPOCH_INCIDENCE_BUDGET = 32_768
 
-#: Largest flat key space (``n_sources ** 2``) the ``"auto"`` layout
+#: Largest pair grid (``n_sources ** 2`` cells) the ``"auto"`` layout
 #: allocates dense per-pair state arrays for (eight dense arrays at this
 #: limit cost ~64 MB); larger worlds switch — with a logged warning —
 #: to the sparse observed-pair layout, whose state is bounded by
@@ -253,12 +253,12 @@ class EpochScan:
             # universe and the aligned l(S1, S2) counts ride along, so
             # opening a pair later never touches the Python dict.
             shared = index.shared_items
-            keys = encode_pairs(shared, self.n_sources)
+            keys = encode_pairs(shared)
             l_values = np.fromiter(
                 shared.values(), dtype=np.int64, count=len(shared)
             )
             order = np.argsort(keys, kind="stable")
-            self.space = PairSpace(self.n_sources, "sparse", keys[order])
+            self.space = PairSpace.sparse(keys[order])
             self._l_by_slot = l_values[order]
         #: the round's one columnar index (the fusion workspace seeds it)
         self.cols = index.columnar_entries()
@@ -340,9 +340,7 @@ class EpochScan:
             return
         src1 = prov[islot]
         src2 = prov[jslot]
-        slots = self.space.slots(
-            encode_pair_keys(src1, src2, self.n_sources)
-        )
+        slots = self.space.slots(src1, src2)
         st = self.status[slots]
 
         # --- open pairs first seen in a non-tail entry ----------------
@@ -799,7 +797,7 @@ class EpochScan:
         """``l(S1, S2)`` of the pairs behind ``slots``."""
         if self._l_by_slot is not None:
             return self._l_by_slot[slots]
-        return shared_item_counts(self.shared_items, slots, self.n_sources)
+        return shared_item_counts(self.shared_items, self.space.slot_keys(slots))
 
     def absorb(self, suffix: PairTable) -> None:
         """Fold a map/reduced suffix scan into a prefix-only scan's state.
@@ -811,7 +809,7 @@ class EpochScan:
         incidence) in exact mode, and early verdicts stand — their
         suffix contributions are counted and discarded.
         """
-        slots = self.space.slots(suffix.keys)
+        slots = self.space.slots(*decode_pair_keys(suffix.keys))
         status = self.status[slots]
         n_incidences = int(suffix.n_shared.sum())
         self.incidences += n_incidences
@@ -880,7 +878,6 @@ class EpochScan:
         )
         independent, forward, backward = exact_posteriors(c_fwd, c_bwd, self.params)
         columns = PairColumns(
-            self.n_sources,
             self.space.slot_keys(slots),
             c_fwd,
             c_bwd,
@@ -908,7 +905,6 @@ class EpochScan:
         # is the exact final score again.
         base_penalty = (l_shared - (n_before + n_after)) * self.ln_diff
         bookkeeping = PairRowView(
-            self.n_sources,
             columns.keys,
             {
                 "copying": columns.copying,

@@ -123,7 +123,6 @@ def detect(
     rng: random.Random | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     shared_items=None,
-    epoch_size: int | None = None,
     workspace=None,
     n_partitions: int = 1,
     executor: str = "serial",
@@ -151,8 +150,6 @@ def detect(
         shared_items: precomputed ``l(S1, S2)`` counts to reuse across
             rounds (the claims are static; see
             :meth:`InvertedIndex.build`).
-        epoch_size: entries per epoch for the numpy BOUND scans (``None``
-            sizes epochs by incidence mass; exhaustive methods ignore it).
         workspace: a :class:`~repro.fusion.FusionWorkspace` for this
             dataset (one built for another dataset is ignored).  Under
             the numpy backend it supplies the round's columnar entries;
@@ -204,18 +201,17 @@ def detect(
         return detect_hybrid_parallel(
             *world,
             hybrid_threshold=hybrid_threshold,
-            epoch_size=epoch_size,
             partition_by=partition_by,
             **execution,
         )
     if method == "index":
         return detect_index(*world, index=index)
     if method == "bound":
-        return detect_bound(*world, index=index, epoch_size=epoch_size)
+        return detect_bound(*world, index=index)
     if method == "bound+":
-        return detect_bound_plus(*world, index=index, epoch_size=epoch_size)
+        return detect_bound_plus(*world, index=index)
     return detect_hybrid(
-        *world, index=index, hybrid_threshold=hybrid_threshold, epoch_size=epoch_size
+        *world, index=index, hybrid_threshold=hybrid_threshold
     ).result
 
 
@@ -294,7 +290,6 @@ class SingleRoundDetector(_WorkspaceMixin):
         ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
         rng: random.Random | None = None,
         hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-        epoch_size: int | None = None,
         n_partitions: int = 1,
         executor: str = "serial",
         reduce: str = "flat",
@@ -307,7 +302,6 @@ class SingleRoundDetector(_WorkspaceMixin):
         self.ordering = ordering
         self.rng = rng
         self.hybrid_threshold = hybrid_threshold
-        self.epoch_size = epoch_size
         self.n_partitions = n_partitions
         self.executor = executor
         self.reduce = reduce
@@ -350,7 +344,6 @@ class SingleRoundDetector(_WorkspaceMixin):
             rng=self.rng,
             hybrid_threshold=self.hybrid_threshold,
             shared_items=shared,
-            epoch_size=self.epoch_size,
             workspace=self._workspace,
             n_partitions=self.n_partitions,
             executor=self.executor,
@@ -383,12 +376,10 @@ class IncrementalDetector(_WorkspaceMixin):
         rho_value: float = 1.0,
         rho_accuracy: float = 0.2,
         prepare_round: int = 2,
-        epoch_size: int | None = None,
     ):
         self.params = params
         self.ordering = ordering
         self.hybrid_threshold = hybrid_threshold
-        self.epoch_size = epoch_size
         self.rho_value = rho_value
         self.rho_accuracy = rho_accuracy
         self.prepare_round = prepare_round
@@ -438,7 +429,6 @@ class IncrementalDetector(_WorkspaceMixin):
                 ordering=self.ordering,
                 hybrid_threshold=self.hybrid_threshold,
                 shared_items=shared,
-                epoch_size=self.epoch_size,
                 workspace=self._workspace,
             )
         result, self.state = prepare_incremental(
@@ -447,6 +437,5 @@ class IncrementalDetector(_WorkspaceMixin):
                 *world, self.ordering, None, shared, self._workspace_for(dataset)
             ),
             hybrid_threshold=self.hybrid_threshold,
-            epoch_size=self.epoch_size,
         )
         return result

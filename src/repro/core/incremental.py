@@ -155,7 +155,6 @@ def prepare_incremental(
     params: CopyParams,
     index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-    epoch_size: int | None = None,
 ) -> "tuple[DetectionResult, IncrementalState | ColumnarIncrementalState]":
     """Run the from-scratch (HYBRID) round and set up incremental state.
 
@@ -177,7 +176,6 @@ def prepare_incremental(
         index=index,
         hybrid_threshold=hybrid_threshold,
         track_bookkeeping=True,
-        epoch_size=epoch_size,
     )
     assert outcome.bookkeeping is not None
     index = outcome.index

@@ -212,7 +212,7 @@ class ColumnarIncrementalState:
 
         book = bookkeeping.columns
         self.keys = bookkeeping.keys
-        self.s1, self.s2 = decode_pair_keys(self.keys, n_sources)
+        self.s1, self.s2 = decode_pair_keys(self.keys)
         self.copying = book["copying"]
         self.c_base_fwd = book["c_base_fwd"]
         self.c_base_bwd = book["c_base_bwd"]
@@ -240,7 +240,6 @@ class ColumnarIncrementalState:
     def records(self) -> PairRowView:
         """``pair -> record`` over the columns, built only when read."""
         return PairRowView(
-            self.n_sources,
             self.keys,
             {name: getattr(self, name) for name in _RECORD_COLUMNS},
             _record,
@@ -326,9 +325,7 @@ class ColumnarIncrementalState:
             pos = block_pos[row]
             src1 = block.providers[islot]
             src2 = block.providers[jslot]
-            rows, hit = member_rows(
-                self.keys, encode_pair_keys(src1, src2, self.n_sources)
-            )
+            rows, hit = member_rows(self.keys, encode_pair_keys(src1, src2))
             hit[hit] = ~pending[rows[hit]] & (
                 pos[hit] < self.decision_pos[rows[hit]]
             )
@@ -468,7 +465,6 @@ class ColumnarIncrementalState:
 
         self.history.append(stats)
         columns = PairColumns(
-            self.n_sources,
             self.keys,
             work_fwd,
             work_bwd,
@@ -486,7 +482,7 @@ class ColumnarIncrementalState:
                 computations=4 * (big_incidences + exact_incidences),
                 pairs_considered=n_pairs,
             ),
-            changed_pairs=set(decode_pairs(self.keys[changed], self.n_sources)),
+            changed_pairs=set(decode_pairs(self.keys[changed])),
         )
 
     # ------------------------------------------------------------------
@@ -533,9 +529,7 @@ class ColumnarIncrementalState:
         row, islot, jslot = expand_incidences_ordered(
             block.offsets, block.providers
         )
-        keys = encode_pair_keys(
-            block.providers[islot], block.providers[jslot], self.n_sources
-        )
+        keys = encode_pair_keys(block.providers[islot], block.providers[jslot])
         booked = member_rows(self.keys, keys)[1]
         keys, row = keys[~booked], row[~booked]
         candidates, group = np.unique(keys, return_inverse=True)
@@ -546,9 +540,7 @@ class ColumnarIncrementalState:
         # The penalty is <= 0, so only pairs whose own tail entries reach
         # theta_ind can qualify: look l(S1, S2) up for those alone.
         near = np.nonzero(reachable >= params.theta_ind)[0]
-        l_shared = shared_item_counts(
-            self.index.shared_items, candidates[near], self.n_sources
-        )
+        l_shared = shared_item_counts(self.index.shared_items, candidates[near])
         ceiling = reachable[near] + (
             l_shared - n_shared[near].astype(np.float64)
         ) * params.ln_one_minus_s
@@ -560,7 +552,7 @@ class ColumnarIncrementalState:
             return keys
         n_new = len(keys)
         order = np.argsort(np.concatenate([self.keys, keys]), kind="stable")
-        s1, s2 = decode_pair_keys(keys, self.n_sources)
+        s1, s2 = decode_pair_keys(keys)
         fresh = {
             "keys": keys, "s1": s1, "s2": s2,
             "copying": np.zeros(n_new, dtype=bool),

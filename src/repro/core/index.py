@@ -310,17 +310,3 @@ class InvertedIndex:
     def n_entries(self) -> int:
         """Total number of entries (main + tail)."""
         return len(self.entries)
-
-    def pairs_in_main(self) -> set[tuple[int, int]]:
-        """Source pairs co-occurring in at least one non-tail entry.
-
-        These are exactly the pairs INDEX/BOUND will open; everything else
-        is concluded independent for free.
-        """
-        pairs: set[tuple[int, int]] = set()
-        for entry in self.entries[: self.tail_start]:
-            providers = entry.providers
-            for i in range(len(providers)):
-                for j in range(i + 1, len(providers)):
-                    pairs.add((providers[i], providers[j]))
-        return pairs

@@ -25,10 +25,10 @@ computation columnarly:
    ``np.log`` per direction over the whole stream — no per-incidence
    Python bytecode at all.
 4. **Compact pair accumulation** (:class:`PairTable`): pairs are keyed
-   by the single integer ``s1 * n_sources + s2`` (``s1 < s2``) and the
-   incidence stream is reduced into compact per-pair arrays by
+   by the single int64 of :mod:`repro.core.pairspace` (``s1 < s2``) and
+   the incidence stream is reduced into compact per-pair arrays by
    :func:`repro.core.pairspace.reduce_by_key` — a dense ``np.bincount``
-   scatter while the key space fits under :data:`DENSE_KEY_SPACE`, a
+   scatter while the pair grid fits under :data:`DENSE_KEY_SPACE`, a
    sort-based ``np.unique`` + ``np.add.at`` beyond it (or on request via
    ``CopyParams.pair_layout``), with identical floats either way.
    ``keys`` holds the sorted unique pair keys and ``c_fwd`` / ``c_bwd``
@@ -56,6 +56,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .pairspace import (
+    PairSpace,
+    decode_pair_keys,
     decode_pairs,
     encode_pair_keys,
     reduce_by_key,
@@ -68,7 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
     from .index import InvertedIndex
 
-#: Largest flat pair-key space (``n_sources ** 2``) the ``"auto"``
+#: Largest dense pair grid (``n_sources ** 2`` cells) the ``"auto"``
 #: layout reduces with the dense ``np.bincount`` scatter; beyond it
 #: (> ~2k sources) :func:`repro.core.pairspace.resolve_pair_layout`
 #: switches — with a logged warning — to the sort-based ``np.unique`` +
@@ -423,11 +425,13 @@ def score_incidences(
 class PairTable:
     """Per-pair accumulators in flat-array layout.
 
-    Pairs are keyed by ``s1 * n_sources + s2`` with ``s1 < s2``; ``keys``
-    is sorted and unique, and the value arrays are aligned with it.
+    Pairs are keyed by :func:`~repro.core.pairspace.encode_pair_keys`
+    with ``s1 < s2``; ``keys`` is sorted and unique, and the value
+    arrays are aligned with it.
 
     Attributes:
-        n_sources: key stride (needed to decode keys back into pairs).
+        n_sources: the world's source count — it sizes the dense
+            reduction grid, so only tables of one world merge.
         keys: unique pair keys, sorted ascending.
         c_fwd: accumulated ``C->`` per pair.
         c_bwd: accumulated ``C<-`` per pair.
@@ -448,7 +452,7 @@ class PairTable:
 
     @classmethod
     def empty(cls, n_sources: int) -> "PairTable":
-        """A zero-pair table for the given key stride."""
+        """A zero-pair table for a world of ``n_sources`` sources."""
         return cls(
             n_sources=n_sources,
             keys=np.empty(0, dtype=np.int64),
@@ -462,25 +466,26 @@ class PairTable:
     def _reduce_keyed(
         cls,
         n_sources: int,
-        keys: np.ndarray,
+        src1: np.ndarray,
+        src2: np.ndarray,
         fwd: np.ndarray,
         bwd: np.ndarray,
         incidence_counts: np.ndarray,
         main: np.ndarray,
         layout: str = "auto",
     ) -> "PairTable":
-        """Scatter-add a keyed stream into compact per-pair arrays.
+        """Scatter-add a pair stream into compact per-pair arrays.
 
         The grouping is :func:`repro.core.pairspace.reduce_by_key` —
         dense ``np.bincount`` under :data:`DENSE_KEY_SPACE`, sparse
         ``np.unique`` + ``np.add.at`` beyond it (or on request), with
-        identical floats either way.  Occupancy comes from key
+        identical floats either way.  Occupancy comes from pair
         *presence*, not incidence counts: merged tables may carry pairs
         with zero incidences (e.g. PAIRWISE's pure-penalty rows) that
         must survive.  Either way this is the vectorized replacement for
         the Python backend's per-incidence dict churn (``cell[0] += ...``).
         """
-        if len(keys) == 0:
+        if len(src1) == 0:
             return cls.empty(n_sources)
         layout = resolve_pair_layout(
             layout, n_sources, DENSE_KEY_SPACE, "kernel.PairTable"
@@ -488,7 +493,7 @@ class PairTable:
         main_f = main.astype(np.float64)
         counts_f = incidence_counts.astype(np.float64)
         uniq, (c_fwd, c_bwd, n_shared, saw_main) = reduce_by_key(
-            n_sources, keys, (fwd, bwd, counts_f, main_f), layout
+            n_sources, src1, src2, (fwd, bwd, counts_f, main_f), layout
         )
         return cls(
             n_sources=n_sources,
@@ -503,19 +508,22 @@ class PairTable:
     def from_incidences(
         cls,
         n_sources: int,
-        keys: np.ndarray,
+        src1: np.ndarray,
+        src2: np.ndarray,
         fwd: np.ndarray,
         bwd: np.ndarray,
         main: np.ndarray,
         layout: str = "auto",
     ) -> "PairTable":
-        """Reduce an incidence stream to per-pair accumulators."""
+        """Reduce an incidence stream (``src1 < src2`` per incidence) to
+        per-pair accumulators."""
         return cls._reduce_keyed(
             n_sources,
-            keys,
+            src1,
+            src2,
             fwd,
             bwd,
-            np.ones(len(keys), dtype=np.int64),
+            np.ones(len(src1), dtype=np.int64),
             main,
             layout=layout,
         )
@@ -530,12 +538,12 @@ class PairTable:
             raise ValueError("cannot merge zero non-empty tables")
         n_sources = tables[0].n_sources
         if any(t.n_sources != n_sources for t in tables):
-            raise ValueError("cannot merge tables with different key strides")
+            raise ValueError("cannot merge tables with different source counts")
         if len(tables) == 1:
             return tables[0]
         return cls._reduce_keyed(
             n_sources,
-            np.concatenate([t.keys for t in tables]),
+            *decode_pair_keys(np.concatenate([t.keys for t in tables])),
             np.concatenate([t.c_fwd for t in tables]),
             np.concatenate([t.c_bwd for t in tables]),
             np.concatenate([t.n_shared for t in tables]),
@@ -546,7 +554,7 @@ class PairTable:
 
     def pairs(self) -> list[tuple[int, int]]:
         """Decode ``keys`` back into ``(s1, s2)`` id pairs."""
-        return decode_pairs(self.keys, self.n_sources)
+        return decode_pairs(self.keys)
 
 
 def scan_columnar(
@@ -563,9 +571,8 @@ def scan_columnar(
     src1, src2, probs, main = expand_incidences(cols)
     acc = clamp_accuracies(accuracies, params)
     fwd, bwd = score_incidences(probs, acc[src1], acc[src2], params)
-    keys = encode_pair_keys(src1, src2, n_sources)
     return PairTable.from_incidences(
-        n_sources, keys, fwd, bwd, main, layout=params.pair_layout
+        n_sources, src1, src2, fwd, bwd, main, layout=params.pair_layout
     )
 
 
@@ -591,23 +598,23 @@ def count_shared_items_columnar(
     )
     src1, src2, _, _ = expand_incidences(cols, with_meta=False)
     n_sources = dataset.n_sources
-    keys = encode_pair_keys(src1, src2, n_sources)
     layout = resolve_pair_layout(
         layout, n_sources, DENSE_KEY_SPACE, "kernel.count_shared_items_columnar"
     )
     if layout == "dense":
-        dense = np.bincount(keys, minlength=n_sources * n_sources)
-        uniq = np.nonzero(dense)[0]
-        counts = dense[uniq]
+        space = PairSpace.dense(n_sources)
+        dense = np.bincount(space.slots(src1, src2), minlength=len(space))
+        cells = np.nonzero(dense)[0]
+        uniq, counts = space.slot_keys(cells), dense[cells]
     else:
-        uniq, counts = np.unique(keys, return_counts=True)
-    return dict(zip(decode_pairs(uniq, n_sources), counts.tolist()))
+        uniq, counts = np.unique(encode_pair_keys(src1, src2), return_counts=True)
+    return dict(zip(decode_pairs(uniq), counts.tolist()))
 
 
-def shared_item_counts(shared_items, keys: np.ndarray, n_sources: int) -> np.ndarray:
+def shared_item_counts(shared_items, keys: np.ndarray) -> np.ndarray:
     """``l(S1, S2)`` per pair key, read from the pair-keyed count dict."""
     return np.fromiter(
-        map(shared_items.__getitem__, decode_pairs(keys, n_sources)),
+        map(shared_items.__getitem__, decode_pairs(keys)),
         dtype=np.int64,
         count=len(keys),
     )
@@ -658,16 +665,12 @@ def decide_pairs(
     """
     keep = table.saw_main if require_main else slice(None)
     keys = table.keys[keep]
-    n_diff = (
-        shared_item_counts(shared_items, keys, table.n_sources)
-        - table.n_shared[keep]
-    )
+    n_diff = shared_item_counts(shared_items, keys) - table.n_shared[keep]
     penalty = n_diff * params.ln_one_minus_s
     c_fwd = table.c_fwd[keep] + penalty
     c_bwd = table.c_bwd[keep] + penalty
     independent, forward, backward = posterior_arrays(c_fwd, c_bwd, params)
     return PairColumns(
-        table.n_sources,
         keys,
         c_fwd,
         c_bwd,

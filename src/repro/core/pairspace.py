@@ -1,34 +1,37 @@
 """The pair-key codec and the slot universe of the vectorized kernels.
 
 Every vectorized layer of the detector keys source pairs by the single
-integer ``s1 * n_sources + s2`` (``s1 < s2`` for undirected pair state,
-either order for directed copy probabilities).  This module owns that
-format: the kernels, the verdict table, the snapshot store and its
-reader all encode and decode through the functions below, so changing
-the key is an edit here.  It also owns where per-pair state lives —
-*slots*: the full ``n_sources ** 2`` key space while that is small
+int64 ``(s1 << 32) | s2`` (``s1 < s2`` for undirected pair state,
+either order for directed copy probabilities).  The key is a function
+of the two ids alone — a pair keeps its key however many sources the
+world grows to, so per-pair state and published snapshots survive a
+newcomer — and it orders pairs lexicographically in ``(s1, s2)``.  This
+module owns that format: the kernels, the verdict table, the snapshot
+store and its reader all encode and decode through the functions below,
+so changing the key is an edit here.  It also owns where per-pair state
+lives — *slots*: the full ``n_sources ** 2`` grid while that is small
 (dense layout), one slot per *observed* pair beyond it (sparse layout).
 Real worlds are sparse in exactly the regime where the quadratic
 allocation bites: with Zipf-shaped coverage a 10k-source world observes
-tens of thousands of pairs out of a 10\\ :sup:`8` key space.
+tens of thousands of pairs out of 10\\ :sup:`8` cells.
 
 * :func:`encode_pair_keys` / :func:`decode_pair_keys` (arrays),
   :func:`encode_pairs` / :func:`decode_pairs` (the tuple forms) and
-  :func:`pair_key` (one pair, Python ints) — the one true int64 key
-  codec (at 50k sources the key reaches ``~2.5e9`` and would silently
-  wrap in int32; everything routes through here).
-* :class:`PairSpace` — the slot universe: ``slots()`` maps a key stream
-  to compact indices (identity for the dense layout,
-  ``np.searchsorted`` for the sparse one), ``decode()`` maps slots back
-  to ``(s1, s2)`` pairs, ``zeros()`` allocates aligned state arrays.
-  Because the sparse slot numbering comes from *sorted* unique keys it
-  is monotone in the key — so stable sorts, ``np.unique`` grouping and
-  ``np.add.at`` stream-order scatter-adds behave identically whether
-  indexed by key or by slot, which is what lets the bound scans stay
-  bit-identical to the reference in either layout.
+  :func:`pair_key` (one pair, Python ints) — the one true key codec,
+  valid for ids in ``[0, ID_LIMIT)``.
+* :class:`PairSpace` — the slot universe: ``slots()`` maps a pair
+  stream to compact indices (the grid cell ``s1 * n_sources + s2`` for
+  the dense layout, ``np.searchsorted`` over the observed keys for the
+  sparse one), ``slot_keys()`` / ``decode()`` map slots back to keys /
+  ``(s1, s2)`` pairs, ``zeros()`` allocates aligned state arrays.
+  Both slot numberings are monotone in the key — so stable sorts,
+  ``np.unique`` grouping and ``np.add.at`` stream-order scatter-adds
+  behave identically whether indexed by key or by slot, which is what
+  lets the bound scans stay bit-identical to the reference in either
+  layout.
 * :func:`member_rows` — maybe-missing lookups of a key stream in a
   sorted key column (``np.searchsorted`` + equality mask).
-* :func:`reduce_by_key` — scatter-add a keyed incidence stream into
+* :func:`reduce_by_key` — scatter-add a pair incidence stream into
   compact per-pair sums (dense ``np.bincount`` or sparse ``np.unique`` +
   ``np.add.at``; both are stream-order left folds, so the two layouts
   produce identical floats).
@@ -55,40 +58,40 @@ from .params import PAIR_LAYOUTS
 
 logger = logging.getLogger(__name__)
 
+#: Bits of a pair key holding ``s2``; ``s1`` sits above them.
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
+#: Source ids in ``[0, ID_LIMIT)`` have keys: the key of any two of
+#: them, in either order, is a non-negative int64.
+ID_LIMIT = 1 << (_ID_BITS - 1)
+
 
 def encode_pair_keys(
-    src1: np.ndarray | Sequence[int],
-    src2: np.ndarray | Sequence[int],
-    n_sources: int,
+    src1: np.ndarray | Sequence[int], src2: np.ndarray | Sequence[int]
 ) -> np.ndarray:
-    """``s1 * n_sources + s2`` as int64, whatever the input dtype.
+    """``(s1 << 32) | s2`` as int64, whatever the input dtype.
 
-    The multiplication is forced to int64 so keys never wrap: at
-    ``n_sources > 2**16`` the product exceeds int32 (the regression
-    tests pin this at 70k sources).
+    The ids are widened before the shift, so int32 inputs never wrap.
     """
     s1 = np.asarray(src1).astype(np.int64, copy=False)
     s2 = np.asarray(src2).astype(np.int64, copy=False)
-    return s1 * np.int64(n_sources) + s2
+    return (s1 << _ID_BITS) | s2
 
 
-def decode_pair_keys(
-    keys: np.ndarray, n_sources: int
-) -> tuple[np.ndarray, np.ndarray]:
+def decode_pair_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Invert :func:`encode_pair_keys` into ``(s1, s2)`` arrays."""
     keys = np.asarray(keys).astype(np.int64, copy=False)
-    return keys // n_sources, keys % n_sources
+    return keys >> _ID_BITS, keys & _ID_MASK
 
 
-def decode_pairs(keys: np.ndarray, n_sources: int) -> list[tuple[int, int]]:
+def decode_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
     """Pair keys as ``(s1, s2)`` tuples of Python ints, in ``keys`` order."""
-    s1, s2 = decode_pair_keys(keys, n_sources)
+    s1, s2 = decode_pair_keys(keys)
     return list(zip(s1.tolist(), s2.tolist()))
 
 
-def encode_pairs(
-    pairs: Collection[tuple[int, int]], n_sources: int
-) -> np.ndarray:
+def encode_pairs(pairs: Collection[tuple[int, int]]) -> np.ndarray:
     """``(s1, s2)`` tuples as int64 keys, in iteration order.
 
     The inverse of :func:`decode_pairs`.  The tuples are flattened at C
@@ -97,18 +100,18 @@ def encode_pairs(
     flat = np.fromiter(
         chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)
     )
-    return encode_pair_keys(flat[0::2], flat[1::2], n_sources)
+    return encode_pair_keys(flat[0::2], flat[1::2])
 
 
-def pair_key(s1: int, s2: int, n_sources: int) -> int:
+def pair_key(s1: int, s2: int) -> int:
     """The key of one pair, on Python ints.
 
     The scalar form of :func:`encode_pair_keys` for per-call lookups
-    (:class:`~repro.core.result.DecisionView`, the snapshot reader):
-    Python ints cannot wrap.  An id outside ``[0, n_sources)`` aliases
-    a neighbouring pair's key, so callers range-check first.
+    (:class:`~repro.core.result.DecisionView`, the snapshot reader).
+    Only ids in ``[0, ID_LIMIT)`` have a key of their own, so callers
+    range-check first.
     """
-    return s1 * n_sources + s2
+    return (s1 << _ID_BITS) | s2
 
 
 def member_rows(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +133,7 @@ def resolve_pair_layout(
 ) -> str:
     """Resolve ``"auto"`` into a concrete layout for one kernel.
 
-    The heuristic: dense flat arrays while ``n_sources ** 2`` fits under
+    The heuristic: the dense grid while ``n_sources ** 2`` fits under
     the kernel's ``dense_limit`` (scatter via ``np.bincount``, no sort),
     sparse compact slots beyond it.  Crossing the limit under ``"auto"``
     emits a :mod:`logging` warning naming the kernel, the limit hit and
@@ -142,7 +145,7 @@ def resolve_pair_layout(
         requested: ``"auto"``, ``"dense"`` or ``"sparse"`` (explicit
             layouts are honoured unconditionally).
         n_sources: the world's source count.
-        dense_limit: the kernel's largest acceptable flat key space.
+        dense_limit: the kernel's largest acceptable dense grid (cells).
         kernel: label for the log record, e.g. ``"bound_kernel.EpochScan"``.
 
     Raises:
@@ -170,7 +173,7 @@ def _warn_sparse(kernel: str, n_sources: int, dense_limit: int) -> None:
     call per process (a world that grows warns again).
     """
     logger.warning(
-        "%s: pair key space %d (n_sources=%d) exceeds the dense limit %d; "
+        "%s: dense pair grid %d (n_sources=%d) exceeds the dense limit %d; "
         "auto-selected the sparse pair layout",
         kernel,
         n_sources * n_sources,
@@ -183,76 +186,80 @@ class PairSpace:
     """The slot universe of a pair-keyed kernel.
 
     A *slot* is a compact index into per-pair state arrays.  The dense
-    layout spends one slot per point of the full ``n_sources ** 2`` key
-    space (slot == key, no indirection); the sparse layout spends one
-    slot per *observed* pair, numbered by the rank of its key in the
-    sorted-unique key array.  Sparse slot numbering is therefore
-    monotone in the key, so any key-ordered computation (stable sorts,
-    ``np.unique`` grouping, ascending-slot iteration) is order-identical
-    between the two layouts.
+    layout spends one slot per cell of the full ``n_sources ** 2`` grid
+    (slot ``s1 * n_sources + s2``, no lookup — the grid is private to
+    this module and never leaves it as a key); the sparse layout spends
+    one slot per *observed* pair, numbered by the rank of its key in
+    the sorted-unique key array.  Both numberings are monotone in the
+    key, so any key-ordered computation (stable sorts, ``np.unique``
+    grouping, ascending-slot iteration) is order-identical between the
+    two layouts.
 
     Attributes:
-        n_sources: key stride.
         layout: ``"dense"`` or ``"sparse"``.
-        keys: sorted unique int64 keys of the observed pairs (sparse
-            layout only; ``None`` when dense).
+        n_sources: side of the dense grid (``None`` when sparse).
+        keys: sorted unique int64 keys of the observed pairs (``None``
+            when dense).
         n_slots: state-array length (``n_sources ** 2`` dense, observed
             pair count sparse).
     """
 
-    __slots__ = ("n_sources", "layout", "keys", "n_slots")
+    __slots__ = ("layout", "n_sources", "keys", "n_slots")
 
     def __init__(
-        self, n_sources: int, layout: str, keys: np.ndarray | None = None
+        self,
+        layout: str,
+        n_sources: int | None = None,
+        keys: np.ndarray | None = None,
     ) -> None:
-        self.n_sources = int(n_sources)
         self.layout = layout
+        self.n_sources = n_sources
+        self.keys = keys
         if layout == "dense":
-            self.keys = None
-            self.n_slots = self.n_sources * self.n_sources
+            self.n_slots = n_sources * n_sources
         elif layout == "sparse":
             if keys is None:
                 raise ValueError("sparse PairSpace needs the observed keys")
-            self.keys = keys
             self.n_slots = len(keys)
         else:
             raise ValueError(f"layout must be 'dense' or 'sparse', got {layout!r}")
 
     @classmethod
     def dense(cls, n_sources: int) -> "PairSpace":
-        """The identity space: slot == key over the full key space."""
-        return cls(n_sources, "dense")
+        """The full grid: one slot per ``(s1, s2)`` cell."""
+        return cls("dense", n_sources=int(n_sources))
 
     @classmethod
-    def from_keys(cls, n_sources: int, keys: np.ndarray) -> "PairSpace":
-        """Sparse space over a (possibly duplicated, unsorted) key stream."""
-        uniq = np.unique(np.asarray(keys).astype(np.int64, copy=False))
-        return cls(n_sources, "sparse", uniq)
+    def sparse(cls, keys: np.ndarray) -> "PairSpace":
+        """One slot per key of a sorted unique int64 key array."""
+        return cls("sparse", keys=keys)
 
     def __len__(self) -> int:
         return self.n_slots
 
-    def slots(self, keys: np.ndarray) -> np.ndarray:
-        """Map member keys to their slots (identity dense, rank sparse).
+    def slots(self, src1: np.ndarray, src2: np.ndarray) -> np.ndarray:
+        """Map member pairs to their slots (grid cell dense, rank sparse).
 
-        Sparse lookups assume membership: a key outside the observed set
-        would alias another slot, so callers must build the space from a
-        superset of every key they will ever present (use
+        Sparse lookups assume membership: a pair outside the observed
+        set would alias another slot, so callers must build the space
+        from a superset of every pair they will ever present (use
         :meth:`PairValueMap.gather` for maybe-missing lookups).
         """
         if self.layout == "dense":
-            return keys
-        return np.searchsorted(self.keys, keys)
+            return src1 * self.n_sources + src2
+        return np.searchsorted(self.keys, encode_pair_keys(src1, src2))
 
     def slot_keys(self, slots: np.ndarray) -> np.ndarray:
         """The int64 keys behind a slot array."""
         if self.layout == "dense":
-            return np.asarray(slots).astype(np.int64, copy=False)
+            return encode_pair_keys(*self.decode(slots))
         return self.keys[slots]
 
     def decode(self, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Slots back to ``(s1, s2)`` id arrays."""
-        return decode_pair_keys(self.slot_keys(slots), self.n_sources)
+        if self.layout == "dense":
+            return slots // self.n_sources, slots % self.n_sources
+        return decode_pair_keys(self.keys[slots])
 
     def zeros(self, dtype=np.float64) -> np.ndarray:
         """A zeroed per-slot state array."""
@@ -261,18 +268,19 @@ class PairSpace:
 
 def reduce_by_key(
     n_sources: int,
-    keys: np.ndarray,
+    src1: np.ndarray,
+    src2: np.ndarray,
     columns: Sequence[np.ndarray],
     layout: str,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Scatter-add aligned float columns into compact per-key sums.
+    """Scatter-add aligned float columns into compact per-pair sums.
 
     Two strategies, identical floats:
 
-    * ``"dense"``: scatter directly into the full flat key space with
-      ``np.bincount`` and compact the *present* slots (presence comes
-      from key occurrence, not column weight, so zero-weight rows
-      survive);
+    * ``"dense"``: scatter directly into the full :class:`PairSpace`
+      grid with ``np.bincount`` and compact the *present* cells
+      (presence comes from pair occurrence, not column weight, so
+      zero-weight rows survive);
     * ``"sparse"``: ``np.unique`` compacts the keys first and the sums
       land via ``np.add.at`` on the compacted arrays.
 
@@ -280,19 +288,23 @@ def reduce_by_key(
     the layouts agree bit for bit.
 
     Returns:
-        ``(uniq_keys, sums)`` — the sorted unique keys and one aligned
-        float64 sum array per input column.
+        ``(uniq_keys, sums)`` — the sorted unique pair keys and one
+        aligned float64 sum array per input column.
     """
     if layout == "dense":
-        key_space = n_sources * n_sources
-        present = np.bincount(keys, minlength=key_space)
+        space = PairSpace.dense(n_sources)
+        cells = space.slots(src1, src2)
+        present = np.bincount(cells, minlength=len(space))
         uniq = np.nonzero(present)[0]
         sums = [
-            np.bincount(keys, weights=col, minlength=key_space)[uniq]
+            np.bincount(cells, weights=col, minlength=len(space))[uniq]
             for col in columns
         ]
+        uniq = space.slot_keys(uniq)
     else:
-        uniq, inverse = np.unique(keys, return_inverse=True)
+        uniq, inverse = np.unique(
+            encode_pair_keys(src1, src2), return_inverse=True
+        )
         sums = []
         for col in columns:
             acc = np.zeros(len(uniq))
@@ -310,27 +322,22 @@ class PairValueMap:
     ``n_sources x n_sources`` matrix; this sparse form keeps only the
     decided pairs — sorted int64 keys plus aligned values — and gathers
     with ``np.searchsorted`` + an equality mask, so memory is bounded by
-    the number of *decisions*, not the key space, while the gathered
+    the number of *decisions*, not the source count, while the gathered
     floats are identical to the dense matrix lookup.
     """
 
-    __slots__ = ("n_sources", "keys", "values", "default")
+    __slots__ = ("keys", "values", "default")
 
     def __init__(
-        self,
-        n_sources: int,
-        keys: np.ndarray,
-        values: np.ndarray,
-        default: float = 0.0,
+        self, keys: np.ndarray, values: np.ndarray, default: float = 0.0
     ) -> None:
-        self.n_sources = int(n_sources)
         self.keys = keys
         self.values = values
         self.default = default
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Values for (broadcast) directed pairs; misses read ``default``."""
-        query = encode_pair_keys(src, dst, self.n_sources)
+        query = encode_pair_keys(src, dst)
         if len(self.keys) == 0:
             return np.full(query.shape, self.default)
         pos = np.searchsorted(self.keys, query)

@@ -141,7 +141,7 @@ def _detect_pairwise_numpy(
     table = scan_columnar(cols, accuracies, params, n_sources)
     # Pairs sharing items but never a value still get decided (their
     # score is pure penalty); splice zero-score rows into the table.
-    missing = np.setdiff1d(encode_pairs(shared_items, n_sources), table.keys)
+    missing = np.setdiff1d(encode_pairs(shared_items), table.keys)
     if len(missing):
         zeros = PairTable(
             n_sources=n_sources,

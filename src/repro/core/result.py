@@ -27,13 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .contribution import CopyPosterior
-from .pairspace import (
-    decode_pair_keys,
-    decode_pairs,
-    encode_pair_keys,
-    encode_pairs,
-    pair_key,
-)
+from .pairspace import ID_LIMIT, decode_pairs, encode_pairs, pair_key
 
 
 class PairNotObservedError(LookupError):
@@ -68,10 +62,6 @@ class CostCounter:
 
     def score_update(self, n: int = 2) -> None:
         """Record directional score updates (default: both directions)."""
-        self.computations += n
-
-    def bound_evaluation(self, n: int = 1) -> None:
-        """Record bound (min/max) evaluations."""
         self.computations += n
 
     def value_incidence(self) -> None:
@@ -112,11 +102,10 @@ class PairColumns:
 
     The one shape verdicts travel in from the numpy kernels through
     fusion to the snapshot store: row ``i`` is the :class:`PairDecision`
-    of the pair ``keys[i] = s1 * n_sources + s2`` (``s1 < s2``, the int64
-    key codec of :mod:`repro.core.pairspace`).
+    of the pair ``keys[i]`` (``s1 < s2``, the int64 key codec of
+    :mod:`repro.core.pairspace`).
 
     Attributes:
-        n_sources: key stride.
         keys: int64 pair keys, sorted ascending, unique.
         c_fwd: accumulated ``C(s1 -> s2)`` per pair.
         c_bwd: accumulated ``C(s1 <- s2)`` per pair.
@@ -127,7 +116,6 @@ class PairColumns:
         early: True where the verdict came from a Section IV bound (bool).
     """
 
-    n_sources: int
     keys: np.ndarray
     c_fwd: np.ndarray
     c_bwd: np.ndarray
@@ -142,7 +130,7 @@ class PairColumns:
 
     @classmethod
     def from_decisions(
-        cls, decisions: Mapping[tuple[int, int], "PairDecision"], n_sources: int
+        cls, decisions: Mapping[tuple[int, int], "PairDecision"]
     ) -> "PairColumns":
         """Columnarize a ``pair -> PairDecision`` mapping (one pass).
 
@@ -151,7 +139,7 @@ class PairColumns:
         yield array-identical tables.
         """
         n_rows = len(decisions)
-        keys = encode_pairs(decisions, n_sources)
+        keys = encode_pairs(decisions)
         table = np.array(
             [
                 (d.c_fwd, d.c_bwd, *d.posterior, d.copying, d.early)
@@ -162,7 +150,6 @@ class PairColumns:
         order = np.argsort(keys, kind="stable")
         table = table[order].T
         return cls(
-            n_sources,
             keys[order],
             *(np.ascontiguousarray(column) for column in table[:5]),
             table[5] != 0.0,
@@ -172,46 +159,33 @@ class PairColumns:
     def take(self, rows: np.ndarray) -> "PairColumns":
         """The table restricted to ``rows`` (an ascending index or mask)."""
         return PairColumns(
-            self.n_sources,
             self.keys[rows],
             *(getattr(self, name)[rows] for name in _VALUE_COLUMNS),
         )
 
     def pairs(self) -> list[tuple[int, int]]:
         """``keys`` decoded into ``(s1, s2)`` id pairs, in key order."""
-        return decode_pairs(self.keys, self.n_sources)
-
-    def rekeyed(self, n_sources: int) -> "PairColumns":
-        """The same rows keyed for another stride (row order is preserved:
-        key order is the lexicographic pair order under any stride)."""
-        if n_sources == self.n_sources:
-            return self
-        keys = encode_pair_keys(
-            *decode_pair_keys(self.keys, self.n_sources), n_sources
-        )
-        return PairColumns(
-            n_sources, keys, *(getattr(self, name) for name in _VALUE_COLUMNS)
-        )
+        return decode_pairs(self.keys)
 
 
-def _key_row(keys: np.ndarray, n_sources: int, pair) -> int:
+def _key_row(keys: np.ndarray, pair) -> int:
     """Row of ``pair`` in a sorted key column, -1 when it is not in it.
 
-    ``s1 * n_sources + s2`` aliases a neighbouring pair when an id is out
-    of range (``(0, n)`` and ``(1, 0)`` share a key), so the lookup checks
-    ``0 <= s1 < s2 < n_sources`` first: a pair that cannot have been
-    observed is reported missing, never answered with another's row.
+    Only ``0 <= s1 < s2 < ID_LIMIT`` has a key of its own (a negative or
+    oversized id would spill into the other id's bits), so the lookup
+    checks that first: a pair that cannot have been observed is reported
+    missing, never answered with another's row.
     """
     try:
         s1, s2 = pair
         s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
     except (TypeError, ValueError):
         return -1
-    if not 0 <= s1 < s2 < n_sources:
+    if not 0 <= s1 < s2 < ID_LIMIT:
         return -1
-    flat = pair_key(s1, s2, n_sources)
-    row = int(np.searchsorted(keys, flat))
-    if row < len(keys) and keys[row] == flat:
+    key = pair_key(s1, s2)
+    row = int(np.searchsorted(keys, key))
+    if row < len(keys) and keys[row] == key:
         return row
     return -1
 
@@ -240,7 +214,7 @@ class DecisionView(Mapping):
 
     def _row(self, key) -> int:
         """Row of ``key`` in the table, -1 when it is not an observed pair."""
-        return _key_row(self.columns.keys, self.columns.n_sources, key)
+        return _key_row(self.columns.keys, key)
 
     def _build(self, start: int, stop: int) -> None:
         """Materialise the not-yet-built decisions of rows ``[start, stop)``."""
@@ -283,7 +257,7 @@ class DecisionView(Mapping):
 
     def __eq__(self, other) -> bool:
         mine = self.columns
-        if isinstance(other, DecisionView) and other.columns.n_sources == mine.n_sources:
+        if isinstance(other, DecisionView):
             return all(
                 np.array_equal(getattr(mine, name), getattr(other.columns, name))
                 for name in ("keys",) + _VALUE_COLUMNS
@@ -308,25 +282,23 @@ class PairRowView(Mapping):
     product path reads :attr:`columns` and never calls it.
 
     Attributes:
-        n_sources: key stride.
         keys: int64 pair keys, sorted ascending, unique.
         columns: ``name -> array`` aligned with ``keys``.
     """
 
-    def __init__(self, n_sources: int, keys: np.ndarray, columns: dict, make_row):
-        self.n_sources = n_sources
+    def __init__(self, keys: np.ndarray, columns: dict, make_row):
         self.keys = keys
         self.columns = columns
         self._make_row = make_row
 
     def __getitem__(self, pair):
-        row = _key_row(self.keys, self.n_sources, pair)
+        row = _key_row(self.keys, pair)
         if row < 0:
             raise KeyError(pair)
         return self._make_row(*(col[row].item() for col in self.columns.values()))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(decode_pairs(self.keys, self.n_sources))
+        return iter(decode_pairs(self.keys))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -411,7 +383,7 @@ class DetectionResult:
         if isinstance(self.decisions, DecisionView):
             return self.decisions.columns
         if self._columns is None:
-            self._columns = PairColumns.from_decisions(self.decisions, self.n_sources)
+            self._columns = PairColumns.from_decisions(self.decisions)
         return self._columns
 
     def decision_delta(self, previous: "DetectionResult | None") -> DecisionDelta:
@@ -428,11 +400,8 @@ class DetectionResult:
         cur = self.columns()
         if previous is None:
             return DecisionDelta(changed=DecisionView(cur), removed=frozenset())
-        # Compare under one stride: pair identity is what matters, and a
-        # streaming ledger may have grown sources between the two rounds.
-        stride = max(self.n_sources, previous.n_sources)
-        keys = cur.rekeyed(stride).keys
-        prev = previous.columns().rekeyed(stride)
+        keys = cur.keys
+        prev = previous.columns()
         if len(prev):
             at = np.minimum(np.searchsorted(prev.keys, keys), len(prev) - 1)
             known = prev.keys[at] == keys
@@ -440,7 +409,7 @@ class DetectionResult:
             at = np.zeros(len(cur), dtype=np.int64)
             known = np.zeros(len(cur), dtype=bool)
         if self.changed_pairs is not None:
-            reported = encode_pairs(self.changed_pairs, stride)
+            reported = encode_pairs(self.changed_pairs)
             changed = ~known | np.isin(keys, reported)
         else:
             same = known.copy()
@@ -451,13 +420,13 @@ class DetectionResult:
         gone = prev.keys[~np.isin(prev.keys, keys)]
         return DecisionDelta(
             changed=DecisionView(cur.take(changed)),
-            removed=frozenset(decode_pairs(gone, stride)),
+            removed=frozenset(decode_pairs(gone)),
         )
 
     def copying_pairs(self) -> set[tuple[int, int]]:
         """The set of pairs judged to be copying (either direction)."""
         cols = self.columns()
-        return set(decode_pairs(cols.keys[cols.copying], cols.n_sources))
+        return set(decode_pairs(cols.keys[cols.copying]))
 
     def decision_for(self, s1: int, s2: int) -> PairDecision | None:
         """Verdict for a pair given in any order (``None`` if never opened)."""

@@ -143,10 +143,6 @@ class Dataset:
             table[item_id].append(value_id)
         return table
 
-    def claim_of(self, source_id: int, item_id: int) -> int | None:
-        """Return the value id claimed by a source on an item, if any."""
-        return self.claims[source_id].get(item_id)
-
     def iter_claims(self) -> Iterator[tuple[int, int, int]]:
         """Yield all claims as ``(source_id, item_id, value_id)`` triples."""
         for source_id, claim in enumerate(self.claims):

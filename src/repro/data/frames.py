@@ -79,11 +79,13 @@ class FrameFormat:
 
     Attributes:
         magic: the four bytes every frame starts with.
-        version: the version written, and the highest one read.
+        version: the version written, and the only one read.
         error: the one exception type every decode failure raises, so
             callers never see a raw ``struct``/``json``/NumPy traceback.
         noun: what a frame is called in error messages.
         fields: the caller's header fields, in written order.
+        if_older: what the error tells the holder of an older-version
+            frame to do (no older version is ever decoded).
         max_header: largest header accepted before reading it (a corrupt
             length prefix on a socket can claim gigabytes); None where
             the source is already bounded, e.g. a file.
@@ -94,6 +96,7 @@ class FrameFormat:
     error: type[Exception]
     noun: str
     fields: tuple[str, ...]
+    if_older: str
     max_header: int | None = None
 
     def encode(
@@ -132,11 +135,14 @@ class FrameFormat:
         magic, version, header_len = PREAMBLE.unpack(read(PREAMBLE.size))
         if magic != self.magic:
             raise self.error(f"{source}: not a {self.noun} (bad magic {magic!r})")
-        if version > self.version:
+        if version != self.version:
+            if version > self.version:
+                age, remedy = "newer", "upgrade the library to read it"
+            else:
+                age, remedy = "older", self.if_older
             raise self.error(
-                f"{source}: {self.noun} format version {version} is newer "
-                f"than this build supports (max {self.version}); upgrade "
-                f"the library to read it"
+                f"{source}: {self.noun} format version {version} is {age} "
+                f"than this build reads (version {self.version}); {remedy}"
             )
         if self.max_header is not None and header_len > self.max_header:
             raise self.error(

@@ -208,16 +208,14 @@ def copy_probability_matrix(
     :meth:`~repro.core.result.DetectionResult.copy_probability`.
     """
     cols = detection.columns()
-    s1, s2 = decode_pair_keys(cols.keys, cols.n_sources)
+    s1, s2 = decode_pair_keys(cols.keys)
     matrix = np.zeros((n_sources, n_sources))
     matrix[s1, s2] = cols.forward
     matrix[s2, s1] = cols.backward
     return matrix
 
 
-def sparse_copy_probabilities(
-    detection: DetectionResult, n_sources: int
-) -> PairValueMap:
+def sparse_copy_probabilities(detection: DetectionResult) -> PairValueMap:
     """The sparse counterpart of :func:`copy_probability_matrix`.
 
     Stores only the decided pairs (two directed entries each); lookups
@@ -225,13 +223,11 @@ def sparse_copy_probabilities(
     dense matrix's untouched zeros.
     """
     cols = detection.columns()
-    s1, s2 = decode_pair_keys(cols.keys, cols.n_sources)
-    keys = np.concatenate(
-        [encode_pair_keys(s1, s2, n_sources), encode_pair_keys(s2, s1, n_sources)]
-    )
+    s1, s2 = decode_pair_keys(cols.keys)
+    keys = np.concatenate([cols.keys, encode_pair_keys(s2, s1)])
     order = np.argsort(keys, kind="stable")
     return PairValueMap(
-        n_sources, keys[order], np.concatenate([cols.forward, cols.backward])[order]
+        keys[order], np.concatenate([cols.forward, cols.backward])[order]
     )
 
 
@@ -270,7 +266,7 @@ def independence_weight_stream(
     if layout == "dense":
         matrix = copy_probability_matrix(detection, cols.n_sources)
     else:
-        probs_map = sparse_copy_probabilities(detection, cols.n_sources)
+        probs_map = sparse_copy_probabilities(detection)
     s = params.s
     for k in np.unique(counts):
         if k < 2:

@@ -133,15 +133,6 @@ class CredibilityModel:
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    @property
-    def is_flat(self) -> bool:
-        """True when the model is provably neutral (all weights 1.0)."""
-        return (
-            self.default == 1.0
-            and self.decay == 0.0
-            and all(weight == 1.0 for weight in self.priors.values())
-        )
-
     def prior_for(self, source_id: int | None = None, name: str | None = None) -> float:
         """The prior weight of one source (name match wins over id)."""
         if name is not None and name in self.priors:

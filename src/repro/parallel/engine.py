@@ -186,7 +186,7 @@ class ScanWorld:
     Attributes:
         index: the round's inverted index.
         accuracies: ``A(S)`` per source id.
-        n_sources: source count (the pair-key stride).
+        n_sources: source count (sizes the dense reduce grid).
         columnar: True under the numpy backend.
     """
 
@@ -386,7 +386,6 @@ def detect_hybrid_parallel(
     executor: Executor = "serial",
     index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
-    epoch_size: int | None = None,
     reduce: ReduceMode = "flat",
     partition_by: str = "entries",
     workspace=None,
@@ -447,7 +446,6 @@ def detect_hybrid_parallel(
         method_name="hybrid-parallel",
         stop_at=prefix_len,
         collect_state=True,
-        epoch_size=epoch_size,
     )
     if partition_by == "work" and n_partitions > 1:
         suffix_parts = partition_positions_by_work(

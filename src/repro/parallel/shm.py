@@ -92,7 +92,7 @@ class ShmWorldHandle:
         name: the shared-memory block's system-wide name.
         fields: ``(field, dtype, byte_offset, n_elements)`` per array, in
             the order they were packed.
-        n_sources: source count (workers need it for pair keys).
+        n_sources: source count (workers size the dense reduce grid by it).
     """
 
     name: str

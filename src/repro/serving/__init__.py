@@ -14,7 +14,7 @@ them.  Three pieces:
   consistent under concurrent refresh.
 
 Wire-in points: ``run_fusion(..., snapshot_store=...)`` publishes per
-round; the CLI round-trips via ``repro serve-snapshot`` and
+round; the CLI round-trips via ``repro fuse --store DIR`` and
 ``repro query``.
 """
 

@@ -9,7 +9,7 @@ work.
 
 Every way a file can be bad — short reads, foreign bytes, a mangled
 header, a payload that fails its checksum, or a snapshot written by a
-*newer* format than this library understands — surfaces as
+*newer or older* format than this library's — surfaces as
 :class:`ServingError` with a message naming the file and the problem.
 Callers never see a raw ``struct``/``json``/NumPy traceback; the
 robustness tests in ``tests/test_serving.py`` pin this down.
@@ -27,10 +27,13 @@ from ..data.frames import FrameFormat
 #: File magic: Repro Verdict Snapshot Store.
 MAGIC = b"RVSS"
 
-#: Highest snapshot format this build can read and the one it writes.
-#: Bump on any incompatible schema change; older readers refuse newer
-#: files with a clear :class:`ServingError` instead of misreading them.
-FORMAT_VERSION = 1
+#: The snapshot format this build writes, and the only one it reads.
+#: Bump on any incompatible schema change; a build refuses every other
+#: version with a clear :class:`ServingError` instead of misreading it
+#: (a store is derived from claims: re-publish, do not migrate).
+#: Version 2: pair keys are ``(s1 << 32) | s2`` (were
+#: ``s1 * n_sources + s2``).
+FORMAT_VERSION = 2
 
 
 class ServingError(Exception):
@@ -38,14 +41,19 @@ class ServingError(Exception):
 
     The single error type of :mod:`repro.serving`: everything the store,
     codec or reader can reject — truncated or corrupted snapshot files,
-    snapshots written by a newer format version, a missing ``CURRENT``
+    snapshots written by another format version, a missing ``CURRENT``
     pointer, a broken base-snapshot chain — raises this, so callers
     catch one exception instead of the codec's internals.
     """
 
 
 _SNAPSHOT = FrameFormat(
-    MAGIC, FORMAT_VERSION, ServingError, "verdict snapshot", fields=("meta",)
+    MAGIC,
+    FORMAT_VERSION,
+    ServingError,
+    "verdict snapshot",
+    fields=("meta",),
+    if_older="re-publish the store from its claims with this build",
 )
 
 
@@ -73,8 +81,8 @@ def decode_snapshot(data: bytes, source: str = "<bytes>") -> tuple[dict, dict]:
 
     Raises:
         ServingError: for anything short of a well-formed snapshot this
-            build can read — truncation, corruption, wrong magic, or a
-            newer format version.
+            build can read — truncation, corruption, wrong magic, or
+            another format version.
     """
     data = bytes(data)
     pos = 0

@@ -164,7 +164,7 @@ class _SnapshotView:
         if s1 == s2:
             raise ValueError("a pair needs two distinct sources")
         a, b = (s1, s2) if s1 < s2 else (s2, s1)
-        key = pair_key(a, b, self.n_sources)
+        key = pair_key(a, b)
         keys = self.pairs.keys
         pos = int(np.searchsorted(keys, key))
         if pos >= len(keys) or keys[pos] != key:
@@ -255,7 +255,7 @@ class VerdictReader:
 
     @property
     def n_sources(self) -> int:
-        """Source count of the served snapshot (the pair-key stride)."""
+        """Source count of the served snapshot."""
         return self._view.n_sources
 
     @property

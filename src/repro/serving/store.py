@@ -14,8 +14,10 @@ row families in one schema, whatever detector (and whatever
 ``pair_layout`` — dense and sparse runs serialize identically) produced
 them:
 
-* **pair rows** — key ``s1 * n_sources + s2`` (``s1 < s2``, the same
-  int64 key codec as :mod:`repro.core.pairspace`), the accumulated
+* **pair rows** — key ``(s1 << 32) | s2`` (``s1 < s2``, the int64 key
+  codec of :mod:`repro.core.pairspace`; a pair's key does not depend on
+  how many sources exist, so a chain extends across source growth), the
+  accumulated
   scores ``C->``/``C<-``, the three-way posterior, the copying/early
   flags and the decision position from
   :class:`~repro.core.bound.PairBookkeeping` (-1 when untracked);
@@ -92,7 +94,7 @@ FULL_REWRITE_FRACTION = 0.6
 class PairRows:
     """Columnar pair verdicts, sorted by key (the storage layout)."""
 
-    keys: np.ndarray  #: int64 ``s1 * n_sources + s2`` keys, sorted unique
+    keys: np.ndarray  #: int64 pair keys (``core.pairspace``), sorted unique
     c_fwd: np.ndarray
     c_bwd: np.ndarray
     independent: np.ndarray
@@ -129,8 +131,8 @@ class PairRows:
         The columns are already sorted by key, so nothing is walked: the
         two bool columns fold into ``flags`` and ``decision_pos`` is -1
         unless the detector's bookkeeping supplies positions — as
-        ``(sorted keys, positions)`` arrays under ``columns``' stride
-        (one ``searchsorted`` gather) or as a ``pair -> position``
+        ``(sorted keys, positions)`` arrays (one ``searchsorted``
+        gather) or as a ``pair -> position``
         mapping (the python backend's form).
         """
         if isinstance(decision_positions, Mapping):
@@ -158,7 +160,6 @@ class PairRows:
     def from_decisions(
         cls,
         decisions: Mapping[tuple[int, int], "object"],
-        n_sources: int,
         decision_positions: Mapping[tuple[int, int], int] | None = None,
     ) -> "PairRows":
         """Build sorted pair rows from a ``pair -> PairDecision`` map.
@@ -168,7 +169,7 @@ class PairRows:
         are value-identical) serialize to byte-identical rows.
         """
         return cls.from_columns(
-            PairColumns.from_decisions(decisions, n_sources), decision_positions
+            PairColumns.from_decisions(decisions), decision_positions
         )
 
     def to_arrays(self, prefix: str = "pair_") -> dict[str, np.ndarray]:
@@ -328,7 +329,7 @@ def copier_totals(pairs: PairRows, n_sources: int) -> tuple[np.ndarray, np.ndarr
     """
     totals = np.zeros(n_sources)
     if len(pairs):
-        s1, s2 = decode_pair_keys(pairs.keys, n_sources)
+        s1, s2 = decode_pair_keys(pairs.keys)
         np.add.at(totals, s1, pairs.forward)
         np.add.at(totals, s2, pairs.backward)
     sources = np.nonzero(totals > 0.0)[0]
@@ -555,7 +556,7 @@ class VerdictStore:
 
         Raises:
             ServingError: missing, truncated, corrupted or
-                newer-versioned snapshot.
+                other-versioned snapshot.
         """
         path = self.snapshot_path(snapshot_id)
         if not path.is_file():
@@ -636,8 +637,7 @@ class SnapshotPublisher:
     def _delta_labels(self) -> dict[str, Sequence[str]] | None:
         """Full label tables when they grew since the last publish.
 
-        A streaming epoch can intern new items and values (new sources
-        force a fresh publisher — pair keys are stride-dependent), so a
+        A streaming epoch can intern new sources, items and values, so a
         delta must re-ship the label tables whenever their sizes moved;
         otherwise a reader resolving a freshly-interned value id against
         the stale tables would fall off the end.  Unchanged sizes ship no
@@ -652,25 +652,10 @@ class SnapshotPublisher:
 
         Streaming epochs hand the publisher a fresh immutable
         :class:`~repro.data.Dataset` each time the claim ledger moves.
-        Growth in items or values is fine (interning is append-only and
-        ids are stable; the next delta re-ships the label tables via
-        :meth:`_delta_labels`) — but a changed *source count* is not,
-        because stored pair keys are ``s1 * n_sources + s2``: every key
-        in the published chain would decode differently under the new
-        stride.  Callers must create a fresh publisher (which starts
-        with a full snapshot) when sources appear.
-
-        Raises:
-            ValueError: when ``dataset.n_sources`` differs from the
-                bound dataset's.
+        Growth in sources, items or values is fine: interning is
+        append-only, ids — and therefore pair keys — are stable, and the
+        next delta re-ships the label tables via :meth:`_delta_labels`.
         """
-        if dataset.n_sources != self.dataset.n_sources:
-            raise ValueError(
-                "pair keys are stride-dependent: a publisher cannot be "
-                f"rebound across a source-count change "
-                f"({self.dataset.n_sources} -> {dataset.n_sources}); "
-                "create a fresh SnapshotPublisher instead"
-            )
         self.dataset = dataset
 
     def publish_round(
@@ -732,7 +717,7 @@ class SnapshotPublisher:
             removed = delta.removed
         else:
             pair_upserts, removed = PairRows.empty(), frozenset()
-        removed_keys = encode_pairs(sorted(removed), n_sources)
+        removed_keys = encode_pairs(sorted(removed))
         merged_pairs = merge_pair_rows(self._prev_pairs, pair_upserts, removed_keys)
 
         item_upserts, removed_item_ids = self._item_delta(items)
@@ -782,8 +767,3 @@ class SnapshotPublisher:
         changed_rows = np.nonzero(~(known & same_truth & close_prob))[0]
         removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]
         return items.take(changed_rows), removed_ids
-
-    @property
-    def prev_pairs(self) -> PairRows:
-        """The pair state as currently published (post-merge)."""
-        return self._prev_pairs

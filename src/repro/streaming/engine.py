@@ -24,13 +24,13 @@ Per epoch the engine:
    paper's three-pass INCREMENTAL), warm-started from the previous
    epoch's converged accuracies when ``warm_start`` is on;
 4. publishes the converged verdicts + truths to the
-   :class:`~repro.serving.VerdictStore` — a delta snapshot sized by a
-   field-exact diff against the previous *epoch* (the last round's
+   :class:`~repro.serving.VerdictStore` through the engine's one
+   :class:`~repro.serving.SnapshotPublisher` — a delta snapshot sized
+   by a field-exact diff against the previous *epoch* (the last round's
    ``changed_pairs`` is relative to the previous round, not the
-   previous epoch, so it is deliberately dropped before publishing),
-   or a fresh full snapshot whenever new sources appeared (pair keys
-   are ``s1 * n_sources + s2`` — a changed stride invalidates every
-   published key, so the publisher is rebuilt).
+   previous epoch, so it is deliberately dropped before publishing).
+   A pair's key depends on its two ids alone, so the chain extends
+   across epochs in which new sources appear.
 
 **Why per-epoch index rebuilds are honest.**  The paper's INCREMENTAL
 assumes a frozen claim set: its bookkeeping indexes positions in one
@@ -127,13 +127,6 @@ class EpochState:
             credibility=self.credibility,
             conflict=self.conflict,
         )
-
-    def truth_of(self, item_id: int) -> tuple[int, float] | None:
-        """The fused ``(value_id, probability)`` for an item id, if any."""
-        value = self.chosen.get(item_id)
-        if value is None:
-            return None
-        return value, float(self.probabilities[value])
 
 
 @dataclass(frozen=True)
@@ -325,13 +318,7 @@ class StreamEngine:
             return None
         from ..serving.store import SnapshotPublisher
 
-        if (
-            self._publisher is None
-            or dataset.n_sources != self._publisher.dataset.n_sources
-        ):
-            # New sources change the pair-key stride: every key already
-            # in the store decodes differently, so the chain cannot be
-            # extended.  A fresh publisher starts with a full snapshot.
+        if self._publisher is None:
             self._publisher = SnapshotPublisher(self.store, dataset)
         else:
             self._publisher.rebind(dataset)

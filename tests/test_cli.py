@@ -282,6 +282,32 @@ class TestFuse:
         assert "rounds=" in capsys.readouterr().out
 
 
+class TestQuery:
+    @pytest.fixture(scope="class")
+    def store(self, dataset_dir, tmp_path_factory):
+        store = tmp_path_factory.mktemp("query") / "store"
+        claims = str(dataset_dir / "claims.csv")
+        assert main(["fuse", claims, "--store", str(store), "--max-rounds", "2",
+                     "--gold", str(dataset_dir / "gold.csv")]) == 0
+        return str(store)
+
+    def test_store_flag_keeps_the_fuse_flags(self, store, dataset_dir):
+        """``fuse --store`` is ``fuse``: --gold worked above, and the
+        partition flags are validated as on a store-less run (the
+        ``serve-snapshot`` copy it replaced had neither)."""
+        claims = str(dataset_dir / "claims.csv")
+        with pytest.raises(SystemExit, match="supports methods index/hybrid"):
+            main(["fuse", claims, "--store", store, "--executor", "threads"])
+
+    def test_pair_with_one_source_twice_exits_cleanly(self, store):
+        with pytest.raises(SystemExit, match="a pair needs two distinct sources"):
+            main(["query", store, "--pair", "0", "0"])
+
+    def test_pair_out_of_range_exits_cleanly(self, store):
+        with pytest.raises(SystemExit, match="source 99999 out of range for a"):
+            main(["query", store, "--pair", "0", "99999"])
+
+
 class TestConformance:
     def test_smoke_run_writes_report(self, tmp_path, capsys):
         report_path = tmp_path / "sub" / "report.json"

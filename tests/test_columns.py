@@ -30,6 +30,7 @@ from repro.core import (
     SingleRoundDetector,
     detect,
 )
+from repro.core.pairspace import ID_LIMIT, pair_key
 from repro.core.result import DecisionView, PairColumns
 from repro.fusion import run_fusion
 from repro.serving.store import PairRows, VerdictStore
@@ -50,7 +51,7 @@ def _decision(seed: float, copying: bool = False, early: bool = False):
 
 def _columnar(decisions: dict, n_sources: int, **kwargs) -> DetectionResult:
     """A result backed by a column table holding ``decisions``."""
-    columns = PairColumns.from_decisions(decisions, n_sources)
+    columns = PairColumns.from_decisions(decisions)
     return DetectionResult("test", n_sources, DecisionView(columns), **kwargs)
 
 
@@ -147,15 +148,18 @@ class TestMappingSemantics:
 
 
 # ----------------------------------------------------------------------
-# s1 * n + s2 must never answer with a neighbour's verdict
+# A lookup must never answer with a neighbour's verdict
 # ----------------------------------------------------------------------
 class TestKeyAliasing:
     def test_out_of_range_ids_are_not_observed(self):
-        # n = 4: key(1, 2) = 6 = key(0, 6) = key(-1, 10) = key(2, -2).
+        # Ids that would spill into the other id's bits: with Python
+        # ints key(0, 2**32 + 2) and key(2, -2**32 + 2) both equal
+        # key(1, 2); the first five aliased it under the stride key.
         result = _columnar({(1, 2): _decision(1.0, copying=True)}, 4)
         view = result.decisions
         assert view[(1, 2)].copying
-        for alias in [(0, 6), (-1, 10), (2, -2), (6, 0), (1, 6)]:
+        for alias in [(0, 6), (-1, 10), (2, -2), (6, 0), (1, 6),
+                      (0, 2**32 + 2), (2, -(2**32) + 2), (1, 2**32 + 2)]:
             assert alias not in view
             assert view.get(alias) is None
             with pytest.raises(KeyError):
@@ -177,28 +181,32 @@ class TestKeyAliasing:
             assert view.get(junk) is None
 
     def test_ids_beyond_two_pow_sixteen_do_not_wrap(self):
-        # 65_536 * 70_000 overflows int32: both the table's keys and a
-        # lookup fed NumPy int32 ids must stay exact.
-        n = 70_000
+        # Both the table's keys and a lookup fed NumPy int32 ids must
+        # stay exact up to the codec's limit: ``int32 << 32`` would wrap.
+        top = ID_LIMIT - 1
         decisions = {
+            (top - 1, top): _decision(0.5),
             (65_536, 69_999): _decision(1.0, copying=True),
             (3, 65_537): _decision(2.0),
+            (0, top): _decision(4.0),
             (0, 1): _decision(3.0),
         }
-        result = _columnar(decisions, n)
-        assert result.columns().keys.dtype == np.int64
-        assert result.columns().keys.tolist() == sorted(
-            s1 * n + s2 for s1, s2 in decisions
-        )
+        result = _columnar(decisions, ID_LIMIT)
+        keys = result.columns().keys
+        assert keys.dtype == np.int64
+        assert keys.tolist() == sorted(pair_key(s1, s2) for s1, s2 in decisions)
+        assert list(result.decisions) == sorted(decisions)
         assert result.decisions == decisions
-        got = result.decisions[(np.int32(65_536), np.int32(69_999))]
-        assert got == decisions[(65_536, 69_999)]
+        for s1, s2 in decisions:
+            got = result.decisions[(np.int32(s1), np.int32(s2))]
+            assert got == decisions[(s1, s2)]
         assert result.copying_pairs() == {(65_536, 69_999)}
-        # (65_535, 139_999) aliases key(65_536, 69_999).
-        assert result.decision_for(65_535, n + 69_999) is None
-        assert result.copy_probability(n + 69_999, 65_535) == 0.0
-        wrapped = int(np.int64(65_536 * n + 69_999).astype(np.int32))
-        assert result.decisions.get((0, wrapped)) is None
+        # Ids at or past the limit have no key; they are never answered
+        # with the row an int64 wrap would land on.
+        assert result.decision_for(0, ID_LIMIT) is None
+        assert result.decision_for(top, 2**32 + top) is None
+        assert result.copy_probability(2**32 + top, top - 1) == 0.0
+        assert result.decisions.get((top - 1 - 2**31, top)) is None
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +291,7 @@ class TestByteIdentity:
         positions = {pair: i for i, pair in enumerate(result.decisions) if i % 3}
         _assert_rows_identical(
             PairRows.from_columns(result.columns(), positions),
-            PairRows.from_decisions(
-                dict(result.decisions), result.n_sources, positions
-            ),
+            PairRows.from_decisions(dict(result.decisions), positions),
         )
         oracle = detect(dataset, probs, accs, CopyParams(backend="python"),
                         method=method)
@@ -445,11 +451,13 @@ class TestDeltaParity:
                 assert delta.removed == want_removed
                 assert bool(delta) == bool(want_changed or want_removed)
                 keys = delta.changed.columns.keys
-                assert keys.tolist() == sorted(s1 * n + s2 for s1, s2 in want_changed)
+                assert keys.tolist() == sorted(
+                    pair_key(s1, s2) for s1, s2 in want_changed
+                )
 
     def test_delta_across_a_grown_source_count(self):
-        # A streaming ledger can grow sources between two results; pair
-        # identity, not the stride-dependent key, is what is compared.
+        # A streaming ledger can grow sources between two results; a
+        # pair's key is the same in both.
         before = _columnar({(0, 1): _decision(1.0), (1, 2): _decision(2.0)}, 3)
         after = _columnar(
             {(0, 1): _decision(1.0), (1, 2): _decision(2.5), (2, 4): _decision(3.0)}, 5

@@ -109,7 +109,7 @@ class TestCaseConfig:
     def test_reference_flips_only_implementation_axes(self):
         config = CaseConfig(
             "detect", "hybrid", n_partitions=3, executor="processes",
-            reduce="tree", partition_by="work", epoch_size=16,
+            reduce="tree", partition_by="work", hybrid_threshold=4,
         )
         reference = config.reference()
         assert reference.backend == "python"
@@ -117,7 +117,12 @@ class TestCaseConfig:
         assert reference.n_partitions == 3
         assert reference.reduce == "tree"
         assert reference.partition_by == "work"
-        assert reference.epoch_size == 16
+        assert reference.hybrid_threshold == 4
+        # The epoch axis exists where the stress is applied: scan mode.
+        assert CaseConfig("scan", "hybrid", epoch_size=16).reference().epoch_size == 16
+        for mode, method in (("detect", "hybrid"), ("fusion", "hybrid")):
+            with pytest.raises(ValueError, match="epoch_size applies to mode 'scan'"):
+                CaseConfig(mode, method, epoch_size=16)
 
     def test_grid_labels_unique(self):
         for grid in (smoke_grid(), full_grid()):

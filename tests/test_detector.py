@@ -212,9 +212,11 @@ class TestDispatchParity:
         incremental = make_detector("incremental", params, prepare_round=1)
         assert isinstance(incremental, IncrementalDetector)
         assert incremental.prepare_round == 1
-        single = make_detector("bound+", params, epoch_size=5)
+        single = make_detector("bound+", params, hybrid_threshold=5)
         assert isinstance(single, SingleRoundDetector)
-        assert (single.method, single.epoch_size) == ("bound+", 5)
+        assert (single.method, single.hybrid_threshold) == ("bound+", 5)
+        with pytest.raises(TypeError, match="epoch_size"):
+            make_detector("bound+", params, epoch_size=5)  # scan-level only
         with pytest.raises(ValueError):
             make_detector("nope", params)
 

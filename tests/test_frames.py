@@ -1,15 +1,19 @@
 """Format stability of the two binary formats over the shared framing module.
 
-The golden bytes under ``tests/data/golden_frames/`` were written by the
-public encoders at commit 465d2c0, when ``serving/codec.py`` and
+The golden bytes under ``tests/data/golden_frames/`` were first written
+by the public encoders at commit 465d2c0, when ``serving/codec.py`` and
 ``cluster/wire.py`` each hand-rolled their own framing (see
 ``tests/make_golden_frames.py``).  Both now sit on
 :mod:`repro.data.frames`; these tests hold them to the same bytes and the
-same error contract.
+same error contract.  Version 2 (stride-free pair keys) changed what the
+``pair_keys`` numbers *mean*, which the framing never interprets: the
+regenerated fixtures differ from the version-1 ones in the version word
+alone (:data:`V1_SHA256`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import struct
 
@@ -23,6 +27,13 @@ from repro.serving import FORMAT_VERSION, ServingError, decode_snapshot, encode_
 from tests.make_golden_frames import GOLDEN_DIR, golden_frames
 
 GOLDEN = {path.name: path.read_bytes() for path in sorted(GOLDEN_DIR.iterdir())}
+
+#: SHA-256 of the fixtures as committed at format/wire version 1 (927e39e).
+V1_SHA256 = {
+    "snapshot.rvs": "8cbd3ab0f31517cd87688fdc57e9a6669a0ca2d16cd1665daa67e21fb323c742",
+    "task.rclw": "cb00aaddf32b8e5ce2d4fdf5aeb5854b4bd847ac182eeb7c489052302a3eb6eb",
+    "world.rclw": "1d8c67f32d7e8eea5766d7c977de12346675b86af0e8e73104a8cd2465732d99",
+}
 
 
 def _decode(name: str, data: bytes):
@@ -50,6 +61,12 @@ class TestGoldenBytes:
 
     def test_encoders_still_write_the_golden_bytes(self):
         assert golden_frames() == GOLDEN
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_version_two_moved_the_version_word_only(self, name):
+        assert struct.unpack_from("<4sI", GOLDEN[name])[1] == 2
+        as_v1 = _with_version(GOLDEN[name], 1)
+        assert hashlib.sha256(as_v1).hexdigest() == V1_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_decode_then_reencode_is_byte_identical(self, name):
@@ -85,6 +102,12 @@ DAMAGE = [
         ServingError,
         "newer than this build",
     ),
+    (
+        "snapshot.rvs",
+        lambda d: _with_version(d, FORMAT_VERSION - 1),
+        ServingError,
+        "older than this build",
+    ),
     ("snapshot.rvs", _flip_last_byte, ServingError, "checksum"),
     ("snapshot.rvs", lambda d: d[:-20], ServingError, "truncated"),
     ("snapshot.rvs", lambda d: d[:7], ServingError, "truncated"),
@@ -94,6 +117,12 @@ DAMAGE = [
         lambda d: _with_version(d, WIRE_VERSION + 1),
         ClusterError,
         "version",
+    ),
+    (
+        "world.rclw",
+        lambda d: _with_version(d, WIRE_VERSION - 1),
+        ClusterError,
+        "older",
     ),
     ("world.rclw", _flip_last_byte, ClusterError, "checksum"),
     ("task.rclw", lambda d: d[:-3], ClusterError, "closed mid-frame"),
@@ -115,6 +144,26 @@ class TestErrorContract:
     def test_damage_raises_the_formats_own_error(self, name, damage, error, fragment):
         with pytest.raises(error, match=fragment):
             _decode(name, damage(GOLDEN[name]))
+
+    @pytest.mark.parametrize(
+        "name, current, error, remedy",
+        [
+            ("snapshot.rvs", FORMAT_VERSION, ServingError, "re-publish the store"),
+            ("world.rclw", WIRE_VERSION, ClusterError, "restart the peer"),
+        ],
+    )
+    def test_an_older_version_is_refused_naming_both_and_the_remedy(
+        self, name, current, error, remedy
+    ):
+        """No older version is decoded (a v1 ``pair_keys`` column would be
+        silently misread as v2 keys): the error names the frame's version,
+        the build's, and what to do."""
+        message = (
+            rf"version {current - 1} is older than this build reads "
+            rf"\(version {current}\); {remedy}"
+        )
+        with pytest.raises(error, match=message):
+            _decode(name, _with_version(GOLDEN[name], current - 1))
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_header_damage_never_leaks_a_codec_traceback(self, name):

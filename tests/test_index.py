@@ -1,6 +1,7 @@
 """Inverted index: Definition 3.2 invariants, tail, orderings, rescoring."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -171,4 +172,9 @@ class TestRescore:
     ):
         """Example 3.6: 26 pairs occur in entries outside E-bar."""
         index = _build(example, example_probabilities, example_accuracies, params)
-        assert len(index.pairs_in_main()) == 26
+        main_pairs = {
+            pair
+            for entry in index.entries[: index.tail_start]
+            for pair in combinations(entry.providers, 2)
+        }
+        assert len(main_pairs) == 26

@@ -30,6 +30,7 @@ from repro.core.kernel import (
     score_incidences,
 )
 from repro.core.contribution import posterior
+from repro.core.pairspace import encode_pairs
 from repro.simjoin import count_shared_items
 from tests.strategies import worlds
 
@@ -69,12 +70,13 @@ class TestEntryTriangle:
 class TestPairTable:
     def test_accumulates_and_merges(self):
         n_sources = 4
-        keys = np.array([1, 1, 2, 7], dtype=np.int64)  # pairs (0,1),(0,2),(1,3)
+        s1 = np.array([0, 0, 0, 1])
+        s2 = np.array([1, 1, 2, 3])
         fwd = np.array([1.0, 2.0, 3.0, 4.0])
         bwd = np.array([0.5, 0.5, 0.5, 0.5])
         main = np.array([True, False, False, True])
-        table = PairTable.from_incidences(n_sources, keys, fwd, bwd, main)
-        assert table.keys.tolist() == [1, 2, 7]
+        table = PairTable.from_incidences(n_sources, s1, s2, fwd, bwd, main)
+        assert table.keys.tolist() == encode_pairs([(0, 1), (0, 2), (1, 3)]).tolist()
         assert table.c_fwd.tolist() == [3.0, 3.0, 4.0]
         assert table.n_shared.tolist() == [2, 1, 1]
         assert table.saw_main.tolist() == [True, False, True]
@@ -82,10 +84,10 @@ class TestPairTable:
 
         # Splitting the stream and merging must give the same table.
         half_a = PairTable.from_incidences(
-            n_sources, keys[:2], fwd[:2], bwd[:2], main[:2]
+            n_sources, s1[:2], s2[:2], fwd[:2], bwd[:2], main[:2]
         )
         half_b = PairTable.from_incidences(
-            n_sources, keys[2:], fwd[2:], bwd[2:], main[2:]
+            n_sources, s1[2:], s2[2:], fwd[2:], bwd[2:], main[2:]
         )
         merged = PairTable.merge([half_a, half_b])
         assert merged.keys.tolist() == table.keys.tolist()
@@ -99,38 +101,39 @@ class TestPairTable:
 
         rng = np.random.default_rng(3)
         n_sources = 30
-        keys = rng.integers(0, n_sources * n_sources, 500).astype(np.int64)
+        s1 = rng.integers(0, n_sources, 500)
+        s2 = rng.integers(0, n_sources, 500)
         fwd = rng.normal(size=500)
         bwd = rng.normal(size=500)
         main = rng.random(500) < 0.5
-        dense = PairTable.from_incidences(n_sources, keys, fwd, bwd, main)
+        dense = PairTable.from_incidences(n_sources, s1, s2, fwd, bwd, main)
         monkeypatch.setattr(kernel, "DENSE_KEY_SPACE", 0)
-        sparse = PairTable.from_incidences(n_sources, keys, fwd, bwd, main)
+        sparse = PairTable.from_incidences(n_sources, s1, s2, fwd, bwd, main)
         assert sparse.keys.tolist() == dense.keys.tolist()
         np.testing.assert_allclose(sparse.c_fwd, dense.c_fwd, atol=1e-12)
         np.testing.assert_allclose(sparse.c_bwd, dense.c_bwd, atol=1e-12)
         assert sparse.n_shared.tolist() == dense.n_shared.tolist()
         assert sparse.saw_main.tolist() == dense.saw_main.tolist()
 
-    def test_merge_rejects_mixed_strides(self):
+    def test_merge_rejects_mixed_source_counts(self):
         a = PairTable.empty(3)
         with pytest.raises(ValueError):
             PairTable.merge([a])  # all empty
-        full = PairTable.from_incidences(
-            4,
-            np.array([1], dtype=np.int64),
-            np.array([1.0]),
-            np.array([1.0]),
-            np.array([True]),
+        # The keys no longer depend on the source count, but the dense
+        # merge grid is sized by it: tables of two worlds do not merge.
+        full, other = (
+            PairTable.from_incidences(
+                n_sources,
+                np.array([0]),
+                np.array([1]),
+                np.array([1.0]),
+                np.array([1.0]),
+                np.array([True]),
+            )
+            for n_sources in (4, 5)
         )
-        other = PairTable.from_incidences(
-            5,
-            np.array([1], dtype=np.int64),
-            np.array([1.0]),
-            np.array([1.0]),
-            np.array([True]),
-        )
-        with pytest.raises(ValueError):
+        assert full.keys.tolist() == other.keys.tolist()
+        with pytest.raises(ValueError, match="source counts"):
             PairTable.merge([full, other])
 
 

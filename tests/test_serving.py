@@ -16,7 +16,7 @@ Covers the tentpole's guarantees end to end:
 * dense and sparse ``pair_layout`` detections serialize to identical
   store rows;
 * the ``run_fusion(snapshot_store=)`` hook and the
-  ``serve-snapshot`` / ``query`` CLI round trip.
+  ``fuse --store`` / ``query`` CLI round trip.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import pytest
 
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
+from repro.core.pairspace import decode_pairs
 from repro.core.result import DetectionResult, PairDecision
-from repro.data import save_claims
+from repro.data import DatasetBuilder, save_claims
 from repro.fusion import FusionConfig, run_fusion, vote_probabilities
 from repro.serving import (
-    FLAG_COPYING,
     FORMAT_VERSION,
     ItemRows,
     PairRows,
@@ -156,19 +156,19 @@ class TestStore:
     def test_full_snapshot_roundtrip(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
-        pairs = PairRows.from_decisions(decisions, 3)
+        pairs = PairRows.from_decisions(decisions)
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3, method="t")
         assert store.current_id() == sid
         meta, arrays = store.load(sid)
         assert meta["kind"] == "full"
         assert meta["n_sources"] == 3
         back = PairRows.from_arrays(arrays)
-        assert back.keys.tolist() == [1]  # 0 * 3 + 1
+        assert back.keys.tolist() == [1]  # (0 << 32) | 1
         assert back.c_fwd[0] == 5.0
 
     def test_truncated_store_file_is_a_serving_error(self, tmp_path, params):
         store = VerdictStore(tmp_path)
-        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)}, 3)
+        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
         path = store.snapshot_path(sid)
         path.write_bytes(path.read_bytes()[:-20])
@@ -177,7 +177,7 @@ class TestStore:
 
     def test_newer_versioned_snapshot_in_store(self, tmp_path, params):
         store = VerdictStore(tmp_path)
-        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)}, 3)
+        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
         path = store.snapshot_path(sid)
         data = path.read_bytes()
@@ -187,6 +187,17 @@ class TestStore:
             + data[12:]
         )
         with pytest.raises(ServingError, match="newer than this build"):
+            VerdictReader(store)
+
+    def test_older_versioned_snapshot_in_store(self, tmp_path, params):
+        # A version-1 store holds stride keys this build would misread:
+        # refused by name, with the remedy (a store is derived data).
+        store = VerdictStore(tmp_path)
+        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + struct.pack("<I", FORMAT_VERSION - 1) + data[8:])
+        with pytest.raises(ServingError, match="older than this build.*re-publish"):
             VerdictReader(store)
 
     def test_delta_chain_with_missing_base(self, tmp_path, example, params):
@@ -205,6 +216,52 @@ class TestStore:
         store.snapshot_path(sid1).unlink()
         with pytest.raises(ServingError, match="not found"):
             VerdictReader(store)
+
+    def test_a_delta_extends_the_chain_across_source_growth(self, tmp_path, params):
+        """Full at 3 sources, then one changed pair at 5: a one-row delta
+        whose chain reads back every pair (at the parent ``rebind``
+        refused the grown dataset — stored keys moved with the count)."""
+
+        def world(n_sources):
+            builder = DatasetBuilder()
+            for source_id in range(n_sources):
+                builder.add(f"S{source_id}", "item", "v")
+            return builder.build()
+
+        base = {
+            (0, 1): _decision(params, 5.0, 4.0),
+            (0, 2): _decision(params, -3.0, -4.0),
+            (1, 2): _decision(params, 6.0, 1.0),
+        }
+        pub = SnapshotPublisher(tmp_path, world(3))
+        pub.publish_round(1, _result(base, 3), [0.9])
+        pub.rebind(world(5))
+        grown = {**base, (2, 4): _decision(params, 7.0, 2.0)}
+        result = _result(grown, 5)
+        result.changed_pairs = {(2, 4)}
+        sid = pub.publish_round(2, result, [0.9])
+
+        meta, arrays = VerdictStore(tmp_path).load(sid)
+        assert (meta["kind"], meta["base_id"], meta["n_sources"]) == ("delta", 1, 5)
+        assert decode_pairs(arrays["pair_keys"]) == [(2, 4)]
+        reader = VerdictReader(tmp_path)
+        assert reader.n_sources == 5
+        assert reader.labels["sources"] == [f"S{i}" for i in range(5)]
+        for (s1, s2), decision in grown.items():
+            verdict = reader.get_verdict(s2, s1)
+            assert (verdict.c_fwd, verdict.copying) == (decision.c_fwd, decision.copying)
+        assert reader.get_verdict(3, 4) is None
+        # The ranking comes from the merged state: the newcomer's pair
+        # counts beside the three rows the base snapshot holds.
+        totals = [0.0] * 5
+        for (s1, s2), decision in grown.items():
+            totals[s1] += decision.posterior.forward
+            totals[s2] += decision.posterior.backward
+        ranking = {row.source: row.score for row in reader.top_copiers(5)}
+        assert ranking == pytest.approx(
+            {source: mass for source, mass in enumerate(totals) if mass > 0.0}
+        )
+        assert 4 in ranking
 
 
 # ----------------------------------------------------------------------
@@ -316,14 +373,16 @@ class TestConcurrentRefresh:
         # Dry run into a scratch store to learn the exact per-snapshot
         # state (ids are sequential, so the live store reproduces them).
         scratch = SnapshotPublisher(tmp_path / "scratch", example)
-        states: dict[int, dict[int, tuple[bool, float]]] = {}
+        states: dict[int, dict[tuple[int, int], tuple[bool, float]]] = {}
         for round_no, decisions in enumerate(rounds):
             sid = scratch.publish_round(round_no, _result(decisions, n), probs)
-            prev = scratch.prev_pairs
+            served = VerdictReader(tmp_path / "scratch")
             states[sid] = {
-                int(k): (bool(f & FLAG_COPYING), float(cf))
-                for k, f, cf in zip(prev.keys, prev.flags, prev.c_fwd)
+                key: (verdict.copying, verdict.c_fwd)
+                for key in all_keys
+                if (verdict := served.get_verdict(*key)) is not None
             }
+            assert states[sid].keys() == decisions.keys()
         last_sid = max(states)
 
         live = SnapshotPublisher(tmp_path / "live", example)
@@ -343,10 +402,9 @@ class TestConcurrentRefresh:
             while time.monotonic() < deadline:
                 if i % 7 == 0:
                     reader.refresh()
-                s1, s2 = all_keys[i % len(all_keys)]
+                key = s1, s2 = all_keys[i % len(all_keys)]
                 i += 1
                 verdict = reader.get_verdict(s1, s2)
-                key = s1 * n + s2
                 if verdict is None:
                     if key in states[last_sid]:
                         errors.append(f"missing verdict for observed pair {key}")
@@ -398,16 +456,12 @@ class TestIncrementalDeltas:
         )
         assert result.snapshot_ids  # one per round
         store = VerdictStore(tmp_path)
-        n = world.dataset.n_sources
         previous = None
         for record, sid in zip(result.rounds, result.snapshot_ids):
             meta, arrays = store.load(sid)
             if meta["kind"] == "delta":
                 delta = record.detection.decision_delta(previous)
-                expected = sorted(
-                    s1 * n + s2 for s1, s2 in delta.changed
-                )
-                assert arrays["pair_keys"].tolist() == expected
+                assert decode_pairs(arrays["pair_keys"]) == sorted(delta.changed)
             previous = record.detection
         # Later rounds change few pairs, so real deltas must appear.
         kinds = [store.load(sid)[0]["kind"] for sid in result.snapshot_ids]
@@ -548,7 +602,7 @@ class TestCliServe:
         assert (
             main(
                 [
-                    "serve-snapshot",
+                    "fuse",
                     str(claims_path),
                     "--store",
                     str(store),
@@ -561,7 +615,9 @@ class TestCliServe:
             == 0
         )
         out = capsys.readouterr().out
-        assert "Published" in out and "full" in out
+        # the fusion summary first, then the table of what was published
+        assert out.index("converged=") < out.index("Published")
+        assert "full" in out and f"-> {store}" in out
 
         assert main(["query", str(store), "--top", "3"]) == 0
         out = capsys.readouterr().out
@@ -592,7 +648,7 @@ class TestCliServe:
         store = tmp_path / "store2"
         main(
             [
-                "serve-snapshot",
+                "fuse",
                 str(claims_path),
                 "--store",
                 str(store),
@@ -615,7 +671,7 @@ class TestCurrentPointerAtomicity:
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         for round_no in range(4):
-            pairs = PairRows.from_decisions(decisions, 3)
+            pairs = PairRows.from_decisions(decisions)
             store.write_full(pairs, ItemRows.empty(), n_sources=3)
             current = store.current_id()
             pointer = json.loads((tmp_path / "CURRENT").read_text())

@@ -279,20 +279,49 @@ class TestStreamEngine:
             assert truth is not None
             assert truth.value_label == grown.value_label[truth.value]
 
-    def test_new_sources_force_full_snapshot(self, tmp_path, world):
-        """Growing n_sources restrides pair keys: publisher is rebuilt."""
+    def test_new_sources_extend_the_chain(self, tmp_path, world, monkeypatch):
+        """A pair's key does not depend on the source count, so the
+        engine keeps its one publisher — and its snapshot chain — across
+        an epoch in which a source appears."""
+        from repro.serving import SnapshotPublisher
+
+        built = []
+        init = SnapshotPublisher.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(SnapshotPublisher, "__init__", counting_init)
         store = VerdictStore(tmp_path / "store")
         newcomer = [
             ClaimDelta("LATE", f"I{i:02d}", f"true-{i}") for i in range(12)
         ]
         with StreamEngine(store=store) as engine:
             engine.run_epoch(world)
-            publisher_before = engine._publisher
+            n_before = engine.state.dataset.n_sources
             engine.run_epoch(newcomer)
-            assert engine._publisher is not publisher_before
-            n_sources = engine.state.dataset.n_sources
+            assert built == [engine._publisher]
+            state = engine.state
+        n_sources = state.dataset.n_sources
+        assert n_sources == n_before + 1
+        assert engine._publisher.snapshot_ids == [1, 2]
+        # A reader opened afterwards serves the grown epoch, pair for pair.
         reader = VerdictReader(store)
         assert reader.n_sources == n_sources
+        decisions = state.detection.decisions
+        late = n_sources - 1
+        assert any(late in pair for pair in decisions)
+        for s1 in range(n_sources):
+            for s2 in range(s1 + 1, n_sources):
+                verdict = reader.get_verdict(s1, s2)
+                decision = decisions.get((s1, s2))
+                if decision is None:
+                    assert verdict is None
+                else:
+                    assert (verdict.copying, verdict.c_fwd, verdict.c_bwd) == (
+                        decision.copying, decision.c_fwd, decision.c_bwd
+                    )
 
     def test_explain_from_epoch_state(self, tmp_path, world):
         with StreamEngine(store=tmp_path / "store") as engine:
@@ -315,10 +344,10 @@ class TestStreamEngine:
             engine.run_epoch(world)
             state = engine.state
             item = state.dataset.item_names.index("I00")
-            value, probability = state.truth_of(item)
+            value = state.chosen[item]
             assert state.dataset.value_label[value].startswith(("true-", "wrong-"))
-            assert 0.0 < probability <= 1.0
-            assert state.truth_of(10_000) is None
+            assert 0.0 < state.probabilities[value] <= 1.0
+            assert 10_000 not in state.chosen
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +467,7 @@ class TestServiceEpochs:
         assert stats["claims_received"] == len(world) + 3
         s0 = state.dataset.source_names.index("S0")
         i00 = state.dataset.item_names.index("I00")
-        claimed = state.dataset.claim_of(s0, i00)
+        claimed = state.dataset.claims[s0][i00]
         assert state.dataset.value_label[claimed] == "flip-b"
 
     def test_deadline_flush_of_pure_confirmations_publishes_nothing(
