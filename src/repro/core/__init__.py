@@ -50,7 +50,6 @@ from .params import (
 )
 from .result import (
     CostCounter,
-    DecisionDelta,
     DetectionResult,
     PairDecision,
     PairNotObservedError,
@@ -84,7 +83,6 @@ __all__ = [
     "CopyPosterior",
     "CostCounter",
     "DEFAULT_HYBRID_THRESHOLD",
-    "DecisionDelta",
     "DetectionResult",
     "EntryOrdering",
     "EvidenceItem",

@@ -569,6 +569,9 @@ def scan_with_bounds(
         n_sources=dataset.n_sources,
         decisions=decisions,
         cost=cost,
+        decision_pos=None
+        if bookkeeping is None
+        else {pair: book.decision_pos for pair, book in bookkeeping.items()},
     )
     return ScanOutcome(result=result, index=index, bookkeeping=bookkeeping)
 

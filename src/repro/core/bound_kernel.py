@@ -104,7 +104,6 @@ from .kernel import (
 )
 from .pairspace import (
     PairSpace,
-    decode_pair_keys,
     encode_pairs,
     resolve_pair_layout,
 )
@@ -809,7 +808,7 @@ class EpochScan:
         incidence) in exact mode, and early verdicts stand — their
         suffix contributions are counted and discarded.
         """
-        slots = self.space.slots(*decode_pair_keys(suffix.keys))
+        slots = self.space.key_slots(suffix.keys)
         status = self.status[slots]
         n_incidences = int(suffix.n_shared.sum())
         self.incidences += n_incidences
@@ -886,6 +885,7 @@ class EpochScan:
             backward,
             copying=np.where(verdict < 0, independent <= 0.5, verdict == 1),
             early=verdict >= 0,
+            decision_pos=decision_pos[order] if self.track else None,
         )
         result = DetectionResult(
             method=method_name,
@@ -911,7 +911,9 @@ class EpochScan:
                 "early": columns.early,
                 "c_base_fwd": self.c0_fwd[slots] + base_penalty,
                 "c_base_bwd": self.c0_bwd[slots] + base_penalty,
-                "decision_pos": decision_pos[order],
+                # INCREMENTAL patches its positions in place: not the
+                # result's column.
+                "decision_pos": columns.decision_pos.copy(),
                 "n_before": n_before,
                 "n_after": n_after,
                 "l": l_shared,

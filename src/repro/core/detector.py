@@ -390,18 +390,6 @@ class IncrementalDetector(_WorkspaceMixin):
         """Whether a fusion workspace would pay off for this detector."""
         return self.params.backend == "numpy"
 
-    def decision_positions(self):
-        """Per-pair decision positions from the bookkeeping, once prepared.
-
-        The index position where each opened pair's verdict was reached
-        (:class:`~repro.core.bound.PairBookkeeping`): a ``pair ->
-        position`` dict from the python backend's state, aligned
-        ``(keys, positions)`` arrays from the columnar one; ``None``
-        before the preparation round.  Snapshots store -1 for pairs of
-        detectors without this method.
-        """
-        return None if self.state is None else self.state.decision_positions()
-
     @_stamped
     def run_round(
         self,

@@ -143,10 +143,6 @@ class IncrementalState:
         backends' states share (a lazy view under numpy)."""
         return self.pairs
 
-    def decision_positions(self) -> dict[tuple[int, int], int]:
-        """Each booked pair's decision position."""
-        return {key: record.decision_pos for key, record in self.pairs.items()}
-
 
 def prepare_incremental(
     dataset: Dataset,
@@ -483,6 +479,7 @@ def incremental_round(
         decisions=decisions,
         cost=cost,
         changed_pairs=changed_pairs,
+        decision_pos={key: rec.decision_pos for key, rec in state.pairs.items()},
     )
 
 

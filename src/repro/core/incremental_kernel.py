@@ -245,10 +245,6 @@ class ColumnarIncrementalState:
             _record,
         )
 
-    def decision_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(keys, positions)``: each booked pair's decision position."""
-        return self.keys, self.decision_pos
-
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------
@@ -473,6 +469,8 @@ class ColumnarIncrementalState:
             backward,
             copying=copying,
             early=early,
+            # A copy: later rounds move the state's positions in place.
+            decision_pos=self.decision_pos.copy(),
         )
         return DetectionResult(
             method="incremental",

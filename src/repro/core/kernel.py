@@ -57,10 +57,10 @@ import numpy as np
 
 from .pairspace import (
     PairSpace,
-    decode_pair_keys,
     decode_pairs,
     encode_pair_keys,
     reduce_by_key,
+    reduce_keys,
     resolve_pair_layout,
 )
 from .params import CopyParams
@@ -466,8 +466,7 @@ class PairTable:
     def _reduce_keyed(
         cls,
         n_sources: int,
-        src1: np.ndarray,
-        src2: np.ndarray,
+        stream: tuple[np.ndarray, ...],
         fwd: np.ndarray,
         bwd: np.ndarray,
         incidence_counts: np.ndarray,
@@ -476,7 +475,10 @@ class PairTable:
     ) -> "PairTable":
         """Scatter-add a pair stream into compact per-pair arrays.
 
-        The grouping is :func:`repro.core.pairspace.reduce_by_key` —
+        ``stream`` names the pair of every row: ``(src1, src2)`` id
+        arrays (an incidence scan) or ``(keys,)`` (partial tables).
+        The grouping is :func:`repro.core.pairspace.reduce_by_key`, or
+        :func:`~repro.core.pairspace.reduce_keys` for the keyed form —
         dense ``np.bincount`` under :data:`DENSE_KEY_SPACE`, sparse
         ``np.unique`` + ``np.add.at`` beyond it (or on request), with
         identical floats either way.  Occupancy comes from pair
@@ -485,15 +487,16 @@ class PairTable:
         must survive.  Either way this is the vectorized replacement for
         the Python backend's per-incidence dict churn (``cell[0] += ...``).
         """
-        if len(src1) == 0:
+        if len(stream[0]) == 0:
             return cls.empty(n_sources)
         layout = resolve_pair_layout(
             layout, n_sources, DENSE_KEY_SPACE, "kernel.PairTable"
         )
         main_f = main.astype(np.float64)
         counts_f = incidence_counts.astype(np.float64)
-        uniq, (c_fwd, c_bwd, n_shared, saw_main) = reduce_by_key(
-            n_sources, src1, src2, (fwd, bwd, counts_f, main_f), layout
+        reduce = reduce_by_key if len(stream) == 2 else reduce_keys
+        uniq, (c_fwd, c_bwd, n_shared, saw_main) = reduce(
+            n_sources, *stream, (fwd, bwd, counts_f, main_f), layout
         )
         return cls(
             n_sources=n_sources,
@@ -519,8 +522,7 @@ class PairTable:
         per-pair accumulators."""
         return cls._reduce_keyed(
             n_sources,
-            src1,
-            src2,
+            (src1, src2),
             fwd,
             bwd,
             np.ones(len(src1), dtype=np.int64),
@@ -543,7 +545,7 @@ class PairTable:
             return tables[0]
         return cls._reduce_keyed(
             n_sources,
-            *decode_pair_keys(np.concatenate([t.keys for t in tables])),
+            (np.concatenate([t.keys for t in tables]),),
             np.concatenate([t.c_fwd for t in tables]),
             np.concatenate([t.c_bwd for t in tables]),
             np.concatenate([t.n_shared for t in tables]),

@@ -31,10 +31,11 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
   layout.
 * :func:`member_rows` — maybe-missing lookups of a key stream in a
   sorted key column (``np.searchsorted`` + equality mask).
-* :func:`reduce_by_key` — scatter-add a pair incidence stream into
-  compact per-pair sums (dense ``np.bincount`` or sparse ``np.unique`` +
-  ``np.add.at``; both are stream-order left folds, so the two layouts
-  produce identical floats).
+* :func:`reduce_by_key` / :func:`reduce_keys` — scatter-add a pair
+  incidence stream (given as id arrays / as keys) into compact per-pair
+  sums (dense ``np.bincount`` or sparse ``np.unique`` + ``np.add.at``;
+  both are stream-order left folds, so the two layouts produce identical
+  floats).
 * :class:`PairValueMap` — a directed-pair float lookup (ACCUCOPY's copy
   probabilities) backed by sorted keys + ``np.searchsorted`` gather with
   a default for unobserved pairs, replacing the dense
@@ -247,7 +248,17 @@ class PairSpace:
         """
         if self.layout == "dense":
             return src1 * self.n_sources + src2
-        return np.searchsorted(self.keys, encode_pair_keys(src1, src2))
+        return self.key_slots(encode_pair_keys(src1, src2))
+
+    def key_slots(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`slots` of member pairs that arrive keyed already.
+
+        The sparse layout probes the keys as they are; only the dense
+        grid decodes them.
+        """
+        if self.layout == "dense":
+            return self.slots(*decode_pair_keys(keys))
+        return np.searchsorted(self.keys, keys)
 
     def slot_keys(self, slots: np.ndarray) -> np.ndarray:
         """The int64 keys behind a slot array."""
@@ -291,25 +302,35 @@ def reduce_by_key(
         ``(uniq_keys, sums)`` — the sorted unique pair keys and one
         aligned float64 sum array per input column.
     """
+    if layout != "dense":
+        return reduce_keys(n_sources, encode_pair_keys(src1, src2), columns, layout)
+    space = PairSpace.dense(n_sources)
+    cells = space.slots(src1, src2)
+    present = np.bincount(cells, minlength=len(space))
+    uniq = np.nonzero(present)[0]
+    sums = [
+        np.bincount(cells, weights=col, minlength=len(space))[uniq]
+        for col in columns
+    ]
+    return space.slot_keys(uniq), sums
+
+
+def reduce_keys(
+    n_sources: int, keys: np.ndarray, columns: Sequence[np.ndarray], layout: str
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`reduce_by_key` for a pair stream that arrives keyed already.
+
+    What merging partial tables presents: the sparse strategy groups the
+    keys as they are, and only the dense grid decodes them.
+    """
     if layout == "dense":
-        space = PairSpace.dense(n_sources)
-        cells = space.slots(src1, src2)
-        present = np.bincount(cells, minlength=len(space))
-        uniq = np.nonzero(present)[0]
-        sums = [
-            np.bincount(cells, weights=col, minlength=len(space))[uniq]
-            for col in columns
-        ]
-        uniq = space.slot_keys(uniq)
-    else:
-        uniq, inverse = np.unique(
-            encode_pair_keys(src1, src2), return_inverse=True
-        )
-        sums = []
-        for col in columns:
-            acc = np.zeros(len(uniq))
-            np.add.at(acc, inverse, col)
-            sums.append(acc)
+        return reduce_by_key(n_sources, *decode_pair_keys(keys), columns, layout)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    sums = []
+    for col in columns:
+        acc = np.zeros(len(uniq))
+        np.add.at(acc, inverse, col)
+        sums.append(acc)
     return uniq, sums
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import index
 from typing import Iterator
 
@@ -92,18 +93,23 @@ class PairDecision:
 #: Float columns of a :class:`PairColumns` table, in storage order.
 PAIR_FLOAT_COLUMNS = ("c_fwd", "c_bwd", "independent", "forward", "backward")
 
-#: Every per-pair value column (all but the key), in field order.
+#: The :class:`PairDecision` columns, in field order.
 _VALUE_COLUMNS = PAIR_FLOAT_COLUMNS + ("copying", "early")
+
+#: Every per-pair column but the key, in field order — what a snapshot
+#: stores per pair and what the store's delta compares.
+PAIR_COLUMNS = _VALUE_COLUMNS + ("decision_pos",)
 
 
 @dataclass
 class PairColumns:
     """The per-pair verdict table in columnar layout, sorted by key.
 
-    The one shape verdicts travel in from the numpy kernels through
-    fusion to the snapshot store: row ``i`` is the :class:`PairDecision`
-    of the pair ``keys[i]`` (``s1 < s2``, the int64 key codec of
-    :mod:`repro.core.pairspace`).
+    The one shape verdicts travel in from the kernels through fusion to
+    the snapshot files and back into a reader: row ``i`` is the
+    :class:`PairDecision` of the pair ``keys[i]`` (``s1 < s2``, the int64
+    key codec of :mod:`repro.core.pairspace`) plus the index position
+    where that verdict was reached.
 
     Attributes:
         keys: int64 pair keys, sorted ascending, unique.
@@ -114,6 +120,10 @@ class PairColumns:
         backward: ``Pr(s1 <- s2 | Phi)``.
         copying: the binary decision (bool).
         early: True where the verdict came from a Section IV bound (bool).
+        decision_pos: int64 index position where the verdict was reached
+            (:class:`~repro.core.bound.PairBookkeeping`), filled by a
+            producer that tracks INCREMENTAL's bookkeeping; -1 =
+            untracked, which is what omitting the column gives every row.
     """
 
     keys: np.ndarray
@@ -124,22 +134,36 @@ class PairColumns:
     backward: np.ndarray
     copying: np.ndarray
     early: np.ndarray
+    decision_pos: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.decision_pos is None:
+            self.decision_pos = np.full(len(self.keys), -1, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     @classmethod
     def from_decisions(
-        cls, decisions: Mapping[tuple[int, int], "PairDecision"]
+        cls,
+        decisions: Mapping[tuple[int, int], "PairDecision"],
+        positions: Mapping[tuple[int, int], int] | None = None,
     ) -> "PairColumns":
         """Columnarize a ``pair -> PairDecision`` mapping (one pass).
 
         Only the public :class:`PairDecision` fields are read, so a
         dict-backed result and a columnar one holding the same verdicts
-        yield array-identical tables.
+        yield array-identical tables.  ``positions`` is the python
+        reference's ``pair -> decision position`` dict; a pair it does
+        not book stays at -1.  An empty mapping gives the zero-row table.
         """
         n_rows = len(decisions)
         keys = encode_pairs(decisions)
+        decision_pos = np.fromiter(
+            map((positions or {}).get, decisions, repeat(-1)),
+            dtype=np.int64,
+            count=n_rows,
+        )
         table = np.array(
             [
                 (d.c_fwd, d.c_bwd, *d.posterior, d.copying, d.early)
@@ -154,13 +178,14 @@ class PairColumns:
             *(np.ascontiguousarray(column) for column in table[:5]),
             table[5] != 0.0,
             table[6] != 0.0,
+            decision_pos[order],
         )
 
     def take(self, rows: np.ndarray) -> "PairColumns":
         """The table restricted to ``rows`` (an ascending index or mask)."""
         return PairColumns(
             self.keys[rows],
-            *(getattr(self, name)[rows] for name in _VALUE_COLUMNS),
+            *(getattr(self, name)[rows] for name in PAIR_COLUMNS),
         )
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -314,25 +339,6 @@ class PairRowView(Mapping):
         return list(zip(self, self.values()))
 
 
-@dataclass(frozen=True)
-class DecisionDelta:
-    """What changed between two detection rounds, for delta publishing.
-
-    Attributes:
-        changed: pairs whose verdict/scores differ from the previous
-            round (including newly opened pairs), with their new decision
-            — a :class:`DecisionView` whose ``columns`` are the changed
-            rows, so publishers copy arrays and never walk it.
-        removed: pairs present previously but absent now.
-    """
-
-    changed: DecisionView
-    removed: frozenset[tuple[int, int]]
-
-    def __bool__(self) -> bool:
-        return bool(self.changed) or bool(self.removed)
-
-
 @dataclass
 class DetectionResult:
     """Outcome of one copy-detection pass over a dataset.
@@ -360,6 +366,11 @@ class DetectionResult:
             verdict stands and their pass-1 scores are pessimistic
             estimates, so downstream consumers (the serving layer's delta
             publisher) keep the previous exact scores instead.
+        decision_pos: ``pair -> index position where its verdict was
+            reached``, attached by the python reference when it tracks
+            INCREMENTAL's bookkeeping so :meth:`columns` can fill the
+            ``decision_pos`` column; None when untracked, and always
+            under numpy, whose kernels write that column themselves.
     """
 
     method: str
@@ -368,6 +379,9 @@ class DetectionResult:
     cost: CostCounter = field(default_factory=CostCounter)
     elapsed_seconds: float = 0.0
     changed_pairs: set[tuple[int, int]] | None = None
+    decision_pos: Mapping[tuple[int, int], int] | None = field(
+        default=None, repr=False, compare=False
+    )
     _columns: PairColumns | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -377,51 +391,15 @@ class DetectionResult:
 
         Free when a numpy kernel produced the result (it *is* the table
         behind :attr:`decisions`); built from the dict once, and cached,
-        otherwise.  Fusion, :meth:`decision_delta` and the snapshot
-        publisher read only this.
+        otherwise.  Fusion and the snapshot publisher read only this.
         """
         if isinstance(self.decisions, DecisionView):
             return self.decisions.columns
         if self._columns is None:
-            self._columns = PairColumns.from_decisions(self.decisions)
+            self._columns = PairColumns.from_decisions(
+                self.decisions, self.decision_pos
+            )
         return self._columns
-
-    def decision_delta(self, previous: "DetectionResult | None") -> DecisionDelta:
-        """The decision changes since ``previous``.
-
-        With no ``previous`` everything counts as changed.  When this
-        result carries :attr:`changed_pairs` the delta comes straight
-        from it (plus any newly opened pair the set missed — belt and
-        braces for hand-built results); otherwise a pair is changed when
-        any column differs from its ``previous`` row — the exact
-        comparison ``PairDecision.__ne__`` would make, one vector
-        operation per column.
-        """
-        cur = self.columns()
-        if previous is None:
-            return DecisionDelta(changed=DecisionView(cur), removed=frozenset())
-        keys = cur.keys
-        prev = previous.columns()
-        if len(prev):
-            at = np.minimum(np.searchsorted(prev.keys, keys), len(prev) - 1)
-            known = prev.keys[at] == keys
-        else:
-            at = np.zeros(len(cur), dtype=np.int64)
-            known = np.zeros(len(cur), dtype=bool)
-        if self.changed_pairs is not None:
-            reported = encode_pairs(self.changed_pairs)
-            changed = ~known | np.isin(keys, reported)
-        else:
-            same = known.copy()
-            rows = at[known]
-            for name in _VALUE_COLUMNS:
-                same[known] &= getattr(cur, name)[known] == getattr(prev, name)[rows]
-            changed = ~same
-        gone = prev.keys[~np.isin(prev.keys, keys)]
-        return DecisionDelta(
-            changed=DecisionView(cur.take(changed)),
-            removed=frozenset(decode_pairs(gone)),
-        )
 
     def copying_pairs(self) -> set[tuple[int, int]]:
         """The set of pairs judged to be copying (either direction)."""

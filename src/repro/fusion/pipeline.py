@@ -275,9 +275,8 @@ def run_fusion(
         snapshot_store: a :class:`~repro.serving.VerdictStore` (or a
             store directory path) to publish each round's verdicts +
             fused truths into.  The first round writes a full snapshot;
-            later rounds publish deltas sized by what actually changed
-            (the INCREMENTAL detector's re-opened/rebuilt pairs, via
-            ``DetectionResult.changed_pairs``).  A concurrent
+            later rounds publish deltas against the published state
+            (:func:`repro.serving.store.pair_delta`).  A concurrent
             :class:`~repro.serving.VerdictReader` picks versions up via
             ``refresh()``.
 
@@ -400,13 +399,7 @@ def run_fusion(
                 )
             )
             if publisher is not None:
-                positions = getattr(detector, "decision_positions", None)
-                publisher.publish_round(
-                    round_no,
-                    detection,
-                    probabilities,
-                    positions() if positions is not None else None,
-                )
+                publisher.publish_round(round_no, detection, probabilities)
             if round_no >= cfg.min_rounds and change < cfg.tolerance:
                 converged = True
                 break

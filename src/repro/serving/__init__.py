@@ -8,7 +8,7 @@ them.  Three pieces:
 * :mod:`~repro.serving.store` — :class:`VerdictStore` (a directory of
   immutable snapshots + atomic ``CURRENT`` pointer, full or delta) and
   :class:`SnapshotPublisher` (one snapshot per fusion round, deltas
-  sized by the INCREMENTAL bookkeeping's changed pairs);
+  against the state it last published);
 * :mod:`~repro.serving.reader` — :class:`VerdictReader`, the LRU-cached
   ``get_verdict`` / ``get_truth`` / ``top_copiers`` API that stays
   consistent under concurrent refresh.
@@ -31,7 +31,6 @@ from .store import (
     FLAG_COPYING,
     FLAG_EARLY,
     ItemRows,
-    PairRows,
     SnapshotPublisher,
     VerdictStore,
     copier_totals,
@@ -52,7 +51,6 @@ __all__ = [
     "VerdictReader",
     "VerdictStore",
     "SnapshotPublisher",
-    "PairRows",
     "ItemRows",
     "FLAG_COPYING",
     "FLAG_EARLY",

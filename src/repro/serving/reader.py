@@ -31,14 +31,13 @@ import numpy as np
 
 from ..core.pairspace import pair_key
 from .codec import ServingError
+from ..core.result import PairColumns
 from .store import (
-    FLAG_COPYING,
-    FLAG_EARLY,
     ItemRows,
-    PairRows,
     VerdictStore,
     merge_item_rows,
     merge_pair_rows,
+    pairs_from_arrays,
 )
 
 
@@ -85,7 +84,7 @@ class _SnapshotView:
         self,
         snapshot_id: int,
         meta: dict,
-        pairs: PairRows,
+        pairs: PairColumns,
         items: ItemRows,
         copier_sources: np.ndarray,
         copier_scores: np.ndarray,
@@ -116,13 +115,15 @@ class _SnapshotView:
     ) -> "_SnapshotView":
         chain = store.load_chain(snapshot_id)
         base_meta, base_arrays = chain[0]
-        pairs = PairRows.from_arrays(base_arrays)
+        pairs = pairs_from_arrays(
+            base_arrays, store.snapshot_path(base_meta["snapshot_id"])
+        )
         items = ItemRows.from_arrays(base_arrays)
         labels = base_meta.get("labels")
         for meta, arrays in chain[1:]:
             pairs = merge_pair_rows(
                 pairs,
-                PairRows.from_arrays(arrays),
+                pairs_from_arrays(arrays, store.snapshot_path(meta["snapshot_id"])),
                 arrays.get("removed_pair_keys", np.empty(0, dtype=np.int64)),
             )
             items = merge_item_rows(
@@ -170,12 +171,11 @@ class _SnapshotView:
         if pos >= len(keys) or keys[pos] != key:
             return None  # never observed: independent by construction
         pairs = self.pairs
-        flags = int(pairs.flags[pos])
         return Verdict(
             source_1=a,
             source_2=b,
-            copying=bool(flags & FLAG_COPYING),
-            early=bool(flags & FLAG_EARLY),
+            copying=bool(pairs.copying[pos]),
+            early=bool(pairs.early[pos]),
             independent=float(pairs.independent[pos]),
             forward=float(pairs.forward[pos]),
             backward=float(pairs.backward[pos]),

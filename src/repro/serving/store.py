@@ -28,11 +28,21 @@ A **full** snapshot carries the complete state (plus optional display
 labels); a **delta** carries only upserted/removed rows over a ``base``
 snapshot.  :class:`SnapshotPublisher` drives the lifecycle for the
 fusion loop: the first round publishes full, and later rounds publish
-deltas sized by what actually changed —
-:attr:`~repro.core.result.DetectionResult.changed_pairs` (the
-INCREMENTAL bookkeeping's re-opened/rebuilt pairs) when the detector
-reports it, a field-exact diff otherwise — falling back to a fresh full
-snapshot when the delta would approach a rewrite anyway.
+deltas against the state the publisher last published.  **A delta's
+pair row means: some stored column of this pair differs from the last
+published state, or the detector reported the pair** — when a result
+carries :attr:`~repro.core.result.DetectionResult.changed_pairs` (the
+INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it names
+are the only published pairs eligible; otherwise every stored column
+(scores, posterior, flags, decision position) is compared exactly.  A
+delta that would approach a rewrite anyway is written as a fresh full
+snapshot instead.
+
+Pair rows are a :class:`~repro.core.result.PairColumns` table from the
+kernel to the file and back into a reader; only at the codec boundary
+(:func:`pair_arrays` / :func:`pairs_from_arrays`) do the two bool
+columns fold into the ``pair_flags`` byte and the columns take their
+``pair_`` names.
 
 Per-source "most copied" totals (``top_copiers``) are recomputed from
 the merged pair state at every publish; they are O(pairs) to build and
@@ -51,7 +61,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ..core.pairspace import decode_pair_keys, encode_pairs, member_rows
-from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
+from ..core.result import PAIR_COLUMNS, PAIR_FLOAT_COLUMNS, PairColumns
 from .codec import (
     FORMAT_VERSION,
     ServingError,
@@ -63,11 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.result import DetectionResult
     from ..data import Dataset
 
-#: Decision positions as a publisher takes them: ``pair -> position``,
-#: or ``(sorted int64 pair keys, positions)`` aligned arrays.
-DecisionPositions = Mapping[tuple[int, int], int] | tuple[np.ndarray, np.ndarray]
-
-#: Pair-row flag bits.
+#: Bits of the ``pair_flags`` byte.
 FLAG_COPYING = 1
 FLAG_EARLY = 2
 
@@ -89,120 +95,62 @@ ITEM_TOLERANCE = 1e-6
 #: deltas lose on ``stream_book`` before anyone moves it.
 FULL_REWRITE_FRACTION = 0.6
 
+#: The zero-row pair table (the state before any publish).
+_NO_PAIRS = PairColumns.from_decisions({})
 
-@dataclass
-class PairRows:
-    """Columnar pair verdicts, sorted by key (the storage layout)."""
 
-    keys: np.ndarray  #: int64 pair keys (``core.pairspace``), sorted unique
-    c_fwd: np.ndarray
-    c_bwd: np.ndarray
-    independent: np.ndarray
-    forward: np.ndarray
-    backward: np.ndarray
-    flags: np.ndarray  #: uint8 bitmask of FLAG_COPYING / FLAG_EARLY
-    decision_pos: np.ndarray  #: int64 bookkeeping decision position, -1 unknown
+def pair_arrays(pairs: PairColumns) -> dict[str, np.ndarray]:
+    """A pair table as the named arrays a snapshot stores (the write side).
 
-    def __len__(self) -> int:
-        return len(self.keys)
+    ``copying`` and ``early`` fold into the ``pair_flags`` byte; every
+    other column goes in as it is under its ``pair_`` name.
+    """
+    flags = pairs.copying * FLAG_COPYING + pairs.early * FLAG_EARLY
+    return {
+        "pair_keys": pairs.keys,
+        **{"pair_" + name: getattr(pairs, name) for name in PAIR_FLOAT_COLUMNS},
+        "pair_flags": flags.astype(np.uint8),
+        "pair_decision_pos": pairs.decision_pos,
+    }
 
-    @classmethod
-    def empty(cls) -> "PairRows":
-        """A zero-row pair table (the state before any publish)."""
-        return cls(
-            keys=np.empty(0, dtype=np.int64),
-            c_fwd=np.empty(0),
-            c_bwd=np.empty(0),
-            independent=np.empty(0),
-            forward=np.empty(0),
-            backward=np.empty(0),
-            flags=np.empty(0, dtype=np.uint8),
-            decision_pos=np.empty(0, dtype=np.int64),
+
+def pairs_from_arrays(arrays: Mapping[str, np.ndarray], origin) -> PairColumns:
+    """The pair table of a decoded snapshot (the read side).
+
+    Args:
+        arrays: the snapshot's array dict.
+        origin: the file they were read from, named in every error.
+
+    Raises:
+        ServingError: when a pair column is missing, the columns
+            disagree in length, or ``pair_flags`` carries a bit this
+            build does not know.
+    """
+    try:
+        flags = arrays["pair_flags"]
+        columns = [arrays["pair_keys"]]
+        columns += [arrays["pair_" + name] for name in PAIR_FLOAT_COLUMNS]
+        columns += [
+            flags & FLAG_COPYING != 0,
+            flags & FLAG_EARLY != 0,
+            arrays["pair_decision_pos"],
+        ]
+    except KeyError as exc:
+        raise ServingError(
+            f"{origin}: snapshot is missing pair column {exc.args[0]!r}"
+        ) from exc
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ServingError(
+            f"{origin}: pair columns disagree in length ({sorted(lengths)})"
         )
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: PairColumns,
-        decision_positions: "DecisionPositions | None" = None,
-    ) -> "PairRows":
-        """The storage rows of a verdict column table — field copies.
-
-        The columns are already sorted by key, so nothing is walked: the
-        two bool columns fold into ``flags`` and ``decision_pos`` is -1
-        unless the detector's bookkeeping supplies positions — as
-        ``(sorted keys, positions)`` arrays (one ``searchsorted``
-        gather) or as a ``pair -> position``
-        mapping (the python backend's form).
-        """
-        if isinstance(decision_positions, Mapping):
-            positions = np.fromiter(
-                (decision_positions.get(pair, -1) for pair in columns.pairs()),
-                dtype=np.int64,
-                count=len(columns),
-            )
-        else:
-            positions = np.full(len(columns), -1, dtype=np.int64)
-            if decision_positions is not None:
-                keys, booked = decision_positions
-                rows, known = member_rows(keys, columns.keys)
-                positions[known] = booked[rows[known]]
-        return cls(
-            keys=columns.keys,
-            flags=(columns.copying * FLAG_COPYING + columns.early * FLAG_EARLY).astype(
-                np.uint8
-            ),
-            decision_pos=positions,
-            **{name: getattr(columns, name) for name in PAIR_FLOAT_COLUMNS},
+    known = FLAG_COPYING | FLAG_EARLY
+    alien = flags[(flags | known) != known]
+    if len(alien):
+        raise ServingError(
+            f"{origin}: pair_flags carries unknown bits ({int(alien[0]) & ~known:#04x})"
         )
-
-    @classmethod
-    def from_decisions(
-        cls,
-        decisions: Mapping[tuple[int, int], "object"],
-        decision_positions: Mapping[tuple[int, int], int] | None = None,
-    ) -> "PairRows":
-        """Build sorted pair rows from a ``pair -> PairDecision`` map.
-
-        The construction only reads the public :class:`PairDecision`
-        fields, so dense- and sparse-layout results (whose decisions
-        are value-identical) serialize to byte-identical rows.
-        """
-        return cls.from_columns(
-            PairColumns.from_decisions(decisions), decision_positions
-        )
-
-    def to_arrays(self, prefix: str = "pair_") -> dict[str, np.ndarray]:
-        """Flatten to the prefixed column dict the codec serializes."""
-        out = {prefix + "keys": self.keys}
-        for name in PAIR_FLOAT_COLUMNS:
-            out[prefix + name] = getattr(self, name)
-        out[prefix + "flags"] = self.flags
-        out[prefix + "decision_pos"] = self.decision_pos
-        return out
-
-    @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], prefix: str = "pair_"
-    ) -> "PairRows":
-        """Rebuild from a decoded snapshot's column dict.
-
-        Raises:
-            ServingError: when a pair column is missing.
-        """
-        try:
-            return cls(
-                keys=arrays[prefix + "keys"],
-                flags=arrays[prefix + "flags"],
-                decision_pos=arrays[prefix + "decision_pos"],
-                **{
-                    name: arrays[prefix + name] for name in PAIR_FLOAT_COLUMNS
-                },
-            )
-        except KeyError as exc:
-            raise ServingError(
-                f"snapshot is missing pair column {exc.args[0]!r}"
-            ) from exc
+    return PairColumns(*columns)
 
 
 @dataclass
@@ -267,20 +215,18 @@ class ItemRows:
             prov_sources=flat,
         )
 
-    def to_arrays(self, prefix: str = "item_") -> dict[str, np.ndarray]:
-        """Flatten to the prefixed column dict the codec serializes."""
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The named arrays a snapshot stores (``item_*``)."""
         return {
-            prefix + "ids": self.ids,
-            prefix + "truth": self.truth,
-            prefix + "probability": self.probability,
-            prefix + "prov_offsets": self.prov_offsets,
-            prefix + "prov_sources": self.prov_sources,
+            "item_ids": self.ids,
+            "item_truth": self.truth,
+            "item_probability": self.probability,
+            "item_prov_offsets": self.prov_offsets,
+            "item_prov_sources": self.prov_sources,
         }
 
     @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], prefix: str = "item_"
-    ) -> "ItemRows":
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ItemRows":
         """Rebuild from a decoded snapshot's column dict.
 
         Raises:
@@ -288,11 +234,11 @@ class ItemRows:
         """
         try:
             return cls(
-                ids=arrays[prefix + "ids"],
-                truth=arrays[prefix + "truth"],
-                probability=arrays[prefix + "probability"],
-                prov_offsets=arrays[prefix + "prov_offsets"],
-                prov_sources=arrays[prefix + "prov_sources"],
+                ids=arrays["item_ids"],
+                truth=arrays["item_truth"],
+                probability=arrays["item_probability"],
+                prov_offsets=arrays["item_prov_offsets"],
+                prov_sources=arrays["item_prov_sources"],
             )
         except KeyError as exc:
             raise ServingError(
@@ -319,7 +265,7 @@ class ItemRows:
         )
 
 
-def copier_totals(pairs: PairRows, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
+def copier_totals(pairs: PairColumns, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-source copying mass, ranked — the ``top_copiers`` index.
 
     A pair's ``forward`` posterior is ``Pr(S1 -> S2)`` (S1 copies from
@@ -338,52 +284,75 @@ def copier_totals(pairs: PairRows, n_sources: int) -> tuple[np.ndarray, np.ndarr
     return sources, totals[sources]
 
 
-def merge_pair_rows(
-    base: PairRows, upserts: PairRows, removed_keys: np.ndarray
-) -> PairRows:
-    """Apply a delta's pair upserts/removals over a base row set."""
-    keys = np.concatenate([base.keys, upserts.keys])
+def _upsert_rows(
+    base_keys: np.ndarray, upsert_keys: np.ndarray, removed_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows survive an upsert of one sorted-key table over another.
+
+    Returns:
+        ``(kept_keys, take)``: the merged table's keys, ascending, and
+        for each the row to read in ``concatenate([base, upserts])`` —
+        the upsert's where both tables hold the key.
+    """
+    keys = np.concatenate([base_keys, upsert_keys])
     order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    uniq, first, counts = np.unique(
-        sorted_keys, return_index=True, return_counts=True
-    )
+    uniq, first, counts = np.unique(keys[order], return_index=True, return_counts=True)
     # Stable sort keeps base rows before upsert rows within one key, so
     # the *last* row of each group is the newest.
     take = order[first + counts - 1]
-    keep = np.ones(len(uniq), dtype=bool)
-    if len(removed_keys):
-        keep &= ~np.isin(uniq, removed_keys)
-    take = take[keep]
+    keep = ~np.isin(uniq, removed_keys)
+    return uniq[keep], take[keep]
 
-    def pick(column_base, column_new):
-        return np.concatenate([column_base, column_new])[take]
 
-    return PairRows(
-        keys=uniq[keep],
-        flags=pick(base.flags, upserts.flags),
-        decision_pos=pick(base.decision_pos, upserts.decision_pos),
-        **{
-            name: pick(getattr(base, name), getattr(upserts, name))
-            for name in PAIR_FLOAT_COLUMNS
-        },
+def merge_pair_rows(
+    base: PairColumns, upserts: PairColumns, removed_keys: np.ndarray
+) -> PairColumns:
+    """Apply a delta's pair upserts/removals over a base row set."""
+    keys, take = _upsert_rows(base.keys, upserts.keys, removed_keys)
+    return PairColumns(
+        keys,
+        *(
+            np.concatenate([getattr(base, name), getattr(upserts, name)])[take]
+            for name in PAIR_COLUMNS
+        ),
     )
+
+
+def pair_delta(
+    published: PairColumns,
+    pairs: PairColumns,
+    changed_pairs: "set[tuple[int, int]] | None",
+) -> tuple[np.ndarray, np.ndarray]:
+    """What a round's table changes in the published pair state.
+
+    A row of ``pairs`` is upserted when its pair is not published yet;
+    a published one when ``changed_pairs`` (the detector's report) names
+    it — a pass-1 re-confirmation's scores are estimates and must not
+    replace the exact ones — or, with no report, when any stored column
+    differs.
+
+    Returns:
+        ``(upsert, removed_keys)``: a row mask over ``pairs`` and the
+        published keys ``pairs`` no longer holds.
+    """
+    rows, known = member_rows(published.keys, pairs.keys)
+    if changed_pairs is not None:
+        upsert = ~known | np.isin(pairs.keys, encode_pairs(changed_pairs))
+    else:
+        same, at = known.copy(), rows[known]
+        for name in PAIR_COLUMNS:
+            same[known] &= getattr(pairs, name)[known] == getattr(published, name)[at]
+        upsert = ~same
+    return upsert, published.keys[~np.isin(published.keys, pairs.keys)]
 
 
 def merge_item_rows(
     base: ItemRows, upserts: ItemRows, removed_ids: np.ndarray
 ) -> ItemRows:
     """Apply a delta's item upserts/removals over a base row set."""
-    ids = np.concatenate([base.ids, upserts.ids])
-    order = np.argsort(ids, kind="stable")
-    uniq, first, counts = np.unique(ids[order], return_index=True, return_counts=True)
-    take = order[first + counts - 1]
-    keep = np.ones(len(uniq), dtype=bool)
-    if len(removed_ids):
-        keep &= ~np.isin(uniq, removed_ids)
-    take = take[keep]
+    _, take = _upsert_rows(base.ids, upserts.ids, removed_ids)
     combined = ItemRows(
-        ids=ids,
+        ids=np.concatenate([base.ids, upserts.ids]),
         truth=np.concatenate([base.truth, upserts.truth]),
         probability=np.concatenate([base.probability, upserts.probability]),
         prov_offsets=np.concatenate(
@@ -468,7 +437,7 @@ class VerdictStore:
     # ------------------------------------------------------------------
     def write_full(
         self,
-        pairs: PairRows,
+        pairs: PairColumns,
         items: ItemRows,
         n_sources: int,
         method: str = "unknown",
@@ -492,7 +461,7 @@ class VerdictStore:
         if labels is not None:
             meta["labels"] = {k: list(v) for k, v in labels.items()}
         arrays = {
-            **pairs.to_arrays(),
+            **pair_arrays(pairs),
             **items.to_arrays(),
             "copier_sources": copier_sources,
             "copier_scores": copier_scores,
@@ -502,11 +471,11 @@ class VerdictStore:
     def write_delta(
         self,
         base_id: int,
-        pair_upserts: PairRows,
+        pair_upserts: PairColumns,
         removed_pair_keys: np.ndarray,
         item_upserts: ItemRows,
         removed_item_ids: np.ndarray,
-        merged_pairs: PairRows,
+        merged_pairs: PairColumns,
         n_sources: int,
         method: str = "unknown",
         round_no: int | None = None,
@@ -539,7 +508,7 @@ class VerdictStore:
         if labels is not None:
             meta["labels"] = {k: list(v) for k, v in labels.items()}
         arrays = {
-            **pair_upserts.to_arrays(),
+            **pair_arrays(pair_upserts),
             **item_upserts.to_arrays(),
             "removed_pair_keys": np.asarray(removed_pair_keys, dtype=np.int64),
             "removed_item_ids": np.asarray(removed_item_ids, dtype=np.int64),
@@ -597,16 +566,11 @@ class VerdictStore:
 class SnapshotPublisher:
     """Publishes one store snapshot per fusion round (full, then deltas).
 
-    The publisher tracks the last-published state, so each round it can
-    extract exactly what changed:
-
-    * pair changes come from
-      :meth:`~repro.core.result.DetectionResult.decision_delta` — the
-      INCREMENTAL detector's :attr:`changed_pairs` (re-opened, rebuilt
-      or accuracy-refreshed pairs, straight from the bookkeeping) when
-      available, a field-exact diff otherwise;
-    * item changes are truths whose chosen value flipped or whose
-      probability moved by more than :data:`ITEM_TOLERANCE`.
+    The publisher keeps the state it last published — the merged pair
+    table and the item rows — and each round upserts what differs from
+    it: pair rows by :func:`pair_delta` (the contract in the module
+    docstring), item rows whose chosen value flipped or whose
+    probability moved by more than :data:`ITEM_TOLERANCE`.
 
     When the pair delta would touch more than
     :data:`FULL_REWRITE_FRACTION` of the published rows, a fresh full
@@ -618,8 +582,7 @@ class SnapshotPublisher:
         self.dataset = dataset
         self.last_snapshot_id: int | None = None
         self.snapshot_ids: list[int] = []
-        self._prev_detection: "DetectionResult | None" = None
-        self._prev_pairs: PairRows = PairRows.empty()
+        self._prev_pairs = _NO_PAIRS
         self._prev_items: ItemRows = ItemRows.empty()
         self._published_label_sizes: tuple[int, int, int] | None = None
 
@@ -663,68 +626,31 @@ class SnapshotPublisher:
         round_no: int,
         detection: "DetectionResult | None",
         probabilities: Sequence[float],
-        decision_positions: DecisionPositions | None = None,
     ) -> int:
         """Publish this round's verdicts + truths; returns the snapshot id."""
         from ..fusion.accu import choose_values
 
         dataset = self.dataset
         n_sources = dataset.n_sources
-        method = detection.method if detection is not None else "none"
         chosen = choose_values(dataset, probabilities)
         items = ItemRows.from_truths(dataset, chosen, probabilities)
-
-        if self.last_snapshot_id is None:
-            pairs = (
-                PairRows.from_columns(detection.columns(), decision_positions)
-                if detection is not None
-                else PairRows.empty()
-            )
-            snapshot_id = self.store.write_full(
-                pairs,
-                items,
-                n_sources,
-                method=method,
-                round_no=round_no,
-                labels=self._labels(),
-            )
-            self._prev_pairs = pairs
-        else:
-            snapshot_id = self._publish_update(
-                round_no, detection, items, decision_positions, method
-            )
-        self.last_snapshot_id = snapshot_id
-        self.snapshot_ids.append(snapshot_id)
-        self._prev_detection = detection
-        self._prev_items = items
-        self._published_label_sizes = self._label_sizes()
-        return snapshot_id
-
-    def _publish_update(
-        self,
-        round_no: int,
-        detection: "DetectionResult | None",
-        items: ItemRows,
-        decision_positions: DecisionPositions | None,
-        method: str,
-    ) -> int:
-        n_sources = self.dataset.n_sources
         if detection is not None:
-            delta = detection.decision_delta(self._prev_detection)
-            pair_upserts = PairRows.from_columns(
-                delta.changed.columns, decision_positions
-            )
-            removed = delta.removed
+            method, pairs = detection.method, detection.columns()
+            reported = detection.changed_pairs
+        else:  # copy-oblivious fusion: the published pairs, none reported
+            method, pairs, reported = "none", self._prev_pairs, set()
+        if self.last_snapshot_id is None:  # all new: written as it is
+            pair_upserts, removed_keys, merged_pairs = pairs, pairs.keys[:0], pairs
         else:
-            pair_upserts, removed = PairRows.empty(), frozenset()
-        removed_keys = encode_pairs(sorted(removed))
-        merged_pairs = merge_pair_rows(self._prev_pairs, pair_upserts, removed_keys)
+            upsert, removed_keys = pair_delta(self._prev_pairs, pairs, reported)
+            pair_upserts = pairs.take(upsert)
+            merged_pairs = merge_pair_rows(self._prev_pairs, pair_upserts, removed_keys)
 
-        item_upserts, removed_item_ids = self._item_delta(items)
-
-        n_published = max(len(self._prev_pairs), 1)
         touched = len(pair_upserts) + len(removed_keys)
-        if touched > FULL_REWRITE_FRACTION * n_published:
+        if (
+            self.last_snapshot_id is None
+            or touched > FULL_REWRITE_FRACTION * max(len(self._prev_pairs), 1)
+        ):
             snapshot_id = self.store.write_full(
                 merged_pairs,
                 items,
@@ -734,6 +660,7 @@ class SnapshotPublisher:
                 labels=self._labels(),
             )
         else:
+            item_upserts, removed_item_ids = self._item_delta(items)
             snapshot_id = self.store.write_delta(
                 self.last_snapshot_id,
                 pair_upserts,
@@ -746,24 +673,21 @@ class SnapshotPublisher:
                 round_no=round_no,
                 labels=self._delta_labels(),
             )
+        self.last_snapshot_id = snapshot_id
+        self.snapshot_ids.append(snapshot_id)
         self._prev_pairs = merged_pairs
+        self._prev_items = items
+        self._published_label_sizes = self._label_sizes()
         return snapshot_id
 
     def _item_delta(self, items: ItemRows) -> tuple[ItemRows, np.ndarray]:
         """Items whose truth or probability materially moved since last publish."""
         prev = self._prev_items
-        if not len(prev):
-            return items, np.empty(0, dtype=np.int64)
-        pos = np.searchsorted(prev.ids, items.ids)
-        pos_clipped = np.minimum(pos, max(len(prev) - 1, 0))
-        known = prev.ids[pos_clipped] == items.ids
-        same_truth = np.zeros(len(items), dtype=bool)
-        same_truth[known] = prev.truth[pos_clipped[known]] == items.truth[known]
-        close_prob = np.zeros(len(items), dtype=bool)
-        close_prob[known] = (
-            np.abs(prev.probability[pos_clipped[known]] - items.probability[known])
-            <= ITEM_TOLERANCE
+        rows, known = member_rows(prev.ids, items.ids)
+        same, at = known.copy(), rows[known]
+        same[known] &= prev.truth[at] == items.truth[known]
+        same[known] &= (
+            np.abs(prev.probability[at] - items.probability[known]) <= ITEM_TOLERANCE
         )
-        changed_rows = np.nonzero(~(known & same_truth & close_prob))[0]
         removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]
-        return items.take(changed_rows), removed_ids
+        return items.take(np.nonzero(~same)[0]), removed_ids

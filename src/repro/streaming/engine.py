@@ -23,14 +23,16 @@ Per epoch the engine:
    first round builds the bookkeeping, later rounds patch it with the
    paper's three-pass INCREMENTAL), warm-started from the previous
    epoch's converged accuracies when ``warm_start`` is on;
-4. publishes the converged verdicts + truths to the
+4. publishes the converged verdict table (decision positions
+   included — they are a column of it) + truths to the
    :class:`~repro.serving.VerdictStore` through the engine's one
    :class:`~repro.serving.SnapshotPublisher` — a delta snapshot sized
-   by a field-exact diff against the previous *epoch* (the last round's
-   ``changed_pairs`` is relative to the previous round, not the
-   previous epoch, so it is deliberately dropped before publishing).
-   A pair's key depends on its two ids alone, so the chain extends
-   across epochs in which new sources appear.
+   by the publisher's exact diff of every stored column against the
+   previous *epoch* (the last round's ``changed_pairs`` is relative to
+   the previous round, not the previous epoch, so it is deliberately
+   dropped before publishing).  A pair's key depends on its two ids
+   alone, so the chain extends across epochs in which new sources
+   appear.
 
 **Why per-epoch index rebuilds are honest.**  The paper's INCREMENTAL
 assumes a frozen claim set: its bookkeeping indexes positions in one
@@ -43,7 +45,7 @@ the preparation scan.  What an epoch saves across epochs is accuracy
 warm-starts (fewer rounds to re-converge) and workspace reuse (no
 pool/shm setup).  Delta snapshots are written when they pay, which on
 the benchmark's feed is never: every score moves an ulp when the
-accuracies re-converge, the field-exact diff against the previous epoch
+accuracies re-converge, the exact diff against the previous epoch
 touches most rows, and the publisher falls back to a full snapshot (29
 full, 0 deltas over a 28-epoch ``stream_book`` run; ROADMAP's O(delta)
 item).
@@ -202,7 +204,6 @@ class StreamEngine:
         self._epoch = 0
         self._workspace: "FusionWorkspace | None" = None
         self._publisher = None
-        self._last_detector: IncrementalDetector | None = None
 
     # ------------------------------------------------------------------
     # The epoch step
@@ -298,7 +299,6 @@ class StreamEngine:
             rho_value=self.rho_value,
             rho_accuracy=self.rho_accuracy,
         )
-        self._last_detector = detector
         return run_fusion(
             dataset,
             self.params,
@@ -326,15 +326,11 @@ class StreamEngine:
         if detection is not None:
             # The last round's changed_pairs is relative to the previous
             # *round* of this epoch; the store's previous state is the
-            # previous *epoch*.  Drop it so the publisher falls back to
-            # the field-exact diff between the two epochs.
+            # previous *epoch*.  Drop it so the publisher compares every
+            # stored column between the two epochs.
             detection = replace(detection, changed_pairs=None)
-        positions = getattr(self._last_detector, "decision_positions", None)
         return self._publisher.publish_round(
-            self._epoch + 1,
-            detection,
-            list(fusion.probabilities),
-            positions() if positions is not None else None,
+            self._epoch + 1, detection, list(fusion.probabilities)
         )
 
     # ------------------------------------------------------------------

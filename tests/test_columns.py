@@ -5,12 +5,16 @@ Under ``backend="numpy"`` every producer hands back one sorted-key
 is a :class:`~repro.core.result.DecisionView` that builds a
 ``PairDecision`` only when someone reads one.  These tests pin that
 contract: dict semantics, the key-aliasing guard, zero materialisation on
-the fuse-and-publish path, byte-identical storage rows and snapshots, and
-``decision_delta`` parity with the per-pair dict comparison it replaced.
+the fuse-and-publish path, the table's round trip through the snapshot
+arrays, snapshots byte-identical to the ones the three-table design
+wrote, and the store's pair diff against the per-pair dict comparison it
+replaced.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle
 import random
 from dataclasses import replace
@@ -29,11 +33,18 @@ from repro.core import (
     PairDecision,
     SingleRoundDetector,
     detect,
+    detect_hybrid,
 )
-from repro.core.pairspace import ID_LIMIT, pair_key
-from repro.core.result import DecisionView, PairColumns
+from repro.core.pairspace import ID_LIMIT, decode_pairs, pair_key
+from repro.core.result import PAIR_COLUMNS, DecisionView, PairColumns
 from repro.fusion import run_fusion
-from repro.serving.store import PairRows, VerdictStore
+from repro.serving.store import (
+    SnapshotPublisher,
+    VerdictStore,
+    pair_arrays,
+    pair_delta,
+    pairs_from_arrays,
+)
 from tests.strategies import worlds
 
 NUMPY = CopyParams(backend="numpy")
@@ -139,8 +150,7 @@ class TestMappingSemantics:
         as_dict = replace(result, decisions=dict(result.decisions))
         built = as_dict.columns()
         assert as_dict.columns() is built  # cached
-        for name in ("keys", "c_fwd", "c_bwd", "independent", "forward",
-                     "backward", "copying", "early"):
+        for name in ("keys",) + PAIR_COLUMNS:
             np.testing.assert_array_equal(
                 getattr(built, name), getattr(result.columns(), name)
             )
@@ -272,93 +282,136 @@ class TestNoMaterialisationOnTheProductPath:
 
 
 # ----------------------------------------------------------------------
-# (b) storage rows and snapshots: identical bytes either way
+# (b) the table through the snapshot arrays, and the bytes on disk
 # ----------------------------------------------------------------------
-def _assert_rows_identical(got: PairRows, want: PairRows):
-    for name, array in want.to_arrays().items():
-        other = got.to_arrays()[name]
-        assert other.dtype == array.dtype, name
-        np.testing.assert_array_equal(other, array, err_msg=name)
+def _assert_tables_identical(got: PairColumns, want: PairColumns):
+    for name in ("keys",) + PAIR_COLUMNS:
+        column, other = getattr(want, name), getattr(got, name)
+        assert other.dtype == column.dtype, name
+        np.testing.assert_array_equal(other, column, err_msg=name)
+
+
+def _store_digest(store: VerdictStore) -> str:
+    """SHA-256 over every snapshot of a store: each meta field but
+    ``created``, then every array's name, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for snapshot_id in store.snapshot_ids():
+        meta, arrays = store.load(snapshot_id)
+        del meta["created"]
+        digest.update(json.dumps(meta, sort_keys=True).encode())
+        for name, array in arrays.items():
+            digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+            digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: ``_store_digest`` of ``run_fusion(_sparse_world(4), ...,
+#: fusion_backend="python", snapshot_store=...)`` as written at 6fb385a,
+#: the last commit where verdicts reached a snapshot through
+#: ``PairRows`` / ``decision_positions()`` / ``decision_delta``.
+PARENT_STORE_SHA256 = {
+    "incremental": "2e3e8994d2912b7f2498dfffd6e5e6fcc0236f7a87eca81b24fd3479b8808c99",
+    "hybrid-partitioned": "f515c447951502578f87ec92184be04a95cd0e0a0e466d9179c0c9363a927bf0",
+}
 
 
 class TestByteIdentity:
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     @pytest.mark.parametrize("method", ["hybrid", "index"])
     def test_rows_from_columns_equal_rows_from_decisions(self, layout, method):
+        """The kernel's table and the table built from the same verdicts
+        as a dict (plus a ``pair -> position`` dict) store identically."""
         dataset, probs, accs = _sparse_world(2)
         result = detect(dataset, probs, accs, replace(NUMPY, pair_layout=layout),
                         method=method)
+        columns = result.columns()
+        assert (columns.decision_pos == -1).all()  # nothing tracked
+        rows = np.arange(len(columns))
+        booked = replace(columns, decision_pos=np.where(rows % 3, rows, -1))
         positions = {pair: i for i, pair in enumerate(result.decisions) if i % 3}
-        _assert_rows_identical(
-            PairRows.from_columns(result.columns(), positions),
-            PairRows.from_decisions(dict(result.decisions), positions),
+        _assert_tables_identical(
+            PairColumns.from_decisions(dict(result.decisions), positions), booked
         )
         oracle = detect(dataset, probs, accs, CopyParams(backend="python"),
                         method=method)
         if method == "hybrid":  # bit-exact family
-            _assert_rows_identical(
-                PairRows.from_columns(result.columns()),
-                PairRows.from_columns(oracle.columns()),
-            )
+            _assert_tables_identical(oracle.columns(), columns)
 
-    def test_decision_positions_as_arrays_equal_the_mapping_form(self):
-        """``(keys, positions)`` gathers what the ``pair -> position``
-        dict answers: booked rows get their position, unbooked rows -1,
-        and a state that booked nothing leaves every row at -1."""
-        dataset, probs, accs = _sparse_world(2)
-        columns = detect(dataset, probs, accs, NUMPY, method="hybrid").columns()
-        assert len(columns) >= 4
-        booked = np.arange(len(columns)) % 3 != 0  # first and some inner rows unbooked
-        booked[-1] = False
-        mapping = {
-            pair: 7 * row
-            for row, pair in enumerate(columns.pairs())
-            if booked[row]
-        }
-        arrays = (columns.keys[booked], 7 * np.nonzero(booked)[0])
-        want = PairRows.from_columns(columns, mapping)
-        _assert_rows_identical(PairRows.from_columns(columns, arrays), want)
-        assert (want.decision_pos == -1).tolist() == (~booked).tolist()
-        nothing = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        _assert_rows_identical(
-            PairRows.from_columns(columns, nothing), PairRows.from_columns(columns, {})
+    @settings(max_examples=40, deadline=None)
+    @given(world=worlds(), data=st.data())
+    def test_table_round_trips_through_the_snapshot_arrays(self, world, data):
+        """``PairColumns -> arrays -> PairColumns`` loses nothing — the
+        flag byte unpacks to the two bool columns it packed, positions
+        at -1, 0 and ``n_entries`` survive — and an empty table too."""
+        dataset, probs, accs = world
+        outcome = detect_hybrid(dataset, probs, accs, NUMPY, track_bookkeeping=True)
+        columns = outcome.result.columns()
+        n_entries = outcome.index.n_entries
+        assert set(columns.decision_pos.tolist()) <= set(range(n_entries + 1))
+        edge = st.sampled_from([-1, 0, n_entries])
+        positions = np.array(
+            [data.draw(edge | st.just(int(pos))) for pos in columns.decision_pos],
+            dtype=np.int64,
         )
+        early = np.array(
+            [data.draw(st.booleans()) for _ in range(len(columns))], dtype=bool
+        )
+        table = replace(columns, decision_pos=positions, early=early)
+        for case in (table, table.take(np.zeros(len(table), dtype=bool))):
+            arrays = pair_arrays(case)
+            assert list(arrays) == [
+                "pair_keys", "pair_c_fwd", "pair_c_bwd", "pair_independent",
+                "pair_forward", "pair_backward", "pair_flags", "pair_decision_pos",
+            ]
+            assert arrays["pair_flags"].dtype == np.uint8
+            assert arrays["pair_flags"].tolist() == (
+                case.copying * 1 + case.early * 2
+            ).tolist()
+            _assert_tables_identical(pairs_from_arrays(arrays, "memory"), case)
+
+    @staticmethod
+    def _published(store_dir, params, detector) -> VerdictStore:
+        """Fuse ``_sparse_world(4)`` into a store holding fulls and deltas."""
+        dataset, _, _ = _sparse_world(4)
+        fusion = run_fusion(
+            dataset, params, detector, fusion_backend="python", snapshot_store=store_dir
+        )
+        assert fusion.n_rounds >= 3
+        store = VerdictStore(store_dir)
+        kinds = {store.load(sid)[0]["kind"] for sid in store.snapshot_ids()}
+        assert kinds == {"full", "delta"}
+        return store
 
     def test_incremental_snapshots_equal_the_python_backend(self, tmp_path):
-        """INCREMENTAL fuse + publish under numpy (positions travel as
-        arrays) writes the pair rows the python backend (positions as a
-        dict) writes, ``decision_pos`` included, round for round."""
-        dataset, _, _ = _sparse_world(4)
-        stores = {}
+        """INCREMENTAL fuse + publish under numpy (the kernels fill the
+        ``decision_pos`` column; at the parent a ``(keys, positions)``
+        side channel) writes what the python backend (positions ride
+        the result as a dict) writes, and both write what the parent
+        commit wrote: every array, every meta field but ``created``,
+        fulls and deltas alike."""
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
-            fusion = run_fusion(
-                dataset, params, IncrementalDetector(params),
-                fusion_backend="python", snapshot_store=tmp_path / backend,
+            store = self._published(
+                tmp_path / backend, params, IncrementalDetector(params)
             )
-            assert fusion.n_rounds >= 3
-            stores[backend] = VerdictStore(tmp_path / backend)
-        assert stores["numpy"].snapshot_ids() == stores["python"].snapshot_ids()
-        positions = []
-        for snapshot_id in stores["numpy"].snapshot_ids():
-            meta_a, arrays_a = stores["numpy"].load(snapshot_id)
-            meta_b, arrays_b = stores["python"].load(snapshot_id)
-            meta_a.pop("created"), meta_b.pop("created")
-            assert meta_a == meta_b
-            assert sorted(arrays_a) == sorted(arrays_b)
-            for name in arrays_a:
-                assert arrays_a[name].dtype == arrays_b[name].dtype, name
-                np.testing.assert_array_equal(arrays_a[name], arrays_b[name], name)
-            positions.extend(arrays_a["pair_decision_pos"].tolist())
-        assert -1 in positions and max(positions) >= 0  # round 1 books nothing
+            assert _store_digest(store) == PARENT_STORE_SHA256["incremental"], backend
+        positions = np.concatenate(
+            [store.load(sid)[1]["pair_decision_pos"] for sid in (1, 2, 3)]
+        )
+        assert -1 in positions and positions.max() >= 0  # round 1 books nothing
+
+    def test_partitioned_hybrid_snapshots_equal_the_parents(self, tmp_path):
+        detector = SingleRoundDetector(NUMPY, "hybrid", n_partitions=2, reduce="tree")
+        store = self._published(tmp_path, NUMPY, detector)
+        assert _store_digest(store) == PARENT_STORE_SHA256["hybrid-partitioned"]
+        for sid in store.snapshot_ids():  # no bookkeeping: nothing tracked
+            assert (store.load(sid)[1]["pair_decision_pos"] == -1).all()
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_snapshots_equal_the_dict_backed_run(self, layout, tmp_path):
         """Publishing columnar results writes what publishing the same
         verdicts as plain dicts writes — every array, every meta field
         but the ``created`` stamp, fulls and deltas alike."""
-        from repro.serving.store import SnapshotPublisher
-
         dataset, _, _ = _sparse_world(3)
         params = CopyParams(backend="numpy", pair_layout=layout)
         fusion = run_fusion(
@@ -390,10 +443,10 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# (c) decision_delta: the column path against the dict path it replaced
+# (c) the store's pair diff against the dict comparison it replaced
 # ----------------------------------------------------------------------
 def _dict_delta(current: DetectionResult, previous: DetectionResult | None):
-    """``decision_delta`` as it was: two dicts compared pair by pair."""
+    """The delta as it first was: two dicts compared pair by pair."""
     decisions = dict(current.decisions)
     if previous is None:
         return decisions, frozenset()
@@ -446,23 +499,23 @@ class TestDeltaParity:
             current = wrap(dict(now), changed_pairs=changed_pairs)
             for previous in (wrap(dict(before)), None):
                 want_changed, want_removed = _dict_delta(current, previous)
-                delta = current.decision_delta(previous)
-                assert dict(delta.changed) == want_changed
-                assert delta.removed == want_removed
-                assert bool(delta) == bool(want_changed or want_removed)
-                keys = delta.changed.columns.keys
-                assert keys.tolist() == sorted(
+                published = previous.columns() if previous else PairColumns.from_decisions({})
+                upsert, removed = pair_delta(published, current.columns(), changed_pairs)
+                changed = DecisionView(current.columns().take(upsert))
+                assert dict(changed) == want_changed
+                assert decode_pairs(removed) == sorted(want_removed)
+                assert changed.columns.keys.tolist() == sorted(
                     pair_key(s1, s2) for s1, s2 in want_changed
                 )
 
     def test_delta_across_a_grown_source_count(self):
         # A streaming ledger can grow sources between two results; a
         # pair's key is the same in both.
-        before = _columnar({(0, 1): _decision(1.0), (1, 2): _decision(2.0)}, 3)
+        before = _columnar({(0, 1): _decision(1.0), (1, 2): _decision(2.0)}, 3).columns()
         after = _columnar(
             {(0, 1): _decision(1.0), (1, 2): _decision(2.5), (2, 4): _decision(3.0)}, 5
-        )
-        delta = after.decision_delta(before)
-        assert set(delta.changed) == {(1, 2), (2, 4)}
-        assert delta.removed == frozenset()
-        assert set(before.decision_delta(after).removed) == {(2, 4)}
+        ).columns()
+        upsert, removed = pair_delta(before, after, None)
+        assert decode_pairs(after.keys[upsert]) == [(1, 2), (2, 4)]
+        assert len(removed) == 0
+        assert decode_pairs(pair_delta(after, before, None)[1]) == [(2, 4)]

@@ -249,7 +249,8 @@ class TestDispatchParity:
         detector = IncrementalDetector(params, prepare_round=prepare_round)
         result = run_fusion(book_world[0], params, detector=detector)
         assert result.n_rounds > prepare_round  # incremental rounds ran too
-        assert detector.decision_positions()
+        prepared = result.rounds[prepare_round - 1].detection.columns()
+        assert len(prepared) and (prepared.decision_pos >= 0).all()
         index = detector.state.index
         assert index.columnar_entries().n_entries == index.n_entries
         assert calls == []

@@ -33,13 +33,12 @@ import pytest
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
 from repro.core.pairspace import decode_pairs
-from repro.core.result import DetectionResult, PairDecision
+from repro.core.result import DetectionResult, PairColumns, PairDecision
 from repro.data import DatasetBuilder, save_claims
 from repro.fusion import FusionConfig, run_fusion, vote_probabilities
 from repro.serving import (
     FORMAT_VERSION,
     ItemRows,
-    PairRows,
     ServingError,
     SnapshotPublisher,
     VerdictReader,
@@ -48,6 +47,7 @@ from repro.serving import (
     encode_snapshot,
     read_snapshot_file,
 )
+from repro.serving.store import pairs_from_arrays
 from repro.synth import make_profile
 
 
@@ -156,19 +156,19 @@ class TestStore:
     def test_full_snapshot_roundtrip(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
-        pairs = PairRows.from_decisions(decisions)
+        pairs = PairColumns.from_decisions(decisions)
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3, method="t")
         assert store.current_id() == sid
         meta, arrays = store.load(sid)
         assert meta["kind"] == "full"
         assert meta["n_sources"] == 3
-        back = PairRows.from_arrays(arrays)
+        back = pairs_from_arrays(arrays, store.snapshot_path(sid))
         assert back.keys.tolist() == [1]  # (0 << 32) | 1
         assert back.c_fwd[0] == 5.0
 
     def test_truncated_store_file_is_a_serving_error(self, tmp_path, params):
         store = VerdictStore(tmp_path)
-        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
         path = store.snapshot_path(sid)
         path.write_bytes(path.read_bytes()[:-20])
@@ -177,7 +177,7 @@ class TestStore:
 
     def test_newer_versioned_snapshot_in_store(self, tmp_path, params):
         store = VerdictStore(tmp_path)
-        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
         path = store.snapshot_path(sid)
         data = path.read_bytes()
@@ -193,12 +193,73 @@ class TestStore:
         # A version-1 store holds stride keys this build would misread:
         # refused by name, with the remedy (a store is derived data).
         store = VerdictStore(tmp_path)
-        pairs = PairRows.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))
         data = path.read_bytes()
         path.write_bytes(data[:4] + struct.pack("<I", FORMAT_VERSION - 1) + data[8:])
         with pytest.raises(ServingError, match="older than this build.*re-publish"):
             VerdictReader(store)
+
+    def _rewritten(self, tmp_path, params, edit):
+        """A one-snapshot store whose file was re-encoded after ``edit``
+        changed its decoded arrays; returns ``(store, path)``."""
+        store = VerdictStore(tmp_path)
+        pairs = PairColumns.from_decisions(
+            {(0, 1): _decision(params, 5.0, 4.0), (1, 2): _decision(params, -3.0, 2.0)}
+        )
+        path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))
+        meta, arrays = read_snapshot_file(path)
+        arrays = {name: array.copy() for name, array in arrays.items()}
+        edit(arrays)
+        path.write_bytes(encode_snapshot(meta, arrays))
+        return store, path
+
+    def test_unknown_flag_bits_in_store(self, tmp_path, params):
+        # A bit this build does not know is a verdict it cannot serve:
+        # refused by file name, not read as if the bit were not there.
+        def edit(arrays):
+            arrays["pair_flags"][1] |= 0x40
+
+        store, path = self._rewritten(tmp_path, params, edit)
+        with pytest.raises(ServingError, match="unknown bits") as excinfo:
+            VerdictReader(store)
+        assert str(path) in str(excinfo.value) and "0x40" in str(excinfo.value)
+
+    def test_ragged_pair_columns_in_store(self, tmp_path, params):
+        # A short column must fail at open, naming the file — not as an
+        # IndexError on whichever query first reaches the missing row.
+        def edit(arrays):
+            arrays["pair_backward"] = arrays["pair_backward"][:1]
+
+        store, path = self._rewritten(tmp_path, params, edit)
+        with pytest.raises(ServingError, match="disagree in length") as excinfo:
+            VerdictReader(store)
+        assert str(path) in str(excinfo.value)
+
+    def test_a_moved_decision_position_is_republished(self, tmp_path, example, params):
+        """Same verdicts, decision positions 3 -> 7: the delta carries
+        those rows and the reader serves 7 (at the parent the diff read
+        the seven verdict columns only: 0 pair rows, the reader said 3)."""
+        decisions = {
+            (s1, s2): _decision(params, 5.0 - s2, 4.0 - s1)
+            for s1 in range(3)
+            for s2 in range(s1 + 1, 5)
+        }
+        moved = [(0, 1), (1, 3), (2, 4)]
+        pub = SnapshotPublisher(tmp_path, example)
+        probs = [0.9] * len(example.value_item)
+        for round_no, position in ((1, 3), (2, 7)):
+            result = _result(decisions, example.n_sources)
+            result.decision_pos = dict.fromkeys(moved, position)
+            sid = pub.publish_round(round_no, result, probs)
+        meta, arrays = VerdictStore(tmp_path).load(sid)
+        assert (meta["kind"], meta["n_pairs"]) == ("delta", len(moved))
+        assert decode_pairs(arrays["pair_keys"]) == moved
+        assert arrays["pair_decision_pos"].tolist() == [7] * len(moved)
+        reader = VerdictReader(tmp_path)
+        for pair in decisions:
+            want = 7 if pair in moved else -1
+            assert reader.get_verdict(*pair).decision_pos == want
 
     def test_delta_chain_with_missing_base(self, tmp_path, example, params):
         pub = SnapshotPublisher(tmp_path, example)
@@ -460,8 +521,12 @@ class TestIncrementalDeltas:
         for record, sid in zip(result.rounds, result.snapshot_ids):
             meta, arrays = store.load(sid)
             if meta["kind"] == "delta":
-                delta = record.detection.decision_delta(previous)
-                assert decode_pairs(arrays["pair_keys"]) == sorted(delta.changed)
+                # Every delta of this run is a patch round's: the rows
+                # are the reported pairs plus any newly opened one.
+                reported = record.detection.changed_pairs
+                assert reported is not None
+                opened = set(record.detection.decisions) - set(previous.decisions)
+                assert decode_pairs(arrays["pair_keys"]) == sorted(reported | opened)
             previous = record.detection
         # Later rounds change few pairs, so real deltas must appear.
         kinds = [store.load(sid)[0]["kind"] for sid in result.snapshot_ids]
@@ -671,7 +736,7 @@ class TestCurrentPointerAtomicity:
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         for round_no in range(4):
-            pairs = PairRows.from_decisions(decisions)
+            pairs = PairColumns.from_decisions(decisions)
             store.write_full(pairs, ItemRows.empty(), n_sources=3)
             current = store.current_id()
             pointer = json.loads((tmp_path / "CURRENT").read_text())
