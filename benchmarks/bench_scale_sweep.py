@@ -94,7 +94,9 @@ def _run_world(
     accuracies = [0.8] * dataset.n_sources
     params_sparse = CopyParams(backend="numpy", pair_layout="sparse")
     params_python = CopyParams(backend="python")
-    index = InvertedIndex.build(dataset, probabilities, accuracies, params_python)
+    # A numpy build: its l(S1, S2) column table serves the sparse scan as
+    # arrays and the python reference as a mapping.
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params_sparse)
     print(
         f"{label}: {dataset.n_sources:,} sources, "
         f"{len(index.shared_items):,} observed pairs of a "

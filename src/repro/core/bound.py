@@ -288,13 +288,10 @@ def scan_with_bounds(
         theta_ind = params.theta_ind_at(p_high)
     if params.backend == "numpy" and eval_log is None:
         # Every world size runs vectorized: the epoch scan picks its
-        # pair-state layout (dense flat arrays or sparse observed-pair
-        # slots) from ``params.pair_layout`` — the former silent
-        # fallback to this module's reference loop above
-        # DENSE_STATE_LIMIT is retired.
-        from .bound_kernel import scan_with_bounds_numpy
+        # pair-state layout from ``params.pair_layout``.
+        from .bound_kernel import EpochScan
 
-        outcome = scan_with_bounds_numpy(
+        scan = EpochScan(
             dataset,
             accuracies,
             params,
@@ -304,14 +301,12 @@ def scan_with_bounds(
             use_timers,
             hybrid_threshold,
             track_bookkeeping,
-            method_name,
             epoch_size=epoch_size,
-            stop_at=stop_at,
-            collect_state=collect_state,
         )
+        scan.run(stop_at=stop_at)
         if collect_state:
-            return outcome
-        result, bookkeeping = outcome
+            return scan
+        result, bookkeeping = scan.finalize(method_name)
         return ScanOutcome(result=result, index=index, bookkeeping=bookkeeping)
     clamp = params.clamp_accuracy
     acc = [clamp(a) for a in accuracies]

@@ -102,11 +102,7 @@ from .kernel import (
     score_incidence_args,
     shared_item_counts,
 )
-from .pairspace import (
-    PairSpace,
-    encode_pairs,
-    resolve_pair_layout,
-)
+from .pairspace import PairSpace, resolve_pair_layout
 from .params import CopyParams
 from .result import (
     CostCounter,
@@ -241,30 +237,22 @@ class EpochScan:
             DENSE_STATE_LIMIT,
             "bound_kernel.EpochScan",
         )
-        if layout == "dense":
-            self.space = PairSpace.dense(self.n_sources)
-            self._l_by_slot = None
-        else:
-            # Every pair the entry stream can produce shares at least one
-            # item, so the shared-items universe covers every live slot.
-            # Flatten the dict once at C speed (fromiter over chained
-            # keys and over values) and sort: the keys become the slot
-            # universe and the aligned l(S1, S2) counts ride along, so
-            # opening a pair later never touches the Python dict.
-            shared = index.shared_items
-            keys = encode_pairs(shared)
-            l_values = np.fromiter(
-                shared.values(), dtype=np.int64, count=len(shared)
-            )
-            order = np.argsort(keys, kind="stable")
-            self.space = PairSpace.sparse(keys[order])
-            self._l_by_slot = l_values[order]
+        #: the l(S1, S2) table (what a numpy-built index carries)
+        self.shared_items = index.shared_items
+        # Every pair the entry stream can produce shares at least one
+        # item, so the table covers every live slot: its sorted keys are
+        # the sparse slot universe, as they are, and its counts are
+        # slot-aligned with them.
+        self.space = (
+            PairSpace.dense(self.n_sources)
+            if layout == "dense"
+            else PairSpace.sparse(self.shared_items.keys)
+        )
         #: the round's one columnar index (the fusion workspace seeds it)
         self.cols = index.columnar_entries()
         self.tail_start = index.tail_start
         self.suffix_list = index.suffix_max
         self.suffix_arr = np.asarray(index.suffix_max, dtype=np.float64)
-        self.shared_items = index.shared_items
         self.ips = np.asarray(index.items_per_source, dtype=np.int64)
         self.params = params
         self.theta_cp = theta_cp
@@ -794,8 +782,8 @@ class EpochScan:
     # ------------------------------------------------------------------
     def _shared_counts(self, slots: np.ndarray) -> np.ndarray:
         """``l(S1, S2)`` of the pairs behind ``slots``."""
-        if self._l_by_slot is not None:
-            return self._l_by_slot[slots]
+        if self.space.layout == "sparse":  # a slot is a row of the table
+            return self.shared_items.column[slots]
         return shared_item_counts(self.shared_items, self.space.slot_keys(slots))
 
     def absorb(self, suffix: PairTable) -> None:
@@ -921,42 +909,3 @@ class EpochScan:
             PairBookkeeping,
         )
         return result, bookkeeping
-
-
-def scan_with_bounds_numpy(
-    dataset: "Dataset",
-    accuracies: Sequence[float],
-    params: CopyParams,
-    index: "InvertedIndex",
-    theta_cp: float,
-    theta_ind: float,
-    use_timers: bool,
-    hybrid_threshold: int,
-    track_bookkeeping: bool,
-    method_name: str,
-    epoch_size: int | None = None,
-    stop_at: int | None = None,
-    collect_state: bool = False,
-):
-    """Run the epoch-batched scan; the numpy half of ``scan_with_bounds``.
-
-    Returns ``(result, bookkeeping)``, or — when ``collect_state`` — the
-    live :class:`EpochScan` itself: the parallel engine :meth:`absorbs
-    <EpochScan.absorb>` the suffix sums into it and finalizes.
-    """
-    scan = EpochScan(
-        dataset,
-        accuracies,
-        params,
-        index,
-        theta_cp,
-        theta_ind,
-        use_timers,
-        hybrid_threshold,
-        track_bookkeeping,
-        epoch_size=epoch_size,
-    )
-    scan.run(stop_at=stop_at)
-    if collect_state:
-        return scan
-    return scan.finalize(method_name)

@@ -28,7 +28,7 @@ from .bound import (
     detect_hybrid,
 )
 from .incremental import incremental_round, prepare_incremental
-from .index import EntryOrdering, InvertedIndex, count_shared_items_for
+from .index import EntryOrdering, InvertedIndex
 from .index_algo import detect_index
 from .pairwise import detect_pairwise
 from .params import CopyParams, validate_execution
@@ -242,37 +242,26 @@ class _WorkspaceMixin:
     """
 
     _workspace = None
-    _shared_items_cache: tuple[Dataset, dict] | None = None
 
     def bind_workspace(self, workspace) -> None:
         """Attach (or, with ``None``, detach) a fusion workspace."""
         self._workspace = workspace
 
     def _workspace_for(self, dataset: Dataset):
-        """The bound workspace, unless it was built for another dataset."""
+        """The bound workspace, unless it was built for another dataset
+        (identity with the object it holds, never ``id()``: ids are
+        recycled, and would serve one dataset's counts to another)."""
         workspace = self._workspace
         if workspace is not None and workspace.dataset is dataset:
             return workspace
         return None
 
     def _shared_items(self, dataset: Dataset):
-        """Shared-item counts, computed once per dataset (claims are static).
-
-        The cache is keyed by the dataset object itself (a strong
-        reference), not ``id(dataset)``: ids are recycled after garbage
-        collection, so an id-keyed cache can serve one dataset's counts
-        to another.
-        """
+        """The workspace's shared-item counts (claims are static, so one
+        count serves every round); ``None`` — the index build counts —
+        for a detector driven outside a fusion run."""
         workspace = self._workspace_for(dataset)
-        if workspace is not None:
-            return workspace.shared_items
-        cache = self._shared_items_cache
-        if cache is None or cache[0] is not dataset:
-            cache = self._shared_items_cache = (
-                dataset,
-                count_shared_items_for(dataset, self.params),
-            )
-        return cache[1]
+        return None if workspace is None else workspace.shared_items
 
 
 class SingleRoundDetector(_WorkspaceMixin):
@@ -309,15 +298,6 @@ class SingleRoundDetector(_WorkspaceMixin):
         #: for ``executor="remote"``: a live ClusterExecutor, a worker
         #: list, or None (the REPRO_CLUSTER_WORKERS environment variable).
         self.cluster = cluster
-
-    @property
-    def wants_workspace(self) -> bool:
-        """Whether a fusion workspace would pay off for this detector."""
-        return (
-            self.params.backend == "numpy"
-            or self.n_partitions > 1
-            or self.executor != "serial"
-        )
 
     def run_round(
         self,
@@ -384,11 +364,6 @@ class IncrementalDetector(_WorkspaceMixin):
         self.rho_accuracy = rho_accuracy
         self.prepare_round = prepare_round
         self.state = None
-
-    @property
-    def wants_workspace(self) -> bool:
-        """Whether a fusion workspace would pay off for this detector."""
-        return self.params.backend == "numpy"
 
     @_stamped
     def run_round(

@@ -100,7 +100,9 @@ class InvertedIndex:
         tail_start: position of the first tail (``E-bar``) entry;
             ``entries[tail_start:]`` is the tail.
         shared_items: ``l(S1, S2)`` for every source pair sharing >= 1
-            item, keyed by sorted id pairs.
+            item, keyed by sorted id pairs: a dict from a ``"python"``
+            build, the :class:`~repro.core.pairspace.PairValueMap`
+            column table (the same mapping) from a ``"numpy"`` one.
         items_per_source: ``|D-bar(S)|`` per source id.
         suffix_max: ``suffix_max[i]`` is the maximum score among entries at
             positions ``>= i`` (``suffix_max[len(entries)] == 0.0``); the
@@ -170,6 +172,8 @@ class InvertedIndex:
                 f"({len(accuracies)} != {dataset.n_sources})"
             )
         columnar = params.backend == "numpy"
+        if shared_items is None:
+            shared_items = count_shared_items_for(dataset, params)
         entries = []
         for value_id, providers in enumerate(dataset.providers):
             if len(providers) < 2:
@@ -191,6 +195,7 @@ class InvertedIndex:
             # state's, bit-equal to max_score.
             from .incremental_kernel import max_scores
             from .kernel import ColumnarEntries
+            from .pairspace import PairValueMap
 
             cols = ColumnarEntries._from_rows(
                 [e.probability for e in entries],
@@ -202,6 +207,9 @@ class InvertedIndex:
             )
             for entry, score in zip(entries, scores.tolist()):
                 entry.score = score
+            # The numpy kernels read the column table: a caller's dict
+            # is flattened here, once; a table passes through.
+            shared_items = PairValueMap.from_counts(shared_items)
 
         main, tail = cls._split_tail(entries, params.theta_ind)
         cls._order_main(main, ordering, rng)
@@ -209,11 +217,7 @@ class InvertedIndex:
         return cls(
             entries=ordered,
             tail_start=len(main),
-            shared_items=(
-                shared_items
-                if shared_items is not None
-                else count_shared_items(dataset)
-            ),
+            shared_items=shared_items,
             items_per_source=list(dataset.items_per_source),
         )
 

@@ -16,9 +16,9 @@ allocation bites: with Zipf-shaped coverage a 10k-source world observes
 tens of thousands of pairs out of 10\\ :sup:`8` cells.
 
 * :func:`encode_pair_keys` / :func:`decode_pair_keys` (arrays),
-  :func:`encode_pairs` / :func:`decode_pairs` (the tuple forms) and
-  :func:`pair_key` (one pair, Python ints) — the one true key codec,
-  valid for ids in ``[0, ID_LIMIT)``.
+  :func:`encode_pairs` / :func:`decode_pairs` / :func:`iter_pairs` (the
+  tuple forms) and :func:`pair_key` (one pair, Python ints) — the one
+  true key codec, valid for ids in ``[0, ID_LIMIT)``.
 * :class:`PairSpace` — the slot universe: ``slots()`` maps a pair
   stream to compact indices (the grid cell ``s1 * n_sources + s2`` for
   the dense layout, ``np.searchsorted`` over the observed keys for the
@@ -29,17 +29,19 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
   behave identically whether indexed by key or by slot, which is what
   lets the bound scans stay bit-identical to the reference in either
   layout.
-* :func:`member_rows` — maybe-missing lookups of a key stream in a
-  sorted key column (``np.searchsorted`` + equality mask).
+* :func:`member_rows` / :func:`key_row` — maybe-missing lookups of a
+  key stream / of one ``(s1, s2)`` pair in a sorted key column
+  (``np.searchsorted`` + equality check).
 * :func:`reduce_by_key` / :func:`reduce_keys` — scatter-add a pair
   incidence stream (given as id arrays / as keys) into compact per-pair
   sums (dense ``np.bincount`` or sparse ``np.unique`` + ``np.add.at``;
   both are stream-order left folds, so the two layouts produce identical
   floats).
-* :class:`PairValueMap` — a directed-pair float lookup (ACCUCOPY's copy
-  probabilities) backed by sorted keys + ``np.searchsorted`` gather with
-  a default for unobserved pairs, replacing the dense
-  ``n_sources x n_sources`` matrix.
+* :class:`PairValueMap` — pair-keyed values as sorted keys + one aligned
+  column: Section III's shared-item counts ``l(S1, S2)`` (it reads like
+  the reference's ``pair -> int`` dict) and ACCUCOPY's directed copy
+  probabilities (``gather`` with a default for unobserved pairs,
+  replacing the dense ``n_sources x n_sources`` matrix).
 * :func:`resolve_pair_layout` — the ``"auto"`` heuristic: dense below a
   kernel's limit, sparse above it, with a module-level ``logging``
   warning naming the limit and the layout chosen, so leaving the dense
@@ -48,9 +50,11 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain
-from typing import Collection, Sequence
+from operator import index
+from typing import Collection, Iterator, Sequence
 import logging
 
 import numpy as np
@@ -86,10 +90,15 @@ def decode_pair_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> _ID_BITS, keys & _ID_MASK
 
 
+def iter_pairs(keys: np.ndarray) -> Iterator[tuple[int, int]]:
+    """:func:`decode_pairs`, each tuple built when the iterator reaches it."""
+    s1, s2 = decode_pair_keys(keys)
+    return zip(s1.tolist(), s2.tolist())
+
+
 def decode_pairs(keys: np.ndarray) -> list[tuple[int, int]]:
     """Pair keys as ``(s1, s2)`` tuples of Python ints, in ``keys`` order."""
-    s1, s2 = decode_pair_keys(keys)
-    return list(zip(s1.tolist(), s2.tolist()))
+    return list(iter_pairs(keys))
 
 
 def encode_pairs(pairs: Collection[tuple[int, int]]) -> np.ndarray:
@@ -127,6 +136,28 @@ def member_rows(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.nda
     hit = rows < len(keys)
     hit[hit] = keys[rows[hit]] == query[hit]
     return rows, hit
+
+
+def key_row(keys: np.ndarray, pair) -> int:
+    """Row of ``pair`` in a sorted key column, -1 when it is not in it.
+
+    Only ``0 <= s1 < s2 < ID_LIMIT`` has a key of its own (a negative or
+    oversized id would spill into the other id's bits), so the lookup
+    checks that first: a pair that cannot have been observed is reported
+    missing, never answered with another's row.
+    """
+    try:
+        s1, s2 = pair
+        s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
+    except (TypeError, ValueError):
+        return -1
+    if not 0 <= s1 < s2 < ID_LIMIT:
+        return -1
+    key = pair_key(s1, s2)
+    row = int(np.searchsorted(keys, key))
+    if row < len(keys) and keys[row] == key:
+        return row
+    return -1
 
 
 def resolve_pair_layout(
@@ -334,27 +365,66 @@ def reduce_keys(
     return uniq, sums
 
 
-class PairValueMap:
-    """Directed-pair float lookup with a default for unobserved pairs.
+class PairValueMap(Mapping):
+    """Pair-keyed values in two aligned columns: sorted keys, one value each.
 
-    ACCUCOPY's independence discounts read ``Pr(S -> S' | Phi)`` for
-    arbitrary provider pairs; pairs the detector never opened are
-    independent (probability 0).  The dense layout materializes the full
-    ``n_sources x n_sources`` matrix; this sparse form keeps only the
-    decided pairs — sorted int64 keys plus aligned values — and gathers
-    with ``np.searchsorted`` + an equality mask, so memory is bounded by
-    the number of *decisions*, not the source count, while the gathered
-    floats are identical to the dense matrix lookup.
+    Section III's shared-item counts ``l(S1, S2)`` (``s1 < s2`` keys,
+    int64 counts) are one: the kernels read :attr:`keys` and
+    :attr:`column` as they are, and the mapping face reads like the
+    reference's ``pair -> int`` dict — ``table[pair]`` (``KeyError`` for
+    a pair sharing no item), ``len``, ascending iteration, ``values()``,
+    ``==`` a dict — building tuples only when someone iterates.
+    ACCUCOPY's ``Pr(S -> S' | Phi)`` (directed keys, floats) are the
+    other: :meth:`gather` reads arbitrary provider pairs, ``default``
+    (independent, 0) for pairs the detector never opened, so memory is
+    bounded by the *decisions*, not the source count, and the floats
+    are identical to the dense ``n_sources x n_sources`` matrix lookup.
+
+    Attributes:
+        keys: int64 pair keys, sorted ascending, unique.
+        column: the values, aligned with ``keys``.
+        default: what :meth:`gather` reads for a pair not in ``keys``.
     """
 
-    __slots__ = ("keys", "values", "default")
+    __slots__ = ("keys", "column", "default")
 
     def __init__(
-        self, keys: np.ndarray, values: np.ndarray, default: float = 0.0
+        self, keys: np.ndarray, column: np.ndarray, default: float = 0.0
     ) -> None:
         self.keys = keys
-        self.values = values
+        self.column = column
         self.default = default
+
+    @classmethod
+    def from_counts(cls, counts: Mapping) -> "PairValueMap":
+        """A ``pair -> int`` mapping as a table, flattened at C speed and
+        sorted once (a table passes through as it is)."""
+        if isinstance(counts, cls):
+            return counts
+        keys = encode_pairs(counts)
+        column = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        order = np.argsort(keys, kind="stable")
+        return cls(keys[order], column[order])
+
+    def __getitem__(self, pair):
+        row = key_row(self.keys, pair)
+        if row < 0:
+            raise KeyError(pair)
+        return self.column[row].item()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter_pairs(self.keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def values(self) -> list:
+        """Every value as a Python scalar, in key order."""
+        return self.column.tolist()
+
+    def items(self) -> list:
+        """``(pair, value)`` for every row, in key order."""
+        return list(zip(self, self.values()))
 
     def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Values for (broadcast) directed pairs; misses read ``default``."""
@@ -364,4 +434,4 @@ class PairValueMap:
         pos = np.searchsorted(self.keys, query)
         pos = np.minimum(pos, len(self.keys) - 1)
         hit = self.keys[pos] == query
-        return np.where(hit, self.values[pos], self.default)
+        return np.where(hit, self.column[pos], self.default)

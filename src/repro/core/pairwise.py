@@ -132,16 +132,19 @@ def _detect_pairwise_numpy(
         decide_pairs,
         scan_columnar,
     )
-    from .pairspace import encode_pairs
+    from .pairspace import PairValueMap
 
-    if shared_items is None:
-        shared_items = count_shared_items_columnar(dataset)
+    shared_items = (
+        count_shared_items_columnar(dataset)
+        if shared_items is None
+        else PairValueMap.from_counts(shared_items)
+    )
     n_sources = dataset.n_sources
     cols = ColumnarEntries.from_value_groups(dataset, probabilities)
     table = scan_columnar(cols, accuracies, params, n_sources)
     # Pairs sharing items but never a value still get decided (their
     # score is pure penalty); splice zero-score rows into the table.
-    missing = np.setdiff1d(encode_pairs(shared_items), table.keys)
+    missing = np.setdiff1d(shared_items.keys, table.keys)
     if len(missing):
         zeros = PairTable(
             n_sources=n_sources,
@@ -153,7 +156,7 @@ def _detect_pairwise_numpy(
         )
         table = PairTable.merge([table, zeros], layout=params.pair_layout)
     columns = decide_pairs(table, shared_items, params, require_main=False)
-    total_shared = sum(shared_items.values())
+    total_shared = int(shared_items.column.sum())
     cost = CostCounter(
         computations=2 * total_shared,
         values_examined=total_shared,

@@ -22,13 +22,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import index
 from typing import Iterator
 
 import numpy as np
 
 from .contribution import CopyPosterior
-from .pairspace import ID_LIMIT, decode_pairs, encode_pairs, pair_key
+from .pairspace import decode_pairs, encode_pairs, iter_pairs, key_row
 
 
 class PairNotObservedError(LookupError):
@@ -188,32 +187,6 @@ class PairColumns:
             *(getattr(self, name)[rows] for name in PAIR_COLUMNS),
         )
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """``keys`` decoded into ``(s1, s2)`` id pairs, in key order."""
-        return decode_pairs(self.keys)
-
-
-def _key_row(keys: np.ndarray, pair) -> int:
-    """Row of ``pair`` in a sorted key column, -1 when it is not in it.
-
-    Only ``0 <= s1 < s2 < ID_LIMIT`` has a key of its own (a negative or
-    oversized id would spill into the other id's bits), so the lookup
-    checks that first: a pair that cannot have been observed is reported
-    missing, never answered with another's row.
-    """
-    try:
-        s1, s2 = pair
-        s1, s2 = index(s1), index(s2)  # Python ints: the key cannot wrap
-    except (TypeError, ValueError):
-        return -1
-    if not 0 <= s1 < s2 < ID_LIMIT:
-        return -1
-    key = pair_key(s1, s2)
-    row = int(np.searchsorted(keys, key))
-    if row < len(keys) and keys[row] == key:
-        return row
-    return -1
-
 
 class DecisionView(Mapping):
     """Read-only ``(s1, s2) -> PairDecision`` mapping over a column table.
@@ -225,7 +198,7 @@ class DecisionView(Mapping):
     the first time ``[]``/``get``/``values()``/``items()`` asks for it.
 
     Out-of-range ids are reported missing, never answered with an
-    aliased neighbour's verdict (see :func:`_key_row`).
+    aliased neighbour's verdict (see :func:`~repro.core.pairspace.key_row`).
     """
 
     def __init__(self, columns: PairColumns):
@@ -236,10 +209,6 @@ class DecisionView(Mapping):
     def materialized(self) -> int:
         """How many :class:`PairDecision` objects this view has built."""
         return len(self._built)
-
-    def _row(self, key) -> int:
-        """Row of ``key`` in the table, -1 when it is not an observed pair."""
-        return _key_row(self.columns.keys, key)
 
     def _build(self, start: int, stop: int) -> None:
         """Materialise the not-yet-built decisions of rows ``[start, stop)``."""
@@ -254,7 +223,7 @@ class DecisionView(Mapping):
                 )
 
     def __getitem__(self, key) -> PairDecision:
-        row = self._row(key)
+        row = key_row(self.columns.keys, key)
         if row < 0:
             raise KeyError(key)
         if row not in self._built:
@@ -262,13 +231,13 @@ class DecisionView(Mapping):
         return self._built[row]
 
     def __contains__(self, key) -> bool:
-        return self._row(key) >= 0
+        return key_row(self.columns.keys, key) >= 0
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.columns.pairs())
+        return iter_pairs(self.columns.keys)
 
     def values(self) -> list[PairDecision]:
         """Every decision, in key order (builds the ones not yet read)."""
@@ -278,7 +247,7 @@ class DecisionView(Mapping):
 
     def items(self) -> list[tuple[tuple[int, int], PairDecision]]:
         """``(pair, decision)`` for every row, in key order."""
-        return list(zip(self.columns.pairs(), self.values()))
+        return list(zip(self, self.values()))
 
     def __eq__(self, other) -> bool:
         mine = self.columns
@@ -317,13 +286,13 @@ class PairRowView(Mapping):
         self._make_row = make_row
 
     def __getitem__(self, pair):
-        row = _key_row(self.keys, pair)
+        row = key_row(self.keys, pair)
         if row < 0:
             raise KeyError(pair)
         return self._make_row(*(col[row].item() for col in self.columns.values()))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(decode_pairs(self.keys))
+        return iter_pairs(self.keys)
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -331,8 +331,7 @@ def run_fusion(
 
     owns_workspace = False
     if workspace is None and (
-        backend == "numpy"
-        or (detector is not None and getattr(detector, "wants_workspace", False))
+        backend == "numpy" or hasattr(detector, "bind_workspace")
     ):
         from .workspace import FusionWorkspace
 

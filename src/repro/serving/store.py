@@ -29,14 +29,20 @@ labels); a **delta** carries only upserted/removed rows over a ``base``
 snapshot.  :class:`SnapshotPublisher` drives the lifecycle for the
 fusion loop: the first round publishes full, and later rounds publish
 deltas against the state the publisher last published.  **A delta's
-pair row means: some stored column of this pair differs from the last
-published state, or the detector reported the pair** — when a result
-carries :attr:`~repro.core.result.DetectionResult.changed_pairs` (the
+pair row means: the detector reported the pair, or a stored bit or
+position of it changed, or a stored score moved past the tolerance** —
+when a result carries
+:attr:`~repro.core.result.DetectionResult.changed_pairs` (the
 INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it names
-are the only published pairs eligible; otherwise every stored column
-(scores, posterior, flags, decision position) is compared exactly.  A
+are the only published pairs eligible; otherwise ``copying``, ``early``
+and the decision position are compared exactly and the five float
+columns against the *published* value with :data:`SCORE_TOLERANCE`.  A
 delta that would approach a rewrite anyway is written as a fresh full
-snapshot instead.
+snapshot instead.  **What a reader may assume:** with no report,
+verdict bits and positions are exact and a served score is within the
+tolerance of the exact score of the round that published the snapshot;
+under a report the ``copying`` bit is exact and the other columns are
+those of the round that last re-resolved the pair.
 
 Pair rows are a :class:`~repro.core.result.PairColumns` table from the
 kernel to the file and back into a reader; only at the codec boundary
@@ -79,20 +85,24 @@ FLAG_EARLY = 2
 
 _SNAP_PATTERN = "snap-%08d.rvs"
 
-#: An item row is re-published when its truth flips or its probability
-#: moves by more than this (the float noise of a re-converged round is
-#: orders of magnitude smaller).
-ITEM_TOLERANCE = 1e-6
+#: The store's one tolerance, for both row families: an item row is
+#: re-published when its truth flips or its probability moves by more
+#: than this, a pair row when a stored bit or position changes or one of
+#: its five float columns does — always against the *published* value,
+#: so a served score never drifts further than this from the exact one.
+SCORE_TOLERANCE = 1e-6
 
 #: A delta touching more than this share of the published pair rows is
 #: written as a full snapshot instead.  Why 0.6: a reader resolves a
 #: delta by loading its whole base chain and merging, so a delta that
 #: rewrites most rows is slower to read than the full snapshot it avoids
 #: and barely smaller on disk; a cut a little past one half keeps chains
-#: short and stops early (pre-convergence) rounds, where nearly every
-#: score moves, from masquerading as deltas.  It has never been tuned
-#: against a workload — ROADMAP's O(delta) streaming item asks why
-#: deltas lose on ``stream_book`` before anyone moves it.
+#: short and stops pre-convergence rounds, where nearly every score
+#: moves, from masquerading as deltas.  Measured (docs/ARCHITECTURE.md
+#: has the table): every ``stream_book`` epoch moves >= 99% of its rows
+#: past 1e-6 and 10-70% past 1e-2, ``batch_book_par``'s last round 98%
+#: past 1e-6 — those fulls are honest at any cut; only a converged round
+#: (``batch_wide``'s last: 146 of 57k rows) is a delta.
 FULL_REWRITE_FRACTION = 0.6
 
 #: The zero-row pair table (the state before any publish).
@@ -328,22 +338,36 @@ def pair_delta(
     A row of ``pairs`` is upserted when its pair is not published yet;
     a published one when ``changed_pairs`` (the detector's report) names
     it — a pass-1 re-confirmation's scores are estimates and must not
-    replace the exact ones — or, with no report, when any stored column
-    differs.
+    replace the exact ones — or, with no report, when ``copying``,
+    ``early`` or ``decision_pos`` differs or a float column sits more
+    than :data:`SCORE_TOLERANCE` from the published value.  When both
+    tables hold the same pairs (every round of a static world) the
+    columns are compared in place, no lookup and no gather.
 
     Returns:
         ``(upsert, removed_keys)``: a row mask over ``pairs`` and the
         published keys ``pairs`` no longer holds.
     """
-    rows, known = member_rows(published.keys, pairs.keys)
-    if changed_pairs is not None:
-        upsert = ~known | np.isin(pairs.keys, encode_pairs(changed_pairs))
+    aligned = np.array_equal(published.keys, pairs.keys)
+    if aligned:
+        known, removed_keys = np.ones(len(pairs), dtype=bool), pairs.keys[:0]
     else:
-        same, at = known.copy(), rows[known]
-        for name in PAIR_COLUMNS:
-            same[known] &= getattr(pairs, name)[known] == getattr(published, name)[at]
-        upsert = ~same
-    return upsert, published.keys[~np.isin(published.keys, pairs.keys)]
+        rows, known = member_rows(published.keys, pairs.keys)
+        removed_keys = published.keys[~member_rows(pairs.keys, published.keys)[1]]
+    if changed_pairs is not None:
+        return ~known | np.isin(pairs.keys, encode_pairs(changed_pairs)), removed_keys
+    if not aligned:
+        pairs, published = pairs.take(known), published.take(rows[known])
+    moved = np.zeros(len(pairs), dtype=bool)
+    for name in PAIR_COLUMNS:
+        new, old = getattr(pairs, name), getattr(published, name)
+        if name in PAIR_FLOAT_COLUMNS:
+            moved |= np.abs(new - old) > SCORE_TOLERANCE
+        else:
+            moved |= new != old
+    upsert = ~known
+    upsert[known] = moved
+    return upsert, removed_keys
 
 
 def merge_item_rows(
@@ -382,6 +406,8 @@ class VerdictStore:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise ServingError(f"{self.root}: verdict store directory not found")
+        #: the highest id written or found; None until the first publish
+        self._last_id: int | None = None
 
     # ------------------------------------------------------------------
     # Pointers and paths
@@ -429,8 +455,14 @@ class VerdictStore:
         return snapshot_id
 
     def _next_id(self) -> int:
-        ids = self.snapshot_ids()
-        return (ids[-1] + 1) if ids else 1
+        """One past the highest snapshot id: the directory is listed once
+        per store object, at its first publish (so ids rise above all an
+        earlier writer left, an orphan beyond ``CURRENT`` included), then
+        counted — a store has one writer at a time."""
+        if self._last_id is None:
+            self._last_id = max(self.snapshot_ids(), default=0)
+        self._last_id += 1
+        return self._last_id
 
     # ------------------------------------------------------------------
     # Writing
@@ -570,11 +602,12 @@ class SnapshotPublisher:
     table and the item rows — and each round upserts what differs from
     it: pair rows by :func:`pair_delta` (the contract in the module
     docstring), item rows whose chosen value flipped or whose
-    probability moved by more than :data:`ITEM_TOLERANCE`.
+    probability moved by more than :data:`SCORE_TOLERANCE`.
 
     When the pair delta would touch more than
     :data:`FULL_REWRITE_FRACTION` of the published rows, a fresh full
-    snapshot is written instead.
+    snapshot is written instead — with no report, the round's table as
+    it is: no gather, no merge of rows about to be overwritten.
     """
 
     def __init__(self, store: VerdictStore | Path | str, dataset: "Dataset"):
@@ -640,17 +673,19 @@ class SnapshotPublisher:
         else:  # copy-oblivious fusion: the published pairs, none reported
             method, pairs, reported = "none", self._prev_pairs, set()
         if self.last_snapshot_id is None:  # all new: written as it is
-            pair_upserts, removed_keys, merged_pairs = pairs, pairs.keys[:0], pairs
+            rewrite, merged_pairs = True, pairs
         else:
             upsert, removed_keys = pair_delta(self._prev_pairs, pairs, reported)
-            pair_upserts = pairs.take(upsert)
-            merged_pairs = merge_pair_rows(self._prev_pairs, pair_upserts, removed_keys)
-
-        touched = len(pair_upserts) + len(removed_keys)
-        if (
-            self.last_snapshot_id is None
-            or touched > FULL_REWRITE_FRACTION * max(len(self._prev_pairs), 1)
-        ):
+            touched = np.count_nonzero(upsert) + len(removed_keys)
+            rewrite = touched > FULL_REWRITE_FRACTION * max(len(self._prev_pairs), 1)
+            if rewrite and reported is None:
+                merged_pairs = pairs  # the round's own table is the new state
+            else:
+                pair_upserts = pairs.take(upsert)
+                merged_pairs = merge_pair_rows(
+                    self._prev_pairs, pair_upserts, removed_keys
+                )
+        if rewrite:
             snapshot_id = self.store.write_full(
                 merged_pairs,
                 items,
@@ -687,7 +722,7 @@ class SnapshotPublisher:
         same, at = known.copy(), rows[known]
         same[known] &= prev.truth[at] == items.truth[known]
         same[known] &= (
-            np.abs(prev.probability[at] - items.probability[known]) <= ITEM_TOLERANCE
+            np.abs(prev.probability[at] - items.probability[known]) <= SCORE_TOLERANCE
         )
         removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]
         return items.take(np.nonzero(~same)[0]), removed_ids

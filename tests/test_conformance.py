@@ -192,7 +192,7 @@ class TestRunCase:
         def boom(*args, **kwargs):
             raise RuntimeError("injected kernel fault")
 
-        monkeypatch.setattr(bound_kernel, "scan_with_bounds_numpy", boom)
+        monkeypatch.setattr(bound_kernel, "EpochScan", boom)
         outcome = run_case(
             generate_world(0, seed=13), CaseConfig("detect", "bound")
         )

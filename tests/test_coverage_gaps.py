@@ -77,20 +77,32 @@ class TestRunnerRemainingMethods:
 
 
 class TestDetectorCache:
+    """The detector serves its bound workspace's one count table."""
+
     def test_shared_items_cached_per_dataset(self, example, params):
+        from repro.fusion import FusionWorkspace
+
         detector = SingleRoundDetector(params, method="index")
-        first = detector._shared_items(example)
-        second = detector._shared_items(example)
+        assert detector._shared_items(example) is None  # the index build counts
+        with FusionWorkspace(example, params) as workspace:
+            detector.bind_workspace(workspace)
+            first = detector._shared_items(example)
+            second = detector._shared_items(example)
         assert first is second  # identity: no recomputation
+        assert first is workspace.shared_items
 
     def test_cache_invalidated_for_new_dataset(self, example, params):
+        from repro.fusion import FusionWorkspace
+
         detector = SingleRoundDetector(params, method="index")
-        first = detector._shared_items(example)
         b = DatasetBuilder()
         b.add("A", "D", "x")
         b.add("B", "D", "x")
         other = b.build()
-        assert detector._shared_items(other) is not first
+        with FusionWorkspace(example, params) as workspace:
+            detector.bind_workspace(workspace)
+            first = detector._shared_items(example)
+            assert detector._shared_items(other) is not first
 
 
 class TestValueProbabilityEdges:

@@ -102,36 +102,44 @@ class TestIncrementalDetector:
 
 
 class TestSharedItemsCache:
-    """Regression: the shared-items cache must key on the dataset object.
+    """Regression: shared-item counts must key on the dataset object.
 
-    The original implementation keyed on ``id(dataset)``; ids are
-    recycled once a dataset is garbage collected, so a fresh dataset
-    allocated at the same address silently inherited the previous
-    dataset's counts.  A strong reference both prevents the recycling
-    and makes the comparison exact.
+    The original implementation kept a private cache keyed on
+    ``id(dataset)``; ids are recycled once a dataset is garbage
+    collected, so a fresh dataset allocated at the same address silently
+    inherited the previous dataset's counts.  The counts now live on the
+    bound :class:`~repro.fusion.FusionWorkspace` alone, which holds its
+    dataset by strong reference and is consulted by identity.
     """
+
+    @staticmethod
+    def _detector(detector_cls, params):
+        if detector_cls is SingleRoundDetector:
+            return detector_cls(params, method="index")
+        return detector_cls(params)
 
     @pytest.mark.parametrize("detector_cls", [SingleRoundDetector, IncrementalDetector])
     def test_cache_holds_strong_reference(
         self, example, example_probabilities, example_accuracies, params, detector_cls
     ):
-        if detector_cls is SingleRoundDetector:
-            detector = detector_cls(params, method="index")
-        else:
-            detector = detector_cls(params)
-        counts = detector._shared_items(example)
-        assert detector._shared_items_cache is not None
-        cached_dataset, cached_counts = detector._shared_items_cache
-        assert cached_dataset is example  # strong ref, not an id snapshot
-        assert cached_counts is counts
-        # Same object: cache hit returns the identical mapping.
-        assert detector._shared_items(example) is counts
+        from repro.fusion import FusionWorkspace
+
+        detector = self._detector(detector_cls, params)
+        with FusionWorkspace(example, params) as workspace:
+            detector.bind_workspace(workspace)
+            counts = detector._shared_items(example)
+            assert workspace.dataset is example  # strong ref, not an id snapshot
+            assert counts is workspace.shared_items
+            # Same object: a second read returns the identical mapping.
+            assert detector._shared_items(example) is counts
+        assert not hasattr(detector, "_shared_items_cache")  # one cache, not two
 
     @pytest.mark.parametrize("detector_cls", [SingleRoundDetector, IncrementalDetector])
     def test_distinct_datasets_get_distinct_counts(
         self, params, detector_cls
     ):
         from repro.data import DatasetBuilder
+        from repro.fusion import FusionWorkspace
 
         def build(n_items):
             builder = DatasetBuilder()
@@ -140,21 +148,20 @@ class TestSharedItemsCache:
                 builder.add("B", f"item{i}", "v")
             return builder.build()
 
-        if detector_cls is SingleRoundDetector:
-            detector = detector_cls(params, method="index")
-        else:
-            detector = detector_cls(params)
+        detector = self._detector(detector_cls, params)
         first = build(2)
+        workspace = FusionWorkspace(first, params)
+        detector.bind_workspace(workspace)
         assert detector._shared_items(first) == {(0, 1): 2}
-        # Drop the first dataset entirely, then hand the detector a new
-        # one — under id() keying this is where a recycled address could
-        # serve the stale {(0, 1): 2} for a 3-item dataset.
-        del first
-        import gc
-
-        gc.collect()
+        # A new dataset — under id() keying a recycled address could
+        # serve the stale {(0, 1): 2} for a 3-item dataset; the bound
+        # workspace is for another object, so nothing is served ...
         second = build(3)
+        assert detector._shared_items(second) is None
+        # ... and a workspace rebound to it counts afresh.
+        workspace.rebind(second)
         assert detector._shared_items(second) == {(0, 1): 3}
+        workspace.close()
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core.kernel import (
     score_incidences,
 )
 from repro.core.contribution import posterior
-from repro.core.pairspace import encode_pairs
+from repro.core.pairspace import decode_pairs, encode_pairs
 from repro.simjoin import count_shared_items
 from tests.strategies import worlds
 
@@ -80,7 +80,7 @@ class TestPairTable:
         assert table.c_fwd.tolist() == [3.0, 3.0, 4.0]
         assert table.n_shared.tolist() == [2, 1, 1]
         assert table.saw_main.tolist() == [True, False, True]
-        assert table.pairs() == [(0, 1), (0, 2), (1, 3)]
+        assert decode_pairs(table.keys) == [(0, 1), (0, 2), (1, 3)]
 
         # Splitting the stream and merging must give the same table.
         half_a = PairTable.from_incidences(
@@ -169,9 +169,42 @@ class TestColumnarEntries:
             method="index",
         )
         opened = {
-            pair for pair, main in zip(table.pairs(), table.saw_main.tolist()) if main
+            pair for pair, main in zip(decode_pairs(table.keys), table.saw_main.tolist()) if main
         }
         assert opened == set(reference.decisions)
+
+
+def _claims_world(claims: dict) -> "Dataset":
+    """``{source: [items]}`` as a dataset (every claim the value "v")."""
+    from repro.data import DatasetBuilder
+
+    builder = DatasetBuilder()
+    for source, items in claims.items():
+        for item in items:
+            builder.add(source, item, "v")
+    return builder.build()
+
+
+#: The shapes a random world rarely draws: nothing shared, exactly one
+#: shared item, and a hub source sharing an item with everyone.
+EDGE_WORLDS = {
+    "empty": {"A": ["a"], "B": ["b"]},
+    "one-shared-item": {"A": ["x", "a"], "B": ["x", "b"], "C": ["c"]},
+    "hub": {"H": ["i1", "i2", "i3"], "A": ["i1"], "B": ["i2"], "C": ["i3"]},
+}
+
+
+def _assert_is_the_oracle_mapping(table, dataset):
+    oracle = count_shared_items(dataset)
+    assert table == oracle and oracle == table
+    assert len(table) == len(oracle)
+    assert sorted(table.items()) == sorted(oracle.items())
+    assert list(table) == sorted(oracle)  # ascending key order
+    assert all(pair in table and table[pair] == n for pair, n in oracle.items())
+    assert (0, dataset.n_sources) not in table and (1, 0) not in table
+    assert sum(table.values()) == sum(oracle.values())
+    assert table.keys.dtype == table.column.dtype == np.int64
+    assert (np.diff(table.keys) > 0).all()
 
 
 class TestSharedItemsColumnar:
@@ -179,7 +212,59 @@ class TestSharedItemsColumnar:
     @given(world=worlds())
     def test_matches_simjoin(self, world):
         dataset, _, _ = world
-        assert count_shared_items_columnar(dataset) == count_shared_items(dataset)
+        for layout in ("dense", "sparse"):
+            _assert_is_the_oracle_mapping(
+                count_shared_items_columnar(dataset, layout), dataset
+            )
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", EDGE_WORLDS)
+    def test_edge_worlds(self, layout, shape):
+        dataset = _claims_world(EDGE_WORLDS[shape])
+        table = count_shared_items_columnar(dataset, layout)
+        _assert_is_the_oracle_mapping(table, dataset)
+        assert len(table) == {"empty": 0, "one-shared-item": 1, "hub": 3}[shape]
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_a_pair_sharing_no_item_is_a_key_error(self, layout):
+        """Membership is part of the lookup: (1, 2) share nothing and
+        their key falls between two rows of the table, where a bare
+        ``searchsorted`` would answer with (1, 3)'s count."""
+        from repro.core.kernel import shared_item_counts
+        from repro.core.pairspace import encode_pair_keys
+
+        dataset = _claims_world(
+            {"S0": ["a", "b"], "S1": ["a", "c"], "S2": ["b"], "S3": ["c"]}
+        )
+        table = count_shared_items_columnar(dataset, layout)
+        assert sorted(table) == [(0, 1), (0, 2), (1, 3)]
+        present = encode_pair_keys([0, 1], [2, 3])
+        assert shared_item_counts(table, present).tolist() == [1, 1]
+        for s1, s2 in [(1, 2), (2, 3), (0, 3)]:
+            keys = encode_pair_keys([0, s1, 1], [1, s2, 3])
+            with pytest.raises(KeyError) as excinfo:
+                shared_item_counts(table, keys)
+            assert excinfo.value.args[0] == (s1, s2)
+            with pytest.raises(KeyError):
+                table[(s1, s2)]
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_plain_dict_detects_like_the_table(self, method, layout):
+        """``detect(shared_items=<dict>)`` under numpy is converted once,
+        where the index is built: same bytes as handing it the table."""
+        from tests.test_columns import _assert_tables_identical, _sparse_world
+
+        dataset, probs, accs = _sparse_world(1)
+        params = CopyParams(backend="numpy", pair_layout=layout)
+        table = count_shared_items_columnar(dataset)
+        want = detect(dataset, probs, accs, params, method=method, shared_items=table)
+        for shared in (count_shared_items(dataset), None):
+            got = detect(
+                dataset, probs, accs, params, method=method, shared_items=shared
+            )
+            _assert_tables_identical(got.columns(), want.columns())
+            assert got.cost == want.cost
 
 
 class TestPosteriorArrays:

@@ -567,15 +567,16 @@ class TestHugeSourceIds:
         fwd = np.arange(8, dtype=np.float64)
         main = np.ones(8, dtype=bool)
         whole = PairTable.from_incidences(ID_LIMIT, s1, s2, fwd, -fwd, main)
-        assert whole.pairs() == pairs
+        assert decode_pairs(whole.keys) == pairs
         assert whole.c_fwd.tolist() == [4.0, 6.0, 8.0, 10.0]
         halves = [
             PairTable.from_incidences(ID_LIMIT, s1[cut], s2[cut], fwd[cut], -fwd[cut], main[cut])
             for cut in (slice(0, 3), slice(3, 8))
         ]
         merged = PairTable.merge(halves)
-        assert merged.pairs() == pairs
+        assert decode_pairs(merged.keys) == pairs
         assert merged.c_fwd.tolist() == whole.c_fwd.tolist()
         assert merged.n_shared.tolist() == [2, 2, 2, 2]
-        columns = decide_pairs(merged, dict.fromkeys(pairs, 2), CopyParams())
-        assert columns.pairs() == pairs
+        shared = PairValueMap.from_counts(dict.fromkeys(pairs, 2))
+        columns = decide_pairs(merged, shared, CopyParams())
+        assert decode_pairs(columns.keys) == pairs

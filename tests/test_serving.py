@@ -26,6 +26,7 @@ import random
 import struct
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,13 @@ import pytest
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
 from repro.core.pairspace import decode_pairs
-from repro.core.result import DetectionResult, PairColumns, PairDecision
+from repro.core.result import (
+    PAIR_FLOAT_COLUMNS,
+    DecisionView,
+    DetectionResult,
+    PairColumns,
+    PairDecision,
+)
 from repro.data import DatasetBuilder, save_claims
 from repro.fusion import FusionConfig, run_fusion, vote_probabilities
 from repro.serving import (
@@ -47,7 +54,7 @@ from repro.serving import (
     encode_snapshot,
     read_snapshot_file,
 )
-from repro.serving.store import pairs_from_arrays
+from repro.serving.store import SCORE_TOLERANCE, pairs_from_arrays
 from repro.synth import make_profile
 
 
@@ -62,6 +69,14 @@ def _result(decisions: dict, n_sources: int) -> DetectionResult:
     return DetectionResult(
         method="test", n_sources=n_sources, decisions=dict(decisions)
     )
+
+
+def _flat_world(n_sources: int):
+    """``n_sources`` sources all claiming one value of one item."""
+    builder = DatasetBuilder()
+    for source_id in range(n_sources):
+        builder.add(f"S{source_id}", "item", "v")
+    return builder.build()
 
 
 @pytest.fixture(scope="module")
@@ -283,20 +298,14 @@ class TestStore:
         whose chain reads back every pair (at the parent ``rebind``
         refused the grown dataset — stored keys moved with the count)."""
 
-        def world(n_sources):
-            builder = DatasetBuilder()
-            for source_id in range(n_sources):
-                builder.add(f"S{source_id}", "item", "v")
-            return builder.build()
-
         base = {
             (0, 1): _decision(params, 5.0, 4.0),
             (0, 2): _decision(params, -3.0, -4.0),
             (1, 2): _decision(params, 6.0, 1.0),
         }
-        pub = SnapshotPublisher(tmp_path, world(3))
+        pub = SnapshotPublisher(tmp_path, _flat_world(3))
         pub.publish_round(1, _result(base, 3), [0.9])
-        pub.rebind(world(5))
+        pub.rebind(_flat_world(5))
         grown = {**base, (2, 4): _decision(params, 7.0, 2.0)}
         result = _result(grown, 5)
         result.changed_pairs = {(2, 4)}
@@ -323,6 +332,188 @@ class TestStore:
             {source: mass for source, mass in enumerate(totals) if mass > 0.0}
         )
         assert 4 in ranking
+
+    def test_publish_lists_the_directory_once(self, tmp_path, params, monkeypatch):
+        """Publishing costs the same in a full store as in an empty one:
+        the directory is listed at a store's first publish, then ids are
+        counted (at the parent every publish globbed, parsed and sorted
+        every name — 8 ms of a 50 ms epoch after an hour of ``serve``)."""
+        from pathlib import Path
+
+        for snapshot_id in range(1, 5001):
+            (tmp_path / f"snap-{snapshot_id:08d}.rvs").touch()
+        (tmp_path / "CURRENT").write_text('{"snapshot_id": 4990}')  # ten orphans
+        globs = []
+        real_glob = Path.glob
+
+        def counting_glob(self, pattern):
+            globs.append(pattern)
+            return real_glob(self, pattern)
+
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        store = VerdictStore(tmp_path)
+        ids = [store.write_full(pairs, ItemRows.empty(), n_sources=3) for _ in range(3)]
+        assert ids == [5001, 5002, 5003]  # above the orphans beyond CURRENT
+        assert globs == ["snap-*.rvs"]
+        # A re-opened store lists once more and keeps counting upward.
+        reopened = VerdictStore(tmp_path)
+        ids.append(reopened.write_full(pairs, ItemRows.empty(), n_sources=3))
+        ids.append(
+            reopened.write_delta(
+                ids[-1], pairs, pairs.keys[:0], ItemRows.empty(), pairs.keys[:0],
+                pairs, n_sources=3,
+            )
+        )
+        assert ids == [5001, 5002, 5003, 5004, 5005]
+        assert globs == ["snap-*.rvs"] * 2
+        assert reopened.current_id() == 5005
+
+
+# ----------------------------------------------------------------------
+# The publishing contract: bits and positions exact, scores in tolerance
+# ----------------------------------------------------------------------
+def _random_table(n_sources: int, seed: int) -> PairColumns:
+    """A verdict table over every pair of ``n_sources`` sources (PCG64
+    draws only, so the bytes are the same on every platform)."""
+    rng = np.random.default_rng(seed)
+    s1, s2 = np.triu_indices(n_sources, 1)
+    n = len(s1)
+    floats = [rng.uniform(-9.0, 9.0, n) for _ in range(2)]
+    floats += [rng.uniform(0.0, 1.0, n) for _ in range(3)]
+    return PairColumns(
+        (s1.astype(np.int64) << 32) | s2,
+        *floats,
+        copying=rng.random(n) < 0.3,
+        early=rng.random(n) < 0.5,
+        decision_pos=rng.integers(-1, 40, n),
+    )
+
+
+def _publish(publisher, round_no: int, table: PairColumns) -> dict:
+    n_sources = publisher.dataset.n_sources
+    result = DetectionResult("test", n_sources, DecisionView(table))
+    sid = publisher.publish_round(round_no, result, [0.9])
+    return publisher.store.load(sid)[0]
+
+
+def _served(store_dir) -> PairColumns:
+    return VerdictReader(store_dir)._view.pairs
+
+
+def _assert_serves(served: PairColumns, table: PairColumns):
+    """The reader contract against the round's own table."""
+    for name in ("keys", "copying", "early", "decision_pos"):
+        np.testing.assert_array_equal(getattr(served, name), getattr(table, name))
+    for name in PAIR_FLOAT_COLUMNS:
+        drift = np.abs(getattr(served, name) - getattr(table, name))
+        assert drift.max() <= SCORE_TOLERANCE, name
+
+
+#: ``tests.test_columns._store_digest`` of the two-snapshot store of
+#: ``test_a_rewrite_round_is_the_rounds_table``, as a840957 wrote it
+#: (through ``pairs.take`` + ``merge_pair_rows``).
+REWRITE_STORE_SHA256 = "344da387b456fc8f80130fb222435d218fd2867911d55351c90442013b37cd35"
+
+
+class TestPublishingContract:
+    N = 12  # 66 pairs
+
+    def test_a_flip_inside_the_tolerance_is_republished(self, tmp_path):
+        """(a) One verdict, one ``early`` bit and one position change on
+        rows whose scores moved 1e-9: exactly those rows are re-published."""
+        table = _random_table(self.N, seed=1)
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        assert _publish(publisher, 1, table)["kind"] == "full"
+        rows = [5, 17, 40]
+        nudge = np.zeros(len(table))
+        nudge[rows] = 1e-9
+        copying, early, pos = table.copying.copy(), table.early.copy(), table.decision_pos.copy()
+        copying[5] ^= True
+        early[17] ^= True
+        pos[40] += 1
+        moved = replace(
+            table,
+            **{name: getattr(table, name) + nudge for name in PAIR_FLOAT_COLUMNS},
+            copying=copying, early=early, decision_pos=pos,
+        )
+        meta = _publish(publisher, 2, moved)
+        assert (meta["kind"], meta["n_pairs"]) == ("delta", 3)
+        arrays = publisher.store.load(meta["snapshot_id"])[1]
+        assert arrays["pair_keys"].tolist() == table.keys[rows].tolist()
+        _assert_serves(_served(tmp_path), moved)
+
+    def test_drift_is_bounded_against_the_published_value(self, tmp_path):
+        """(b) Ten rounds each add 0.4e-6 to one score: the row is
+        re-published when it sits past the tolerance from what the store
+        *holds* (rounds 3, 6, 9), never accumulating — and at no round
+        does the reader serve a score further than the tolerance from
+        the round's (at the parent: re-published every round)."""
+        table = _random_table(self.N, seed=2)
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        _publish(publisher, 0, table)
+        republished = []
+        for step in range(1, 11):
+            c_fwd = table.c_fwd.copy()
+            c_fwd[7] += step * 0.4e-6
+            current = replace(table, c_fwd=c_fwd)
+            meta = _publish(publisher, step, current)
+            assert meta["kind"] == "delta" and meta["n_pairs"] in (0, 1)
+            if meta["n_pairs"]:
+                republished.append(step)
+            _assert_serves(_served(tmp_path), current)
+        assert republished == [3, 6, 9]
+
+    def test_a_reader_over_full_and_delta_serves_the_round(self, tmp_path):
+        """(c) A third of the rows jitter inside the tolerance, a tenth
+        move past it, some flip or shift: the chain ``[full, delta]``
+        reads back as the round's table — bits and positions exactly,
+        scores within the tolerance, re-published rows exactly."""
+        table = _random_table(self.N, seed=3)
+        rng = np.random.default_rng(4)
+        n = len(table)
+        loud = rng.random(n) < 0.1
+        quiet = ~loud & (rng.random(n) < 0.3)
+        jitter = np.where(loud, 1e-3, np.where(quiet, 1e-7, 0.0))
+        flipped = rng.random(n) < 0.05
+        shifted = rng.random(n) < 0.05
+        current = replace(
+            table,
+            **{name: getattr(table, name) + jitter * rng.uniform(0.5, 1.0, n)
+               for name in PAIR_FLOAT_COLUMNS},
+            copying=table.copying ^ flipped,
+            decision_pos=table.decision_pos + shifted,
+        )
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        _publish(publisher, 1, table)
+        meta = _publish(publisher, 2, current)
+        must_go = loud | flipped | shifted
+        assert 0 < must_go.sum() and (must_go | quiet).sum() < 0.6 * n
+        chain = publisher.store.load_chain(meta["snapshot_id"])
+        assert [m["kind"] for m, _ in chain] == ["full", "delta"]
+        served = _served(tmp_path)
+        _assert_serves(served, current)
+        np.testing.assert_array_equal(served.c_fwd[must_go], current.c_fwd[must_go])
+
+    def test_a_rewrite_round_is_the_rounds_table(self, tmp_path):
+        """(d) Every score moves: the round is written as a full snapshot
+        holding the round's table exactly — byte for byte what the parent
+        wrote by gathering and merging the rows it then overwrote."""
+        from tests.test_columns import _assert_tables_identical, _store_digest
+
+        table = _random_table(self.N, seed=5)
+        moved = table.take(np.arange(3, len(table)))  # three pairs vanish as well
+        moved = replace(
+            moved, **{name: getattr(moved, name) + 0.5 for name in PAIR_FLOAT_COLUMNS}
+        )
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        _publish(publisher, 1, table)
+        meta = _publish(publisher, 2, moved)
+        assert (meta["kind"], meta["n_pairs"], meta["base_id"]) == ("full", len(moved), None)
+        arrays = publisher.store.load(meta["snapshot_id"])[1]
+        _assert_tables_identical(pairs_from_arrays(arrays, "memory"), moved)
+        _assert_tables_identical(_served(tmp_path), moved)
+        assert _store_digest(publisher.store) == REWRITE_STORE_SHA256
 
 
 # ----------------------------------------------------------------------
