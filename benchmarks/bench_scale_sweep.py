@@ -40,7 +40,7 @@ from repro.conformance.generators import RandomChooser, large_sparse_world
 from repro.core import CopyParams, InvertedIndex
 from repro.core.bound import detect_bound_plus
 from repro.fusion import value_probabilities, vote_probabilities
-from repro.fusion.accu_kernel import FusionColumns, value_probabilities_columnar
+from repro.fusion.accu_kernel import value_probabilities_columnar
 
 #: Fusion-round parity tolerance (the kernels' property-tested bound).
 NUMERIC_TOL = 1e-9
@@ -112,7 +112,7 @@ def _run_world(
             dataset, probabilities, accuracies, params_sparse, index=index
         )
     )
-    cols = FusionColumns.from_dataset(dataset)
+    cols = dataset.columns
     acc = np.asarray(accuracies, dtype=np.float64)
     sparse_probs = value_probabilities_columnar(
         cols, acc, params_sparse, sparse_result

@@ -480,9 +480,7 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     # any difference is nondeterminism, which is itself a divergence.
     update_tol = 0.0
     if (config.fusion_backend or config.backend) == "numpy":
-        from ..fusion.accu_kernel import FusionColumns
-
-        columns = FusionColumns.from_dataset(dataset)
+        columns = dataset.columns
         update_tol = NUMERIC_TOL
     candidate_probs, candidate_accs = fusion_steps(
         dataset, params, fusion_config, columns

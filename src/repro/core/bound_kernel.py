@@ -143,6 +143,15 @@ EPOCH_INCIDENCE_BUDGET = 32_768
 #: limit triggered a silent fallback to the pure-Python scan.)
 DENSE_STATE_LIMIT = 1 << 20
 
+#: Under ``"auto"`` a grid that fits the limit still goes sparse when the
+#: observed pairs (``len(index.shared_items)``) cover less than this
+#: share of its ``n_sources ** 2`` cells — dead slots every epoch's masks
+#: and ``finalize`` would walk.  Measured (ROADMAP item 7): at 11%
+#: occupancy (``batch_book_par``) sparse is faster and ~20 MB lighter, at
+#: 49% (``batch_stock``) ~10% slower.  An occupancy choice crosses no
+#: limit, so it logs no warning.
+DENSE_MIN_OCCUPANCY = 0.25
+
 #: Absolute slack on the BOUND conclusion screens.  The screens evaluate
 #: mathematically-conservative bounds, but with float re-association; the
 #: slack (orders of magnitude above the achievable rounding error, orders
@@ -239,6 +248,12 @@ class EpochScan:
         )
         #: the l(S1, S2) table (what a numpy-built index carries)
         self.shared_items = index.shared_items
+        if (
+            layout == "dense"
+            and params.pair_layout == "auto"
+            and len(self.shared_items) < DENSE_MIN_OCCUPANCY * self.n_sources**2
+        ):
+            layout = "sparse"
         # Every pair the entry stream can produce shares at least one
         # item, so the table covers every live slot: its sorted keys are
         # the sparse slot universe, as they are, and its counts are
@@ -248,7 +263,7 @@ class EpochScan:
             if layout == "dense"
             else PairSpace.sparse(self.shared_items.keys)
         )
-        #: the round's one columnar index (the fusion workspace seeds it)
+        #: the round's one columnar index (a numpy build's own table)
         self.cols = index.columnar_entries()
         self.tail_start = index.tail_start
         self.suffix_list = index.suffix_max

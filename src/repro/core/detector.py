@@ -82,34 +82,12 @@ def _stamped(run_round):
     return wrapper
 
 
-def _round_index(
-    dataset: Dataset,
-    probabilities: Sequence[float],
-    accuracies: Sequence[float],
-    params: CopyParams,
-    ordering: EntryOrdering,
-    rng: random.Random | None,
-    shared_items,
-    workspace,
-) -> InvertedIndex:
-    """Build one round's index; under numpy, seed it from the workspace.
-
-    The workspace assembles the columnar entries from its frozen
-    provider skeleton (one vectorized gather) instead of
-    re-columnarizing the index with Python loops.
-    """
-    index = InvertedIndex.build(
-        dataset,
-        probabilities,
-        accuracies,
-        params,
-        ordering=ordering,
-        rng=rng,
-        shared_items=shared_items,
+def _round_index(world, ordering, rng, shared_items) -> InvertedIndex:
+    """One round's index over ``world = (dataset, probabilities,
+    accuracies, params)`` — under numpy the columns every kernel reads."""
+    return InvertedIndex.build(
+        *world, ordering=ordering, rng=rng, shared_items=shared_items
     )
-    if workspace is not None and params.backend == "numpy":
-        index.set_columnar_entries(workspace.columnar_for_index(index))
-    return index
 
 
 @_stamped
@@ -151,9 +129,8 @@ def detect(
             rounds (the claims are static; see
             :meth:`InvertedIndex.build`).
         workspace: a :class:`~repro.fusion.FusionWorkspace` for this
-            dataset (one built for another dataset is ignored).  Under
-            the numpy backend it supplies the round's columnar entries;
-            a partitioned round also reuses its persistent executors.
+            dataset (one built for another dataset is ignored); a
+            partitioned round reuses its persistent executors.
         n_partitions: ``> 1`` (methods :data:`PARALLEL_METHODS` only)
             runs the scan through :mod:`repro.parallel` — partitioned,
             map/reduced — instead of sequentially.
@@ -178,7 +155,7 @@ def detect(
         return detect_pairwise(*world, shared_items=shared_items)
     if workspace is not None and workspace.dataset is not dataset:
         workspace = None
-    index = _round_index(*world, ordering, rng, shared_items, workspace)
+    index = _round_index(world, ordering, rng, shared_items)
     if n_partitions > 1:
         # Resolved through the package at call time: tracing tools wrap
         # these attributes of ``repro.parallel``.
@@ -236,9 +213,9 @@ class _WorkspaceMixin:
     :func:`repro.fusion.run_fusion` binds its
     :class:`~repro.fusion.FusionWorkspace` for the duration of a fusion
     run (and unbinds it on the way out, exceptions included).  While
-    bound, the workspace supplies the shared-item counts, the frozen
-    columnar entry skeleton and — for the parallel methods — the
-    persistent executors (pool, shared-memory block, cluster session).
+    bound, the workspace supplies the shared-item counts and — for the
+    parallel methods — the persistent executors (pool, shared-memory
+    block, cluster session).
     """
 
     _workspace = None
@@ -247,21 +224,17 @@ class _WorkspaceMixin:
         """Attach (or, with ``None``, detach) a fusion workspace."""
         self._workspace = workspace
 
-    def _workspace_for(self, dataset: Dataset):
-        """The bound workspace, unless it was built for another dataset
-        (identity with the object it holds, never ``id()``: ids are
-        recycled, and would serve one dataset's counts to another)."""
+    def _shared_items(self, dataset: Dataset):
+        """The bound workspace's shared-item counts (claims are static,
+        so one count serves every round); ``None`` — the index build
+        counts — outside a fusion run or when the workspace was built
+        for another dataset (identity with the object it holds, never
+        ``id()``: ids are recycled, and would serve one dataset's counts
+        to another)."""
         workspace = self._workspace
         if workspace is not None and workspace.dataset is dataset:
-            return workspace
+            return workspace.shared_items
         return None
-
-    def _shared_items(self, dataset: Dataset):
-        """The workspace's shared-item counts (claims are static, so one
-        count serves every round); ``None`` — the index build counts —
-        for a detector driven outside a fusion run."""
-        workspace = self._workspace_for(dataset)
-        return None if workspace is None else workspace.shared_items
 
 
 class SingleRoundDetector(_WorkspaceMixin):
@@ -396,9 +369,7 @@ class IncrementalDetector(_WorkspaceMixin):
             )
         result, self.state = prepare_incremental(
             *world,
-            index=_round_index(
-                *world, self.ordering, None, shared, self._workspace_for(dataset)
-            ),
+            index=_round_index(world, self.ordering, None, shared),
             hybrid_threshold=self.hybrid_threshold,
         )
         return result

@@ -200,14 +200,9 @@ class ColumnarIncrementalState:
         self.n_sources = n_sources = len(accuracies)
         cols = self.cols = index.columnar_entries()
         n_entries = cols.n_entries
-        entries = index.entries
-        self.value_ids = np.fromiter(
-            (entry.value_id for entry in entries), np.int64, count=n_entries
-        )
+        self.value_ids = index.value_ids
         self.p_ref = cols.probs.copy()
-        self.s_ref = np.fromiter(
-            (entry.score for entry in entries), np.float64, count=n_entries
-        )
+        self.s_ref = index.scores.copy()
         self.a_ref = np.array(accuracies, dtype=np.float64)
 
         book = bookkeeping.columns

@@ -97,6 +97,9 @@ class InvertedIndex:
     Attributes:
         entries: all entries in *processing order* — the chosen ordering
             over non-tail entries followed by the tail (score-descending).
+            A ``"numpy"`` build holds columns instead and materialises
+            this list (plain ``float`` / ``int`` / ``list[int]`` fields)
+            only when it is read.
         tail_start: position of the first tail (``E-bar``) entry;
             ``entries[tail_start:]`` is the tail.
         shared_items: ``l(S1, S2)`` for every source pair sharing >= 1
@@ -108,6 +111,9 @@ class InvertedIndex:
             positions ``>= i`` (``suffix_max[len(entries)] == 0.0``); the
             bound computations read ``M`` at position ``pos`` as
             ``suffix_max[pos + 1]``.
+        provider_counts: providers per entry, in processing order.
+        value_ids / item_ids / scores: per-entry arrays in processing
+            order (``"numpy"`` builds only, ``None`` otherwise).
     """
 
     def __init__(
@@ -117,12 +123,34 @@ class InvertedIndex:
         shared_items: PairCounts,
         items_per_source: list[int],
     ):
-        self.entries = entries
+        self._entries = entries
         self.tail_start = tail_start
         self.shared_items = shared_items
         self.items_per_source = items_per_source
         self.suffix_max = self._compute_suffix_max(entries)
+        self.provider_counts = [len(entry.providers) for entry in entries]
+        self.value_ids = self.item_ids = self.scores = None
         self._columnar_cache = None
+
+    @property
+    def entries(self) -> list[IndexEntry]:
+        """The entries as objects, built from the columns on first read."""
+        if self._entries is None:
+            cols = self._columnar_cache
+            bounds = cols.offsets.tolist()
+            flat = cols.providers.tolist()
+            self._entries = [
+                IndexEntry(value_id, item_id, probability, score, flat[start:end])
+                for value_id, item_id, probability, score, start, end in zip(
+                    self.value_ids.tolist(),
+                    self.item_ids.tolist(),
+                    cols.probs.tolist(),
+                    self.scores.tolist(),
+                    bounds,
+                    bounds[1:],
+                )
+            ]
+        return self._entries
 
     @staticmethod
     def _compute_suffix_max(entries: Sequence[IndexEntry]) -> list[float]:
@@ -171,9 +199,12 @@ class InvertedIndex:
                 f"need one accuracy per source "
                 f"({len(accuracies)} != {dataset.n_sources})"
             )
-        columnar = params.backend == "numpy"
         if shared_items is None:
             shared_items = count_shared_items_for(dataset, params)
+        if params.backend == "numpy":
+            return cls._build_columnar(
+                dataset, probabilities, accuracies, params, ordering, rng, shared_items
+            )
         entries = []
         for value_id, providers in enumerate(dataset.providers):
             if len(providers) < 2:
@@ -184,32 +215,10 @@ class InvertedIndex:
                     value_id=value_id,
                     item_id=dataset.value_item[value_id],
                     probability=p_true,
-                    score=0.0
-                    if columnar
-                    else max_score(p_true, [accuracies[s] for s in providers], params),
+                    score=max_score(p_true, [accuracies[s] for s in providers], params),
                     providers=list(providers),
                 )
             )
-        if columnar:
-            # One M-hat scorer under numpy: the columnar INCREMENTAL
-            # state's, bit-equal to max_score.
-            from .incremental_kernel import max_scores
-            from .kernel import ColumnarEntries
-            from .pairspace import PairValueMap
-
-            cols = ColumnarEntries._from_rows(
-                [e.probability for e in entries],
-                [True] * len(entries),
-                [e.providers for e in entries],
-            )
-            scores = max_scores(
-                cols.probs, cols.offsets, cols.providers, accuracies, params
-            )
-            for entry, score in zip(entries, scores.tolist()):
-                entry.score = score
-            # The numpy kernels read the column table: a caller's dict
-            # is flattened here, once; a table passes through.
-            shared_items = PairValueMap.from_counts(shared_items)
 
         main, tail = cls._split_tail(entries, params.theta_ind)
         cls._order_main(main, ordering, rng)
@@ -220,6 +229,73 @@ class InvertedIndex:
             shared_items=shared_items,
             items_per_source=list(dataset.items_per_source),
         )
+
+    @classmethod
+    def _build_columnar(
+        cls, dataset, probabilities, accuracies, params, ordering, rng, shared_items
+    ) -> "InvertedIndex":
+        """:meth:`build` on the dataset's claim table: the same entries,
+        order, tail and floats with no Python step per value.
+
+        Scores come from the one M-hat scorer under numpy
+        (:func:`repro.core.incremental_kernel.max_scores`, bit-equal to
+        ``max_score``); every sort is a *stable* ``argsort`` of the key
+        the reference sorts by and the tail sum is ``np.cumsum``'s left
+        fold, so ties and the ``theta_ind`` cut land exactly where
+        :meth:`_split_tail` / :meth:`_order_main` put them.
+        """
+        import numpy as np
+
+        from ..data.columns import take_csr
+        from .incremental_kernel import max_scores
+        from .kernel import ColumnarEntries
+        from .pairspace import PairValueMap
+
+        table = dataset.columns
+        offsets, providers = table.shared_offsets, table.shared_providers
+        probs = np.asarray(probabilities, dtype=np.float64)[table.shared_values]
+        scores = max_scores(probs, offsets, providers, accuracies, params)
+        by_score = np.argsort(scores, kind="stable")
+        reached = np.nonzero(np.cumsum(scores[by_score]) >= params.theta_ind)[0]
+        tail_size = reached[0] if len(reached) else len(by_score)
+        tail, main = by_score[:tail_size], np.sort(by_score[tail_size:])
+        tail = tail[np.argsort(-scores[tail], kind="stable")]
+        if ordering is EntryOrdering.RANDOM:
+            shuffled = main.tolist()
+            (rng or random.Random(0)).shuffle(shuffled)
+            main = np.asarray(shuffled, dtype=np.int64)
+        else:
+            key = {
+                EntryOrdering.BY_CONTRIBUTION: -scores,
+                EntryOrdering.BY_PROVIDER: np.diff(offsets),
+            }[ordering]
+            main = main[np.argsort(key[main], kind="stable")]
+        order = np.concatenate([main, tail])
+
+        # The numpy kernels read the column table: a caller's dict is
+        # flattened here, once; a table passes through.
+        index = cls(
+            [],
+            len(main),
+            PairValueMap.from_counts(shared_items),
+            list(dataset.items_per_source),
+        )
+        offsets, providers = take_csr(offsets, providers, order)
+        index._entries = None
+        index._columnar_cache = ColumnarEntries(
+            probs=probs[order],
+            main=np.arange(len(order)) < len(main),
+            offsets=offsets,
+            providers=providers,
+        )
+        index.provider_counts = np.diff(offsets).tolist()
+        index.value_ids = table.shared_values[order]
+        index.item_ids = table.value_item[index.value_ids]
+        index.scores = scores[order]
+        index.suffix_max = np.maximum.accumulate(
+            np.append(index.scores, 0.0)[::-1]
+        )[::-1].tolist()
+        return index
 
     @staticmethod
     def _split_tail(
@@ -284,12 +360,12 @@ class InvertedIndex:
     def columnar_entries(self):
         """The entries as :class:`~repro.core.kernel.ColumnarEntries`.
 
-        Built lazily and cached for the index's lifetime: the entry list
-        is frozen after construction (INCREMENTAL's ``rescore`` returns
-        fresh scores without touching it), while the numpy scans and the
-        parallel engine each used to re-columnarize on every ``detect()``
-        call — recomputed every fusion round.  Imports NumPy only when
-        first called, keeping :mod:`repro.core` import-light.
+        A ``"numpy"`` build *is* this table; a ``"python"`` build
+        columnarizes its entry list on first call and caches the result
+        for the index's lifetime (the entry list is frozen after
+        construction — INCREMENTAL's ``rescore`` returns fresh scores
+        without touching it).  Imports NumPy only when first called,
+        keeping :mod:`repro.core` import-light.
         """
         if self._columnar_cache is None:
             from .kernel import ColumnarEntries
@@ -298,13 +374,9 @@ class InvertedIndex:
         return self._columnar_cache
 
     def set_columnar_entries(self, cols) -> None:
-        """Pre-seed the columnar cache.
-
-        The round-persistent :class:`~repro.fusion.FusionWorkspace`
-        assembles the columnar view from its frozen provider skeleton
-        (a vectorized gather instead of the per-entry Python loops in
-        ``ColumnarEntries.from_index``) and hands it to the index here.
-        """
+        """Replace the cached columnar view (a shim: nothing in
+        ``src/repro`` seeds an index any more — ``build`` under numpy
+        assembles the view itself)."""
         self._columnar_cache = cols
 
     # ------------------------------------------------------------------
@@ -313,4 +385,4 @@ class InvertedIndex:
     @property
     def n_entries(self) -> int:
         """Total number of entries (main + tail)."""
-        return len(self.entries)
+        return len(self.suffix_max) - 1

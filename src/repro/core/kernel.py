@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..data.columns import take_csr
 from .pairspace import (
     PairSpace,
     PairValueMap,
@@ -103,46 +104,38 @@ class ColumnarEntries:
         return len(self.probs)
 
     @classmethod
-    def _from_rows(
-        cls,
-        probs: list[float],
-        main: list[bool],
-        provider_lists: list[list[int]],
-    ) -> "ColumnarEntries":
-        counts = np.fromiter(
-            (len(p) for p in provider_lists), dtype=np.int64, count=len(provider_lists)
-        )
-        offsets = np.zeros(len(provider_lists) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        flat: list[int] = []
-        for providers in provider_lists:
-            flat.extend(providers)
-        return cls(
-            probs=np.asarray(probs, dtype=np.float64),
-            main=np.asarray(main, dtype=bool),
-            offsets=offsets,
-            providers=np.asarray(flat, dtype=np.int64),
-        )
-
-    @classmethod
     def from_index(
         cls, index: "InvertedIndex", positions: Sequence[int] | None = None
     ) -> "ColumnarEntries":
-        """Columnarize ``index.entries`` (or a subset, for partitions).
+        """Columnarize ``index.entries`` (or a subset) entry by entry.
+
+        The bridge from a ``"python"``-built index (and the tests'
+        oracle for a ``"numpy"``-built one, which carries this table
+        already).
 
         Args:
             index: the built inverted index.
-            positions: entry positions to include (the parallel engine's
-                partition payloads); all entries when omitted.
+            positions: entry positions to include; all entries when
+                omitted.
         """
         tail_start = index.tail_start
         entries = index.entries
         if positions is None:
             positions = range(len(entries))
-        probs = [entries[pos].probability for pos in positions]
-        main = [pos < tail_start for pos in positions]
         provider_lists = [entries[pos].providers for pos in positions]
-        return cls._from_rows(probs, main, provider_lists)
+        flat: list[int] = []
+        for providers in provider_lists:
+            flat.extend(providers)
+        offsets = np.zeros(len(provider_lists) + 1, dtype=np.int64)
+        np.cumsum([len(p) for p in provider_lists], dtype=np.int64, out=offsets[1:])
+        return cls(
+            probs=np.asarray(
+                [entries[pos].probability for pos in positions], dtype=np.float64
+            ),
+            main=np.asarray([pos < tail_start for pos in positions], dtype=bool),
+            offsets=offsets,
+            providers=np.asarray(flat, dtype=np.int64),
+        )
 
     def take(self, positions: Sequence[int] | np.ndarray) -> "ColumnarEntries":
         """Gather a subset of entries into a new columnar block.
@@ -158,23 +151,7 @@ class ColumnarEntries:
                 processing order).
         """
         pos = np.asarray(positions, dtype=np.int64)
-        counts = self.offsets[pos + 1] - self.offsets[pos]
-        offsets = np.zeros(len(pos) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        if total:
-            starts = self.offsets[pos]
-            # Flat source index per kept provider slot: within group g the
-            # running arange minus the group's destination start gives
-            # 0..counts[g]-1, offset by the group's source start.
-            idx = (
-                np.repeat(starts, counts)
-                + np.arange(total, dtype=np.int64)
-                - np.repeat(offsets[:-1], counts)
-            )
-            providers = self.providers[idx]
-        else:
-            providers = np.empty(0, dtype=np.int64)
+        offsets, providers = take_csr(self.offsets, self.providers, pos)
         return ColumnarEntries(
             probs=self.probs[pos],
             main=self.main[pos],
@@ -191,14 +168,13 @@ class ColumnarEntries:
         This is PAIRWISE's view of the world: no index, no tail — every
         shared value contributes, so ``main`` is all-True.
         """
-        probs: list[float] = []
-        provider_lists: list[list[int]] = []
-        for value_id, providers in enumerate(dataset.providers):
-            if len(providers) < 2:
-                continue
-            probs.append(probabilities[value_id])
-            provider_lists.append(providers)
-        return cls._from_rows(probs, [True] * len(probs), provider_lists)
+        table = dataset.columns
+        return cls(
+            probs=np.asarray(probabilities, dtype=np.float64)[table.shared_values],
+            main=np.ones(len(table.shared_values), dtype=bool),
+            offsets=table.shared_offsets,
+            providers=table.shared_providers,
+        )
 
 
 #: The named arrays of a broadcast world, in pack order: the four
@@ -587,13 +563,12 @@ def count_shared_items_columnar(
     worlds — as the column table it computes (sorted keys, int64
     counts), which the kernels read without building a tuple per pair.
     """
-    provider_lists: list[list[int]] = [[] for _ in range(dataset.n_items)]
-    for source_id, claim in enumerate(dataset.claims):
-        for item_id in claim:
-            provider_lists[item_id].append(source_id)
-    provider_lists = [p for p in provider_lists if len(p) >= 2]
-    cols = ColumnarEntries._from_rows(
-        [0.0] * len(provider_lists), [True] * len(provider_lists), provider_lists
+    table = dataset.columns
+    cols = ColumnarEntries(
+        probs=np.zeros(dataset.n_items),
+        main=np.ones(dataset.n_items, dtype=bool),
+        offsets=table.item_prov_offsets,
+        providers=table.item_prov_sources,
     )
     src1, src2, _, _ = expand_incidences(cols, with_meta=False)
     n_sources = dataset.n_sources

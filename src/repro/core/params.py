@@ -91,9 +91,9 @@ class CopyParams:
         pair_layout: pair-state layout for the numpy kernels.  ``"auto"``
             (the default) keeps the dense flat-array fast path while
             ``n_sources ** 2`` fits under the kernel's documented limit
-            and switches to the sparse observed-pair layout
-            (:mod:`repro.core.pairspace`) beyond it, logging the switch;
-            ``"dense"`` / ``"sparse"`` force a layout.  Both layouts are
+            (and a bound scan's observed pairs fill a quarter of it), else
+            the sparse one (:mod:`repro.core.pairspace`), logging a crossed
+            limit; ``"dense"`` / ``"sparse"`` force a layout.  Both layouts are
             bit-identical for the bound family and agree at the usual
             1e-9 for the exhaustive/fusion kernels; the python backend
             ignores the knob (its dict state is inherently sparse).

@@ -16,7 +16,10 @@ kept for presentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .columns import ClaimColumns
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,7 @@ class Dataset:
         "value_label",
         "_providers",
         "_items_per_source",
+        "_columns",
     )
 
     def __init__(
@@ -86,6 +90,7 @@ class Dataset:
         self.value_label = list(value_label)
         self._providers: list[list[int]] | None = None
         self._items_per_source: list[int] | None = None
+        self._columns: "ClaimColumns" | None = None
 
     # ------------------------------------------------------------------
     # Basic dimensions
@@ -127,6 +132,19 @@ class Dataset:
         if self._items_per_source is None:
             self._items_per_source = [len(c) for c in self.claims]
         return self._items_per_source
+
+    @property
+    def columns(self) -> "ClaimColumns":
+        """The claims as one read-only columnar table (imports NumPy).
+
+        What every NumPy path gathers from instead of walking ``claims``
+        or ``providers``; see :class:`~repro.data.columns.ClaimColumns`.
+        """
+        if self._columns is None:
+            from .columns import ClaimColumns
+
+            self._columns = ClaimColumns(self)
+        return self._columns
 
     def values_of_item(self, item_id: int) -> list[int]:
         """Return the distinct value ids observed for ``item_id``."""

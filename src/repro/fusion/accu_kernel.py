@@ -12,11 +12,12 @@ layer the dominant un-vectorized cost once the detection scans were
 vectorized (PRs 1-3).  This module performs the same computation
 columnarly:
 
-1. **Columnar claims** (:class:`FusionColumns`): the static claim
-   structure in struct-of-arrays layout — a provider CSR per value, a
-   claim CSR per source, and an item-sorted value permutation with
-   segment offsets.  The claims never change across fusion rounds, so
-   the workspace builds this once and every round reuses it.
+1. **Columnar claims** (:class:`~repro.data.columns.ClaimColumns`,
+   ``dataset.columns``): the static claim structure in struct-of-arrays
+   layout — a provider CSR per value, a claim CSR per source, and an
+   item-sorted value permutation with segment offsets.  The claims never
+   change across fusion rounds, so the dataset builds this once and
+   every round reuses it.
 2. **Vote counts**: accuracy log-odds ``A'(S) = ln(n A / (1-A))`` come
    out of one vectorized expression over the source axis; the per-value
    sums are one ``np.bincount`` scatter-add over the flat provider
@@ -55,8 +56,7 @@ kernels of PRs 1-2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,9 +68,7 @@ from ..core.pairspace import (
 )
 from ..core.params import CopyParams
 from ..core.result import DetectionResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..data import Dataset
+from ..data.columns import ClaimColumns
 
 #: Largest dense copy-probability matrix (``n_sources ** 2`` floats) the
 #: ``"auto"`` layout will allocate for the ACCUCOPY discount gather;
@@ -79,111 +77,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: logged warning — keeping memory bounded by the number of *decided*
 #: pairs.
 DENSE_MATRIX_LIMIT = 1 << 22
-
-
-@dataclass
-class FusionColumns:
-    """The static claim structure of a dataset, in columnar layout.
-
-    Everything here depends only on the claims — never on probabilities,
-    accuracies or detection results — so one instance serves every round
-    of a fusion run (and is what :class:`~repro.fusion.FusionWorkspace`
-    caches).
-
-    Attributes:
-        n_sources: number of sources.
-        n_values: number of distinct ``(item, value)`` pairs.
-        prov_offsets: CSR offsets into the provider stream, per value id,
-            shape ``(n_values + 1,)``.
-        prov_sources: concatenated provider source ids (sorted within
-            each value, matching ``Dataset.providers``).
-        prov_value: value id per provider slot (``np.repeat`` of the
-            value axis — the scatter key for vote counting).
-        claim_offsets: CSR offsets into the claim stream, per source id,
-            shape ``(n_sources + 1,)``.
-        claim_values: concatenated claimed value ids per source, in
-            claim insertion order (matching ``dict.values()`` iteration
-            in the reference).
-        claim_sources: source id per claim slot (the scatter key for the
-            accuracy update).
-        item_order: permutation of value ids sorted by item id (stable,
-            so values stay ascending within an item — the reference's
-            ``item_value_table`` order).
-        seg_starts: offsets of each represented item's segment inside
-            ``item_order``, shape ``(n_segments + 1,)``.
-        seg_sizes: values per segment (``np.diff(seg_starts)``).
-        seg_items: item id per segment, shape ``(n_segments,)`` — the
-            key stream for per-item diagnostics (the DS conflict dict).
-    """
-
-    n_sources: int
-    n_values: int
-    prov_offsets: np.ndarray
-    prov_sources: np.ndarray
-    prov_value: np.ndarray
-    claim_offsets: np.ndarray
-    claim_values: np.ndarray
-    claim_sources: np.ndarray
-    item_order: np.ndarray
-    seg_starts: np.ndarray
-    seg_sizes: np.ndarray
-    seg_items: np.ndarray
-
-    @classmethod
-    def from_dataset(cls, dataset: "Dataset") -> "FusionColumns":
-        """Columnarize the claims of a dataset (one pass, done once)."""
-        n_values = dataset.n_values
-        n_sources = dataset.n_sources
-
-        providers = dataset.providers
-        prov_counts = np.fromiter(
-            (len(p) for p in providers), dtype=np.int64, count=n_values
-        )
-        prov_offsets = np.zeros(n_values + 1, dtype=np.int64)
-        np.cumsum(prov_counts, out=prov_offsets[1:])
-        flat_sources: list[int] = []
-        for sources in providers:
-            flat_sources.extend(sources)
-        prov_sources = np.asarray(flat_sources, dtype=np.int64)
-        prov_value = np.repeat(np.arange(n_values, dtype=np.int64), prov_counts)
-
-        claim_counts = np.fromiter(
-            (len(c) for c in dataset.claims), dtype=np.int64, count=n_sources
-        )
-        claim_offsets = np.zeros(n_sources + 1, dtype=np.int64)
-        np.cumsum(claim_counts, out=claim_offsets[1:])
-        flat_values: list[int] = []
-        for claim in dataset.claims:
-            flat_values.extend(claim.values())
-        claim_values = np.asarray(flat_values, dtype=np.int64)
-        claim_sources = np.repeat(
-            np.arange(n_sources, dtype=np.int64), claim_counts
-        )
-
-        value_item = np.asarray(dataset.value_item, dtype=np.int64)
-        item_order = np.argsort(value_item, kind="stable")
-        sorted_items = value_item[item_order]
-        if n_values:
-            boundaries = np.nonzero(np.diff(sorted_items))[0] + 1
-            seg_starts = np.concatenate(
-                ([0], boundaries, [n_values])
-            ).astype(np.int64)
-        else:
-            seg_starts = np.zeros(1, dtype=np.int64)
-        return cls(
-            n_sources=n_sources,
-            n_values=n_values,
-            prov_offsets=prov_offsets,
-            prov_sources=prov_sources,
-            prov_value=prov_value,
-            claim_offsets=claim_offsets,
-            claim_values=claim_values,
-            claim_sources=claim_sources,
-            item_order=item_order,
-            seg_starts=seg_starts,
-            seg_sizes=np.diff(seg_starts),
-            seg_items=sorted_items[seg_starts[:-1]],
-        )
 
 
 def accuracy_scores(
@@ -232,7 +125,7 @@ def sparse_copy_probabilities(detection: DetectionResult) -> PairValueMap:
 
 
 def independence_weight_stream(
-    cols: FusionColumns,
+    cols: ClaimColumns,
     accuracies: np.ndarray,
     detection: DetectionResult,
     params: CopyParams,
@@ -293,7 +186,7 @@ def independence_weight_stream(
 
 
 def value_probabilities_columnar(
-    cols: FusionColumns,
+    cols: ClaimColumns,
     accuracies: Sequence[float] | np.ndarray,
     params: CopyParams,
     detection: DetectionResult | None = None,
@@ -340,7 +233,7 @@ def value_probabilities_columnar(
 
 
 def update_accuracies_columnar(
-    cols: FusionColumns,
+    cols: ClaimColumns,
     probabilities: np.ndarray,
     params: CopyParams,
 ) -> np.ndarray:
@@ -358,3 +251,18 @@ def update_accuracies_columnar(
     counts = np.diff(cols.claim_offsets)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
     return np.clip(means, params.accuracy_clamp, 1.0 - params.accuracy_clamp)
+
+
+def choose_values_columnar(cols: ClaimColumns, probabilities: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`repro.fusion.accu.choose_values`: the chosen
+    value id per item segment, aligned with ``cols.seg_items``.
+
+    The highest probability of each segment wins; values ascend within a
+    segment, so the first maximum is the reference's tie-break (lowest
+    value id).
+    """
+    starts = cols.seg_starts[:-1]
+    sorted_probs = np.asarray(probabilities, dtype=np.float64)[cols.item_order]
+    best = np.repeat(np.maximum.reduceat(sorted_probs, starts), cols.seg_sizes)
+    winners = np.nonzero(sorted_probs == best)[0]
+    return cols.item_order[winners[np.searchsorted(winners, starts)]]

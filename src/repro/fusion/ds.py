@@ -65,7 +65,7 @@ underflow is the only way to reach it.)
 Two implementations with the library's standard lockstep contract: the
 pure-Python reference :func:`ds_value_probabilities` and the vectorized
 :func:`ds_value_probabilities_columnar` over
-:class:`~repro.fusion.accu_kernel.FusionColumns`, conformance-checked
+:class:`~repro.data.columns.ClaimColumns`, conformance-checked
 against each other at 1e-9 per round on bit-identical inputs.
 """
 
@@ -81,7 +81,7 @@ from .accu import independence_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
-    from .accu_kernel import FusionColumns
+    from ..data.columns import ClaimColumns
 
 #: Hard cap on a single claim's support mass: no witness is ever fully
 #: certain, which keeps every ``ln(1 - w)`` finite and the combined
@@ -227,7 +227,7 @@ def ds_value_probabilities(
 
 
 def ds_value_probabilities_columnar(
-    cols: "FusionColumns",
+    cols: "ClaimColumns",
     accuracies,
     params: CopyParams,
     detection: DetectionResult | None = None,
@@ -295,7 +295,5 @@ def ds_value_probabilities_columnar(
         scaled + np.repeat(theta_share, cols.seg_sizes)
     ) / np.repeat(denom, cols.seg_sizes)
     conflict_k = np.clip(1.0 - total_mass, 0.0, 1.0)
-    conflict = dict(
-        zip((int(i) for i in cols.seg_items), (float(k) for k in conflict_k))
-    )
+    conflict = dict(zip(cols.seg_items.tolist(), conflict_k.tolist()))
     return DSRound(probabilities=probabilities, conflict=conflict)

@@ -31,8 +31,8 @@ from .ds import ds_value_probabilities
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
+    from ..data.columns import ClaimColumns
     from ..serving.store import VerdictStore
-    from .accu_kernel import FusionColumns
     from .workspace import FusionWorkspace
 
 #: Valid ``FusionConfig.fusion_method`` values: the ACCU/ACCUCOPY
@@ -176,6 +176,19 @@ class FusionResult:
         return None
 
 
+def _chosen(dataset: Dataset, probabilities) -> dict[int, int]:
+    """The fused truths, ``item_id -> value_id``, in the reference's
+    insertion order (items by their lowest value id) on either path."""
+    if not hasattr(probabilities, "tolist"):
+        return choose_values(dataset, probabilities)
+    from .accu_kernel import choose_values_columnar
+
+    cols = dataset.columns
+    truth = choose_values_columnar(cols, probabilities)
+    order = cols.item_order[cols.seg_starts[:-1]].argsort()
+    return dict(zip(cols.seg_items[order].tolist(), truth[order].tolist()))
+
+
 def _as_float_list(values) -> list[float]:
     """Materialise a probability/accuracy vector as a plain float list."""
     if hasattr(values, "tolist"):
@@ -187,7 +200,7 @@ def fusion_steps(
     dataset: Dataset,
     params: CopyParams,
     config: FusionConfig,
-    columns: "FusionColumns | None" = None,
+    columns: "ClaimColumns | None" = None,
 ):
     """One fusion round's two update steps, for one backend x method cell.
 
@@ -196,11 +209,10 @@ def fusion_steps(
     ``(probabilities, conflict-or-None)`` — the DS conflict degrees ride
     the same path the ACCU probabilities do — and
     ``update_accs(probabilities)`` re-estimates the accuracies (the
-    shared ACCU re-estimate under either method).  With ``columns`` (a
-    :class:`~repro.fusion.accu_kernel.FusionColumns` over ``dataset``)
-    both run the vectorized kernels, without it the reference loops.
-    :func:`run_fusion` and the conformance engine's fusion lockstep both
-    step through this pair, so they cannot drift apart.
+    shared ACCU re-estimate under either method).  With ``columns``
+    (``dataset.columns``) both run the vectorized kernels, without it the
+    reference loops.  :func:`run_fusion` and the conformance engine's
+    fusion lockstep both step through this pair, so they cannot drift apart.
     """
     world, accu, ds, update = (
         dataset,
@@ -260,10 +272,10 @@ def run_fusion(
             (accuracy-aware fusion that ignores copying).
         config: loop configuration.
         workspace: a :class:`~repro.fusion.FusionWorkspace` carrying the
-            round-invariant state (shared-item counts, columnar layouts,
-            persistent pools, the shared-memory broadcast).  One is
-            created — and closed on the way out, detector exceptions
-            included — when omitted and needed; pass an open workspace
+            round-invariant state (shared-item counts, persistent pools,
+            the shared-memory broadcast).  One is created — and closed on
+            the way out, detector exceptions included — when omitted and
+            the detector binds one; pass an open workspace
             to amortise its setup across several fusion runs (the caller
             keeps ownership and closes it).
         fusion_backend: backend for the ACCU/ACCUCOPY updates
@@ -329,20 +341,17 @@ def run_fusion(
     if workspace is not None and workspace.closed:
         raise ValueError("the workspace is closed")
 
-    owns_workspace = False
-    if workspace is None and (
-        backend == "numpy" or hasattr(detector, "bind_workspace")
-    ):
+    owns_workspace = workspace is None and hasattr(detector, "bind_workspace")
+    if owns_workspace:
         from .workspace import FusionWorkspace
 
         workspace = FusionWorkspace(dataset, params)
-        owns_workspace = True
 
     _value_probs, _update_accs = fusion_steps(
         dataset,
         params,
         cfg,
-        columns=workspace.fusion_columns if backend == "numpy" else None,
+        columns=dataset.columns if backend == "numpy" else None,
     )
 
     publisher = None
@@ -351,11 +360,7 @@ def run_fusion(
 
         publisher = SnapshotPublisher(snapshot_store, dataset)
 
-    detector_bound = (
-        detector is not None
-        and workspace is not None
-        and hasattr(detector, "bind_workspace")
-    )
+    detector_bound = workspace is not None and hasattr(detector, "bind_workspace")
     try:
         if detector_bound:
             detector.bind_workspace(workspace)
@@ -411,7 +416,7 @@ def run_fusion(
         return FusionResult(
             probabilities=_as_float_list(probabilities),
             accuracies=_as_float_list(accuracies),
-            chosen=choose_values(dataset, probabilities),
+            chosen=_chosen(dataset, probabilities),
             rounds=rounds,
             converged=converged,
             snapshot_ids=list(publisher.snapshot_ids) if publisher else [],

@@ -1,26 +1,15 @@
 """Round-persistent workspace for the iterative fusion loop.
 
-Every fusion round used to pay the full per-round setup bill: the
-shared-item counts were recounted (or re-fetched from per-detector
-caches), the index entries were re-columnarized with per-entry Python
-loops, the parallel engine allocated a fresh shared-memory block and
-spun up — then tore down — a fresh process pool.  None of that state
-actually changes across rounds: the claims are static, so the provider
-structure, the shared-item counts and the columnar claim layout are
-round-invariant; only probabilities and accuracies move.
-
-:class:`FusionWorkspace` freezes the invariant parts once and reuses
-them for every round of a :func:`~repro.fusion.run_fusion` call:
+What a fusion round needs from the *claims* — the provider structure,
+the item segments, the index skeleton — lives on the dataset itself
+(:attr:`repro.data.Dataset.columns`, one read-only table built once per
+dataset); ``InvertedIndex.build`` gathers a round's index from it and
+the fusion kernels scatter over it.  What is left to keep warm across
+the rounds of a :func:`~repro.fusion.run_fusion` call (and across the
+epochs of a streaming engine) is what :class:`FusionWorkspace` holds:
 
 * ``shared_items`` — the ``l(S1, S2)`` counts, computed once with the
   backend-appropriate counter.
-* ``fusion_columns`` — the :class:`~repro.fusion.accu_kernel.FusionColumns`
-  claim layout driving the vectorized ACCU/ACCUCOPY updates.
-* an **entry skeleton** — the provider CSR of every multi-provider value
-  in canonical (value-id) order.  :meth:`columnar_for_index` assembles a
-  round's :class:`~repro.core.kernel.ColumnarEntries` from it with one
-  vectorized gather in index processing order, replacing the per-entry
-  Python loops of ``ColumnarEntries.from_index``.
 * the **executors** (:meth:`FusionWorkspace.executor`): one per kind —
   and, for ``"remote"``, per worker list — created on first use and
   reused across rounds.  Each owns its own lifetime state (see
@@ -49,7 +38,6 @@ from ..data import Dataset
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.index import InvertedIndex
     from ..core.kernel import ColumnarEntries
-    from .accu_kernel import FusionColumns
 
 
 class FusionWorkspace:
@@ -67,9 +55,6 @@ class FusionWorkspace:
         self.params = params
         self.closed = False
         self._shared_items = None
-        self._fusion_columns: "FusionColumns" | None = None
-        self._skeleton: "ColumnarEntries" | None = None
-        self._value_row = None
         self._executors: dict = {}
 
     # ------------------------------------------------------------------
@@ -82,70 +67,10 @@ class FusionWorkspace:
             self._shared_items = count_shared_items_for(self.dataset, self.params)
         return self._shared_items
 
-    @property
-    def fusion_columns(self) -> "FusionColumns":
-        """Columnar claim layout for the vectorized ACCU/ACCUCOPY math."""
-        if self._fusion_columns is None:
-            from .accu_kernel import FusionColumns
-
-            self._fusion_columns = FusionColumns.from_dataset(self.dataset)
-        return self._fusion_columns
-
-    def _entry_skeleton(self):
-        """Provider CSR of every multi-provider value, value-id order.
-
-        Returns ``(skeleton, value_row)``: a :class:`ColumnarEntries`
-        whose per-entry probabilities/main flags are placeholders, plus
-        the value-id -> skeleton-row map (-1 for single-provider values,
-        which never enter an index).
-        """
-        if self._skeleton is None:
-            import numpy as np
-
-            from ..core.kernel import ColumnarEntries
-
-            fc = self.fusion_columns
-            rows = np.nonzero(np.diff(fc.prov_offsets) >= 2)[0]
-            # View every value's provider CSR as a columnar block and let
-            # the kernel's tested gather slice out the multi-provider rows.
-            all_values = ColumnarEntries(
-                probs=np.zeros(fc.n_values),
-                main=np.ones(fc.n_values, dtype=bool),
-                offsets=fc.prov_offsets,
-                providers=fc.prov_sources,
-            )
-            self._skeleton = all_values.take(rows)
-            value_row = np.full(fc.n_values, -1, dtype=np.int64)
-            value_row[rows] = np.arange(len(rows), dtype=np.int64)
-            self._value_row = value_row
-        return self._skeleton, self._value_row
-
     def columnar_for_index(self, index: "InvertedIndex") -> "ColumnarEntries":
-        """Assemble a round's columnar entries from the frozen skeleton.
-
-        Produces exactly what ``ColumnarEntries.from_index(index)``
-        would — entries in processing order, this round's probabilities,
-        this round's tail split — but the provider gather is one
-        vectorized ``take`` over the skeleton instead of per-entry
-        Python loops; only the O(entries) probability/value-id reads
-        remain at Python level.
-        """
-        import numpy as np
-
-        skeleton, value_row = self._entry_skeleton()
-        entries = index.entries
-        n_entries = len(entries)
-        values = np.fromiter(
-            (entry.value_id for entry in entries), dtype=np.int64, count=n_entries
-        )
-        cols = skeleton.take(value_row[values])
-        cols.probs = np.fromiter(
-            (entry.probability for entry in entries),
-            dtype=np.float64,
-            count=n_entries,
-        )
-        cols.main = np.arange(n_entries, dtype=np.int64) < index.tail_start
-        return cols
+        """``index.columnar_entries()`` (a shim: a numpy-built index
+        carries its columnar view, nothing is assembled here)."""
+        return index.columnar_entries()
 
     # ------------------------------------------------------------------
     # Persistent executors
@@ -198,9 +123,9 @@ class FusionWorkspace:
         """Point the workspace at a new dataset, keeping the executors.
 
         The streaming service's claim ledger produces a fresh immutable
-        :class:`Dataset` every epoch, which invalidates the dataset-derived
-        caches (shared-item counts, fusion columns, entry skeleton) — but
-        *not* the expensive runtime state: the persistent executors keep
+        :class:`Dataset` every epoch, which invalidates the shared-item
+        counts (the claim table travels with the dataset) — but *not* the
+        expensive runtime state: the persistent executors keep
         their warm workers, and the process executor reuses its
         shared-memory block as long as the columnar layout still fits
         (falling back to a fresh block on a layout change).  Rebinding to
@@ -215,9 +140,6 @@ class FusionWorkspace:
             return
         self.dataset = dataset
         self._shared_items = None
-        self._fusion_columns = None
-        self._skeleton = None
-        self._value_row = None
 
     def close(self) -> None:
         """Close every executor the workspace created (idempotent)."""

@@ -100,7 +100,7 @@ def partition_entries(
 
 def entry_work(index: InvertedIndex, position: int) -> int:
     """Estimated scan cost of one entry: its pair-incidence count."""
-    k = len(index.entries[position].providers)
+    k = index.provider_counts[position]
     return k * (k - 1) // 2
 
 

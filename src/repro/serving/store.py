@@ -68,6 +68,7 @@ import numpy as np
 
 from ..core.pairspace import decode_pair_keys, encode_pairs, member_rows
 from ..core.result import PAIR_COLUMNS, PAIR_FLOAT_COLUMNS, PairColumns
+from ..data.columns import take_csr
 from .codec import (
     FORMAT_VERSION,
     ServingError,
@@ -188,41 +189,29 @@ class ItemRows:
         )
 
     @classmethod
-    def from_truths(
-        cls,
-        dataset: "Dataset",
-        chosen: Mapping[int, int],
-        probabilities: Sequence[float],
+    def from_probabilities(
+        cls, dataset: "Dataset", probabilities: Sequence[float]
     ) -> "ItemRows":
-        """Build item rows from a fused truth assignment.
+        """Fuse item rows out of a round's value probabilities.
 
-        Provenance is the chosen value's provider list — the sources
-        whose claim supports the published truth.
+        Each item's truth is :func:`repro.fusion.accu.choose_values`'
+        pick (highest probability, ties to the lowest value id) and its
+        provenance the chosen value's provider list — the sources whose
+        claim supports the published truth — all gathered from the
+        dataset's claim table.
         """
-        item_ids = np.fromiter(sorted(chosen), dtype=np.int64, count=len(chosen))
-        truth = np.fromiter(
-            (chosen[int(i)] for i in item_ids), dtype=np.int64, count=len(item_ids)
-        )
-        probability = np.fromiter(
-            (float(probabilities[int(v)]) for v in truth),
-            dtype=np.float64,
-            count=len(truth),
-        )
-        providers = dataset.providers
-        supporter_lists = [providers[int(v)] for v in truth]
-        offsets = np.zeros(len(item_ids) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in supporter_lists], out=offsets[1:])
-        flat = np.fromiter(
-            (s for lst in supporter_lists for s in lst),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
+        from ..fusion.accu_kernel import choose_values_columnar
+
+        table = dataset.columns
+        probabilities = np.asarray(probabilities, dtype=np.float64)
+        truth = choose_values_columnar(table, probabilities)
+        offsets, sources = take_csr(table.prov_offsets, table.prov_sources, truth)
         return cls(
-            ids=item_ids,
+            ids=table.seg_items,
             truth=truth,
-            probability=probability,
+            probability=probabilities[truth],
             prov_offsets=offsets,
-            prov_sources=flat,
+            prov_sources=sources,
         )
 
     def to_arrays(self) -> dict[str, np.ndarray]:
@@ -257,15 +246,7 @@ class ItemRows:
 
     def take(self, rows: np.ndarray) -> "ItemRows":
         """A new :class:`ItemRows` holding the selected rows (re-packed CSR)."""
-        lengths = (self.prov_offsets[1:] - self.prov_offsets[:-1])[rows]
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        flat = np.empty(int(offsets[-1]), dtype=np.int64)
-        for out_row, row in enumerate(rows):
-            start, end = self.prov_offsets[row], self.prov_offsets[row + 1]
-            flat[offsets[out_row] : offsets[out_row + 1]] = self.prov_sources[
-                start:end
-            ]
+        offsets, flat = take_csr(self.prov_offsets, self.prov_sources, rows)
         return ItemRows(
             ids=self.ids[rows],
             truth=self.truth[rows],
@@ -661,12 +642,9 @@ class SnapshotPublisher:
         probabilities: Sequence[float],
     ) -> int:
         """Publish this round's verdicts + truths; returns the snapshot id."""
-        from ..fusion.accu import choose_values
-
         dataset = self.dataset
         n_sources = dataset.n_sources
-        chosen = choose_values(dataset, probabilities)
-        items = ItemRows.from_truths(dataset, chosen, probabilities)
+        items = ItemRows.from_probabilities(dataset, probabilities)
         if detection is not None:
             method, pairs = detection.method, detection.columns()
             reported = detection.changed_pairs

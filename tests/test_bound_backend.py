@@ -585,6 +585,52 @@ class TestOversizedKeySpace:
             for rec in caplog.records
         )
 
+    def test_auto_follows_occupancy_under_the_limit(self, monkeypatch, caplog):
+        """Three shapes, three choices: observed pairs on 1% of the grid
+        go sparse *silently* (an occupancy choice crosses no limit), on
+        40% stay dense, and past ``DENSE_STATE_LIMIT`` go sparse with
+        the warning; an explicit layout is honoured either way."""
+        import logging
+
+        from repro.core import bound_kernel
+        from repro.data import DatasetBuilder
+
+        def world(n_sources, group):
+            """Sources in disjoint groups of ``group``, each group
+            agreeing on its own three items."""
+            builder = DatasetBuilder()
+            for source in range(n_sources):
+                for item in range(3):
+                    builder.add(f"S{source}", f"g{source // group}-i{item}", "v")
+            dataset = builder.build()
+            return dataset, [0.9] * dataset.n_values, [0.8] * n_sources
+
+        def layout_of(shape, **params):
+            scan = scan_with_bounds(
+                *shape, CopyParams(backend="numpy", **params), collect_state=True
+            )
+            occupancy = len(scan.shared_items) / scan.n_sources**2
+            return scan.space.layout, occupancy
+
+        thin, full = world(40, group=2), world(6, group=6)
+        with caplog.at_level(logging.WARNING, logger="repro.core.pairspace"):
+            assert layout_of(thin) == ("sparse", 20 / 1600)
+            assert layout_of(full) == ("dense", 15 / 36)
+            assert layout_of(thin, pair_layout="dense")[0] == "dense"
+            assert layout_of(full, pair_layout="sparse")[0] == "sparse"
+            assert caplog.records == []
+            monkeypatch.setattr(bound_kernel, "DENSE_STATE_LIMIT", 35)
+            assert layout_of(full)[0] == "sparse"
+            assert ["bound_kernel.EpochScan" in r.message for r in caplog.records] == [True]
+        assert bound_kernel.DENSE_MIN_OCCUPANCY == 0.25
+        for shape in (thin, full):
+            reference = scan_with_bounds(*shape, CopyParams(backend="python"))
+            for layout in ("auto", "dense", "sparse"):
+                got = scan_with_bounds(
+                    *shape, CopyParams(backend="numpy", pair_layout=layout)
+                )
+                assert got.result.decisions == reference.result.decisions
+
     @settings(max_examples=15, deadline=None)
     @given(world=worlds())
     def test_forced_sparse_layout_is_bit_identical(self, world):

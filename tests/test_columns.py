@@ -309,6 +309,66 @@ class TestNoMaterialisationOnTheProductPath:
         assert calls == ["repro.core.kernel.decode_pairs"]
 
 
+    @pytest.mark.parametrize("driver", ["hybrid", "incremental", "stream-epoch"])
+    def test_the_claims_are_walked_once_into_columns(self, driver, tmp_path, monkeypatch):
+        """A numpy fuse + publish (and a stream epoch) gathers from
+        ``dataset.columns``: no ``IndexEntry`` is constructed, the
+        per-claim ``Dataset.providers`` walk never runs and the python
+        ``choose_values`` is never called (at the parent: one entry per
+        shared value per round, one ``choose_values`` per publish)."""
+        from repro.core import index as index_module
+        from repro.data import ClaimDelta
+        from repro.fusion import accu, pipeline
+        from repro.streaming import StreamEngine
+
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            index_module, "IndexEntry", counting("IndexEntry", index_module.IndexEntry)
+        )
+        for module in (accu, pipeline):
+            monkeypatch.setattr(
+                module, "choose_values", counting("choose_values", accu.choose_values)
+            )
+
+        dataset, _, _ = _sparse_world()
+        if driver == "stream-epoch":
+            batch = [
+                ClaimDelta(dataset.source_names[s], dataset.item_names[i], dataset.value_label[v])
+                for s, i, v in dataset.iter_claims()
+            ]
+            with StreamEngine(store=tmp_path, params=NUMPY) as engine:
+                result = engine.run_epoch(batch)
+                dataset, fusion = engine.state.dataset, result.fusion
+                index = None
+        else:
+            detector = (
+                IncrementalDetector(NUMPY) if driver == "incremental"
+                else SingleRoundDetector(NUMPY, "hybrid")
+            )
+            fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
+            index = detector.state.index if driver == "incremental" else None
+        assert fusion.n_rounds >= 2 and len(fusion.chosen) == dataset.n_items
+        assert len(VerdictStore(tmp_path).snapshot_ids()) >= 1
+        assert calls == []
+        assert dataset._providers is None and dataset._columns is not None
+        # The guard counts: reading the entries builds them, and the
+        # reference picks the same truths in the same order.
+        if index is not None:
+            assert len(index.entries) == index.n_entries > 0
+            assert calls == ["IndexEntry"] * index.n_entries
+        assert list(accu.choose_values(dataset, fusion.probabilities).items()) == list(
+            fusion.chosen.items()
+        )
+
+
 # ----------------------------------------------------------------------
 # (b) the table through the snapshot arrays, and the bytes on disk
 # ----------------------------------------------------------------------

@@ -347,3 +347,66 @@ class TestReachability:
         packages = {init.parent for init in root.rglob("__init__.py")}
         unreached = packages - {path.parent for path in seen}
         assert sorted(d.relative_to(root).as_posix() for d in unreached) == []
+
+    #: Modules on the numpy product path: they gather from
+    #: ``dataset.columns`` / ``index.columnar_entries()`` and must not
+    #: walk the claims or the entry objects again.  The python reference
+    #: modules (``index.py``, ``bound.py``, ``incremental.py``,
+    #: ``accu.py``, ...) are deliberately not listed.
+    COLUMNAR_MODULES = (
+        "core/kernel.py",
+        "core/bound_kernel.py",
+        "core/incremental_kernel.py",
+        "fusion/accu_kernel.py",
+        "fusion/workspace.py",
+        "serving/store.py",
+    )
+
+    @staticmethod
+    def _object_walks(source: str) -> list[str]:
+        """``dataset.providers`` / ``.claims`` / ``index.entries`` reads
+        in a module, as ``line: expression`` strings.
+
+        ``ColumnarEntries.from_index`` is exempt: it is the one bridge
+        from a python-built index to columns (and the tests' oracle for
+        a numpy-built one).  ``.providers`` is flagged on a ``dataset``
+        only — ``ColumnarEntries.providers`` is the column the kernels
+        are *supposed* to read.
+        """
+        import ast
+
+        tree = ast.parse(source)
+        exempt = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == "from_index"
+            for node in ast.walk(function)
+        }
+        found = []
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or id(node) in exempt:
+                continue
+            owner = ast.unparse(node.value).rsplit(".", 1)[-1]
+            if node.attr in ("claims", "entries") or (
+                node.attr == "providers" and owner == "dataset"
+            ):
+                found.append(f"{node.lineno}: {ast.unparse(node)}")
+        return found
+
+    def test_the_columnar_modules_never_walk_claims_or_entries(self):
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        walks = {
+            module: self._object_walks((root / module).read_text())
+            for module in self.COLUMNAR_MODULES
+        }
+        assert {m: found for m, found in walks.items() if found} == {}
+        # The guard bites: the reads this rule retired, and their exemption.
+        bad = "def f(dataset, index):\n    return dataset.providers, index.entries\n"
+        assert self._object_walks(bad) == ["2: dataset.providers", "2: index.entries"]
+        assert self._object_walks("x = self.dataset.claims") == ["1: self.dataset.claims"]
+        assert self._object_walks("def from_index(i):\n    return i.entries\n") == []
+        assert self._object_walks("p = cols.providers[cols.offsets[0]]") == []

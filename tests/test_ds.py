@@ -22,7 +22,6 @@ from repro.fusion import (
     vote,
     vote_probabilities,
 )
-from repro.fusion.accu_kernel import FusionColumns
 from repro.fusion.ds import MAX_SUPPORT, ds_value_probabilities_columnar, support_masses
 from repro.streaming import StreamEngine
 
@@ -76,7 +75,7 @@ class TestDSCombination:
         dataset, accuracies = _world_dataset(case_index)
         reference = ds_value_probabilities(dataset, accuracies, params)
         columnar = ds_value_probabilities_columnar(
-            FusionColumns.from_dataset(dataset), accuracies, params
+            dataset.columns, accuracies, params
         )
         assert set(reference.conflict) == set(columnar.conflict)
         for item_id, k in reference.conflict.items():
@@ -139,7 +138,7 @@ class TestDSCombination:
         assert exc.value.total_mass == 0.0
         with pytest.raises(TotalConflictError) as exc_np:
             ds_value_probabilities_columnar(
-                FusionColumns.from_dataset(dataset),
+                dataset.columns,
                 accuracies,
                 params,
                 credibility=credibility,

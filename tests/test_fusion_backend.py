@@ -21,7 +21,6 @@ from repro.core.kernel import ColumnarEntries
 from repro.data import DatasetBuilder, motivating_example
 from repro.fusion import FusionConfig, run_fusion, update_accuracies, value_probabilities
 from repro.fusion.accu_kernel import (
-    FusionColumns,
     copy_probability_matrix,
     independence_weight_stream,
     update_accuracies_columnar,
@@ -55,7 +54,7 @@ class TestAccuKernelParity:
         params = CopyParams()
         ref = value_probabilities(dataset, accs, params)
         vec = value_probabilities_columnar(
-            FusionColumns.from_dataset(dataset), accs, params
+            dataset.columns, accs, params
         )
         assert _drift(ref, vec) <= TOL
 
@@ -68,7 +67,7 @@ class TestAccuKernelParity:
         detection = detect_pairwise(dataset, probs, accs, params)
         ref = value_probabilities(dataset, accs, params, detection=detection)
         vec = value_probabilities_columnar(
-            FusionColumns.from_dataset(dataset), accs, params, detection=detection
+            dataset.columns, accs, params, detection=detection
         )
         assert _drift(ref, vec) <= TOL
 
@@ -79,7 +78,7 @@ class TestAccuKernelParity:
         params = CopyParams()
         ref = update_accuracies(dataset, probs, params)
         vec = update_accuracies_columnar(
-            FusionColumns.from_dataset(dataset), np.asarray(probs), params
+            dataset.columns, np.asarray(probs), params
         )
         assert _drift(ref, vec) <= TOL
 
@@ -90,7 +89,7 @@ class TestAccuKernelParity:
         ds = b.build()
         params = CopyParams()
         vec = update_accuracies_columnar(
-            FusionColumns.from_dataset(ds), np.asarray([0.7]), params
+            ds.columns, np.asarray([0.7]), params
         )
         assert vec[0] == 0.5
 
@@ -116,7 +115,7 @@ class TestAccuKernelParity:
         accs = [0.35 + (i % 7) * 0.09 for i in range(ds.n_sources)]
         probs = value_probabilities(ds, accs, params)
         detection = detect_pairwise(ds, probs, accs, params)
-        cols = FusionColumns.from_dataset(ds)
+        cols = ds.columns
         dense = independence_weight_stream(
             cols, np.asarray(accs, dtype=np.float64), detection, params
         )

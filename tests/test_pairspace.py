@@ -420,7 +420,7 @@ class TestLayoutParity:
         detection = detect(
             dataset, probs, accs, CopyParams(backend="numpy"), method="index"
         )
-        cols = ak.FusionColumns.from_dataset(dataset)
+        cols = dataset.columns
         out = {}
         for layout in ("dense", "sparse"):
             params = CopyParams(backend="numpy", pair_layout=layout)
@@ -455,7 +455,7 @@ class TestLayoutParity:
         assert result.decisions == reference.decisions
         assert result.cost == reference.cost
         fused = ak.value_probabilities_columnar(
-            ak.FusionColumns.from_dataset(dataset),
+            dataset.columns,
             np.asarray(accs),
             CopyParams(backend="numpy"),
             result,
