@@ -450,7 +450,7 @@ class ClusterExecutor:
             root = self._tree_reduce_remote(live_tasks, tasks, owner, params)
             return self._fetch(owner[root], tasks[root])
         tables = self._fetch_all(live_tasks, tasks, owner)
-        return PairTable.merge(tables, layout=params.pair_layout)
+        return PairTable.merge(tables)
 
     def _tree_reduce_remote(self, items, tasks, owner, params) -> int:
         """Run pairwise merge levels on the workers; returns the root.
@@ -483,7 +483,6 @@ class ClusterExecutor:
                             "task": dest_task,
                             "peer": peer,
                             "peer_task": src_task,
-                            "layout": params.pair_layout,
                         },
                         bucket="task_bytes",
                     )

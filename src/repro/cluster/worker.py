@@ -241,7 +241,7 @@ def _handle_merge(server: WorkerServer, sock, meta, arrays):
     if not live:
         merged = PairTable.empty(sess.n_sources)
     else:
-        merged = PairTable.merge(live, layout=meta.get("layout", "auto"))
+        merged = PairTable.merge(live)
     busy = time.perf_counter() - started
     with sess.lock:
         sess.partials[meta["task"]] = merged

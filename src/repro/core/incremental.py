@@ -60,6 +60,7 @@ from ..data import Dataset
 from .bound import DEFAULT_HYBRID_THRESHOLD, PairBookkeeping, detect_hybrid
 from .contribution import posterior, same_value_scores_both
 from .index import InvertedIndex
+from .maxscore import max_score
 from .params import CopyParams
 from .result import CostCounter, DetectionResult, PairDecision, PairRowView
 
@@ -245,7 +246,12 @@ def incremental_round(
     delta_small_dec = 0.0
     delta_small_inc = 0.0
     a_ref = state.a_ref
-    new_scores = index.rescore(probabilities, a_ref, params)
+    # Fresh M-hat per entry on the reference accuracies; the processing
+    # order of the last from-scratch round stays fixed.
+    new_scores = [
+        max_score(probabilities[e.value_id], [a_ref[s] for s in e.providers], params)
+        for e in entries
+    ]
     for pos, score_now in enumerate(new_scores):
         delta = score_now - state.s_ref[pos]
         magnitude = abs(delta)
@@ -467,8 +473,9 @@ def incremental_round(
             state.a_ref[s] = accuracies[s]
         touched = {pos for s in refresh_sources for pos in state.source_entries[s]}
         for pos in touched:
-            state.s_ref[pos] = entries[pos].score_under(
-                state.p_ref[pos], state.a_ref, params
+            providers = entries[pos].providers
+            state.s_ref[pos] = max_score(
+                state.p_ref[pos], [state.a_ref[s] for s in providers], params
             )
 
     state.history.append(stats)

@@ -73,23 +73,6 @@ class IndexEntry:
     score: float
     providers: list[int]
 
-    def score_under(
-        self, probability: float, accuracies: Sequence[float], params: CopyParams
-    ) -> float:
-        """``M-hat`` of this entry's providers under other estimates.
-
-        :meth:`InvertedIndex.rescore` and the reference INCREMENTAL's
-        ``s_ref`` refresh both score through it — the same expression
-        ``build`` evaluates, so the floats agree bit for bit.  (Under
-        ``backend="numpy"`` ``build`` and the columnar INCREMENTAL state
-        score whole entry blocks with
-        :func:`repro.core.incremental_kernel.max_scores`, which is
-        bit-equal.)
-        """
-        return max_score(
-            probability, [accuracies[s] for s in self.providers], params
-        )
-
 
 class InvertedIndex:
     """Scored inverted index over shared values, plus pair-level metadata.
@@ -332,29 +315,6 @@ class InvertedIndex:
             raise ValueError(f"unknown ordering {ordering!r}")
 
     # ------------------------------------------------------------------
-    # Incremental support
-    # ------------------------------------------------------------------
-    def rescore(
-        self,
-        probabilities: Sequence[float],
-        accuracies: Sequence[float],
-        params: CopyParams,
-    ) -> list[float]:
-        """Compute fresh ``M-hat`` scores without changing entry order.
-
-        INCREMENTAL categorises entries with it each round (on its
-        reference accuracies), keeping the processing order of the last
-        from-scratch round fixed while probabilities drift.
-
-        Returns:
-            New score per entry, aligned with ``self.entries``.
-        """
-        return [
-            entry.score_under(probabilities[entry.value_id], accuracies, params)
-            for entry in self.entries
-        ]
-
-    # ------------------------------------------------------------------
     # Columnar view (numpy backend)
     # ------------------------------------------------------------------
     def columnar_entries(self):
@@ -363,8 +323,8 @@ class InvertedIndex:
         A ``"numpy"`` build *is* this table; a ``"python"`` build
         columnarizes its entry list on first call and caches the result
         for the index's lifetime (the entry list is frozen after
-        construction — INCREMENTAL's ``rescore`` returns fresh scores
-        without touching it).  Imports NumPy only when first called,
+        construction — INCREMENTAL scores fresh lists beside it, never
+        into it).  Imports NumPy only when first called,
         keeping :mod:`repro.core` import-light.
         """
         if self._columnar_cache is None:

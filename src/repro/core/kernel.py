@@ -104,35 +104,22 @@ class ColumnarEntries:
         return len(self.probs)
 
     @classmethod
-    def from_index(
-        cls, index: "InvertedIndex", positions: Sequence[int] | None = None
-    ) -> "ColumnarEntries":
-        """Columnarize ``index.entries`` (or a subset) entry by entry.
+    def from_index(cls, index: "InvertedIndex") -> "ColumnarEntries":
+        """Columnarize ``index.entries`` entry by entry.
 
         The bridge from a ``"python"``-built index (and the tests'
         oracle for a ``"numpy"``-built one, which carries this table
-        already).
-
-        Args:
-            index: the built inverted index.
-            positions: entry positions to include; all entries when
-                omitted.
+        already); a subset is ``from_index(index).take(positions)``.
         """
-        tail_start = index.tail_start
         entries = index.entries
-        if positions is None:
-            positions = range(len(entries))
-        provider_lists = [entries[pos].providers for pos in positions]
         flat: list[int] = []
-        for providers in provider_lists:
-            flat.extend(providers)
-        offsets = np.zeros(len(provider_lists) + 1, dtype=np.int64)
-        np.cumsum([len(p) for p in provider_lists], dtype=np.int64, out=offsets[1:])
+        for entry in entries:
+            flat.extend(entry.providers)
+        offsets = np.zeros(len(entries) + 1, dtype=np.int64)
+        np.cumsum([len(e.providers) for e in entries], dtype=np.int64, out=offsets[1:])
         return cls(
-            probs=np.asarray(
-                [entries[pos].probability for pos in positions], dtype=np.float64
-            ),
-            main=np.asarray([pos < tail_start for pos in positions], dtype=bool),
+            probs=np.asarray([e.probability for e in entries], dtype=np.float64),
+            main=np.arange(len(entries)) < index.tail_start,
             offsets=offsets,
             providers=np.asarray(flat, dtype=np.int64),
         )
@@ -408,8 +395,8 @@ class PairTable:
     arrays are aligned with it.
 
     Attributes:
-        n_sources: the world's source count — it sizes the dense
-            reduction grid, so only tables of one world merge.
+        n_sources: the world's source count — only tables of one
+            world merge.
         keys: unique pair keys, sorted ascending.
         c_fwd: accumulated ``C->`` per pair.
         c_bwd: accumulated ``C<-`` per pair.
@@ -441,48 +428,12 @@ class PairTable:
         )
 
     @classmethod
-    def _reduce_keyed(
-        cls,
-        n_sources: int,
-        stream: tuple[np.ndarray, ...],
-        fwd: np.ndarray,
-        bwd: np.ndarray,
-        incidence_counts: np.ndarray,
-        main: np.ndarray,
-        layout: str = "auto",
-    ) -> "PairTable":
-        """Scatter-add a pair stream into compact per-pair arrays.
-
-        ``stream`` names the pair of every row: ``(src1, src2)`` id
-        arrays (an incidence scan) or ``(keys,)`` (partial tables).
-        The grouping is :func:`repro.core.pairspace.reduce_by_key`, or
-        :func:`~repro.core.pairspace.reduce_keys` for the keyed form —
-        dense ``np.bincount`` under :data:`DENSE_KEY_SPACE`, sparse
-        ``np.unique`` + ``np.add.at`` beyond it (or on request), with
-        identical floats either way.  Occupancy comes from pair
-        *presence*, not incidence counts: merged tables may carry pairs
-        with zero incidences (e.g. PAIRWISE's pure-penalty rows) that
-        must survive.  Either way this is the vectorized replacement for
-        the Python backend's per-incidence dict churn (``cell[0] += ...``).
-        """
-        if len(stream[0]) == 0:
-            return cls.empty(n_sources)
-        layout = resolve_pair_layout(
-            layout, n_sources, DENSE_KEY_SPACE, "kernel.PairTable"
-        )
-        main_f = main.astype(np.float64)
-        counts_f = incidence_counts.astype(np.float64)
-        reduce = reduce_by_key if len(stream) == 2 else reduce_keys
-        uniq, (c_fwd, c_bwd, n_shared, saw_main) = reduce(
-            n_sources, *stream, (fwd, bwd, counts_f, main_f), layout
-        )
+    def _from_sums(cls, n_sources: int, keys: np.ndarray, sums) -> "PairTable":
+        """A table from the reduced ``c_fwd, c_bwd, n_shared, saw_main``
+        float sums of the pairs behind ``keys``."""
+        c_fwd, c_bwd, n_shared, saw_main = sums
         return cls(
-            n_sources=n_sources,
-            keys=uniq,
-            c_fwd=c_fwd,
-            c_bwd=c_bwd,
-            n_shared=n_shared.astype(np.int64),
-            saw_main=saw_main > 0.0,
+            n_sources, keys, c_fwd, c_bwd, n_shared.astype(np.int64), saw_main > 0.0
         )
 
     @classmethod
@@ -497,22 +448,35 @@ class PairTable:
         layout: str = "auto",
     ) -> "PairTable":
         """Reduce an incidence stream (``src1 < src2`` per incidence) to
-        per-pair accumulators."""
-        return cls._reduce_keyed(
-            n_sources,
-            (src1, src2),
-            fwd,
-            bwd,
-            np.ones(len(src1), dtype=np.int64),
-            main,
-            layout=layout,
+        per-pair accumulators.
+
+        The grouping is :func:`repro.core.pairspace.reduce_by_key` —
+        dense ``np.bincount`` under :data:`DENSE_KEY_SPACE`, sparse
+        ``np.unique`` + ``np.add.at`` beyond it (or on request), with
+        identical floats either way: the vectorized replacement for the
+        Python backend's per-incidence dict churn (``cell[0] += ...``).
+        """
+        if len(src1) == 0:
+            return cls.empty(n_sources)
+        layout = resolve_pair_layout(
+            layout, n_sources, DENSE_KEY_SPACE, "kernel.PairTable"
+        )
+        columns = (fwd, bwd, np.ones(len(src1)), main.astype(np.float64))
+        return cls._from_sums(
+            n_sources, *reduce_by_key(n_sources, src1, src2, columns, layout)
         )
 
     @classmethod
-    def merge(
-        cls, tables: Sequence["PairTable"], layout: str = "auto"
-    ) -> "PairTable":
-        """Associatively merge partial tables (the engine's reduce step)."""
+    def merge(cls, tables: Sequence["PairTable"]) -> "PairTable":
+        """Associatively merge partial tables (the engine's reduce step).
+
+        The keys arrive encoded and are grouped as they are
+        (:func:`~repro.core.pairspace.reduce_keys`), so no layout decodes
+        them; the sums run in stream order, the floats any layout gives.
+        Occupancy comes from pair *presence*, not incidence counts:
+        merged tables may carry pairs with zero incidences (e.g.
+        PAIRWISE's pure-penalty rows) that must survive.
+        """
         tables = [t for t in tables if len(t)]
         if not tables:
             raise ValueError("cannot merge zero non-empty tables")
@@ -521,15 +485,12 @@ class PairTable:
             raise ValueError("cannot merge tables with different source counts")
         if len(tables) == 1:
             return tables[0]
-        return cls._reduce_keyed(
-            n_sources,
-            (np.concatenate([t.keys for t in tables]),),
-            np.concatenate([t.c_fwd for t in tables]),
-            np.concatenate([t.c_bwd for t in tables]),
-            np.concatenate([t.n_shared for t in tables]),
-            np.concatenate([t.saw_main for t in tables]),
-            layout=layout,
-        )
+        columns = [
+            np.concatenate([getattr(t, name) for t in tables]).astype(np.float64)
+            for name in ("c_fwd", "c_bwd", "n_shared", "saw_main")
+        ]
+        keys = np.concatenate([t.keys for t in tables])
+        return cls._from_sums(n_sources, *reduce_keys(keys, columns))
 
 
 def scan_columnar(

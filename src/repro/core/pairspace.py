@@ -334,7 +334,7 @@ def reduce_by_key(
         aligned float64 sum array per input column.
     """
     if layout != "dense":
-        return reduce_keys(n_sources, encode_pair_keys(src1, src2), columns, layout)
+        return reduce_keys(encode_pair_keys(src1, src2), columns)
     space = PairSpace.dense(n_sources)
     cells = space.slots(src1, src2)
     present = np.bincount(cells, minlength=len(space))
@@ -347,15 +347,12 @@ def reduce_by_key(
 
 
 def reduce_keys(
-    n_sources: int, keys: np.ndarray, columns: Sequence[np.ndarray], layout: str
+    keys: np.ndarray, columns: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """:func:`reduce_by_key` for a pair stream that arrives keyed already.
-
-    What merging partial tables presents: the sparse strategy groups the
-    keys as they are, and only the dense grid decodes them.
+    """:func:`reduce_by_key`'s sparse strategy for a pair stream that
+    arrives keyed already (merging partial tables): the keys are grouped
+    as they are, never decoded.
     """
-    if layout == "dense":
-        return reduce_by_key(n_sources, *decode_pair_keys(keys), columns, layout)
     uniq, inverse = np.unique(keys, return_inverse=True)
     sums = []
     for col in columns:

@@ -154,7 +154,7 @@ def _detect_pairwise_numpy(
             n_shared=np.zeros(len(missing), dtype=np.int64),
             saw_main=np.ones(len(missing), dtype=bool),
         )
-        table = PairTable.merge([table, zeros], layout=params.pair_layout)
+        table = PairTable.merge([table, zeros])
     columns = decide_pairs(table, shared_items, params, require_main=False)
     total_shared = int(shared_items.column.sum())
     cost = CostCounter(

@@ -10,7 +10,8 @@ provides the intake layer between the two worlds:
   :meth:`DatasetBuilder.add` (last-writer-wins per ``(source, item)``).
 * :class:`ClaimLedger` — the accumulated claim state.  ``apply()`` folds
   a batch of deltas in and reports exactly what changed;
-  ``snapshot()`` freezes the current state into a :class:`Dataset`.
+  ``snapshot()`` freezes the current state into a :class:`Dataset`;
+  ``fork()`` is the private copy a speculative epoch folds into.
 
 **Determinism contract.**  The ledger interns sources, items and values
 append-only, in first-appearance order — byte-for-byte the same rule as
@@ -25,6 +26,7 @@ lockstep parity the test suite asserts.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -116,6 +118,9 @@ class ClaimLedger:
         self._version = 0
         self._snapshot: Dataset | None = None
         self._snapshot_version = -1
+        #: Sources whose claim dict this ledger has copied since its last
+        #: :meth:`fork`; any other may be shared with a fork.
+        self._owned: set[int] = set()
         if base is not None:
             for name in base.source_names:
                 self._builder.ensure_source(name)
@@ -138,7 +143,7 @@ class ClaimLedger:
         Returns the batch's :class:`LedgerUpdate`; the ledger ``version``
         advances exactly when the update is not a no-op.
         """
-        builder = self._builder
+        builder, owned = self._builder, self._owned
         n = changed = confirmed = new_sources = new_items = new_values = 0
         for delta in deltas:
             n += 1
@@ -147,6 +152,9 @@ class ClaimLedger:
             if delta.item not in builder._item_ids:
                 new_items += 1
             source_id = builder.ensure_source(delta.source)
+            if source_id not in owned:  # copy-on-write: a fork may share it
+                builder._claims[source_id] = dict(builder._claims[source_id])
+                owned.add(source_id)
             item_id = builder.ensure_item(delta.item)
             value_key = (item_id, delta.value)
             is_new_value = value_key not in builder._value_ids
@@ -169,6 +177,28 @@ class ClaimLedger:
         if not update.is_noop:
             self._version += 1
         return update
+
+    def fork(self) -> "ClaimLedger":
+        """A private copy to fold a batch into; this ledger stays as it is.
+
+        The fork starts at this ledger's version with its cached
+        snapshot, so a fork that no batch changed returns the very same
+        ``Dataset`` object.  It copies the interning tables but shares
+        the per-source claim dicts: whichever of the two ledgers next
+        writes a source copies that source's dict first, so a fork costs
+        the sources a batch touches, not the whole ledger.
+        """
+        builder, fork = self._builder, copy.copy(self)
+        fork._builder = DatasetBuilder(
+            dict(builder._source_ids),
+            dict(builder._item_ids),
+            dict(builder._value_ids),
+            list(builder._claims),
+            list(builder._value_item),
+            list(builder._value_label),
+        )
+        self._owned, fork._owned = set(), set()
+        return fork
 
     def snapshot(self) -> Dataset:
         """Freeze the current claim state into an immutable ``Dataset``.

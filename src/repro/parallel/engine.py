@@ -218,7 +218,7 @@ class ScanWorld:
         if self.columnar:
             from ..core.kernel import PairTable
 
-            return PairTable.merge(partials, layout=params.pair_layout)
+            return PairTable.merge(partials)
         merged: _Partial = {}
         for partial in partials:
             _merge_partial_into(merged, partial)
@@ -306,10 +306,10 @@ def detect_index_parallel(
     probabilities: Sequence[float],
     accuracies: Sequence[float],
     params: CopyParams,
+    index: InvertedIndex,
     n_partitions: int = 4,
     strategy: PartitionStrategy = "stride",
     executor: Executor = "serial",
-    index: InvertedIndex | None = None,
     reduce: ReduceMode = "flat",
     workspace=None,
     cluster=None,
@@ -321,12 +321,13 @@ def detect_index_parallel(
         probabilities: ``P(D.v)`` per value id.
         accuracies: ``A(S)`` per source id.
         params: model parameters.
+        index: the round's index (:meth:`InvertedIndex.build`; under
+            :func:`repro.core.detect` the one it builds).
         n_partitions: number of entry shares (>= 1).
         strategy: ``"stride"`` (entry-count balanced), ``"blocks"``
             (contiguous) or ``"work"`` (incidence-cost balanced).
         executor: ``"serial"``, ``"threads"``, ``"processes"`` or
             ``"remote"`` (cluster workers over TCP; numpy backend only).
-        index: prebuilt index to reuse.
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
             O(log P) depth; under ``"remote"`` the pairwise merges run
             *on the workers* so the driver only receives the root).
@@ -343,8 +344,6 @@ def detect_index_parallel(
         ValueError: for an unknown executor, strategy or reduce mode.
     """
     validate_execution(params, executor, reduce)
-    if index is None:
-        index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     merged = _map_reduce(
         dataset, index, partition_entries(index, n_partitions, strategy),
         accuracies, params, executor, reduce, workspace, cluster,
@@ -382,9 +381,9 @@ def detect_hybrid_parallel(
     probabilities: Sequence[float],
     accuracies: Sequence[float],
     params: CopyParams,
+    index: InvertedIndex,
     n_partitions: int = 4,
     executor: Executor = "serial",
-    index: InvertedIndex | None = None,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     reduce: ReduceMode = "flat",
     partition_by: str = "entries",
@@ -432,8 +431,6 @@ def detect_hybrid_parallel(
             axis.
     """
     validate_execution(params, executor, reduce, partition_by)
-    if index is None:
-        index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     partitions = partition_entries(index, n_partitions, "blocks")
     prefix_len = len(partitions[0].positions)
     prefix = scan_with_bounds(

@@ -2,27 +2,37 @@
 
 This is the synchronous heart of the streaming service — everything the
 asyncio layer (:mod:`repro.streaming.service`) does reduces to calling
-:meth:`StreamEngine.run_epoch` with a coalesced batch of
-:class:`~repro.data.ClaimDelta`.  Keeping the engine synchronous and
-deterministic is what makes the lockstep-parity guarantee testable:
-:func:`replay_epochs` drives the *same* engine over the same epoch
-partitions with no event loop at all, and the results must match the
-live service's exactly.
+:meth:`StreamEngine.prepare` and :meth:`StreamEngine.commit` with a
+coalesced batch of :class:`~repro.data.ClaimDelta`.  Keeping the engine
+synchronous and deterministic is what makes the lockstep-parity
+guarantee testable: :func:`replay_epochs` drives the *same* engine over
+the same epoch partitions with no event loop at all, and the results
+must match the live service's exactly.
 
-Per epoch the engine:
+An epoch is ``commit(prepare(batch))`` — :meth:`StreamEngine.run_epoch`
+is literally that.  :meth:`~StreamEngine.prepare` does the work and
+changes nothing the engine serves:
 
-1. folds the deltas into its :class:`~repro.data.ClaimLedger` and skips
-   everything else when the batch was a pure confirmation
-   (``LedgerUpdate.is_noop`` — detection state provably unchanged);
-2. freezes a new immutable dataset snapshot and rebinds the
+1. folds the deltas into a :meth:`~repro.data.ClaimLedger.fork` of the
+   committed ledger, and stops there when the batch was a pure
+   confirmation (``LedgerUpdate.is_noop`` — detection state provably
+   unchanged);
+2. freezes the fork's immutable dataset snapshot and rebinds the
    round-persistent :class:`~repro.fusion.FusionWorkspace` to it —
    executor pools and the shared-memory block survive across epochs,
    only the dataset-derived caches are rebuilt;
 3. runs the full fusion loop with a **fresh**
    :class:`~repro.core.IncrementalDetector` (``prepare_round=1``: the
    first round builds the bookkeeping, later rounds patch it with the
-   paper's three-pass INCREMENTAL), warm-started from the previous
-   epoch's converged accuracies when ``warm_start`` is on;
+   paper's three-pass INCREMENTAL), warm-started from the last
+   *committed* epoch's converged accuracies when ``warm_start`` is on.
+
+Its :class:`PreparedEpoch` is therefore a pure function of (committed
+state, batch): the service prepares the pending batch while its
+debounce window is still open and throws the result away when more
+claims arrive.  :meth:`~StreamEngine.commit` refuses a prepare whose
+base ledger is no longer the committed one, then
+
 4. publishes the converged verdict table (decision positions
    included — they are a column of it) + truths to the
    :class:`~repro.serving.VerdictStore` through the engine's one
@@ -33,7 +43,9 @@ Per epoch the engine:
    the previous round, not the previous epoch, so it is deliberately
    dropped before publishing).  A pair's key depends on its two ids
    alone, so the chain extends across epochs in which new sources
-   appear.
+   appear;
+5. adopts the fork as the ledger and swaps in the new
+   :class:`EpochState`.  A prepare that raises has nothing to undo.
 
 **Why per-epoch index rebuilds are honest.**  The paper's INCREMENTAL
 assumes a frozen claim set: its bookkeeping indexes positions in one
@@ -134,8 +146,32 @@ class EpochState:
 
 
 @dataclass(frozen=True)
+class PreparedEpoch:
+    """A batch folded and fused but not published (:meth:`StreamEngine.prepare`).
+
+    Attributes:
+        base: the committed ledger the batch was folded onto;
+            :meth:`StreamEngine.commit` refuses the prepare once the
+            engine's ledger is another one.
+        ledger: the fork of ``base`` holding the batch.
+        update: the ledger's accounting of the batch.
+        state: the epoch's state, ``snapshot_id`` still None (None when
+            the batch was a no-op and nothing was fused).
+        fusion: the epoch's fusion outcome (None when skipped).
+        seconds: wall-clock of the prepare (apply + fusion).
+    """
+
+    base: ClaimLedger
+    ledger: ClaimLedger
+    update: LedgerUpdate
+    state: EpochState | None
+    fusion: FusionResult | None
+    seconds: float
+
+
+@dataclass(frozen=True)
 class EpochResult:
-    """What one :meth:`StreamEngine.run_epoch` call did.
+    """What one committed epoch did.
 
     Attributes:
         epoch: 1-based epoch number (not advanced by skipped batches).
@@ -147,8 +183,8 @@ class EpochResult:
             the engine has no store).
         n_sources: sources after the batch.
         n_items: items after the batch.
-        elapsed_seconds: wall-clock for the whole epoch (apply + fusion
-            + publish).
+        prepare_seconds: wall-clock of the prepare (apply + fusion).
+        commit_seconds: wall-clock of the commit (publish + swap).
     """
 
     epoch: int
@@ -158,7 +194,13 @@ class EpochResult:
     snapshot_id: int | None
     n_sources: int
     n_items: int
-    elapsed_seconds: float
+    prepare_seconds: float
+    commit_seconds: float
+
+    @property
+    def elapsed_seconds(self) -> float:
+        """The epoch's own work: ``prepare_seconds + commit_seconds``."""
+        return self.prepare_seconds + self.commit_seconds
 
 
 class StreamEngine:
@@ -212,52 +254,70 @@ class StreamEngine:
     # ------------------------------------------------------------------
     def run_epoch(self, deltas: Sequence[ClaimDelta]) -> EpochResult:
         """Fold one micro-batch in, re-fuse, publish; returns the record."""
+        return self.commit(self.prepare(deltas))
+
+    def prepare(self, deltas: Sequence[ClaimDelta]) -> PreparedEpoch:
+        """Fold a batch into a fork of the ledger and fuse it; publish nothing.
+
+        Reads the committed ledger and state (the warm start) and leaves
+        them, and the store, untouched — a prepare can be dropped at no
+        cost but its own, and one that raises leaves nothing to undo.
+        """
         start = time.perf_counter()
-        update = self.ledger.apply(deltas)
-        if (update.is_noop and self.state is not None) or not len(self.ledger):
-            return EpochResult(
-                epoch=self._epoch,
-                update=update,
-                skipped=True,
-                fusion=None,
-                snapshot_id=self.state.snapshot_id if self.state else None,
-                n_sources=self.ledger.snapshot().n_sources,
-                n_items=self.ledger.snapshot().n_items,
-                elapsed_seconds=time.perf_counter() - start,
+        base = self.ledger
+        ledger = base.fork()
+        update = ledger.apply(deltas)
+        state = fusion = None
+        if not (update.is_noop and self.state is not None) and len(ledger):
+            dataset = ledger.snapshot()
+            fusion = self._fuse(dataset)
+            state = EpochState(
+                epoch=self._epoch + 1,
+                ledger_version=ledger.version,
+                dataset=dataset,
+                params=self.params,
+                probabilities=tuple(fusion.probabilities),
+                accuracies=tuple(fusion.accuracies),
+                chosen=dict(fusion.chosen),
+                detection=fusion.final_detection(),
+                snapshot_id=None,
+                conflict=fusion.final_conflict(),
+                credibility=(
+                    tuple(fusion.credibility)
+                    if fusion.credibility is not None
+                    else None
+                ),
             )
-
-        dataset = self.ledger.snapshot()
-        fusion = self._fuse(dataset)
-        detection = fusion.final_detection()
-        snapshot_id = self._publish(dataset, fusion, detection)
-
-        self._epoch += 1
-        self.state = EpochState(
-            epoch=self._epoch,
-            ledger_version=self.ledger.version,
-            dataset=dataset,
-            params=self.params,
-            probabilities=tuple(fusion.probabilities),
-            accuracies=tuple(fusion.accuracies),
-            chosen=dict(fusion.chosen),
-            detection=detection,
-            snapshot_id=snapshot_id,
-            conflict=fusion.final_conflict(),
-            credibility=(
-                tuple(fusion.credibility)
-                if fusion.credibility is not None
-                else None
-            ),
+        return PreparedEpoch(
+            base, ledger, update, state, fusion, time.perf_counter() - start
         )
+
+    def commit(self, prepared: PreparedEpoch) -> EpochResult:
+        """Publish a prepared epoch, then adopt its ledger and state.
+
+        Raises:
+            ValueError: ``prepared`` was folded onto a ledger that is no
+                longer the committed one (another epoch committed since).
+        """
+        start = time.perf_counter()
+        if prepared.base is not self.ledger:
+            raise ValueError("the epoch was prepared against a stale ledger")
+        state = prepared.state
+        if state is not None:
+            state = replace(state, snapshot_id=self._publish(state))
+            self._epoch, self.state = state.epoch, state
+        self.ledger = prepared.ledger
+        dataset = self.ledger.snapshot()
         return EpochResult(
             epoch=self._epoch,
-            update=update,
-            skipped=False,
-            fusion=fusion,
-            snapshot_id=snapshot_id,
+            update=prepared.update,
+            skipped=state is None,
+            fusion=prepared.fusion,
+            snapshot_id=self.state.snapshot_id if self.state else None,
             n_sources=dataset.n_sources,
             n_items=dataset.n_items,
-            elapsed_seconds=time.perf_counter() - start,
+            prepare_seconds=prepared.seconds,
+            commit_seconds=time.perf_counter() - start,
         )
 
     def _fuse(self, dataset: Dataset) -> FusionResult:
@@ -309,22 +369,18 @@ class StreamEngine:
             workspace=self._workspace,
         )
 
-    def _publish(
-        self,
-        dataset: Dataset,
-        fusion: FusionResult,
-        detection: "DetectionResult | None",
-    ) -> int | None:
-        """Write this epoch's verdicts + truths to the store, if any."""
+    def _publish(self, state: EpochState) -> int | None:
+        """Write an epoch's verdicts + truths to the store, if any."""
         if self.store is None:
             return None
         from ..serving.store import SnapshotPublisher
 
         if self._publisher is None:
-            self._publisher = SnapshotPublisher(self.store, dataset)
+            self._publisher = SnapshotPublisher(self.store, state.dataset)
         else:
-            self._publisher.rebind(dataset)
+            self._publisher.rebind(state.dataset)
 
+        detection = state.detection
         if detection is not None:
             # The last round's changed_pairs is relative to the previous
             # *round* of this epoch; the store's previous state is the
@@ -332,7 +388,7 @@ class StreamEngine:
             # stored column between the two epochs.
             detection = replace(detection, changed_pairs=None)
         return self._publisher.publish_round(
-            self._epoch + 1, detection, list(fusion.probabilities)
+            state.epoch, detection, list(state.probabilities)
         )
 
     # ------------------------------------------------------------------

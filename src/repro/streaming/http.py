@@ -18,7 +18,9 @@ stdlib + numpy.  The surface:
 ``GET  /truth``       ``?item=<id-or-name>`` — the served fused truth.
 ``GET  /explain``     ``?s1=<id>&s2=<id>`` — live item-by-item evidence
                       from the latest epoch (top contributions included).
-``GET  /stats``       ingestion counters + world dimensions.
+``GET  /stats``       ingestion counters (failed epochs, ``last_error``,
+                      speculative prepares committed / discarded included)
+                      + world dimensions.
 ====================  ======================================================
 
 Error handling is deliberately boring: malformed requests get a ``400``

@@ -20,6 +20,33 @@ stall the event loop, and one worker guarantees epochs are serialized.
 A batch the ledger proves to be a no-op (pure re-confirmations) runs no
 fusion and publishes no snapshot.
 
+**When the work runs.**  The triggers decide only what an epoch holds;
+the work starts while the batch is still pending.  Once the feed looks
+quiet and the worker is idle, the loop hands
+:meth:`~repro.streaming.engine.StreamEngine.prepare` the coalesced
+pending batch — a *speculative* prepare, which changes nothing the
+engine serves.  At the flush, a prepare that covers exactly the flushed
+batch is committed (publish + swap: a claim's freshness is then the
+debounce plus the commit, not the debounce plus the whole epoch);
+otherwise it is discarded and the flushed batch is prepared then.  At
+most one prepare is in flight; a prepare that a later arrival made
+stale is replaced as soon as the worker frees up.
+
+"Quiet" is read off the arrivals: those closer together than
+``debounce`` form one burst, and a prepare waits until the newest
+arrival is older than the burst's longest gap (and at least
+:data:`SPECULATION_GRACE`).  A lone POST is prepared 2 ms after it
+lands; a steady feed that never pauses for its own longest gap — whose
+batches flush on the deadline — is prepared at the flush, as it would
+be without speculation, instead of once per arrival.  Speculation pays
+when the feed goes quiet before the flush for about one prepare; every
+discarded prepare is CPU spent for nothing, counted in ``/stats``.
+
+**Failure.**  An epoch that raises drops its batch (the prepare is a
+deterministic function of the batch, so a retry would fail again),
+counts it in ``epochs_failed`` / ``last_error`` and leaves ledger,
+state and store as they were; the loop serves the next arrival.
+
 Completed epochs fan out to subscribers (:meth:`subscribe` returns an
 ``asyncio.Queue`` of event dicts — the SSE layer drains one per client)
 and refresh the service's :class:`~repro.serving.VerdictReader`, so
@@ -28,14 +55,15 @@ the store just published, version tag included.
 
 Shutdown is graceful by default: :meth:`stop` flushes whatever is
 pending as one final epoch (``drain=True``), waits for it to publish,
-then cancels the loop — no accepted delta is ever dropped.
+then cancels the loop — only a failed epoch ever drops an accepted delta.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from ..data import ClaimDelta, coalesce_deltas
 from .engine import EpochResult, EpochState, StreamEngine
@@ -43,6 +71,17 @@ from .engine import EpochResult, EpochState, StreamEngine
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.explain import PairExplanation
     from ..serving.reader import Truth, Verdict
+
+_log = logging.getLogger(__name__)
+
+#: Least seconds a speculative prepare waits after the newest arrival.  The
+#: ``202`` is written before the loop can run, but its client still has
+#: to read it and hang up (~0.1 ms of CPU); a CPU-bound prepare started
+#: inside that window took a co-located client's POST from 1.0 to 3-5 ms
+#: on a 2-vCPU host, even when started after the client's own close.
+#: 2 ms is over ten times the client's need and 4% of the default
+#: debounce, which a ~30 ms prepare still fits in.
+SPECULATION_GRACE = 0.002
 
 
 class StreamingService:
@@ -82,6 +121,9 @@ class StreamingService:
         self._pending: list[ClaimDelta] = []
         self._first_arrival: float | None = None
         self._last_arrival: float = 0.0
+        #: Longest gap between arrivals less than ``debounce`` apart since
+        #: the feed last paused that long; a speculative prepare waits it out.
+        self._burst_gap = 0.0
         self._arrival = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
@@ -92,11 +134,17 @@ class StreamingService:
         self._worker = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="stream-epoch"
         )
+        #: ``(pending deltas covered, future)`` of the speculative prepare.
+        self._speculation: tuple[int, asyncio.Future] | None = None
 
         #: Ingestion counters, served by the HTTP ``/stats`` endpoint.
         self.claims_received = 0
         self.epochs_run = 0
         self.epochs_skipped = 0
+        self.epochs_failed = 0
+        self.last_error: str | None = None
+        self.speculations_committed = 0
+        self.speculations_discarded = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -145,8 +193,8 @@ class StreamingService:
 
         Must be called on the event-loop thread (the HTTP layer does).
         Arrival timestamps feed the debounce/deadline triggers; the
-        batch itself is coalesced only at flush time so a burst costs
-        appends, not scans.
+        batch itself is coalesced only when a prepare takes it (at most
+        one in flight) or at flush, so a burst costs appends, not scans.
         """
         loop = asyncio.get_running_loop()
         now = loop.time()
@@ -157,6 +205,8 @@ class StreamingService:
         if count:
             if self._first_arrival is None:
                 self._first_arrival = now
+            gap = now - self._last_arrival
+            self._burst_gap = max(self._burst_gap, gap) if gap < self.debounce else 0.0
             self._last_arrival = now
             self.claims_received += count
             self._idle.clear()
@@ -164,7 +214,8 @@ class StreamingService:
         return count
 
     async def flush(self) -> None:
-        """Wait until everything currently pending has been epoch-ed."""
+        """Wait until everything currently pending has been epoch-ed
+        (or dropped with its failed epoch, see ``epochs_failed``)."""
         await self._idle.wait()
 
     # ------------------------------------------------------------------
@@ -181,8 +232,9 @@ class StreamingService:
                 self._idle.set()
                 continue
             # Wait out the debounce/deadline window (size trigger and
-            # shutdown cut it short).
+            # shutdown cut it short), preparing the pending batch meanwhile.
             while len(self._pending) < self.max_batch and not self._stopping:
+                self._speculate(loop)
                 deadline = min(
                     self._first_arrival + self.max_delay,
                     self._last_arrival + self.debounce,
@@ -196,19 +248,64 @@ class StreamingService:
                     break
                 self._arrival.clear()
 
-            batch = coalesce_deltas(self._pending)
-            self._pending.clear()
-            self._first_arrival = None
-            result = await loop.run_in_executor(
-                self._worker, self.engine.run_epoch, batch
-            )
-            self._on_epoch(result)
+            await self._flush_epoch(loop)
             if not self._pending:
                 self._idle.set()
                 if self._stopping:
                     return
 
-    def _on_epoch(self, result: EpochResult) -> None:
+    def _speculate(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Hand the pending batch to the idle worker ahead of its flush."""
+        settled = self._last_arrival + max(SPECULATION_GRACE, self._burst_gap)
+        if loop.time() < settled:
+            loop.call_at(settled, self._arrival.set)  # look again then
+            return
+        if self._speculation is not None:
+            covered, future = self._speculation
+            if covered == len(self._pending) or not future.done():
+                return  # still the pending batch, or the worker is busy
+            self.speculations_discarded += 1
+        future = loop.run_in_executor(
+            self._worker, self.engine.prepare, coalesce_deltas(self._pending)
+        )
+        future.add_done_callback(self._prepared)
+        self._speculation = (len(self._pending), future)
+
+    def _prepared(self, future: asyncio.Future) -> None:
+        """A speculative prepare finished: wake the loop to replace it if
+        stale (its error, if any, belongs to the flush it covers)."""
+        if not future.cancelled():
+            future.exception()  # retrieved here so asyncio does not log it
+        self._arrival.set()
+
+    async def _flush_epoch(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Commit the pending batch — through its speculative prepare when
+        that covered exactly the deltas pending now."""
+        covered, batch = len(self._pending), coalesce_deltas(self._pending)
+        self._pending.clear()
+        self._first_arrival = None
+        speculation, self._speculation = self._speculation, None
+        speculative = speculation is not None and speculation[0] == covered
+        if speculation is not None and not speculative:
+            self.speculations_discarded += 1  # the worker finishes it first
+        try:
+            prepared = await (
+                speculation[1]
+                if speculative
+                else loop.run_in_executor(self._worker, self.engine.prepare, batch)
+            )
+            result = await loop.run_in_executor(
+                self._worker, self.engine.commit, prepared
+            )
+        except Exception as exc:  # noqa: BLE001 - one batch, not the service
+            _log.exception("epoch of %d deltas failed; batch dropped", len(batch))
+            self.epochs_failed += 1
+            self.last_error = f"{type(exc).__name__}: {exc}"
+            return
+        self.speculations_committed += speculative
+        self._on_epoch(result, speculative)
+
+    def _on_epoch(self, result: EpochResult, speculative: bool) -> None:
         """Refresh the read view and fan the epoch out to subscribers."""
         if result.skipped:
             self.epochs_skipped += 1
@@ -225,6 +322,9 @@ class StreamingService:
             "changed_claims": result.update.changed_claims,
             "rounds": result.fusion.n_rounds if result.fusion else 0,
             "converged": bool(result.fusion and result.fusion.converged),
+            "speculative": speculative,
+            "prepare_seconds": result.prepare_seconds,
+            "commit_seconds": result.commit_seconds,
             "elapsed_seconds": result.elapsed_seconds,
         }
         for queue in self._subscribers:
@@ -309,6 +409,10 @@ class StreamingService:
             "claims_received": self.claims_received,
             "epochs_run": self.epochs_run,
             "epochs_skipped": self.epochs_skipped,
+            "epochs_failed": self.epochs_failed,
+            "last_error": self.last_error,
+            "speculations_committed": self.speculations_committed,
+            "speculations_discarded": self.speculations_discarded,
             "pending": len(self._pending),
             "epoch": state.epoch if state else 0,
             "snapshot_id": state.snapshot_id if state else None,

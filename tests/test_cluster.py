@@ -33,6 +33,7 @@ from repro.cluster.wire import (
 )
 from repro.core import CopyParams, InvertedIndex
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
+from tests.test_parallel import _indexed
 from repro.parallel.engine import ScanWorld
 from repro.parallel.partition import (
     assign_buckets_lpt,
@@ -229,11 +230,13 @@ class TestRemoteParity:
         kwargs = dict(
             n_partitions=3, strategy="work", reduce=reduce_mode
         )
-        ref = detect_index_parallel(
+        ref = _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             executor="serial", **kwargs,
         )
-        got = detect_index_parallel(
+        got = _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             executor="remote", cluster=executor, **kwargs,
         )
@@ -250,11 +253,13 @@ class TestRemoteParity:
         reduce_mode,
     ):
         kwargs = dict(n_partitions=3, partition_by="work", reduce=reduce_mode)
-        ref = detect_hybrid_parallel(
+        ref = _indexed(
+            detect_hybrid_parallel,
             example, example_probabilities, example_accuracies, params,
             executor="serial", **kwargs,
         )
-        got = detect_hybrid_parallel(
+        got = _indexed(
+            detect_hybrid_parallel,
             example, example_probabilities, example_accuracies, params,
             executor="remote", cluster=executor, **kwargs,
         )
@@ -264,11 +269,13 @@ class TestRemoteParity:
         self, executor, example, example_probabilities, example_accuracies,
         params,
     ):
-        ref = detect_index_parallel(
+        ref = _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             n_partitions=7, executor="serial", reduce="tree",
         )
-        got = detect_index_parallel(
+        got = _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             n_partitions=7, executor="remote", reduce="tree", cluster=executor,
         )
@@ -277,12 +284,14 @@ class TestRemoteParity:
     def test_single_worker_matches_sequential(
         self, example, example_probabilities, example_accuracies, params
     ):
-        ref = detect_index_parallel(
+        ref = _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             n_partitions=3, executor="serial", reduce="tree",
         )
         with LocalCluster(1) as lc, lc.executor() as ex:
-            got = detect_index_parallel(
+            got = _indexed(
+                detect_index_parallel,
                 example, example_probabilities, example_accuracies, params,
                 n_partitions=3, executor="remote", reduce="tree", cluster=ex,
             )
@@ -304,12 +313,12 @@ class TestRemoteParity:
         )
         with LocalCluster(4) as lc, lc.executor() as ex:
             for detect, split in runs:
-                ref = detect(
-                    dataset, probs, accs, params,
+                ref = _indexed(
+                    detect, dataset, probs, accs, params,
                     executor="serial", reduce="tree", **split,
                 )
-                got = detect(
-                    dataset, probs, accs, params,
+                got = _indexed(
+                    detect, dataset, probs, accs, params,
                     executor="remote", reduce="tree", cluster=ex, **split,
                 )
                 assert len(ref.decisions) > 5_000
@@ -320,7 +329,8 @@ class TestRemoteParity:
         self, example, example_probabilities, example_accuracies
     ):
         with pytest.raises(ValueError, match="backend"):
-            detect_index_parallel(
+            _indexed(
+                detect_index_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -336,7 +346,8 @@ class TestStats:
         self, executor, example, example_probabilities, example_accuracies,
         params,
     ):
-        detect_index_parallel(
+        _indexed(
+            detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
             n_partitions=3, executor="remote", reduce="tree", cluster=executor,
         )

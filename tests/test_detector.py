@@ -7,6 +7,7 @@ from repro.core import (
     PARALLEL_METHODS,
     CopyParams,
     IncrementalDetector,
+    InvertedIndex,
     SingleRoundDetector,
     detect,
     make_detector,
@@ -204,7 +205,8 @@ class TestDispatchParity:
             engine = (
                 detect_index_parallel if method == "index" else detect_hybrid_parallel
             )
-            others = [engine(*world, n_partitions=n_partitions)]
+            index = InvertedIndex.build(*world)
+            others = [engine(*world, index, n_partitions=n_partitions)]
         else:
             others = []
         others += [detector.run_round(1, dataset, probs, accs) for detector in rounds]
@@ -295,6 +297,8 @@ class TestOneDispatcherStructure:
             if callee == "InvertedIndex.build" and p == "core/detector.py"
         ]
         assert builds == ["core/detector.py"]
+        # The partitioned detectors scan the index they are handed.
+        assert not [p for p in sites["build"] if p[0].startswith("parallel/")]
         for cls in ("SingleRoundDetector", "IncrementalDetector"):
             assert {p for p, _ in sites[cls]} <= {
                 "core/detector.py", "streaming/engine.py"

@@ -10,6 +10,7 @@ from repro.core import (
     SingleRoundDetector,
     detect_hybrid,
     incremental_round,
+    max_score,
     prepare_incremental,
 )
 from repro.core.result import PAIR_FLOAT_COLUMNS, DecisionView
@@ -275,7 +276,12 @@ class TestOnDemandEntryPairs:
         assert state.entry_pairs == [None] * len(state.index.entries)
 
         def moved_positions(new_probs):
-            scores = state.index.rescore(new_probs, state.a_ref, params)
+            scores = [
+                max_score(
+                    new_probs[e.value_id], [state.a_ref[s] for s in e.providers], params
+                )
+                for e in state.index.entries
+            ]
             return [
                 pos
                 for pos, (now, ref) in enumerate(zip(scores, state.s_ref))

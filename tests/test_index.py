@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CopyParams, EntryOrdering, InvertedIndex
+from repro.core import CopyParams, EntryOrdering, InvertedIndex, max_score
 from repro.data import DatasetBuilder, motivating_example
 from tests.strategies import adversarial_worlds, saturated_worlds, worlds
 
@@ -164,7 +164,14 @@ class TestRescore:
     ):
         index = _build(example, example_probabilities, example_accuracies, params)
         new_probs = [min(p + 0.01, 0.99) for p in example_probabilities]
-        scores = index.rescore(new_probs, example_accuracies, params)
+        scores = [
+            max_score(
+                new_probs[e.value_id],
+                [example_accuracies[s] for s in e.providers],
+                params,
+            )
+            for e in index.entries
+        ]
         fresh = InvertedIndex.build(example, new_probs, example_accuracies, params)
         fresh_by_value = {e.value_id: e.score for e in fresh.entries}
         for entry, score in zip(index.entries, scores):

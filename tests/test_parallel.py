@@ -30,6 +30,12 @@ def _example_index(example, example_probabilities, example_accuracies, params):
     )
 
 
+def _indexed(detector, dataset, probabilities, accuracies, params, **kwargs):
+    """A partitioned detector over the round's index, built here."""
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params)
+    return detector(dataset, probabilities, accuracies, params, index, **kwargs)
+
+
 class TestPartitioning:
     def test_blocks_cover_everything_once(
         self, example, example_probabilities, example_accuracies, params
@@ -149,7 +155,8 @@ class TestEquivalence:
         sequential = detect_index(
             example, example_probabilities, example_accuracies, params
         )
-        parallel = detect_index_parallel(
+        parallel = _indexed(
+            detect_index_parallel,
             example,
             example_probabilities,
             example_accuracies,
@@ -169,7 +176,8 @@ class TestEquivalence:
         dataset, probs, accs = world
         params = CopyParams()
         sequential = detect_index(dataset, probs, accs, params)
-        parallel = detect_index_parallel(
+        parallel = _indexed(
+            detect_index_parallel,
             dataset, probs, accs, params, n_partitions=n_partitions
         )
         assert parallel.copying_pairs() == sequential.copying_pairs()
@@ -179,7 +187,8 @@ class TestEquivalence:
         self, example, example_probabilities, example_accuracies, params
     ):
         with pytest.raises(ValueError):
-            detect_index_parallel(
+            _indexed(
+                detect_index_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -193,7 +202,8 @@ class TestEquivalence:
         """S0/S5 share only tail values; no partitioning may open them."""
         ids = {name: i for i, name in enumerate(example.source_names)}
         for n_partitions in (1, 2, 7):
-            result = detect_index_parallel(
+            result = _indexed(
+                detect_index_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -217,7 +227,8 @@ class TestColumnarBackend:
     ):
         dataset, probs, accs = world
         params = CopyParams(backend="python")
-        python = detect_index_parallel(
+        python = _indexed(
+            detect_index_parallel,
             dataset,
             probs,
             accs,
@@ -225,7 +236,8 @@ class TestColumnarBackend:
             n_partitions=n_partitions,
             strategy=strategy,
         )
-        numpy_ = detect_index_parallel(
+        numpy_ = _indexed(
+            detect_index_parallel,
             dataset,
             probs,
             accs,
@@ -245,7 +257,8 @@ class TestColumnarBackend:
         self, example, example_probabilities, example_accuracies
     ):
         """params.backend="numpy" routes the engine without the kwarg."""
-        result = detect_index_parallel(
+        result = _indexed(
+            detect_index_parallel,
             example,
             example_probabilities,
             example_accuracies,
@@ -264,7 +277,8 @@ class TestColumnarBackend:
         self, example, example_probabilities, example_accuracies, params
     ):
         with pytest.raises(ValueError):
-            detect_index_parallel(
+            _indexed(
+                detect_index_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -283,7 +297,8 @@ class TestHybridParallel:
 
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
-            parallel = detect_hybrid_parallel(
+            parallel = _indexed(
+                detect_hybrid_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -301,10 +316,12 @@ class TestHybridParallel:
         dataset, probs, accs = world
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
-            serial = detect_hybrid_parallel(
+            serial = _indexed(
+                detect_hybrid_parallel,
                 dataset, probs, accs, params, n_partitions=n_partitions
             )
-            threaded = detect_hybrid_parallel(
+            threaded = _indexed(
+                detect_hybrid_parallel,
                 dataset,
                 probs,
                 accs,
@@ -321,7 +338,8 @@ class TestHybridParallel:
         """Early-copy verdicts are C^min-sound; survivors are exact."""
         dataset, probs, accs = world
         reference = detect_index(dataset, probs, accs, CopyParams())
-        result = detect_hybrid_parallel(
+        result = _indexed(
+            detect_hybrid_parallel,
             dataset, probs, accs, CopyParams(), n_partitions=n_partitions
         )
         for pair, decision in result.decisions.items():
@@ -337,10 +355,12 @@ class TestHybridParallel:
     @given(world=worlds())
     def test_backends_agree_on_verdicts(self, world):
         dataset, probs, accs = world
-        python = detect_hybrid_parallel(
+        python = _indexed(
+            detect_hybrid_parallel,
             dataset, probs, accs, CopyParams(backend="python"), n_partitions=3
         )
-        numpy_ = detect_hybrid_parallel(
+        numpy_ = _indexed(
+            detect_hybrid_parallel,
             dataset, probs, accs, CopyParams(backend="numpy"), n_partitions=3
         )
         assert set(numpy_.decisions) == set(python.decisions)
@@ -355,7 +375,8 @@ class TestHybridParallel:
         self, example, example_probabilities, example_accuracies, params
     ):
         with pytest.raises(ValueError):
-            detect_hybrid_parallel(
+            _indexed(
+                detect_hybrid_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -367,7 +388,8 @@ class TestHybridParallel:
         self, example, example_probabilities, example_accuracies, params
     ):
         with pytest.raises(ValueError):
-            detect_hybrid_parallel(
+            _indexed(
+                detect_hybrid_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -375,7 +397,8 @@ class TestHybridParallel:
                 reduce="sum",
             )
         with pytest.raises(ValueError):
-            detect_hybrid_parallel(
+            _indexed(
+                detect_hybrid_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -390,10 +413,12 @@ class TestHybridParallel:
         dataset, probs, accs = world
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
-            by_entries = detect_hybrid_parallel(
+            by_entries = _indexed(
+                detect_hybrid_parallel,
                 dataset, probs, accs, params, n_partitions=n_partitions
             )
-            by_work = detect_hybrid_parallel(
+            by_work = _indexed(
+                detect_hybrid_parallel,
                 dataset,
                 probs,
                 accs,
@@ -421,10 +446,12 @@ class TestTreeReduce:
     def test_index_tree_matches_flat(self, world, n_partitions, backend):
         dataset, probs, accs = world
         params = CopyParams(backend=backend)
-        flat = detect_index_parallel(
+        flat = _indexed(
+            detect_index_parallel,
             dataset, probs, accs, params, n_partitions=n_partitions, reduce="flat"
         )
-        tree = detect_index_parallel(
+        tree = _indexed(
+            detect_index_parallel,
             dataset, probs, accs, params, n_partitions=n_partitions, reduce="tree"
         )
         assert set(tree.decisions) == set(flat.decisions)
@@ -441,10 +468,12 @@ class TestTreeReduce:
         dataset, probs, accs = world
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
-            flat = detect_hybrid_parallel(
+            flat = _indexed(
+                detect_hybrid_parallel,
                 dataset, probs, accs, params, n_partitions=n_partitions
             )
-            tree = detect_hybrid_parallel(
+            tree = _indexed(
+                detect_hybrid_parallel,
                 dataset,
                 probs,
                 accs,
@@ -468,12 +497,14 @@ class TestTreeReduce:
         dataset, probs, accs = world
         params = CopyParams(backend=backend)
         index_seq = detect_index(dataset, probs, accs, params)
-        index_par = detect_index_parallel(
+        index_par = _indexed(
+            detect_index_parallel,
             dataset, probs, accs, params, n_partitions=1, reduce="tree"
         )
         assert index_par.decisions == index_seq.decisions
         hybrid_seq = detect_hybrid(dataset, probs, accs, params).result
-        hybrid_par = detect_hybrid_parallel(
+        hybrid_par = _indexed(
+            detect_hybrid_parallel,
             dataset,
             probs,
             accs,
@@ -488,7 +519,8 @@ class TestTreeReduce:
         self, example, example_probabilities, example_accuracies, params
     ):
         with pytest.raises(ValueError):
-            detect_index_parallel(
+            _indexed(
+                detect_index_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
@@ -516,12 +548,16 @@ class TestSharedMemory:
         )
         world = ColumnarEntries.from_index(index)
         for positions in ([], [0], list(range(0, index.n_entries, 2))):
-            direct = ColumnarEntries.from_index(index, positions)
+            entries = [index.entries[pos] for pos in positions]
             sliced = world.take(positions)
-            assert np.array_equal(sliced.probs, direct.probs)
-            assert np.array_equal(sliced.main, direct.main)
-            assert np.array_equal(sliced.offsets, direct.offsets)
-            assert np.array_equal(sliced.providers, direct.providers)
+            assert sliced.probs.tolist() == [e.probability for e in entries]
+            assert sliced.main.tolist() == [p < index.tail_start for p in positions]
+            assert np.diff(sliced.offsets).tolist() == [
+                len(e.providers) for e in entries
+            ]
+            assert sliced.providers.tolist() == [
+                s for e in entries for s in e.providers
+            ]
 
     def test_world_roundtrips_through_shared_memory(
         self, example, example_probabilities, example_accuracies, params
@@ -626,8 +662,8 @@ class TestExecutorParity:
             split = {"partition_by": axis}
 
         def run(executor, cluster=None):
-            return detect(
-                dataset, probs, accs, params, n_partitions=n_partitions,
+            return _indexed(
+                detect, dataset, probs, accs, params, n_partitions=n_partitions,
                 executor=executor, reduce=reduce, cluster=cluster, **split,
             )
 

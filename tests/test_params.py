@@ -92,7 +92,7 @@ class TestExecutionValidation:
     def test_function_and_callers_agree(
         self, kwargs, message, example, example_probabilities, example_accuracies
     ):
-        from repro.core import SingleRoundDetector, detect
+        from repro.core import InvertedIndex, SingleRoundDetector, detect
         from repro.core.params import validate_execution
         from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 
@@ -102,13 +102,14 @@ class TestExecutionValidation:
             validate_execution(params, **args)
         assert message in str(expected.value)
         world = (example, example_probabilities, example_accuracies, params)
+        index = InvertedIndex.build(*world)
         callers = [
-            lambda: detect_hybrid_parallel(*world, **args),
+            lambda: detect_hybrid_parallel(*world, index, **args),
             lambda: SingleRoundDetector(params, "hybrid", **args),
             lambda: detect(*world, **args),
         ]
         if "partition_by" not in kwargs:  # INDEX has no partition axis
-            callers.append(lambda: detect_index_parallel(*world, **args))
+            callers.append(lambda: detect_index_parallel(*world, index, **args))
         for call in callers:
             with pytest.raises(ValueError) as got:
                 call()

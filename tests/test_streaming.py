@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -199,6 +202,23 @@ class TestClaimLedger:
         assert list(streamed.snapshot().iter_claims()) == list(
             batch.snapshot().iter_claims()
         )
+
+    def test_a_fork_and_its_base_never_see_each_others_writes(self, world):
+        base = ClaimLedger()
+        base.apply(world)
+        before = list(base.snapshot().iter_claims())
+        fork = base.fork()
+        assert fork.snapshot() is base.snapshot()  # same version, same object
+        fork.apply([ClaimDelta("S0", "I00", "fork-only"), ClaimDelta("S0", "NEW", "x")])
+        assert list(base.snapshot().iter_claims()) == before
+        sibling = base.fork()  # a second fork of the same base
+        base.apply([ClaimDelta("S1", "I00", "base-only")])
+        assert list(sibling.snapshot().iter_claims()) == before
+        fork_claims = fork.snapshot().claims
+        assert fork_claims[1] == sibling.snapshot().claims[1]  # S1 untouched
+        assert "fork-only" in fork.snapshot().value_label
+        assert "fork-only" not in base.snapshot().value_label
+        assert "base-only" not in fork.snapshot().value_label
 
 
 # ----------------------------------------------------------------------
@@ -681,3 +701,452 @@ class TestServiceEpochs:
                 return True
 
         assert asyncio.run(main())
+
+
+# ----------------------------------------------------------------------
+# Prepare / commit: an epoch is commit(prepare(batch))
+# ----------------------------------------------------------------------
+
+
+class PoisonedEngine(StreamEngine):
+    """An engine whose fusion raises on any world holding a ``POISON`` source."""
+
+    def _fuse(self, dataset):
+        if "POISON" in dataset.source_names:
+            raise RuntimeError("poisoned batch")
+        return super()._fuse(dataset)
+
+
+def replayed_state(batches):
+    """The state a fresh synchronous engine reaches over ``batches``."""
+    with StreamEngine() as engine:
+        for batch in batches:
+            engine.run_epoch(batch)
+        return engine.state
+
+
+def assert_same_state(live, replayed):
+    """Ids, claims, fusion and verdicts equal (the snapshot id aside)."""
+    for name in ("source_names", "item_names", "value_label", "claims"):
+        assert getattr(live.dataset, name) == getattr(replayed.dataset, name)
+    assert live.accuracies == replayed.accuracies
+    assert live.probabilities == replayed.probabilities
+    assert live.chosen == replayed.chosen
+    assert live.detection.decisions == replayed.detection.decisions
+
+
+class TestPrepareCommit:
+    def test_a_discarded_prepare_leaves_no_trace(self, tmp_path, epochs):
+        with StreamEngine(store=tmp_path / "store") as engine:
+            engine.run_epoch(epochs[0])
+            ledger, state = engine.ledger, engine.state
+            snapshot, version = ledger.snapshot(), ledger.version
+            builder = ledger._builder
+            interned = (
+                dict(builder._source_ids),
+                dict(builder._item_ids),
+                dict(builder._value_ids),
+            )
+            claims = [dict(c) for c in builder._claims]
+            prepared = engine.prepare(
+                [
+                    ClaimDelta("NEW", "NEW-ITEM", "new-value"),
+                    ClaimDelta("S0", "I00", "never-committed"),
+                ]
+            )
+            assert prepared.state is not None  # it did fuse
+            assert "NEW" in prepared.state.dataset.source_names
+            assert engine.ledger is ledger and engine.state is state
+            assert ledger.version == version
+            assert ledger.snapshot() is snapshot
+            assert (
+                builder._source_ids,
+                builder._item_ids,
+                builder._value_ids,
+            ) == interned
+            assert builder._claims == claims
+            assert VerdictStore(tmp_path / "store").current_id() == 1
+            engine.run_epoch(epochs[1])
+            live = engine.state
+        assert live.snapshot_id == 2
+        assert_same_state(live, replayed_state(epochs[:2]))
+
+    def test_commit_refuses_a_stale_prepare(self, epochs):
+        with StreamEngine() as engine:
+            first = engine.prepare(epochs[0])
+            second = engine.prepare(epochs[1])  # the same base as first
+            engine.commit(first)
+            state = engine.state
+            with pytest.raises(ValueError, match="stale"):
+                engine.commit(second)
+            with pytest.raises(ValueError, match="stale"):
+                engine.commit(first)  # its base is gone too
+            assert engine.state is state
+            assert engine.ledger is first.ledger
+
+    def test_a_failed_prepare_changes_nothing(self, tmp_path, world):
+        with PoisonedEngine(store=tmp_path / "store") as engine:
+            engine.run_epoch(world)
+            ledger, state = engine.ledger, engine.state
+            version, snapshot = ledger.version, ledger.snapshot()
+            with pytest.raises(RuntimeError, match="poisoned"):
+                engine.run_epoch([ClaimDelta("POISON", "I00", "true-0")])
+            assert engine.ledger is ledger and engine.state is state
+            assert ledger.version == version
+            assert ledger.snapshot() is snapshot
+            assert VerdictStore(tmp_path / "store").current_id() == 1
+
+    def test_epoch_timings_add_up(self, epochs):
+        with StreamEngine() as engine:
+            result = engine.run_epoch(epochs[0])
+        assert result.prepare_seconds > 0.0 and result.commit_seconds > 0.0
+        assert result.elapsed_seconds == (
+            result.prepare_seconds + result.commit_seconds
+        )
+
+
+# ----------------------------------------------------------------------
+# The service prepares while the debounce window is open
+# ----------------------------------------------------------------------
+
+
+class GatedEngine(StreamEngine):
+    """Records every batch it prepares; a prepare waits while ``gate``
+    is clear, so a test decides when the worker frees up."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gate = threading.Event()
+        self.gate.set()
+        self.prepared: list[list[ClaimDelta]] = []
+        self.finished = 0
+
+    def prepare(self, deltas):
+        self.prepared.append(list(deltas))
+        self.gate.wait(timeout=30.0)
+        try:
+            return super().prepare(deltas)
+        finally:
+            self.finished += 1
+
+
+async def until(predicate, timeout: float = 10.0) -> None:
+    """Poll ``predicate`` from the event loop until it holds."""
+    give_up = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < give_up, "the condition never held"
+        await asyncio.sleep(0.002)
+
+
+def _gated(tmp_path, **kwargs) -> StreamingService:
+    defaults = dict(max_batch=10_000, max_delay=30.0, debounce=0.05)
+    defaults.update(kwargs)
+    return StreamingService(GatedEngine(store=tmp_path / "store"), **defaults)
+
+
+class TestSpeculation:
+    def test_one_batch_per_window_commits_its_speculation(self, tmp_path, world):
+        async def main():
+            async with _gated(tmp_path) as service:
+                queue = service.subscribe()
+                service.submit(world)
+                await service.flush()
+                return service, queue.get_nowait()
+
+        service, event = asyncio.run(main())
+        assert service.engine.prepared == [world]
+        stats = service.stats()
+        assert stats["speculations_committed"] == 1
+        assert stats["speculations_discarded"] == 0
+        assert event["speculative"] is True
+        assert event["elapsed_seconds"] == (
+            event["prepare_seconds"] + event["commit_seconds"]
+        )
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_arrival_mid_prepare_is_discarded_and_prepared_at_flush(
+        self, tmp_path, world
+    ):
+        first, late = world[:30], world[30:]
+
+        async def main():
+            async with _gated(tmp_path, debounce=0.02) as service:
+                engine = service.engine
+                engine.gate.clear()
+                queue = service.subscribe()
+                service.submit(first)
+                await until(lambda: engine.prepared)
+                service.submit(late)  # the worker is busy: no second prepare
+                await until(lambda: service.stats()["pending"] == 0)  # flushed
+                engine.gate.set()
+                await service.flush()
+                return service, queue.get_nowait()
+
+        service, event = asyncio.run(main())
+        assert service.engine.prepared == [first, world]
+        assert service.stats()["speculations_discarded"] == 1
+        assert service.stats()["speculations_committed"] == 0
+        assert event["speculative"] is False
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_a_stale_prepare_is_replaced_when_the_worker_frees_up(
+        self, tmp_path, world
+    ):
+        first, late = world[:30], world[30:]
+
+        async def main():
+            async with _gated(tmp_path, debounce=0.5) as service:
+                engine = service.engine
+                engine.gate.clear()
+                service.submit(first)
+                await until(lambda: engine.prepared)
+                service.submit(late)
+                engine.gate.set()  # well inside the window
+                await service.flush()
+                return service
+
+        service = asyncio.run(main())
+        assert service.engine.prepared == [first, world]
+        assert service.stats()["speculations_discarded"] == 1
+        assert service.stats()["speculations_committed"] == 1
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_arrival_after_the_prepare_finished_re_prepares(
+        self, tmp_path, world
+    ):
+        first, late = world[:30], world[30:]
+
+        async def main():
+            async with _gated(tmp_path, debounce=0.3) as service:
+                service.submit(first)
+                await until(lambda: service.engine.finished == 1)
+                service.submit(late)
+                await service.flush()
+                return service
+
+        service = asyncio.run(main())
+        assert service.engine.prepared == [first, world]
+        assert service.stats()["speculations_discarded"] == 1
+        assert service.stats()["speculations_committed"] == 1
+        assert service.stats()["epochs_run"] == 1
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_names_seen_only_by_a_discarded_prepare_leave_no_ids(
+        self, tmp_path, world
+    ):
+        """A value overwritten inside the window was interned only by
+        the discarded prepare; the committed ids equal the replay's."""
+        transient = [
+            ClaimDelta("S0", "I00", "transient-value"),
+            ClaimDelta("NEWCOMER", "I00", "true-0"),
+        ]
+        final = [ClaimDelta("S0", "I00", "final-value")]
+
+        async def main():
+            async with _gated(tmp_path, debounce=0.3) as service:
+                service.submit(world)
+                await service.flush()
+                service.submit(transient)
+                await until(lambda: service.engine.finished == 2)
+                service.submit(final)
+                await service.flush()
+                return service
+
+        service = asyncio.run(main())
+        assert service.stats()["speculations_discarded"] == 1
+        state = service.state
+        assert "transient-value" not in state.dataset.value_label
+        assert_same_state(
+            state,
+            replayed_state([world, coalesce_deltas(transient + final)]),
+        )
+
+    def test_drain_false_drops_a_prepare_with_new_names(self, tmp_path, world):
+        async def main():
+            service = _gated(tmp_path)
+            await service.start()
+            service.submit(world)
+            await service.flush()
+            engine = service.engine
+            snapshot, version = engine.ledger.snapshot(), engine.ledger.version
+            state = engine.state
+            service.submit([ClaimDelta("GHOST", "GHOST-ITEM", "ghost-value")])
+            await until(lambda: engine.finished == 2)
+            await service.stop(drain=False)
+            return service, snapshot, version, state
+
+        service, snapshot, version, state = asyncio.run(main())
+        engine = service.engine
+        assert service.stats()["speculations_discarded"] == 1
+        assert engine.state is state
+        assert engine.ledger.version == version
+        assert engine.ledger.snapshot() is snapshot
+        assert "GHOST" not in engine.ledger._builder._source_ids
+        assert "GHOST-ITEM" not in engine.ledger._builder._item_ids
+        later = [ClaimDelta("LATE", "I00", "true-0")]
+        with engine:
+            engine.run_epoch(later)
+        assert_same_state(engine.state, replayed_state([world, later]))
+
+    def test_size_trigger_discards_the_speculation(self, tmp_path, world):
+        first, late = world[:30], world[30:]
+
+        async def main():
+            service = _gated(tmp_path, max_batch=len(world), debounce=30.0)
+            async with service:
+                queue = service.subscribe()
+                service.submit(first)
+                await until(lambda: service.engine.finished == 1)
+                service.submit(late)  # reaches max_batch: flush now
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                return service, queue.get_nowait()
+
+        service, event = asyncio.run(main())
+        assert service.engine.prepared == [first, world]
+        assert service.stats()["speculations_discarded"] == 1
+        assert event["speculative"] is False
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_a_burst_is_prepared_once_it_pauses_for_its_longest_gap(
+        self, tmp_path, world
+    ):
+        """Arrivals 150 / 50 / 50 ms apart inside a 400 ms debounce: the
+        lone first arrival is prepared (and goes stale), the rest of the
+        burst is not prepared per arrival but once, after 150 ms of quiet."""
+        chunks = partition(world, 4)
+
+        async def main():
+            async with _gated(tmp_path, debounce=0.4) as service:
+                queue = service.subscribe()
+                for chunk, pause in zip(chunks, (0.15, 0.05, 0.05, 0.0)):
+                    service.submit(chunk)
+                    await asyncio.sleep(pause)
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                return service, queue.get_nowait()
+
+        service, event = asyncio.run(main())
+        assert service.engine.prepared == [chunks[0], world]
+        assert service.stats()["speculations_discarded"] == 1
+        assert service.stats()["speculations_committed"] == 1
+        assert event["speculative"] is True
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_stop_drain_commits_the_prepare_in_flight(self, tmp_path, world):
+        async def main():
+            service = _gated(tmp_path, debounce=30.0)
+            await service.start()
+            service.engine.gate.clear()
+            service.submit(world)
+            await until(lambda: service.engine.prepared)
+            stopping = asyncio.ensure_future(service.stop(drain=True))
+            await asyncio.sleep(0.05)
+            service.engine.gate.set()
+            await stopping
+            return service
+
+        service = asyncio.run(main())
+        stats = service.stats()
+        assert service.engine.prepared == [world]
+        assert stats["epochs_run"] == 1
+        assert stats["speculations_committed"] == 1
+        assert VerdictStore(tmp_path / "store").current_id() == 1
+        assert_same_state(service.state, replayed_state([world]))
+
+    def test_an_epoch_that_raises_is_dropped_and_the_loop_goes_on(
+        self, tmp_path, world
+    ):
+        async def main():
+            engine = PoisonedEngine(store=tmp_path / "store")
+            async with StreamingService(engine, debounce=0.02) as service:
+                service.submit(world)
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                first, version = service.state, engine.ledger.version
+                service.submit([ClaimDelta("POISON", "I00", "true-0")])
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                failed = service.stats()
+                assert service.state is first
+                assert engine.ledger.version == version
+                assert "POISON" not in engine.ledger.snapshot().source_names
+                service.submit([ClaimDelta("LATE", "I00", "true-0")])
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                return failed, service.stats(), service.state
+
+        failed, after, state = asyncio.run(main())
+        assert failed["epochs_failed"] == 1
+        assert failed["last_error"] == "RuntimeError: poisoned batch"
+        assert failed["epochs_run"] == 1 and failed["pending"] == 0
+        assert after["epochs_run"] == 2 and after["epochs_failed"] == 1
+        assert "POISON" not in state.dataset.source_names
+        assert "LATE" in state.dataset.source_names
+        assert VerdictStore(tmp_path / "store").current_id() == 2
+
+    def test_committed_epochs_replay_exactly_under_a_busy_feed(
+        self, tmp_path, world
+    ):
+        """Three submitters, a reader and a short interpreter switch
+        interval: whatever prepares go stale or race a flush, the epochs
+        the engine committed are exactly a replay of their batches, and
+        the state a reader sees never goes back."""
+        prepared_batches: dict[int, list[ClaimDelta]] = {}
+        committed: list[list[ClaimDelta]] = []
+
+        class Recording(StreamEngine):
+            def prepare(self, deltas):
+                prepared = super().prepare(deltas)
+                prepared_batches[id(prepared)] = list(deltas)
+                return prepared
+
+            def commit(self, prepared):
+                result = super().commit(prepared)
+                committed.append(prepared_batches.pop(id(prepared)))
+                return result
+
+        async def main():
+            service = StreamingService(
+                Recording(store=tmp_path / "store"),
+                max_batch=1000,
+                max_delay=0.03,
+                debounce=0.004,
+            )
+            seen: list[int] = []
+
+            async def submitter(chunks, seed):
+                rng = random.Random(seed)
+                for chunk in chunks:
+                    service.submit(chunk)
+                    await asyncio.sleep(rng.uniform(0.0, 0.012))
+
+            async def reader():
+                while True:
+                    state = service.state
+                    seen.append(state.epoch if state else 0)
+                    await asyncio.sleep(0.001)
+
+            async with service:
+                watching = asyncio.ensure_future(reader())
+                chunks = partition(world, 36)
+                await asyncio.wait_for(
+                    asyncio.gather(
+                        *(submitter(chunks[k::3], k) for k in range(3))
+                    ),
+                    timeout=30.0,
+                )
+                await asyncio.wait_for(service.flush(), timeout=30.0)
+                watching.cancel()
+            return service, seen
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service, seen = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(switch)
+        stats = service.stats()
+        assert stats["epochs_failed"] == 0
+        assert stats["epochs_run"] + stats["epochs_skipped"] == len(committed) > 1
+        assert stats["speculations_committed"] + stats["speculations_discarded"]
+        assert sorted(
+            (d.source, d.item, d.value) for batch in committed for d in batch
+        ) == sorted((d.source, d.item, d.value) for d in world)
+        assert seen == sorted(seen)
+        assert_same_state(service.state, replayed_state(committed))

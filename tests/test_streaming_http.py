@@ -229,6 +229,37 @@ class TestHttpErrors:
         reply = run_with_server(tmp_path, scenario)
         assert reply["accepted"] == 1
 
+    def test_a_failed_epoch_reaches_stats_and_the_next_post_is_served(
+        self, tmp_path
+    ):
+        from tests.test_streaming import PoisonedEngine
+
+        async def main():
+            service = StreamingService(
+                PoisonedEngine(store=tmp_path / "store"), debounce=0.02
+            )
+            server = StreamingServer(service, port=0)
+            await server.start()
+            try:
+                client = StreamClient(port=server.port, timeout=15.0)
+                poison = [{"source": "POISON", "item": "I00", "value": "v"}]
+                await in_thread(client.post_claims, poison)
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                failed = await in_thread(client.stats)
+                await in_thread(client.post_claims, make_world())
+                await asyncio.wait_for(service.flush(), timeout=10.0)
+                return failed, await in_thread(client.stats)
+            finally:
+                await server.stop(drain=True)
+
+        failed, after = asyncio.run(main())
+        assert failed["epochs_failed"] == 1
+        assert failed["last_error"] == "RuntimeError: poisoned batch"
+        assert failed["epochs_run"] == 0 and failed["snapshot_id"] is None
+        assert after["epochs_run"] == 1 and after["snapshot_id"] == 1
+        assert after["speculations_committed"] == 1
+        assert after["speculations_discarded"] == 0
+
 
 class TestServeCli:
     """``repro-copydetect serve`` as a real process, SIGINT drain included."""
