@@ -31,7 +31,7 @@ Backends.  The loop in this module is the bit-exactness reference
 ``backend="numpy"`` the scan is delegated to the epoch-batched
 implementation in :mod:`repro.core.bound_kernel`.  That backend reads
 the index's columnar entries and processes them in *epochs* of roughly
-equal incidence mass (:data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`):
+equal incidence mass (:data:`repro.core.kernel.EPOCH_INCIDENCE_BUDGET`):
 per-epoch score contributions are computed columnarly (with the
 reference's exact arithmetic — see
 :func:`repro.core.kernel.score_incidence_args`), the per-pair
@@ -251,7 +251,7 @@ def scan_with_bounds(
             :class:`~repro.core.bound_kernel.EpochScan` only.  ``None``
             (what every detector passes) derives the boundaries from
             incidence mass (see
-            :data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`).
+            :data:`repro.core.kernel.EPOCH_INCIDENCE_BUDGET`).
             Outcomes do not depend on it; the sequential reference
             ignores it.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's

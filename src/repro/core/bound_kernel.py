@@ -9,8 +9,9 @@ that structure to batch the scan without changing a single observable bit:
 
 1. **Epochs.**  The ordered entry stream is processed in blocks of
    roughly equal *incidence mass*: an entry with ``k`` providers weighs
-   ``C(k, 2)`` and a block closes once :data:`EPOCH_INCIDENCE_BUDGET`
-   incidences have accumulated, so a few 40-provider entries and a few
+   ``C(k, 2)`` and a block closes once
+   :data:`repro.core.kernel.EPOCH_INCIDENCE_BUDGET` incidences have
+   accumulated, so a few 40-provider entries and a few
    thousand 2-provider ones cost one epoch's vector overhead each.
    (An explicit ``epoch_size=`` means entries per epoch instead — the
    conformance grid's boundary-stress axis.)  An epoch is a slice of
@@ -99,6 +100,7 @@ from .kernel import (
     PairTable,
     clamp_accuracies,
     expand_incidences_ordered,
+    incidence_mass_bounds,
     score_incidence_args,
     shared_item_counts,
 )
@@ -122,18 +124,6 @@ _ACTIVE = 1
 _EXACT = 2
 _DONE_COPY = 3
 _DONE_NOCOPY = 4
-
-#: Epoch sizing when the caller does not choose entries per epoch: an
-#: epoch closes once it holds this many incidences (``C(k, 2)`` summed
-#: over its entries).  An epoch costs a fixed vector overhead plus work
-#: linear in its incidences, so the boundary follows incidence mass, not
-#: entry count (128 two-provider entries are ~130 incidences, 128
-#: forty-provider ones ~100k).  Larger epochs stop paying: a pair is
-#: replayed to the end of the epoch it concludes in, and the
-#: per-incidence temporaries grow with it.  docs/ARCHITECTURE.md records
-#: the sweep behind the number; a change to it is refereed by the
-#: ``batch_stock`` workload and ``benchmarks/bench_scale_sweep.py``.
-EPOCH_INCIDENCE_BUDGET = 32_768
 
 #: Largest pair grid (``n_sources ** 2`` cells) the ``"auto"`` layout
 #: allocates dense per-pair state arrays for (eight dense arrays at this
@@ -173,20 +163,6 @@ def _cumcount(values: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.int64)
     out[order] = rank_sorted
     return out
-
-
-def incidence_mass_bounds(counts: np.ndarray) -> list[int]:
-    """Block boundaries ``[0, ..., len(counts)]`` by incidence mass.
-
-    ``counts`` are the provider counts of an entry stream; a boundary
-    falls wherever the cumulative mass ``sum C(k, 2)`` crosses a multiple
-    of :data:`EPOCH_INCIDENCE_BUDGET`, so a block holds at most the
-    budget plus one entry's incidences.
-    """
-    end = len(counts)
-    bucket = np.cumsum(counts * (counts - 1) // 2) // EPOCH_INCIDENCE_BUDGET
-    cuts = np.nonzero(np.diff(bucket))[0] + 1
-    return [0, *cuts.tolist(), end] if end else [0]
 
 
 def exact_posteriors(

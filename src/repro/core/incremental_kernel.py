@@ -22,7 +22,7 @@ same categories, same passes, same floats — on a column table:
    five candidate arguments, ``math.log`` per scalar, ``np.maximum``.
 3. **Pass 1.**  The moved entries are expanded into entry-ordered
    incidence streams (:func:`repro.core.kernel.expand_incidences_ordered`,
-   in blocks of :data:`repro.core.bound_kernel.EPOCH_INCIDENCE_BUDGET`
+   in blocks of :data:`repro.core.kernel.EPOCH_INCIDENCE_BUDGET`
    incidences), looked up in the booked keys with ``np.searchsorted``,
    and scattered: ``np.add.at`` for the big changes (stream order is the
    reference's ``+=`` order), ``np.bincount`` for the small-change
@@ -64,6 +64,7 @@ from .index import InvertedIndex
 from .kernel import (
     clamp_accuracies,
     expand_incidences_ordered,
+    incidence_mass_bounds,
     shared_item_counts,
 )
 from .pairspace import (
@@ -304,9 +305,7 @@ class ColumnarIncrementalState:
         n_inc = np.zeros(n_pairs, dtype=np.int64)
         big_incidences = 0
         moved_pos = np.nonzero(moved)[0]
-        bounds = bound_kernel.incidence_mass_bounds(
-            np.diff(cols.offsets)[moved_pos]
-        )
+        bounds = incidence_mass_bounds(np.diff(cols.offsets)[moved_pos])
         for b0, b1 in zip(bounds[:-1], bounds[1:]):
             block_pos = moved_pos[b0:b1]
             block = cols.take(block_pos)

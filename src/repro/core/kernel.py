@@ -81,6 +81,34 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: *observed* pairs instead.
 DENSE_KEY_SPACE = 1 << 22
 
+#: Block sizing of every incidence walk that is not one whole-world
+#: broadcast (the bound scans' epochs, INCREMENTAL's pass 1, the
+#: ``l(S1, S2)`` count): a block closes once it holds this many
+#: incidences (``C(k, 2)`` summed over its entries).  A block costs a
+#: fixed vector overhead plus work linear in its incidences, so the
+#: boundary follows incidence mass, not entry count (128 two-provider
+#: entries are ~130 incidences, 128 forty-provider ones ~100k).  Larger
+#: blocks stop paying: a bound scan replays a pair to the end of the
+#: epoch it concludes in, and the per-incidence temporaries grow with it.
+#: docs/ARCHITECTURE.md records the sweep behind the number; a change to
+#: it is refereed by the ``batch_stock`` workload and
+#: ``benchmarks/bench_scale_sweep.py``.
+EPOCH_INCIDENCE_BUDGET = 32_768
+
+
+def incidence_mass_bounds(counts: np.ndarray) -> list[int]:
+    """Block boundaries ``[0, ..., len(counts)]`` by incidence mass.
+
+    ``counts`` are the provider counts of an entry stream; a boundary
+    falls wherever the cumulative mass ``sum C(k, 2)`` crosses a multiple
+    of :data:`EPOCH_INCIDENCE_BUDGET`, so a block holds at most the
+    budget plus one entry's incidences.
+    """
+    end = len(counts)
+    bucket = np.cumsum(counts * (counts - 1) // 2) // EPOCH_INCIDENCE_BUDGET
+    cuts = np.nonzero(np.diff(bucket))[0] + 1
+    return [0, *cuts.tolist(), end] if end else [0]
+
 
 @dataclass
 class ColumnarEntries:
@@ -207,7 +235,6 @@ def world_from_arrays(
 
 def expand_incidences(
     cols: ColumnarEntries,
-    with_meta: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Expand entries into flat per-incidence streams.
 
@@ -215,18 +242,10 @@ def expand_incidences(
     triangle is produced by one broadcast, so the Python-level loop runs
     once per *distinct k*, not once per entry.
 
-    Args:
-        cols: the columnar entries.
-        with_meta: also expand the per-entry probability and main flag
-            to per-incidence streams.  Pass False on counting-only paths
-            (the meta streams are the dominant allocation and would be
-            discarded).
-
     Returns:
         ``(src1, src2, probs, main)`` — for every (pair, shared value)
         incidence, the smaller/larger provider id, the entry probability
-        and the entry's main flag (``probs``/``main`` stay empty when
-        ``with_meta`` is False).  Empty arrays when no entry has two
+        and the entry's main flag.  Empty arrays when no entry has two
         providers.
     """
     counts = np.diff(cols.offsets)
@@ -247,20 +266,17 @@ def expand_incidences(
         # pair key is always (min, max).
         src1_parts.append(np.minimum(a, b))
         src2_parts.append(np.maximum(a, b))
-        if with_meta:
-            t = len(iu)
-            prob_parts.append(np.repeat(cols.probs[rows], t))
-            main_parts.append(np.repeat(cols.main[rows], t))
-    empty_probs = np.empty(0)
-    empty_main = np.empty(0, dtype=bool)
+        t = len(iu)
+        prob_parts.append(np.repeat(cols.probs[rows], t))
+        main_parts.append(np.repeat(cols.main[rows], t))
     if not src1_parts:
         empty_i = np.empty(0, dtype=np.int64)
-        return empty_i, empty_i.copy(), empty_probs, empty_main
+        return empty_i, empty_i.copy(), np.empty(0), np.empty(0, dtype=bool)
     return (
         np.concatenate(src1_parts),
         np.concatenate(src2_parts),
-        np.concatenate(prob_parts) if with_meta else empty_probs,
-        np.concatenate(main_parts) if with_meta else empty_main,
+        np.concatenate(prob_parts),
+        np.concatenate(main_parts),
     )
 
 
@@ -269,17 +285,18 @@ def expand_incidences_ordered(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand a columnar entry block into *entry-ordered* incidence streams.
 
-    Like :func:`expand_incidences`, entries are grouped by provider count
-    ``k`` so each group's upper triangle comes out of one broadcast — but
-    the concatenated group outputs are then scattered back into **entry
-    processing order** (computed arithmetically from per-entry incidence
-    counts, no sort).  The early-terminating scans need this: their
+    Provider slot ``i`` of an entry pairs with every later slot of the
+    same entry, so the streams are a few ``np.repeat`` passes over the
+    per-slot partner counts — one vector pass per stream, no loop over
+    entries or provider counts, and already in **entry processing
+    order**.  The early-terminating scans need that order: their
     per-pair accumulation must replay the reference's left-to-right
     addition order bit-for-bit, and ``np.add.at`` preserves exactly the
     stream order it is handed.
 
     Args:
-        offsets: CSR offsets into ``providers``, shape ``(E + 1,)``.
+        offsets: CSR offsets into ``providers`` starting at 0, shape
+            ``(E + 1,)``.
         providers: concatenated provider ids (sorted within each entry).
 
     Returns:
@@ -290,27 +307,14 @@ def expand_incidences_ordered(
         scan counts) is a gather away.
     """
     counts = np.diff(offsets)
-    tri = counts * (counts - 1) // 2
-    total = int(tri.sum())
-    row = np.empty(total, dtype=np.int64)
-    islot = np.empty(total, dtype=np.int64)
-    jslot = np.empty(total, dtype=np.int64)
-    if total == 0:
-        return row, islot, jslot
-    # Destination offset of each entry's first incidence in stream order.
-    dest_start = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(tri, out=dest_start[1:])
-    for k in np.unique(counts):
-        if k < 2:
-            continue
-        rows_k = np.nonzero(counts == k)[0]
-        slot_mat = offsets[rows_k][:, None] + np.arange(int(k))
-        iu, ju = np.triu_indices(int(k), 1)
-        t = len(iu)
-        dest = (dest_start[rows_k][:, None] + np.arange(t)).ravel()
-        row[dest] = np.repeat(rows_k, t)
-        islot[dest] = slot_mat[:, iu].ravel()
-        jslot[dest] = slot_mat[:, ju].ravel()
+    slot = np.arange(offsets[-1], dtype=np.int64)
+    # Partners of each slot: the slots after it in its own entry.
+    partners = np.repeat(offsets[1:], counts) - slot - 1
+    islot = np.repeat(slot, partners)
+    first = np.cumsum(partners) - partners  # stream position of slot's 1st pair
+    stream = np.arange(len(islot), dtype=np.int64)
+    jslot = stream - np.repeat(first - slot - 1, partners)
+    row = np.repeat(np.repeat(np.arange(len(counts)), counts), partners)
     return row, islot, jslot
 
 
@@ -518,30 +522,46 @@ def count_shared_items_columnar(
     """Vectorized ``l(S1, S2)`` counting (see :func:`repro.simjoin.count_shared_items`).
 
     Items play the role of entries: each item's provider set expands to
-    its pair triangle and one dense bincount tallies the co-occurrence
-    counts.  Produces exactly the same mapping as the inverted-list join
-    in :mod:`repro.simjoin`, an order of magnitude faster on dense
-    worlds — as the column table it computes (sorted keys, int64
-    counts), which the kernels read without building a tuple per pair.
+    its pair triangle, walked in blocks of :data:`EPOCH_INCIDENCE_BUDGET`
+    incidences (:func:`incidence_mass_bounds`) so the per-incidence
+    temporaries stay one block's size however many items the world has.
+    The dense layout adds each block's tallies into the ``n_sources**2``
+    grid; the sparse one counts each block's keys and merges the
+    ``(keys, counts)`` once at the end.  Produces exactly the same
+    mapping as the inverted-list join in :mod:`repro.simjoin`, an order
+    of magnitude faster on dense worlds — as the column table it
+    computes (sorted keys, int64 counts), which the kernels read without
+    building a tuple per pair.
     """
     table = dataset.columns
-    cols = ColumnarEntries(
-        probs=np.zeros(dataset.n_items),
-        main=np.ones(dataset.n_items, dtype=bool),
-        offsets=table.item_prov_offsets,
-        providers=table.item_prov_sources,
-    )
-    src1, src2, _, _ = expand_incidences(cols, with_meta=False)
+    offsets, providers = table.item_prov_offsets, table.item_prov_sources
     n_sources = dataset.n_sources
     layout = resolve_pair_layout(
         layout, n_sources, DENSE_KEY_SPACE, "kernel.count_shared_items_columnar"
     )
-    if layout == "dense":
-        space = PairSpace.dense(n_sources)
-        dense = np.bincount(space.slots(src1, src2), minlength=len(space))
+    space = PairSpace.dense(n_sources)
+    dense = space.zeros(dtype=np.int64) if layout == "dense" else None
+    key_parts, count_parts = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    bounds = incidence_mass_bounds(np.diff(offsets))
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        lo = offsets[b0]
+        block = providers[lo : offsets[b1]]
+        _, i, j = expand_incidences_ordered(offsets[b0 : b1 + 1] - lo, block)
+        if dense is not None:
+            np.add.at(dense, space.slots(block[i], block[j]), 1)
+        else:
+            keys, counts = np.unique(
+                encode_pair_keys(block[i], block[j]), return_counts=True
+            )
+            key_parts.append(keys)
+            count_parts.append(counts)
+    if dense is not None:
         cells = np.nonzero(dense)[0]
         return PairValueMap(space.slot_keys(cells), dense[cells])
-    return PairValueMap(*np.unique(encode_pair_keys(src1, src2), return_counts=True))
+    keys, (counts,) = reduce_keys(
+        np.concatenate(key_parts), [np.concatenate(count_parts)]
+    )
+    return PairValueMap(keys, counts.astype(np.int64))
 
 
 def shared_item_counts(shared_items: PairValueMap, keys: np.ndarray) -> np.ndarray:

@@ -106,14 +106,9 @@ class ClaimLedger:
     long-running service needs: per-batch change accounting
     (:class:`LedgerUpdate`) and a monotonically increasing ``version``
     that advances only when a batch changed something.
-
-    Args:
-        base: optionally, an existing dataset to seed the ledger with
-            (its claims are replayed in id order, so the seeded ledger's
-            first snapshot reproduces ``base``'s interning exactly).
     """
 
-    def __init__(self, base: Dataset | None = None):
+    def __init__(self):
         self._builder = DatasetBuilder()
         self._version = 0
         self._snapshot: Dataset | None = None
@@ -121,16 +116,6 @@ class ClaimLedger:
         #: Sources whose claim dict this ledger has copied since its last
         #: :meth:`fork`; any other may be shared with a fork.
         self._owned: set[int] = set()
-        if base is not None:
-            for name in base.source_names:
-                self._builder.ensure_source(name)
-            for source_id, item_id, value_id in base.iter_claims():
-                self._builder.add(
-                    base.source_names[source_id],
-                    base.item_names[item_id],
-                    base.value_label[value_id],
-                )
-            self._version = 1 if (base.source_names or base.item_names) else 0
 
     @property
     def version(self) -> int:

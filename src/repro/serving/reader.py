@@ -77,8 +77,8 @@ class TopCopier(NamedTuple):
     score: float  #: summed directed copy-posterior mass over its pairs
 
 
-class _SnapshotView:
-    """One immutable loaded snapshot version: merged arrays + LRU caches."""
+class _Snapshot:
+    """One immutable loaded snapshot version: merged arrays and labels."""
 
     def __init__(
         self,
@@ -89,7 +89,6 @@ class _SnapshotView:
         copier_sources: np.ndarray,
         copier_scores: np.ndarray,
         labels: dict | None,
-        cache_size: int,
     ):
         self.snapshot_id = snapshot_id
         self.meta = meta
@@ -104,15 +103,9 @@ class _SnapshotView:
         self._item_by_name = (
             {name: i for i, name in enumerate(item_names)} if item_names else None
         )
-        # Per-view caches: a swapped-in view starts cold but can never
-        # serve a stale entry from an older version.
-        self.get_verdict = functools.lru_cache(maxsize=cache_size)(self._verdict)
-        self.get_truth = functools.lru_cache(maxsize=cache_size)(self._truth)
 
     @classmethod
-    def load(
-        cls, store: VerdictStore, snapshot_id: int, cache_size: int
-    ) -> "_SnapshotView":
+    def load(cls, store: VerdictStore, snapshot_id: int) -> "_Snapshot":
         chain = store.load_chain(snapshot_id)
         base_meta, base_arrays = chain[0]
         pairs = pairs_from_arrays(
@@ -150,7 +143,6 @@ class _SnapshotView:
             copier_sources=copier_sources,
             copier_scores=copier_scores,
             labels=labels,
-            cache_size=cache_size,
         )
 
     def _check_source(self, source: int) -> None:
@@ -231,6 +223,23 @@ class _SnapshotView:
         return out
 
 
+class _SnapshotView:
+    """A loaded snapshot plus its LRU caches, published as one reference.
+
+    The caches wrap lookups bound to the snapshot, which holds nothing
+    of the view's: the view is in no reference cycle, so the one
+    ``refresh()`` replaces (or a dropped reader's) is freed by refcount
+    the moment its last reply returns, not at a later gen-2 collection.
+    A swapped-in view starts cold but can never serve a stale entry from
+    an older version.
+    """
+
+    def __init__(self, snapshot: _Snapshot, cache_size: int):
+        self.snapshot = snapshot
+        self.get_verdict = functools.lru_cache(maxsize=cache_size)(snapshot._verdict)
+        self.get_truth = functools.lru_cache(maxsize=cache_size)(snapshot._truth)
+
+
 class VerdictReader:
     """Read API over a :class:`~repro.serving.store.VerdictStore`.
 
@@ -251,17 +260,17 @@ class VerdictReader:
     @property
     def snapshot_id(self) -> int:
         """The snapshot version currently being served."""
-        return self._view.snapshot_id
+        return self._view.snapshot.snapshot_id
 
     @property
     def n_sources(self) -> int:
         """Source count of the served snapshot."""
-        return self._view.n_sources
+        return self._view.snapshot.n_sources
 
     @property
     def labels(self) -> dict:
         """Display labels published with the store (may be empty)."""
-        return self._view.labels
+        return self._view.snapshot.labels
 
     def refresh(self) -> bool:
         """Re-read ``CURRENT`` and swap in the new version if it moved.
@@ -280,10 +289,10 @@ class VerdictReader:
                 f"{self._store.root}: store has no published snapshot"
             )
         view = self._view
-        if view is not None and view.snapshot_id == current:
+        if view is not None and view.snapshot.snapshot_id == current:
             return False
-        new_view = _SnapshotView.load(self._store, current, self._cache_size)
-        self._view = new_view  # atomic publication to reader threads
+        snapshot = _Snapshot.load(self._store, current)
+        self._view = _SnapshotView(snapshot, self._cache_size)  # atomic publication
         return True
 
     # ------------------------------------------------------------------
@@ -299,15 +308,15 @@ class VerdictReader:
 
     def top_copiers(self, k: int = 10) -> list[TopCopier]:
         """The k sources with the most directed copying mass, descending."""
-        return self._view.top_copiers(k)
+        return self._view.snapshot.top_copiers(k)
 
     def cache_info(self) -> dict[str, object]:
         """Diagnostics: current snapshot + per-view LRU statistics."""
         view = self._view
         return {
-            "snapshot_id": view.snapshot_id,
+            "snapshot_id": view.snapshot.snapshot_id,
             "verdict_cache": view.get_verdict.cache_info(),
             "truth_cache": view.get_truth.cache_info(),
-            "n_pairs": len(view.pairs),
-            "n_items": len(view.items),
+            "n_pairs": len(view.snapshot.pairs),
+            "n_items": len(view.snapshot.items),
         }

@@ -371,12 +371,28 @@ def merge_item_rows(
     return combined.take(take)
 
 
+def _replace_durably(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``'s ``.tmp`` name, fsync it, rename it
+    over ``path``, then fsync the directory that holds the rename."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class VerdictStore:
     """Directory manager for versioned verdict snapshots.
 
-    Snapshot files are immutable and published atomically (written to a
-    temp name, then renamed); the ``CURRENT`` pointer is replaced the
-    same way, so a concurrently-reading :class:`~repro.serving.reader.
+    Snapshot files are immutable and published atomically and durably
+    (written to a temp name and fsynced, then renamed, then the
+    directory fsynced); the ``CURRENT`` pointer is replaced the same way, so a concurrently-reading :class:`~repro.serving.reader.
     VerdictReader` always sees either the old or the new version, never
     a torn one.
     """
@@ -419,20 +435,18 @@ class VerdictStore:
         return sorted(ids)
 
     def _publish(self, snapshot_id: int, data: bytes) -> int:
-        path = self.snapshot_path(snapshot_id)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-        pointer = self.root / "CURRENT"
-        tmp = pointer.with_name("CURRENT.tmp")
-        tmp.write_text(
-            json.dumps(
-                {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
-            )
-            + "\n",
-            encoding="utf-8",
+        """Make the snapshot durable, then point ``CURRENT`` at it.
+
+        Each file is fsynced before its rename and the directory after
+        it, so a crash leaves ``CURRENT`` naming a snapshot that is whole
+        on disk: a catalogued snapshot is durable, or it is not in the
+        catalogue.
+        """
+        _replace_durably(self.snapshot_path(snapshot_id), data)
+        pointer = {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
+        _replace_durably(
+            self.root / "CURRENT", (json.dumps(pointer) + "\n").encode("utf-8")
         )
-        os.replace(tmp, pointer)
         return snapshot_id
 
     def _next_id(self) -> int:

@@ -97,15 +97,7 @@ def _verdict_json(verdict: "Verdict | None") -> object:
 def _truth_json(truth: "Truth | None") -> object:
     if truth is None:
         return None
-    return {
-        "item": truth.item,
-        "item_name": truth.item_name,
-        "value": truth.value,
-        "value_label": truth.value_label,
-        "probability": truth.probability,
-        "supporters": list(truth.supporters),
-        "snapshot_id": truth.snapshot_id,
-    }
+    return {**truth._asdict(), "supporters": list(truth.supporters)}
 
 
 def _explanation_json(explanation: "PairExplanation", top: int = 10) -> dict:

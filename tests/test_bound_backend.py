@@ -299,11 +299,11 @@ class TestProbabilityGrid:
         mass-derived epochs, under both pair layouts."""
         from unittest import mock
 
-        from repro.core import bound_kernel
+        from repro.core import kernel
 
         dataset, probs, accs = world
         for label, use_timers, threshold in CONFIGS:
-            with mock.patch.object(bound_kernel, "EPOCH_INCIDENCE_BUDGET", 150):
+            with mock.patch.object(kernel, "EPOCH_INCIDENCE_BUDGET", 150):
                 reference, batched = (
                     scan_with_bounds(
                         dataset, probs, accs, params,
@@ -332,12 +332,12 @@ class TestEpochBounds:
     def test_derived_bounds_follow_cumulative_mass(self, world, budget, stop):
         from unittest import mock
 
-        from repro.core import bound_kernel
+        from repro.core import kernel
 
         scan = _epoch_scan(*world)
         end = min(stop, scan.cols.n_entries)
         counts = np.diff(scan.cols.offsets[: end + 1])
-        with mock.patch.object(bound_kernel, "EPOCH_INCIDENCE_BUDGET", budget):
+        with mock.patch.object(kernel, "EPOCH_INCIDENCE_BUDGET", budget):
             bounds = scan._epoch_bounds(counts)
         mass = (counts * (counts - 1) // 2).tolist()
         # A new epoch starts at each entry whose running incidence total

@@ -519,20 +519,20 @@ class TestColumnarLockstep:
         """A 12-incidence budget against entries of up to 15 providers:
         pass 1 expands the moved entries in several blocks, and a pair's
         big changes still land in entry order."""
-        from repro.core import bound_kernel
+        from repro.core import incremental_kernel, kernel
         from repro.fusion import vote_probabilities
         from repro.synth import make_profile
 
         blocks = []
-        real = bound_kernel.incidence_mass_bounds
+        real = kernel.incidence_mass_bounds
 
         def spy(counts):
             bounds = real(counts)
             blocks.append((int((counts * (counts - 1) // 2).max(initial=0)), bounds))
             return bounds
 
-        monkeypatch.setattr(bound_kernel, "EPOCH_INCIDENCE_BUDGET", 12)
-        monkeypatch.setattr(bound_kernel, "incidence_mass_bounds", spy)
+        monkeypatch.setattr(kernel, "EPOCH_INCIDENCE_BUDGET", 12)
+        monkeypatch.setattr(incremental_kernel, "incidence_mass_bounds", spy)
         dataset = make_profile("stock_1day", 0.02).dataset
         probs = vote_probabilities(dataset)
         accs = [0.8] * dataset.n_sources

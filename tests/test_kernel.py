@@ -12,6 +12,7 @@ import pytest
 np = pytest.importorskip("numpy", reason="the vectorized backend needs numpy")
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BACKENDS,
@@ -185,12 +186,25 @@ def _claims_world(claims: dict) -> "Dataset":
     return builder.build()
 
 
-#: The shapes a random world rarely draws: nothing shared, exactly one
-#: shared item, and a hub source sharing an item with everyone.
+#: The shapes a random world rarely draws: no claim at all, only
+#: single-provider items, exactly one shared item, a hub source sharing
+#: an item with everyone, and one item whose 33,670-pair triangle alone
+#: is more than a whole counting block (``EPOCH_INCIDENCE_BUDGET``).
 EDGE_WORLDS = {
+    "no-claims": {},
     "empty": {"A": ["a"], "B": ["b"]},
     "one-shared-item": {"A": ["x", "a"], "B": ["x", "b"], "C": ["c"]},
     "hub": {"H": ["i1", "i2", "i3"], "A": ["i1"], "B": ["i2"], "C": ["i3"]},
+    "item-over-a-block": {
+        f"S{i}": (["x", "big"] if i % 2 else ["big", "y"]) for i in range(260)
+    },
+}
+EDGE_PAIRS = {
+    "no-claims": 0,
+    "empty": 0,
+    "one-shared-item": 1,
+    "hub": 3,
+    "item-over-a-block": 260 * 259 // 2,
 }
 
 
@@ -209,13 +223,19 @@ def _assert_is_the_oracle_mapping(table, dataset):
 
 class TestSharedItemsColumnar:
     @settings(max_examples=50, deadline=None)
-    @given(world=worlds())
-    def test_matches_simjoin(self, world):
+    @given(world=worlds(), budget=st.sampled_from((1, 3, 10, 32_768)))
+    def test_matches_simjoin(self, world, budget):
+        """Under any block budget, from one item per block to one block."""
+        from unittest import mock
+
+        from repro.core import kernel
+
         dataset, _, _ = world
-        for layout in ("dense", "sparse"):
-            _assert_is_the_oracle_mapping(
-                count_shared_items_columnar(dataset, layout), dataset
-            )
+        with mock.patch.object(kernel, "EPOCH_INCIDENCE_BUDGET", budget):
+            for layout in ("dense", "sparse"):
+                _assert_is_the_oracle_mapping(
+                    count_shared_items_columnar(dataset, layout), dataset
+                )
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     @pytest.mark.parametrize("shape", EDGE_WORLDS)
@@ -223,7 +243,35 @@ class TestSharedItemsColumnar:
         dataset = _claims_world(EDGE_WORLDS[shape])
         table = count_shared_items_columnar(dataset, layout)
         _assert_is_the_oracle_mapping(table, dataset)
-        assert len(table) == {"empty": 0, "one-shared-item": 1, "hub": 3}[shape]
+        assert len(table) == EDGE_PAIRS[shape]
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    def test_peak_memory_does_not_grow_with_the_items(self, layout):
+        """Items are counted in blocks of bounded incidence mass: twice
+        the items (~45 providers each, ~1k pairs per item) do not double
+        the count's transient peak, which stays near one block's."""
+        import tracemalloc
+
+        from repro.data import DatasetBuilder
+
+        def peak(n_items):
+            rng = np.random.default_rng(n_items)
+            builder = DatasetBuilder()
+            for item in range(n_items):
+                for source in np.flatnonzero(rng.random(55) < 0.82):
+                    builder.add(f"S{source}", f"I{item}", "v")
+            dataset = builder.build()
+            dataset.columns  # the claim table is the input, not the transient
+            tracemalloc.start()
+            try:
+                count_shared_items_columnar(dataset, layout)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(300), peak(600)
+        assert large < 1.5 * small, (small, large)
+        assert large < 4_000_000  # ~600k incidences would be ~30 MB at once
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_a_pair_sharing_no_item_is_a_key_error(self, layout):

@@ -398,7 +398,7 @@ def _publish(publisher, round_no: int, table: PairColumns) -> dict:
 
 
 def _served(store_dir) -> PairColumns:
-    return VerdictReader(store_dir)._view.pairs
+    return VerdictReader(store_dir)._view.snapshot.pairs
 
 
 def _assert_serves(served: PairColumns, table: PairColumns):
@@ -591,6 +591,41 @@ class TestReader:
         after = reader.get_verdict(0, 1)
         assert after.c_fwd == 9.0  # not the cached pre-refresh entry
         assert after.snapshot_id != first.snapshot_id
+
+    @pytest.fixture()
+    def no_cyclic_gc(self):
+        """Only refcounting frees objects while the test runs (at the
+        parent a view's LRU caches held its own bound methods: a cycle
+        that lived until a gen-2 collection)."""
+        import gc
+
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_refresh_frees_the_replaced_view(
+        self, published, example, params, no_cyclic_gc
+    ):
+        import weakref
+
+        path, pub, decisions, probs = published
+        reader = VerdictReader(path)
+        reader.get_verdict(0, 1), reader.get_truth(0)  # both caches warm
+        replaced = weakref.ref(reader._view)
+        pub.publish_round(2, _result(decisions, example.n_sources), probs)
+        assert reader.refresh() is True
+        assert replaced() is None
+        assert reader.get_verdict(0, 1).snapshot_id == 2
+
+    def test_a_dropped_reader_frees_its_view(self, published, no_cyclic_gc):
+        import weakref
+
+        reader = VerdictReader(published[0])
+        reader.get_verdict(0, 1), reader.get_truth(0)
+        view = weakref.ref(reader._view)
+        del reader
+        assert view() is None
 
 
 # ----------------------------------------------------------------------
@@ -840,7 +875,7 @@ class TestPipelineHook:
         _, round2 = VerdictStore(tmp_path).load(2)
         assert (round2["pair_decision_pos"] >= 0).any()
         reader = VerdictReader(tmp_path)
-        pairs = reader._view.pairs
+        pairs = reader._view.snapshot.pairs
         assert (pairs.decision_pos >= 0).any()
 
 
@@ -934,3 +969,48 @@ class TestCurrentPointerAtomicity:
             assert pointer["snapshot_id"] == current
             meta, _ = store.load(current)  # decodes cleanly, CRC included
             assert meta["snapshot_id"] == current
+
+    def test_a_snapshot_is_durable_before_current_names_it(
+        self, tmp_path, params, monkeypatch
+    ):
+        """One ``os``-level shim records a publish's fsyncs and renames:
+        the snapshot file is fsynced before its rename and the directory
+        after it, then the same for ``CURRENT.tmp`` and the pointer swap
+        (at the parent nothing was fsynced)."""
+        import os
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append((os.path.basename(src), os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store = VerdictStore(tmp_path)
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        for _ in range(2):  # the second publish replaces an existing CURRENT
+            events.clear()
+            snap = store.snapshot_path(
+                store.write_full(pairs, ItemRows.empty(), n_sources=3)
+            )
+            # A renamed file keeps its inode: name each fsync after the fact.
+            names = {
+                path.stat().st_ino: label
+                for path, label in (
+                    (tmp_path, "dir"), (snap, snap.name), (tmp_path / "CURRENT", "CURRENT")
+                )
+            }
+            assert [names.get(e, e) if isinstance(e, int) else e for e in events] == [
+                snap.name,
+                (snap.name + ".tmp", snap.name),
+                "dir",
+                "CURRENT",
+                ("CURRENT.tmp", "CURRENT"),
+                "dir",
+            ]

@@ -183,7 +183,11 @@ class TestClaimLedger:
         ledger = ClaimLedger()
         ledger.apply(world)
         base = ledger.snapshot()
-        seeded = ClaimLedger(base=base)
+        seeded = ClaimLedger()
+        seeded.apply(
+            ClaimDelta(base.source_names[s], base.item_names[i], base.value_label[v])
+            for s, i, v in base.iter_claims()
+        )
         again = seeded.snapshot()
         assert again.source_names == base.source_names
         assert again.item_names == base.item_names
@@ -656,6 +660,32 @@ class TestServiceEpochs:
                 return verified
 
         assert asyncio.run(main()) > 0
+
+    def test_the_service_holds_exactly_one_live_view(self, tmp_path, epochs):
+        """With the cyclic collector off, N epochs leave one snapshot
+        view alive: each refresh frees the view it replaced by refcount
+        (at the parent a view's LRU caches held its own bound methods,
+        so every replaced view waited for a gen-2 collection)."""
+        import gc
+        import weakref
+
+        async def main():
+            async with _service(tmp_path) as service:
+                views = []
+                for epoch in epochs:
+                    service.submit(epoch)
+                    await service.flush()
+                    service.get_verdict(0, 1)  # a served read warms the caches
+                    views.append(weakref.ref(service.reader._view))
+                return len(views), sum(view() is not None for view in views)
+
+        gc.collect()
+        gc.disable()
+        try:
+            n_views, alive = asyncio.run(main())
+        finally:
+            gc.enable()
+        assert (n_views, alive) == (len(epochs), 1)
 
     def test_live_queries_answer_from_freshest_snapshot(
         self, tmp_path, world
