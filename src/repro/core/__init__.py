@@ -38,6 +38,7 @@ from .incremental import (
 )
 from .index import EntryOrdering, IndexEntry, InvertedIndex
 from .index_algo import detect_index
+from .kernel import ColumnarEntries, PairTable, scan_columnar
 from .maxscore import max_score, max_score_bruteforce
 from .pairwise import detect_pairwise
 from .params import (
@@ -54,25 +55,6 @@ from .result import (
     PairDecision,
     PairNotObservedError,
 )
-
-#: Names re-exported lazily from .kernel: importing repro.core must not
-#: require NumPy (only the opt-in ``backend="numpy"`` paths do).
-_KERNEL_EXPORTS = frozenset(
-    {
-        "ColumnarEntries",
-        "PairTable",
-        "scan_columnar",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _KERNEL_EXPORTS:
-        from . import kernel
-
-        return getattr(kernel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BACKENDS",

@@ -154,8 +154,8 @@ def key_row(keys: np.ndarray, pair) -> int:
     if not 0 <= s1 < s2 < ID_LIMIT:
         return -1
     key = pair_key(s1, s2)
-    row = int(np.searchsorted(keys, key))
-    if row < len(keys) and keys[row] == key:
+    row = int(keys.searchsorted(key))
+    if row < len(keys) and keys.item(row) == key:
         return row
     return -1
 

@@ -12,6 +12,7 @@ from .ds import (
     DSRound,
     TotalConflictError,
     ds_value_probabilities,
+    ds_value_probabilities_columnar,
     support_masses,
 )
 from .pipeline import (
@@ -23,6 +24,7 @@ from .pipeline import (
     run_fusion,
 )
 from .voting import vote, vote_probabilities
+from .workspace import FusionWorkspace
 
 __all__ = [
     "CredibilityModel",
@@ -46,21 +48,3 @@ __all__ = [
     "vote",
     "vote_probabilities",
 ]
-
-
-def __getattr__(name: str):
-    """Lazy re-exports that would otherwise import NumPy eagerly.
-
-    ``import repro`` (and therefore ``repro.fusion``) must stay
-    NumPy-free until a numpy backend is actually requested — the same
-    discipline :mod:`repro.core` follows for its kernels.
-    """
-    if name == "FusionWorkspace":
-        from .workspace import FusionWorkspace
-
-        return FusionWorkspace
-    if name == "ds_value_probabilities_columnar":
-        from .ds import ds_value_probabilities_columnar
-
-        return ds_value_probabilities_columnar
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

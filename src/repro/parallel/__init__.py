@@ -9,20 +9,7 @@ from .partition import (
     partition_positions_by_work,
     partition_weights,
 )
-#: Names re-exported lazily from .shm: importing repro.parallel must not
-#: require NumPy (only the opt-in ``backend="numpy"`` paths do).
-_SHM_EXPORTS = frozenset(
-    {"SharedWorld", "ShmWorldHandle", "shared_memory_available"}
-)
-
-
-def __getattr__(name: str):
-    if name in _SHM_EXPORTS:
-        from . import shm
-
-        return getattr(shm, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .shm import SharedWorld, ShmWorldHandle, shared_memory_available
 
 __all__ = [
     "EntryPartition",

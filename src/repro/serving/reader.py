@@ -15,10 +15,20 @@ carries the ``snapshot_id`` it was served from, which is how the serve
 benchmark verifies correctness while a writer republishes concurrently.
 
 **Speed.**  The hot lookups are wrapped in :func:`functools.lru_cache`
-(the C implementation), so a repeated query costs one dict probe; a
-cache miss costs one :func:`numpy.searchsorted` over the sorted key
-column.  Caches are sized by ``cache_size`` (entries per view, per
-lookup kind).
+(the C implementation), so a repeated query costs one dict probe.
+Caches are sized by ``cache_size`` (entries per view, per lookup kind)
+and every view starts cold, so misses are the common case: a fresh
+reader misses 56% of the benchmark's skewed queries on the 57k pairs of
+``batch_wide``.  A miss is one binary search with the key column's own
+``searchsorted`` method (the :func:`numpy.searchsorted` function pays
+``__array_function__`` dispatch, twice the search) and then only Python
+objects: the snapshot keeps zero-copy :class:`memoryview` s of its
+columns, whose items are plain ``bool`` / ``int`` / ``float``, and the
+reply is built positionally with ``tuple.__new__``.  No NumPy scalar is
+made, so a verdict miss costs under half of what it did through NumPy
+scalars and a keyword constructor, and a truth's supporters are one
+slice, not one ``int()`` per source (docs/ARCHITECTURE.md, "What a read
+costs", has the per-call breakdown).
 """
 
 from __future__ import annotations
@@ -77,6 +87,10 @@ class TopCopier(NamedTuple):
     score: float  #: summed directed copy-posterior mass over its pairs
 
 
+#: The pair columns a :class:`Verdict` carries, in its field order.
+_VERDICT_COLUMNS = Verdict._fields[2:-1]
+
+
 class _Snapshot:
     """One immutable loaded snapshot version: merged arrays and labels."""
 
@@ -98,7 +112,17 @@ class _Snapshot:
         self.copier_sources = copier_sources
         self.copier_scores = copier_scores
         self.labels = labels or {}
-        self._item_index = {int(v): i for i, v in enumerate(items.ids)}
+        # Zero-copy memoryviews of the columns a read touches: indexing
+        # one yields a plain bool / int / float, never a NumPy scalar.
+        self._pair_keys = memoryview(pairs.keys)
+        self._pair_rows = tuple(
+            memoryview(getattr(pairs, name)) for name in _VERDICT_COLUMNS
+        )
+        self._item_truth = memoryview(items.truth)
+        self._item_probability = memoryview(items.probability)
+        self._prov_offsets = memoryview(items.prov_offsets)
+        self._prov_sources = memoryview(items.prov_sources)
+        self._item_index = dict(zip(items.ids.tolist(), range(len(items))))
         item_names = self.labels.get("items")
         self._item_by_name = (
             {name: i for i, name in enumerate(item_names)} if item_names else None
@@ -158,24 +182,18 @@ class _Snapshot:
             raise ValueError("a pair needs two distinct sources")
         a, b = (s1, s2) if s1 < s2 else (s2, s1)
         key = pair_key(a, b)
-        keys = self.pairs.keys
-        pos = int(np.searchsorted(keys, key))
-        if pos >= len(keys) or keys[pos] != key:
+        pos = self.pairs.keys.searchsorted(key)
+        keys = self._pair_keys
+        if pos == len(keys) or keys[pos] != key:
             return None  # never observed: independent by construction
-        pairs = self.pairs
-        return Verdict(
-            source_1=a,
-            source_2=b,
-            copying=bool(pairs.copying[pos]),
-            early=bool(pairs.early[pos]),
-            independent=float(pairs.independent[pos]),
-            forward=float(pairs.forward[pos]),
-            backward=float(pairs.backward[pos]),
-            c_fwd=float(pairs.c_fwd[pos]),
-            c_bwd=float(pairs.c_bwd[pos]),
-            decision_pos=int(pairs.decision_pos[pos]),
-            snapshot_id=self.snapshot_id,
+        copying, early, independent, forward, backward, c_fwd, c_bwd, decision_pos = (
+            self._pair_rows
         )
+        # Positional, in field order: the keyword constructor costs 4x more.
+        return tuple.__new__(Verdict, (
+            a, b, copying[pos], early[pos], independent[pos], forward[pos],
+            backward[pos], c_fwd[pos], c_bwd[pos], decision_pos[pos], self.snapshot_id,
+        ))
 
     def _truth(self, item: int | str) -> Truth | None:
         if isinstance(item, str):
@@ -191,20 +209,19 @@ class _Snapshot:
         row = self._item_index.get(item_id)
         if row is None:
             return None
-        items = self.items
-        value = int(items.truth[row])
-        start, end = items.prov_offsets[row], items.prov_offsets[row + 1]
+        value = self._item_truth[row]
+        offsets = self._prov_offsets
         item_names = self.labels.get("items")
         value_labels = self.labels.get("values")
-        return Truth(
-            item=item_id,
-            item_name=item_names[item_id] if item_names else None,
-            value=value,
-            value_label=value_labels[value] if value_labels else None,
-            probability=float(items.probability[row]),
-            supporters=tuple(int(s) for s in items.prov_sources[start:end]),
-            snapshot_id=self.snapshot_id,
-        )
+        return tuple.__new__(Truth, (
+            item_id,
+            item_names[item_id] if item_names else None,
+            value,
+            value_labels[value] if value_labels else None,
+            self._item_probability[row],
+            tuple(self._prov_sources[offsets[row] : offsets[row + 1]].tolist()),
+            self.snapshot_id,
+        ))
 
     def top_copiers(self, k: int) -> list[TopCopier]:
         if k < 0:

@@ -414,3 +414,47 @@ class TestReachability:
         assert self._object_walks("x = self.dataset.claims") == ["1: self.dataset.claims"]
         assert self._object_walks("def from_index(i):\n    return i.entries\n") == []
         assert self._object_walks("p = cols.providers[cols.offsets[0]]") == []
+
+    @staticmethod
+    def _numpy_names(source: str) -> list[str]:
+        """``np`` / ``numpy`` names inside ``_Snapshot``'s read methods, as
+        ``method:line`` strings."""
+        import ast
+
+        (snapshot,) = (
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == "_Snapshot"
+        )
+        bodies = [
+            node
+            for node in snapshot.body
+            if isinstance(node, ast.FunctionDef) and node.name in ("_verdict", "_truth")
+        ]
+        assert sorted(node.name for node in bodies) == ["_truth", "_verdict"]
+        return [
+            f"{body.name}:{node.lineno}"
+            for body in bodies
+            for node in ast.walk(body)
+            if isinstance(node, ast.Name) and node.id in ("np", "numpy")
+        ]
+
+    def test_a_served_read_builds_no_numpy_scalar(self):
+        """A verdict or truth miss reads memoryviews of the snapshot
+        columns (plain Python values out, no ``__array_function__``
+        dispatch), so the two lookups name no NumPy at all."""
+        from pathlib import Path
+
+        import repro
+
+        reader = (Path(repro.__file__).parent / "serving/reader.py").read_text()
+        assert self._numpy_names(reader) == []
+        # The guard bites: the parent's lookup.
+        bad = (
+            "class _Snapshot:\n"
+            "    def _verdict(self, key):\n"
+            "        return int(np.searchsorted(self.keys, key))\n"
+            "    def _truth(self, item):\n"
+            "        return item\n"
+        )
+        assert self._numpy_names(bad) == ["_verdict:3"]

@@ -48,6 +48,8 @@ from repro.serving import (
     ItemRows,
     ServingError,
     SnapshotPublisher,
+    Truth,
+    Verdict,
     VerdictReader,
     VerdictStore,
     decode_snapshot,
@@ -626,6 +628,170 @@ class TestReader:
         view = weakref.ref(reader._view)
         del reader
         assert view() is None
+
+
+# ----------------------------------------------------------------------
+# Served values: the stored rows, as plain Python values, over a chain
+# ----------------------------------------------------------------------
+_VERDICT_TYPES = (int, int, bool, bool, float, float, float, float, float, int, int)
+
+
+def _items(ids, truth, probability, supporters) -> ItemRows:
+    return ItemRows(
+        ids=np.asarray(ids, dtype=np.int64),
+        truth=np.asarray(truth, dtype=np.int64),
+        probability=np.asarray(probability, dtype=np.float64),
+        prov_offsets=np.cumsum([0] + [len(s) for s in supporters], dtype=np.int64),
+        prov_sources=np.asarray([s for group in supporters for s in group], dtype=np.int64),
+    )
+
+
+class TestServedValues:
+    """A ``[full, delta]`` store read back row for row, type for type."""
+
+    N = 12  # sources: 66 possible pairs, 50 observed in the full snapshot
+    LABELS = {
+        "sources": [f"S{i}" for i in range(N)],
+        "items": [f"I{i}" for i in range(10)],
+        "values": [f"v{i}" for i in range(6)],
+    }
+
+    @pytest.fixture()
+    def chain(self, tmp_path):
+        """Returns ``(store_dir, pairs, items)``: the state the chain serves."""
+        rng = np.random.default_rng(7)
+        table = _random_table(self.N, seed=7)
+        base_rows = np.sort(rng.choice(len(table), 50, replace=False))
+        base = table.take(base_rows)
+        # The delta re-scores and flips a fifth of the rows, removes four
+        # and adds three: ``pairs`` is ``table`` with those edits applied.
+        moved = np.zeros(len(table), dtype=bool)
+        moved[base_rows] = rng.random(len(base)) < 0.2
+        bump = np.where(moved, 1.0, 0.0)
+        edited = replace(
+            table,
+            **{name: getattr(table, name) + bump for name in PAIR_FLOAT_COLUMNS},
+            copying=table.copying ^ moved,
+        )
+        removed = rng.choice(base.keys, 4, replace=False)
+        fresh = np.setdiff1d(table.keys, base.keys)[:3]
+        served = np.isin(table.keys, base.keys) & ~np.isin(table.keys, removed)
+        pairs = edited.take(served | np.isin(table.keys, fresh))
+        upserts = edited.take((moved & served) | np.isin(table.keys, fresh))
+
+        base_items = _items(
+            [0, 1, 2, 4, 7], [0, 1, 2, 3, 4], [0.9, 0.5, 0.25, 1.0, 0.75],
+            [[0, 3, 5], [1], [2, 4], [6, 7, 8, 9], [11]],
+        )
+        # Item 2 flips its truth, item 4 goes, item 9 arrives with no supporter.
+        item_upserts = _items([2, 9], [5, 1], [0.625, 0.125], [[0, 1, 10], []])
+        items = _items(
+            [0, 1, 2, 7, 9], [0, 1, 5, 4, 1], [0.9, 0.5, 0.625, 0.75, 0.125],
+            [[0, 3, 5], [1], [0, 1, 10], [11], []],
+        )
+
+        store = VerdictStore(tmp_path)
+        sid = store.write_full(base, base_items, self.N, labels=self.LABELS)
+        store.write_delta(
+            sid, upserts, removed, item_upserts, np.array([4]), pairs, self.N
+        )
+        kinds = [meta["kind"] for meta, _ in store.load_chain(store.current_id())]
+        assert kinds == ["full", "delta"] and len(upserts) > 3
+        return tmp_path, pairs, items
+
+    @staticmethod
+    def _expected_verdict(pairs: PairColumns, row: int, sid: int) -> tuple:
+        s1, s2 = decode_pairs(pairs.keys[row : row + 1])[0]
+        columns = Verdict._fields[2:-1]  # copying ... decision_pos
+        return (s1, s2, *(getattr(pairs, c)[row].item() for c in columns), sid)
+
+    def test_every_published_pair_in_both_orders(self, chain):
+        path, pairs, _ = chain
+        reader = VerdictReader(path)
+        for row, (s1, s2) in enumerate(decode_pairs(pairs.keys)):
+            expected = self._expected_verdict(pairs, row, reader.snapshot_id)
+            for a, b in ((s1, s2), (s2, s1)):
+                verdict = reader.get_verdict(a, b)
+                assert type(verdict) is Verdict and verdict == expected
+                assert tuple(map(type, verdict)) == _VERDICT_TYPES
+
+    def test_unobserved_pairs_and_errors(self, chain):
+        path, pairs, _ = chain
+        reader = VerdictReader(path)
+        published = set(decode_pairs(pairs.keys))
+        unobserved = [
+            (a, b) for a in range(self.N) for b in range(a + 1, self.N)
+            if (a, b) not in published
+        ]
+        assert len(unobserved) == 66 - len(pairs) > 0
+        for a, b in unobserved:
+            assert reader.get_verdict(a, b) is None
+            assert reader.get_verdict(b, a) is None
+        for s1, s2, bad in ((3, 3, None), (0, self.N, self.N), (-1, 1, -1),
+                            (2**31, 0, 2**31)):
+            message = (
+                "a pair needs two distinct sources" if bad is None
+                else f"source {bad} out of range for a {self.N}-source store"
+            )
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                reader.get_verdict(s1, s2)
+
+    def test_truths_by_id_and_by_name(self, chain):
+        path, _, items = chain
+        reader = VerdictReader(path)
+        sid = reader.snapshot_id
+        for row, item in enumerate(items.ids.tolist()):
+            value = items.truth[row].item()
+            start, end = items.prov_offsets[row : row + 2].tolist()
+            expected = (
+                item, self.LABELS["items"][item], value, self.LABELS["values"][value],
+                items.probability[row].item(),
+                tuple(items.prov_sources[start:end].tolist()), sid,
+            )
+            for query in (item, self.LABELS["items"][item]):
+                truth = reader.get_truth(query)
+                assert type(truth) is Truth and truth == expected
+                assert tuple(map(type, truth)) == (int, str, int, str, float, tuple, int)
+                assert all(type(s) is int for s in truth.supporters)
+        assert reader.get_truth(9).supporters == ()
+        assert reader.get_truth(2).value_label == "v5"  # the delta's truth
+        for missing in (4, "I4", 3, -1, 10**12, "no-such-item"):
+            assert reader.get_truth(missing) is None
+
+    def test_an_unlabelled_store_refuses_names(self, tmp_path):
+        store = VerdictStore(tmp_path)
+        store.write_full(_random_table(4, seed=1), _items([0], [0], [1.0], [[2]]), 4)
+        reader = VerdictReader(store)
+        message = "store was published without labels; query items by id"
+        with pytest.raises(ServingError, match=f"^{message}$"):
+            reader.get_truth("I0")
+        assert reader.get_truth(0) == (0, None, 0, None, 1.0, (2,), reader.snapshot_id)
+
+    def test_a_loaded_view_never_touches_disk(self, chain):
+        """``refresh()`` merges the whole chain in memory: with every file
+        of the store unlinked, the loaded view answers as before — uncached
+        lookups included — and a refresh fails without dropping it."""
+        path, pairs, items = chain
+        reader = VerdictReader(path)
+        sid = reader.snapshot_id
+        observed = decode_pairs(pairs.keys)
+        warm = {pair: reader.get_verdict(*pair) for pair in observed[::2]}
+        top = reader.top_copiers(5)
+        for file in path.iterdir():
+            file.unlink()
+        assert list(path.iterdir()) == []
+        for row, pair in enumerate(observed):
+            verdict = reader.get_verdict(*pair)
+            assert verdict == self._expected_verdict(pairs, row, sid)
+            if pair in warm:
+                assert verdict is warm[pair]
+        for row, item in enumerate(items.ids.tolist()):
+            assert reader.get_truth(item).probability == items.probability[row]
+        assert reader.top_copiers(5) == top
+        with pytest.raises(ServingError, match="no published snapshot"):
+            reader.refresh()
+        assert reader.snapshot_id == sid
+        assert reader.get_verdict(*observed[1]) == self._expected_verdict(pairs, 1, sid)
 
 
 # ----------------------------------------------------------------------
