@@ -60,13 +60,14 @@ from typing import Callable, Sequence
 
 from ..core import (
     METHODS,
-    PAIR_LAYOUTS,
+    PARALLEL_METHODS,
     CopyParams,
     detect,
     make_detector,
     scan_with_bounds,
 )
 from ..core.index import EntryOrdering
+from ..core.params import validate_execution
 from ..core.result import DetectionResult
 from ..fusion.accu import choose_values
 from ..fusion.pipeline import FUSION_METHOD_VALUES, FusionConfig, fusion_steps
@@ -80,8 +81,6 @@ NUMERIC_TOL = 1e-9
 #: Methods valid per mode.
 SCAN_METHODS = ("bound", "bound+", "hybrid")
 FUSION_METHODS = METHODS + ("incremental", "none")
-
-_ORDERINGS = {o.value: o for o in EntryOrdering}
 
 
 @dataclass(frozen=True)
@@ -129,10 +128,21 @@ class CaseConfig:
             raise ValueError(
                 f"method {self.method!r} invalid for mode {self.mode!r}"
             )
-        if self.ordering not in _ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.pair_layout not in PAIR_LAYOUTS:
-            raise ValueError(f"unknown pair layout {self.pair_layout!r}")
+        EntryOrdering(self.ordering)  # ValueError for an unknown ordering
+        # The core's own checks: a fixture's JSON must not carry an axis
+        # that a run would silently drop or the candidate alone reject.
+        validate_execution(
+            _params(self), self.executor, self.reduce, self.partition_by
+        )
+        if self.n_partitions < 1:
+            raise ValueError(f"n_partitions must be >= 1, got {self.n_partitions}")
+        if self.n_partitions > 1 and (
+            self.mode == "scan" or self.method not in PARALLEL_METHODS
+        ):
+            raise ValueError(
+                f"n_partitions > 1 supports methods {PARALLEL_METHODS} "
+                f"outside mode 'scan', not {self.mode!r}/{self.method!r}"
+            )
         if self.fusion_method not in FUSION_METHOD_VALUES:
             raise ValueError(
                 f"unknown fusion method {self.fusion_method!r}"
@@ -184,19 +194,26 @@ class CaseConfig:
         )
 
     @property
-    def contract(self) -> str:
-        """``"bitexact"`` or ``"numeric"`` (see the module docstring)."""
-        if self.mode == "scan":
+    def detection_contract(self) -> str:
+        """What one detection round is held to, in every mode: bit-exact
+        for raw scans, for pure-Python candidates and for the
+        unpartitioned bound family (INCREMENTAL included), else numeric."""
+        if self.mode == "scan" or self.backend == "python":
             return "bitexact"
-        if self.backend == "python" and self.fusion_backend in (None, "python"):
-            return "bitexact"
-        if (
-            self.mode == "detect"
-            and self.n_partitions == 1
-            and self.method in SCAN_METHODS
+        if self.n_partitions == 1 and self.method in SCAN_METHODS + (
+            "incremental",
         ):
             return "bitexact"
         return "numeric"
+
+    @property
+    def contract(self) -> str:
+        """``"bitexact"`` or ``"numeric"`` (see the module docstring): a
+        fusion case's truth-finding updates are bit-exact only when
+        neither of its backends is numpy."""
+        if self.mode == "fusion" and "numpy" in (self.backend, self.fusion_backend):
+            return "numeric"
+        return self.detection_contract
 
 
 @dataclass
@@ -213,10 +230,10 @@ class CaseOutcome:
 
 
 # ----------------------------------------------------------------------
-# Runners
+# Running a side
 # ----------------------------------------------------------------------
-def _params(backend: str, pair_layout: str = "auto") -> CopyParams:
-    return CopyParams(backend=backend, pair_layout=pair_layout)
+def _params(config: CaseConfig) -> CopyParams:
+    return CopyParams(backend=config.backend, pair_layout=config.pair_layout)
 
 
 #: The lazily-spawned localhost cluster shared by every ``remote`` case.
@@ -236,9 +253,12 @@ def _shared_cluster():
     return _SHARED_CLUSTER[1]
 
 
-def _execution(config: "CaseConfig") -> dict:
-    """The case's scan arguments, as ``detect`` / ``make_detector`` take them."""
-    execution: dict = {}
+def _execution(config: CaseConfig) -> dict:
+    """The case's ordering, threshold and partition arguments, as
+    ``detect``, ``make_detector`` and ``scan_with_bounds`` take them."""
+    execution: dict = {"ordering": EntryOrdering(config.ordering)}
+    if config.hybrid_threshold is not None:
+        execution["hybrid_threshold"] = config.hybrid_threshold
     if config.n_partitions > 1:
         execution.update(
             n_partitions=config.n_partitions,
@@ -250,69 +270,48 @@ def _execution(config: "CaseConfig") -> dict:
     return execution
 
 
-def _run_detect(dataset, probabilities, accuracies, config: CaseConfig):
-    kwargs = _execution(config)
-    if config.hybrid_threshold is not None:
-        kwargs["hybrid_threshold"] = config.hybrid_threshold
-    return detect(
-        dataset,
-        probabilities,
-        accuracies,
-        _params(config.backend, config.pair_layout),
-        method=config.method,
-        ordering=_ORDERINGS[config.ordering],
-        **kwargs,
-    )
-
-
-def _run_scan(dataset, probabilities, accuracies, config: CaseConfig):
-    threshold = config.hybrid_threshold
-    if threshold is None:
-        threshold = 16 if config.method == "hybrid" else 0
+def _run(dataset, probabilities, accuracies, config: CaseConfig):
+    """One side of a ``detect`` or ``scan`` case."""
+    world = (dataset, probabilities, accuracies, _params(config))
+    execution = _execution(config)
+    if config.mode == "detect":
+        return detect(*world, method=config.method, **execution)
+    execution.setdefault("hybrid_threshold", 16 if config.method == "hybrid" else 0)
     return scan_with_bounds(
-        dataset,
-        probabilities,
-        accuracies,
-        _params(config.backend, config.pair_layout),
-        ordering=_ORDERINGS[config.ordering],
+        *world,
         use_timers=config.method != "bound",
-        hybrid_threshold=threshold,
         track_bookkeeping=True,
         band=config.band,
         epoch_size=config.epoch_size,
+        **execution,
     )
-
-
-def _make_detector(config: CaseConfig):
-    return make_detector(
-        config.method,
-        _params(config.backend, config.pair_layout),
-        **_execution(config),
-    )
-
-
-_RUNNERS = {"detect": _run_detect, "scan": _run_scan}
 
 
 # ----------------------------------------------------------------------
-# Comparators
+# Comparing two sides
 # ----------------------------------------------------------------------
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= NUMERIC_TOL
 
 
+def _key_mismatch(what: str, reference, candidate) -> list[str]:
+    """One problem when two pair-keyed tables differ in their keys."""
+    want, got = set(reference), set(candidate)
+    if want == got:
+        return []
+    return [
+        f"{what} pairs differ: missing={sorted(want - got)[:5]} "
+        f"extra={sorted(got - want)[:5]}"
+    ]
+
+
 def _compare_decisions(
     reference: DetectionResult, candidate: DetectionResult, contract: str
 ) -> list[str]:
-    problems: list[str] = []
-    ref_pairs = set(reference.decisions)
-    got_pairs = set(candidate.decisions)
-    if ref_pairs != got_pairs:
-        missing = sorted(ref_pairs - got_pairs)[:5]
-        extra = sorted(got_pairs - ref_pairs)[:5]
-        problems.append(f"decision pairs differ: missing={missing} extra={extra}")
+    problems = _key_mismatch("decision", reference.decisions, candidate.decisions)
+    if problems:
         return problems
-    for pair in sorted(ref_pairs):
+    for pair in sorted(reference.decisions):
         ref = reference.decisions[pair]
         got = candidate.decisions[pair]
         if contract == "bitexact":
@@ -349,70 +348,42 @@ def _compare_decisions(
     return problems
 
 
-def _compare_cost(reference, candidate, fields: Sequence[str]) -> list[str]:
-    return [
-        f"cost.{name}: {getattr(candidate.cost, name)} vs "
-        f"{getattr(reference.cost, name)}"
-        for name in fields
-        if getattr(candidate.cost, name) != getattr(reference.cost, name)
-    ]
-
-
-def _detection_problems(
-    reference: DetectionResult,
-    candidate: DetectionResult,
-    contract: str,
-    n_partitions: int,
-    method: str,
-) -> list[str]:
-    """Diff two detection results computed from *identical* inputs."""
+def _case_problems(reference, candidate, config: CaseConfig) -> list[str]:
+    """Diff two sides computed from *identical* inputs under
+    ``config.detection_contract``: a detection round (a ``fusion``
+    lockstep round included), or a ``scan`` outcome plus its
+    bookkeeping, bit for bit."""
+    bookkeeping: list[str] = []
+    if config.mode == "scan":
+        ref_book = reference.bookkeeping or {}
+        got_book = candidate.bookkeeping or {}
+        bookkeeping = _key_mismatch("bookkeeping", ref_book, got_book) or [
+            f"pair {pair}: bookkeeping not bit-identical "
+            f"({got_book[pair]} vs {ref_book[pair]})"
+            for pair in sorted(ref_book)
+            if got_book[pair] != ref_book[pair]
+        ]
+        reference, candidate = reference.result, candidate.result
+    contract = config.detection_contract
     problems = _compare_decisions(reference, candidate, contract)
-    if contract == "bitexact" or n_partitions == 1:
+    if contract == "bitexact" or config.n_partitions == 1:
         # The vectorized kernels reproduce the paper's computation
         # accounting exactly even where scores differ in the last bits.
         cost_fields = ("computations", "values_examined", "pairs_considered")
-    elif method == "index":
+    elif config.method == "index":
         # Partitioned INDEX examines the same incidences/pairs in total;
         # HYBRID's prefix/suffix split re-buckets work, so only the
         # decision surface is comparable there.
         cost_fields = ("values_examined", "pairs_considered")
     else:
         cost_fields = ()
-    problems.extend(_compare_cost(reference, candidate, cost_fields))
-    return problems
-
-
-def _compare_detect(reference, candidate, config: CaseConfig) -> list[str]:
-    return _detection_problems(
-        reference, candidate, config.contract, config.n_partitions, config.method
-    )
-
-
-def _compare_scan(reference, candidate, config: CaseConfig) -> list[str]:
-    problems = _compare_decisions(reference.result, candidate.result, "bitexact")
     problems.extend(
-        _compare_cost(
-            reference.result,
-            candidate.result,
-            ("computations", "values_examined", "pairs_considered"),
-        )
+        f"cost.{name}: {getattr(candidate.cost, name)} vs "
+        f"{getattr(reference.cost, name)}"
+        for name in cost_fields
+        if getattr(candidate.cost, name) != getattr(reference.cost, name)
     )
-    ref_book = reference.bookkeeping or {}
-    got_book = candidate.bookkeeping or {}
-    if set(ref_book) != set(got_book):
-        problems.append(
-            f"bookkeeping pairs differ: "
-            f"missing={sorted(set(ref_book) - set(got_book))[:5]} "
-            f"extra={sorted(set(got_book) - set(ref_book))[:5]}"
-        )
-    else:
-        for pair in sorted(ref_book):
-            if got_book[pair] != ref_book[pair]:
-                problems.append(
-                    f"pair {pair}: bookkeeping not bit-identical "
-                    f"({got_book[pair]} vs {ref_book[pair]})"
-                )
-    return problems
+    return problems + bookkeeping
 
 
 def _state_bits(state) -> dict:
@@ -474,7 +445,6 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     ACCU re-estimate either way, exactly as in ``run_fusion``.
     """
     fusion_config = FusionConfig(fusion_method=config.fusion_method)
-    params = _params(config.backend, config.pair_layout)
     columns = None
     # Same reference loops on both sides under a python fusion backend:
     # any difference is nondeterminism, which is itself a divergence.
@@ -482,27 +452,17 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     if (config.fusion_backend or config.backend) == "numpy":
         columns = dataset.columns
         update_tol = NUMERIC_TOL
+    reference = config.reference()
     candidate_probs, candidate_accs = fusion_steps(
-        dataset, params, fusion_config, columns
+        dataset, _params(config), fusion_config, columns
     )
     reference_probs, reference_accs = fusion_steps(
-        dataset, _params("python"), fusion_config
+        dataset, _params(reference), fusion_config
     )
-
-    if config.backend == "python":
-        detection_contract = "bitexact"
-    elif config.n_partitions == 1 and config.method in (
-        "bound",
-        "bound+",
-        "hybrid",
-        "incremental",
-    ):
-        detection_contract = "bitexact"
-    else:
-        detection_contract = "numeric"
-
-    detector = _make_detector(config)
-    ref_detector = _make_detector(config.reference())
+    detector, ref_detector = (
+        make_detector(side.method, _params(side), **_execution(side))
+        for side in (config, reference)
+    )
     problems: list[str] = []
 
     def compare_vector(round_no: int, name: str, got, ref) -> None:
@@ -579,17 +539,11 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
             )
             problems.extend(
                 f"round {round_no}: {problem}"
-                for problem in _detection_problems(
-                    ref_detection,
-                    detection,
-                    detection_contract,
-                    config.n_partitions,
-                    config.method,
-                )
+                for problem in _case_problems(ref_detection, detection, config)
             )
             state = getattr(detector, "state", None)
             if (
-                detection_contract == "bitexact"
+                config.detection_contract == "bitexact"
                 and state is not None
                 and round_no > detector.prepare_round
             ):
@@ -615,50 +569,30 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
     return problems
 
 
-_COMPARATORS = {"detect": _compare_detect, "scan": _compare_scan}
-
-
 def run_case(world: World, config: CaseConfig) -> CaseOutcome:
     """Run one world under one configuration and diff it vs the reference.
 
     In ``detect``/``scan`` mode, reference-side exceptions propagate
     (they indicate an engine or generator bug, not a conformance
-    divergence) while candidate-side exceptions are themselves
-    divergences; ``fusion`` mode interleaves the two sides, so any
-    exception there is reported as a divergence.
+    divergence) while an exception from the candidate's run or its diff
+    is itself a divergence; ``fusion`` mode interleaves the two sides,
+    so any exception there is reported as a divergence.
     """
     start = time.perf_counter()
     dataset, probabilities, accuracies = world.materialize()
-    if config.mode == "fusion":
-        try:
-            divergences = _fusion_case(dataset, config)
-        except Exception:
-            divergences = [
-                "fusion lockstep raised:\n" + traceback.format_exc(limit=8)
-            ]
-        return CaseOutcome(
-            config=config,
-            divergences=divergences,
-            elapsed_seconds=time.perf_counter() - start,
-        )
-    runner = _RUNNERS[config.mode]
-    reference = runner(dataset, probabilities, accuracies, config.reference())
+    side, reference = "fusion lockstep", None
+    if config.mode != "fusion":
+        side = "candidate"
+        reference = _run(dataset, probabilities, accuracies, config.reference())
     try:
-        candidate = runner(dataset, probabilities, accuracies, config)
+        if reference is None:
+            divergences = _fusion_case(dataset, config)
+        else:
+            candidate = _run(dataset, probabilities, accuracies, config)
+            divergences = _case_problems(reference, candidate, config)
     except Exception:
-        return CaseOutcome(
-            config=config,
-            divergences=[
-                "candidate raised:\n" + traceback.format_exc(limit=8)
-            ],
-            elapsed_seconds=time.perf_counter() - start,
-        )
-    divergences = _COMPARATORS[config.mode](reference, candidate, config)
-    return CaseOutcome(
-        config=config,
-        divergences=divergences,
-        elapsed_seconds=time.perf_counter() - start,
-    )
+        divergences = [f"{side} raised:\n" + traceback.format_exc(limit=8)]
+    return CaseOutcome(config, divergences, time.perf_counter() - start)
 
 
 # ----------------------------------------------------------------------

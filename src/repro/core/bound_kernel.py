@@ -16,8 +16,7 @@ that structure to batch the scan without changing a single observable bit:
    (An explicit ``epoch_size=`` means entries per epoch instead — the
    conformance grid's boundary-stress axis.)  An epoch is a slice of
    the index's one columnar view (``index.columnar_entries()``, which
-   the fusion workspace seeds once per round); its incidences are
-   expanded columnarly
+   the index build sets); its incidences are expanded columnarly
    (:func:`repro.core.kernel.expand_incidences_ordered` — entry order is
    preserved so per-pair addition order matches the reference).
 2. **Exact contributions.**  The Eq. (6) log *arguments* are computed

@@ -621,34 +621,20 @@ def _check_pass1(
         # after-decision entries ignored.
         work_fwd = record.c_base_fwd - delta_small_dec * n_dec
         work_bwd = record.c_base_bwd - delta_small_dec * n_dec
-        post = posterior(work_fwd, work_bwd, params)
-        if post.copying:
-            return PairDecision(
-                c_fwd=work_fwd, c_bwd=work_bwd, posterior=post,
-                copying=True, early=True,
-            )
-        if record.n_after:
+        decision = _early(work_fwd, work_bwd, True, params)
+        if decision is None and record.n_after:
             # Step 2: minimum credit per after-decision shared entry.
             credit = m_credit * record.n_after
-            post = posterior(work_fwd + credit, work_bwd + credit, params)
-            if post.copying:
-                return PairDecision(
-                    c_fwd=work_fwd + credit, c_bwd=work_bwd + credit,
-                    posterior=post, copying=True, early=True,
-                )
-        return None
+            decision = _early(work_fwd + credit, work_bwd + credit, True, params)
+        return decision
     # No-copying pair: pessimistic means *over*-estimating the score.
     bound_pos = min(record.decision_pos + 1, len(suffix_max_new) - 1)
     ceiling = suffix_max_new[bound_pos] * record.n_after
-    work_fwd = record.c_base_fwd + delta_small_inc * n_inc + ceiling
-    work_bwd = record.c_base_bwd + delta_small_inc * n_inc + ceiling
-    post = posterior(work_fwd, work_bwd, params)
-    if not post.copying:
-        return PairDecision(
-            c_fwd=work_fwd, c_bwd=work_bwd, posterior=post,
-            copying=False, early=True,
-        )
-    return None
+    return _early(
+        record.c_base_fwd + delta_small_inc * n_inc + ceiling,
+        record.c_base_bwd + delta_small_inc * n_inc + ceiling,
+        False, params,
+    )
 
 
 def _check_pass2(
@@ -663,21 +649,26 @@ def _check_pass2(
 ) -> PairDecision | None:
     """Re-check with exact after-decision contributions (pass 2)."""
     if record.copying:
-        work_fwd = record.c_base_fwd - delta_small_dec * n_dec + after_fwd
-        work_bwd = record.c_base_bwd - delta_small_dec * n_dec + after_bwd
-        post = posterior(work_fwd, work_bwd, params)
-        if post.copying:
-            return PairDecision(
-                c_fwd=work_fwd, c_bwd=work_bwd, posterior=post,
-                copying=True, early=True,
-            )
-        return None
-    work_fwd = record.c_base_fwd + delta_small_inc * n_inc + after_fwd
-    work_bwd = record.c_base_bwd + delta_small_inc * n_inc + after_bwd
-    post = posterior(work_fwd, work_bwd, params)
-    if not post.copying:
-        return PairDecision(
-            c_fwd=work_fwd, c_bwd=work_bwd, posterior=post,
-            copying=False, early=True,
+        return _early(
+            record.c_base_fwd - delta_small_dec * n_dec + after_fwd,
+            record.c_base_bwd - delta_small_dec * n_dec + after_bwd,
+            True, params,
         )
-    return None
+    return _early(
+        record.c_base_fwd + delta_small_inc * n_inc + after_fwd,
+        record.c_base_bwd + delta_small_inc * n_inc + after_bwd,
+        False, params,
+    )
+
+
+def _early(
+    work_fwd: float, work_bwd: float, copying: bool, params: CopyParams
+) -> PairDecision | None:
+    """The early decision at ``(work_fwd, work_bwd)`` when its posterior
+    re-confirms the ``copying`` verdict, else None."""
+    post = posterior(work_fwd, work_bwd, params)
+    if post.copying != copying:
+        return None
+    return PairDecision(
+        c_fwd=work_fwd, c_bwd=work_bwd, posterior=post, copying=copying, early=True
+    )

@@ -392,9 +392,10 @@ class VerdictStore:
 
     Snapshot files are immutable and published atomically and durably
     (written to a temp name and fsynced, then renamed, then the
-    directory fsynced); the ``CURRENT`` pointer is replaced the same way, so a concurrently-reading :class:`~repro.serving.reader.
-    VerdictReader` always sees either the old or the new version, never
-    a torn one.
+    directory fsynced); the ``CURRENT`` pointer is replaced the same
+    way, so a concurrently-reading
+    :class:`~repro.serving.reader.VerdictReader` always sees either the
+    old or the new version, never a torn one.
     """
 
     def __init__(self, root: Path | str, create: bool = True):

@@ -91,16 +91,14 @@ def book_full(scale: float = 1.0, seed: int = 11) -> SyntheticWorld:
     return generate(config)
 
 
-def stock_1day(scale: float = 1.0, seed: int = 13) -> SyntheticWorld:
-    """A Stock-1day-shaped world: 55 dense sources, heavy conflicts.
-
-    55 sources x 16,000 items at ``scale=1.0`` (the item count scales;
-    the source count stays 55 until scale drops below ~0.5, mirroring how
-    the paper's stock sources are a fixed panel).
-    """
+def _stock(n_items: int, scale: float, seed: int) -> SyntheticWorld:
+    """The stock panel — 55 dense sources, heavy conflicts — over
+    ``n_items`` items at ``scale=1.0`` (the item count scales; the source
+    count stays 55 until scale drops below 0.1, mirroring how the paper's
+    stock sources are a fixed panel)."""
     n_sources = 55 if scale >= 0.1 else max(20, _scaled(55, scale * 10))
     config = GeneratorConfig(
-        n_items=_scaled(16000, scale),
+        n_items=_scaled(n_items, scale),
         n_independent_sources=n_sources - 3 * 2,
         n_false_values=50,
         accuracy_range=(0.7, 0.97),
@@ -115,27 +113,16 @@ def stock_1day(scale: float = 1.0, seed: int = 13) -> SyntheticWorld:
         seed=seed,
     )
     return generate(config)
+
+
+def stock_1day(scale: float = 1.0, seed: int = 13) -> SyntheticWorld:
+    """A Stock-1day-shaped world: the stock panel x 16,000 items."""
+    return _stock(16000, scale, seed)
 
 
 def stock_2wk(scale: float = 1.0, seed: int = 17) -> SyntheticWorld:
     """A Stock-2wk-shaped world: the stock panel over 10x the items."""
-    n_sources = 55 if scale >= 0.1 else max(20, _scaled(55, scale * 10))
-    config = GeneratorConfig(
-        n_items=_scaled(160000, scale),
-        n_independent_sources=n_sources - 3 * 2,
-        n_false_values=50,
-        accuracy_range=(0.7, 0.97),
-        coverage_model="uniform",
-        coverage_range=(0.5, 1.0),
-        n_copier_groups=3,
-        copiers_per_group=2,
-        copy_selectivity=0.8,
-        copier_accuracy=0.6,
-        copier_extra_coverage=0.3,
-        gold_size=200,
-        seed=seed,
-    )
-    return generate(config)
+    return _stock(160000, scale, seed)
 
 
 _PROFILE_FUNCS = {

@@ -21,7 +21,7 @@ from repro.conformance import (
     full_grid,
     world_from_problem,
 )
-from repro.conformance.engine import _detection_problems
+from repro.conformance.engine import _case_problems
 from repro.core import CopyParams, detect
 
 
@@ -105,6 +105,51 @@ class TestCaseConfig:
         assert (
             CaseConfig("detect", "hybrid", n_partitions=2).contract == "numeric"
         )
+        # One rule: a fusion case's per-round detection contract and its
+        # own contract, which the truth-finding backend also decides.
+        for config, contracts in (
+            (CaseConfig("fusion", "hybrid"), ("bitexact", "numeric")),
+            (
+                CaseConfig("fusion", "incremental", backend="python",
+                           fusion_backend="numpy"),
+                ("bitexact", "numeric"),
+            ),
+            (CaseConfig("fusion", "index", n_partitions=2), ("numeric", "numeric")),
+            (CaseConfig("fusion", "bound", backend="python"), ("bitexact",) * 2),
+        ):
+            assert (config.detection_contract, config.contract) == contracts, (
+                config.label
+            )
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(n_partitions=0),
+            dict(n_partitions=2, executor="thread"),
+            dict(n_partitions=2, reduce="ring"),
+            dict(n_partitions=2, partition_by="items"),
+            dict(n_partitions=2, executor="remote", backend="python"),
+            dict(backend="cuda"),
+        ],
+        ids=lambda axes: "-".join(f"{k}={v}" for k, v in axes.items()),
+    )
+    def test_rejects_invalid_execution_axes(self, axes):
+        """A fixture's JSON is outside input: an axis the run would
+        silently drop, or that only the candidate rejects, fails to load."""
+        for mode, method in (("detect", "index"), ("fusion", "hybrid")):
+            with pytest.raises(ValueError):
+                CaseConfig(mode, method, **axes)
+
+    def test_rejects_partitions_the_method_cannot_use(self):
+        for mode, method in (
+            ("detect", "bound+"),
+            ("fusion", "incremental"),
+            ("fusion", "none"),
+            ("scan", "hybrid"),
+        ):
+            with pytest.raises(ValueError, match="n_partitions > 1"):
+                CaseConfig(mode, method, n_partitions=2)
+        assert CaseConfig("fusion", "hybrid", n_partitions=2).n_partitions == 2
 
     def test_reference_flips_only_implementation_axes(self):
         config = CaseConfig(
@@ -210,19 +255,22 @@ class TestRunCase:
         candidate = detect(
             example, probs, accs, CopyParams(backend="python"), method="pairwise"
         )
-        assert _detection_problems(reference, candidate, "bitexact", 1, "pairwise") == []
+        exact = CaseConfig("detect", "pairwise", backend="python")
+        tolerant = CaseConfig("detect", "pairwise")
+        assert (exact.detection_contract, tolerant.detection_contract) == (
+            "bitexact", "numeric",
+        )
+        assert _case_problems(reference, candidate, exact) == []
         pair, decision = next(iter(candidate.decisions.items()))
         candidate.decisions[pair] = dc_replace(decision, c_fwd=decision.c_fwd + 1e-6)
-        numeric = _detection_problems(reference, candidate, "numeric", 1, "pairwise")
+        numeric = _case_problems(reference, candidate, tolerant)
         assert any("c_fwd" in problem for problem in numeric)
-        bitexact = _detection_problems(reference, candidate, "bitexact", 1, "pairwise")
+        bitexact = _case_problems(reference, candidate, exact)
         assert any("bit-identical" in problem for problem in bitexact)
         candidate.decisions.pop(pair)
         assert any(
             "pairs differ" in problem
-            for problem in _detection_problems(
-                reference, candidate, "numeric", 1, "pairwise"
-            )
+            for problem in _case_problems(reference, candidate, tolerant)
         )
 
     def test_injected_fusion_fault_is_caught_and_shrunk(self, monkeypatch, tmp_path):
