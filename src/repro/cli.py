@@ -16,9 +16,9 @@ Subcommands:
   that ingests claim deltas continuously, re-fuses in micro-batched
   epochs, and publishes every epoch to a verdict store.
 * ``cluster-worker`` — run one remote-execution worker: a long-lived
-  TCP loop that caches the broadcast world, scans shipped partitions
-  and merges partials peer-to-peer for drivers running
-  ``detect``/``fuse`` with ``--executor remote``.
+  TCP loop that caches the broadcast world and answers each shipped
+  partition with its partial for drivers running ``detect``/``fuse``
+  with ``--executor remote``.
 * ``conformance`` — the differential grid fuzzer: sweep the
   (method x backend x executor x reduce x partition x fusion) grid
   against the pure-Python reference, persist divergent worlds into the
@@ -853,8 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_worker = sub.add_parser(
         "cluster-worker",
-        help="run a cluster worker: scans partitions and merges partials "
-        "shipped by a driver running detect/fuse --executor remote",
+        help="run a cluster worker: scans the partitions a driver running "
+        "detect/fuse --executor remote ships and answers each with its partial",
     )
     p_worker.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: loopback)"

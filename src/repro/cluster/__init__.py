@@ -9,13 +9,13 @@ protocol — selected end to end as ``executor="remote"``:
   :class:`ClusterError`, the layer's single error type.
 * :mod:`repro.cluster.worker` — the worker process: caches the
   broadcast world per session, scans partitions with the same
-  ``scan_columnar`` the in-process executors run, and merges partials
-  peer-to-peer for the distributed tree reduce.
+  ``scan_columnar`` the in-process executors run, and answers each
+  task with its partial table (it stores none).
 * :mod:`repro.cluster.executor` — :class:`ClusterExecutor`, the
   driver: LPT task scheduling over the engine's work estimates,
-  broadcast-once world shipping with in-place per-round updates,
-  flat/tree reduction bit-identical to the in-process merge, one-retry
-  fault handling, and per-worker wire/timing stats.
+  broadcast-once world shipping with in-place per-round updates, the
+  engine's own ``ScanWorld.reduce`` over the collected partials,
+  one-retry fault handling, and per-worker wire/timing stats.
 * :mod:`repro.cluster.local` — :class:`LocalCluster`, the simulated
   cluster (separate spawned interpreters, no shared memory, real
   sockets) used by tests, the conformance grid and the bench.

@@ -1,4 +1,4 @@
-"""Driver-side cluster executor: broadcast, schedule, tree-reduce.
+"""Driver-side cluster executor: broadcast, schedule, collect, reduce.
 
 :class:`ClusterExecutor` is the remote implementation of the executor
 protocol the in-process ones in :mod:`repro.parallel.executors` follow:
@@ -7,13 +7,14 @@ gets back one merged :class:`~repro.core.kernel.PairTable`, so results
 are bit-identical to the local executors by construction —
 
 * the map step runs the identical :func:`scan_columnar` over identical
-  bytes (arrays travel as raw buffers, never re-encoded floats);
-* the reduce step replays the engine's exact associativity: ``"flat"``
-  merges all non-empty partials in partition order in one
-  :meth:`PairTable.merge`, ``"tree"`` pairs them ``(0,1), (2,3), ...``
-  level by level exactly like the engine's ``_tree_reduce`` — but each
-  pair merges **on a worker**, pulling the right-hand partial
-  peer-to-peer, so the driver only receives the root.
+  bytes (arrays travel as raw buffers, never re-encoded floats), and
+  each worker answers a task with its partial table;
+* the reduce step *is* the local executors' one: the driver collects
+  the partials in partition order and calls
+  :meth:`ScanWorld.reduce <repro.parallel.engine.ScanWorld.reduce>`, so
+  ``"flat"`` and ``"tree"`` mean exactly what they mean in-process.
+  The price is on the wire: the driver receives every partial, not one
+  merged root.
 
 Scheduling is LPT over the engine's per-partition work estimates
 (:func:`~repro.parallel.partition.assign_buckets_lpt`): partitions are
@@ -29,9 +30,9 @@ structure.
 
 Fault handling: a worker dying mid-round (killed process, dropped
 socket, hung past the timeout) marks its connection dead and the whole
-round — scans are pure and partials on the dead worker are gone —
-is retried once on the surviving workers.  A second failure, or a
-round with no workers left, raises one clear
+round — scans are pure and no worker keeps a partial — is retried
+once on the surviving workers.  A second failure, or a round with no
+workers left, raises one clear
 :class:`~repro.cluster.wire.ClusterError`; callers never see a raw
 ``ConnectionResetError``.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,6 @@ from ..core.kernel import PairTable, world_arrays
 from ..data.frames import layout_arrays
 from ..parallel.partition import assign_buckets_lpt
 from .wire import ClusterError, recv_message, send_message
-from .worker import table_from_arrays
 
 
 @dataclass
@@ -59,7 +59,6 @@ class WorkerStats:
 
     Attributes:
         tasks: scan tasks executed.
-        merges: tree-reduce merges executed.
         worlds: full world broadcasts received (the broadcast-once
             proof: stays at 1 across a multi-round fusion session).
         updates: in-place ``world-update`` frames received.
@@ -67,12 +66,11 @@ class WorkerStats:
         update_bytes: bytes of world-update frames.
         task_bytes: bytes of task frames (positions + params).
         result_bytes: bytes of partial tables received back.
-        busy_seconds: worker-reported scan + merge time.
+        busy_seconds: worker-reported scan time.
         failures: rounds this worker died in.
     """
 
     tasks: int = 0
-    merges: int = 0
     worlds: int = 0
     updates: int = 0
     world_bytes: int = 0
@@ -150,7 +148,7 @@ class ClusterStats:
         for label, w in self.workers.items():
             state = " [dead]" if w.failures else ""
             lines.append(
-                f"  {label}{state}: {w.tasks} task(s), {w.merges} merge(s), "
+                f"  {label}{state}: {w.tasks} task(s), "
                 f"world x{w.worlds} + {w.updates} update(s), "
                 f"busy {w.busy_seconds:.3f}s"
             )
@@ -262,18 +260,21 @@ class ClusterExecutor:
         self.timeout = timeout
         self.retries = retries
         self.stats = ClusterStats()
-        self._round = 0
         self._world_cache: dict[str, np.ndarray] | None = None
-        self._lock = threading.Lock()
         self._closed = False
         self._connections: list[_Connection] = []
-        for host, port in addresses:
-            conn = _Connection(host, port, timeout)
-            self._connections.append(conn)
-            self.stats.workers[conn.label] = conn.stats
-        # Fail fast on a protocol mismatch before any world is packed.
-        for conn in self._connections:
-            conn.request("ping")
+        try:
+            for host, port in addresses:
+                conn = _Connection(host, port, timeout)
+                self._connections.append(conn)
+                self.stats.workers[conn.label] = conn.stats
+            # Fail fast on a protocol mismatch before any world is packed.
+            for conn in self._connections:
+                conn.request("ping")
+        except ClusterError:
+            for conn in self._connections:
+                conn.close()
+            raise
 
     @property
     def closed(self) -> bool:
@@ -390,14 +391,11 @@ class ClusterExecutor:
         for attempt in range(self.retries + 1):
             alive = self._alive()  # raises when none remain
             try:
-                with self._lock:
-                    self._round += 1
-                    round_id = self._round
                 self.stats.rounds += 1
                 if attempt:
                     self.stats.retries += 1
                 return self._run_round(
-                    alive, round_id, position_arrays, weights, params, reduce_mode
+                    world, alive, position_arrays, weights, params, reduce_mode
                 )
             except ClusterError as exc:
                 for conn in alive:
@@ -409,141 +407,56 @@ class ClusterExecutor:
         ) from last_error
 
     def _run_round(
-        self, alive, round_id, position_arrays, weights, params, reduce_mode
+        self, world, alive, position_arrays, weights, params, reduce_mode
     ) -> PairTable | None:
-        from dataclasses import asdict
-
-        tasks = [f"r{round_id}.t{i}" for i in range(len(position_arrays))]
         params_meta = asdict(params)
-        buckets = assign_buckets_lpt(weights, len(alive))
-        owner: dict[int, _Connection] = {}
-        for conn, bucket in zip(alive, buckets):
-            for ti in bucket:
-                owner[ti] = conn
-
-        n_pairs: dict[int, int] = {}
-
-        def run_tasks(conn, task_indices):
-            for ti in task_indices:
-                _, meta, _ = conn.request(
-                    "task",
-                    {
-                        "session": self.session,
-                        "task": tasks[ti],
-                        "params": params_meta,
-                    },
-                    {"positions": position_arrays[ti]},
-                    bucket="task_bytes",
-                )
-                n_pairs[ti] = int(meta["n_pairs"])
-                conn.stats.tasks += 1
-                conn.stats.busy_seconds += float(meta["busy_seconds"])
-
-        self._per_worker(zip(alive, buckets), run_tasks)
-
-        # Reduce over non-empty partials in partition order — the same
-        # filter-then-merge the in-process ScanWorld.reduce applies.
-        live_tasks = [ti for ti in range(len(tasks)) if n_pairs.get(ti)]
-        if not live_tasks:
-            return None
-        if reduce_mode == "tree":
-            root = self._tree_reduce_remote(live_tasks, tasks, owner, params)
-            return self._fetch(owner[root], tasks[root])
-        tables = self._fetch_all(live_tasks, tasks, owner)
-        return PairTable.merge(tables)
-
-    def _tree_reduce_remote(self, items, tasks, owner, params) -> int:
-        """Run pairwise merge levels on the workers; returns the root.
-
-        Pairing is ``(0,1), (2,3), ...`` per level over the surviving
-        items — exactly the engine's ``_tree_reduce`` topology — and each
-        pair's merge runs on the left item's owner, which pulls the right
-        partial peer-to-peer when it lives on another worker.
-        """
-        while len(items) > 1:
-            # dest owner -> [(dest_task, src_task, src_conn)]; an odd last
-            # item has no partner and rides up a level unmerged.
-            by_conn: dict[_Connection, list] = {}
-            for dest, src in zip(items[0::2], items[1::2]):
-                by_conn.setdefault(owner[dest], []).append(
-                    (tasks[dest], tasks[src], owner[src])
-                )
-
-            def run_merges(conn, merge_ops):
-                for dest_task, src_task, src_conn in merge_ops:
-                    peer = (
-                        None
-                        if src_conn is conn
-                        else [src_conn.host, src_conn.port]
-                    )
-                    _, meta, _ = conn.request(
-                        "merge",
-                        {
-                            "session": self.session,
-                            "task": dest_task,
-                            "peer": peer,
-                            "peer_task": src_task,
-                        },
-                        bucket="task_bytes",
-                    )
-                    conn.stats.merges += 1
-                    conn.stats.busy_seconds += float(meta["busy_seconds"])
-
-            self._per_worker(by_conn.items(), run_merges)
-            items = items[0::2]
-        return items[0]
-
-    def _fetch(self, conn: _Connection, task: str) -> PairTable:
-        _, meta, arrays = conn.request(
-            "fetch", {"session": self.session, "task": task}
-        )
-        # Payload bytes of the partial (frame headers not counted).
-        conn.stats.result_bytes += sum(arr.nbytes for arr in arrays.values())
-        return table_from_arrays(meta, arrays)
-
-    def _fetch_all(self, live_tasks, tasks, owner) -> list[PairTable]:
-        results: dict[int, PairTable] = {}
-        by_conn: dict[_Connection, list[int]] = {}
-        for ti in live_tasks:
-            by_conn.setdefault(owner[ti], []).append(ti)
-
-        def run_fetches(conn, task_indices):
-            for ti in task_indices:
-                results[ti] = self._fetch(conn, tasks[ti])
-
-        self._per_worker(by_conn.items(), run_fetches)
-        return [results[ti] for ti in live_tasks]
-
-    def _per_worker(self, conn_ops, fn) -> None:
-        """Run ``fn(conn, ops)`` concurrently, one thread per worker.
-
-        Each worker's ops run sequentially on its single socket; the
-        first worker failure is re-raised after all threads finish (so
-        every death is recorded before the retry decision).
-        """
-        pairs = [(conn, ops) for conn, ops in conn_ops if ops]
+        partials: list[PairTable | None] = [None] * len(position_arrays)
         errors: list[ClusterError] = []
 
-        def run(conn, ops):
+        def run_tasks(conn, task_indices):
             try:
-                fn(conn, ops)
+                for ti in task_indices:
+                    _, meta, arrays = conn.request(
+                        "task",
+                        {
+                            "session": self.session,
+                            "task": f"r{self.stats.rounds}.t{ti}",
+                            "params": params_meta,
+                        },
+                        {"positions": position_arrays[ti]},
+                        bucket="task_bytes",
+                    )
+                    conn.stats.tasks += 1
+                    conn.stats.busy_seconds += float(meta["busy_seconds"])
+                    # Payload bytes of the partial (frame headers not counted).
+                    conn.stats.result_bytes += sum(a.nbytes for a in arrays.values())
+                    partials[ti] = PairTable(
+                        n_sources=int(meta["n_sources"]),
+                        keys=arrays["keys"],
+                        c_fwd=arrays["c_fwd"],
+                        c_bwd=arrays["c_bwd"],
+                        n_shared=arrays["n_shared"],
+                        saw_main=arrays["saw_main"].view(bool),
+                    )
             except ClusterError as exc:
                 errors.append(exc)
 
-        if len(pairs) == 1:
-            conn, ops = pairs[0]
-            run(conn, ops)
-        else:
-            threads = [
-                threading.Thread(target=run, args=pair, daemon=True)
-                for pair in pairs
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        # One thread per worker runs its LPT bucket in order on its single
+        # socket; the first failure is re-raised once every thread is done,
+        # so each death is recorded before the retry decision.
+        buckets = assign_buckets_lpt(weights, len(alive))
+        threads = [
+            threading.Thread(target=run_tasks, args=(conn, bucket), daemon=True)
+            for conn, bucket in zip(alive, buckets)
+            if bucket
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         if errors:
             raise errors[0]
+        return world.reduce(partials, params, reduce_mode)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:

@@ -3,8 +3,8 @@
 :class:`LocalCluster` spawns N ``repro-copydetect cluster-worker``
 processes on localhost — genuinely separate Python interpreters with
 **no shared memory** and real sockets, so everything the remote
-executor does (world broadcast, task shipping, peer-to-peer tree
-merges) pays true wire costs.  This is the harness behind the
+executor does (world broadcast, task shipping, partials shipped back)
+pays true wire costs.  This is the harness behind the
 conformance grid's ``remote`` axis, the fault-injection tests (kill a
 worker mid-round) and the end-to-end benchmark's cluster probe
 (``benchmarks/e2e/layers.py``).

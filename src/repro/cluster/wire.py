@@ -32,7 +32,9 @@ MAGIC = b"RCLW"
 #: on any incompatible protocol change; peers of another version refuse
 #: each other's frames with a clear :class:`ClusterError` instead of
 #: misreading.  Version 2: partial tables carry ``(s1 << 32) | s2`` keys.
-WIRE_VERSION = 2
+#: Version 3: a ``task`` is answered with its ``partial``; the ``merge``
+#: and ``fetch`` messages are gone.
+WIRE_VERSION = 3
 
 
 class ClusterError(Exception):

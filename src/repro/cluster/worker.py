@@ -1,7 +1,7 @@
-"""The cluster worker: a threaded TCP server that scans and merges.
+"""The cluster worker: a threaded TCP server that scans partitions.
 
 One worker is one long-lived process (``repro-copydetect
-cluster-worker``) holding cached worlds and partial results in memory:
+cluster-worker``) holding cached worlds in memory:
 
 * ``world`` — the driver broadcasts the full columnar world (the five
   :func:`~repro.core.kernel.world_arrays` a shared-memory block also
@@ -18,22 +18,18 @@ cluster-worker``) holding cached worlds and partial results in memory:
   full broadcast.
 * ``task`` — a partition's entry positions plus ``CopyParams`` (as
   JSON; float repr round-trips exactly).  The worker gathers its share
-  with :meth:`ColumnarEntries.take` and runs the same
+  with :meth:`ColumnarEntries.take`, runs the same
   :func:`~repro.core.kernel.scan_columnar` the in-process executors
-  run, storing the resulting :class:`~repro.core.kernel.PairTable`
-  under the task id.
-* ``merge`` — one edge of the driver's tree reduce: the worker merges
-  a peer's partial into its own, fetching it **peer-to-peer** over a
-  direct worker-to-worker connection when the peer partial lives on
-  another host, so the driver only ever receives the root table.
-* ``fetch`` — return a stored partial's arrays (the driver's root
-  collection, and the peer side of ``merge``).
+  run and answers ``partial`` with the resulting
+  :class:`~repro.core.kernel.PairTable`'s five arrays and its
+  ``busy_seconds``.  It stores nothing: the driver reduces the
+  partials, and a session holds only its world.
 
-Every reply reports ``busy_seconds`` so the driver can account
-per-worker busy time.  Anything a handler rejects — an unknown
-session, a corrupt frame, a scan that raises — answers an ``error``
-frame instead of killing the connection, and the driver surfaces it as
-:class:`~repro.cluster.wire.ClusterError`.
+Anything a handler rejects — an unknown session, a corrupt frame, a
+scan that raises — answers an ``error`` frame instead of killing the
+connection, and the driver surfaces it as
+:class:`~repro.cluster.wire.ClusterError`.  A worker only answers the
+driver: it never dials another host.
 """
 
 from __future__ import annotations
@@ -45,13 +41,13 @@ import time
 
 import numpy as np
 
-from ..core.kernel import WORLD_FIELDS, PairTable, scan_columnar, world_from_arrays
+from ..core.kernel import WORLD_FIELDS, scan_columnar, world_from_arrays
 from ..core.params import CopyParams
 from .wire import ClusterError, recv_message, send_message
 
 
 class _Session:
-    """One driver session's cached world and partial tables."""
+    """One driver session's cached world."""
 
     def __init__(self, n_sources: int, arrays: dict[str, np.ndarray]):
         self.n_sources = n_sources
@@ -59,7 +55,6 @@ class _Session:
         # and the ColumnarEntries views below see the new values.
         self.arrays = {name: np.array(arrays[name]) for name in WORLD_FIELDS}
         self.cols, self.accuracies = world_from_arrays(self.arrays)
-        self.partials: dict[str, PairTable] = {}
         self.lock = threading.Lock()
 
 
@@ -109,7 +104,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     send_message(sock, "error", {"error": str(exc)})
                 except ClusterError:
                     return
-            except Exception as exc:  # scan/merge raised: report, don't die
+            except Exception as exc:  # a scan raised: report, don't die
                 try:
                     send_message(
                         sock, "error", {"error": f"{type(exc).__name__}: {exc}"}
@@ -152,7 +147,6 @@ def _handle_world_update(server: WorkerServer, sock, meta, arrays):
                 return
         for name, arr in arrays.items():
             sess.arrays[name][:] = arr  # in place: cols/accuracies alias these
-        sess.partials.clear()  # a new round invalidates old partials
     send_message(sock, "ok", {"updated": sorted(arrays)})
 
 
@@ -165,30 +159,10 @@ def _handle_task(server: WorkerServer, sock, meta, arrays):
         sess.cols.take(positions), sess.accuracies, params, sess.n_sources
     )
     busy = time.perf_counter() - started
-    with sess.lock:
-        sess.partials[meta["task"]] = table
-    send_message(
-        sock,
-        "done",
-        {"task": meta["task"], "n_pairs": len(table), "busy_seconds": busy},
-    )
-
-
-def _get_partial(sess: _Session, task: str) -> PairTable:
-    with sess.lock:
-        table = sess.partials.get(task)
-    if table is None:
-        raise ClusterError(f"no partial stored for task {task!r}")
-    return table
-
-
-def _handle_fetch(server: WorkerServer, sock, meta, arrays):
-    sess = server.session(meta)
-    table = _get_partial(sess, meta["task"])
     send_message(
         sock,
         "partial",
-        {"task": meta["task"], "n_sources": table.n_sources},
+        {"task": meta["task"], "n_sources": table.n_sources, "busy_seconds": busy},
         {
             "keys": table.keys,
             "c_fwd": table.c_fwd,
@@ -196,59 +170,6 @@ def _handle_fetch(server: WorkerServer, sock, meta, arrays):
             "n_shared": table.n_shared,
             "saw_main": np.ascontiguousarray(table.saw_main, dtype=np.uint8),
         },
-    )
-
-
-def table_from_arrays(meta: dict, arrays: dict) -> PairTable:
-    """Rebuild a :class:`PairTable` from a ``partial`` frame."""
-    return PairTable(
-        n_sources=int(meta["n_sources"]),
-        keys=arrays["keys"],
-        c_fwd=arrays["c_fwd"],
-        c_bwd=arrays["c_bwd"],
-        n_shared=arrays["n_shared"],
-        saw_main=arrays["saw_main"].view(bool),
-    )
-
-
-def _fetch_peer(session: str, peer: list, task: str) -> PairTable:
-    """Peer-to-peer fetch: pull a partial from another worker."""
-    host, port = peer[0], int(peer[1])
-    try:
-        with socket.create_connection((host, port), timeout=30.0) as peer_sock:
-            peer_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            send_message(peer_sock, "fetch", {"session": session, "task": task})
-            reply = recv_message(peer_sock)
-    except OSError as exc:
-        raise ClusterError(f"peer {host}:{port} unreachable ({exc})") from exc
-    kind, meta, arrays = reply
-    if kind != "partial":
-        raise ClusterError(
-            f"peer {host}:{port} answered {kind!r}: {meta.get('error', '')}"
-        )
-    return table_from_arrays(meta, arrays)
-
-
-def _handle_merge(server: WorkerServer, sock, meta, arrays):
-    sess = server.session(meta)
-    dest = _get_partial(sess, meta["task"])
-    started = time.perf_counter()
-    if meta.get("peer") is None:
-        other = _get_partial(sess, meta["peer_task"])
-    else:
-        other = _fetch_peer(meta["session"], meta["peer"], meta["peer_task"])
-    live = [t for t in (dest, other) if len(t)]
-    if not live:
-        merged = PairTable.empty(sess.n_sources)
-    else:
-        merged = PairTable.merge(live)
-    busy = time.perf_counter() - started
-    with sess.lock:
-        sess.partials[meta["task"]] = merged
-    send_message(
-        sock,
-        "done",
-        {"task": meta["task"], "n_pairs": len(merged), "busy_seconds": busy},
     )
 
 
@@ -271,8 +192,6 @@ _DISPATCH = {
     "world": _handle_world,
     "world-update": _handle_world_update,
     "task": _handle_task,
-    "fetch": _handle_fetch,
-    "merge": _handle_merge,
     "end-session": _handle_end_session,
     "shutdown": _handle_shutdown,
 }

@@ -161,8 +161,9 @@ def _tree_reduce(items: list, merge_pair):
     """Pairwise (tree-wise) reduction: each level halves the item count.
 
     O(log P) merge depth — the topology a distributed combiner tree
-    runs, shared by both partial representations (the cluster executor
-    replays the same pairing on its workers).
+    runs, shared by both partial representations and by every executor
+    (the cluster driver reduces the partials its workers send back
+    through :meth:`ScanWorld.reduce` too).
     """
     while len(items) > 1:
         items = [
@@ -329,8 +330,7 @@ def detect_index_parallel(
         executor: ``"serial"``, ``"threads"``, ``"processes"`` or
             ``"remote"`` (cluster workers over TCP; numpy backend only).
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
-            O(log P) depth; under ``"remote"`` the pairwise merges run
-            *on the workers* so the driver only receives the root).
+            O(log P) depth); the same merge on every executor.
         workspace: a :class:`~repro.fusion.FusionWorkspace` whose
             persistent executor (pool, shared-memory block, cluster
             session) is reused when the engine runs once per fusion

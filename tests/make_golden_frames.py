@@ -4,8 +4,10 @@
 (``snapshot.rvs``) and two cluster frames (``world.rclw``, ``task.rclw``)
 exactly as the public encoders wrote them at commit 465d2c0 — the last
 one where ``serving/codec.py`` and ``cluster/wire.py`` each carried their
-own framing — and since regenerated once, for version 2 (stride-free
-pair keys), which moved the 4-byte version word and nothing else.
+own framing — and since regenerated twice, each time moving the 4-byte
+version word and nothing else: for version 2 of both formats
+(stride-free pair keys), and for wire version 3 (a ``task`` is
+answered with its ``partial``), which left the snapshot alone.
 ``tests/test_frames.py`` decodes them with the shared framing module and
 re-encodes them byte for byte, so neither on-disk nor on-wire format can
 drift without a ``FORMAT_VERSION``/``WIRE_VERSION`` bump.

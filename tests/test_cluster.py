@@ -10,8 +10,12 @@ subprocess-spawning test).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import socket
 import struct
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from repro.cluster import (
     LocalCluster,
     parse_worker_spec,
     resolve_cluster,
+    serve_worker,
 )
 from repro.cluster.wire import (
     MAGIC,
@@ -32,6 +37,7 @@ from repro.cluster.wire import (
     send_message,
 )
 from repro.core import CopyParams, InvertedIndex
+from repro.core.kernel import PairTable
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 from tests.test_parallel import _indexed
 from repro.parallel.engine import ScanWorld
@@ -205,6 +211,35 @@ def _index(example, example_probabilities, example_accuracies, params):
     return InvertedIndex.build(
         example, example_probabilities, example_accuracies, params
     )
+
+
+@contextlib.contextmanager
+def _in_process_workers(n_workers):
+    """``n_workers`` :func:`serve_worker` servers, each on a daemon thread."""
+    servers = [serve_worker() for _ in range(n_workers)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield servers
+    finally:
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+
+def _address(server) -> str:
+    host, port = server.server_address[:2]
+    return f"{host}:{port}"
+
+
+def _tables_held(server) -> int:
+    """PairTables a worker's sessions hold, directly or inside a dict."""
+    held = 0
+    for sess in server.sessions.values():
+        for value in vars(sess).values():
+            values = value.values() if isinstance(value, dict) else (value,)
+            held += sum(isinstance(v, PairTable) for v in values)
+    return held
 
 
 def _assert_bit_identical(ref, got):
@@ -466,6 +501,47 @@ class TestFaults:
         probe.close()
         with pytest.raises(ClusterError, match="cannot connect"):
             ClusterExecutor([("127.0.0.1", port)], timeout=2.0)
+
+    def test_a_failed_connect_closes_the_sockets_it_opened(self):
+        """A constructor that has dialed one live worker and then meets a
+        refused port closes the live socket before it raises."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        refused = ("127.0.0.1", probe.getsockname()[1])
+        probe.close()
+        with _in_process_workers(1) as (server,):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ClusterError, match="cannot connect"):
+                    ClusterExecutor([_address(server), refused], timeout=2.0)
+                gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    @pytest.mark.parametrize("reduce_mode", ["flat", "tree"])
+    def test_rounds_over_one_world_leave_no_partial_on_a_worker(
+        self, example, example_probabilities, example_accuracies, params,
+        reduce_mode,
+    ):
+        """A worker answers each task with its partial and keeps none:
+        five rounds over an unchanged world hold no table between rounds
+        and merge to round 1's bytes every time."""
+        *round_args, _ = self._round(
+            example, example_probabilities, example_accuracies, params
+        )
+        columns = ("keys", "c_fwd", "c_bwd", "n_shared", "saw_main")
+        with _in_process_workers(2) as servers, ClusterExecutor(
+            [_address(server) for server in servers]
+        ) as ex:
+            first = None
+            for _ in range(5):
+                merged = ex.map_reduce(*round_args, reduce_mode)
+                assert [len(server.sessions) for server in servers] == [1, 1]
+                assert [_tables_held(server) for server in servers] == [0, 0]
+                got = [getattr(merged, name).tobytes() for name in columns]
+                first = first or got
+                assert got == first
+            assert all(w.tasks for w in ex.stats.workers.values())
 
 
 @pytest.mark.cluster

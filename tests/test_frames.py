@@ -8,7 +8,11 @@ by the public encoders at commit 465d2c0, when ``serving/codec.py`` and
 same error contract.  Version 2 (stride-free pair keys) changed what the
 ``pair_keys`` numbers *mean*, which the framing never interprets: the
 regenerated fixtures differ from the version-1 ones in the version word
-alone (:data:`V1_SHA256`).
+alone (:data:`V1_SHA256`).  Wire version 3 (a ``task`` is answered with
+its ``partial``; ``merge`` and ``fetch`` are gone) changed which messages
+exist, not how a frame is laid out: the ``.rclw`` fixtures differ from
+the version-2 ones in the version word alone (:data:`V2_SHA256`), and
+the snapshot format stays at 2.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ V1_SHA256 = {
     "task.rclw": "cb00aaddf32b8e5ce2d4fdf5aeb5854b4bd847ac182eeb7c489052302a3eb6eb",
     "world.rclw": "1d8c67f32d7e8eea5766d7c977de12346675b86af0e8e73104a8cd2465732d99",
 }
+
+#: SHA-256 of the fixtures as committed at format/wire version 2 (9ea0ebc).
+V2_SHA256 = {
+    "snapshot.rvs": "77b7d59cbdaf29c0e8398dbc745af03c0b4bcd9bdaa3f1ee030c2fd93235ff6c",
+    "task.rclw": "2197677339eee056d570809d3be1d08abb0ea1e7b11252a6e4ec98d8394cbe1b",
+    "world.rclw": "17e934d8244ad097388d6cd3dbbbc47e4cc182d381224b4568ae0763284d2f04",
+}
+
+#: The version each fixture's format is at now.
+CURRENT_VERSION = {"snapshot.rvs": 2, "task.rclw": 3, "world.rclw": 3}
 
 
 def _decode(name: str, data: bytes):
@@ -62,11 +76,22 @@ class TestGoldenBytes:
     def test_encoders_still_write_the_golden_bytes(self):
         assert golden_frames() == GOLDEN
 
+    def test_each_format_is_at_its_current_version(self):
+        assert (FORMAT_VERSION, WIRE_VERSION) == (2, 3)
+        for name, version in CURRENT_VERSION.items():
+            assert struct.unpack_from("<4sI", GOLDEN[name])[1] == version, name
+
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_version_two_moved_the_version_word_only(self, name):
-        assert struct.unpack_from("<4sI", GOLDEN[name])[1] == 2
         as_v1 = _with_version(GOLDEN[name], 1)
         assert hashlib.sha256(as_v1).hexdigest() == V1_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_version_three_moved_the_version_word_only(self, name):
+        """The wire bump moved the ``.rclw`` version word and nothing
+        else; the snapshot fixture did not move at all."""
+        as_v2 = _with_version(GOLDEN[name], 2)
+        assert hashlib.sha256(as_v2).hexdigest() == V2_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_decode_then_reencode_is_byte_identical(self, name):
