@@ -3,8 +3,8 @@
 The conclusions sketch a Hadoop-style parallelisation: distribute index
 entries across workers, accumulate partial pair scores, merge.  Because
 INDEX's accumulation is a plain sum, the merged verdicts are identical to
-the sequential scan for any partitioning — this example demonstrates that
-and shows the load balance of the two partitioning strategies.
+the sequential scan for any partition count — this example demonstrates
+that.
 
 Run:  python examples/parallel_detection.py
 """
@@ -12,11 +12,7 @@ Run:  python examples/parallel_detection.py
 from repro.core import CopyParams, InvertedIndex, detect_index
 from repro.eval import render_table
 from repro.fusion import vote_probabilities
-from repro.parallel import (
-    detect_index_parallel,
-    partition_entries,
-    partition_weights,
-)
+from repro.parallel import detect_index_parallel
 from repro.synth import stock_1day
 
 
@@ -28,28 +24,7 @@ def main() -> None:
     accuracies = [0.8] * dataset.n_sources
     index = InvertedIndex.build(dataset, probabilities, accuracies, params)
 
-    # ------------------------------------------------------------------
-    # Load balance of the two partitioning strategies.
-    # ------------------------------------------------------------------
-    rows = []
-    for strategy in ("blocks", "stride"):
-        parts = partition_entries(index, 4, strategy=strategy)
-        weights = [partition_weights(index, p) for p in parts]
-        rows.append([strategy] + weights)
-    print(render_table(
-        "Pair incidences per worker (4 partitions)",
-        ["strategy", "w0", "w1", "w2", "w3"],
-        rows,
-    ))
-    print(
-        "BY_CONTRIBUTION ordering front-loads strong evidence, so 'blocks'"
-        " skews toward whichever workers hold popular values; 'stride'"
-        " deals them out evenly."
-    )
-
-    # ------------------------------------------------------------------
     # Merge equivalence across partition counts and executors.
-    # ------------------------------------------------------------------
     sequential = detect_index(
         dataset, probabilities, accuracies, params, index=index
     )

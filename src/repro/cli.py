@@ -20,7 +20,7 @@ Subcommands:
   partition with its partial for drivers running ``detect``/``fuse``
   with ``--executor remote``.
 * ``conformance`` — the differential grid fuzzer: sweep the
-  (method x backend x executor x reduce x partition x fusion) grid
+  (method x backend x executor x reduce x partition count x fusion) grid
   against the pure-Python reference, persist divergent worlds into the
   regression corpus, and emit a machine-readable report.
 """
@@ -37,7 +37,6 @@ from .core import (
     METHODS,
     PAIR_LAYOUTS,
     PARALLEL_METHODS,
-    PARTITION_AXES,
     REDUCE_MODES,
     CopyParams,
     detect,
@@ -220,13 +219,6 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
         help="merge partial results in one pass ('flat') or pairwise "
         "('tree', O(log P) merge depth at large partition counts)",
     )
-    parser.add_argument(
-        "--partition-by",
-        choices=list(PARTITION_AXES),
-        default="entries",
-        help="balance partitions by entry count ('entries') or by "
-        "estimated incidence work ('work', straggler-resistant)",
-    )
 
 
 def _execution_from_args(args) -> dict:
@@ -248,6 +240,10 @@ def _execution_from_args(args) -> dict:
         )
     if args.executor != "serial" and args.n_partitions <= 1:
         raise SystemExit("--executor requires --n-partitions > 1")
+    if args.reduce != "flat" and args.n_partitions <= 1:
+        raise SystemExit("--reduce requires --n-partitions > 1")
+    if args.workers is not None and args.executor != "remote":
+        raise SystemExit("--workers requires --executor remote")
     if args.n_partitions < 1:
         raise SystemExit(f"--n-partitions must be >= 1, got {args.n_partitions}")
     if args.n_partitions == 1:
@@ -264,7 +260,6 @@ def _execution_from_args(args) -> dict:
         n_partitions=args.n_partitions,
         executor=args.executor,
         reduce=args.reduce,
-        partition_by=args.partition_by,
         cluster=cluster,
     )
 

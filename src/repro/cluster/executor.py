@@ -16,10 +16,10 @@ are bit-identical to the local executors by construction —
   The price is on the wire: the driver receives every partial, not one
   merged root.
 
-Scheduling is LPT over the engine's per-partition work estimates
-(:func:`~repro.parallel.partition.assign_buckets_lpt`): partitions are
-independent of the worker count, so 7 work-balanced partitions run on
-1, 2 or 4 workers with identical results and balanced busy time.
+Scheduling is :func:`assign_buckets_lpt` over each partition's
+pair-incidence count, derived from the world's own offsets: partitions
+are independent of the worker count, so 7 partitions run on 1, 2 or 4
+workers with identical results and balanced busy time.
 
 The world (columnar entries + accuracies) is broadcast to each worker
 **once per executor session** and thereafter rewritten in place via
@@ -39,18 +39,42 @@ workers left, raises one clear
 
 from __future__ import annotations
 
+import heapq
 import os
 import socket
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..core.kernel import PairTable, world_arrays
 from ..data.frames import layout_arrays
-from ..parallel.partition import assign_buckets_lpt
 from .wire import ClusterError, recv_message, send_message
+
+
+def assign_buckets_lpt(weights: Iterable[int], n_buckets: int) -> list[list[int]]:
+    """Assign weighted tasks to buckets, longest-processing-time first.
+
+    The tasks are whole partitions and the buckets cluster workers, so
+    partition count stays independent of worker count — 7 partitions
+    schedule onto 1, 2 or 4 workers with identical results.  Ties break
+    deterministically (heavier first, then lower task index, then lower
+    bucket id) and each bucket's tasks come back in task order.
+
+    Raises:
+        ValueError: for a non-positive bucket count.
+    """
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
+    ordered = sorted(enumerate(weights), key=lambda iw: (-iw[1], iw[0]))
+    heap = [(0, bucket_id) for bucket_id in range(n_buckets)]
+    buckets: list[list[int]] = [[] for _ in range(n_buckets)]
+    for task, weight in ordered:
+        load, bucket_id = heapq.heappop(heap)
+        buckets[bucket_id].append(task)
+        heapq.heappush(heap, (load + weight, bucket_id))
+    return [sorted(bucket) for bucket in buckets]
 
 
 @dataclass
@@ -358,9 +382,8 @@ class ClusterExecutor:
         self,
         world,
         partitions: Sequence[Sequence[int]],
-        weights: Sequence[int],
         params,
-        reduce_mode: str = "flat",
+        reduce_mode,
     ) -> PairTable | None:
         """Broadcast the world, scan every partition remotely, reduce.
 
@@ -368,8 +391,8 @@ class ClusterExecutor:
             world: the round's columnar
                 :class:`~repro.parallel.engine.ScanWorld`.
             partitions: one entry-position sequence per partition
-                (already filtered of empties by the engine).
-            weights: per-partition work estimates for LPT scheduling.
+                (already filtered of empties by the engine), scheduled
+                onto the workers by their pair-incidence counts.
             params: the round's :class:`~repro.core.params.CopyParams`.
             reduce_mode: ``"flat"`` or ``"tree"`` — same associativity
                 as the in-process executors' reduce.
@@ -395,7 +418,7 @@ class ClusterExecutor:
                 if attempt:
                     self.stats.retries += 1
                 return self._run_round(
-                    world, alive, position_arrays, weights, params, reduce_mode
+                    world, alive, position_arrays, params, reduce_mode
                 )
             except ClusterError as exc:
                 for conn in alive:
@@ -407,7 +430,7 @@ class ClusterExecutor:
         ) from last_error
 
     def _run_round(
-        self, world, alive, position_arrays, weights, params, reduce_mode
+        self, world, alive, position_arrays, params, reduce_mode
     ) -> PairTable | None:
         params_meta = asdict(params)
         partials: list[PairTable | None] = [None] * len(position_arrays)
@@ -443,7 +466,11 @@ class ClusterExecutor:
 
         # One thread per worker runs its LPT bucket in order on its single
         # socket; the first failure is re-raised once every thread is done,
-        # so each death is recorded before the retry decision.
+        # so each death is recorded before the retry decision.  A task's
+        # weight is its pair-incidence count: k(k-1)/2 per k-provider entry.
+        k = np.diff(world.cols.offsets)
+        pairs = k * (k - 1) // 2
+        weights = [int(pairs[positions].sum()) for positions in position_arrays]
         buckets = assign_buckets_lpt(weights, len(alive))
         threads = [
             threading.Thread(target=run_tasks, args=(conn, bucket), daemon=True)

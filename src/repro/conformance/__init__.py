@@ -9,7 +9,7 @@ changes.  This subsystem turns that contract into an executable sweep:
   ``theta_cp`` threshold-edge bisection) shared with the hypothesis
   test-suite strategies;
 * :mod:`~repro.conformance.engine` — the (method x backend x executor x
-  reduce x partition x fusion) grid runner, diffing every configuration
+  reduce x partition count x fusion) grid runner, diffing every configuration
   against the pure-Python reference under a bit-exact or 1e-9 contract,
   with greedy world shrinking on divergence;
 * :mod:`~repro.conformance.corpus` — versioned, replayable regression

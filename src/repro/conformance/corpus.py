@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .engine import CaseConfig, run_case
@@ -120,7 +120,8 @@ def load_case(path: str | Path) -> tuple[World, CaseConfig, dict]:
     """Load a fixture; returns ``(world, config, metadata)``.
 
     Raises:
-        ValueError: for a fixture written by a newer schema version.
+        ValueError: for a fixture written by a newer schema version, or
+            whose config names a field :class:`CaseConfig` does not have.
     """
     payload = json.loads(Path(path).read_text())
     version = payload.get("version")
@@ -129,6 +130,9 @@ def load_case(path: str | Path) -> tuple[World, CaseConfig, dict]:
             f"{path}: corpus schema version {version!r} is newer than "
             f"this library's {CORPUS_VERSION}"
         )
+    unknown = sorted(set(payload["config"]) - {f.name for f in fields(CaseConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config field(s) {', '.join(unknown)}")
     return (
         _decode_world(payload["world"]),
         _decode_config(payload["config"]),

@@ -103,7 +103,6 @@ class CaseConfig:
     executor: str = "serial"
     n_partitions: int = 1
     reduce: str = "flat"
-    partition_by: str = "entries"
     epoch_size: int | None = None
     ordering: str = "by_contribution"
     hybrid_threshold: int | None = None
@@ -132,10 +131,8 @@ class CaseConfig:
         # The core's own checks: a fixture's JSON must not carry an axis
         # that a run would silently drop or the candidate alone reject.
         validate_execution(
-            _params(self), self.executor, self.reduce, self.partition_by
+            _params(self), self.n_partitions, self.executor, self.reduce
         )
-        if self.n_partitions < 1:
-            raise ValueError(f"n_partitions must be >= 1, got {self.n_partitions}")
         if self.n_partitions > 1 and (
             self.mode == "scan" or self.method not in PARALLEL_METHODS
         ):
@@ -165,10 +162,7 @@ class CaseConfig:
         if self.fusion_backend and self.fusion_backend != self.backend:
             parts.append(f"fuse-{self.fusion_backend}")
         if self.n_partitions > 1:
-            parts.append(
-                f"p{self.n_partitions}-{self.executor}-{self.reduce}"
-                f"-{self.partition_by}"
-            )
+            parts.append(f"p{self.n_partitions}-{self.executor}-{self.reduce}")
         elif self.executor != "serial":
             parts.append(self.executor)
         if self.epoch_size is not None:
@@ -264,7 +258,6 @@ def _execution(config: CaseConfig) -> dict:
             n_partitions=config.n_partitions,
             executor=config.executor,
             reduce=config.reduce,
-            partition_by=config.partition_by,
             cluster=_shared_cluster() if config.executor == "remote" else None,
         )
     return execution
@@ -656,21 +649,21 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound+"),
         CaseConfig("scan", "hybrid", epoch_size=3),
         CaseConfig("scan", "hybrid"),
-        # The parallel engine: threads + processes, flat + tree, both
-        # partition axes, python + numpy payloads.
+        # The parallel engine: threads + processes, flat + tree,
+        # python + numpy payloads.
         CaseConfig("detect", "index", n_partitions=2, executor="threads",
-                   reduce="tree", partition_by="work"),
+                   reduce="tree"),
         CaseConfig("detect", "index", n_partitions=3, executor="processes"),
         CaseConfig("detect", "index", backend="python", n_partitions=2,
                    executor="threads", reduce="tree"),
         CaseConfig("detect", "hybrid", n_partitions=2, executor="threads"),
         CaseConfig("detect", "hybrid", n_partitions=2, executor="processes",
-                   reduce="tree", partition_by="work"),
+                   reduce="tree"),
         # The remote executor: a shared 2-worker localhost cluster
         # (separate interpreters, real sockets) must conform exactly
         # like the in-process executors.
         CaseConfig("detect", "index", n_partitions=2, executor="remote",
-                   reduce="tree", partition_by="work"),
+                   reduce="tree"),
         CaseConfig("detect", "hybrid", n_partitions=2, executor="remote"),
         # The sparse pair layout forced on small worlds: the compact
         # observed-pair state must match the reference bit-for-bit
@@ -717,12 +710,11 @@ def full_grid() -> list[CaseConfig]:
         CaseConfig("detect", "bound+", ordering="by_provider"),
         CaseConfig("detect", "hybrid", hybrid_threshold=1),
         # Deeper partitioning.
-        CaseConfig("detect", "index", n_partitions=4, executor="threads",
-                   partition_by="work"),
+        CaseConfig("detect", "index", n_partitions=4, executor="threads"),
         CaseConfig("detect", "index", n_partitions=4, executor="processes",
                    reduce="tree"),
         CaseConfig("detect", "hybrid", n_partitions=3, executor="threads",
-                   reduce="tree", partition_by="work"),
+                   reduce="tree"),
         CaseConfig("detect", "hybrid", backend="python", n_partitions=3,
                    executor="threads"),
         # Deeper sparse-layout coverage: the remaining methods, the
@@ -739,7 +731,7 @@ def full_grid() -> list[CaseConfig]:
         CaseConfig("fusion", "none", backend="python", fusion_backend="numpy",
                    rounds=6),
         CaseConfig("fusion", "hybrid", n_partitions=2, executor="processes",
-                   reduce="tree", partition_by="work", rounds=3),
+                   reduce="tree", rounds=3),
         CaseConfig("detect", "index", n_partitions=3, executor="remote",
                    reduce="flat"),
         CaseConfig("fusion", "index", n_partitions=2, executor="remote",

@@ -45,7 +45,6 @@ from .params import (
     BACKENDS,
     EXECUTORS,
     PAIR_LAYOUTS,
-    PARTITION_AXES,
     REDUCE_MODES,
     CopyParams,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "PairNotObservedError",
     "PairTable",
     "PairExplanation",
-    "PARTITION_AXES",
     "PrefixScanState",
     "REDUCE_MODES",
     "RoundStats",

@@ -48,25 +48,22 @@ def _check_round(
     n_partitions: int,
     executor: str,
     reduce: str,
-    partition_by: str,
 ) -> None:
     """Validate one round's method and partition arguments.
 
     Raises:
-        ValueError: for an unknown method, ``n_partitions < 1``, a
-            partitioned method outside :data:`PARALLEL_METHODS`, or
-            anything :func:`validate_execution` rejects.
+        ValueError: for an unknown method, a partitioned method outside
+            :data:`PARALLEL_METHODS`, or anything
+            :func:`validate_execution` rejects.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if n_partitions < 1:
-        raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
     if n_partitions > 1 and method not in PARALLEL_METHODS:
         raise ValueError(
             f"n_partitions > 1 supports methods {PARALLEL_METHODS}, "
             f"not {method!r}"
         )
-    validate_execution(params, executor, reduce, partition_by)
+    validate_execution(params, n_partitions, executor, reduce)
 
 
 def _stamped(run_round):
@@ -105,7 +102,6 @@ def detect(
     n_partitions: int = 1,
     executor: str = "serial",
     reduce: str = "flat",
-    partition_by: str = "entries",
     cluster=None,
 ) -> DetectionResult:
     """Run one copy-detection round with the named algorithm.
@@ -137,7 +133,6 @@ def detect(
         executor: where partitions run (``"serial"``, ``"threads"``,
             ``"processes"``, ``"remote"``); ignored at ``n_partitions=1``.
         reduce: ``"flat"`` or ``"tree"`` merge topology.
-        partition_by: ``"entries"`` or ``"work"`` balanced shares.
         cluster: for ``executor="remote"``: a live ClusterExecutor, a
             worker list, or None (``REPRO_CLUSTER_WORKERS``).
 
@@ -149,7 +144,7 @@ def detect(
         ValueError: for an unknown method or execution argument, or a
             partitioned method outside :data:`PARALLEL_METHODS`.
     """
-    _check_round(params, method, n_partitions, executor, reduce, partition_by)
+    _check_round(params, method, n_partitions, executor, reduce)
     world = (dataset, probabilities, accuracies, params)
     if method == "pairwise":
         return detect_pairwise(*world, shared_items=shared_items)
@@ -170,16 +165,9 @@ def detect(
             cluster=cluster,
         )
         if method == "index":
-            return detect_index_parallel(
-                *world,
-                strategy="work" if partition_by == "work" else "stride",
-                **execution,
-            )
+            return detect_index_parallel(*world, **execution)
         return detect_hybrid_parallel(
-            *world,
-            hybrid_threshold=hybrid_threshold,
-            partition_by=partition_by,
-            **execution,
+            *world, hybrid_threshold=hybrid_threshold, **execution
         )
     if method == "index":
         return detect_index(*world, index=index)
@@ -255,10 +243,9 @@ class SingleRoundDetector(_WorkspaceMixin):
         n_partitions: int = 1,
         executor: str = "serial",
         reduce: str = "flat",
-        partition_by: str = "entries",
         cluster=None,
     ):
-        _check_round(params, method, n_partitions, executor, reduce, partition_by)
+        _check_round(params, method, n_partitions, executor, reduce)
         self.params = params
         self.method = method
         self.ordering = ordering
@@ -267,7 +254,6 @@ class SingleRoundDetector(_WorkspaceMixin):
         self.n_partitions = n_partitions
         self.executor = executor
         self.reduce = reduce
-        self.partition_by = partition_by
         #: for ``executor="remote"``: a live ClusterExecutor, a worker
         #: list, or None (the REPRO_CLUSTER_WORKERS environment variable).
         self.cluster = cluster
@@ -301,7 +287,6 @@ class SingleRoundDetector(_WorkspaceMixin):
             n_partitions=self.n_partitions,
             executor=self.executor,
             reduce=self.reduce,
-            partition_by=self.partition_by,
             cluster=self.cluster,
         )
 

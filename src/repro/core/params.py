@@ -43,11 +43,6 @@ EXECUTORS = ("serial", "threads", "processes", "remote")
 #: :data:`BACKENDS` so argument validation stays import-light.
 REDUCE_MODES = ("flat", "tree")
 
-#: CLI-level partitioning axes (``--partition-by``): ``"entries"`` splits
-#: by entry count (stride/blocks), ``"work"`` by estimated incidence work
-#: (see :mod:`repro.parallel.partition`).
-PARTITION_AXES = ("entries", "work")
-
 #: Pair-state layouts accepted by :attr:`CopyParams.pair_layout`:
 #: ``"dense"`` allocates flat arrays over the full ``n_sources ** 2``
 #: key space, ``"sparse"`` compacts state to the observed pairs
@@ -198,24 +193,23 @@ class CopyParams:
 
 
 def validate_execution(
-    params: CopyParams,
-    executor: str,
-    reduce: str,
-    partition_by: str = "entries",
+    params: CopyParams, n_partitions: int, executor: str, reduce: str
 ) -> None:
     """Check a partitioned scan's execution arguments.
 
     The one validation point behind :func:`repro.core.detect`,
-    :class:`SingleRoundDetector` and both parallel-engine entry points.
+    :class:`SingleRoundDetector`, both parallel-engine entry points and
+    the conformance grid's case configurations.
 
     Raises:
-        ValueError: for an unknown executor, reduce mode or partition
-            axis, or ``executor="remote"`` off the numpy backend.
+        ValueError: for ``n_partitions < 1``, an unknown executor or
+            reduce mode, or ``executor="remote"`` off the numpy backend.
     """
+    if n_partitions < 1:
+        raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
     for what, value, allowed in (
         ("executor", executor, EXECUTORS),
         ("reduce mode", reduce, REDUCE_MODES),
-        ("partition_by", partition_by, PARTITION_AXES),
     ):
         if value not in allowed:
             raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")

@@ -32,20 +32,22 @@ Reduction topologies (``reduce=``):
   and tree agree to re-association error; at ``n_partitions=1`` there is
   nothing to merge and both are bit-identical to the sequential scan).
 
-Partitioning (see :mod:`repro.parallel.partition`): ``"stride"`` and
-``"blocks"`` split by entry count; ``"work"`` balances estimated
-incidence work so a straggler holding the popular values stops bounding
-wall-clock.
+Partitions are plain position ``range`` objects, one rule per method:
+INDEX deals the positions round-robin (:func:`_stride_shares`), which
+spreads the popular values — their entries carry quadratically more
+pairs — across all shares; HYBRID cuts contiguous blocks
+(:func:`_block_shares`).  Empty shares (more partitions than entries)
+are never handed to an executor.
 
 Early termination *is* parallelised, the way the paper suggests — by the
 strong-evidence prefix (:func:`detect_hybrid_parallel`): the first
-``"blocks"`` partition of a BY_CONTRIBUTION ordering, where the early
-conclusions happen, is scanned sequentially with the HYBRID bound
-machinery (epoch-batched under ``backend="numpy"``), and the remaining
-blocks — by then pure accumulation for the surviving pairs — are
-map/reduced exactly like INDEX (shared-memory broadcast, tree reduce and
-work-balanced suffix shares included).  Pairs concluded inside the
-prefix keep their early verdicts; everything else resolves exactly.
+block of a BY_CONTRIBUTION ordering, where the early conclusions
+happen, is scanned sequentially with the HYBRID bound machinery
+(epoch-batched under ``backend="numpy"``), and the remaining blocks — by
+then pure accumulation for the surviving pairs — are map/reduced exactly
+like INDEX (shared-memory broadcast and tree reduce included).  Pairs
+concluded inside the prefix keep their early verdicts; everything else
+resolves exactly.
 
 Backends differ only in their ``(scan, merge)`` pair: with
 ``params.backend == "numpy"`` each partition is
@@ -68,13 +70,6 @@ from ..core.index import InvertedIndex
 from ..core.params import CopyParams, validate_execution
 from ..core.result import CostCounter, DecisionView, DetectionResult, PairDecision
 from ..data import Dataset
-from .partition import (
-    EntryPartition,
-    PartitionStrategy,
-    partition_entries,
-    partition_positions_by_work,
-    partition_weights,
-)
 
 Executor = Literal["serial", "threads", "processes", "remote"]
 ReduceMode = Literal["flat", "tree"]
@@ -239,10 +234,23 @@ class ScanWorld:
         return self._merge(live, params)
 
 
+def _stride_shares(n_entries: int, n_partitions: int) -> list[range]:
+    """INDEX's shares: position ``p`` goes to share ``p mod n_partitions``."""
+    return [range(pid, n_entries, n_partitions) for pid in range(n_partitions)]
+
+
+def _block_shares(n_entries: int, n_partitions: int) -> list[range]:
+    """HYBRID's shares: ``n_partitions`` contiguous blocks in processing
+    order, the first ``n_entries mod n_partitions`` one entry longer."""
+    base, extra = divmod(n_entries, n_partitions)
+    bounds = [pid * base + min(pid, extra) for pid in range(n_partitions + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _map_reduce(
     dataset: Dataset,
     index: InvertedIndex,
-    partitions: Sequence[EntryPartition],
+    partitions: Sequence[range],
     accuracies: Sequence[float],
     params: CopyParams,
     executor: Executor,
@@ -260,7 +268,7 @@ def _map_reduce(
     transient workspace, so pools, shared blocks and dialed cluster
     sessions are torn down on the way out exactly as a fusion run's are.
     """
-    parts = [part for part in partitions if part.positions]
+    parts = [part for part in partitions if part]
     if not parts:
         # Every partition was empty (a world with no shared values).
         return None
@@ -276,11 +284,7 @@ def _map_reduce(
         index, list(accuracies), dataset.n_sources, params.backend == "numpy"
     )
     return workspace.executor(executor, cluster).map_reduce(
-        world,
-        [part.positions for part in parts],
-        [partition_weights(index, part) for part in parts],
-        params,
-        reduce_mode,
+        world, parts, params, reduce_mode
     )
 
 
@@ -309,7 +313,6 @@ def detect_index_parallel(
     params: CopyParams,
     index: InvertedIndex,
     n_partitions: int = 4,
-    strategy: PartitionStrategy = "stride",
     executor: Executor = "serial",
     reduce: ReduceMode = "flat",
     workspace=None,
@@ -324,9 +327,7 @@ def detect_index_parallel(
         params: model parameters.
         index: the round's index (:meth:`InvertedIndex.build`; under
             :func:`repro.core.detect` the one it builds).
-        n_partitions: number of entry shares (>= 1).
-        strategy: ``"stride"`` (entry-count balanced), ``"blocks"``
-            (contiguous) or ``"work"`` (incidence-cost balanced).
+        n_partitions: number of entry shares (>= 1), dealt round-robin.
         executor: ``"serial"``, ``"threads"``, ``"processes"`` or
             ``"remote"`` (cluster workers over TCP; numpy backend only).
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
@@ -341,11 +342,12 @@ def detect_index_parallel(
             ``REPRO_CLUSTER_WORKERS``.
 
     Raises:
-        ValueError: for an unknown executor, strategy or reduce mode.
+        ValueError: for ``n_partitions < 1``, an unknown executor or
+            reduce mode.
     """
-    validate_execution(params, executor, reduce)
+    validate_execution(params, n_partitions, executor, reduce)
     merged = _map_reduce(
-        dataset, index, partition_entries(index, n_partitions, strategy),
+        dataset, index, _stride_shares(index.n_entries, n_partitions),
         accuracies, params, executor, reduce, workspace, cluster,
     )
     shared_items = index.shared_items
@@ -386,7 +388,6 @@ def detect_hybrid_parallel(
     executor: Executor = "serial",
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     reduce: ReduceMode = "flat",
-    partition_by: str = "entries",
     workspace=None,
     cluster=None,
 ) -> DetectionResult:
@@ -397,7 +398,7 @@ def detect_hybrid_parallel(
     ordering almost every early conclusion falls inside the first block
     of entries.  This detector exploits that:
 
-    1. The first of ``n_partitions`` ``"blocks"`` partitions — the
+    1. The first of ``n_partitions`` contiguous blocks — the
        strong-evidence prefix — is scanned *sequentially* with the full
        HYBRID machinery (``scan_with_bounds(stop_at=...)``; epoch-batched
        under ``backend="numpy"``).  Pairs that conclude there keep their
@@ -405,11 +406,7 @@ def detect_hybrid_parallel(
     2. The remaining blocks are scanned in parallel exactly like
        :func:`detect_index_parallel` (columnar payloads — broadcast once
        via shared memory under ``"processes"`` — with flat-table merge
-       under numpy, dict partials under python).  With
-       ``partition_by="work"`` the suffix is re-split into
-       incidence-cost-balanced shares instead of equal blocks, so a
-       popular-value straggler stops bounding wall-clock; the prefix is
-       unchanged, so early verdicts are identical either way.  Workers
+       under numpy, dict partials under python).  Workers
        are oblivious to the prefix verdicts, so a concluded pair's
        suffix contributions are computed and discarded — the usual price
        of coordination-free map work.
@@ -427,12 +424,11 @@ def detect_hybrid_parallel(
     equals :func:`repro.core.detect_hybrid`'s bit for bit.
 
     Raises:
-        ValueError: for an unknown executor, reduce mode or partition
-            axis.
+        ValueError: for ``n_partitions < 1``, an unknown executor or
+            reduce mode.
     """
-    validate_execution(params, executor, reduce, partition_by)
-    partitions = partition_entries(index, n_partitions, "blocks")
-    prefix_len = len(partitions[0].positions)
+    validate_execution(params, n_partitions, executor, reduce)
+    prefix_block, *suffix_blocks = _block_shares(index.n_entries, n_partitions)
     prefix = scan_with_bounds(
         dataset,
         probabilities,
@@ -441,18 +437,12 @@ def detect_hybrid_parallel(
         index=index,
         hybrid_threshold=hybrid_threshold,
         method_name="hybrid-parallel",
-        stop_at=prefix_len,
+        stop_at=len(prefix_block),
         collect_state=True,
     )
-    if partition_by == "work" and n_partitions > 1:
-        suffix_parts = partition_positions_by_work(
-            index, range(prefix_len, index.n_entries), n_partitions - 1
-        )
-    else:
-        suffix_parts = partitions[1:]
     # Map/reduce the suffix into per-pair [c_fwd, c_bwd, n, saw_main].
     merged = _map_reduce(
-        dataset, index, suffix_parts, accuracies, params, executor, reduce,
+        dataset, index, suffix_blocks, accuracies, params, executor, reduce,
         workspace, cluster,
     )
     if not isinstance(prefix, PrefixScanState):

@@ -2,14 +2,14 @@
 
 An *executor* is anything with::
 
-    map_reduce(world, partitions, weights, params, reduce_mode)
+    map_reduce(world, partitions, params, reduce_mode)
         -> merged partial | None
     close()
 
 ``world`` is the round's :class:`~repro.parallel.engine.ScanWorld`,
-``partitions`` the non-empty entry-position shares, ``weights`` their
-work estimates (for executors that schedule), ``reduce_mode`` ``"flat"``
-or ``"tree"``; the result is None when every partial came back empty.
+``partitions`` the non-empty entry-position shares (``range`` objects),
+``reduce_mode`` ``"flat"`` or ``"tree"``; the result is None when every
+partial came back empty.
 Each implementation owns its lifetime state and releases it in an
 idempotent ``close()``; a :class:`~repro.fusion.FusionWorkspace` holds
 the executors, which is what keeps that state alive across fusion rounds.
@@ -37,7 +37,7 @@ class SerialExecutor:
         """One self-contained ``(fn, args)`` task per partition."""
         return [world.task(positions, params) for positions in partitions]
 
-    def map_reduce(self, world, partitions, weights, params, reduce_mode):
+    def map_reduce(self, world, partitions, params, reduce_mode):
         """Scan every partition and reduce the partials (see the module doc)."""
         # Always the payload form: an inline round starts no shared block.
         tasks = SerialExecutor._tasks(self, world, partitions, params)
@@ -55,10 +55,10 @@ class ThreadsExecutor(SerialExecutor):
     _pool_type = ThreadPoolExecutor
     _pool = None
 
-    def map_reduce(self, world, partitions, weights, params, reduce_mode):
+    def map_reduce(self, world, partitions, params, reduce_mode):
         """Scan the partitions concurrently and reduce the partials."""
         if len(partitions) < 2:
-            return super().map_reduce(world, partitions, weights, params, reduce_mode)
+            return super().map_reduce(world, partitions, params, reduce_mode)
         tasks = self._tasks(world, partitions, params)
         if self._pool is None:
             self._pool = self._pool_type(max_workers=os.cpu_count() or 1)

@@ -48,7 +48,7 @@ class TestDetect:
 
 
 class TestDetectParallel:
-    """--n-partitions/--executor/--reduce/--partition-by round-trips."""
+    """--n-partitions/--executor/--reduce round-trips."""
 
     def _rows(self, text):
         return [line for line in text.splitlines() if line.count("|") >= 4]
@@ -65,7 +65,7 @@ class TestDetectParallel:
             [
                 "detect", claims, "--method", "hybrid", "--backend", backend,
                 "--n-partitions", "4", "--executor", "processes",
-                "--reduce", "tree", "--partition-by", "work",
+                "--reduce", "tree",
             ]
         )
         assert code == 0
@@ -75,14 +75,12 @@ class TestDetectParallel:
         assert self._rows(parallel_out) == self._rows(sequential_out)
 
     @pytest.mark.parametrize("reduce", ["flat", "tree"])
-    @pytest.mark.parametrize("partition_by", ["entries", "work"])
-    def test_index_flag_grid(self, dataset_dir, capsys, reduce, partition_by):
+    def test_index_flag_grid(self, dataset_dir, capsys, reduce):
         claims = str(dataset_dir / "claims.csv")
         code = main(
             [
                 "detect", claims, "--method", "index",
                 "--n-partitions", "3", "--reduce", reduce,
-                "--partition-by", partition_by,
             ]
         )
         assert code == 0
@@ -132,11 +130,18 @@ class TestParallelFlagValidation:
              "supports methods index/hybrid, not 'bound'"),
             (["--method", "index", "--n-partitions", "0"],
              "--n-partitions must be >= 1"),
+            (["--method", "index", "--reduce", "tree"],
+             "--reduce requires --n-partitions > 1"),
+            (["--method", "index", "--n-partitions", "2", "--workers",
+              "127.0.0.1:1"],
+             "--workers requires --executor remote"),
         ],
     )
     def test_same_exit_message_on_both_commands(self, dataset_dir, flags, message):
         """`detect --executor processes` used to run sequentially without
-        a word while `fuse` refused the same flags."""
+        a word while `fuse` refused the same flags; `--reduce tree` on one
+        partition and `--workers` off the remote executor ran on both,
+        exit 0, as if the flag had applied."""
         claims = str(dataset_dir / "claims.csv")
         on_detect = self._exit_message(["detect", claims, *flags])
         on_fuse = self._exit_message(["fuse", claims, *flags])
@@ -163,7 +168,7 @@ class TestParallelFlagValidation:
 
 
 class TestFuseParallel:
-    """--n-partitions/--executor/--reduce/--partition-by on fuse."""
+    """--n-partitions/--executor/--reduce on fuse."""
 
     def _stable_lines(self, text):
         """Output lines unaffected by timing (pairs, accuracy, truths)."""
@@ -185,7 +190,7 @@ class TestFuseParallel:
                 "--backend", backend, "--truths", "5"]
         code = main(
             base + ["--n-partitions", "3", "--reduce", reduce,
-                    "--partition-by", "work", "--executor", "threads"]
+                    "--executor", "threads"]
         )
         assert code == 0
         parallel_out = capsys.readouterr().out

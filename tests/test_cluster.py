@@ -29,6 +29,7 @@ from repro.cluster import (
     resolve_cluster,
     serve_worker,
 )
+from repro.cluster.executor import assign_buckets_lpt
 from repro.cluster.wire import (
     MAGIC,
     WIRE_VERSION,
@@ -39,13 +40,8 @@ from repro.cluster.wire import (
 from repro.core import CopyParams, InvertedIndex
 from repro.core.kernel import PairTable
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
-from tests.test_parallel import _indexed
 from repro.parallel.engine import ScanWorld
-from repro.parallel.partition import (
-    assign_buckets_lpt,
-    partition_entries,
-    partition_weights,
-)
+from tests.test_parallel import _indexed
 
 
 # ----------------------------------------------------------------------
@@ -262,9 +258,7 @@ class TestRemoteParity:
         params,
         reduce_mode,
     ):
-        kwargs = dict(
-            n_partitions=3, strategy="work", reduce=reduce_mode
-        )
+        kwargs = dict(n_partitions=3, reduce=reduce_mode)
         ref = _indexed(
             detect_index_parallel,
             example, example_probabilities, example_accuracies, params,
@@ -287,7 +281,7 @@ class TestRemoteParity:
         params,
         reduce_mode,
     ):
-        kwargs = dict(n_partitions=3, partition_by="work", reduce=reduce_mode)
+        kwargs = dict(n_partitions=3, reduce=reduce_mode)
         ref = _indexed(
             detect_hybrid_parallel,
             example, example_probabilities, example_accuracies, params,
@@ -342,19 +336,17 @@ class TestRemoteParity:
 
         dataset, probs, accs = sparse_problem(1205, n_sources=1200, n_items=120)
         params = CopyParams(backend="numpy", pair_layout="sparse")
-        runs = (
-            (detect_index_parallel, dict(n_partitions=8, strategy="work")),
-            (detect_hybrid_parallel, dict(n_partitions=4, partition_by="work")),
-        )
+        runs = ((detect_index_parallel, 8), (detect_hybrid_parallel, 4))
         with LocalCluster(4) as lc, lc.executor() as ex:
-            for detect, split in runs:
+            for detect, n_partitions in runs:
                 ref = _indexed(
                     detect, dataset, probs, accs, params,
-                    executor="serial", reduce="tree", **split,
+                    n_partitions=n_partitions, executor="serial", reduce="tree",
                 )
                 got = _indexed(
                     detect, dataset, probs, accs, params,
-                    executor="remote", reduce="tree", cluster=ex, **split,
+                    n_partitions=n_partitions, executor="remote", reduce="tree",
+                    cluster=ex,
                 )
                 assert len(ref.decisions) > 5_000
                 _assert_bit_identical(ref, got)
@@ -454,13 +446,8 @@ class TestFaults:
         world = ScanWorld(
             index, list(example_accuracies), example.n_sources, columnar=True
         )
-        parts = [
-            p for p in partition_entries(index, 4, strategy="work")
-            if p.positions
-        ]
-        positions = [p.positions for p in parts]
-        weights = [partition_weights(index, p) for p in parts]
-        return world, positions, weights, params, "tree"
+        positions = [range(pid, index.n_entries, 4) for pid in range(4)]
+        return world, positions, params, "tree"
 
     def test_round_retries_on_surviving_worker(
         self, example, example_probabilities, example_accuracies, params

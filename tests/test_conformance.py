@@ -127,7 +127,6 @@ class TestCaseConfig:
             dict(n_partitions=0),
             dict(n_partitions=2, executor="thread"),
             dict(n_partitions=2, reduce="ring"),
-            dict(n_partitions=2, partition_by="items"),
             dict(n_partitions=2, executor="remote", backend="python"),
             dict(backend="cuda"),
         ],
@@ -154,14 +153,13 @@ class TestCaseConfig:
     def test_reference_flips_only_implementation_axes(self):
         config = CaseConfig(
             "detect", "hybrid", n_partitions=3, executor="processes",
-            reduce="tree", partition_by="work", hybrid_threshold=4,
+            reduce="tree", hybrid_threshold=4,
         )
         reference = config.reference()
         assert reference.backend == "python"
         assert reference.executor == "serial"
         assert reference.n_partitions == 3
         assert reference.reduce == "tree"
-        assert reference.partition_by == "work"
         assert reference.hybrid_threshold == 4
         # The epoch axis exists where the stress is applied: scan mode.
         assert CaseConfig("scan", "hybrid", epoch_size=16).reference().epoch_size == 16
@@ -188,7 +186,6 @@ class TestCaseConfig:
             "serial", "threads", "processes", "remote",
         }
         assert {c.reduce for c in grid} == {"flat", "tree"}
-        assert {c.partition_by for c in grid} == {"entries", "work"}
         assert any(
             c.mode == "fusion" and c.method == "incremental" and c.rounds >= 3
             for c in grid

@@ -10,6 +10,7 @@ return.  New fixtures appear automatically:
 fresh divergence here, and this module picks it up without edits.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,17 @@ def test_fixture_is_well_formed(path):
     assert meta["id"] == path.stem
     assert world.n_sources >= 2
     assert config.label  # parses back into a valid CaseConfig
+
+
+def test_unknown_config_field_names_the_fixture_and_the_field(tmp_path):
+    """A fixture written by a build with a config axis this one lacks
+    fails to load with a message naming the file and the field — not a
+    bare ``TypeError`` from the dataclass constructor."""
+    payload = json.loads(FIXTURES[0].read_text())
+    payload["config"]["shard_by"] = "items"
+    path = tmp_path / FIXTURES[0].name
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        load_case(path)
+    assert str(path) in str(info.value)
+    assert "unknown config field(s) shard_by" in str(info.value)

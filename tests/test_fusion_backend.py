@@ -220,7 +220,6 @@ class TestFusionBackendParity:
                 n_partitions=3,
                 executor=executor,
                 reduce="tree",
-                partition_by="work",
             ),
             config=FIVE_ROUNDS,
         )

@@ -1,5 +1,6 @@
 """Partitioned detection: partitions, merge equivalence, executors."""
 
+import inspect
 from dataclasses import replace
 
 import pytest
@@ -16,11 +17,11 @@ from repro.data import (
 from repro.parallel import (
     detect_hybrid_parallel,
     detect_index_parallel,
-    partition_entries,
-    partition_positions_by_work,
-    partition_weights,
+    engine,
     shared_memory_available,
 )
+from repro.parallel.engine import _block_shares, _stride_shares
+from repro.parallel.executors import SerialExecutor
 from tests.strategies import worlds
 
 
@@ -36,96 +37,76 @@ def _indexed(detector, dataset, probabilities, accuracies, params, **kwargs):
     return detector(dataset, probabilities, accuracies, params, index, **kwargs)
 
 
-class TestPartitioning:
-    def test_blocks_cover_everything_once(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        parts = partition_entries(index, 3, strategy="blocks")
-        seen = [pos for part in parts for pos in part.positions]
-        assert sorted(seen) == list(range(index.n_entries))
+def _covers_once_in_order(shares, n_entries):
+    """Every position in exactly one share, each share in processing order."""
+    assert sorted(pos for share in shares for pos in share) == list(range(n_entries))
+    for share in shares:
+        assert list(share) == sorted(share)
 
-    def test_stride_cover_everything_once(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        parts = partition_entries(index, 4, strategy="stride")
-        seen = [pos for part in parts for pos in part.positions]
-        assert sorted(seen) == list(range(index.n_entries))
+
+class TestPartitioning:
+    """The two share rules: INDEX deals positions round-robin, HYBRID cuts
+    contiguous blocks; one share is the whole processing order."""
+
+    N_ENTRIES = 13  # the motivating example's index
+
+    def test_blocks_cover_everything_once(self):
+        shares = _block_shares(self.N_ENTRIES, 3)
+        _covers_once_in_order(shares, self.N_ENTRIES)
+        assert [list(share) for share in shares] == [
+            list(range(0, 5)), list(range(5, 9)), list(range(9, 13)),
+        ]
+        assert _block_shares(self.N_ENTRIES, 1) == [range(self.N_ENTRIES)]
+
+    def test_stride_cover_everything_once(self):
+        shares = _stride_shares(self.N_ENTRIES, 4)
+        _covers_once_in_order(shares, self.N_ENTRIES)
+        for pid, share in enumerate(shares):
+            assert all(pos % 4 == pid for pos in share)
+        assert _stride_shares(self.N_ENTRIES, 1) == [range(self.N_ENTRIES)]
 
     def test_more_partitions_than_entries(
-        self, example, example_probabilities, example_accuracies, params
+        self, monkeypatch, example, example_probabilities, example_accuracies,
+        params,
     ):
-        index = _example_index(
+        """Surplus shares are empty, and the engine hands an executor only
+        the non-empty ones."""
+        n = _example_index(
             example, example_probabilities, example_accuracies, params
-        )
-        parts = partition_entries(index, index.n_entries + 5)
-        assert len(parts) == index.n_entries + 5
-        assert sum(len(p.positions) for p in parts) == index.n_entries
+        ).n_entries
+        for cut in (_stride_shares, _block_shares):
+            shares = cut(n, n + 5)
+            assert len(shares) == n + 5
+            _covers_once_in_order(shares, n)
+        handed = []
+        scan = SerialExecutor.map_reduce
+
+        def recording(self, world, partitions, params, reduce_mode):
+            handed.append(list(partitions))
+            return scan(self, world, partitions, params, reduce_mode)
+
+        monkeypatch.setattr(SerialExecutor, "map_reduce", recording)
+        for detector in (detect_index_parallel, detect_hybrid_parallel):
+            _indexed(
+                detector, example, example_probabilities, example_accuracies,
+                params, n_partitions=n + 5,
+            )
+        # INDEX: one share per entry; HYBRID: the suffix after a 1-entry prefix.
+        assert [len(call) for call in handed] == [n, n - 1]
+        assert all(share for call in handed for share in call)
 
     def test_invalid_inputs(
         self, example, example_probabilities, example_accuracies, params
     ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        with pytest.raises(ValueError):
-            partition_entries(index, 0)
-        with pytest.raises(ValueError):
-            partition_entries(index, 2, strategy="zigzag")
-
-    def test_work_covers_everything_once(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        parts = partition_entries(index, 3, strategy="work")
-        seen = [pos for part in parts for pos in part.positions]
-        assert sorted(seen) == list(range(index.n_entries))
-
-    def test_work_positions_stay_in_processing_order(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        for part in partition_entries(index, 4, strategy="work"):
-            assert list(part.positions) == sorted(part.positions)
-
-    def test_work_balances_no_worse_than_stride(self):
-        """LPT packing bounds the spread by one entry's weight."""
-        from repro.fusion import vote_probabilities
-        from repro.synth import stock_1day
-
-        world = stock_1day(scale=0.01)
-        ds = world.dataset
-        params = CopyParams()
-        index = InvertedIndex.build(
-            ds, vote_probabilities(ds), [0.8] * ds.n_sources, params
-        )
-        spreads = {}
-        for strategy in ("stride", "work"):
-            parts = partition_entries(index, 4, strategy=strategy)
-            weights = [partition_weights(index, p) for p in parts]
-            spreads[strategy] = max(weights) - min(weights)
-        assert spreads["work"] <= spreads["stride"]
-
-    def test_work_subset_split_rejects_bad_count(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        with pytest.raises(ValueError):
-            partition_positions_by_work(index, range(index.n_entries), 0)
+        for detector in (detect_index_parallel, detect_hybrid_parallel):
+            with pytest.raises(ValueError, match="n_partitions must be >= 1"):
+                _indexed(
+                    detector, example, example_probabilities,
+                    example_accuracies, params, n_partitions=0,
+                )
 
     def test_stride_balances_weights(self):
-        """On a skewed profile, stride partitions carry similar loads."""
+        """On a skewed profile, stride shares carry similar pair loads."""
         from repro.fusion import vote_probabilities
         from repro.synth import stock_1day
 
@@ -135,23 +116,31 @@ class TestPartitioning:
         index = InvertedIndex.build(
             ds, vote_probabilities(ds), [0.8] * ds.n_sources, params
         )
-        parts = partition_entries(index, 4, strategy="stride")
-        weights = [partition_weights(index, p) for p in parts]
+        k = index.provider_counts
+        weights = [
+            sum(k[pos] * (k[pos] - 1) // 2 for pos in share)
+            for share in _stride_shares(index.n_entries, 4)
+        ]
         assert max(weights) <= 2 * max(min(weights), 1)
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("strategy", ["blocks", "stride"])
+    @pytest.mark.parametrize("cut", ["blocks", "stride"])
     @pytest.mark.parametrize("n_partitions", [1, 2, 5])
     def test_matches_sequential_on_example(
         self,
+        monkeypatch,
         example,
         example_probabilities,
         example_accuracies,
         params,
-        strategy,
+        cut,
         n_partitions,
     ):
+        """INDEX's merge is a plain sum: its own stride shares or HYBRID's
+        blocks, any cut of the positions gives the sequential verdicts."""
+        if cut == "blocks":
+            monkeypatch.setattr(engine, "_stride_shares", _block_shares)
         sequential = detect_index(
             example, example_probabilities, example_accuracies, params
         )
@@ -162,7 +151,6 @@ class TestEquivalence:
             example_accuracies,
             params,
             n_partitions=n_partitions,
-            strategy=strategy,
         )
         assert set(parallel.decisions) == set(sequential.decisions)
         for pair, decision in parallel.decisions.items():
@@ -217,14 +205,8 @@ class TestColumnarBackend:
     """The numpy backend's columnar payload path mirrors the dict path."""
 
     @settings(max_examples=25, deadline=None)
-    @given(
-        world=worlds(),
-        n_partitions=st.integers(min_value=1, max_value=6),
-        strategy=st.sampled_from(["stride", "blocks"]),
-    )
-    def test_matches_python_backend_on_random_worlds(
-        self, world, n_partitions, strategy
-    ):
+    @given(world=worlds(), n_partitions=st.integers(min_value=1, max_value=6))
+    def test_matches_python_backend_on_random_worlds(self, world, n_partitions):
         dataset, probs, accs = world
         params = CopyParams(backend="python")
         python = _indexed(
@@ -234,7 +216,6 @@ class TestColumnarBackend:
             accs,
             params,
             n_partitions=n_partitions,
-            strategy=strategy,
         )
         numpy_ = _indexed(
             detect_index_parallel,
@@ -243,7 +224,6 @@ class TestColumnarBackend:
             accs,
             replace(params, backend="numpy"),
             n_partitions=n_partitions,
-            strategy=strategy,
         )
         assert set(numpy_.decisions) == set(python.decisions)
         for pair, decision in numpy_.decisions.items():
@@ -387,6 +367,8 @@ class TestHybridParallel:
     def test_unknown_reduce_and_partition_axis(
         self, example, example_probabilities, example_accuracies, params
     ):
+        """A bad reduce mode is rejected; the blocks are the only cut, so
+        there is no partition axis to pass at all."""
         with pytest.raises(ValueError):
             _indexed(
                 detect_hybrid_parallel,
@@ -396,42 +378,15 @@ class TestHybridParallel:
                 params,
                 reduce="sum",
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="partition_by"):
             _indexed(
                 detect_hybrid_parallel,
                 example,
                 example_probabilities,
                 example_accuracies,
                 params,
-                partition_by="value",
-            )
-
-    @settings(max_examples=20, deadline=None)
-    @given(world=worlds(), n_partitions=st.integers(min_value=2, max_value=5))
-    def test_work_partitioned_suffix_matches_entries(self, world, n_partitions):
-        """The prefix is identical, suffix sums re-associate only."""
-        dataset, probs, accs = world
-        for backend in ("python", "numpy"):
-            params = CopyParams(backend=backend)
-            by_entries = _indexed(
-                detect_hybrid_parallel,
-                dataset, probs, accs, params, n_partitions=n_partitions
-            )
-            by_work = _indexed(
-                detect_hybrid_parallel,
-                dataset,
-                probs,
-                accs,
-                params,
-                n_partitions=n_partitions,
                 partition_by="work",
             )
-            assert set(by_work.decisions) == set(by_entries.decisions)
-            for pair, decision in by_work.decisions.items():
-                reference = by_entries.decisions[pair]
-                assert decision.copying == reference.copying
-                assert decision.early == reference.early
-                assert decision.c_fwd == pytest.approx(reference.c_fwd, abs=1e-9)
 
 
 class TestTreeReduce:
@@ -511,7 +466,6 @@ class TestTreeReduce:
             params,
             n_partitions=1,
             reduce="tree",
-            partition_by="work",
         )
         assert hybrid_par.decisions == hybrid_seq.decisions
 
@@ -592,14 +546,13 @@ class TestSharedMemory:
 # ----------------------------------------------------------------------
 # Executor parity through the single entry point
 # ----------------------------------------------------------------------
-def _example_case(n_partitions, axis):
+def _example_case(n_partitions):
     dataset = motivating_example()
     return (
         dataset,
         motivating_value_probabilities(dataset),
         motivating_accuracies(dataset),
         n_partitions,
-        axis,
     )
 
 
@@ -610,14 +563,15 @@ def _no_shared_values_case():
     b.add("S0", "item0", "a")
     b.add("S1", "item1", "b")
     dataset = b.build()
-    return dataset, [0.5] * dataset.n_values, [0.8] * dataset.n_sources, 3, "entries"
+    return dataset, [0.5] * dataset.n_values, [0.8] * dataset.n_sources, 3
 
 
-#: id -> (dataset, probabilities, accuracies, n_partitions, partition axis).
+#: id -> (dataset, probabilities, accuracies, n_partitions).  The ids are
+#: stable test names, not a partition axis: each method cuts one way.
 PARITY_CASES = {
-    "example-3-by-entries": _example_case(3, "entries"),
-    # 13 entries: more partitions than entries, work-balanced.
-    "example-16-by-work": _example_case(16, "work"),
+    "example-3-by-entries": _example_case(3),
+    # 13 entries: more partitions than entries.
+    "example-16-by-work": _example_case(16),
     "no-shared-values": _no_shared_values_case(),
 }
 
@@ -652,19 +606,14 @@ class TestExecutorParity:
     decisions and cost counters exactly."""
 
     def _check(self, request, monkeypatch, case, executor, reduce, backend, method):
-        dataset, probs, accs, n_partitions, axis = PARITY_CASES[case]
+        dataset, probs, accs, n_partitions = PARITY_CASES[case]
         params = CopyParams(backend=backend)
-        if method == "index":
-            detect = detect_index_parallel
-            split = {"strategy": "work" if axis == "work" else "stride"}
-        else:
-            detect = detect_hybrid_parallel
-            split = {"partition_by": axis}
+        detect = detect_index_parallel if method == "index" else detect_hybrid_parallel
 
         def run(executor, cluster=None):
             return _indexed(
                 detect, dataset, probs, accs, params, n_partitions=n_partitions,
-                executor=executor, reduce=reduce, cluster=cluster, **split,
+                executor=executor, reduce=reduce, cluster=cluster,
             )
 
         serial = run("serial")
@@ -702,3 +651,15 @@ class TestExecutorParity:
         self, request, monkeypatch, case, executor, reduce, method
     ):
         self._check(request, monkeypatch, case, executor, reduce, "numpy", method)
+
+    def test_every_executor_takes_the_same_map_reduce_arguments(self):
+        """One protocol: no executor takes an argument the others lack."""
+        from repro.cluster import ClusterExecutor
+        from repro.parallel.executors import LOCAL_EXECUTORS
+
+        for cls in [*LOCAL_EXECUTORS.values(), ClusterExecutor]:
+            parameters = inspect.signature(cls.map_reduce).parameters.values()
+            assert [(p.name, p.default) for p in parameters] == [
+                (name, inspect.Parameter.empty)
+                for name in ("self", "world", "partitions", "params", "reduce_mode")
+            ], cls.__name__

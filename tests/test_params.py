@@ -84,7 +84,7 @@ class TestExecutionValidation:
     BAD = [
         ({"executor": "gpu"}, "unknown executor 'gpu'; expected one of"),
         ({"reduce": "sum"}, "unknown reduce mode 'sum'; expected one of"),
-        ({"partition_by": "value"}, "unknown partition_by 'value'; expected one of"),
+        ({"n_partitions": 0}, "n_partitions must be >= 1, got 0"),
         ({"executor": "remote"}, "requires backend='numpy'"),
     ]
 
@@ -97,7 +97,7 @@ class TestExecutionValidation:
         from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 
         params = CopyParams(backend="python")
-        args = {"executor": "serial", "reduce": "flat", **kwargs}
+        args = {"n_partitions": 2, "executor": "serial", "reduce": "flat", **kwargs}
         with pytest.raises(ValueError) as expected:
             validate_execution(params, **args)
         assert message in str(expected.value)
@@ -105,11 +105,10 @@ class TestExecutionValidation:
         index = InvertedIndex.build(*world)
         callers = [
             lambda: detect_hybrid_parallel(*world, index, **args),
+            lambda: detect_index_parallel(*world, index, **args),
             lambda: SingleRoundDetector(params, "hybrid", **args),
             lambda: detect(*world, **args),
         ]
-        if "partition_by" not in kwargs:  # INDEX has no partition axis
-            callers.append(lambda: detect_index_parallel(*world, index, **args))
         for call in callers:
             with pytest.raises(ValueError) as got:
                 call()

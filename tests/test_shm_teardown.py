@@ -140,11 +140,8 @@ def scan_round(dataset, probabilities, accuracies, n_partitions=2):
     params = CopyParams()
     index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     world = ScanWorld(index, list(accuracies), dataset.n_sources, columnar=True)
-    positions = [
-        tuple(range(pid, index.n_entries, n_partitions))
-        for pid in range(n_partitions)
-    ]
-    return world, positions, [1] * n_partitions, params, "flat"
+    positions = [range(pid, index.n_entries, n_partitions) for pid in range(n_partitions)]
+    return world, positions, params, "flat"
 
 
 def _die(*args):

@@ -9,7 +9,8 @@ Two checks, both stdlib-only so the CI docs job needs no installs:
 * **Doc coverage** — every *public* module, class, function and method
   in the packages listed in :data:`DOC_COVERAGE_PACKAGES` (the product
   surface — serving, streaming — and the layers it stands on: cluster,
-  fusion, the core kernels, and data with its shared binary framing)
+  parallel, fusion, the core kernels, data with its shared binary
+  framing, and the synth / sampling / nra / simjoin side packages)
   must carry a docstring.  Parsed with :mod:`ast`, so nothing is imported and
   missing optional deps can't mask a gap.  Names with a leading
   underscore, ``__init__`` (the class docstring covers construction)
@@ -40,8 +41,13 @@ DOC_COVERAGE_PACKAGES = [
     "src/repro/core",
     "src/repro/data",
     "src/repro/fusion",
+    "src/repro/nra",
+    "src/repro/parallel",
+    "src/repro/sampling",
     "src/repro/serving",
+    "src/repro/simjoin",
     "src/repro/streaming",
+    "src/repro/synth",
 ]
 
 #: ``[text](target)`` — good enough for the plain links these docs use
