@@ -154,6 +154,8 @@ class CaseConfig:
                 f"epoch_size applies to mode 'scan' only (scan_with_bounds "
                 f"is where the boundary stress is applied), not {self.mode!r}"
             )
+        if self.epoch_size is not None and self.epoch_size < 1:
+            raise ValueError(f"epoch_size must be >= 1, got {self.epoch_size}")
 
     @property
     def label(self) -> str:
@@ -649,6 +651,11 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound+"),
         CaseConfig("scan", "hybrid", epoch_size=3),
         CaseConfig("scan", "hybrid"),
+        # One-entry epochs seed every timer chain from the epoch before;
+        # banded thresholds move both conclusion flags.
+        CaseConfig("scan", "bound", epoch_size=1),
+        CaseConfig("scan", "hybrid", epoch_size=1),
+        CaseConfig("scan", "bound+", band=(0.1, 0.9), epoch_size=3),
         # The parallel engine: threads + processes, flat + tree,
         # python + numpy payloads.
         CaseConfig("detect", "index", n_partitions=2, executor="threads",
@@ -672,7 +679,7 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("detect", "bound+", pair_layout="sparse"),
         CaseConfig("detect", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=3, pair_layout="sparse"),
-        # Mass-derived epochs under sparse slots; with 34 configurations
+        # Mass-derived epochs under sparse slots; with 37 configurations
         # against nine world kinds every configuration meets every kind,
         # so the saturated worlds' probability-keyed log grid is
         # refereed under both layouts at push time.
@@ -702,10 +709,8 @@ def full_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound", ordering="by_provider", epoch_size=3),
         CaseConfig("scan", "bound+", ordering="by_provider"),
         CaseConfig("scan", "hybrid", hybrid_threshold=1, epoch_size=3),
-        CaseConfig("scan", "bound+", band=(0.1, 0.9), epoch_size=3),
         CaseConfig("scan", "bound+", epoch_size=1),
         CaseConfig("scan", "hybrid", epoch_size=128),
-        CaseConfig("scan", "bound", epoch_size=1),
         # Detection with alternative orderings and thresholds.
         CaseConfig("detect", "bound+", ordering="by_provider"),
         CaseConfig("detect", "hybrid", hybrid_threshold=1),

@@ -40,9 +40,12 @@ arrays indexed by :class:`~repro.core.pairspace.PairSpace` slots and are
 bulk-updated with order-preserving scatter-adds, and ``C^min`` /
 ``C^max`` are screened for all still-active pairs at epoch boundaries.
 The few pairs whose timers fire or that approach a threshold inside an
-epoch are *replayed* through the exact per-incidence logic, so a
-concluding pair's recorded decision position is the first entry that
-crosses the threshold — decisions, decision positions,
+epoch are *replayed* once per epoch on one flat, pair-sorted incidence
+stream: every incidence's bounds are computed elementwise with this
+loop's arithmetic, and the BOUND+ timer chains (BOUND's evaluate every
+incidence) resolve in vector rounds, so a concluding pair's recorded
+decision position is the first entry that crosses the threshold —
+decisions, decision positions,
 :class:`~repro.core.result.CostCounter` tallies and
 :class:`PairBookkeeping` (stored scores included) are bit-identical to
 this reference.  Every world size runs vectorized: past
@@ -252,8 +255,8 @@ def scan_with_bounds(
             (what every detector passes) derives the boundaries from
             incidence mass (see
             :data:`repro.core.kernel.EPOCH_INCIDENCE_BUDGET`).
-            Outcomes do not depend on it; the sequential reference
-            ignores it.
+            Outcomes do not depend on it; both backends refuse values
+            below 1 and the sequential reference ignores the rest.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's
             strong-evidence prefix); ``None`` scans everything.
         collect_state: return the state at the cut instead of resolving
@@ -265,8 +268,11 @@ def scan_with_bounds(
             reference path).
 
     Raises:
-        ValueError: if the band is not ``0 < p_low <= p_high < 1``.
+        ValueError: if the band is not ``0 < p_low <= p_high < 1``, or
+            ``epoch_size < 1``.
     """
+    if epoch_size is not None and epoch_size < 1:
+        raise ValueError(f"epoch_size must be >= 1, got {epoch_size}")
     if index is None:
         index = InvertedIndex.build(
             dataset,

@@ -57,16 +57,17 @@ that structure to batch the scan without changing a single observable bit:
      screens carry a small absolute slack so float re-association in the
      screen itself can never hide a conclusion.
 
-5. **Exact replay.**  Screened-in pairs (the few whose timers fire or
-   that approach a threshold) are *replayed* through the reference's
-   per-incidence logic in scalar Python, using the precomputed exact
-   contributions — so their recorded decision position is the first entry
-   that crosses the threshold, their concluding bound values, timers,
-   cost counters and INCREMENTAL bookkeeping are bit-identical to the
-   pure-Python scan.  Screened-out pairs take the bulk path: their state
-   after the epoch is the same left-fold sum the reference would have
-   produced, and (for BOUND) their evaluation count is added in closed
-   form.
+   Screened-out pairs take the bulk path: their state after the epoch is
+   the same left-fold sum the reference would have produced, and (for
+   BOUND) their evaluation count is added in closed form.
+5. **One flat replay per epoch.**  The screened-in incidences, sorted by
+   pair, are replayed once per epoch for BOUND, BOUND+ and HYBRID alike:
+   each cell's ``n0``, bounds, conclusion flags and would-be timer
+   milestones are elementwise, with the reference's expressions, over
+   ``C0`` sums folded exactly by ``np.cumsum``.  Which cells evaluate is
+   two timer chains per pair, resolved in vector rounds (no Python loop
+   per pair or cell), so decision positions, bound values, cost counters
+   and INCREMENTAL bookkeeping are bit-identical to the pure-Python scan.
 
 HYBRID's low-overlap pairs (``l <= hybrid_threshold``) skip bound upkeep
 entirely: they are accumulated with the same exact contributions in
@@ -135,7 +136,7 @@ DENSE_STATE_LIMIT = 1 << 20
 #: Under ``"auto"`` a grid that fits the limit still goes sparse when the
 #: observed pairs (``len(index.shared_items)``) cover less than this
 #: share of its ``n_sources ** 2`` cells — dead slots every epoch's masks
-#: and ``finalize`` would walk.  Measured (ROADMAP item 7): at 11%
+#: and ``finalize`` would walk.  Measured on the benchmark worlds: at 11%
 #: occupancy (``batch_book_par``) sparse is faster and ~20 MB lighter, at
 #: 49% (``batch_stock``) ~10% slower.  An occupancy choice crosses no
 #: limit, so it logs no warning.
@@ -162,6 +163,76 @@ def _cumcount(values: np.ndarray) -> np.ndarray:
     out = np.empty(n, dtype=np.int64)
     out[order] = rank_sorted
     return out
+
+
+def _seeded_cumsums(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    streams: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> list[np.ndarray]:
+    """Per-group running sums ``((seed + x_1) + x_2) + ...`` down flat,
+    group-contiguous ``(values, seeds)`` streams, bit-equal to ``+=``.
+
+    ``np.cumsum`` down a column is an exact left fold: the groups run as
+    columns of padded power-of-two blocks, whose padding trails the real
+    cells (it reads and writes one spare cell).
+    """
+    n = int(lengths.sum())
+    outs = []
+    for values, seeds in streams:
+        out = np.zeros(n + 1)
+        out[:n] = values
+        out[starts] += seeds  # seed + x_1: the fold's own first step
+        outs.append(out)
+    longest = int(lengths.max())
+    size = 2
+    while size // 2 < longest:
+        sel = np.nonzero((lengths > size // 2) & (lengths <= size))[0]
+        if len(sel):
+            col = np.arange(size)[:, None]
+            idx = np.where(col < lengths[sel], starts[sel] + col, n)
+            for out in outs:
+                out[idx] = np.cumsum(out[idx], axis=0)
+        size *= 2
+    return [out[:n] for out in outs]
+
+
+def _walk_chains(
+    first: np.ndarray, jump: np.ndarray, flag: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk timer chains over a flat cell stream in vector rounds.
+
+    Chain ``c`` starts at node ``first[c]`` and moves from a node ``i``
+    that does not conclude (``flag[i]``) to ``jump[i]``; a target ``>=
+    len(jump)`` ends it.  Chains are long runs of unit steps with rare
+    jumps, so a round takes a whole run, up to the next cell that
+    concludes or does not step to its neighbour, and then one jump.
+
+    Returns:
+        ``(nodes, stops, tails)``: 1 at every node, else 0; each chain's
+        concluding node (``len(jump)`` if none); its last node (or -1).
+    """
+    n = len(jump)
+    cell = np.arange(n)
+    special = np.where(flag | (jump != cell + 1), cell, n)
+    run_end = np.minimum.accumulate(special[::-1])[::-1]
+    marks = np.zeros(n + 1, dtype=np.int64)
+    stops = np.full(len(first), n)
+    tails = np.full(len(first), -1)
+    chain = np.nonzero(first < n)[0]
+    at = first[chain]
+    while len(chain):
+        end = run_end[at]
+        marks[at] += 1
+        marks[end + 1] -= 1
+        tails[chain] = end
+        hit = flag[end]
+        stops[chain[hit]] = end[hit]
+        chain = chain[~hit]
+        at = jump[end[~hit]]
+        going = at < n
+        chain, at = chain[going], at[going]
+    return np.cumsum(marks[:-1]), stops, tails
 
 
 def exact_posteriors(
@@ -257,7 +328,7 @@ class EpochScan:
         # (probability, acc, acc) grid cells.
         self.acc_unique, self.acc_ids = np.unique(self.acc, return_inverse=True)
         #: entries per epoch when the caller chose; None = by incidence mass
-        self.epoch_size = None if epoch_size is None else max(int(epoch_size), 1)
+        self.epoch_size = epoch_size
         space = self.space
         self.status = space.zeros(dtype=np.int8)
         self.n0 = space.zeros(dtype=np.int64)
@@ -271,8 +342,8 @@ class EpochScan:
         self.max_check_n2 = space.zeros()
         self.l_arr = space.zeros(dtype=np.int64)
         self.n_after = space.zeros(dtype=np.int64)
-        #: queued early conclusions, one compact array batch per replay
-        #: bucket: (slots, c_fwd, c_bwd, is_min, positions, n_before).
+        #: queued early conclusions, one compact array batch per replayed
+        #: epoch: (slots, c_fwd, c_bwd, is_min, positions, n_before).
         self._done_batches: list[tuple[np.ndarray, ...]] = []
         self.n_src = np.zeros(self.n_sources, dtype=np.int64)
         self.incidences = 0
@@ -440,14 +511,12 @@ class EpochScan:
                 # form.
                 self.bound_evals += 2 * n_bulk
         if n_bulk < len(ak):
-            arow = lrow[act_mask]
-            ai = li[act_mask]
-            aj = lj[act_mask]
             ridx = np.nonzero(inc_replay)[0]
             rk = ak[ridx]
             order = np.argsort(rk, kind="stable")
             ridx = ridx[order]
             rk = rk[order]
+            live_idx = np.nonzero(act_mask)[0][ridx]
             # Group boundaries of the key-sorted replay stream.
             cuts = np.nonzero(np.diff(rk))[0] + 1
             starts = np.r_[0, cuts]
@@ -456,11 +525,11 @@ class EpochScan:
                 rk[starts],
                 starts,
                 ends,
-                arow[ridx] + e0,
+                lrow[live_idx] + e0,
                 act_fwd[ridx],
                 act_bwd[ridx],
-                nsrc_slot[ai[ridx]],
-                nsrc_slot[aj[ridx]],
+                nsrc_slot[li[live_idx]],
+                nsrc_slot[lj[live_idx]],
             )
 
     def _exact_contributions(
@@ -516,7 +585,7 @@ class EpochScan:
         return fwd, bwd
 
     # ------------------------------------------------------------------
-    # Exact replay (trajectory-vectorized reference inner loop)
+    # Exact replay (one flat pass per epoch)
     # ------------------------------------------------------------------
     def _replay(
         self,
@@ -529,243 +598,155 @@ class EpochScan:
         n1: np.ndarray,
         n2: np.ndarray,
     ) -> None:
-        """Exact replay of the screened-in pairs, trajectory-first.
+        """Exact replay of the screened-in pairs (module point 5).
 
-        A pair's ``(n0, C0)`` trajectory over its epoch incidences does
-        not depend on which bounds get evaluated along the way — so every
-        per-incidence quantity the reference's inner loop derives
-        (``C^min``/``C^max`` in both directions, the conclusion flags,
-        and the *would-be* post-evaluation timer milestones) is computed
-        columnarly first, with arithmetic mirroring the scalar reference
-        (the seeded row-cumsum is an exact left fold, like ``np.add.at``).
-        What remains sequential is only the decision of *which* cells
-        evaluate: trivial for BOUND (every cell — the first concluding
-        cell comes straight out of ``argmax``), a cheap precomputed-value
-        walk per pair for the BOUND+ timer chain.
-
-        Groups (``[starts, ends)`` slices of the key-sorted incidence
-        streams) are bucketed by power-of-two length so the padded
-        per-bucket matrices waste at most half their cells.
+        ``[starts, ends)`` slices the key-sorted incidence stream into one
+        group of cells per pair.  A pair's ``(n0, C0)`` trajectory does
+        not depend on which bounds evaluate along it, so every cell's
+        bounds and would-be timer milestones come first; the timers'
+        chains then pick the cells that evaluate (every cell for BOUND).
         """
+        n_cells = len(pos)
         glen = ends - starts
-        max_len = int(glen.max())
-        size = 1
-        while True:
-            sel = np.nonzero((glen > size // 2) & (glen <= size))[0]
-            if len(sel):
-                self._replay_bucket(
-                    gkeys[sel], starts[sel], glen[sel], size,
-                    pos, fwd, bwd, n1, n2,
-                )
-            if size >= max_len:
-                break
-            size *= 2
-
-    def _replay_bucket(
-        self,
-        keys_b: np.ndarray,
-        starts_b: np.ndarray,
-        len_b: np.ndarray,
-        width: int,
-        pos: np.ndarray,
-        fwd: np.ndarray,
-        bwd: np.ndarray,
-        n1: np.ndarray,
-        n2: np.ndarray,
-    ) -> None:
-        n_groups = len(keys_b)
-        col = np.arange(width, dtype=np.int64)
-        idx = np.minimum(starts_b[:, None] + col, (starts_b + len_b - 1)[:, None])
-        valid = col < len_b[:, None]
-        fwd_m = np.where(valid, fwd[idx], 0.0)
-        bwd_m = np.where(valid, bwd[idx], 0.0)
-        pos_m = pos[idx]  # padded cells repeat the last position: harmless
-        n1_m = n1[idx]
-        n2_m = n2[idx]
-        next_max = self.suffix_arr[pos_m + 1]
+        cell = np.arange(n_cells)
+        gid = np.repeat(np.arange(len(gkeys)), glen)
+        n00 = self.n0[gkeys]
+        c0f, c0b = _seeded_cumsums(
+            starts,
+            glen,
+            ((fwd, self.c0_fwd[gkeys]), (bwd, self.c0_bwd[gkeys])),
+        )
+        n0 = (n00 + 1 - starts)[gid] + cell
+        l_c = self.l_arr[gkeys][gid]
+        next_max = self.suffix_arr[pos + 1]
         ln_diff = self.ln_diff
-        n00 = self.n0[keys_b]
-        # Seeded cumulative sums: np.cumsum is a left fold, so row k holds
-        # exactly ((c0 + x_1) + x_2) + ... — the reference's += order
-        # (padding zeros are exact no-ops).
-        c0f_m = np.cumsum(
-            np.concatenate([self.c0_fwd[keys_b][:, None], fwd_m], axis=1), axis=1
-        )[:, 1:]
-        c0b_m = np.cumsum(
-            np.concatenate([self.c0_bwd[keys_b][:, None], bwd_m], axis=1), axis=1
-        )[:, 1:]
-        n0_m = n00[:, None] + col + 1
-        l_m = self.l_arr[keys_b][:, None]
         # --- C^min trajectory (Eq. 9) ---------------------------------
-        penalty = (l_m - n0_m) * ln_diff
-        cmin_f = c0f_m + penalty
-        cmin_b = c0b_m + penalty
-        best_min = np.maximum(cmin_f, cmin_b)
+        penalty = (l_c - n0) * ln_diff
+        # Rounding is monotone, so max(a + x, b + x) == max(a, b) + x: one
+        # max serves both bounds, and per-direction values are formed only
+        # where a pair concludes.
+        c0_top = np.maximum(c0f, c0b)
+        best_min = c0_top + penalty
         concl_min = best_min >= self.theta_cp
         # --- C^max trajectory (Eq. 10) --------------------------------
-        s1_b, s2_b = self.space.decode(keys_b)
-        ips1 = self.ips[s1_b][:, None]
-        ips2 = self.ips[s2_b][:, None]
-        h = np.maximum(n1_m * l_m / ips1, n2_m * l_m / ips2)
-        h = np.minimum(np.maximum(h, n0_m), l_m)
-        spread = (h - n0_m) * ln_diff + (l_m - h) * next_max
-        cmax_f = c0f_m + spread
-        cmax_b = c0b_m + spread
-        worst_max = np.maximum(cmax_f, cmax_b)
+        s1_g, s2_g = self.space.decode(gkeys)
+        ips1 = self.ips[s1_g][gid]
+        ips2 = self.ips[s2_g][gid]
+        h = np.maximum(n1 * l_c / ips1, n2 * l_c / ips2)
+        h = np.minimum(np.maximum(h, n0), l_c)
+        spread = (h - n0) * ln_diff + (l_c - h) * next_max
+        worst_max = c0_top + spread
         concl_max = worst_max < self.theta_ind
 
-        if not self.use_timers:
-            # BOUND: both bounds evaluate at every incidence, so the
-            # concluding cell is simply the first flagged one.
-            concl_any = (concl_min | concl_max) & valid
-            has = concl_any.any(axis=1)
-            kc = np.argmax(concl_any, axis=1)
-            rows = np.arange(n_groups)
-            stop = np.where(has, kc, len_b - 1)
-            active = np.where(has, kc + 1, len_b)
-            min_concluded = concl_min[rows, kc] & has
-            n_active = int(active.sum())
-            self.incidences += n_active
-            self.score_updates += 2 * n_active
-            # 2 evaluations per non-concluding incidence; the concluding
-            # one stops after 1 when C^min decides.
-            self.bound_evals += int(
-                (2 * active - np.where(has, np.where(min_concluded, 1, 0), 0)).sum()
-            )
-            self.n0[keys_b] = n0_m[rows, stop]
-            self.c0_fwd[keys_b] = c0f_m[rows, stop]
-            self.c0_bwd[keys_b] = c0b_m[rows, stop]
-            if has.any():
-                hrows = np.nonzero(has)[0]
-                hkeys = keys_b[hrows]
-                hkc = kc[hrows]
-                is_min = min_concluded[hrows]
-                self.status[hkeys] = np.where(
-                    is_min, _DONE_COPY, _DONE_NOCOPY
-                ).astype(np.int8)
-                self.n_after[hkeys] += len_b[hrows] - hkc - 1
-                self._record_conclusions(
-                    hrows, hkc, is_min, keys_b, cmin_f, cmin_b,
-                    cmax_f, cmax_b, pos_m, n0_m,
+        # --- which cells evaluate: each timer's next node per cell ----
+        # (``none`` when the chain leaves the group; BOUND's timers
+        # always name the next cell)
+        none = 2 * n_cells
+        group_end = ends[gid]
+        next_cell = np.where(cell + 1 < group_end, cell + 1, none)
+        jump_min = jump_max = next_cell
+        first_min = first_max = starts
+        if self.use_timers:
+            step = next_max - ln_diff
+            # T^min's next milestone is n0 + ahead: n0 grows by one per
+            # cell, so that many cells on.
+            ahead = np.maximum(np.ceil((self.theta_cp - best_min) / step), 1.0)
+            needed = np.ceil((worst_max - self.theta_ind) / step) + (h - n0)
+            mx1 = np.ceil(needed * ips1 / l_c)
+            mx2 = np.ceil(needed * ips2 / l_c)
+            hop = cell + np.minimum(ahead, n_cells).astype(np.int64)
+            jump_min = np.where(hop < group_end, hop, none)
+            wait = np.minimum(self.min_check_at[gkeys] - n00 - 1, glen)
+            first_min = starts + np.maximum(wait, 0).astype(np.int64)
+            first_min = np.where(first_min < ends, first_min, none)
+            # T^max counts n(S1) / n(S2), nondecreasing along a group: a
+            # cell steps to the next one if that reaches its milestones;
+            # if not, no cell up to it does, and the next node is the
+            # group's first cell that does, a search on group-major keys.
+            big = int(max(n1.max(), n2.max())) + 2
+            keys1 = gid * big + n1
+            keys2 = gid * big + n2
+
+            def reach(g, x1, x2):
+                x1 = np.clip(x1, 0, big - 1).astype(np.int64)
+                x2 = np.clip(x2, 0, big - 1).astype(np.int64)
+                at = np.minimum(
+                    np.searchsorted(keys1, g * big + x1),
+                    np.searchsorted(keys2, g * big + x2),
                 )
-            return
+                return np.where(at < ends[g], at, none)
 
-        # BOUND+: walk the timer chain over precomputed cell values.  The
-        # conclusion flags ride along *inside* the milestone arrays as -1
-        # markers (real milestones are always >= 0), so the chain reads
-        # five matrices, not seven.
-        step = next_max - ln_diff
-        min_next = n0_m + np.maximum(np.ceil((self.theta_cp - best_min) / step), 1.0)
-        min_next = np.where(concl_min, -1.0, min_next)
-        needed = np.ceil((worst_max - self.theta_ind) / step) + (h - n0_m)
-        mx1_new = np.where(concl_max, -1.0, np.ceil(needed * ips1 / l_m))
-        mx2_new = np.ceil(needed * ips2 / l_m)
-        min_next_l = min_next.tolist()
-        mx1_l = mx1_new.tolist()
-        mx2_l = mx2_new.tolist()
-        n1_l = n1_m.tolist()
-        n2_l = n2_m.tolist()
-        n00_l = n00.tolist()
-        len_l = len_b.tolist()
-        m_out = self.min_check_at[keys_b].tolist()
-        x1_out = self.max_check_n1[keys_b].tolist()
-        x2_out = self.max_check_n2[keys_b].tolist()
-        stops = [0] * n_groups
-        kinds = [0] * n_groups  # 0 active, 1 copy, 2 no-copy
-        active_total = 0
-        evals = 0
-        for g in range(n_groups):
-            m = m_out[g]
-            x1 = x1_out[g]
-            x2 = x2_out[g]
-            n0k = n00_l[g]
-            length = len_l[g]
-            mn_g = min_next_l[g]
-            mx1_g = mx1_l[g]
-            mx2_g = mx2_l[g]
-            r1 = n1_l[g]
-            r2 = n2_l[g]
-            kind = 0
-            k = 0
-            while k < length:
-                n0k += 1
-                if n0k >= m:
-                    evals += 1
-                    m = mn_g[k]
-                    if m < 0.0:
-                        kind = 1
-                        break
-                if r1[k] >= x1 or r2[k] >= x2:
-                    evals += 1
-                    x1 = mx1_g[k]
-                    if x1 < 0.0:
-                        kind = 2
-                        break
-                    x2 = mx2_g[k]
-                k += 1
-            if kind:
-                stops[g] = k
-                kinds[g] = kind
-                active_total += k + 1
-            else:
-                stops[g] = length - 1
-                active_total += length
-            m_out[g] = m
-            x1_out[g] = x1
-            x2_out[g] = x2
-        self.incidences += active_total
-        self.score_updates += 2 * active_total
-        self.bound_evals += evals
-        rows = np.arange(n_groups)
-        stop = np.asarray(stops, dtype=np.int64)
-        self.n0[keys_b] = n0_m[rows, stop]
-        self.c0_fwd[keys_b] = c0f_m[rows, stop]
-        self.c0_bwd[keys_b] = c0b_m[rows, stop]
-        self.min_check_at[keys_b] = np.asarray(m_out)
-        self.max_check_n1[keys_b] = np.asarray(x1_out)
-        self.max_check_n2[keys_b] = np.asarray(x2_out)
-        kind_arr = np.asarray(kinds)
-        concluded = kind_arr > 0
-        if concluded.any():
-            hrows = np.nonzero(concluded)[0]
-            hkeys = keys_b[hrows]
-            is_min = kind_arr[hrows] == 1
-            self.status[hkeys] = np.where(
-                is_min, _DONE_COPY, _DONE_NOCOPY
-            ).astype(np.int8)
-            self.n_after[hkeys] += len_b[hrows] - stop[hrows] - 1
-            self._record_conclusions(
-                hrows, stop[hrows], is_min, keys_b, cmin_f, cmin_b,
-                cmax_f, cmax_b, pos_m, n0_m,
+            hot = np.zeros(n_cells, dtype=bool)
+            hot[:-1] = (n1[1:] >= mx1[:-1]) | (n2[1:] >= mx2[:-1])
+            jump_max = np.where(hot, next_cell, none)
+            far = np.nonzero(~hot & ~concl_max & (next_cell < none))[0]
+            jump_max[far] = reach(gid[far], mx1[far], mx2[far])
+            first_max = reach(
+                np.arange(len(gkeys)),
+                self.max_check_n1[gkeys],
+                self.max_check_n2[gkeys],
             )
-
-    def _record_conclusions(
-        self,
-        rows: np.ndarray,
-        cells: np.ndarray,
-        is_min: np.ndarray,
-        keys_b: np.ndarray,
-        cmin_f: np.ndarray,
-        cmin_b: np.ndarray,
-        cmax_f: np.ndarray,
-        cmax_b: np.ndarray,
-        pos_m: np.ndarray,
-        n0_m: np.ndarray,
-    ) -> None:
-        """Queue early verdicts for concluded (row, cell) pairs.
-
-        Only compact arrays are stored — the scan never builds a Python
-        object per conclusion; :meth:`finalize` turns the batches into
-        columns.
-        """
-        self._done_batches.append((
-            keys_b[rows],
-            np.where(is_min, cmin_f[rows, cells], cmax_f[rows, cells]),
-            np.where(is_min, cmin_b[rows, cells], cmax_b[rows, cells]),
-            is_min,
-            pos_m[rows, cells],
-            n0_m[rows, cells],
-        ))
+        # Both chains in one walk: min cells [0, R), max cells [R, 2R).
+        n_groups = len(gkeys)
+        nodes, stops, tails = _walk_chains(
+            np.r_[first_min, first_max + n_cells],
+            np.r_[jump_min, jump_max + n_cells],
+            np.r_[concl_min, concl_max],
+        )
+        stop_min = stops[:n_groups]
+        stop_max = stops[n_groups:] - n_cells
+        # A min conclusion wins a tie: the reference checks C^min first.
+        is_min = stop_min <= stop_max
+        stop = np.minimum(stop_min, stop_max)
+        concluded = stop < n_cells
+        lim = np.where(concluded, stop, ends - 1)
+        # A min stop skips its cell's max check.
+        lim_max = np.where(concluded & is_min, stop - 1, lim)
+        seen = np.r_[0, np.cumsum(nodes)]
+        self.bound_evals += int(
+            (seen[lim + 1] - seen[starts]).sum()
+            + (seen[lim_max + 1 + n_cells] - seen[starts + n_cells]).sum()
+        )
+        n_active = int((lim - starts + 1).sum())
+        self.incidences += n_active
+        self.score_updates += 2 * n_active
+        self.n0[gkeys] = n0[lim]
+        self.c0_fwd[gkeys] = c0f[lim]
+        self.c0_bwd[gkeys] = c0b[lim]
+        if self.use_timers:
+            # A walking pair's timers hold their chain's last node
+            # (a concluded pair's are never read again).
+            live = ~concluded
+            tail_min = tails[:n_groups][live]
+            tail_max = tails[n_groups:][live] - n_cells
+            keys = gkeys[live]
+            took = tail_min >= 0
+            t = tail_min[took]
+            self.min_check_at[keys[took]] = n0[t] + ahead[t]
+            took = tail_max >= 0
+            t = tail_max[took]
+            self.max_check_n1[keys[took]] = mx1[t]
+            self.max_check_n2[keys[took]] = mx2[t]
+        if concluded.any():
+            done = np.nonzero(concluded)[0]
+            at = stop[done]
+            done_min = is_min[done]
+            hkeys = gkeys[done]
+            self.status[hkeys] = np.where(
+                done_min, _DONE_COPY, _DONE_NOCOPY
+            ).astype(np.int8)
+            self.n_after[hkeys] += ends[done] - at - 1
+            # Early verdicts queue as compact arrays — the scan builds no
+            # Python object per conclusion; finalize() makes the columns.
+            bound = np.where(done_min, penalty[at], spread[at])
+            self._done_batches.append((
+                hkeys,
+                c0f[at] + bound,
+                c0b[at] + bound,
+                done_min,
+                pos[at],
+                n0[at],
+            ))
 
     # ------------------------------------------------------------------
     # Outcomes

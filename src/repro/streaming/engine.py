@@ -62,7 +62,7 @@ epoch of ten claims re-converges the accuracies and moves >= 99% of the
 ~3.9k pair rows past 1e-6 (79-97% past 1e-4, 10-70% past 1e-2), so the
 publisher writes an honest full snapshot (29 full, 0 deltas over a
 28-epoch ``stream_book`` run).  O(delta) *bytes* wait on cross-epoch
-detector state (ROADMAP item 5, O(delta) epochs), not on a threshold.
+detector state (O(delta) epochs, parked in ROADMAP.md), not on a threshold.
 """
 
 from __future__ import annotations

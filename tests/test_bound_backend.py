@@ -662,3 +662,142 @@ class TestOversizedKeySpace:
                 sparse.result.cost.computations
                 == reference.result.cost.computations
             ), label
+
+
+def _stock_world():
+    """A small dense stock world: long per-pair timer chains, one epoch."""
+    from repro.conformance.generators import profile_world
+
+    return profile_world("stock_1day", 0.01, 3).materialize()
+
+
+def _replay_against_reference(world, use_timers=True, epoch_size=None, indexes=None):
+    """Scan both ways; assert bit-identity; return the reference's eval log
+    (grouped by pair) and its outcome."""
+    dataset, probs, accs = world
+    indexes = indexes or {}
+    log = []
+    kwargs = dict(use_timers=use_timers, track_bookkeeping=True)
+    reference = scan_with_bounds(
+        dataset, probs, accs, CopyParams(backend="python"),
+        index=indexes.get("python"), eval_log=log, **kwargs,
+    )
+    batched = scan_with_bounds(
+        dataset, probs, accs, CopyParams(backend="numpy"),
+        index=indexes.get("numpy"), epoch_size=epoch_size, **kwargs,
+    )
+    assert batched.result.decisions == reference.result.decisions
+    assert batched.bookkeeping == reference.bookkeeping
+    assert batched.result.cost == reference.result.cost
+    by_pair = {}
+    for entry in log:
+        by_pair.setdefault(entry.pair, []).append(entry)
+    return by_pair, reference
+
+
+class TestReplayWalk:
+    """The flat replay's timer walk on the cases its rounds must get
+    right, each shown to occur in the reference's ``eval_log``."""
+
+    def test_world_is_one_epoch(self):
+        """So the chains below run inside one replayed group each."""
+        scan = _epoch_scan(*_stock_world())
+        assert len(scan._epoch_bounds(np.diff(scan.cols.offsets))) == 2
+
+    def test_min_and_max_conclude_at_the_same_cell(self, monkeypatch):
+        """``C^min <= C^max`` and ``theta_ind < theta_cp`` keep the two
+        conclusion flags apart under real thresholds, so the tie is forced
+        by swapping them: with ``theta_ind`` out of every bound's reach a
+        due max check always concludes, and a min check concluding at the
+        same cell must win.  (The indexes are built first: the build's
+        Step III tail reads the real thresholds.)"""
+        from repro.core.index import InvertedIndex
+
+        world = _stock_world()
+        indexes = {
+            backend: InvertedIndex.build(*world, CopyParams(backend=backend))
+            for backend in ("python", "numpy")
+        }
+        monkeypatch.setattr(CopyParams, "theta_cp", property(lambda self: -120.0))
+        monkeypatch.setattr(CopyParams, "theta_ind", property(lambda self: 1e6))
+        by_pair, reference = _replay_against_reference(world, indexes=indexes)
+        ties = [
+            pair
+            for pair, events in by_pair.items()
+            if reference.result.decisions[pair].copying
+            and events[-1].kind == "min"
+            and (
+                events[-1].n1 >= events[-1].scheduled_max1
+                or events[-1].n2 >= events[-1].scheduled_max2
+            )
+        ]
+        early = [d for d in reference.result.decisions.values() if d.early]
+        assert ties and len(ties) < len(early)
+
+    def test_timer_seeded_in_an_earlier_epoch_fires_first(self):
+        """One-entry epochs: every group is one cell, so each timer after
+        a pair's first epoch fires on a milestone an earlier epoch set."""
+        by_pair, _ = _replay_against_reference(_stock_world(), epoch_size=1)
+        later = [e for events in by_pair.values() for e in events[1:]]
+        assert any(e.kind == "min" and e.scheduled_min > 0 for e in later)
+        assert any(
+            e.kind == "max" and min(e.scheduled_max1, e.scheduled_max2) > 0
+            for e in later
+        )
+
+    def test_non_unit_max_jump_then_hot_run(self):
+        """A max check skips incidences (``n0`` jumps by >= 2), then the
+        next two checks land on consecutive incidences."""
+        by_pair, _ = _replay_against_reference(_stock_world())
+        found = False
+        for events in by_pair.values():
+            n0s = [e.n0 for e in events if e.kind == "max"]
+            found |= any(
+                b - a >= 2 and c == b + 1 for a, b, c in zip(n0s, n0s[1:], n0s[2:])
+            )
+        assert found
+
+    def test_max_stop_before_pending_min(self):
+        """A pair concludes no-copy while its min timer is still pending."""
+        by_pair, reference = _replay_against_reference(_stock_world())
+        pending = [
+            pair
+            for pair, events in by_pair.items()
+            if not reference.result.decisions[pair].copying
+            and reference.result.decisions[pair].early
+            and events[-1].kind == "max"
+            and events[-1].scheduled_min > events[-1].n0
+        ]
+        assert pending
+
+    def test_bound_shares_the_walk(self):
+        """BOUND evaluates every incidence: its chains are one run per
+        group, cut by both kinds of early conclusion."""
+        by_pair, reference = _replay_against_reference(
+            _stock_world(), use_timers=False
+        )
+        verdicts = {
+            d.copying for d in reference.result.decisions.values() if d.early
+        }
+        assert verdicts == {True, False}
+        for events in by_pair.values():
+            mins = [e.n0 for e in events if e.kind == "min"]
+            assert mins == list(range(1, len(mins) + 1))
+
+
+class TestEpochSizeValidation:
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    @pytest.mark.parametrize("epoch_size", (0, -4))
+    def test_non_positive_epoch_size_raises(
+        self, backend, epoch_size, example, example_probabilities,
+        example_accuracies,
+    ):
+        match = f"epoch_size must be >= 1, got {epoch_size}"
+        with pytest.raises(ValueError, match=match):
+            scan_with_bounds(
+                example,
+                example_probabilities,
+                example_accuracies,
+                CopyParams(backend=backend),
+                epoch_size=epoch_size,
+            )

@@ -167,6 +167,24 @@ class TestCaseConfig:
             with pytest.raises(ValueError, match="epoch_size applies to mode 'scan'"):
                 CaseConfig(mode, method, epoch_size=16)
 
+    @pytest.mark.parametrize("epoch_size", (0, -4))
+    def test_non_positive_epoch_size_rejected(self, epoch_size):
+        """Not labelled ``e0`` / ``e-4`` and then run as ``e1``."""
+        match = f"epoch_size must be >= 1, got {epoch_size}"
+        with pytest.raises(ValueError, match=match):
+            CaseConfig("scan", "bound+", epoch_size=epoch_size)
+
+    def test_every_configuration_meets_every_world_kind(self):
+        """Case ``i`` runs configuration ``i % len(grid)`` on world kind
+        ``i % len(WORLD_KINDS)``: that covers every pairing only while the
+        two lengths are coprime."""
+        from math import gcd
+
+        from repro.conformance.generators import WORLD_KINDS
+
+        for grid in (smoke_grid(), full_grid()):
+            assert gcd(len(grid), len(WORLD_KINDS)) == 1, len(grid)
+
     def test_grid_labels_unique(self):
         for grid in (smoke_grid(), full_grid()):
             labels = [config.label for config in grid]
