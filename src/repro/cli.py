@@ -42,6 +42,7 @@ from .core import (
     detect,
     make_detector,
 )
+from .core.params import validate_execution
 from .data import load_claims, load_gold, save_claims, save_gold
 from .eval import render_table
 from .fusion import (
@@ -201,9 +202,9 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
         choices=list(EXECUTORS),
         default="serial",
         help="how partitions run: in-process ('serial'), a thread pool, "
-        "a real process pool (the columnar world is broadcast via shared "
-        "memory under --backend numpy), or 'remote' — cluster workers "
-        "over TCP (see --workers and the cluster-worker subcommand)",
+        "'processes' — cluster workers forked on this host — or 'remote' "
+        "— cluster workers over TCP (see --workers and the cluster-worker "
+        "subcommand); the last two need --backend numpy",
     )
     parser.add_argument(
         "--workers",
@@ -221,13 +222,15 @@ def _add_parallel(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _execution_from_args(args) -> dict:
+def _execution_from_args(args, params: CopyParams) -> dict:
     """Validated partition arguments for :func:`detect` / :func:`make_detector`.
 
-    Checks the flags before anything acts on them; empty for a
-    sequential run.  ``--executor remote`` dials the CLI-owned cluster
-    executor into ``"cluster"`` (None for local executors): the caller
-    closes it (and may print its wire/timing stats first).
+    Checks the flags, and the executor against ``params.backend``,
+    before anything acts on them — no worker is dialed for a run that
+    would be refused; empty for a sequential run.  ``--executor remote``
+    dials the CLI-owned cluster executor into ``"cluster"`` (None for
+    local executors): the caller closes it (and may print its
+    wire/timing stats first).
     """
     if args.method not in PARALLEL_METHODS and (
         args.n_partitions > 1 or args.executor != "serial"
@@ -246,6 +249,10 @@ def _execution_from_args(args) -> dict:
         raise SystemExit("--workers requires --executor remote")
     if args.n_partitions < 1:
         raise SystemExit(f"--n-partitions must be >= 1, got {args.n_partitions}")
+    try:
+        validate_execution(params, args.n_partitions, args.executor, args.reduce)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     if args.n_partitions == 1:
         return {}
     cluster = None
@@ -269,7 +276,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     params = _params(args)
     probabilities = vote_probabilities(dataset)
     accuracies = [0.8] * dataset.n_sources
-    execution = _execution_from_args(args)
+    execution = _execution_from_args(args, params)
     cluster = execution.get("cluster")
     try:
         result = detect(
@@ -329,7 +336,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
     dataset = load_claims(args.claims)
     params = _params(args)
     config = _fusion_config(args)
-    execution = _execution_from_args(args)
+    execution = _execution_from_args(args, params)
     cluster = execution.get("cluster")
     detector = make_detector(args.method, params, **execution)
     try:
@@ -586,15 +593,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The line a ``cluster-worker`` prints once bound, before its address
+#: (whoever wires ``--workers`` reads the address from it).
+READY_PREFIX = "cluster worker listening on "
+
+
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
     """Run one cluster worker loop until interrupted."""
     from .cluster import serve_worker
 
     server = serve_worker(args.host, args.port)
     host, port = server.server_address[:2]
-    # The parent (LocalCluster, or a human wiring --workers) parses
-    # this exact line; keep it in sync with repro.cluster.local.
-    print(f"cluster worker listening on {host}:{port}", flush=True)
+    print(f"{READY_PREFIX}{host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive exit

@@ -1,8 +1,9 @@
-"""Multi-host execution: the remote-worker cluster layer.
+"""Out-of-process execution: the cluster layer.
 
-Generalizes the parallel engine's executor abstraction (PR 3's
-threads/processes pools) to remote hosts over a stdlib-only TCP
-protocol — selected end to end as ``executor="remote"``:
+Carries the parallel engine's executor protocol to other processes over
+a stdlib-only TCP protocol — selected end to end as ``executor="remote"``
+(workers on any host) or ``executor="processes"`` (workers forked on
+this one):
 
 * :mod:`repro.cluster.wire` — the length-prefixed binary frame format
   (magic, version, CRC; arrays as raw typed buffers, never pickle) and
@@ -16,9 +17,10 @@ protocol — selected end to end as ``executor="remote"``:
   broadcast-once world shipping with in-place per-round updates, the
   engine's own ``ScanWorld.reduce`` over the collected partials,
   one-retry fault handling, and per-worker wire/timing stats.
-* :mod:`repro.cluster.local` — :class:`LocalCluster`, the simulated
-  cluster (separate spawned interpreters, no shared memory, real
-  sockets) used by tests, the conformance grid and the bench.
+* :mod:`repro.cluster.local` — :class:`LocalCluster`, workers forked
+  on localhost (separate address spaces, real sockets): the transport
+  of ``executor="processes"``, and the cluster the tests, the
+  conformance grid and the bench run against.
 """
 
 from .executor import (

@@ -23,10 +23,8 @@ workers with identical results and balanced busy time.
 
 The world (columnar entries + accuracies) is broadcast to each worker
 **once per executor session** and thereafter rewritten in place via
-``world-update`` frames carrying only the fields whose bytes changed —
-the TCP counterpart of the process executor's in-place shared-memory
-rewrite — so multi-round fusion never re-ships an unchanged provider
-structure.
+``world-update`` frames carrying only the fields whose bytes changed,
+so multi-round fusion never re-ships an unchanged provider structure.
 
 Fault handling: a worker dying mid-round (killed process, dropped
 socket, hung past the timeout) marks its connection dead and the whole

@@ -1,95 +1,84 @@
-"""A simulated cluster: workers as separately spawned interpreters.
+"""A local cluster: workers as forked processes on localhost.
 
-:class:`LocalCluster` spawns N ``repro-copydetect cluster-worker``
-processes on localhost — genuinely separate Python interpreters with
-**no shared memory** and real sockets, so everything the remote
-executor does (world broadcast, task shipping, partials shipped back)
-pays true wire costs.  This is the harness behind the
-conformance grid's ``remote`` axis, the fault-injection tests (kill a
-worker mid-round) and the end-to-end benchmark's cluster probe
-(``benchmarks/e2e/layers.py``).
+:class:`LocalCluster` forks N :func:`~repro.cluster.worker.serve_worker`
+processes — separate address spaces that share **no memory** with the
+driver after the fork, reached over real sockets — so everything the
+cluster executor does (world broadcast, task shipping, partials shipped
+back) pays true wire costs.  It is the transport behind
+``executor="processes"`` (:class:`repro.parallel.executors.ProcessesExecutor`)
+and the harness of the conformance grid's ``remote`` axis, the
+fault-injection tests (kill a worker mid-round) and the end-to-end
+benchmark's cluster probe (``benchmarks/e2e/layers.py``).
 
-Workers bind ``port=0`` (the kernel picks a free port — the same
-collision-free pattern the streaming tests use) and print their bound
-address on stdout, which the parent parses.  ``close()`` terminates
-every worker; an ``atexit`` hook is registered as a safety net so a
-crashed test session never leaks worker processes.
+A worker binds ``port=0`` (the kernel picks a free port) and sends its
+bound address back over a pipe.  ``close()`` kills every worker; the
+workers are daemonic and an ``atexit`` hook is registered as a safety
+net, so a crashed session never leaks worker processes.
 """
 
 from __future__ import annotations
 
 import atexit
-import os
-import subprocess
-import sys
-from pathlib import Path
+import multiprocessing
 
 from .executor import ClusterExecutor
 from .wire import ClusterError
+from .worker import serve_worker
 
-#: The stdout line a worker prints once bound (parsed by the parent).
-READY_PREFIX = "cluster worker listening on "
+_FORK = multiprocessing.get_context("fork")
 
 
-def _worker_env() -> dict:
-    """Child environment: make ``repro`` importable however we were."""
-    import repro
-
-    env = dict(os.environ)
-    src_root = str(Path(repro.__file__).resolve().parent.parent)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing else src_root + os.pathsep + existing
-    )
-    return env
+def _run_worker(host: str, address_pipe) -> None:
+    """Forked child: bind, report ``"host:port"`` to the parent, serve."""
+    server = serve_worker(host, 0)
+    bound_host, port = server.server_address[:2]
+    address_pipe.send(f"{bound_host}:{port}")
+    address_pipe.close()
+    try:
+        server.serve_forever()
+    finally:
+        server.server_close()
 
 
 class LocalCluster:
-    """N localhost worker subprocesses (context manager).
+    """N forked localhost worker processes (context manager).
 
     Args:
-        n_workers: how many worker interpreters to spawn.
+        n_workers: how many workers to fork.
         host: interface the workers bind (localhost by default).
 
     Attributes:
-        addresses: ``"host:port"`` per worker, spawn order.
-        processes: the underlying :class:`subprocess.Popen` handles
-            (the fault tests ``kill()`` these directly).
+        addresses: ``"host:port"`` per worker, fork order.
+        processes: the underlying :class:`multiprocessing.Process`
+            handles (the fault tests signal these directly).
     """
 
     def __init__(self, n_workers: int, host: str = "127.0.0.1"):
         if n_workers < 1:
             raise ClusterError(f"n_workers must be >= 1, got {n_workers}")
-        self.processes: list[subprocess.Popen] = []
+        self.processes: list = []
         self.addresses: list[str] = []
         self._owned_executors: list[ClusterExecutor] = []
-        env = _worker_env()
         try:
             for _ in range(n_workers):
-                proc = subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "cluster-worker",
-                        "--host",
-                        host,
-                        "--port",
-                        "0",
-                    ],
-                    stdout=subprocess.PIPE,
-                    env=env,
-                    text=True,
+                reader, writer = _FORK.Pipe(duplex=False)
+                proc = _FORK.Process(
+                    target=_run_worker, args=(host, writer), daemon=True
                 )
+                proc.start()
                 self.processes.append(proc)
-                line = proc.stdout.readline()
-                if not line.startswith(READY_PREFIX):
-                    proc.kill()
+                # Only the child may hold the write end: a child that dies
+                # before it binds then reads as EOF here, not as a hang.
+                writer.close()
+                try:
+                    self.addresses.append(reader.recv())
+                except EOFError:
+                    proc.join()
                     raise ClusterError(
-                        f"cluster worker failed to start (said {line!r}); "
-                        f"exit code {proc.wait()}"
-                    )
-                self.addresses.append(line[len(READY_PREFIX) :].strip())
+                        f"cluster worker failed to start; exit code {proc.exitcode}"
+                    ) from None
+                finally:
+                    reader.close()
         except Exception:
             self.close()
             raise
@@ -108,28 +97,20 @@ class LocalCluster:
     def kill_worker(self, index: int) -> None:
         """SIGKILL one worker (fault-injection hook for tests)."""
         self.processes[index].kill()
-        self.processes[index].wait()
+        self.processes[index].join()
 
     def close(self) -> None:
-        """Close owned executors and terminate every worker (idempotent)."""
+        """Close owned executors and kill every worker (idempotent)."""
         for executor in self._owned_executors:
-            try:
-                executor.close()
-            except ClusterError:  # pragma: no cover - best-effort teardown
-                pass
+            executor.close()
         self._owned_executors.clear()
+        # A worker holds nothing worth a graceful exit, and SIGKILL also
+        # ends one that is stopped.
         for proc in self.processes:
-            if proc.poll() is None:
-                proc.terminate()
+            if proc.is_alive():
+                proc.kill()
         for proc in self.processes:
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=5.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover
-                    proc.kill()
-                    proc.wait()
-            if proc.stdout is not None:
-                proc.stdout.close()
+            proc.join()
         atexit.unregister(self.close)
 
     def __enter__(self) -> "LocalCluster":

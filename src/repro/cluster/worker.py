@@ -1,19 +1,19 @@
 """The cluster worker: a threaded TCP server that scans partitions.
 
 One worker is one long-lived process (``repro-copydetect
-cluster-worker``) holding cached worlds in memory:
+cluster-worker`` on a host of its own, or a
+:class:`~repro.cluster.LocalCluster` fork) holding cached worlds in
+memory:
 
 * ``world`` — the driver broadcasts the full columnar world (the five
-  :func:`~repro.core.kernel.world_arrays` a shared-memory block also
-  carries: probs, main flags, CSR offsets, providers, accuracies)
-  **once per session**.
+  :func:`~repro.core.kernel.world_arrays`: probs, main flags, CSR
+  offsets, providers, accuracies) **once per session**.
   The worker copies them into writable buffers and keeps them for the
   session's lifetime.
 * ``world-update`` — between fusion rounds the driver ships only the
   fields whose bytes changed; the worker rewrites its cached buffers
-  *in place* — the TCP mirror of :meth:`SharedWorld.write
-  <repro.parallel.shm.SharedWorld.write>` — so multi-round fusion never
-  re-establishes (or re-allocates) the world.  A missing session or a
+  *in place*, so multi-round fusion never re-establishes (or
+  re-allocates) the world.  A missing session or a
   length mismatch answers ``stale`` and the driver falls back to a
   full broadcast.
 * ``task`` — a partition's entry positions plus ``CopyParams`` (as

@@ -232,9 +232,8 @@ def _params(config: CaseConfig) -> CopyParams:
     return CopyParams(backend=config.backend, pair_layout=config.pair_layout)
 
 
-#: The lazily-spawned localhost cluster shared by every ``remote`` case.
-#: Spawning two interpreters per case would dominate grid time, so the
-#: first remote case pays the startup cost and the rest reuse the live
+#: The lazily forked localhost cluster shared by every ``remote`` case:
+#: the first remote case pays the fork and dial, the rest reuse the live
 #: workers (LocalCluster registers its own atexit cleanup).
 _SHARED_CLUSTER: tuple | None = None
 

@@ -202,8 +202,8 @@ class _WorkspaceMixin:
     :class:`~repro.fusion.FusionWorkspace` for the duration of a fusion
     run (and unbinds it on the way out, exceptions included).  While
     bound, the workspace supplies the shared-item counts and — for the
-    parallel methods — the persistent executors (pool, shared-memory
-    block, cluster session).
+    parallel methods — the persistent executors (thread pool, forked
+    workers, cluster session).
     """
 
     _workspace = None

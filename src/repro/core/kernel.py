@@ -12,8 +12,8 @@ computation columnarly:
 
 1. **Columnar entries** (:class:`ColumnarEntries`): an entry set is four
    flat arrays — per-entry probability, per-entry main/tail flag, provider
-   ids concatenated, and CSR-style offsets.  This is also the payload the
-   parallel engine ships to worker processes (far cheaper to pickle than
+   ids concatenated, and CSR-style offsets.  This is also the form the
+   cluster ships a world to worker processes in (raw array buffers, not
    per-entry tuples of Python lists).
 2. **Incidence expansion** (:func:`expand_incidences`): entries are
    grouped by provider count ``k`` so each group's upper triangle is
@@ -155,10 +155,10 @@ class ColumnarEntries:
     def take(self, positions: Sequence[int] | np.ndarray) -> "ColumnarEntries":
         """Gather a subset of entries into a new columnar block.
 
-        This is the worker-side half of the parallel engine's
-        shared-memory broadcast: the whole world is shipped once and each
-        worker slices out its partition with one vectorized gather instead
-        of receiving a pickled per-partition payload.
+        This is the worker-side half of the cluster's world broadcast:
+        the whole world is shipped once and each worker slices out its
+        partition with one vectorized gather instead of receiving a
+        per-partition payload.
 
         Args:
             positions: entry positions to keep, in the order they should
@@ -202,9 +202,9 @@ def world_arrays(
 ) -> dict[str, np.ndarray]:
     """Pack a columnar world + accuracies as :data:`WORLD_FIELDS` arrays.
 
-    The one form every transport ships a world in (the process pool's
-    shared-memory block, the cluster's ``world``/``world-update``
-    frames); receivers rebuild it with :func:`world_from_arrays`.
+    The form a world crosses a process boundary in (the cluster's
+    ``world``/``world-update`` frames); receivers rebuild it with
+    :func:`world_from_arrays`.
     """
     return {
         "probs": np.ascontiguousarray(cols.probs, dtype=np.float64),
@@ -505,8 +505,7 @@ def scan_columnar(
 ) -> PairTable:
     """The vectorized entry scan: columnar entries in, pair table out.
 
-    Top-level (picklable) so the parallel engine can submit it directly
-    to worker processes.
+    The map step of every numpy executor, the cluster workers' included.
     """
     src1, src2, probs, main = expand_incidences(cols)
     acc = clamp_accuracies(accuracies, params)

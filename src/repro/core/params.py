@@ -29,11 +29,11 @@ BACKENDS = ("python", "numpy")
 
 #: Executors accepted by the parallel engine's ``executor=`` parameter
 #: (and the CLI's ``--executor``): ``"serial"`` runs partitions in
-#: order in-process, ``"threads"``/``"processes"`` use local pools
-#: (shared-memory world broadcast under processes), and ``"remote"``
-#: ships partitions to cluster workers over TCP
-#: (:mod:`repro.cluster`; requires ``backend="numpy"`` and a worker
-#: list).  Lives here so validation never imports NumPy or sockets.
+#: order in-process, ``"threads"`` on a local thread pool, and
+#: ``"processes"`` / ``"remote"`` ship them to cluster workers over TCP
+#: (:mod:`repro.cluster`) — workers forked on this host, or the ones a
+#: worker list names.  Both of those require ``backend="numpy"``.
+#: Lives here so validation never imports NumPy or sockets.
 EXECUTORS = ("serial", "threads", "processes", "remote")
 
 #: Reduction topologies accepted by the parallel engine's ``reduce=``
@@ -203,7 +203,8 @@ def validate_execution(
 
     Raises:
         ValueError: for ``n_partitions < 1``, an unknown executor or
-            reduce mode, or ``executor="remote"`` off the numpy backend.
+            reduce mode, or ``executor="processes"`` / ``"remote"`` off
+            the numpy backend.
     """
     if n_partitions < 1:
         raise ValueError(f"n_partitions must be >= 1, got {n_partitions}")
@@ -213,8 +214,8 @@ def validate_execution(
     ):
         if value not in allowed:
             raise ValueError(f"unknown {what} {value!r}; expected one of {allowed}")
-    if executor == "remote" and params.backend != "numpy":
+    if executor in ("processes", "remote") and params.backend != "numpy":
         raise ValueError(
-            "executor='remote' requires backend='numpy' (cluster workers "
+            f"executor={executor!r} requires backend='numpy' (cluster workers "
             "scan columnar payloads; the python reference loops stay local)"
         )

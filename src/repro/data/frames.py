@@ -2,8 +2,7 @@
 
 Every binary surface of the library — verdict snapshots on disk
 (:mod:`repro.serving.codec`), cluster messages on a socket
-(:mod:`repro.cluster.wire`), the shared-memory world broadcast
-(:mod:`repro.parallel.shm`) — stores named 1-D arrays at 8-byte-aligned
+(:mod:`repro.cluster.wire`) — stores named 1-D arrays at 8-byte-aligned
 offsets, described by a ``(name, dtype, offset, count)`` table.  This is
 the one implementation of that layout.  An *array block* is any buffer
 laid out that way (:func:`layout_arrays`, :func:`write_arrays`,

@@ -272,8 +272,8 @@ def run_fusion(
             (accuracy-aware fusion that ignores copying).
         config: loop configuration.
         workspace: a :class:`~repro.fusion.FusionWorkspace` carrying the
-            round-invariant state (shared-item counts, persistent pools,
-            the shared-memory broadcast).  One is created — and closed on
+            round-invariant state (shared-item counts, persistent pools
+            and cluster sessions).  One is created — and closed on
             the way out, detector exceptions included — when omitted and
             the detector binds one; pass an open workspace
             to amortise its setup across several fusion runs (the caller

@@ -13,17 +13,16 @@ epochs of a streaming engine) is what :class:`FusionWorkspace` holds:
 * the **executors** (:meth:`FusionWorkspace.executor`): one per kind —
   and, for ``"remote"``, per worker list — created on first use and
   reused across rounds.  Each owns its own lifetime state (see
-  :mod:`repro.parallel.executors`): the thread pool; the process pool
-  whose workers keep their shared-memory attachments warm, plus the one
-  shared-memory block each round merely rewrites in place; the cluster
-  session whose per-round broadcast shrinks to a ``world-update`` diff.
+  :mod:`repro.parallel.executors`): the thread pool; the forked workers
+  of ``"processes"`` and the cluster session of ``"remote"``, whose
+  per-round broadcast shrinks to a ``world-update`` diff.
 
 Lifecycle: the workspace is a context manager.  ``run_fusion`` creates
 one internally when none is passed and closes it on the way out —
 **including on detector exceptions** — while an explicitly passed
 workspace stays open for the caller to reuse (and close) across several
 fusion runs.  :meth:`close` is idempotent: every executor is closed —
-pools shut down, the shared block unlinked, sessions ended — at most
+pools shut down, forked workers killed, sessions ended — at most
 once.
 """
 
@@ -80,8 +79,8 @@ class FusionWorkspace:
 
         Every round of a fusion run (and every epoch of a streaming
         engine) gets the same object back until :meth:`close`, so the
-        executor's pool, shared-memory block or cluster session stays
-        warm across rounds.
+        executor's pool, forked workers or cluster session stay warm
+        across rounds.
 
         Args:
             kind: one of :data:`~repro.core.params.EXECUTORS`.
@@ -125,11 +124,11 @@ class FusionWorkspace:
         The streaming service's claim ledger produces a fresh immutable
         :class:`Dataset` every epoch, which invalidates the shared-item
         counts (the claim table travels with the dataset) — but *not* the
-        expensive runtime state: the persistent executors keep
-        their warm workers, and the process executor reuses its
-        shared-memory block as long as the columnar layout still fits
-        (falling back to a fresh block on a layout change).  Rebinding to
-        the same dataset object is a no-op.
+        expensive runtime state: the persistent executors keep their
+        warm workers, and a cluster session ships the next world as a
+        ``world-update`` diff while the columnar layout still fits (a
+        full broadcast on a layout change).  Rebinding to the same
+        dataset object is a no-op.
 
         Raises:
             RuntimeError: when the workspace is closed.

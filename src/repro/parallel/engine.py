@@ -13,14 +13,14 @@ sequential algorithm regardless of partitioning — verified by property
 tests.
 
 Executors: *where* a partition is scanned can never change a verdict,
-so this module knows nothing about pools, shared memory or sockets.
+so this module knows nothing about pools, processes or sockets.
 Both detectors describe a round as a :class:`ScanWorld` plus position
 partitions and hand it to one executor through one call
 (:func:`_map_reduce`); ``"serial"``, ``"threads"``, ``"processes"``
 (:mod:`repro.parallel.executors`) and ``"remote"``
 (:class:`repro.cluster.ClusterExecutor`) are four implementations of the
-same ``map_reduce`` protocol, each owning its own pool, shared block or
-session.
+same ``map_reduce`` protocol, each owning its own pool, forked workers
+or session.
 
 Reduction topologies (``reduce=``):
 
@@ -45,7 +45,7 @@ block of a BY_CONTRIBUTION ordering, where the early conclusions
 happen, is scanned sequentially with the HYBRID bound machinery
 (epoch-batched under ``backend="numpy"``), and the remaining blocks — by
 then pure accumulation for the surviving pairs — are map/reduced exactly
-like INDEX (shared-memory broadcast and tree reduce included).  Pairs
+like INDEX (cluster broadcast and tree reduce included).  Pairs
 concluded inside the prefix keep their early verdicts; everything else
 resolves exactly.
 
@@ -86,8 +86,7 @@ def _scan_partition(
     """Map step: accumulate pair contributions over one entry share.
 
     ``entries_payload`` carries ``(probability, providers, in_tail)``
-    triples so the function is picklable for process pools without
-    shipping the whole index.
+    triples: a self-contained share of the index.
     """
     clamp = params.clamp_accuracy
     acc = [clamp(a) for a in accuracies]
@@ -196,19 +195,16 @@ class ScanWorld:
         """The whole index as columnar entries (numpy backend only)."""
         return self.index.columnar_entries()
 
-    def task(self, positions: Sequence[int], params: CopyParams):
-        """``(fn, args)`` scanning one partition from a self-contained payload.
-
-        ``fn`` is top-level and ``args`` picklable, so the same task runs
-        inline, on a thread or in another process.
-        """
+    def scan(self, positions: Sequence[int], params: CopyParams):
+        """Scan one partition into its partial (the in-process map step)."""
         if self.columnar:
             from ..core.kernel import scan_columnar
 
             payload = self.cols.take(positions)
-            return scan_columnar, (payload, self.accuracies, params, self.n_sources)
-        payload = _payload(self.index, positions)
-        return _scan_partition, (payload, self.accuracies, params)
+            return scan_columnar(payload, self.accuracies, params, self.n_sources)
+        return _scan_partition(
+            _payload(self.index, positions), self.accuracies, params
+        )
 
     def _merge(self, partials: list, params: CopyParams):
         if self.columnar:
@@ -265,7 +261,7 @@ def _map_reduce(
     :class:`~repro.core.kernel.PairTable` under numpy — or None when
     nothing was scanned.  Executors live in a
     :class:`~repro.fusion.FusionWorkspace`; a call without one opens a
-    transient workspace, so pools, shared blocks and dialed cluster
+    transient workspace, so pools, forked workers and dialed cluster
     sessions are torn down on the way out exactly as a fusion run's are.
     """
     parts = [part for part in partitions if part]
@@ -333,7 +329,7 @@ def detect_index_parallel(
         reduce: ``"flat"`` (single-pass merge) or ``"tree"`` (pairwise,
             O(log P) depth); the same merge on every executor.
         workspace: a :class:`~repro.fusion.FusionWorkspace` whose
-            persistent executor (pool, shared-memory block, cluster
+            persistent executor (pool, forked workers, cluster
             session) is reused when the engine runs once per fusion
             round; a transient one is opened when omitted.
         cluster: for ``executor="remote"``: a live
@@ -405,7 +401,8 @@ def detect_hybrid_parallel(
        early verdicts and are never touched again.
     2. The remaining blocks are scanned in parallel exactly like
        :func:`detect_index_parallel` (columnar payloads — broadcast once
-       via shared memory under ``"processes"`` — with flat-table merge
+       per cluster session under ``"processes"`` and ``"remote"`` — with
+       flat-table merge
        under numpy, dict partials under python).  Workers
        are oblivious to the prefix verdicts, so a concluded pair's
        suffix contributions are computed and discarded — the usual price

@@ -14,34 +14,32 @@ Each implementation owns its lifetime state and releases it in an
 idempotent ``close()``; a :class:`~repro.fusion.FusionWorkspace` holds
 the executors, which is what keeps that state alive across fusion rounds.
 ``"remote"`` is :class:`repro.cluster.ClusterExecutor`, which speaks the
-same protocol over its TCP session.
+same protocol over its TCP session; ``"processes"`` is that executor
+over workers forked on this host.
 
-Pools are created by the first round that needs one and sized to the
-core count, never to that round's task count — a later round with more
-partitions must not be capped by an earlier, narrower one.  A round with
-a single partition has nothing to overlap, so every local executor runs
-it inline without starting a pool or a shared block.
+Pools and clusters are created by the first round that needs one and
+sized to the core count, never to that round's task count — a later
+round with more partitions must not be capped by an earlier, narrower
+one.  A round with a single partition has nothing to overlap, so every
+local executor runs it inline without starting a pool or a worker.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+
+from ..cluster import ClusterError, LocalCluster
 
 
 class SerialExecutor:
     """Run the tasks in order in the calling thread (the deterministic
     reference); owns nothing."""
 
-    def _tasks(self, world, partitions, params) -> list:
-        """One self-contained ``(fn, args)`` task per partition."""
-        return [world.task(positions, params) for positions in partitions]
-
     def map_reduce(self, world, partitions, params, reduce_mode):
         """Scan every partition and reduce the partials (see the module doc)."""
-        # Always the payload form: an inline round starts no shared block.
-        tasks = SerialExecutor._tasks(self, world, partitions, params)
-        return world.reduce([fn(*args) for fn, args in tasks], params, reduce_mode)
+        partials = [world.scan(positions, params) for positions in partitions]
+        return world.reduce(partials, params, reduce_mode)
 
     def close(self) -> None:
         """Release the executor's resources (idempotent)."""
@@ -52,27 +50,19 @@ class ThreadsExecutor(SerialExecutor):
     serialises the pure-Python math, so this demonstrates plumbing rather
     than speedup, but it exercises real concurrency in the merge path."""
 
-    _pool_type = ThreadPoolExecutor
     _pool = None
 
     def map_reduce(self, world, partitions, params, reduce_mode):
         """Scan the partitions concurrently and reduce the partials."""
         if len(partitions) < 2:
             return super().map_reduce(world, partitions, params, reduce_mode)
-        tasks = self._tasks(world, partitions, params)
         if self._pool is None:
-            self._pool = self._pool_type(max_workers=os.cpu_count() or 1)
-        futures = [self._pool.submit(fn, *args) for fn, args in tasks]
-        try:
-            partials = [future.result() for future in futures]
-        except BrokenExecutor:
-            # A worker died: the pool is unusable for every later round.
-            # Retire it so the next round builds a fresh one instead of
-            # resubmitting into the corpse; this round still fails.
-            self._pool.shutdown(wait=False)
-            self._pool = None
-            raise
-        return world.reduce(partials, params, reduce_mode)
+            self._pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+        futures = [
+            self._pool.submit(world.scan, positions, params)
+            for positions in partitions
+        ]
+        return world.reduce([f.result() for f in futures], params, reduce_mode)
 
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
@@ -81,63 +71,45 @@ class ThreadsExecutor(SerialExecutor):
             self._pool = None
 
 
-class ProcessesExecutor(ThreadsExecutor):
-    """Run the tasks on a persistent process pool.
+class ProcessesExecutor(SerialExecutor):
+    """Run the tasks on worker processes forked on this host.
 
-    Under the numpy backend the columnar world is broadcast **once**
-    through a :class:`~repro.parallel.shm.SharedWorld` block and each
-    task ships only its partition's entry positions; later rounds rewrite
-    the block in place, so workers keep their attachments.  Where shared
-    memory is unavailable the tasks carry pickled per-partition payloads
-    instead (the Hadoop analogue of shipping a partition to a node) —
-    same scan, same bytes.
+    The first round with two or more partitions forks a
+    :class:`~repro.cluster.LocalCluster` of one worker per core and
+    drives it through its :class:`~repro.cluster.ClusterExecutor` — the
+    ``"remote"`` transport over localhost — so the columnar world is
+    broadcast once and later rounds ship only the fields that changed.
+    A round the cluster cannot finish closes the cluster before its
+    :class:`~repro.cluster.ClusterError` propagates, so the next round
+    forks fresh workers.  Numpy backend only, like ``"remote"``.
     """
 
-    _pool_type = ProcessPoolExecutor
-    _shared = None
+    _cluster = None
+    _remote = None
 
-    def _tasks(self, world, partitions, params) -> list:
-        if world.columnar:
-            import numpy as np
-
-            from .shm import SharedWorld, scan_shm_partition
-
-            cols, accuracies = world.cols, world.accuracies
-            try:
-                if self._shared is None or not self._shared.write(cols, accuracies):
-                    # First round, or the world no longer fits the block.
-                    self._close_shared()
-                    self._shared = SharedWorld.create(
-                        cols, accuracies, world.n_sources
-                    )
-            except OSError:
-                # No usable shared memory on this platform (e.g. read-only
-                # or missing /dev/shm): pickle payloads instead.
-                pass
-            else:
-                handle = self._shared.handle
-                return [
-                    (
-                        scan_shm_partition,
-                        (handle, np.asarray(positions, dtype=np.int64), params),
-                    )
-                    for positions in partitions
-                ]
-        return super()._tasks(world, partitions, params)
-
-    def _close_shared(self) -> None:
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
+    def map_reduce(self, world, partitions, params, reduce_mode):
+        """Scan the partitions on the forked workers and reduce the partials."""
+        if len(partitions) < 2:
+            return super().map_reduce(world, partitions, params, reduce_mode)
+        if self._cluster is None:
+            self._cluster = LocalCluster(os.cpu_count() or 1)
+            self._remote = self._cluster.executor()
+        try:
+            return self._remote.map_reduce(world, partitions, params, reduce_mode)
+        except ClusterError:
+            self.close()
+            raise
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared block (idempotent)."""
-        super().close()
-        self._close_shared()
+        """Kill the workers (idempotent)."""
+        if self._cluster is not None:
+            self._cluster.close()
+            self._cluster = self._remote = None
 
 
-#: The in-process executor classes by :data:`~repro.core.params.EXECUTORS`
-#: name (``"remote"`` is :class:`repro.cluster.ClusterExecutor`).
+#: The executor classes a workspace builds on its own, by
+#: :data:`~repro.core.params.EXECUTORS` name (``"remote"`` is a
+#: :class:`repro.cluster.ClusterExecutor` over the caller's worker list).
 LOCAL_EXECUTORS = {
     "serial": SerialExecutor,
     "threads": ThreadsExecutor,

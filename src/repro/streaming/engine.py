@@ -19,8 +19,8 @@ changes nothing the engine serves:
    unchanged);
 2. freezes the fork's immutable dataset snapshot and rebinds the
    round-persistent :class:`~repro.fusion.FusionWorkspace` to it —
-   executor pools and the shared-memory block survive across epochs,
-   only the dataset-derived caches are rebuilt;
+   executor pools and forked workers survive across epochs, only the
+   dataset-derived caches are rebuilt;
 3. runs the full fusion loop with a **fresh**
    :class:`~repro.core.IncrementalDetector` (``prepare_round=1``: the
    first round builds the bookkeeping, later rounds patch it with the
@@ -56,7 +56,7 @@ rounds — under ``backend="numpy"`` as the columnar three-pass patch of
 :mod:`repro.core.incremental_kernel`, whose rounds cost a fraction of
 the preparation scan.  What an epoch saves across epochs is accuracy
 warm-starts (fewer rounds to re-converge) and workspace reuse (no
-pool/shm setup).  Delta snapshots are written when they pay, which on
+pool or worker setup).  Delta snapshots are written when they pay, which on
 the benchmark's feed is never, and not for want of a tolerance: an
 epoch of ten claims re-converges the accuracies and moves >= 99% of the
 ~3.9k pair rows past 1e-6 (79-97% past 1e-4, 10-70% past 1e-2), so the
@@ -395,7 +395,7 @@ class StreamEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the workspace's pools and shared memory (idempotent)."""
+        """Release the workspace's pools and workers (idempotent)."""
         if self._workspace is not None:
             self._workspace.close()
             self._workspace = None

@@ -53,13 +53,13 @@ class TestDetectParallel:
     def _rows(self, text):
         return [line for line in text.splitlines() if line.count("|") >= 4]
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", ["numpy"])
     def test_hybrid_processes_matches_sequential(
         self, dataset_dir, capsys, backend
     ):
-        """detect_hybrid_parallel on a real process pool, via the CLI."""
-        if backend == "numpy":
-            pytest.importorskip("numpy")
+        """detect_hybrid_parallel on forked cluster workers, via the CLI
+        (numpy only: ``--backend python`` is refused, see
+        :class:`TestParallelFlagValidation`)."""
         claims = str(dataset_dir / "claims.csv")
         code = main(
             [
@@ -135,13 +135,22 @@ class TestParallelFlagValidation:
             (["--method", "index", "--n-partitions", "2", "--workers",
               "127.0.0.1:1"],
              "--workers requires --executor remote"),
+            (["--method", "index", "--backend", "python", "--n-partitions",
+              "2", "--executor", "processes"],
+             "executor='processes' requires backend='numpy'"),
+            (["--method", "index", "--backend", "python", "--n-partitions",
+              "2", "--executor", "remote", "--workers", "127.0.0.1:1"],
+             "executor='remote' requires backend='numpy'"),
         ],
     )
     def test_same_exit_message_on_both_commands(self, dataset_dir, flags, message):
         """`detect --executor processes` used to run sequentially without
         a word while `fuse` refused the same flags; `--reduce tree` on one
         partition and `--workers` off the remote executor ran on both,
-        exit 0, as if the flag had applied."""
+        exit 0, as if the flag had applied; and `--backend python` with
+        `--executor remote` dialed the workers before the backend check,
+        so a live cluster gave a raw traceback and a dead one "cannot
+        connect"."""
         claims = str(dataset_dir / "claims.csv")
         on_detect = self._exit_message(["detect", claims, *flags])
         on_fuse = self._exit_message(["fuse", claims, *flags])
@@ -201,7 +210,7 @@ class TestFuseParallel:
         )
 
     def test_hybrid_processes_round_trip(self, dataset_dir, capsys):
-        """fuse on a real process pool (persistent across rounds)."""
+        """fuse on forked cluster workers (persistent across rounds)."""
         pytest.importorskip("numpy")
         claims = str(dataset_dir / "claims.csv")
         base = ["fuse", claims, "--method", "hybrid", "--backend", "numpy"]

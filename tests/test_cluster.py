@@ -1,26 +1,34 @@
 """Remote-worker execution: wire codec, scheduler, parity, faults, stats.
 
-The parity and fault tests spawn real worker interpreters
-(:class:`repro.cluster.LocalCluster`) and talk to them over localhost
-TCP — the same simulated cluster the end-to-end benchmark probes
-(``benchmarks/e2e/layers.py``) — so they carry the ``cluster`` marker
-for selective runs (``pytest -m "not cluster"`` skips every
-subprocess-spawning test).
+The parity and fault tests fork real worker processes
+(:class:`repro.cluster.LocalCluster`, the transport of
+``executor="processes"``) and talk to them over localhost TCP — the
+same cluster the end-to-end benchmark probes
+(``benchmarks/e2e/layers.py``) — and one starts the ``cluster-worker``
+command; they carry the ``cluster`` marker for selective runs
+(``pytest -m "not cluster"`` skips every test that starts a worker
+process).
 """
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import READY_PREFIX, main
 from repro.cluster import (
     ClusterError,
     ClusterExecutor,
@@ -37,11 +45,13 @@ from repro.cluster.wire import (
     recv_message,
     send_message,
 )
-from repro.core import CopyParams, InvertedIndex
+from repro.core import CopyParams, InvertedIndex, SingleRoundDetector
 from repro.core.kernel import PairTable
+from repro.fusion import FusionConfig, run_fusion
+from repro.fusion.workspace import FusionWorkspace
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 from repro.parallel.engine import ScanWorld
-from tests.test_parallel import _indexed
+from tests.test_parallel import _indexed, scan_round
 
 
 # ----------------------------------------------------------------------
@@ -392,11 +402,6 @@ class TestStats:
     def test_broadcast_once_across_fusion_rounds(
         self, cluster, example, params
     ):
-        from repro.core import SingleRoundDetector
-        from repro.fusion import run_fusion
-        from repro.fusion.pipeline import FusionConfig
-        from repro.fusion.workspace import FusionWorkspace
-
         spec = ",".join(cluster.addresses)
         with FusionWorkspace(example, params) as ws:
             detector = SingleRoundDetector(
@@ -416,11 +421,25 @@ class TestStats:
                 assert worker.updates >= 1, label
             assert ex.stats.update_bytes > 0
 
+    def test_a_world_whose_layout_changed_is_broadcast_in_full(
+        self, example, example_probabilities, example_accuracies
+    ):
+        """New values in the same layout ship as one ``world-update``; a
+        world whose arrays changed length ships whole again."""
+        world = scan_round(example, example_probabilities, example_accuracies)[0]
+        cols, accs, n_sources = world.cols, world.accuracies, world.n_sources
+        with _in_process_workers(1) as (server,), ClusterExecutor(
+            [_address(server)]
+        ) as ex:
+            ex.broadcast(cols, accs, n_sources)
+            ex.broadcast(cols, [0.5 * a for a in accs], n_sources)
+            ex.broadcast(cols.take(range(cols.n_entries - 1)), accs, n_sources)
+            (worker,) = ex.stats.workers.values()
+            assert (worker.worlds, worker.updates) == (2, 1)
+
     def test_workspace_reuses_and_closes_executor(
         self, cluster, executor, example, params
     ):
-        from repro.fusion.workspace import FusionWorkspace
-
         spec = ",".join(cluster.addresses)
         ws = FusionWorkspace(example, params)
         first = ws.executor("remote", spec)
@@ -529,6 +548,193 @@ class TestFaults:
                 first = first or got
                 assert got == first
             assert all(w.tasks for w in ex.stats.workers.values())
+
+
+class _HookedIndex(SingleRoundDetector):
+    """3-partition INDEX on ``executor="processes"`` that calls
+    ``hook(round_no, executor)`` before each fusion round."""
+
+    def __init__(self, params, hook=None):
+        super().__init__(params, "index", n_partitions=3, executor="processes")
+        self.hook = hook
+
+    def run_round(self, round_no, dataset, probabilities, accuracies):
+        if self.hook is not None:
+            self.hook(round_no, self._workspace.executor("processes"))
+        return super().run_round(round_no, dataset, probabilities, accuracies)
+
+
+def _after_broadcast(monkeypatch, round_no, fault):
+    """Run ``fault(cluster_executor)`` once round ``round_no``'s world has
+    reached the workers, before any of its tasks is sent."""
+    broadcast = ClusterExecutor.broadcast
+
+    def broadcast_then_fault(self, *args):
+        broadcast(self, *args)
+        if self.stats.rounds == round_no - 1:
+            fault(self)
+
+    monkeypatch.setattr(ClusterExecutor, "broadcast", broadcast_then_fault)
+
+
+THREE_ROUNDS = FusionConfig(max_rounds=3, min_rounds=3, tolerance=0.0)
+
+
+def _verdicts(result):
+    return [r.detection.copying_pairs() for r in result.rounds], result.chosen
+
+
+@pytest.mark.cluster
+class TestProcessesFaults:
+    """``executor="processes"`` is the cluster transport over forked
+    workers: a worker that dies or stalls is routed around, and a round
+    that loses every worker raises and leaves the next round a fresh
+    cluster."""
+
+    @pytest.fixture(autouse=True)
+    def _two_workers(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    @pytest.fixture
+    def serial(self, example, params):
+        detector = SingleRoundDetector(params, "index", n_partitions=3)
+        return _verdicts(
+            run_fusion(example, params, detector=detector, config=THREE_ROUNDS)
+        )
+
+    def _fuse(self, example, params, workspace, hook=None):
+        return run_fusion(
+            example, params, detector=_HookedIndex(params, hook),
+            config=THREE_ROUNDS, workspace=workspace,
+        )
+
+    def test_a_worker_killed_between_rounds_is_dropped(
+        self, example, params, serial
+    ):
+        """Round 2's world update finds the dead worker; rounds 2 and 3
+        run on the survivor and the verdicts equal the serial executor's."""
+
+        def kill_before_round_2(round_no, executor):
+            if round_no == 2:
+                executor._cluster.kill_worker(0)
+
+        with FusionWorkspace(example, params) as ws:
+            got = self._fuse(example, params, ws, kill_before_round_2)
+            stats = ws.executor("processes")._remote.stats
+            dead, survivor = stats.workers.values()
+            assert (dead.failures, survivor.failures) == (1, 0)
+            assert survivor.tasks > dead.tasks
+        assert _verdicts(got) == serial
+
+    def test_a_worker_killed_mid_round_is_retried_on_the_survivor(
+        self, example, params, serial, monkeypatch
+    ):
+        """A worker killed once round 2's world reached it fails its
+        tasks; the round is retried on the survivor."""
+        with FusionWorkspace(example, params) as ws:
+            _after_broadcast(
+                monkeypatch, 2,
+                lambda remote: ws.executor("processes")._cluster.kill_worker(0),
+            )
+            got = self._fuse(example, params, ws)
+            assert ws.executor("processes")._remote.stats.retries == 1
+        assert _verdicts(got) == serial
+
+    def test_a_stalled_worker_times_out_and_the_round_is_retried(
+        self, example, params, serial, monkeypatch
+    ):
+        """A worker stopped with SIGSTOP mid-round is marked dead after
+        the 1 s request timeout, the round is retried on the survivor, and
+        closing the workspace does not wait on the stopped worker."""
+        executor_of = LocalCluster.executor
+        monkeypatch.setattr(
+            LocalCluster, "executor",
+            lambda cluster: executor_of(cluster, timeout=1.0),
+        )
+        ws = FusionWorkspace(example, params)
+        try:
+            stalled = []
+
+            def stop_worker_0(remote):
+                proc = ws.executor("processes")._cluster.processes[0]
+                os.kill(proc.pid, signal.SIGSTOP)
+                stalled.append(proc)
+
+            _after_broadcast(monkeypatch, 2, stop_worker_0)
+            got = self._fuse(example, params, ws)
+            stats = ws.executor("processes")._remote.stats
+            assert stats.retries == 1
+            assert [w.failures for w in stats.workers.values()] == [1, 0]
+        finally:
+            ws.close()
+        assert _verdicts(got) == serial
+        assert not stalled[0].is_alive()
+
+    def test_losing_every_worker_fails_the_round_and_the_next_forks_afresh(
+        self, example, params, serial
+    ):
+        with FusionWorkspace(example, params) as ws:
+            assert _verdicts(self._fuse(example, params, ws)) == serial
+            executor = ws.executor("processes")
+            first = executor._cluster
+            first.kill_worker(0)
+            first.kill_worker(1)
+            with pytest.raises(ClusterError, match="no cluster workers left"):
+                self._fuse(example, params, ws)
+            assert _verdicts(self._fuse(example, params, ws)) == serial
+            second = executor._cluster
+            assert second is not first
+        children = first.processes + second.processes
+        assert len(children) == 4
+        assert not any(proc.is_alive() for proc in children)
+
+
+@pytest.mark.cluster
+class TestWorkerCommand:
+    def test_cluster_worker_serves_a_remote_detect_until_shutdown(
+        self, example, example_probabilities, example_accuracies, params
+    ):
+        """``python -m repro cluster-worker`` prints the ready line, serves
+        a 2-partition remote INDEX equal to the serial executor's, and
+        exits 0 on a ``shutdown`` message."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster-worker", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith(READY_PREFIX), line
+            address = line[len(READY_PREFIX):].strip()
+            kwargs = dict(n_partitions=2, reduce="flat")
+            ref = _indexed(
+                detect_index_parallel,
+                example, example_probabilities, example_accuracies, params,
+                executor="serial", **kwargs,
+            )
+            with ClusterExecutor([address]) as ex:
+                got = _indexed(
+                    detect_index_parallel,
+                    example, example_probabilities, example_accuracies, params,
+                    executor="remote", cluster=ex, **kwargs,
+                )
+                assert ex.stats.workers[address].tasks == 2
+            _assert_bit_identical(ref, got)
+            with socket.create_connection(
+                parse_worker_spec(address)[0], timeout=10.0
+            ) as sock:
+                send_message(sock, "shutdown")
+                assert recv_message(sock)[0] == "ok"
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 @pytest.mark.cluster

@@ -1,6 +1,7 @@
 """The columnar fusion backend: ACCU/ACCUCOPY kernel parity, the
 round-persistent FusionWorkspace, and executor lifecycle hygiene."""
 
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -27,10 +28,8 @@ from repro.fusion.accu_kernel import (
     value_probabilities_columnar,
 )
 from repro.fusion.workspace import FusionWorkspace
-from repro.parallel.shm import SharedWorld, shared_memory_available
 from repro.synth import book_cs
 from tests.strategies import worlds
-from tests.test_shm_teardown import scan_round
 
 TOL = 1e-9
 
@@ -478,73 +477,30 @@ class TestLifecycleHygiene:
         )
         assert detector._workspace is None
 
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this platform"
-    )
-    def test_shared_world_unlinked_exactly_once(self, params):
+    def test_process_executor_broadcasts_once_across_rounds(
+        self, params, monkeypatch
+    ):
+        """A 3-round fusion on ``executor="processes"`` sends each forked
+        worker the world once and then only in-place updates, and closing
+        the workspace (twice) leaves no worker alive."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         dataset = book_cs(scale=0.05).dataset
-        accs = [0.8] * dataset.n_sources
-        probs = value_probabilities(dataset, accs, params)
-        index = InvertedIndex.build(dataset, probs, accs, params)
-        cols = ColumnarEntries.from_index(index)
-        world = SharedWorld.create(cols, accs, dataset.n_sources)
-        unlinks = []
-        block = world._block
-        original_unlink = block.unlink
-        block.unlink = lambda: (unlinks.append(1), original_unlink())
-        world.close()
-        world.close()
-        assert unlinks == [1]
-
-    @pytest.mark.skipif(
-        not shared_memory_available(), reason="no shared memory on this platform"
-    )
-    def test_process_executor_reuses_block_and_unlinks_once(self, params):
-        """Across rounds the block is rewritten in place, never re-created,
-        and closing the workspace (twice) unlinks it exactly once."""
-        dataset = book_cs(scale=0.05).dataset
-
-        def round_args(accuracy):
-            accs = [accuracy] * dataset.n_sources
-            return scan_round(
-                dataset, value_probabilities(dataset, accs, params), accs
-            )
-
-        workspace = FusionWorkspace(dataset, params)
-        executor = workspace.executor("processes")
-        executor.map_reduce(*round_args(0.8))
-        first = executor._shared
-        # "Next round": same layout, fresh per-round contents.
-        next_round = round_args(0.6)
-        executor.map_reduce(*next_round)
-        assert executor._shared is first
-        # The rewritten buffer carries round 2's probabilities.
-        cols2 = next_round[0].cols
-        reread = np.ndarray(
-            (len(cols2.probs),),
-            dtype=np.float64,
-            buffer=first._block.buf,
-            offset=first.handle.fields[0][2],
+        detector = SingleRoundDetector(
+            params, method="index", n_partitions=3, executor="processes"
         )
-        np.testing.assert_array_equal(reread, cols2.probs)
-        del reread
-        unlinks = []
-        original_unlink = first._block.unlink
-        first._block.unlink = lambda: (unlinks.append(1), original_unlink())
+        workspace = FusionWorkspace(dataset, params)
+        run_fusion(
+            dataset, params, detector=detector,
+            config=FusionConfig(max_rounds=3, min_rounds=3, tolerance=0.0),
+            workspace=workspace,
+        )
+        executor = workspace.executor("processes")
+        workers = executor._remote.stats.workers
+        assert len(workers) == 2
+        for label, worker in workers.items():
+            assert worker.worlds == 1, label
+            assert worker.updates >= 1, label
+        processes = executor._cluster.processes
         workspace.close()
         workspace.close()
-        assert unlinks == [1]
-
-    def test_shared_world_write_rejects_layout_change(self, params):
-        if not shared_memory_available():
-            pytest.skip("no shared memory on this platform")
-        dataset = book_cs(scale=0.05).dataset
-        accs = [0.8] * dataset.n_sources
-        probs = value_probabilities(dataset, accs, params)
-        index = InvertedIndex.build(dataset, probs, accs, params)
-        cols = ColumnarEntries.from_index(index)
-        with SharedWorld.create(cols, accs, dataset.n_sources) as world:
-            shrunk = cols.take(list(range(cols.n_entries - 1)))
-            assert not world.write(shrunk, accs)
-            assert world.write(cols, accs)
-        assert not world.write(cols, accs)  # closed blocks refuse
+        assert not any(proc.is_alive() for proc in processes)

@@ -14,13 +14,8 @@ from repro.data import (
     motivating_example,
     motivating_value_probabilities,
 )
-from repro.parallel import (
-    detect_hybrid_parallel,
-    detect_index_parallel,
-    engine,
-    shared_memory_available,
-)
-from repro.parallel.engine import _block_shares, _stride_shares
+from repro.parallel import detect_hybrid_parallel, detect_index_parallel, engine
+from repro.parallel.engine import ScanWorld, _block_shares, _stride_shares
 from repro.parallel.executors import SerialExecutor
 from tests.strategies import worlds
 
@@ -35,6 +30,15 @@ def _indexed(detector, dataset, probabilities, accuracies, params, **kwargs):
     """A partitioned detector over the round's index, built here."""
     index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     return detector(dataset, probabilities, accuracies, params, index, **kwargs)
+
+
+def scan_round(dataset, probabilities, accuracies, n_partitions=2):
+    """``map_reduce`` arguments scanning a dataset's index in stride shares."""
+    params = CopyParams()
+    index = InvertedIndex.build(dataset, probabilities, accuracies, params)
+    world = ScanWorld(index, list(accuracies), dataset.n_sources, columnar=True)
+    positions = [range(pid, index.n_entries, n_partitions) for pid in range(n_partitions)]
+    return world, positions, params, "flat"
 
 
 def _covers_once_in_order(shares, n_entries):
@@ -483,13 +487,7 @@ class TestTreeReduce:
             )
 
 
-class TestSharedMemory:
-    """The shm broadcast block (executor parity, the pickled-payload
-    path included, is :class:`TestExecutorParity`)."""
-
-    def test_shared_memory_available_probe(self):
-        assert isinstance(shared_memory_available(), bool)
-
+class TestColumnarTake:
     def test_columnar_take_matches_from_index(
         self, example, example_probabilities, example_accuracies, params
     ):
@@ -512,35 +510,6 @@ class TestSharedMemory:
             assert sliced.providers.tolist() == [
                 s for e in entries for s in e.providers
             ]
-
-    def test_world_roundtrips_through_shared_memory(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        np = pytest.importorskip("numpy")
-        if not shared_memory_available():
-            pytest.skip("no usable shared memory on this platform")
-        from repro.core.kernel import ColumnarEntries
-        from repro.parallel.shm import SharedWorld, attached_world
-
-        index = _example_index(
-            example, example_probabilities, example_accuracies, params
-        )
-        cols = ColumnarEntries.from_index(index)
-        with SharedWorld.create(
-            cols, list(example_accuracies), example.n_sources
-        ) as world:
-            attached, accuracies = attached_world(world.handle)
-            assert np.array_equal(attached.probs, cols.probs)
-            assert np.array_equal(attached.main, cols.main)
-            assert np.array_equal(attached.offsets, cols.offsets)
-            assert np.array_equal(attached.providers, cols.providers)
-            assert np.array_equal(accuracies, np.asarray(example_accuracies))
-            # Drop the views, then the cached attachment, before the
-            # block disappears.
-            del attached, accuracies
-            from repro.parallel import shm
-
-            shm._ATTACHED.pop(world.handle.name, None)
 
 
 # ----------------------------------------------------------------------
@@ -575,10 +544,11 @@ PARITY_CASES = {
     "no-shared-values": _no_shared_values_case(),
 }
 
-#: Executor inputs; ``processes-no-shm`` is the process pool with
-#: ``SharedWorld.create`` raising ``OSError`` (pickled payloads instead).
-#: The python backend's loops stay local, so ``remote`` is numpy-only, and
-#: only columnar worlds ever touch shared memory.
+#: Executor inputs; ``processes-no-shm`` is the forked-worker executor on
+#: a host where every ``SharedMemory`` allocation raises ``OSError``: its
+#: workers are reached over sockets only.  The python backend's loops stay
+#: local, so ``remote`` is numpy-only, and ``processes`` under python must
+#: be refused up front.
 PARITY_EXECUTORS = {
     "python": ["serial", "threads", "processes"],
     "numpy": [
@@ -603,7 +573,8 @@ def remote_executor():
 class TestExecutorParity:
     """Where a partition runs never changes a verdict: every executor,
     reduce topology, backend and method reproduces the serial executor's
-    decisions and cost counters exactly."""
+    decisions and cost counters exactly — or, for an out-of-process
+    executor under the python backend, is refused before any scan."""
 
     def _check(self, request, monkeypatch, case, executor, reduce, backend, method):
         dataset, probs, accs, n_partitions = PARITY_CASES[case]
@@ -616,16 +587,20 @@ class TestExecutorParity:
                 executor=executor, reduce=reduce, cluster=cluster,
             )
 
+        if backend == "python" and executor == "processes":
+            with pytest.raises(ValueError, match="executor='processes' requires"):
+                run(executor)
+            return
         serial = run("serial")
         if executor == "remote":
             got = run("remote", request.getfixturevalue("remote_executor"))
         elif executor == "processes-no-shm":
-            from repro.parallel.shm import SharedWorld
+            from multiprocessing import shared_memory
 
             def no_shm(*args, **kwargs):
                 raise OSError("shared memory disabled for this test")
 
-            monkeypatch.setattr(SharedWorld, "create", classmethod(no_shm))
+            monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
             got = run("processes")
         else:
             got = run(executor)
