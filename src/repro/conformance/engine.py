@@ -678,7 +678,7 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("detect", "bound+", pair_layout="sparse"),
         CaseConfig("detect", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=3, pair_layout="sparse"),
-        # Mass-derived epochs under sparse slots; with 37 configurations
+        # Mass-derived epochs under sparse slots; with 38 configurations
         # against nine world kinds every configuration meets every kind,
         # so the saturated worlds' probability-keyed log grid is
         # refereed under both layouts at push time.
@@ -692,9 +692,12 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("fusion", "index", n_partitions=2, executor="threads",
                    reduce="tree", rounds=3),
         # Dempster-Shafer fusion: reference DS loop vs columnar DS
-        # kernel, per-item conflict dicts part of the compared surface.
+        # kernel, per-item conflict dicts part of the compared surface;
+        # the sparse row's discount reads the verdict table itself.
         CaseConfig("fusion", "none", fusion_method="ds", rounds=3),
         CaseConfig("fusion", "hybrid", fusion_method="ds", rounds=3),
+        CaseConfig("fusion", "hybrid", fusion_method="ds", rounds=3,
+                   pair_layout="sparse"),
     ]
     return configs
 

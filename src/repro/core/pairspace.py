@@ -38,10 +38,8 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
   both are stream-order left folds, so the two layouts produce identical
   floats).
 * :class:`PairValueMap` — pair-keyed values as sorted keys + one aligned
-  column: Section III's shared-item counts ``l(S1, S2)`` (it reads like
-  the reference's ``pair -> int`` dict) and ACCUCOPY's directed copy
-  probabilities (``gather`` with a default for unobserved pairs,
-  replacing the dense ``n_sources x n_sources`` matrix).
+  column: Section III's shared-item counts ``l(S1, S2)``, read like the
+  reference's ``pair -> int`` dict.
 * :func:`resolve_pair_layout` — the ``"auto"`` heuristic: dense below a
   kernel's limit, sparse above it, with a module-level ``logging``
   warning naming the limit and the layout chosen, so leaving the dense
@@ -275,7 +273,7 @@ class PairSpace:
         Sparse lookups assume membership: a pair outside the observed
         set would alias another slot, so callers must build the space
         from a superset of every pair they will ever present (use
-        :meth:`PairValueMap.gather` for maybe-missing lookups).
+        :func:`member_rows` for maybe-missing lookups).
         """
         if self.layout == "dense":
             return src1 * self.n_sources + src2
@@ -366,31 +364,22 @@ class PairValueMap(Mapping):
     """Pair-keyed values in two aligned columns: sorted keys, one value each.
 
     Section III's shared-item counts ``l(S1, S2)`` (``s1 < s2`` keys,
-    int64 counts) are one: the kernels read :attr:`keys` and
-    :attr:`column` as they are, and the mapping face reads like the
-    reference's ``pair -> int`` dict — ``table[pair]`` (``KeyError`` for
-    a pair sharing no item), ``len``, ascending iteration, ``values()``,
-    ``==`` a dict — building tuples only when someone iterates.
-    ACCUCOPY's ``Pr(S -> S' | Phi)`` (directed keys, floats) are the
-    other: :meth:`gather` reads arbitrary provider pairs, ``default``
-    (independent, 0) for pairs the detector never opened, so memory is
-    bounded by the *decisions*, not the source count, and the floats
-    are identical to the dense ``n_sources x n_sources`` matrix lookup.
+    int64 counts): the kernels read :attr:`keys` and :attr:`column` as
+    they are, and the mapping face reads like the reference's
+    ``pair -> int`` dict — ``table[pair]`` (``KeyError`` for a pair
+    sharing no item), ``len``, ascending iteration, ``values()``, ``==``
+    a dict — building tuples only when someone iterates.
 
     Attributes:
         keys: int64 pair keys, sorted ascending, unique.
         column: the values, aligned with ``keys``.
-        default: what :meth:`gather` reads for a pair not in ``keys``.
     """
 
-    __slots__ = ("keys", "column", "default")
+    __slots__ = ("keys", "column")
 
-    def __init__(
-        self, keys: np.ndarray, column: np.ndarray, default: float = 0.0
-    ) -> None:
+    def __init__(self, keys: np.ndarray, column: np.ndarray) -> None:
         self.keys = keys
         self.column = column
-        self.default = default
 
     @classmethod
     def from_counts(cls, counts: Mapping) -> "PairValueMap":
@@ -422,13 +411,3 @@ class PairValueMap(Mapping):
     def items(self) -> list:
         """``(pair, value)`` for every row, in key order."""
         return list(zip(self, self.values()))
-
-    def gather(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Values for (broadcast) directed pairs; misses read ``default``."""
-        query = encode_pair_keys(src, dst)
-        if len(self.keys) == 0:
-            return np.full(query.shape, self.default)
-        pos = np.searchsorted(self.keys, query)
-        pos = np.minimum(pos, len(self.keys) - 1)
-        hit = self.keys[pos] == query
-        return np.where(hit, self.column[pos], self.default)

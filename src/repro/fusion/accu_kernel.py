@@ -28,18 +28,19 @@ columnarly:
    are grouped by provider count ``k``, each group's providers are
    rank-sorted by accuracy with one stable ``argsort``, and every
    provider's independence weight
-   ``I(S) = prod_{S' above S} (1 - s Pr(S -> S'))`` is a masked
-   row-product over a ``k x k`` copy-probability gather.  The gather's
-   backing store is picked by ``CopyParams.pair_layout``: dense worlds
-   densify the detection result into an ``n_sources x n_sources``
-   matrix, while worlds whose ``n_sources ** 2`` exceeds
-   :data:`DENSE_MATRIX_LIMIT` (where the dense matrix would cost
-   gigabytes) keep only the *decided* pairs in a sorted-key
-   :class:`~repro.core.pairspace.PairValueMap` and gather with
-   ``np.searchsorted`` — identical floats, memory bounded by the
-   decision count.  (The former behaviour — silently falling back to
-   the reference per-value weight loop — is retired; the switch is
-   logged.)
+   ``I(S) = prod_{S' above S} (1 - s Pr(S -> S'))`` is a left fold
+   (``np.multiply.reduceat``) over its run of the value's strictly-lower
+   provider-pair triangle — the only cells the product reads.  Where
+   each pair's copy probability comes from is picked by
+   ``CopyParams.pair_layout``: dense worlds densify the detection result
+   into an ``n_sources x n_sources`` matrix, while worlds whose
+   ``n_sources ** 2`` exceeds :data:`DENSE_MATRIX_LIMIT` (where the
+   dense matrix would cost gigabytes) read the round's verdict table
+   itself — one ``np.searchsorted`` of the unordered pair keys into its
+   sorted ``keys``, ``forward`` or ``backward`` by id order — identical
+   floats, no memory beyond the table.  (The former behaviour —
+   silently falling back to the reference per-value weight loop — is
+   retired; the switch is logged.)
 4. **Per-item softmax**: vote counts are permuted into the item-sorted
    layout and the max-shift, exponential sums and normalisation run as
    segment reductions (``np.maximum.reduceat`` / ``np.add.reduceat``)
@@ -61,21 +62,20 @@ from typing import Sequence
 import numpy as np
 
 from ..core.pairspace import (
-    PairValueMap,
     decode_pair_keys,
     encode_pair_keys,
     resolve_pair_layout,
 )
 from ..core.params import CopyParams
-from ..core.result import DetectionResult
+from ..core.result import DetectionResult, PairColumns
 from ..data.columns import ClaimColumns
 
 #: Largest dense copy-probability matrix (``n_sources ** 2`` floats) the
-#: ``"auto"`` layout will allocate for the ACCUCOPY discount gather;
-#: beyond it (> ~2k sources) the sparse sorted-key lookup
-#: (:func:`sparse_copy_probabilities`) serves the same gather — with a
-#: logged warning — keeping memory bounded by the number of *decided*
-#: pairs.
+#: ``"auto"`` layout will allocate for the ACCUCOPY discount; beyond it
+#: (> ~2k sources) the verdict-table lookup
+#: (:func:`directed_copy_probabilities`) serves the same probabilities —
+#: with a logged warning — keeping memory bounded by the number of
+#: *decided* pairs.
 DENSE_MATRIX_LIMIT = 1 << 22
 
 
@@ -108,20 +108,28 @@ def copy_probability_matrix(
     return matrix
 
 
-def sparse_copy_probabilities(detection: DetectionResult) -> PairValueMap:
-    """The sparse counterpart of :func:`copy_probability_matrix`.
+def directed_copy_probabilities(
+    verdicts: PairColumns, copier: np.ndarray, original: np.ndarray
+) -> np.ndarray:
+    """``Pr(copier -> original | Phi)`` read straight from a verdict table.
 
-    Stores only the decided pairs (two directed entries each); lookups
-    of never-opened pairs — and the diagonal — read 0, exactly like the
-    dense matrix's untouched zeros.
+    The sparse counterpart of indexing :func:`copy_probability_matrix`:
+    each pair's unordered key is searched in the sorted ``keys`` and
+    reads ``forward`` when the copier is the smaller id, ``backward``
+    otherwise; never-opened pairs (and the diagonal) read 0.
     """
-    cols = detection.columns()
-    s1, s2 = decode_pair_keys(cols.keys)
-    keys = np.concatenate([cols.keys, encode_pair_keys(s2, s1)])
-    order = np.argsort(keys, kind="stable")
-    return PairValueMap(
-        keys[order], np.concatenate([cols.forward, cols.backward])[order]
-    )
+    keys = verdicts.keys
+    query = encode_pair_keys(np.minimum(copier, original), np.maximum(copier, original))
+    if len(keys) == 0:
+        return np.zeros(query.shape)
+    # Searched in ascending order the pairs walk the key column forward,
+    # several times faster than probing it in triangle order.
+    order = np.argsort(query, axis=None)
+    rows = np.empty(query.shape, dtype=np.intp)
+    rows.flat[order] = np.minimum(keys.searchsorted(query.flat[order]), len(keys) - 1)
+    probs = np.where(copier < original, verdicts.forward[rows], verdicts.backward[rows])
+    probs[keys[rows] != query] = 0.0
+    return probs
 
 
 def independence_weight_stream(
@@ -140,13 +148,16 @@ def independence_weight_stream(
     stable order as the reference's ``sorted(..., key=-accuracy)``.
 
     Values are grouped by provider count ``k`` so the ranking is one
-    stable ``argsort`` per group and the triangular product is one masked
-    ``prod`` over a ``(group, k, k)`` copy-probability gather.  The
-    gather reads either the dense matrix or the sparse decided-pair
-    lookup, per ``params.pair_layout`` (``"auto"`` goes sparse — with a
-    logged warning — when ``n_sources ** 2 > DENSE_MATRIX_LIMIT``, where
-    the dense matrix would not fit); unobserved pairs read 0 either way,
-    so the factors are identical floats.
+    stable ``argsort`` per group.  Only the strictly-lower triangle of
+    each value's ranked provider pairs is read — rank ``i`` discounted by
+    every rank ``j < i`` — and each provider's factors are folded left
+    to right by one ``np.multiply.reduceat``, the reference's order.
+    The probabilities come from the dense matrix or, per
+    ``params.pair_layout`` (``"auto"`` goes sparse — with a logged
+    warning — when ``n_sources ** 2 > DENSE_MATRIX_LIMIT``, where the
+    dense matrix would not fit), from the verdict table itself
+    (:func:`directed_copy_probabilities`); unobserved pairs read 0 either
+    way, so the factors are identical floats.
     """
     weights = np.ones(len(cols.prov_sources))
     counts = np.diff(cols.prov_offsets)
@@ -159,29 +170,26 @@ def independence_weight_stream(
     if layout == "dense":
         matrix = copy_probability_matrix(detection, cols.n_sources)
     else:
-        probs_map = sparse_copy_probabilities(detection)
+        verdicts = detection.columns()
     s = params.s
-    for k in np.unique(counts):
-        if k < 2:
-            continue
-        k = int(k)
-        rows = np.nonzero(counts == k)[0]
-        slots = cols.prov_offsets[rows][:, None] + np.arange(k)
-        provs = cols.prov_sources[slots]  # (R, k)
-        order = np.argsort(-accuracies[provs], axis=1, kind="stable")
-        ranked = np.take_along_axis(provs, order, axis=1)
-        # factors[r, i, j] = 1 - s * Pr(ranked_i -> ranked_j) for j < i;
-        # everything on or above the diagonal multiplies as 1.
+    for k in np.unique(counts[counts >= 2]).tolist():
+        starts = cols.prov_offsets[np.nonzero(counts == k)[0]][:, None]
+        provs = cols.prov_sources[starts + np.arange(k)]
+        ranked_slots = starts + np.argsort(-accuracies[provs], axis=1, kind="stable")
+        ranked = cols.prov_sources[ranked_slots]  # (R, k)
+        # The strictly-lower triangle in row-major order: rank i's pairs
+        # (i, 0), ..., (i, i - 1) are one run, starting at i * (i - 1) / 2.
+        ranks = np.arange(k)
+        lower_i, lower_j = np.nonzero(ranks[:, None] > ranks)
+        copier, original = ranked[:, lower_i], ranked[:, lower_j]
         if layout == "dense":
-            gathered = matrix[ranked[:, :, None], ranked[:, None, :]]
+            probs = matrix.take(copier * cols.n_sources + original)
         else:
-            gathered = probs_map.gather(ranked[:, :, None], ranked[:, None, :])
-        factors = 1.0 - s * gathered
-        below = np.tril(np.ones((k, k), dtype=bool), -1)
-        ranked_weights = np.where(below[None, :, :], factors, 1.0).prod(axis=2)
-        unranked = np.empty_like(ranked_weights)
-        np.put_along_axis(unranked, order, ranked_weights, axis=1)
-        weights[slots] = unranked
+            probs = directed_copy_probabilities(verdicts, copier, original)
+        # The top-ranked provider has no one above it and keeps weight 1.
+        weights[ranked_slots[:, 1:]] = np.multiply.reduceat(
+            1.0 - s * probs, ranks[1:] * ranks[:-1] // 2, axis=1
+        )
     return weights
 
 

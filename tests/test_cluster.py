@@ -524,6 +524,48 @@ class TestFaults:
         leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
         assert not leaks, [str(w.message) for w in leaks]
 
+    def test_a_version_2_peer_is_refused_over_a_real_socket(self):
+        """A listening peer that answers the executor's first frame with a
+        frame stamped ``WIRE_VERSION`` 2: the constructor raises one
+        ``ClusterError`` naming both versions and the remedy, and closes
+        its socket — the peer sees it hang up, and no socket is left to
+        the garbage collector."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        seen = {}
+
+        def old_peer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                seen["first"] = recv_message(conn)[0]
+                reply = bytearray(encode_message("pong", {}))
+                reply[4:8] = struct.pack("<I", 2)
+                conn.sendall(bytes(reply))
+                try:
+                    seen["after"] = conn.recv(1)
+                except ConnectionResetError:
+                    # Closed with the frame's tail unread: a reset, not a FIN.
+                    seen["after"] = b""
+
+        peer = threading.Thread(target=old_peer, daemon=True)
+        peer.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ClusterError) as excinfo:
+                    ClusterExecutor([listener.getsockname()], timeout=10.0)
+                gc.collect()
+            peer.join(10.0)
+        finally:
+            listener.close()
+        message = str(excinfo.value)
+        assert "version 2" in message and f"version {WIRE_VERSION}" in message
+        assert "restart the peer" in message
+        assert not peer.is_alive()
+        assert seen == {"first": "ping", "after": b""}
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
     @pytest.mark.parametrize("reduce_mode", ["flat", "tree"])
     def test_rounds_over_one_world_leave_no_partial_on_a_worker(
         self, example, example_probabilities, example_accuracies, params,

@@ -2,11 +2,12 @@
 round-persistent FusionWorkspace, and executor lifecycle hygiene."""
 
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conformance import CaseConfig, run_case, world_from_problem
 from repro.core import (
@@ -19,17 +20,20 @@ from repro.core import (
     scan_with_bounds,
 )
 from repro.core.kernel import ColumnarEntries
+from repro.core.pairspace import ID_LIMIT
+from repro.core.result import DetectionResult, PairColumns
 from repro.data import DatasetBuilder, motivating_example
 from repro.fusion import FusionConfig, run_fusion, update_accuracies, value_probabilities
 from repro.fusion.accu_kernel import (
     copy_probability_matrix,
+    directed_copy_probabilities,
     independence_weight_stream,
     update_accuracies_columnar,
     value_probabilities_columnar,
 )
 from repro.fusion.workspace import FusionWorkspace
 from repro.synth import book_cs
-from tests.strategies import worlds
+from tests.strategies import ACCURACY_MENUS, worlds
 
 TOL = 1e-9
 
@@ -124,7 +128,130 @@ class TestAccuKernelParity:
         fallback = independence_weight_stream(
             cols, np.asarray(accs, dtype=np.float64), detection, params
         )
-        np.testing.assert_allclose(fallback, dense, rtol=0, atol=TOL)
+        np.testing.assert_array_equal(fallback, dense)
+
+
+# ----------------------------------------------------------------------
+# The ACCUCOPY discount against the masked k x k product
+# ----------------------------------------------------------------------
+def _masked_square_weights(cols, accuracies, detection, params):
+    """The discount as a masked row-product over each value's full
+    ``(k, k)`` square of ranked provider pairs, probabilities read one
+    pair at a time through ``detection.copy_probability``."""
+    n = cols.n_sources
+    matrix = np.array(
+        [[a != b and detection.copy_probability(a, b) for b in range(n)] for a in range(n)],
+        dtype=np.float64,
+    )
+    weights = np.ones(len(cols.prov_sources))
+    counts = np.diff(cols.prov_offsets)
+    for k in np.unique(counts[counts >= 2]):
+        slots = cols.prov_offsets[np.nonzero(counts == k)[0]][:, None] + np.arange(k)
+        provs = cols.prov_sources[slots]
+        order = np.argsort(-accuracies[provs], axis=1, kind="stable")
+        ranked = np.take_along_axis(provs, order, axis=1)
+        factors = 1.0 - params.s * matrix[ranked[:, :, None], ranked[:, None, :]]
+        below = np.tril(np.ones((k, k), dtype=bool), -1)
+        ranked_weights = np.where(below, factors, 1.0).prod(axis=2)
+        unranked = np.empty_like(ranked_weights)
+        np.put_along_axis(unranked, order, ranked_weights, axis=1)
+        weights[slots] = unranked
+    return weights
+
+
+def _every_group_world(n_sources: int):
+    """Item ``k`` is claimed alike by sources ``0..k-1``: one value per
+    provider count from 1 to ``n_sources``, beside a value each source
+    claims alone."""
+    builder = DatasetBuilder()
+    for source in range(n_sources):
+        builder.add(f"S{source}", "own", f"v{source}")
+        for k in range(source + 1, n_sources + 1):
+            builder.add(f"S{source}", f"item{k}", "shared")
+    return builder.build()
+
+
+@st.composite
+def _accuracy_vectors(draw, n_sources: int):
+    """Free accuracies, or a tie-heavy menu's values per source."""
+    if draw(st.booleans()):
+        menu = draw(st.sampled_from(ACCURACY_MENUS))
+        return np.array([draw(st.sampled_from(menu)) for _ in range(n_sources)])
+    return np.array(
+        draw(st.lists(st.floats(0.01, 0.99), min_size=n_sources, max_size=n_sources))
+    )
+
+
+class TestDiscountOracle:
+    """``independence_weight_stream`` reads only each value's strictly-lower
+    provider-pair triangle and folds it with ``np.multiply.reduceat``;
+    the weights must equal the masked full-square product bit for bit,
+    under both pair layouts."""
+
+    @staticmethod
+    def _assert_both_layouts_exact(dataset, accuracies, detection, params):
+        cols = dataset.columns
+        want = _masked_square_weights(cols, accuracies, detection, params)
+        for layout in ("dense", "sparse"):
+            got = independence_weight_stream(
+                cols, accuracies, detection, replace(params, pair_layout=layout)
+            )
+            assert np.array_equal(got, want), layout
+
+    @settings(max_examples=60, deadline=None)
+    @given(world=worlds(), data=st.data())
+    def test_random_worlds(self, world, data):
+        dataset, probs, accs = world
+        params = CopyParams(backend="numpy")
+        detection = detect_pairwise(dataset, probs, accs, params)
+        accuracies = data.draw(_accuracy_vectors(dataset.n_sources))
+        self._assert_both_layouts_exact(dataset, accuracies, detection, params)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_sources=st.integers(2, 9), data=st.data())
+    def test_every_group_size(self, n_sources, data):
+        """Every provider count from 2 up to the largest group at once,
+        ties included."""
+        dataset = _every_group_world(n_sources)
+        counts = np.diff(dataset.columns.prov_offsets)
+        assert set(counts.tolist()) == set(range(1, n_sources + 1))
+        accuracies = data.draw(_accuracy_vectors(n_sources))
+        probs = value_probabilities(dataset, accuracies, CopyParams())
+        params = CopyParams(backend="numpy")
+        detection = detect_pairwise(dataset, probs, accuracies, params)
+        assert len(detection.columns()) > 0
+        self._assert_both_layouts_exact(dataset, accuracies, detection, params)
+
+    def test_empty_detection_keeps_every_weight(self):
+        dataset = _every_group_world(6)
+        empty = DetectionResult("none", dataset.n_sources)
+        for accuracies in (np.full(6, 0.8), np.linspace(0.3, 0.9, 6)):
+            self._assert_both_layouts_exact(dataset, accuracies, empty, CopyParams())
+            got = independence_weight_stream(
+                dataset.columns, accuracies, empty, CopyParams(pair_layout="sparse")
+            )
+            assert np.array_equal(got, np.ones(len(got)))
+
+    def test_directed_lookup_at_the_codec_limit(self):
+        """The sparse lookup encodes each pair's unordered key and picks
+        ``forward`` or ``backward`` by id order, exactly up to
+        ``ID_LIMIT - 1``, fed int32 ids; misses and the diagonal read 0."""
+        top = ID_LIMIT - 1
+        pairs = [(0, top), (5, 7), (top - 1, top)]
+        forward = np.array([0.25, 0.5, 1.0])
+        backward = np.array([0.125, 0.75, 0.0625])
+        n = len(pairs)
+        verdicts = PairColumns(
+            np.array([(s1 << 32) | s2 for s1, s2 in pairs], dtype=np.int64),
+            np.zeros(n), np.zeros(n), 1.0 - forward - backward, forward, backward,
+            np.zeros(n, dtype=bool), np.zeros(n, dtype=bool),
+        )
+        copier = np.array([[0, top, top - 1, top, 7], [5, 0, top, 1, top]], dtype=np.int32)
+        original = np.array([[top, 0, top, top - 1, 5], [7, 1, top, top, 0]], dtype=np.int32)
+        got = directed_copy_probabilities(verdicts, copier, original)
+        np.testing.assert_array_equal(
+            got, [[0.25, 0.125, 1.0, 0.0625, 0.75], [0.5, 0.0, 0.0, 0.0, 0.125]]
+        )
 
 
 # ----------------------------------------------------------------------
