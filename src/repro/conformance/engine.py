@@ -360,16 +360,14 @@ def _case_problems(reference, candidate, config: CaseConfig) -> list[str]:
         reference, candidate = reference.result, candidate.result
     contract = config.detection_contract
     problems = _compare_decisions(reference, candidate, contract)
-    if contract == "bitexact" or config.n_partitions == 1:
+    if contract == "bitexact" or config.n_partitions == 1 or config.method == "index":
         # The vectorized kernels reproduce the paper's computation
-        # accounting exactly even where scores differ in the last bits.
+        # accounting exactly even where scores differ in the last bits,
+        # and partitioned INDEX is costed like sequential INDEX.
         cost_fields = ("computations", "values_examined", "pairs_considered")
-    elif config.method == "index":
-        # Partitioned INDEX examines the same incidences/pairs in total;
+    else:
         # HYBRID's prefix/suffix split re-buckets work, so only the
         # decision surface is comparable there.
-        cost_fields = ("values_examined", "pairs_considered")
-    else:
         cost_fields = ()
     problems.extend(
         f"cost.{name}: {getattr(candidate.cost, name)} vs "

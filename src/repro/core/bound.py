@@ -326,7 +326,7 @@ def scan_with_bounds(
     n_total_sources = dataset.n_sources
     states: dict[tuple[int, int], _PairState] = {}
     # Exact-mode (HYBRID low-overlap) pairs: [c_fwd, c_bwd, n_shared]
-    # keyed by s1 * n_sources + s2, exactly like detect_index.
+    # keyed by s1 * n_sources + s2.
     exact_state: dict[int, list[float]] = {}
     tail_start = index.tail_start
     ceil = math.ceil

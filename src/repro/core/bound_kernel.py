@@ -71,8 +71,8 @@ that structure to batch the scan without changing a single observable bit:
 
 HYBRID's low-overlap pairs (``l <= hybrid_threshold``) skip bound upkeep
 entirely: they are accumulated with the same exact contributions in
-*exact mode*, mirroring the ``detect_index``-style flat cells of the
-reference, and resolve at scan end.
+*exact mode*, mirroring the reference's int-keyed exact cells, and
+resolve at scan end.
 
 The net effect: decisions, decision positions, ``CostCounter`` fields and
 :class:`~repro.core.bound.PairBookkeeping` — including the stored float

@@ -43,7 +43,7 @@ def count_shared_items_for(dataset: Dataset, params: CopyParams) -> PairCounts:
     if params.backend == "numpy":
         from .kernel import count_shared_items_columnar
 
-        return count_shared_items_columnar(dataset)
+        return count_shared_items_columnar(dataset, params.pair_layout)
     return count_shared_items(dataset)
 
 
@@ -324,8 +324,7 @@ class InvertedIndex:
         columnarizes its entry list on first call and caches the result
         for the index's lifetime (the entry list is frozen after
         construction — INCREMENTAL scores fresh lists beside it, never
-        into it).  Imports NumPy only when first called,
-        keeping :mod:`repro.core` import-light.
+        into it).
         """
         if self._columnar_cache is None:
             from .kernel import ColumnarEntries

@@ -19,14 +19,14 @@ comes from never touching the (typically vast) majority of pairs that
 share nothing, and from touching shared values once instead of per-pair
 item scans.
 
-Implementation note: the per-entry pair loop is the hottest code in the
-library (it runs once per (pair, shared value) incidence), so Eq. (6) is
-inlined with per-provider terms hoisted out of the inner loop and pair
-state lives in flat lists keyed by a single integer.  The inlined math is
-checked against :func:`repro.core.contribution.same_value_scores_both` by
-the test suite.  With ``params.backend == "numpy"`` the whole scan is
-instead delegated to the vectorized kernel (:mod:`repro.core.kernel`);
-the Python loop below stays as the bit-exact reference.
+Sequential INDEX is the partitioned engine's map step
+(:func:`scan_share`) over one share of every position, finished by
+:func:`finish_index`, which applies step 2's skip rule after the scan —
+equivalent, because the tail is processed last, so a pair is "already
+opened" at a tail entry exactly when some non-tail entry contains it.
+Under ``backend="numpy"`` a share is scanned by
+:func:`repro.core.kernel.scan_columnar`; the Python loop stays the
+bit-exact reference.
 """
 
 from __future__ import annotations
@@ -37,8 +37,13 @@ from typing import Sequence
 from ..data import Dataset
 from .contribution import posterior
 from .index import EntryOrdering, InvertedIndex
+from .kernel import decide_pairs, scan_columnar
 from .params import CopyParams
 from .result import CostCounter, DecisionView, DetectionResult, PairDecision
+
+#: A python-backend share's partial, per pair:
+#: ``[c_fwd, c_bwd, n_shared, saw_main]``.
+Partial = dict[tuple[int, int], list[float]]
 
 
 def detect_index(
@@ -69,22 +74,41 @@ def detect_index(
         index = InvertedIndex.build(
             dataset, probabilities, accuracies, params, ordering=ordering
         )
+    partial = scan_share(
+        index, range(index.n_entries), accuracies, params, dataset.n_sources
+    )
+    return finish_index(partial, index, params, dataset.n_sources, "index")
+
+
+def scan_share(
+    index: InvertedIndex,
+    positions: Sequence[int],
+    accuracies: Sequence[float],
+    params: CopyParams,
+    n_sources: int,
+):
+    """Map step: Eq. (6)'s contributions over one share of index positions.
+
+    Returns a :data:`Partial` under the python backend, a
+    :class:`~repro.core.kernel.PairTable` under numpy.  Every pair seen
+    in the share is accumulated, tail-only ones included; the skip rule
+    is :func:`finish_index`'s.
+    """
     if params.backend == "numpy":
-        return _detect_index_numpy(dataset, accuracies, params, index)
-    n_sources = dataset.n_sources
+        cols = index.columnar_entries()
+        if positions != range(cols.n_entries):
+            cols = cols.take(positions)
+        return scan_columnar(cols, accuracies, params, n_sources)
     clamp = params.clamp_accuracy
     acc = [clamp(a) for a in accuracies]
     s = params.s
     one_minus_s = 1.0 - s
     inv_n = 1.0 / params.n
+    entries = index.entries
     tail_start = index.tail_start
-
-    # state[pair_key] = [c_fwd, c_bwd, n_shared]; pair_key = s1*n_sources+s2
-    state: dict[int, list[float]] = {}
-    incidences = 0
-
-    for position, entry in enumerate(index.entries):
-        in_tail = position >= tail_start
+    partial: Partial = {}
+    for position in positions:
+        entry = entries[position]
         p = entry.probability
         q = 1.0 - p
         q_over_n = q * inv_n
@@ -94,87 +118,85 @@ def detect_index(
         accs = [acc[src] for src in providers]
         nots = [1.0 - a for a in accs]
         singles = [p * a + q * (1.0 - a) for a in accs]
+        main_flag = 0.0 if position >= tail_start else 1.0
         for i in range(k):
             s1 = providers[i]
             a1 = accs[i]
             na1 = nots[i]
             ps1 = singles[i]
-            base = s1 * n_sources
             for j in range(i + 1, k):
-                key = base + providers[j]
-                cell = state.get(key)
-                if cell is None:
-                    if in_tail:
-                        continue  # never opened outside the tail: skip
-                    cell = [0.0, 0.0, 0.0]
-                    state[key] = cell
-                incidences += 1
+                pair = (s1, providers[j])
                 denom = p * a1 * accs[j] + q_over_n * na1 * nots[j]
-                cell[0] += log(one_minus_s + s * singles[j] / denom)
-                cell[1] += log(one_minus_s + s * ps1 / denom)
-                cell[2] += 1.0
-
-    ln_diff = params.ln_one_minus_s
-    decisions: dict[tuple[int, int], PairDecision] = {}
-    shared_items = index.shared_items
-    for key, (c_fwd, c_bwd, n_shared) in state.items():
-        pair = (key // n_sources, key % n_sources)
-        n_diff = shared_items[pair] - int(n_shared)
-        c_fwd += n_diff * ln_diff
-        c_bwd += n_diff * ln_diff
-        post = posterior(c_fwd, c_bwd, params)
-        decisions[pair] = PairDecision(
-            c_fwd=c_fwd,
-            c_bwd=c_bwd,
-            posterior=post,
-            copying=post.copying,
-            early=False,
-        )
-
-    cost = CostCounter(
-        computations=2 * incidences + 2 * len(state),
-        values_examined=incidences,
-        pairs_considered=len(state),
-    )
-    return DetectionResult(
-        method="index",
-        n_sources=n_sources,
-        decisions=decisions,
-        cost=cost,
-    )
+                fwd = log(one_minus_s + s * singles[j] / denom)
+                bwd = log(one_minus_s + s * ps1 / denom)
+                cell = partial.get(pair)
+                if cell is None:
+                    partial[pair] = [fwd, bwd, 1.0, main_flag]
+                else:
+                    cell[0] += fwd
+                    cell[1] += bwd
+                    cell[2] += 1.0
+                    if main_flag:
+                        cell[3] = 1.0
+    return partial
 
 
-def _detect_index_numpy(
-    dataset: Dataset,
-    accuracies: Sequence[float],
-    params: CopyParams,
-    index: InvertedIndex,
-) -> DetectionResult:
-    """INDEX via the vectorized kernel; verdicts match the Python scan.
+def decide_pair(
+    c_fwd: float, c_bwd: float, n_shared: int, l_shared: int, params: CopyParams
+) -> PairDecision:
+    """Exact verdict for one pair from its accumulated shared-value scores.
 
-    Tail entries are scanned together with the rest; the skip rule is
-    applied at reduction time by dropping pairs that never co-occur in a
-    non-tail entry — equivalent to the sequential rule because the tail
-    is processed last, so a pair is "already opened" at a tail entry
-    exactly when some non-tail entry contains it.
+    Applies the different-value penalty ``ln(1-s) * (l - n)`` for the
+    ``l_shared - n_shared`` items the pair shares with differing values,
+    then Eq. (2).
     """
-    from .kernel import decide_pairs, scan_columnar
+    penalty = (l_shared - n_shared) * params.ln_one_minus_s
+    c_fwd += penalty
+    c_bwd += penalty
+    post = posterior(c_fwd, c_bwd, params)
+    return PairDecision(
+        c_fwd=c_fwd, c_bwd=c_bwd, posterior=post, copying=post.copying, early=False
+    )
 
-    n_sources = dataset.n_sources
-    cols = index.columnar_entries()
-    table = scan_columnar(cols, accuracies, params, n_sources)
-    columns = decide_pairs(table, index.shared_items, params, require_main=True)
-    # Mirror the Python scan's accounting: incidences of never-opened
-    # (tail-only) pairs are skipped, not counted.
-    kept_incidences = int(table.n_shared[table.saw_main].sum())
+
+def finish_index(
+    merged, index: InvertedIndex, params: CopyParams, n_sources: int, method: str
+) -> DetectionResult:
+    """INDEX's verdicts and accounting from the merged partials.
+
+    Opens only the pairs seen in a non-tail entry, applies
+    :func:`decide_pair`'s penalty and Eq. (2) to each, and counts the
+    paper's cost: the opened pairs' incidences, two score updates per
+    incidence plus two per opened pair.
+
+    Args:
+        merged: a :data:`Partial`, a :class:`~repro.core.kernel.PairTable`,
+            or None when nothing was scanned.
+        index: the scanned index (its ``l(S1, S2)`` counts).
+        params: model parameters.
+        n_sources: the world's source count.
+        method: the result's method name.
+    """
+    decisions = {}
+    incidences = 0
+    if isinstance(merged, dict):
+        shared_items = index.shared_items
+        for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
+            if saw_main:
+                incidences += int(n_shared)
+                decisions[pair] = decide_pair(
+                    c_fwd, c_bwd, int(n_shared), shared_items[pair], params
+                )
+    elif merged is not None:
+        decisions = DecisionView(
+            decide_pairs(merged, index.shared_items, params, require_main=True)
+        )
+        incidences = int(merged.n_shared[merged.saw_main].sum())
     cost = CostCounter(
-        computations=2 * kept_incidences + 2 * len(columns),
-        values_examined=kept_incidences,
-        pairs_considered=len(columns),
+        computations=2 * incidences + 2 * len(decisions),
+        values_examined=incidences,
+        pairs_considered=len(decisions),
     )
     return DetectionResult(
-        method="index",
-        n_sources=n_sources,
-        decisions=DecisionView(columns),
-        cost=cost,
+        method=method, n_sources=n_sources, decisions=decisions, cost=cost
     )

@@ -4,9 +4,9 @@ The hot path of every non-early-terminating detector is the *entry scan*:
 for each inverted-index entry (a value provided by ``k >= 2`` sources),
 add Eq. (6)'s forward/backward log-contributions to every one of the
 ``k*(k-1)/2`` provider pairs.  The pure-Python implementations in
-:mod:`repro.core.index_algo`, :mod:`repro.core.pairwise` and
-:mod:`repro.parallel.engine` do this with nested loops and dict-keyed
-accumulators — one dict probe and two ``math.log`` calls per
+:mod:`repro.core.index_algo` (whose share scan the partitioned engine
+runs too) and :mod:`repro.core.pairwise` do this with nested loops and
+dict-keyed accumulators — one dict probe and two ``math.log`` calls per
 (pair, shared value) incidence.  This module performs the same
 computation columnarly:
 
@@ -41,10 +41,8 @@ The pure-Python loops are deliberately **kept** as the reference
 implementation (``backend="python"`` on :class:`~repro.core.params.CopyParams`):
 they are the bit-exactness anchor the property tests compare
 against (the vectorized path reorders floating-point additions, so
-agreement is asserted to 1e-9 rather than bit-identity), they document the
-paper's algorithms line-by-line, and they keep :mod:`repro.core` free of
-NumPy at import time (this module is loaded lazily, only when a numpy
-backend is actually requested).
+agreement is asserted to 1e-9 rather than bit-identity), and they
+document the paper's algorithms line-by-line.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from ..data import Dataset
 from .contribution import posterior, same_value_scores_both
+from .index import count_shared_items_for
 from .params import CopyParams
 from .result import CostCounter, DecisionView, DetectionResult, PairDecision
 
@@ -125,19 +126,13 @@ def _detect_pairwise_numpy(
     """
     import numpy as np
 
-    from .kernel import (
-        ColumnarEntries,
-        PairTable,
-        count_shared_items_columnar,
-        decide_pairs,
-        scan_columnar,
-    )
+    from .kernel import ColumnarEntries, PairTable, decide_pairs, scan_columnar
     from .pairspace import PairValueMap
 
-    shared_items = (
-        count_shared_items_columnar(dataset)
+    shared_items = PairValueMap.from_counts(
+        count_shared_items_for(dataset, params)
         if shared_items is None
-        else PairValueMap.from_counts(shared_items)
+        else shared_items
     )
     n_sources = dataset.n_sources
     cols = ColumnarEntries.from_value_groups(dataset, probabilities)

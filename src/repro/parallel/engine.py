@@ -1,16 +1,20 @@
 """Partitioned (map/reduce-style) copy detection — Section VIII realised.
 
-Each worker scans its share of index entries and emits, for every source
+Each worker scans its share of index entries with INDEX's own map step
+(:func:`repro.core.index_algo.scan_share`) and emits, for every source
 pair co-occurring there, a *partial accumulator*:
 
     (c_fwd, c_bwd, n_shared, saw_main_entry)
 
-The reducer sums partials per pair, drops pairs that never appeared in a
-non-tail entry (INDEX's skip rule), applies the different-value penalty
-``ln(1-s) * (l - n)``, and evaluates Eq. (2).  Because INDEX's score
-accumulation is a plain sum, the merged result is *bit-identical* to the
-sequential algorithm regardless of partitioning — verified by property
-tests.
+The reducer sums partials per pair and hands them to INDEX's finisher
+(:func:`repro.core.index_algo.finish_index`): it drops pairs that never
+appeared in a non-tail entry (INDEX's skip rule), applies the
+different-value penalty ``ln(1-s) * (l - n)``, evaluates Eq. (2) and
+counts the paper's cost.  Sequential INDEX is the same scan over one
+share, so at ``n_partitions=1`` the two are bit-identical; with more
+shares the merge re-associates the float sums, so scores agree to
+rounding error while the opened pairs and the cost counters are the
+sequential ones exactly.
 
 Executors: *where* a partition is scanned can never change a verdict,
 so this module knows nothing about pools, processes or sockets.
@@ -54,89 +58,27 @@ Backends differ only in their ``(scan, merge)`` pair: with
 scanned with the vectorized kernel over columnar payloads
 (:class:`repro.core.kernel.ColumnarEntries`) and the reduce step merges
 flat :class:`~repro.core.kernel.PairTable` partials with
-``np.add.at``/``np.bincount``; ``"python"`` scans per-entry tuples into
-dict partials.
+``np.add.at``/``np.bincount``; ``"python"`` scans the index's entries
+into dict partials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 from ..core.bound import DEFAULT_HYBRID_THRESHOLD, PrefixScanState, scan_with_bounds
-from ..core.contribution import posterior
 from ..core.index import InvertedIndex
+from ..core.index_algo import Partial, decide_pair, finish_index, scan_share
+from ..core.kernel import PairTable
 from ..core.params import CopyParams, validate_execution
-from ..core.result import CostCounter, DecisionView, DetectionResult, PairDecision
+from ..core.result import CostCounter, DetectionResult, PairDecision
 from ..data import Dataset
 
 Executor = Literal["serial", "threads", "processes", "remote"]
 ReduceMode = Literal["flat", "tree"]
 
-#: partial accumulator per pair: [c_fwd, c_bwd, n_shared, saw_main]
-_Partial = dict[tuple[int, int], list[float]]
-
-
-def _scan_partition(
-    entries_payload: list[tuple[float, list[int], bool]],
-    accuracies: Sequence[float],
-    params: CopyParams,
-) -> _Partial:
-    """Map step: accumulate pair contributions over one entry share.
-
-    ``entries_payload`` carries ``(probability, providers, in_tail)``
-    triples: a self-contained share of the index.
-    """
-    clamp = params.clamp_accuracy
-    acc = [clamp(a) for a in accuracies]
-    s = params.s
-    one_minus_s = 1.0 - s
-    inv_n = 1.0 / params.n
-    partial: _Partial = {}
-    for p, providers, in_tail in entries_payload:
-        q = 1.0 - p
-        q_over_n = q * inv_n
-        k = len(providers)
-        accs = [acc[src] for src in providers]
-        nots = [1.0 - a for a in accs]
-        singles = [p * a + q * (1.0 - a) for a in accs]
-        main_flag = 0.0 if in_tail else 1.0
-        for i in range(k):
-            s1 = providers[i]
-            a1 = accs[i]
-            na1 = nots[i]
-            ps1 = singles[i]
-            for j in range(i + 1, k):
-                pair = (s1, providers[j])
-                denom = p * a1 * accs[j] + q_over_n * na1 * nots[j]
-                fwd = log(one_minus_s + s * singles[j] / denom)
-                bwd = log(one_minus_s + s * ps1 / denom)
-                cell = partial.get(pair)
-                if cell is None:
-                    partial[pair] = [fwd, bwd, 1.0, main_flag]
-                else:
-                    cell[0] += fwd
-                    cell[1] += bwd
-                    cell[2] += 1.0
-                    if main_flag:
-                        cell[3] = 1.0
-    return partial
-
-
-def _payload(index: InvertedIndex, positions: Sequence[int]):
-    tail_start = index.tail_start
-    return [
-        (
-            index.entries[pos].probability,
-            index.entries[pos].providers,
-            pos >= tail_start,
-        )
-        for pos in positions
-    ]
-
-
-def _merge_partial_into(target: _Partial, partial: _Partial) -> _Partial:
+def _merge_partial_into(target: Partial, partial: Partial) -> Partial:
     """Accumulate one dict partial into another (the binary merge op)."""
     for pair, cell in partial.items():
         cur = target.get(pair)
@@ -173,8 +115,8 @@ class ScanWorld:
 
     Bundles what a partition task reads with the backend's
     ``(scan, merge)`` pair, so an executor only decides *where* tasks run
-    and never branches on the backend: the python backend scans per-entry
-    tuples into dict partials, the numpy backend scans
+    and never branches on the backend: the python backend scans the
+    index's entries into dict partials, the numpy backend scans
     :class:`~repro.core.kernel.ColumnarEntries` into
     :class:`~repro.core.kernel.PairTable` partials (``columnar``).
 
@@ -196,22 +138,16 @@ class ScanWorld:
         return self.index.columnar_entries()
 
     def scan(self, positions: Sequence[int], params: CopyParams):
-        """Scan one partition into its partial (the in-process map step)."""
-        if self.columnar:
-            from ..core.kernel import scan_columnar
-
-            payload = self.cols.take(positions)
-            return scan_columnar(payload, self.accuracies, params, self.n_sources)
-        return _scan_partition(
-            _payload(self.index, positions), self.accuracies, params
+        """Scan one partition into its partial (the in-process map step,
+        :func:`repro.core.index_algo.scan_share`)."""
+        return scan_share(
+            self.index, positions, self.accuracies, params, self.n_sources
         )
 
     def _merge(self, partials: list, params: CopyParams):
         if self.columnar:
-            from ..core.kernel import PairTable
-
             return PairTable.merge(partials)
-        merged: _Partial = {}
+        merged: Partial = {}
         for partial in partials:
             _merge_partial_into(merged, partial)
         return merged
@@ -284,24 +220,6 @@ def _map_reduce(
     )
 
 
-def _decide(
-    c_fwd: float, c_bwd: float, n_shared: int, l_shared: int, params: CopyParams
-) -> PairDecision:
-    """Exact verdict for one pair from its accumulated shared-value scores.
-
-    Applies the different-value penalty ``ln(1-s) * (l - n)`` for the
-    ``l_shared - n_shared`` items the pair shares with differing values,
-    then Eq. (2).
-    """
-    penalty = (l_shared - n_shared) * params.ln_one_minus_s
-    c_fwd += penalty
-    c_bwd += penalty
-    post = posterior(c_fwd, c_bwd, params)
-    return PairDecision(
-        c_fwd=c_fwd, c_bwd=c_bwd, posterior=post, copying=post.copying, early=False
-    )
-
-
 def detect_index_parallel(
     dataset: Dataset,
     probabilities: Sequence[float],
@@ -314,7 +232,11 @@ def detect_index_parallel(
     workspace=None,
     cluster=None,
 ) -> DetectionResult:
-    """INDEX over a partitioned scan; verdicts identical to sequential.
+    """INDEX over a partitioned scan, finished and costed like sequential INDEX.
+
+    Bit-identical to :func:`repro.core.detect_index` at
+    ``n_partitions=1``; beyond it scores agree to re-association error
+    (see the module docstring).
 
     Args:
         dataset: the claims.
@@ -346,32 +268,7 @@ def detect_index_parallel(
         dataset, index, _stride_shares(index.n_entries, n_partitions),
         accuracies, params, executor, reduce, workspace, cluster,
     )
-    shared_items = index.shared_items
-    cost = CostCounter()
-    decisions: Mapping[tuple[int, int], PairDecision] = {}
-    if isinstance(merged, dict):
-        for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
-            cost.values_examined += int(n_shared)
-            if saw_main:  # tail-only pairs: INDEX never opens them
-                decisions[pair] = _decide(
-                    c_fwd, c_bwd, int(n_shared), shared_items[pair], params
-                )
-    elif merged is not None:
-        from ..core.kernel import decide_pairs
-
-        # Same verdicts and accounting as the loop above, vectorized.
-        decisions = DecisionView(
-            decide_pairs(merged, shared_items, params, require_main=True)
-        )
-        cost.values_examined = int(merged.n_shared.sum())
-    cost.pairs_considered = len(decisions)
-    cost.computations = 2 * cost.values_examined + 2 * cost.pairs_considered
-    return DetectionResult(
-        method="index-parallel",
-        n_sources=dataset.n_sources,
-        decisions=decisions,
-        cost=cost,
-    )
+    return finish_index(merged, index, params, dataset.n_sources, "index-parallel")
 
 
 def detect_hybrid_parallel(
@@ -465,7 +362,7 @@ def detect_hybrid_parallel(
                 c_fwd += cell[0]
                 c_bwd += cell[1]
                 n_shared += int(cell[2])
-            decisions[pair] = _decide(
+            decisions[pair] = decide_pair(
                 c_fwd, c_bwd, n_shared, shared_items[pair], params
             )
             exact_pairs += 1
@@ -475,7 +372,7 @@ def detect_hybrid_parallel(
             continue  # early verdicts stand; survivors already resolved
         if not saw_main:
             continue  # suffix-tail-only pair: INDEX never opens it
-        decisions[pair] = _decide(
+        decisions[pair] = decide_pair(
             c_fwd, c_bwd, int(n_shared), shared_items[pair], params
         )
         exact_pairs += 1

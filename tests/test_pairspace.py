@@ -198,6 +198,37 @@ class TestResolvePairLayout:
         with pytest.raises(ValueError, match="pair_layout"):
             CopyParams(pair_layout="columnar")
 
+    @pytest.mark.parametrize("method", ["pairwise", "index"])
+    def test_shared_item_counter_honours_params_layout(
+        self, monkeypatch, caplog, method
+    ):
+        """``l(S1, S2)`` is counted in ``CopyParams.pair_layout``: a forced
+        ``"sparse"`` reaches the sparse branch on a small world, and a
+        forced ``"dense"`` past the dense limit neither switches nor logs
+        the ``"auto"`` warning."""
+        from repro.core import kernel
+        from repro.core.pairspace import _warn_sparse
+
+        _warn_sparse.cache_clear()  # the warning fires once per process
+        requested = []
+        resolve = kernel.resolve_pair_layout
+
+        def recording(layout, n_sources, dense_limit, name):
+            if name == "kernel.count_shared_items_columnar":
+                requested.append(layout)
+            return resolve(layout, n_sources, dense_limit, name)
+
+        monkeypatch.setattr(kernel, "resolve_pair_layout", recording)
+        dataset, probs, accs = sparse_problem(0)
+        detect(dataset, probs, accs, CopyParams(pair_layout="sparse"), method=method)
+        monkeypatch.setattr(kernel, "DENSE_KEY_SPACE", 4)
+        with caplog.at_level(logging.WARNING, logger="repro.core.pairspace"):
+            detect(
+                dataset, probs, accs, CopyParams(pair_layout="dense"), method=method
+            )
+        assert requested == ["sparse", "dense"]
+        assert caplog.records == []
+
 
 # ----------------------------------------------------------------------
 # PairSpace

@@ -17,7 +17,7 @@ from repro.data import (
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel, engine
 from repro.parallel.engine import ScanWorld, _block_shares, _stride_shares
 from repro.parallel.executors import SerialExecutor
-from tests.strategies import worlds
+from tests.strategies import adversarial_worlds, worlds
 
 
 def _example_index(example, example_probabilities, example_accuracies, params):
@@ -161,6 +161,28 @@ class TestEquivalence:
             reference = sequential.decisions[pair]
             assert decision.c_fwd == pytest.approx(reference.c_fwd, abs=1e-9)
             assert decision.copying == reference.copying
+        assert parallel.cost.values_examined == sequential.cost.values_examined
+        assert parallel.cost.pairs_considered == sequential.cost.pairs_considered
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world=st.one_of(worlds(), adversarial_worlds()),
+        n_partitions=st.sampled_from([1, 2, 5]),
+        backend=st.sampled_from(["python", "numpy"]),
+    )
+    def test_cost_matches_sequential(self, world, n_partitions, backend):
+        """Partitioned INDEX reports the paper's cost, sequential INDEX's:
+        the incidences of tail-only pairs, which INDEX never opens, are
+        not counted at any partition count."""
+        dataset, probs, accs = world
+        params = CopyParams(backend=backend)
+        sequential = detect_index(dataset, probs, accs, params)
+        parallel = _indexed(
+            detect_index_parallel,
+            dataset, probs, accs, params, n_partitions=n_partitions
+        )
+        assert parallel.cost == sequential.cost
+        assert set(parallel.decisions) == set(sequential.decisions)
 
     @settings(max_examples=40, deadline=None)
     @given(world=worlds(), n_partitions=st.integers(min_value=1, max_value=6))
@@ -461,6 +483,7 @@ class TestTreeReduce:
             dataset, probs, accs, params, n_partitions=1, reduce="tree"
         )
         assert index_par.decisions == index_seq.decisions
+        assert index_par.cost == index_seq.cost
         hybrid_seq = detect_hybrid(dataset, probs, accs, params).result
         hybrid_par = _indexed(
             detect_hybrid_parallel,
