@@ -21,8 +21,8 @@ scores.  What must never change is pinned by the configuration's
     Identical decision key sets, identical ``copying``/``early`` flags
     and tie-broken truths, scores and posteriors within ``1e-9``
     (float re-association error of the vectorized kernels), and the
-    structural cost counters (`values_examined`, `pairs_considered`)
-    exactly equal.  One carve-out: a fused truth whose *reference*
+    full ``CostCounter`` triple exactly equal, partitioned runs
+    included.  One carve-out: a fused truth whose *reference*
     top-2 probability margin is itself below the tolerance may resolve
     to either value — sub-tolerance near-ties are the one place where
     re-association legitimately reaches the decision surface
@@ -360,19 +360,13 @@ def _case_problems(reference, candidate, config: CaseConfig) -> list[str]:
         reference, candidate = reference.result, candidate.result
     contract = config.detection_contract
     problems = _compare_decisions(reference, candidate, contract)
-    if contract == "bitexact" or config.n_partitions == 1 or config.method == "index":
-        # The vectorized kernels reproduce the paper's computation
-        # accounting exactly even where scores differ in the last bits,
-        # and partitioned INDEX is costed like sequential INDEX.
-        cost_fields = ("computations", "values_examined", "pairs_considered")
-    else:
-        # HYBRID's prefix/suffix split re-buckets work, so only the
-        # decision surface is comparable there.
-        cost_fields = ()
+    # The vectorized kernels reproduce the paper's computation accounting
+    # exactly even where scores differ in the last bits, partitioned or
+    # not.
     problems.extend(
         f"cost.{name}: {getattr(candidate.cost, name)} vs "
         f"{getattr(reference.cost, name)}"
-        for name in cost_fields
+        for name in ("computations", "values_examined", "pairs_considered")
         if getattr(candidate.cost, name) != getattr(reference.cost, name)
     )
     return problems + bookkeeping

@@ -4,7 +4,6 @@ from .bound import (
     DEFAULT_HYBRID_THRESHOLD,
     BoundEval,
     PairBookkeeping,
-    PrefixScanState,
     ScanOutcome,
     detect_bound,
     detect_bound_plus,
@@ -79,7 +78,6 @@ __all__ = [
     "PairNotObservedError",
     "PairTable",
     "PairExplanation",
-    "PrefixScanState",
     "REDUCE_MODES",
     "RoundStats",
     "ScanOutcome",

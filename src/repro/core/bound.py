@@ -64,6 +64,8 @@ from typing import Mapping, NamedTuple, Sequence
 from ..data import Dataset
 from .contribution import posterior
 from .index import EntryOrdering, InvertedIndex
+from .index_algo import Partial
+from .kernel import PairTable
 from .params import CopyParams
 from .result import CostCounter, DetectionResult, PairDecision
 
@@ -150,35 +152,6 @@ class ScanOutcome:
     bookkeeping: Mapping[tuple[int, int], PairBookkeeping] | None = None
 
 
-@dataclass
-class PrefixScanState:
-    """Raw accumulators after a *partial* (prefix-only) bound scan.
-
-    The parallel engine's strong-evidence-prefix partitioning scans the
-    first block of the processing order with bounds (where the early
-    conclusions happen) and hands everything still undecided to the
-    map/reduce INDEX kernel; this is the hand-off payload.
-
-    Attributes:
-        active: per bound-mode pair still active at the cut,
-            ``(c0_fwd, c0_bwd, n0)`` — contributions of its shared
-            entries seen so far, no penalty applied.
-        exact: same accumulators for HYBRID's low-overlap (INDEX-mode)
-            pairs.
-        done: early verdicts reached inside the prefix.
-        incidences: shared-value incidences examined so far.
-        score_updates: directional score updates performed so far.
-        bound_evals: bound evaluations performed so far.
-    """
-
-    active: dict[tuple[int, int], tuple[float, float, int]]
-    exact: dict[tuple[int, int], tuple[float, float, int]]
-    done: dict[tuple[int, int], PairDecision]
-    incidences: int
-    score_updates: int
-    bound_evals: int
-
-
 class BoundEval(NamedTuple):
     """One bound evaluation, as recorded by ``scan_with_bounds(eval_log=...)``.
 
@@ -224,9 +197,9 @@ def scan_with_bounds(
     band: tuple[float, float] | None = None,
     epoch_size: int | None = None,
     stop_at: int | None = None,
-    collect_state: bool = False,
+    suffix: Partial | PairTable | None = None,
     eval_log: list[BoundEval] | None = None,
-) -> ScanOutcome | PrefixScanState:
+) -> ScanOutcome:
     """Core scan shared by BOUND (``use_timers=False``), BOUND+ and HYBRID.
 
     Args:
@@ -259,10 +232,13 @@ def scan_with_bounds(
             below 1 and the sequential reference ignores the rest.
         stop_at: scan only positions ``< stop_at`` (the parallel engine's
             strong-evidence prefix); ``None`` scans everything.
-        collect_state: return the state at the cut instead of resolving
-            remaining pairs (engine hand-off): a :class:`PrefixScanState`
-            from this reference loop, the live
-            :class:`~repro.core.bound_kernel.EpochScan` under numpy.
+        suffix: the map/reduced partial of the positions from
+            ``stop_at`` on (the parallel engine's hand-off: a
+            :data:`~repro.core.index_algo.Partial` dict here, a
+            :class:`~repro.core.kernel.PairTable` under numpy), folded
+            in before Step IV.  Live pairs add its sums, concluded pairs
+            count and discard them, and unseen pairs open in exact mode
+            only with a non-tail incidence (INDEX's skip rule).
         eval_log: when a list is passed, every bound evaluation is
             appended as a :class:`BoundEval` (forces the Python
             reference path).
@@ -310,8 +286,8 @@ def scan_with_bounds(
             epoch_size=epoch_size,
         )
         scan.run(stop_at=stop_at)
-        if collect_state:
-            return scan
+        if suffix is not None:
+            scan.absorb(suffix)
         result, bookkeeping = scan.finalize(method_name)
         return ScanOutcome(result=result, index=index, bookkeeping=bookkeeping)
     clamp = params.clamp_accuracy
@@ -463,33 +439,27 @@ def scan_with_bounds(
                             needed_diff * items_per_source[s2] / l_shared
                         )
 
+    # --- The hand-off: fold the suffix in (EpochScan.absorb's rule) ----
+    for pair, (c_fwd, c_bwd, n_shared, saw_main) in (suffix or {}).items():
+        incidences += int(n_shared)
+        score_updates += 2 * int(n_shared)
+        key = pair[0] * n_total_sources + pair[1]
+        cell = exact_state.get(key)
+        state = states.get(pair)
+        if cell is not None:
+            cell[0] += c_fwd
+            cell[1] += c_bwd
+            cell[2] += n_shared
+        elif state is not None:
+            if state.status == _ACTIVE:
+                state.n0 += int(n_shared)
+                state.c0_fwd += c_fwd
+                state.c0_bwd += c_bwd
+        elif saw_main:
+            exact_state[key] = [c_fwd, c_bwd, n_shared]
+
     cost.values_examined = incidences
     cost.computations = score_updates + bound_evals
-
-    if collect_state:
-        return PrefixScanState(
-            active={
-                pair: (state.c0_fwd, state.c0_bwd, state.n0)
-                for pair, state in states.items()
-                if state.status == _ACTIVE
-            },
-            exact={
-                (key // n_total_sources, key % n_total_sources): (
-                    cell[0],
-                    cell[1],
-                    int(cell[2]),
-                )
-                for key, cell in exact_state.items()
-            },
-            done={
-                pair: state.decision
-                for pair, state in states.items()
-                if state.status != _ACTIVE
-            },
-            incidences=incidences,
-            score_updates=score_updates,
-            bound_evals=bound_evals,
-        )
 
     # --- Step IV: resolve remaining pairs exactly -----------------------
     end_position = len(index.entries)

@@ -267,9 +267,10 @@ class EpochScan:
     """Mutable scan state for one epoch-batched pass over an index.
 
     Drive it with :meth:`run`, then read the outcome with
-    :meth:`finalize`.  The parallel engine's prefix partitioning stops
-    the run early (``run(stop_at=...)``) and calls :meth:`absorb` with
-    the map/reduced suffix sums before finalizing.
+    :meth:`finalize`.  ``scan_with_bounds(stop_at=..., suffix=...)``
+    (the parallel engine's prefix hand-off) stops the run early and
+    calls :meth:`absorb` with the map/reduced suffix sums before
+    finalizing.
     """
 
     def __init__(
@@ -760,12 +761,12 @@ class EpochScan:
     def absorb(self, suffix: PairTable) -> None:
         """Fold a map/reduced suffix scan into a prefix-only scan's state.
 
-        The parallel engine's reduce step (``run(stop_at=prefix)``, then
-        this, then :meth:`finalize`): survivors add the suffix sums of
-        their shared values to their prefix accumulators, pairs first
-        seen in the suffix open INDEX-style (only with a non-tail
-        incidence) in exact mode, and early verdicts stand — their
-        suffix contributions are counted and discarded.
+        The prefix hand-off's join, by the rule the reference scan also
+        applies to a dict suffix: survivors add the suffix sums of their
+        shared values to their prefix accumulators, pairs first seen in
+        the suffix open INDEX-style (only with a non-tail incidence) in
+        exact mode, and early verdicts stand — their suffix
+        contributions are counted and discarded.
         """
         slots = self.space.key_slots(suffix.keys)
         status = self.status[slots]

@@ -49,9 +49,11 @@ block of a BY_CONTRIBUTION ordering, where the early conclusions
 happen, is scanned sequentially with the HYBRID bound machinery
 (epoch-batched under ``backend="numpy"``), and the remaining blocks — by
 then pure accumulation for the surviving pairs — are map/reduced exactly
-like INDEX (cluster broadcast and tree reduce included).  Pairs
-concluded inside the prefix keep their early verdicts; everything else
-resolves exactly.
+like INDEX (cluster broadcast and tree reduce included).  The bound scan
+folds the merged suffix into its own state before its Step IV
+(``scan_with_bounds(stop_at=..., suffix=...)``), so both backends join
+the halves by one rule: pairs concluded inside the prefix keep their
+early verdicts; everything else resolves exactly.
 
 Backends differ only in their ``(scan, merge)`` pair: with
 ``params.backend == "numpy"`` each partition is
@@ -67,12 +69,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from ..core.bound import DEFAULT_HYBRID_THRESHOLD, PrefixScanState, scan_with_bounds
+from ..core.bound import DEFAULT_HYBRID_THRESHOLD, scan_with_bounds
 from ..core.index import InvertedIndex
-from ..core.index_algo import Partial, decide_pair, finish_index, scan_share
+from ..core.index_algo import Partial, finish_index, scan_share
 from ..core.kernel import PairTable
 from ..core.params import CopyParams, validate_execution
-from ..core.result import CostCounter, DetectionResult, PairDecision
+from ..core.result import DetectionResult
 from ..data import Dataset
 
 Executor = Literal["serial", "threads", "processes", "remote"]
@@ -299,16 +301,18 @@ def detect_hybrid_parallel(
     2. The remaining blocks are scanned in parallel exactly like
        :func:`detect_index_parallel` (columnar payloads — broadcast once
        per cluster session under ``"processes"`` and ``"remote"`` — with
-       flat-table merge
-       under numpy, dict partials under python).  Workers
-       are oblivious to the prefix verdicts, so a concluded pair's
-       suffix contributions are computed and discarded — the usual price
-       of coordination-free map work.
-    3. The reducer (flat or tree-wise, per ``reduce=``) adds suffix sums
-       to the survivors' prefix accumulators, applies the
-       different-value penalty and Eq. (2).  Pairs first seen in the
-       suffix follow INDEX's skip rule (opened only with a non-tail
-       incidence).
+       flat-table merge under numpy, dict partials under python).
+       Workers are oblivious to the prefix verdicts, so a concluded
+       pair's suffix contributions are computed and discarded — the
+       usual price of coordination-free map work.  Neither half reads
+       the other, so the suffix is map/reduced first.
+    3. The prefix scan takes the merged suffix (``suffix=``) and folds it
+       into its state just before Step IV, on both backends by one rule:
+       survivors add the suffix sums to their prefix accumulators, and
+       pairs first seen in the suffix follow INDEX's skip rule (opened,
+       in exact mode, only with a non-tail incidence).  Step IV then
+       applies the different-value penalty and Eq. (2) and counts the
+       cost as a sequential scan would.
 
     Early *copying* conclusions are sound (``C^min`` bounds the exact
     score from below), so they agree with exact detection; early
@@ -323,7 +327,12 @@ def detect_hybrid_parallel(
     """
     validate_execution(params, n_partitions, executor, reduce)
     prefix_block, *suffix_blocks = _block_shares(index.n_entries, n_partitions)
-    prefix = scan_with_bounds(
+    # Map/reduce the suffix into per-pair [c_fwd, c_bwd, n, saw_main].
+    suffix = _map_reduce(
+        dataset, index, suffix_blocks, accuracies, params, executor, reduce,
+        workspace, cluster,
+    )
+    return scan_with_bounds(
         dataset,
         probabilities,
         accuracies,
@@ -332,56 +341,5 @@ def detect_hybrid_parallel(
         hybrid_threshold=hybrid_threshold,
         method_name="hybrid-parallel",
         stop_at=len(prefix_block),
-        collect_state=True,
-    )
-    # Map/reduce the suffix into per-pair [c_fwd, c_bwd, n, saw_main].
-    merged = _map_reduce(
-        dataset, index, suffix_blocks, accuracies, params, executor, reduce,
-        workspace, cluster,
-    )
-    if not isinstance(prefix, PrefixScanState):
-        # numpy backend: the prefix is the live epoch scan, the suffix a
-        # PairTable — the reduce below, on columns.
-        if merged is not None:
-            prefix.absorb(merged)
-        return prefix.finalize("hybrid-parallel")[0]
-    merged = merged or {}
-
-    # Reduce: early verdicts stand; survivors absorb their suffix sums.
-    shared_items = index.shared_items
-    cost = CostCounter()
-    decisions: dict[tuple[int, int], PairDecision] = dict(prefix.done)
-    cost.values_examined = prefix.incidences
-    cost.computations = prefix.score_updates + prefix.bound_evals
-    suffix_incidences = 0
-    exact_pairs = 0
-    for survivors in (prefix.active, prefix.exact):
-        for pair, (c_fwd, c_bwd, n_shared) in survivors.items():
-            cell = merged.get(pair)
-            if cell is not None:
-                c_fwd += cell[0]
-                c_bwd += cell[1]
-                n_shared += int(cell[2])
-            decisions[pair] = decide_pair(
-                c_fwd, c_bwd, n_shared, shared_items[pair], params
-            )
-            exact_pairs += 1
-    for pair, (c_fwd, c_bwd, n_shared, saw_main) in merged.items():
-        suffix_incidences += int(n_shared)
-        if pair in decisions:
-            continue  # early verdicts stand; survivors already resolved
-        if not saw_main:
-            continue  # suffix-tail-only pair: INDEX never opens it
-        decisions[pair] = decide_pair(
-            c_fwd, c_bwd, int(n_shared), shared_items[pair], params
-        )
-        exact_pairs += 1
-    cost.values_examined += suffix_incidences
-    cost.computations += 2 * suffix_incidences + 2 * exact_pairs
-    cost.pairs_considered = len(decisions)
-    return DetectionResult(
-        method="hybrid-parallel",
-        n_sources=dataset.n_sources,
-        decisions=decisions,
-        cost=cost,
-    )
+        suffix=suffix,
+    ).result

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -482,7 +481,6 @@ class VerdictStore:
             "n_sources": int(n_sources),
             "method": method,
             "round": round_no,
-            "created": time.time(),
             "n_pairs": len(pairs),
             "n_items": len(items),
         }
@@ -527,7 +525,6 @@ class VerdictStore:
             "n_sources": int(n_sources),
             "method": method,
             "round": round_no,
-            "created": time.time(),
             "n_pairs": len(pair_upserts),
             "n_items": len(item_upserts),
             "n_removed_pairs": int(len(removed_pair_keys)),

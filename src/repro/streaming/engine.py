@@ -179,8 +179,9 @@ class EpochResult:
         skipped: True when the batch was a no-op (pure confirmations, or
             nothing at all) and no fusion ran, no snapshot was written.
         fusion: the epoch's fusion outcome (None when skipped).
-        snapshot_id: the published snapshot (None when skipped or when
-            the engine has no store).
+        snapshot_id: the published snapshot; when skipped, the one still
+            current (None before the first publish or when the engine
+            has no store).
         n_sources: sources after the batch.
         n_items: items after the batch.
         prepare_seconds: wall-clock of the prepare (apply + fusion).

@@ -593,6 +593,7 @@ class TestOversizedKeySpace:
         import logging
 
         from repro.core import bound_kernel
+        from repro.core.index import InvertedIndex
         from repro.data import DatasetBuilder
 
         def world(n_sources, group):
@@ -606,8 +607,12 @@ class TestOversizedKeySpace:
             return dataset, [0.9] * dataset.n_values, [0.8] * n_sources
 
         def layout_of(shape, **params):
-            scan = scan_with_bounds(
-                *shape, CopyParams(backend="numpy", **params), collect_state=True
+            dataset, probs, accs = shape
+            params = CopyParams(backend="numpy", **params)
+            index = InvertedIndex.build(dataset, probs, accs, params)
+            scan = bound_kernel.EpochScan(
+                dataset, accs, params, index, params.theta_cp, params.theta_ind,
+                use_timers=True, hybrid_threshold=0, track_bookkeeping=False,
             )
             occupancy = len(scan.shared_items) / scan.n_sources**2
             return scan.space.layout, occupancy

@@ -687,30 +687,46 @@ class TestProcessesFaults:
     ):
         """A worker stopped with SIGSTOP mid-round is marked dead after
         the 1 s request timeout, the round is retried on the survivor, and
-        closing the workspace does not wait on the stopped worker."""
+        closing the workspace does not wait on the stopped worker.  One
+        more case: a worker that is only slow (SIGCONT well inside a 2 s
+        timeout) answers, with no retry and no failure."""
         executor_of = LocalCluster.executor
-        monkeypatch.setattr(
-            LocalCluster, "executor",
-            lambda cluster: executor_of(cluster, timeout=1.0),
-        )
-        ws = FusionWorkspace(example, params)
-        try:
-            stalled = []
+        for timeout, resume_after in ((1.0, None), (2.0, 0.3)):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    LocalCluster, "executor",
+                    lambda cluster, timeout=timeout: executor_of(
+                        cluster, timeout=timeout
+                    ),
+                )
+                ws = FusionWorkspace(example, params)
+                stalled, resumes = [], []
+                try:
 
-            def stop_worker_0(remote):
-                proc = ws.executor("processes")._cluster.processes[0]
-                os.kill(proc.pid, signal.SIGSTOP)
-                stalled.append(proc)
+                    def stop_worker_0(remote):
+                        proc = ws.executor("processes")._cluster.processes[0]
+                        os.kill(proc.pid, signal.SIGSTOP)
+                        stalled.append(proc)
+                        if resume_after is not None:
+                            resumes.append(threading.Timer(
+                                resume_after, os.kill, (proc.pid, signal.SIGCONT)
+                            ))
+                            resumes[0].start()
 
-            _after_broadcast(monkeypatch, 2, stop_worker_0)
-            got = self._fuse(example, params, ws)
-            stats = ws.executor("processes")._remote.stats
-            assert stats.retries == 1
-            assert [w.failures for w in stats.workers.values()] == [1, 0]
-        finally:
-            ws.close()
-        assert _verdicts(got) == serial
-        assert not stalled[0].is_alive()
+                    _after_broadcast(patch, 2, stop_worker_0)
+                    got = self._fuse(example, params, ws)
+                    stats = ws.executor("processes")._remote.stats
+                    retried = int(resume_after is None)
+                    assert stats.retries == retried
+                    assert [w.failures for w in stats.workers.values()] == [
+                        retried, 0
+                    ]
+                finally:
+                    for resume in resumes:
+                        resume.join()
+                    ws.close()
+            assert _verdicts(got) == serial
+            assert len(stalled) == 1 and not stalled[0].is_alive()
 
     def test_losing_every_worker_fails_the_round_and_the_next_forks_afresh(
         self, example, params, serial

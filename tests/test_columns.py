@@ -380,12 +380,11 @@ def _assert_tables_identical(got: PairColumns, want: PairColumns):
 
 
 def _store_digest(store: VerdictStore) -> str:
-    """SHA-256 over every snapshot of a store: each meta field but
-    ``created``, then every array's name, dtype, shape and bytes."""
+    """SHA-256 over every snapshot of a store: every meta field, then
+    every array's name, dtype, shape and bytes."""
     digest = hashlib.sha256()
     for snapshot_id in store.snapshot_ids():
         meta, arrays = store.load(snapshot_id)
-        del meta["created"]
         digest.update(json.dumps(meta, sort_keys=True).encode())
         for name, array in arrays.items():
             digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
@@ -482,8 +481,8 @@ class TestByteIdentity:
         ``decision_pos`` column; at the parent a ``(keys, positions)``
         side channel) writes what the python backend (positions ride
         the result as a dict) writes, and both write what the parent
-        commit wrote: every array, every meta field but ``created``,
-        fulls and deltas alike."""
+        commit wrote: every array and every meta field, fulls and deltas
+        alike."""
         for backend in ("python", "numpy"):
             params = CopyParams(backend=backend)
             store = self._published(
@@ -505,8 +504,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_snapshots_equal_the_dict_backed_run(self, layout, tmp_path):
         """Publishing columnar results writes what publishing the same
-        verdicts as plain dicts writes — every array, every meta field
-        but the ``created`` stamp, fulls and deltas alike."""
+        verdicts as plain dicts writes — every array and every meta
+        field, fulls and deltas alike."""
         dataset, _, _ = _sparse_world(3)
         params = CopyParams(backend="numpy", pair_layout=layout)
         fusion = run_fusion(
@@ -525,7 +524,6 @@ class TestByteIdentity:
         for snapshot_id in columnar.snapshot_ids():
             meta_a, arrays_a = columnar.load(snapshot_id)
             meta_b, arrays_b = dicts.load(snapshot_id)
-            meta_a.pop("created"), meta_b.pop("created")
             # Item rows follow the probabilities handed in, which differ
             # by design here; the pair half is what this test pins.
             assert {k: v for k, v in meta_a.items() if k != "n_items"} == {
@@ -535,6 +533,22 @@ class TestByteIdentity:
                 if name.startswith(("pair_", "removed_pair", "copier_")):
                     assert arrays_a[name].dtype == arrays_b[name].dtype
                     np.testing.assert_array_equal(arrays_a[name], arrays_b[name])
+
+    def test_one_round_published_twice_writes_identical_files(self, tmp_path):
+        """A store's bytes depend on what it holds, not on the clock: one
+        round published into two fresh stores leaves the same files with
+        the same bytes, ``CURRENT`` included."""
+        dataset, probs, accs = _sparse_world(2)
+        result = detect(dataset, probs, accs, NUMPY, method="hybrid")
+        files = []
+        for name in ("first", "second"):
+            SnapshotPublisher(tmp_path / name, dataset).publish_round(1, result, probs)
+            files.append({
+                path.name: path.read_bytes()
+                for path in sorted((tmp_path / name).iterdir())
+            })
+        assert len(files[0]) >= 2
+        assert files[0] == files[1]
 
 
 # ----------------------------------------------------------------------

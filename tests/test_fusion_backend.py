@@ -435,13 +435,14 @@ class TestFusionWorkspace:
                     hybrid_threshold=threshold, track_bookkeeping=True,
                 )
                 full = scan_with_bounds(dataset, probs, accs, params, **scan)
-                prefix, prefix_books = scan_with_bounds(
+                prefix = scan_with_bounds(
                     dataset, probs, accs, params, **scan,
-                    stop_at=index.n_entries // 2, collect_state=True,
-                ).finalize("prefix")
+                    stop_at=index.n_entries // 2,
+                )
                 seen.append((
                     full.result.decisions, full.result.cost, full.bookkeeping,
-                    prefix.decisions, prefix.cost, prefix_books,
+                    prefix.result.decisions, prefix.result.cost,
+                    prefix.bookkeeping,
                 ))
             return seen
 

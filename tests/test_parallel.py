@@ -358,17 +358,19 @@ class TestHybridParallel:
                 assert decision.c_fwd == pytest.approx(exact.c_fwd, abs=1e-9)
 
     @settings(max_examples=15, deadline=None)
-    @given(world=worlds())
-    def test_backends_agree_on_verdicts(self, world):
+    @given(world=worlds(), n_partitions=st.sampled_from([2, 3]))
+    def test_backends_agree_on_verdicts(self, world, n_partitions):
+        """Both backends fold the suffix into the prefix scan by one rule,
+        so their verdicts agree and their costs are equal."""
         dataset, probs, accs = world
-        python = _indexed(
-            detect_hybrid_parallel,
-            dataset, probs, accs, CopyParams(backend="python"), n_partitions=3
+        python, numpy_ = (
+            _indexed(
+                detect_hybrid_parallel, dataset, probs, accs,
+                CopyParams(backend=backend), n_partitions=n_partitions,
+            )
+            for backend in ("python", "numpy")
         )
-        numpy_ = _indexed(
-            detect_hybrid_parallel,
-            dataset, probs, accs, CopyParams(backend="numpy"), n_partitions=3
-        )
+        assert numpy_.cost == python.cost
         assert set(numpy_.decisions) == set(python.decisions)
         for pair, decision in numpy_.decisions.items():
             reference = python.decisions[pair]
