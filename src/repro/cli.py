@@ -850,7 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-fuse every epoch from uniform accuracies instead of "
         "warm-starting from the previous epoch (slower, but each epoch "
-        "is bit-identical to a batch run over the accumulated claims)",
+        "is bit-identical to a batch INDEX run over the accumulated claims)",
     )
     _add_params(p_serve)
     _add_fusion_method(p_serve)

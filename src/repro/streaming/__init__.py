@@ -1,12 +1,12 @@
-"""Streaming layer: online INCREMENTAL detection behind an HTTP/SSE API.
+"""Streaming layer: online exact INDEX detection behind an HTTP/SSE API.
 
 The batch pipeline answers "given these claims, who copied whom?"; this
 package keeps the answer *fresh* as claims keep arriving.  Four pieces,
 bottom-up:
 
 * :mod:`~repro.streaming.engine` — :class:`StreamEngine`, the
-  synchronous epoch engine (ledger -> fusion with a fresh
-  INCREMENTAL detector per epoch -> verdict-store publish), plus
+  synchronous epoch engine (ledger -> fusion with exact INDEX ->
+  verdict-store publish), plus
   :func:`replay_epochs`, its batch-mode twin for lockstep-parity
   testing;
 * :mod:`~repro.streaming.service` — :class:`StreamingService`, the

@@ -21,11 +21,10 @@ changes nothing the engine serves:
    round-persistent :class:`~repro.fusion.FusionWorkspace` to it —
    executor pools and forked workers survive across epochs, only the
    dataset-derived caches are rebuilt;
-3. runs the full fusion loop with a **fresh**
-   :class:`~repro.core.IncrementalDetector` (``prepare_round=1``: the
-   first round builds the bookkeeping, later rounds patch it with the
-   paper's three-pass INCREMENTAL), warm-started from the last
-   *committed* epoch's converged accuracies when ``warm_start`` is on.
+3. runs the full fusion loop with exact INDEX
+   (:class:`~repro.core.SingleRoundDetector` ``"index"``), warm-started
+   from the last *committed* epoch's converged accuracies when
+   ``warm_start`` is on.
 
 Its :class:`PreparedEpoch` is therefore a pure function of (committed
 state, batch): the service prepares the pending batch while its
@@ -39,30 +38,21 @@ base ledger is no longer the committed one, then
    :class:`~repro.serving.SnapshotPublisher` — a delta snapshot sized
    by the publisher's diff of every stored column (bits and positions
    exactly, scores past the store's tolerance) against the
-   previous *epoch* (the last round's ``changed_pairs`` is relative to
-   the previous round, not the previous epoch, so it is deliberately
-   dropped before publishing).  A pair's key depends on its two ids
-   alone, so the chain extends across epochs in which new sources
-   appear;
+   previous epoch (INDEX reports no ``changed_pairs``).  A pair's key
+   depends on its two ids alone, so the chain extends across epochs in
+   which new sources appear;
 5. adopts the fork as the ledger and swaps in the new
    :class:`EpochState`.  A prepare that raises has nothing to undo.
 
-**Why per-epoch index rebuilds are honest.**  The paper's INCREMENTAL
-assumes a frozen claim set: its bookkeeping indexes positions in one
-fixed inverted index.  A claim delta changes that index, so cross-epoch
-bookkeeping reuse would be wrong.  The engine therefore rebuilds the
-index once per epoch and runs INCREMENTAL *within* the epoch's fusion
-rounds — under ``backend="numpy"`` as the columnar three-pass patch of
-:mod:`repro.core.incremental_kernel`, whose rounds cost a fraction of
-the preparation scan.  What an epoch saves across epochs is accuracy
-warm-starts (fewer rounds to re-converge) and workspace reuse (no
-pool or worker setup).  Delta snapshots are written when they pay, which on
-the benchmark's feed is never, and not for want of a tolerance: an
-epoch of ten claims re-converges the accuracies and moves >= 99% of the
-~3.9k pair rows past 1e-6 (79-97% past 1e-4, 10-70% past 1e-2), so the
-publisher writes an honest full snapshot (29 full, 0 deltas over a
-28-epoch ``stream_book`` run).  O(delta) *bytes* wait on cross-epoch
-detector state (O(delta) epochs, parked in ROADMAP.md), not on a threshold.
+**Cold epochs are batch runs.**  INDEX keeps no state across rounds,
+so each epoch scans its own index build, and a cold epoch
+(``warm_start=False``) equals a batch INDEX :func:`run_fusion` over the
+accumulated claims bit for bit.  What an epoch saves across epochs is
+accuracy warm-starts (fewer rounds to re-converge) and workspace reuse
+(no pool or worker setup).  Delta snapshots are written when they pay,
+which on the benchmark's feed is never: an epoch of ten claims
+re-converges the accuracies and moves nearly every pair row past the
+store's 1e-6 tolerance, so the publisher writes an honest full snapshot.
 """
 
 from __future__ import annotations
@@ -72,7 +62,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from ..core.detector import IncrementalDetector
+from ..core.detector import SingleRoundDetector
 from ..core.explain import PairExplanation, explain_pair
 from ..core.params import CopyParams
 from ..data import ClaimDelta, ClaimLedger, Dataset, LedgerUpdate
@@ -221,8 +211,6 @@ class StreamEngine:
             ``config.initial_accuracy``).  Cuts rounds-to-reconverge on
             quiet feeds; turn off to make every epoch bit-identical to a
             cold batch run over the accumulated claims.
-        rho_value / rho_accuracy: the INCREMENTAL re-open thresholds,
-            passed to each epoch's detector.
     """
 
     def __init__(
@@ -231,8 +219,6 @@ class StreamEngine:
         params: CopyParams | None = None,
         config: FusionConfig | None = None,
         warm_start: bool = True,
-        rho_value: float = 1.0,
-        rho_accuracy: float = 0.2,
     ):
         from ..serving.store import VerdictStore
 
@@ -242,8 +228,6 @@ class StreamEngine:
         self.params = params or CopyParams()
         self.config = config or FusionConfig()
         self.warm_start = warm_start
-        self.rho_value = rho_value
-        self.rho_accuracy = rho_accuracy
         self.ledger = ClaimLedger()
         self.state: EpochState | None = None
         self._epoch = 0
@@ -351,21 +335,10 @@ class StreamEngine:
                 ]
             cfg = replace(cfg, initial_accuracies=previous + pad)
 
-        # A fresh detector per epoch: the claim deltas changed the
-        # inverted index, and INCREMENTAL's bookkeeping positions are
-        # only valid within one index build.  prepare_round=1 makes the
-        # first round record the bookkeeping, so every later round of
-        # this epoch runs the three-pass incremental patch.
-        detector = IncrementalDetector(
-            self.params,
-            prepare_round=1,
-            rho_value=self.rho_value,
-            rho_accuracy=self.rho_accuracy,
-        )
         return run_fusion(
             dataset,
             self.params,
-            detector,
+            SingleRoundDetector(self.params, "index"),
             cfg,
             workspace=self._workspace,
         )
@@ -381,15 +354,8 @@ class StreamEngine:
         else:
             self._publisher.rebind(state.dataset)
 
-        detection = state.detection
-        if detection is not None:
-            # The last round's changed_pairs is relative to the previous
-            # *round* of this epoch; the store's previous state is the
-            # previous *epoch*.  Drop it so the publisher compares every
-            # stored column between the two epochs.
-            detection = replace(detection, changed_pairs=None)
         return self._publisher.publish_round(
-            state.epoch, detection, list(state.probabilities)
+            state.epoch, state.detection, list(state.probabilities)
         )
 
     # ------------------------------------------------------------------
@@ -414,8 +380,6 @@ def replay_epochs(
     params: CopyParams | None = None,
     config: FusionConfig | None = None,
     warm_start: bool = True,
-    rho_value: float = 1.0,
-    rho_accuracy: float = 0.2,
 ) -> list[EpochResult]:
     """Drive a fresh :class:`StreamEngine` over pre-partitioned epochs.
 
@@ -429,7 +393,5 @@ def replay_epochs(
         params=params,
         config=config,
         warm_start=warm_start,
-        rho_value=rho_value,
-        rho_accuracy=rho_accuracy,
     ) as engine:
         return [engine.run_epoch(epoch) for epoch in epochs]

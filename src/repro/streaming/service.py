@@ -145,6 +145,9 @@ class StreamingService:
         self.last_error: str | None = None
         self.speculations_committed = 0
         self.speculations_discarded = 0
+        #: The paper's cost, summed over every committed epoch's rounds.
+        self.computations = 0
+        self.values_examined = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -311,6 +314,10 @@ class StreamingService:
             self.epochs_skipped += 1
             return
         self.epochs_run += 1
+        for record in result.fusion.rounds:
+            if record.detection is not None:
+                self.computations += record.detection.cost.computations
+                self.values_examined += record.detection.cost.values_examined
         if self._reader is not None:
             self._reader.refresh()
         event = {
@@ -413,6 +420,8 @@ class StreamingService:
             "last_error": self.last_error,
             "speculations_committed": self.speculations_committed,
             "speculations_discarded": self.speculations_discarded,
+            "computations": self.computations,
+            "values_examined": self.values_examined,
             "pending": len(self._pending),
             "epoch": state.epoch if state else 0,
             "snapshot_id": state.snapshot_id if state else None,

@@ -8,7 +8,7 @@ import pytest
 
 from repro.conformance import generate_world
 from repro.conformance.engine import CaseConfig, run_case
-from repro.core import CopyParams, IncrementalDetector, SingleRoundDetector
+from repro.core import CopyParams, SingleRoundDetector
 from repro.core.explain import explain_pair
 from repro.data import ClaimDelta, DatasetBuilder, motivating_example
 from repro.fusion import (
@@ -413,7 +413,7 @@ class TestStreamingDS:
         manual = run_fusion(
             dataset,
             params,
-            IncrementalDetector(params, prepare_round=1),
+            SingleRoundDetector(params, "index"),
             replace(cfg, initial_accuracies=previous + [pad]),
         )
         assert engine.state.accuracies == tuple(manual.accuracies)

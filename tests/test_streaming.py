@@ -7,7 +7,7 @@ architecture promises (see ``src/repro/streaming/engine.py``):
   :func:`replay_epochs` run over the same epoch partitions produce
   *exactly* equal accuracies, truths and pair decisions per epoch;
 * with warm starts off, the final streamed epoch is exactly equal to
-  one batch INCREMENTAL ``run_fusion`` over the accumulated claims.
+  one batch INDEX ``run_fusion`` over the accumulated claims.
 
 Everything async uses ``asyncio.run`` directly (no pytest-asyncio in
 the environment).
@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core import CopyParams, IncrementalDetector, PairNotObservedError
+from repro.core import CopyParams, PairNotObservedError, SingleRoundDetector
 from repro.data import ClaimDelta, ClaimLedger, coalesce_deltas
 from repro.fusion import FusionConfig, run_fusion
 from repro.serving import VerdictReader, VerdictStore
@@ -32,6 +32,7 @@ from repro.streaming import (
     StreamingService,
     replay_epochs,
 )
+from tests.test_columns import _republished
 
 # ----------------------------------------------------------------------
 # World builders: rich enough that the hybrid index actually opens pairs
@@ -72,6 +73,15 @@ def partition(deltas: list[ClaimDelta], n: int) -> list[list[ClaimDelta]]:
     """Split a delta stream into ``n`` contiguous epochs."""
     size = (len(deltas) + n - 1) // n
     return [deltas[i : i + size] for i in range(0, len(deltas), size)]
+
+
+def copying_pair(state) -> tuple[int, int]:
+    """A pair the epoch's own detection marks copying.
+
+    On :func:`make_world` exact detection marks (S1, S2) and (S1, S3),
+    and not the verbatim clones of S0.
+    """
+    return next(pair for pair, d in state.detection.decisions.items() if d.copying)
 
 
 @pytest.fixture(scope="module")
@@ -324,13 +334,17 @@ class TestStreamEngine:
         with StreamEngine(store=store) as engine:
             engine.run_epoch(world)
             n_before = engine.state.dataset.n_sources
+            published = dict(engine.state.detection.decisions)
             engine.run_epoch(newcomer)
             assert built == [engine._publisher]
             state = engine.state
         n_sources = state.dataset.n_sources
         assert n_sources == n_before + 1
         assert engine._publisher.snapshot_ids == [1, 2]
-        # A reader opened afterwards serves the grown epoch, pair for pair.
+        # A reader opened afterwards serves the grown epoch, pair for
+        # pair.  Snapshot 2 is a delta: a row that is new or moved past
+        # the store's tolerance carries epoch 2's bits, any other row
+        # keeps epoch 1's.
         reader = VerdictReader(store)
         assert reader.n_sources == n_sources
         decisions = state.detection.decisions
@@ -342,26 +356,23 @@ class TestStreamEngine:
                 decision = decisions.get((s1, s2))
                 if decision is None:
                     assert verdict is None
-                else:
-                    assert (verdict.copying, verdict.c_fwd, verdict.c_bwd) == (
-                        decision.copying, decision.c_fwd, decision.c_bwd
-                    )
+                    continue
+                old = published.get((s1, s2))
+                served = decision if _republished(old, decision) else old
+                assert verdict.copying == decision.copying
+                assert (verdict.c_fwd, verdict.c_bwd) == (served.c_fwd, served.c_bwd)
 
     def test_explain_from_epoch_state(self, tmp_path, world):
         with StreamEngine(store=tmp_path / "store") as engine:
             engine.run_epoch(world)
             state = engine.state
-            names = state.dataset.source_names
-            s0, c0 = names.index("S0"), names.index("C0")
-            explanation = state.explain(s0, c0)
-            # The detector's stored verdict catches the verbatim clone
-            # (the recomputed posterior may differ when the stored one
-            # is an early bound-based decision).
+            s1, s2 = copying_pair(state)
+            explanation = state.explain(s1, s2)
             assert explanation.detected is not None
             assert explanation.detected.copying
             assert explanation.n_shared_values > 0
             with pytest.raises(ValueError):
-                state.explain(s0, s0)
+                state.explain(s1, s1)
 
     def test_truth_of(self, world):
         with StreamEngine() as engine:
@@ -391,8 +402,8 @@ class TestLockstepParity:
                 == rb.fusion.final_detection().decisions
             )
 
-    def test_cold_stream_equals_one_batch_incremental_run(self, world, epochs):
-        """N streamed epochs == one batch INCREMENTAL run over the same deltas.
+    def test_cold_stream_equals_one_batch_index_run(self, world, epochs):
+        """N streamed epochs == one batch INDEX run over the same deltas.
 
         With warm starts off, every epoch re-fuses the accumulated
         claims from the cold initial accuracy — so the final streamed
@@ -406,7 +417,7 @@ class TestLockstepParity:
         batch = run_fusion(
             ledger.snapshot(),
             params,
-            IncrementalDetector(params, prepare_round=1),
+            SingleRoundDetector(params, "index"),
             FusionConfig(),
         )
 
@@ -419,6 +430,49 @@ class TestLockstepParity:
             == batch.final_detection().decisions
         )
 
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_served_verdicts_are_exact(self, tmp_path, world, epochs, backend):
+        """Every verdict a cold stream serves is PAIRWISE's exact one.
+
+        No round-1 verdict survives into a later round: the served
+        ``copying`` bit equals PAIRWISE's on the accumulated claims, the
+        scores agree to 1e-9 and no row is an early bound decision.
+        """
+        params = CopyParams(backend=backend)
+        store = VerdictStore(tmp_path / "store")
+        replay_epochs(epochs, store=store, params=params, warm_start=False)
+        ledger = ClaimLedger()
+        ledger.apply(world)
+        exact = run_fusion(
+            ledger.snapshot(),
+            params,
+            SingleRoundDetector(params, "pairwise"),
+            FusionConfig(),
+        ).final_detection().decisions
+        reader = VerdictReader(store)
+        served = {}
+        for s1 in range(reader.n_sources):
+            for s2 in range(s1 + 1, reader.n_sources):
+                verdict = reader.get_verdict(s1, s2)
+                if verdict is not None:
+                    served[s1, s2] = verdict
+        assert served.keys() == exact.keys()
+        assert {pair for pair, v in served.items() if v.copying} == {
+            pair for pair, d in exact.items() if d.copying
+        }
+        for pair, verdict in served.items():
+            decision = exact[pair]
+            assert verdict.early is False, pair
+            assert (
+                verdict.c_fwd,
+                verdict.c_bwd,
+                verdict.independent,
+                verdict.forward,
+                verdict.backward,
+            ) == pytest.approx(
+                (decision.c_fwd, decision.c_bwd, *decision.posterior), abs=1e-9
+            ), pair
+
     def test_warm_stream_decisions_match_batch(self, world, epochs):
         """Warm starts change round counts, not converged conclusions."""
         warm = replay_epochs(epochs, warm_start=True)
@@ -428,7 +482,7 @@ class TestLockstepParity:
         batch = run_fusion(
             ledger.snapshot(),
             params,
-            IncrementalDetector(params, prepare_round=1),
+            SingleRoundDetector(params, "index"),
             FusionConfig(),
         )
         final = warm[-1].fusion
@@ -625,6 +679,27 @@ class TestServiceEpochs:
                 == result.fusion.final_detection().decisions
             )
 
+    def test_stats_report_the_papers_cost(self, tmp_path, epochs):
+        """``/stats`` sums each committed epoch's detection cost, the
+        same sums a replay over the same partitions reports."""
+
+        async def main():
+            async with _service(tmp_path) as service:
+                for epoch in epochs:
+                    service.submit(epoch)
+                    await service.flush()
+                return service.stats()
+
+        stats = asyncio.run(main())
+        costs = [
+            record.detection.cost
+            for result in replay_epochs([coalesce_deltas(e) for e in epochs])
+            for record in result.fusion.rounds
+        ]
+        assert stats["epochs_run"] == len(epochs)
+        assert stats["computations"] == sum(c.computations for c in costs) > 0
+        assert stats["values_examined"] == sum(c.values_examined for c in costs) > 0
+
     def test_every_epoch_event_names_the_snapshot_readers_land_on(
         self, tmp_path, epochs
     ):
@@ -694,12 +769,10 @@ class TestServiceEpochs:
             async with _service(tmp_path) as service:
                 service.submit(world)
                 await service.flush()
-                state = service.state
-                names = state.dataset.source_names
-                s0, c0 = names.index("S0"), names.index("C0")
-                verdict = service.get_verdict(s0, c0)
+                s1, s2 = copying_pair(service.state)
+                verdict = service.get_verdict(s1, s2)
                 truth = service.get_truth("I00")
-                explanation = service.explain_pair(s0, c0)
+                explanation = service.explain_pair(s1, s2)
                 return verdict, truth, explanation
 
         verdict, truth, explanation = asyncio.run(main())

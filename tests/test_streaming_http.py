@@ -29,7 +29,7 @@ from repro.streaming import (
     StreamingService,
 )
 
-from tests.test_streaming import make_world
+from tests.test_streaming import copying_pair, make_world
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -71,12 +71,14 @@ class TestHttpRoundTrip:
 
             stats = await in_thread(client.stats)
             names = service.state.dataset.source_names
-            s0, c0 = names.index("S0"), names.index("C0")
+            s1, s2 = copying_pair(service.state)
 
-            verdict = await in_thread(client.get_verdict, s0, c0)
+            verdict = await in_thread(client.get_verdict, s1, s2)
             truth = await in_thread(client.get_truth, "I00")
-            explanation = await in_thread(client.explain_pair, s0, c0)
-            missing = await in_thread(client.get_verdict, s0, names.index("S1"))
+            explanation = await in_thread(client.explain_pair, s1, s2)
+            missing = await in_thread(
+                client.get_verdict, names.index("S0"), names.index("S1")
+            )
             return stats, verdict, truth, explanation, missing
 
         stats, verdict, truth, explanation, missing = run_with_server(
@@ -92,9 +94,8 @@ class TestHttpRoundTrip:
         assert truth["snapshot_id"] == 1
         assert explanation["observed"] is True
         assert explanation["top_evidence"]
-        # An independent pair the detector closed early may still be
-        # served (verdict dict) or never observed (None) — both are
-        # valid 200 replies, never an error.
+        # An independent pair may be served (verdict dict) or never
+        # observed (None) — both are valid 200 replies, never an error.
         assert missing is None or missing["copying"] is False
 
     def test_unobserved_pair_is_an_answer_not_an_error(self, tmp_path):
