@@ -5,7 +5,8 @@ Xin Luna Dong, Kenneth B. Lyons, Weiyi Meng, Divesh Srivastava — ICDE
 2015), including every substrate the paper builds on:
 
 * :mod:`repro.core` — the Bayesian copy-detection algorithms: PAIRWISE,
-  INDEX, BOUND, BOUND+, HYBRID, INCREMENTAL.
+  INDEX, BOUND, BOUND+, HYBRID, INCREMENTAL, with the shared-item counts
+  ``l(S1, S2)`` and the FAGININPUT baseline's NRA lists.
 * :mod:`repro.fusion` — the iterative truth-finding loop (VOTE / ACCU /
   ACCUCOPY, Dong et al. VLDB 2009) the detectors plug into.
 * :mod:`repro.data` — datasets, gold standards, the paper's motivating
@@ -13,8 +14,6 @@ Xin Luna Dong, Kenneth B. Lyons, Weiyi Meng, Divesh Srivastava — ICDE
 * :mod:`repro.synth` — synthetic worlds shaped like the paper's four
   evaluation datasets, with planted copying.
 * :mod:`repro.sampling` — BYITEM / BYCELL / SCALESAMPLE.
-* :mod:`repro.nra` — Fagin's NRA and the FAGININPUT baseline.
-* :mod:`repro.simjoin` — set-overlap counting (shared items per pair).
 * :mod:`repro.eval` — metrics and the experiment runner behind every
   table and figure reproduction in ``benchmarks/``.
 

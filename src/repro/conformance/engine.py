@@ -66,6 +66,7 @@ from ..core import (
     make_detector,
     scan_with_bounds,
 )
+from ..core.detector import PREPARE_ROUND
 from ..core.index import EntryOrdering
 from ..core.params import validate_execution
 from ..core.result import DetectionResult
@@ -531,7 +532,7 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
             if (
                 config.detection_contract == "bitexact"
                 and state is not None
-                and round_no > detector.prepare_round
+                and round_no > PREPARE_ROUND
             ):
                 if detection.changed_pairs != ref_detection.changed_pairs:
                     problems.append(f"round {round_no}: changed_pairs differ")

@@ -15,9 +15,7 @@ Two call styles are provided:
 
 from __future__ import annotations
 
-import functools
 import random
-import time
 from typing import Sequence
 
 from ..data import Dataset
@@ -40,6 +38,10 @@ METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")
 #: Methods the parallel engine can partition (everything else is either
 #: inherently pairwise or early-terminating over the whole scan order).
 PARALLEL_METHODS = ("index", "hybrid")
+
+#: INCREMENTAL's preparation round: rounds before it run HYBRID from
+#: scratch, it runs HYBRID with bookkeeping, later rounds patch the state.
+PREPARE_ROUND = 2
 
 
 def _check_round(
@@ -66,19 +68,6 @@ def _check_round(
     validate_execution(params, n_partitions, executor, reduce)
 
 
-def _stamped(run_round):
-    """Stamp ``elapsed_seconds`` on the round ``run_round`` returns."""
-
-    @functools.wraps(run_round)
-    def wrapper(*args, **kwargs):
-        start = time.perf_counter()
-        result = run_round(*args, **kwargs)
-        result.elapsed_seconds = time.perf_counter() - start
-        return result
-
-    return wrapper
-
-
 def _round_index(world, ordering, rng, shared_items) -> InvertedIndex:
     """One round's index over ``world = (dataset, probabilities,
     accuracies, params)`` — under numpy the columns every kernel reads."""
@@ -87,7 +76,6 @@ def _round_index(world, ordering, rng, shared_items) -> InvertedIndex:
     )
 
 
-@_stamped
 def detect(
     dataset: Dataset,
     probabilities: Sequence[float],
@@ -137,8 +125,7 @@ def detect(
             worker list, or None (``REPRO_CLUSTER_WORKERS``).
 
     Returns:
-        The round's :class:`DetectionResult`, with ``elapsed_seconds``
-        filled in.
+        The round's :class:`DetectionResult`.
 
     Raises:
         ValueError: for an unknown method or execution argument, or a
@@ -313,17 +300,14 @@ class IncrementalDetector(_WorkspaceMixin):
         hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
         rho_value: float = 1.0,
         rho_accuracy: float = 0.2,
-        prepare_round: int = 2,
     ):
         self.params = params
         self.ordering = ordering
         self.hybrid_threshold = hybrid_threshold
         self.rho_value = rho_value
         self.rho_accuracy = rho_accuracy
-        self.prepare_round = prepare_round
         self.state = None
 
-    @_stamped
     def run_round(
         self,
         round_no: int,
@@ -332,7 +316,7 @@ class IncrementalDetector(_WorkspaceMixin):
         accuracies: Sequence[float],
     ) -> DetectionResult:
         """Detect copying for one fusion round (``round_no`` is 1-based)."""
-        if round_no > self.prepare_round and self.state is not None:
+        if round_no > PREPARE_ROUND and self.state is not None:
             return incremental_round(
                 self.state,
                 probabilities,
@@ -343,7 +327,7 @@ class IncrementalDetector(_WorkspaceMixin):
             )
         world = (dataset, probabilities, accuracies, self.params)
         shared = self._shared_items(dataset)
-        if round_no < self.prepare_round:
+        if round_no < PREPARE_ROUND:
             return detect(
                 *world,
                 method="hybrid",

@@ -16,7 +16,7 @@ paper's detectors against just this construction step.
 :func:`build_fagin_input` performs the construction (and, since every
 score is in hand anyway, derives the same exact verdicts as INDEX at
 negligible extra cost, so the baseline can participate in full fusion
-runs).  :func:`top_k_copying` feeds the lists to :func:`repro.nra.nra_topk`.
+runs).  Nothing here runs NRA itself: the paper times only the lists.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.contribution import posterior, same_value_scores_both
-from ..core.index import InvertedIndex
-from ..core.params import CopyParams
-from ..core.result import CostCounter, DetectionResult, PairDecision
 from ..data import Dataset
-from .nra import TopKResult, nra_topk
+from .contribution import posterior, same_value_scores_both
+from .index import InvertedIndex
+from .params import CopyParams
+from .result import CostCounter, DetectionResult, PairDecision
 
 #: An ordered pair ``(copier, original)`` of source ids.
 DirectedPair = tuple[int, int]
@@ -121,22 +120,3 @@ def build_fagin_input(
         cost=cost,
     )
     return FaginInput(value_lists=value_lists, diff_list=diff_list, result=result)
-
-
-def top_k_copying(fagin_input: FaginInput, k: int) -> TopKResult:
-    """Find the k directed pairs with the highest ``C->`` via NRA.
-
-    Pairs missing from a value list contribute 0 there (they do not share
-    that value); pairs missing from the difference list have no differing
-    items.  Both are handled by NRA's ``missing_score=0``; the difference
-    list's negative penalties lower the bounds of the pairs they name.
-    """
-    lists: list[Sequence[tuple[DirectedPair, float]]] = list(
-        fagin_input.value_lists
-    )
-    if fagin_input.diff_list:
-        lists.append(fagin_input.diff_list)
-    lists = [lst for lst in lists if lst]
-    if not lists:
-        return TopKResult(items=[], sorted_accesses=0, resolved=False)
-    return nra_topk(lists, k, missing_score=0.0)

@@ -516,7 +516,7 @@ def scan_columnar(
 def count_shared_items_columnar(
     dataset: "Dataset", layout: str = "auto"
 ) -> PairValueMap:
-    """Vectorized ``l(S1, S2)`` counting (see :func:`repro.simjoin.count_shared_items`).
+    """Vectorized ``l(S1, S2)`` counting.
 
     Items play the role of entries: each item's provider set expands to
     its pair triangle, walked in blocks of :data:`EPOCH_INCIDENCE_BUDGET`
@@ -525,10 +525,11 @@ def count_shared_items_columnar(
     The dense layout adds each block's tallies into the ``n_sources**2``
     grid; the sparse one counts each block's keys and merges the
     ``(keys, counts)`` once at the end.  Produces exactly the same
-    mapping as the inverted-list join in :mod:`repro.simjoin`, an order
-    of magnitude faster on dense worlds — as the column table it
-    computes (sorted keys, int64 counts), which the kernels read without
-    building a tuple per pair.
+    mapping as the inverted-list join of
+    :func:`repro.core.index.count_shared_items`, an order of magnitude
+    faster on dense worlds — as the column table it computes (sorted
+    keys, int64 counts), which the kernels read without building a tuple
+    per pair.
     """
     table = dataset.columns
     offsets, providers = table.item_prov_offsets, table.item_prov_sources

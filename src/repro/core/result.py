@@ -325,8 +325,6 @@ class DetectionResult:
             Treat it as frozen either way; bulk consumers read
             :meth:`columns` instead of walking it.
         cost: the computation/incidence tally.
-        elapsed_seconds: wall-clock detection time (filled by callers that
-            time the run; 0.0 otherwise).
         changed_pairs: when the producer knows which pairs it actually
             re-resolved this round (INCREMENTAL's pass-2/pass-3 pairs,
             straight from the bookkeeping), the set of their keys; None
@@ -346,7 +344,6 @@ class DetectionResult:
     n_sources: int
     decisions: Mapping[tuple[int, int], PairDecision] = field(default_factory=dict)
     cost: CostCounter = field(default_factory=CostCounter)
-    elapsed_seconds: float = 0.0
     changed_pairs: set[tuple[int, int]] | None = None
     decision_pos: Mapping[tuple[int, int], int] | None = field(
         default=None, repr=False, compare=False

@@ -7,7 +7,7 @@ the arrays built here, once per dataset (:attr:`Dataset.columns`).
 The claim dicts are flattened with two C-level ``list.extend`` calls
 per *source*; every other structure is a stable ``argsort`` or a
 ``bincount`` of that stream.  The pure-Python walks
-(:attr:`Dataset.providers`, :func:`repro.simjoin.count_shared_items`)
+(:attr:`Dataset.providers`, :func:`repro.core.index.count_shared_items`)
 stay the reference the tests compare this table against.
 """
 

@@ -42,9 +42,9 @@ from ..core import (
     DetectionResult,
     make_detector,
 )
+from ..core.fagin_input import build_fagin_input
 from ..data import Dataset, GoldStandard
 from ..fusion import FusionConfig, FusionResult, run_fusion
-from ..nra import build_fagin_input
 from ..sampling import sample_by_cell, sample_by_item, scale_sample
 from .metrics import (
     PrecisionRecall,
@@ -135,10 +135,9 @@ class _FaginInputDetector:
         probabilities: Sequence[float],
         accuracies: Sequence[float],
     ) -> DetectionResult:
-        start = time.perf_counter()
-        fagin = build_fagin_input(dataset, probabilities, accuracies, self.params)
-        fagin.result.elapsed_seconds = time.perf_counter() - start
-        return fagin.result
+        return build_fagin_input(
+            dataset, probabilities, accuracies, self.params
+        ).result
 
 
 def _make_detector(method: str, params: CopyParams):

@@ -5,8 +5,8 @@ the item segments, the index skeleton — lives on the dataset itself
 (:attr:`repro.data.Dataset.columns`, one read-only table built once per
 dataset); ``InvertedIndex.build`` gathers a round's index from it and
 the fusion kernels scatter over it.  What is left to keep warm across
-the rounds of a :func:`~repro.fusion.run_fusion` call (and across the
-epochs of a streaming engine) is what :class:`FusionWorkspace` holds:
+the rounds of a :func:`~repro.fusion.run_fusion` call is what
+:class:`FusionWorkspace` holds:
 
 * ``shared_items`` — the ``l(S1, S2)`` counts, computed once with the
   backend-appropriate counter.
@@ -77,10 +77,9 @@ class FusionWorkspace:
     def executor(self, kind: str, cluster=None):
         """The persistent executor of one kind, created on first use.
 
-        Every round of a fusion run (and every epoch of a streaming
-        engine) gets the same object back until :meth:`close`, so the
-        executor's pool, forked workers or cluster session stay warm
-        across rounds.
+        Every round of a fusion run gets the same object back until
+        :meth:`close`, so the executor's pool, forked workers or cluster
+        session stay warm across rounds.
 
         Args:
             kind: one of :data:`~repro.core.params.EXECUTORS`.
@@ -118,28 +117,6 @@ class FusionWorkspace:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def rebind(self, dataset: Dataset) -> None:
-        """Point the workspace at a new dataset, keeping the executors.
-
-        The streaming service's claim ledger produces a fresh immutable
-        :class:`Dataset` every epoch, which invalidates the shared-item
-        counts (the claim table travels with the dataset) — but *not* the
-        expensive runtime state: the persistent executors keep their
-        warm workers, and a cluster session ships the next world as a
-        ``world-update`` diff while the columnar layout still fits (a
-        full broadcast on a layout change).  Rebinding to the same
-        dataset object is a no-op.
-
-        Raises:
-            RuntimeError: when the workspace is closed.
-        """
-        if self.closed:
-            raise RuntimeError("the fusion workspace is closed")
-        if dataset is self.dataset:
-            return
-        self.dataset = dataset
-        self._shared_items = None
-
     def close(self) -> None:
         """Close every executor the workspace created (idempotent)."""
         if self.closed:

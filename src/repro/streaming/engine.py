@@ -17,14 +17,14 @@ changes nothing the engine serves:
    committed ledger, and stops there when the batch was a pure
    confirmation (``LedgerUpdate.is_noop`` — detection state provably
    unchanged);
-2. freezes the fork's immutable dataset snapshot and rebinds the
-   round-persistent :class:`~repro.fusion.FusionWorkspace` to it —
-   executor pools and forked workers survive across epochs, only the
-   dataset-derived caches are rebuilt;
-3. runs the full fusion loop with exact INDEX
+2. freezes the fork's immutable dataset snapshot;
+3. runs the full fusion loop over it with exact INDEX
    (:class:`~repro.core.SingleRoundDetector` ``"index"``), warm-started
    from the last *committed* epoch's converged accuracies when
-   ``warm_start`` is on.
+   ``warm_start`` is on.  :func:`~repro.fusion.run_fusion` owns the
+   epoch's :class:`~repro.fusion.FusionWorkspace` (the ``l(S1, S2)``
+   counts of that snapshot); INDEX runs sequentially, so no executor
+   is ever started.
 
 Its :class:`PreparedEpoch` is therefore a pure function of (committed
 state, batch): the service prepares the pending batch while its
@@ -48,11 +48,11 @@ base ledger is no longer the committed one, then
 so each epoch scans its own index build, and a cold epoch
 (``warm_start=False``) equals a batch INDEX :func:`run_fusion` over the
 accumulated claims bit for bit.  What an epoch saves across epochs is
-accuracy warm-starts (fewer rounds to re-converge) and workspace reuse
-(no pool or worker setup).  Delta snapshots are written when they pay,
-which on the benchmark's feed is never: an epoch of ten claims
-re-converges the accuracies and moves nearly every pair row past the
-store's 1e-6 tolerance, so the publisher writes an honest full snapshot.
+accuracy warm-starts (fewer rounds to re-converge).  Delta snapshots
+are written when they pay, which on the benchmark's feed is never: an
+epoch of ten claims re-converges the accuracies and moves nearly every
+pair row past the store's 1e-6 tolerance, so the publisher writes an
+honest full snapshot.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from ..fusion.pipeline import FusionConfig, FusionResult, run_fusion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.result import DetectionResult
-    from ..fusion.workspace import FusionWorkspace
     from ..serving.store import VerdictStore
 
 
@@ -201,8 +200,7 @@ class StreamEngine:
         store: the verdict store to publish each epoch into (a
             :class:`~repro.serving.VerdictStore`, a directory path, or
             None to run unpublished — e.g. for replay tests).
-        params: model parameters; ``params.backend == "numpy"`` also
-            enables the persistent :class:`~repro.fusion.FusionWorkspace`.
+        params: model parameters.
         config: per-epoch fusion loop configuration (defaults to
             :class:`~repro.fusion.FusionConfig`'s).  The engine overrides
             only ``initial_accuracies`` for warm starts.
@@ -231,7 +229,6 @@ class StreamEngine:
         self.ledger = ClaimLedger()
         self.state: EpochState | None = None
         self._epoch = 0
-        self._workspace: "FusionWorkspace | None" = None
         self._publisher = None
 
     # ------------------------------------------------------------------
@@ -307,14 +304,6 @@ class StreamEngine:
 
     def _fuse(self, dataset: Dataset) -> FusionResult:
         """Run the epoch's fusion loop over the frozen snapshot."""
-        if self.params.backend == "numpy":
-            if self._workspace is None:
-                from ..fusion.workspace import FusionWorkspace
-
-                self._workspace = FusionWorkspace(dataset, self.params)
-            else:
-                self._workspace.rebind(dataset)
-
         cfg = self.config
         if self.warm_start and self.state is not None:
             previous = list(self.state.accuracies)
@@ -340,7 +329,6 @@ class StreamEngine:
             self.params,
             SingleRoundDetector(self.params, "index"),
             cfg,
-            workspace=self._workspace,
         )
 
     def _publish(self, state: EpochState) -> int | None:
@@ -362,10 +350,12 @@ class StreamEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the workspace's pools and workers (idempotent)."""
-        if self._workspace is not None:
-            self._workspace.close()
-            self._workspace = None
+        """Release nothing: the engine holds nothing open between epochs.
+
+        Each epoch's :func:`~repro.fusion.run_fusion` closes its own
+        workspace and the store keeps no file open; ``close`` stays so
+        the engine remains a context manager its callers can enter.
+        """
 
     def __enter__(self) -> "StreamEngine":
         return self

@@ -88,9 +88,9 @@ class StreamingService:
     """Micro-batching asyncio front end over a :class:`StreamEngine`.
 
     Args:
-        engine: the epoch engine (the service takes ownership: its
-            workspace is closed by :meth:`stop`).  Must have a store for
-            the read API to work.
+        engine: the epoch engine (the service takes ownership and
+            closes it in :meth:`stop`).  Must have a store for the read
+            API to work.
         max_batch: pending-delta count that flushes immediately.
         max_delay: hard deadline (seconds) from the first pending
             arrival to its epoch — the staleness bound.
@@ -110,6 +110,10 @@ class StreamingService:
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
+        if queue_size < 1:
+            # asyncio.Queue(maxsize=0) is unbounded: a slow subscriber
+            # would never drop events, and memory would grow without limit.
+            raise ValueError("queue_size must be at least 1")
         if max_delay <= 0 or debounce < 0:
             raise ValueError("max_delay must be > 0 and debounce >= 0")
         self.engine = engine
@@ -166,7 +170,7 @@ class StreamingService:
         With ``drain=True`` (the default) any pending deltas are flushed
         as one final epoch — published, fanned out — before the loop
         exits; with ``drain=False`` pending deltas are discarded.  The
-        engine's workspace is closed either way.
+        engine is closed either way.
         """
         if self._task is not None:
             if not drain:

@@ -1,7 +1,7 @@
 """``Dataset.columns``: the one claim table every NumPy path gathers from.
 
 The pure-Python walks — ``Dataset.providers``, ``claims``,
-``item_value_table()``, ``choose_values``, simjoin's counter and the
+``item_value_table()``, ``choose_values``, ``count_shared_items`` and the
 item-row builder the store used before the table existed — are the
 oracle; the table must equal them as arrays, be built once, and be
 impossible to write through.
@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import CopyParams, EntryOrdering, InvertedIndex
+from repro.core.index import count_shared_items
 from repro.core.kernel import ColumnarEntries, count_shared_items_columnar
 from repro.data import DatasetBuilder, motivating_example
 from repro.data.columns import ClaimColumns, take_csr
 from repro.fusion.accu import choose_values
 from repro.fusion.accu_kernel import choose_values_columnar
 from repro.serving.store import ItemRows
-from repro.simjoin import count_shared_items
 from tests.strategies import saturated_worlds, worlds
 
 

@@ -14,7 +14,6 @@ from repro.data import DatasetBuilder
 from repro.eval import run_method
 from repro.eval.report import improvement, render_table
 from repro.fusion import independence_weights, value_probabilities
-from repro.nra import nra_topk
 
 
 class TestIndependenceWeights:
@@ -123,19 +122,6 @@ class TestValueProbabilityEdges:
         probs = value_probabilities(ds, [0.5] * 5, params)
         assert all(0.0 <= p <= 1.0 for p in probs)
         assert sum(probs) == pytest.approx(1.0)
-
-
-class TestNraEmptyInput:
-    def test_top_k_copying_with_no_shared_values(self, params):
-        from repro.nra import build_fagin_input, top_k_copying
-
-        b = DatasetBuilder()
-        b.add("A", "D1", "x")
-        b.add("B", "D2", "y")
-        ds = b.build()
-        fagin = build_fagin_input(ds, [0.5, 0.5], [0.8, 0.8], params)
-        result = top_k_copying(fagin, 3)
-        assert result.items == []
 
 
 class TestStatsDerived:
@@ -275,42 +261,3 @@ class TestMaxScoreEdges:
         assert max_score(p_true, accuracies, params) == pytest.approx(
             max_score_bruteforce(p_true, accuracies, params), abs=1e-12
         )
-
-
-class TestNraEdges:
-    def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="k must be"):
-            nra_topk([[("a", 1.0)]], 0)
-
-    def test_unsorted_list_rejected(self):
-        with pytest.raises(ValueError, match="descending"):
-            nra_topk([[("a", 1.0), ("b", 2.0)]], 1)
-
-    def test_exhaustion_returns_unresolved(self):
-        """Fewer objects than k: lists run dry, items still correct."""
-        result = nra_topk([[("a", 2.0), ("b", 1.0)]], k=5)
-        assert not result.resolved
-        assert [obj for obj, _ in result.items] == ["a", "b"]
-
-    def test_negative_scores_use_list_floors(self):
-        """An object absent from the penalty list must assume the worst."""
-        lists = [
-            [("a", 3.0), ("b", 2.0)],
-            [("b", -0.5), ("a", -2.0)],
-        ]
-        result = nra_topk(lists, k=2, missing_score=0.0)
-        scores = dict(result.items)
-        assert scores["a"] == pytest.approx(1.0)
-        assert scores["b"] == pytest.approx(1.5)
-        assert result.items[0][0] == "b"
-
-    def test_early_stop_reads_fewer_positions(self):
-        """A clear winner stops the scan before the lists are exhausted."""
-        lists = [
-            [("a", 10.0)] + [(f"x{i}", 0.01) for i in range(50)],
-            [("a", 10.0)] + [(f"y{i}", 0.01) for i in range(50)],
-        ]
-        result = nra_topk(lists, k=1)
-        assert result.resolved
-        assert result.items[0][0] == "a"
-        assert result.sorted_accesses < 2 * 51

@@ -31,8 +31,8 @@ from repro.core.kernel import (
     score_incidences,
 )
 from repro.core.contribution import posterior
+from repro.core.index import count_shared_items
 from repro.core.pairspace import decode_pairs, encode_pairs
-from repro.simjoin import count_shared_items
 from tests.strategies import worlds
 
 METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")

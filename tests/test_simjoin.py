@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.simjoin import count_shared_items
+from repro.core.index import count_shared_items
 from tests.strategies import datasets
 
 

@@ -517,6 +517,8 @@ class TestServiceValidation:
             StreamingService(StreamEngine(), max_delay=0.0)
         with pytest.raises(ValueError):
             StreamingService(StreamEngine(), debounce=-1.0)
+        with pytest.raises(ValueError, match="queue_size"):
+            StreamingService(StreamEngine(), queue_size=0)
 
     def test_debounce_capped_at_max_delay(self, tmp_path):
         service = StreamingService(

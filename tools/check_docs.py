@@ -10,7 +10,7 @@ Two checks, both stdlib-only so the CI docs job needs no installs:
   in the packages listed in :data:`DOC_COVERAGE_PACKAGES` (the product
   surface — serving, streaming — and the layers it stands on: cluster,
   parallel, fusion, the core kernels, data with its shared binary
-  framing, and the synth / sampling / nra / simjoin side packages)
+  framing, and the synth / sampling side packages)
   must carry a docstring.  Parsed with :mod:`ast`, so nothing is imported and
   missing optional deps can't mask a gap.  Names with a leading
   underscore, ``__init__`` (the class docstring covers construction)
@@ -41,11 +41,9 @@ DOC_COVERAGE_PACKAGES = [
     "src/repro/core",
     "src/repro/data",
     "src/repro/fusion",
-    "src/repro/nra",
     "src/repro/parallel",
     "src/repro/sampling",
     "src/repro/serving",
-    "src/repro/simjoin",
     "src/repro/streaming",
     "src/repro/synth",
 ]
