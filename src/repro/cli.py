@@ -525,6 +525,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .streaming import StreamEngine, StreamingServer, StreamingService
 
+    # Checked before any port is bound (NaN fails every comparison).
+    if args.max_batch < 1:
+        raise SystemExit(f"--max-batch must be >= 1, got {args.max_batch}")
+    if not args.max_delay > 0:
+        raise SystemExit(f"--max-delay must be > 0, got {args.max_delay}")
+    if not args.debounce >= 0:
+        raise SystemExit(f"--debounce must be >= 0, got {args.debounce}")
     params = _params(args)
     store = args.store or tempfile.mkdtemp(prefix="repro-verdicts-")
 

@@ -32,8 +32,11 @@ MAGIC = b"RVSS"
 #: version with a clear :class:`ServingError` instead of misreading it
 #: (a store is derived from claims: re-publish, do not migrate).
 #: Version 2: pair keys are ``(s1 << 32) | s2`` (were
-#: ``s1 * n_sources + s2``).
-FORMAT_VERSION = 2
+#: ``s1 * n_sources + s2``).  Version 3: the store writes each signed
+#: integer column at the smallest of int8/int16/int32/int64 that holds it
+#: and widens it back on load (a version-2 build would merge the narrow
+#: columns unwidened, and CSR offsets summed in int16 can wrap silently).
+FORMAT_VERSION = 3
 
 
 class ServingError(Exception):

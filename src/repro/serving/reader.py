@@ -22,9 +22,13 @@ reader misses 56% of the benchmark's skewed queries on the 57k pairs of
 ``batch_wide``.  A miss is one binary search with the key column's own
 ``searchsorted`` method (the :func:`numpy.searchsorted` function pays
 ``__array_function__`` dispatch, twice the search) and then only Python
-objects: the snapshot keeps zero-copy :class:`memoryview` s of its
-columns, whose items are plain ``bool`` / ``int`` / ``float``, and the
-reply is built positionally with ``tuple.__new__``.  No NumPy scalar is
+objects: the snapshot keeps :class:`memoryview` s of its columns,
+whose items are plain ``bool`` / ``int`` / ``float``, and the reply is
+built positionally with ``tuple.__new__``.  The integer columns a file
+stores narrower than int64 are widened copies
+(:meth:`~repro.serving.store.VerdictStore.load`); only the pair keys
+and the float columns of a full snapshot stay zero-copy views of the
+bytes read.  No NumPy scalar is
 made, so a verdict miss costs under half of what it did through NumPy
 scalars and a keyword constructor, and a truth's supporters are one
 slice, not one ``int()`` per source (docs/ARCHITECTURE.md, "What a read
@@ -112,8 +116,8 @@ class _Snapshot:
         self.copier_sources = copier_sources
         self.copier_scores = copier_scores
         self.labels = labels or {}
-        # Zero-copy memoryviews of the columns a read touches: indexing
-        # one yields a plain bool / int / float, never a NumPy scalar.
+        # Memoryviews of the columns a read touches: indexing one
+        # yields a plain bool / int / float, never a NumPy scalar.
         self._pair_keys = memoryview(pairs.keys)
         self._pair_rows = tuple(
             memoryview(getattr(pairs, name)) for name in _VERDICT_COLUMNS

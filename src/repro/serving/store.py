@@ -50,6 +50,11 @@ kernel to the file and back into a reader; only at the codec boundary
 columns fold into the ``pair_flags`` byte and the columns take their
 ``pair_`` names.
 
+In memory every integer column is int64.  On disk each is stored at the
+smallest of int8/int16/int32/int64 that holds it (:func:`narrowed`),
+and :meth:`VerdictStore.load` widens it back to read-only int64
+(:func:`widened`), so whatever reads a store sees the int64 schema.
+
 Per-source "most copied" totals (``top_copiers``) are recomputed from
 the merged pair state at every publish; they are O(pairs) to build and
 tiny to store, so even deltas carry the complete ranking.
@@ -107,6 +112,33 @@ FULL_REWRITE_FRACTION = 0.6
 
 #: The zero-row pair table (the state before any publish).
 _NO_PAIRS = PairColumns.from_decisions({})
+
+#: The widths a signed integer column may be stored at, narrowest first.
+_STORED_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
+def narrowed(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrays as a snapshot stores them: each signed integer array at
+    the smallest width that holds its minimum and maximum (an empty one
+    at int8); every other array as it is."""
+    out = dict(arrays)
+    for name, array in arrays.items():
+        if array.dtype.kind == "i":
+            lo, hi = int(array.min(initial=0)), int(array.max(initial=0))
+            width = next(t for t in _STORED_INTS if t.min <= lo and hi <= t.max)
+            out[name] = array.astype(width.dtype, copy=False)
+    return out
+
+
+def widened(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The in-memory schema of stored arrays: every signed integer array
+    narrower than 8 bytes as a read-only int64 copy, the rest as stored."""
+    out = dict(arrays)
+    for name, array in arrays.items():
+        if array.dtype.kind == "i" and array.dtype.itemsize < 8:
+            out[name] = array.astype(np.int64)
+            out[name].flags.writeable = False
+    return out
 
 
 def pair_arrays(pairs: PairColumns) -> dict[str, np.ndarray]:
@@ -434,14 +466,17 @@ class VerdictStore:
                 continue
         return sorted(ids)
 
-    def _publish(self, snapshot_id: int, data: bytes) -> int:
-        """Make the snapshot durable, then point ``CURRENT`` at it.
+    def _publish(self, meta: dict, arrays: Mapping[str, np.ndarray]) -> int:
+        """Encode the snapshot at its stored widths (:func:`narrowed`),
+        make it durable, then point ``CURRENT`` at it.
 
         Each file is fsynced before its rename and the directory after
         it, so a crash leaves ``CURRENT`` naming a snapshot that is whole
         on disk: a catalogued snapshot is durable, or it is not in the
         catalogue.
         """
+        snapshot_id = meta["snapshot_id"]
+        data = encode_snapshot(meta, narrowed(arrays))
         _replace_durably(self.snapshot_path(snapshot_id), data)
         pointer = {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
         _replace_durably(
@@ -492,7 +527,7 @@ class VerdictStore:
             "copier_sources": copier_sources,
             "copier_scores": copier_scores,
         }
-        return self._publish(snapshot_id, encode_snapshot(meta, arrays))
+        return self._publish(meta, arrays)
 
     def write_delta(
         self,
@@ -540,13 +575,14 @@ class VerdictStore:
             "copier_sources": copier_sources,
             "copier_scores": copier_scores,
         }
-        return self._publish(snapshot_id, encode_snapshot(meta, arrays))
+        return self._publish(meta, arrays)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
     def load(self, snapshot_id: int) -> tuple[dict, dict]:
-        """Decode one snapshot file (meta, arrays).
+        """Decode one snapshot file (meta, arrays), its integer arrays
+        widened back to int64 (:func:`widened`).
 
         Raises:
             ServingError: missing, truncated, corrupted or
@@ -555,7 +591,8 @@ class VerdictStore:
         path = self.snapshot_path(snapshot_id)
         if not path.is_file():
             raise ServingError(f"{path}: snapshot {snapshot_id} not found")
-        return read_snapshot_file(path)
+        meta, arrays = read_snapshot_file(path)
+        return meta, widened(arrays)
 
     def load_chain(self, snapshot_id: int) -> list[tuple[dict, dict]]:
         """The snapshot plus its delta ancestry, base-full first.

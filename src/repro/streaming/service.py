@@ -114,7 +114,7 @@ class StreamingService:
             # asyncio.Queue(maxsize=0) is unbounded: a slow subscriber
             # would never drop events, and memory would grow without limit.
             raise ValueError("queue_size must be at least 1")
-        if max_delay <= 0 or debounce < 0:
+        if not max_delay > 0 or not debounce >= 0:  # NaN fails both
             raise ValueError("max_delay must be > 0 and debounce >= 0")
         self.engine = engine
         self.max_batch = max_batch

@@ -322,6 +322,28 @@ class TestQuery:
             main(["query", store, "--pair", "0", "99999"])
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-delay", "nan"),
+            ("--max-delay", "0"),
+            ("--debounce", "nan"),
+            ("--debounce", "-1"),
+            ("--max-batch", "0"),
+        ],
+    )
+    def test_bad_timing_exits_before_binding_a_port(self, flag, value, monkeypatch):
+        import repro.streaming
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a port was bound for a refused flag")
+
+        monkeypatch.setattr(repro.streaming, "StreamingServer", no_server)
+        with pytest.raises(SystemExit, match=f"^{flag} must be"):
+            main(["serve", "--port", "0", flag, value])
+
+
 class TestConformance:
     def test_smoke_run_writes_report(self, tmp_path, capsys):
         report_path = tmp_path / "sub" / "report.json"

@@ -11,8 +11,12 @@ regenerated fixtures differ from the version-1 ones in the version word
 alone (:data:`V1_SHA256`).  Wire version 3 (a ``task`` is answered with
 its ``partial``; ``merge`` and ``fetch`` are gone) changed which messages
 exist, not how a frame is laid out: the ``.rclw`` fixtures differ from
-the version-2 ones in the version word alone (:data:`V2_SHA256`), and
-the snapshot format stays at 2.
+the version-2 ones in the version word alone (:data:`V2_SHA256`).
+Snapshot version 3 (the store writes each signed integer column at the
+narrowest width that holds it and widens it back on load) changed what
+:class:`~repro.serving.store.VerdictStore` puts in the array table, not
+the framing: ``snapshot.rvs`` goes through ``encode_snapshot`` as it is,
+so it too differs from its version-2 bytes in the version word alone.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ V2_SHA256 = {
 }
 
 #: The version each fixture's format is at now.
-CURRENT_VERSION = {"snapshot.rvs": 2, "task.rclw": 3, "world.rclw": 3}
+CURRENT_VERSION = {"snapshot.rvs": 3, "task.rclw": 3, "world.rclw": 3}
 
 
 def _decode(name: str, data: bytes):
@@ -77,7 +81,7 @@ class TestGoldenBytes:
         assert golden_frames() == GOLDEN
 
     def test_each_format_is_at_its_current_version(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (2, 3)
+        assert (FORMAT_VERSION, WIRE_VERSION) == (3, 3)
         for name, version in CURRENT_VERSION.items():
             assert struct.unpack_from("<4sI", GOLDEN[name])[1] == version, name
 
@@ -88,8 +92,8 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_version_three_moved_the_version_word_only(self, name):
-        """The wire bump moved the ``.rclw`` version word and nothing
-        else; the snapshot fixture did not move at all."""
+        """Each format's bump to version 3 moved its version word and
+        nothing else."""
         as_v2 = _with_version(GOLDEN[name], 2)
         assert hashlib.sha256(as_v2).hexdigest() == V2_SHA256[name]
 

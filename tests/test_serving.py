@@ -24,12 +24,15 @@ from __future__ import annotations
 import json
 import random
 import struct
+import tempfile
 import threading
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
@@ -151,6 +154,103 @@ class TestCodec:
 
 
 # ----------------------------------------------------------------------
+# Stored widths: narrow on disk, int64 in memory
+# ----------------------------------------------------------------------
+_WIDTHS = [np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64)]
+
+#: -1, 0, each narrow width's bounds +-1, and the int64 extremes.
+_INT_EDGES = [-1, 0, _WIDTHS[-1].min, _WIDTHS[-1].max] + [
+    bound + step
+    for info in _WIDTHS[:-1]
+    for bound in (info.min, info.max)
+    for step in (-1, 0, 1)
+]
+
+
+def _no_pairs() -> PairColumns:
+    return PairColumns.from_decisions({})
+
+
+class TestStoredWidths:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(_INT_EDGES), st.integers(-(2**63), 2**63 - 1)),
+            max_size=12,
+        )
+    )
+    def test_integer_columns_round_trip_at_the_narrowest_width(self, values):
+        column = np.array(values, dtype=np.int64)
+        items = ItemRows(
+            ids=column,
+            truth=column[::-1].copy(),
+            probability=np.linspace(0.0, 1.0, len(column)),
+            prov_offsets=column,
+            prov_sources=column,
+        )
+        narrowest = next(
+            info.dtype for info in _WIDTHS
+            if all(info.min <= value <= info.max for value in values)
+        )
+        with tempfile.TemporaryDirectory() as root:
+            store = VerdictStore(root)
+            sid = store.write_full(_no_pairs(), items, n_sources=0)
+            _, stored = read_snapshot_file(store.snapshot_path(sid))
+            _, loaded = store.load(sid)
+        for name in ("item_ids", "item_truth", "item_prov_offsets", "item_prov_sources"):
+            assert stored[name].dtype == narrowest, name
+            assert loaded[name].dtype == np.int64, name
+            assert not loaded[name].flags.writeable, name
+        assert loaded["item_ids"].tolist() == values
+        assert loaded["item_truth"].tolist() == values[::-1]
+        # Floats and the flag byte are stored as they are.
+        assert stored["item_probability"].dtype == np.float64
+        assert stored["pair_flags"].dtype == np.uint8
+        assert loaded["item_probability"].tolist() == items.probability.tolist()
+
+    def test_merged_offsets_past_int16_are_served_exactly(self, tmp_path):
+        """A full whose CSR offsets fit int16, then a delta that pushes the
+        merged offsets past 32,767: both files store int16 offsets, and
+        the reader serves every item's supporters exactly (summed in the
+        stored int16, the merged offsets would wrap)."""
+        n_sources, width = 300, 250
+
+        def rows(ids, shift):
+            supporters = {
+                item: (np.arange(width) * 7 + item + shift) % n_sources for item in ids
+            }
+            table = ItemRows(
+                ids=np.array(ids, dtype=np.int64),
+                truth=np.array(ids, dtype=np.int64) * 2,
+                probability=np.full(len(ids), 0.5),
+                prov_offsets=np.arange(len(ids) + 1, dtype=np.int64) * width,
+                prov_sources=np.concatenate(list(supporters.values())),
+            )
+            return table, supporters
+
+        store = VerdictStore(tmp_path)
+        base, expected = rows(range(120), 0)  # offsets end at 30,000
+        full = store.write_full(_no_pairs(), base, n_sources)
+        upserts, moved = rows(range(100, 140), 11)  # 20 re-published, 20 new
+        none = np.empty(0, dtype=np.int64)
+        delta = store.write_delta(
+            full, _no_pairs(), none, upserts, none, _no_pairs(), n_sources
+        )
+        expected.update(moved)
+        for sid in (full, delta):
+            _, stored = read_snapshot_file(store.snapshot_path(sid))
+            assert stored["item_prov_offsets"].dtype == np.int16
+            assert stored["item_prov_sources"].dtype == np.int16
+        reader = VerdictReader(store)
+        assert reader.cache_info()["n_items"] == 140
+        assert reader._view.snapshot.items.prov_offsets[-1] == 140 * width
+        for item, supporters in expected.items():
+            truth = reader.get_truth(item)
+            assert truth.value == 2 * item
+            assert truth.supporters == tuple(supporters.tolist()), item
+
+
+# ----------------------------------------------------------------------
 # Store lifecycle: full + delta publishing, chain resolution, robustness
 # ----------------------------------------------------------------------
 class TestStore:
@@ -207,8 +307,9 @@ class TestStore:
             VerdictReader(store)
 
     def test_older_versioned_snapshot_in_store(self, tmp_path, params):
-        # A version-1 store holds stride keys this build would misread:
-        # refused by name, with the remedy (a store is derived data).
+        # An older store is refused by name, with the remedy (a store is
+        # derived data): version 1 held stride keys this build would
+        # misread, and a build reads only the version it writes.
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))

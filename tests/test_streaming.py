@@ -21,6 +21,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import CopyParams, PairNotObservedError, SingleRoundDetector
@@ -362,6 +363,59 @@ class TestStreamEngine:
                 assert verdict.copying == decision.copying
                 assert (verdict.c_fwd, verdict.c_bwd) == (served.c_fwd, served.c_bwd)
 
+    def test_source_ids_widen_across_epochs(self, tmp_path):
+        """120 sources store their ids as int8; an epoch that brings the
+        count past 127 stores them as int16, and a reader over the
+        chain serves the engine's state."""
+        from repro.serving import read_snapshot_file
+
+        rng = random.Random(3)
+        base, cloned = [], {}
+        for s in range(120):
+            for i in range(6):
+                value = f"true-{i}" if rng.random() < 0.7 else f"wrong-{i}"
+                base.append(ClaimDelta(f"S{s:03d}", f"I{i}", value))
+                cloned.setdefault(f"I{i}", value)  # S000's claims
+        base += [ClaimDelta(f"S{s:03d}", "J", "a") for s in range(3)]
+        # Sixteen late sources clone S000 and outvote J's truth.
+        late = [
+            ClaimDelta(f"L{c:02d}", item, value)
+            for c in range(16)
+            for item, value in [*cloned.items(), ("J", "b")]
+        ]
+        store = VerdictStore(tmp_path / "store")
+        with StreamEngine(store=store) as engine:
+            engine.run_epoch(base)
+            engine.run_epoch(late)
+            state = engine.state
+        first, last = (
+            read_snapshot_file(store.snapshot_path(sid))[1]
+            for sid in (1, state.snapshot_id)
+        )
+        for name in ("item_prov_sources", "copier_sources"):
+            assert first[name].dtype == np.int8, name
+            assert last[name].dtype == np.int16, name
+        reader = VerdictReader(store)
+        dataset = state.dataset
+        assert reader.n_sources == dataset.n_sources == 136
+        decisions = state.detection.decisions
+        for s1 in range(dataset.n_sources):
+            for s2 in range(s1 + 1, dataset.n_sources):
+                verdict, decision = reader.get_verdict(s1, s2), decisions.get((s1, s2))
+                assert (verdict is None) == (decision is None), (s1, s2)
+                if decision is not None:
+                    assert verdict.copying == decision.copying, (s1, s2)
+                    assert verdict.c_fwd == pytest.approx(decision.c_fwd, abs=1e-6)
+        for item, value in state.chosen.items():
+            truth = reader.get_truth(item)
+            assert truth.value == value
+            assert truth.probability == pytest.approx(
+                state.probabilities[value], abs=1e-6
+            )
+        flipped = reader.get_truth("J")
+        assert flipped.value_label == "b"
+        assert flipped.supporters == tuple(range(120, 136))
+
     def test_explain_from_epoch_state(self, tmp_path, world):
         with StreamEngine(store=tmp_path / "store") as engine:
             engine.run_epoch(world)
@@ -517,6 +571,12 @@ class TestServiceValidation:
             StreamingService(StreamEngine(), max_delay=0.0)
         with pytest.raises(ValueError):
             StreamingService(StreamEngine(), debounce=-1.0)
+        # NaN passes ``<= 0`` / ``< 0``: a lone batch would never flush.
+        with pytest.raises(ValueError):
+            StreamingService(StreamEngine(), max_delay=float("nan"))
+        with pytest.raises(ValueError):
+            StreamingService(StreamEngine(), debounce=float("nan"))
+        StreamingService(StreamEngine(), max_delay=float("inf"))  # no deadline
         with pytest.raises(ValueError, match="queue_size"):
             StreamingService(StreamEngine(), queue_size=0)
 
