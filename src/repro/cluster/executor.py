@@ -50,6 +50,10 @@ from ..core.kernel import PairTable, world_arrays
 from ..data.frames import layout_arrays
 from .wire import ClusterError, recv_message, send_message
 
+#: How many times a failed round is re-run on the surviving workers
+#: before :meth:`ClusterExecutor.map_reduce` gives up.
+ROUND_RETRIES = 1
+
 
 def assign_buckets_lpt(weights: Iterable[int], n_buckets: int) -> list[list[int]]:
     """Assign weighted tasks to buckets, longest-processing-time first.
@@ -267,8 +271,6 @@ class ClusterExecutor:
         workers: worker addresses (see :func:`parse_worker_spec`).
         timeout: per-request socket timeout in seconds (covers the
             longest single partition scan).
-        retries: how many times a failed round is re-run on the
-            surviving workers before giving up (default 1).
 
     Follows the executor protocol of :mod:`repro.parallel.executors`:
     the parallel engine calls :meth:`map_reduce` once per round (which
@@ -276,11 +278,10 @@ class ClusterExecutor:
     tears the session down.  Also a context manager.
     """
 
-    def __init__(self, workers, timeout: float = 120.0, retries: int = 1):
+    def __init__(self, workers, timeout: float = 120.0):
         addresses = parse_worker_spec(workers)
         self.session = f"sess-{os.urandom(6).hex()}"
         self.timeout = timeout
-        self.retries = retries
         self.stats = ClusterStats()
         self._world_cache: dict[str, np.ndarray] | None = None
         self._closed = False
@@ -409,7 +410,7 @@ class ClusterExecutor:
             np.asarray(positions, dtype=np.int64) for positions in partitions
         ]
         last_error: ClusterError | None = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(ROUND_RETRIES + 1):
             alive = self._alive()  # raises when none remain
             try:
                 self.stats.rounds += 1

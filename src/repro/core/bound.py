@@ -143,7 +143,7 @@ class ScanOutcome:
 
     ``bookkeeping`` reads as ``pair -> PairBookkeeping`` either way: the
     reference scan's dict, or — from the numpy scan — a lazy
-    :class:`~repro.core.result.PairRowView` over the kernel's columns
+    :class:`~repro.core.pairspace.PairMap` over the kernel's columns
     that builds a :class:`PairBookkeeping` only when one is read.
     """
 

@@ -104,15 +104,9 @@ from .kernel import (
     score_incidence_args,
     shared_item_counts,
 )
-from .pairspace import PairSpace, resolve_pair_layout
+from .pairspace import PairMap, PairSpace, resolve_pair_layout
 from .params import CopyParams
-from .result import (
-    CostCounter,
-    DecisionView,
-    DetectionResult,
-    PairColumns,
-    PairRowView,
-)
+from .result import CostCounter, DetectionResult, PairColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..data import Dataset
@@ -308,7 +302,7 @@ class EpochScan:
         self.space = (
             PairSpace.dense(self.n_sources)
             if layout == "dense"
-            else PairSpace.sparse(self.shared_items.keys)
+            else PairSpace.sparse(self.shared_items.columns.keys)
         )
         #: the round's one columnar index (a numpy build's own table)
         self.cols = index.columnar_entries()
@@ -755,7 +749,7 @@ class EpochScan:
     def _shared_counts(self, slots: np.ndarray) -> np.ndarray:
         """``l(S1, S2)`` of the pairs behind ``slots``."""
         if self.space.layout == "sparse":  # a slot is a row of the table
-            return self.shared_items.column[slots]
+            return self.shared_items.columns.l[slots]
         return shared_item_counts(self.shared_items, self.space.slot_keys(slots))
 
     def absorb(self, suffix: PairTable) -> None:
@@ -798,7 +792,7 @@ class EpochScan:
         Returns:
             ``(result, bookkeeping)`` matching the reference scan's
             values bit for bit: ``bookkeeping`` is ``None`` unless
-            tracked, else a :class:`~repro.core.result.PairRowView` that
+            tracked, else a :class:`~repro.core.pairspace.PairMap` that
             reads like the reference's ``pair -> PairBookkeeping`` dict
             and builds a :class:`~repro.core.bound.PairBookkeeping` only
             when one is read.
@@ -850,7 +844,7 @@ class EpochScan:
         result = DetectionResult(
             method=method_name,
             n_sources=self.n_sources,
-            decisions=DecisionView(columns),
+            decisions=columns.decisions(),
             cost=cost,
         )
         if not self.track:
@@ -864,20 +858,18 @@ class EpochScan:
         # this is the base score at the decision point; for survivors it
         # is the exact final score again.
         base_penalty = (l_shared - (n_before + n_after)) * self.ln_diff
-        bookkeeping = PairRowView(
+        bookkeeping = PairMap.of(
             columns.keys,
-            {
-                "copying": columns.copying,
-                "early": columns.early,
-                "c_base_fwd": self.c0_fwd[slots] + base_penalty,
-                "c_base_bwd": self.c0_bwd[slots] + base_penalty,
-                # INCREMENTAL patches its positions in place: not the
-                # result's column.
-                "decision_pos": columns.decision_pos.copy(),
-                "n_before": n_before,
-                "n_after": n_after,
-                "l": l_shared,
-            },
             PairBookkeeping,
+            copying=columns.copying,
+            early=columns.early,
+            c_base_fwd=self.c0_fwd[slots] + base_penalty,
+            c_base_bwd=self.c0_bwd[slots] + base_penalty,
+            # INCREMENTAL patches its positions in place: not the
+            # result's column.
+            decision_pos=columns.decision_pos.copy(),
+            n_before=n_before,
+            n_after=n_after,
+            l=l_shared,
         )
         return result, bookkeeping

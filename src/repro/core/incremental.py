@@ -61,8 +61,9 @@ from .bound import DEFAULT_HYBRID_THRESHOLD, PairBookkeeping, detect_hybrid
 from .contribution import posterior, same_value_scores_both
 from .index import InvertedIndex
 from .maxscore import max_score
+from .pairspace import PairMap
 from .params import CopyParams
-from .result import CostCounter, DetectionResult, PairDecision, PairRowView
+from .result import CostCounter, DetectionResult, PairDecision
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .incremental_kernel import ColumnarIncrementalState
@@ -176,7 +177,7 @@ def prepare_incremental(
     )
     assert outcome.bookkeeping is not None
     index = outcome.index
-    if isinstance(outcome.bookkeeping, PairRowView):  # the numpy scan's columns
+    if isinstance(outcome.bookkeeping, PairMap):  # the numpy scan's columns
         from .incremental_kernel import ColumnarIncrementalState
 
         return outcome.result, ColumnarIncrementalState(

@@ -68,19 +68,14 @@ from .kernel import (
     shared_item_counts,
 )
 from .pairspace import (
+    PairMap,
     decode_pair_keys,
     decode_pairs,
     encode_pair_keys,
     member_rows,
 )
 from .params import CopyParams
-from .result import (
-    CostCounter,
-    DecisionView,
-    DetectionResult,
-    PairColumns,
-    PairRowView,
-)
+from .result import CostCounter, DetectionResult, PairColumns
 
 
 def _logs(args: np.ndarray) -> np.ndarray:
@@ -191,7 +186,7 @@ class ColumnarIncrementalState:
     def __init__(
         self,
         index: InvertedIndex,
-        bookkeeping: PairRowView,
+        bookkeeping: PairMap,
         accuracies: Sequence[float],
         params: CopyParams,
     ):
@@ -207,15 +202,15 @@ class ColumnarIncrementalState:
         self.a_ref = np.array(accuracies, dtype=np.float64)
 
         book = bookkeeping.columns
-        self.keys = bookkeeping.keys
+        self.keys = book.keys
         self.s1, self.s2 = decode_pair_keys(self.keys)
-        self.copying = book["copying"]
-        self.c_base_fwd = book["c_base_fwd"]
-        self.c_base_bwd = book["c_base_bwd"]
-        self.decision_pos = book["decision_pos"]
-        self.n_after = book["n_after"]
-        self.n_total = book["n_before"] + book["n_after"]
-        self.l = book["l"]
+        self.copying = book.copying
+        self.c_base_fwd = book.c_base_fwd
+        self.c_base_bwd = book.c_base_bwd
+        self.decision_pos = book.decision_pos
+        self.n_after = book.n_after
+        self.n_total = book.n_before + book.n_after
+        self.l = book.l
 
         # Entry position of every provider slot; providers are sorted
         # within an entry, so (position, source) keys ascend slot by slot
@@ -233,13 +228,10 @@ class ColumnarIncrementalState:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def records(self) -> PairRowView:
+    def records(self) -> PairMap:
         """``pair -> record`` over the columns, built only when read."""
-        return PairRowView(
-            self.keys,
-            {name: getattr(self, name) for name in _RECORD_COLUMNS},
-            _record,
-        )
+        columns = {name: getattr(self, name) for name in _RECORD_COLUMNS}
+        return PairMap.of(self.keys, _record, **columns)
 
     # ------------------------------------------------------------------
     # The round
@@ -469,7 +461,7 @@ class ColumnarIncrementalState:
         return DetectionResult(
             method="incremental",
             n_sources=self.n_sources,
-            decisions=DecisionView(columns),
+            decisions=columns.decisions(),
             cost=CostCounter(
                 computations=4 * (big_incidences + exact_incidences),
                 pairs_considered=n_pairs,

@@ -128,7 +128,7 @@ class InvertedIndex:
             ``entries[tail_start:]`` is the tail.
         shared_items: ``l(S1, S2)`` for every source pair sharing >= 1
             item, keyed by sorted id pairs: a dict from a ``"python"``
-            build, the :class:`~repro.core.pairspace.PairValueMap`
+            build, the :class:`~repro.core.pairspace.PairMap`
             column table (the same mapping) from a ``"numpy"`` one.
         items_per_source: ``|D-bar(S)|`` per source id.
         suffix_max: ``suffix_max[i]`` is the maximum score among entries at
@@ -273,7 +273,7 @@ class InvertedIndex:
         from ..data.columns import take_csr
         from .incremental_kernel import max_scores
         from .kernel import ColumnarEntries
-        from .pairspace import PairValueMap
+        from .pairspace import PairMap
 
         table = dataset.columns
         offsets, providers = table.shared_offsets, table.shared_providers
@@ -301,7 +301,7 @@ class InvertedIndex:
         index = cls(
             [],
             len(main),
-            PairValueMap.from_counts(shared_items),
+            PairMap.from_counts(shared_items),
             list(dataset.items_per_source),
         )
         offsets, providers = take_csr(offsets, providers, order)

@@ -39,7 +39,7 @@ from .contribution import posterior
 from .index import EntryOrdering, InvertedIndex
 from .kernel import decide_pairs, scan_columnar
 from .params import CopyParams
-from .result import CostCounter, DecisionView, DetectionResult, PairDecision
+from .result import CostCounter, DetectionResult, PairDecision
 
 #: A python-backend share's partial, per pair:
 #: ``[c_fwd, c_bwd, n_shared, saw_main]``.
@@ -188,9 +188,9 @@ def finish_index(
                     c_fwd, c_bwd, int(n_shared), shared_items[pair], params
                 )
     elif merged is not None:
-        decisions = DecisionView(
-            decide_pairs(merged, index.shared_items, params, require_main=True)
-        )
+        decisions = decide_pairs(
+            merged, index.shared_items, params, require_main=True
+        ).decisions()
         incidences = int(merged.n_shared[merged.saw_main].sum())
     cost = CostCounter(
         computations=2 * incidences + 2 * len(decisions),

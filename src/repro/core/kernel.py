@@ -55,8 +55,8 @@ import numpy as np
 
 from ..data.columns import take_csr
 from .pairspace import (
+    PairMap,
     PairSpace,
-    PairValueMap,
     decode_pairs,
     encode_pair_keys,
     member_rows,
@@ -515,7 +515,7 @@ def scan_columnar(
 
 def count_shared_items_columnar(
     dataset: "Dataset", layout: str = "auto"
-) -> PairValueMap:
+) -> PairMap:
     """Vectorized ``l(S1, S2)`` counting.
 
     Items play the role of entries: each item's provider set expands to
@@ -555,24 +555,25 @@ def count_shared_items_columnar(
             count_parts.append(counts)
     if dense is not None:
         cells = np.nonzero(dense)[0]
-        return PairValueMap(space.slot_keys(cells), dense[cells])
-    keys, (counts,) = reduce_keys(
-        np.concatenate(key_parts), [np.concatenate(count_parts)]
-    )
-    return PairValueMap(keys, counts.astype(np.int64))
+        keys, counts = space.slot_keys(cells), dense[cells]
+    else:
+        keys, (counts,) = reduce_keys(
+            np.concatenate(key_parts), [np.concatenate(count_parts)]
+        )
+    return PairMap.of(keys, int, l=counts.astype(np.int64, copy=False))
 
 
-def shared_item_counts(shared_items: PairValueMap, keys: np.ndarray) -> np.ndarray:
+def shared_item_counts(shared_items: PairMap, keys: np.ndarray) -> np.ndarray:
     """``l(S1, S2)`` per pair key: one membership-checked probe of the table.
 
     Raises:
         KeyError: naming the first pair that shares no item (a bare
             ``searchsorted`` would answer with its neighbour's count).
     """
-    rows, hit = member_rows(shared_items.keys, keys)
+    rows, hit = member_rows(shared_items.columns.keys, keys)
     if not hit.all():
         raise KeyError(decode_pairs(keys[~hit][:1])[0])
-    return shared_items.column[rows]
+    return shared_items.columns.l[rows]
 
 
 def posterior_arrays(
@@ -599,7 +600,7 @@ def posterior_arrays(
 
 def decide_pairs(
     table: PairTable,
-    shared_items: PairValueMap,
+    shared_items: PairMap,
     params: CopyParams,
     require_main: bool = True,
 ) -> PairColumns:

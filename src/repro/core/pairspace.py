@@ -37,9 +37,10 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
   sums (dense ``np.bincount`` or sparse ``np.unique`` + ``np.add.at``;
   both are stream-order left folds, so the two layouts produce identical
   floats).
-* :class:`PairValueMap` — pair-keyed values as sorted keys + one aligned
-  column: Section III's shared-item counts ``l(S1, S2)``, read like the
-  reference's ``pair -> int`` dict.
+* :class:`PairMap` — the lazy read-only ``pair -> row`` mapping over a
+  sorted key column and named columns aligned with it: INDEX's verdicts,
+  INCREMENTAL's bookkeeping and Section III's shared-item counts
+  ``l(S1, S2)``, each read like the reference's dict.
 * :func:`resolve_pair_layout` — the ``"auto"`` heuristic: dense below a
   kernel's limit, sparse above it, with a module-level ``logging``
   warning naming the limit and the layout chosen, so leaving the dense
@@ -52,6 +53,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from itertools import chain
 from operator import index
+from types import SimpleNamespace
 from typing import Collection, Iterator, Sequence
 import logging
 
@@ -115,7 +117,8 @@ def pair_key(s1: int, s2: int) -> int:
     """The key of one pair, on Python ints.
 
     The scalar form of :func:`encode_pair_keys` for per-call lookups
-    (:class:`~repro.core.result.DecisionView`, the snapshot reader).
+    (:func:`key_row`, which every :class:`PairMap` read goes through,
+    and the snapshot reader).
     Only ids in ``[0, ID_LIMIT)`` have a key of their own, so callers
     range-check first.
     """
@@ -360,54 +363,110 @@ def reduce_keys(
     return uniq, sums
 
 
-class PairValueMap(Mapping):
-    """Pair-keyed values in two aligned columns: sorted keys, one value each.
+class PairMap(Mapping):
+    """Read-only ``(s1, s2) -> row`` mapping over key-sorted columns.
 
-    Section III's shared-item counts ``l(S1, S2)`` (``s1 < s2`` keys,
-    int64 counts): the kernels read :attr:`keys` and :attr:`column` as
-    they are, and the mapping face reads like the reference's
-    ``pair -> int`` dict — ``table[pair]`` (``KeyError`` for a pair
-    sharing no item), ``len``, ascending iteration, ``values()``, ``==``
-    a dict — building tuples only when someone iterates.
+    How the numpy backend keeps each per-pair structure the python
+    reference holds as a ``pair -> row`` dict: INDEX's verdicts (rows
+    are :class:`~repro.core.result.PairDecision`), INCREMENTAL's
+    bookkeeping (:class:`~repro.core.bound.PairBookkeeping`) and
+    Section III's shared-item counts ``l(S1, S2)`` (ints, from
+    :meth:`from_counts`).  The kernels read :attr:`columns` as they are.
+    Length, membership and iteration (ascending key order) read the key
+    column only; ``make_row`` builds a row the first time
+    ``[]`` / ``get`` / ``values()`` / ``items()`` reads it, and the row
+    is memoised, so repeated reads return the same object.  Out-of-range
+    ids are reported missing (see :func:`key_row`).
 
     Attributes:
-        keys: int64 pair keys, sorted ascending, unique.
-        column: the values, aligned with ``keys``.
+        columns: the table: ``columns.keys`` holds the int64 pair keys,
+            sorted ascending and unique, and the attribute of each name
+            in ``names`` a column aligned with them.
+        names: the columns a row is built from, in ``make_row``'s
+            argument order.
+        make_row: called with one Python value per column of ``names``.
     """
 
-    __slots__ = ("keys", "column")
+    __slots__ = ("columns", "names", "make_row", "_built")
 
-    def __init__(self, keys: np.ndarray, column: np.ndarray) -> None:
-        self.keys = keys
-        self.column = column
+    def __init__(self, columns, names: tuple[str, ...], make_row) -> None:
+        self.columns = columns
+        self.names = names
+        self.make_row = make_row
+        self._built: dict[int, object] = {}
 
     @classmethod
-    def from_counts(cls, counts: Mapping) -> "PairValueMap":
-        """A ``pair -> int`` mapping as a table, flattened at C speed and
-        sorted once (a table passes through as it is)."""
+    def of(cls, keys: np.ndarray, make_row, **columns: np.ndarray) -> "PairMap":
+        """A mapping over ``keys`` and the named ``columns``, in row order."""
+        return cls(SimpleNamespace(keys=keys, **columns), tuple(columns), make_row)
+
+    @classmethod
+    def from_counts(cls, counts: Mapping) -> "PairMap":
+        """A ``pair -> int`` mapping as the ``l`` column table, flattened at
+        C speed and sorted once (a table passes through as it is)."""
         if isinstance(counts, cls):
             return counts
         keys = encode_pairs(counts)
         column = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         order = np.argsort(keys, kind="stable")
-        return cls(keys[order], column[order])
+        return cls.of(keys[order], int, l=column[order])
+
+    @property
+    def materialized(self) -> int:
+        """How many rows this mapping has built."""
+        return len(self._built)
+
+    def _build(self, start: int, stop: int) -> None:
+        """Memoise the rows ``[start, stop)`` not built yet."""
+        built = self._built
+        values = (
+            getattr(self.columns, name)[start:stop].tolist() for name in self.names
+        )
+        for row, made in enumerate(map(self.make_row, *values), start):
+            built.setdefault(row, made)
 
     def __getitem__(self, pair):
-        row = key_row(self.keys, pair)
+        row = key_row(self.columns.keys, pair)
         if row < 0:
             raise KeyError(pair)
-        return self.column[row].item()
+        if row not in self._built:
+            self._build(row, row + 1)
+        return self._built[row]
+
+    def __contains__(self, pair) -> bool:
+        return key_row(self.columns.keys, pair) >= 0
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter_pairs(self.keys)
+        return iter_pairs(self.columns.keys)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.columns.keys)
 
     def values(self) -> list:
-        """Every value as a Python scalar, in key order."""
-        return self.column.tolist()
+        """Every row, in key order (builds the ones not yet read)."""
+        if len(self._built) < len(self):
+            self._build(0, len(self))
+        return [self._built[row] for row in range(len(self))]
 
     def items(self) -> list:
-        """``(pair, value)`` for every row, in key order."""
+        """``(pair, row)`` for every row, in key order."""
         return list(zip(self, self.values()))
+
+    def __eq__(self, other) -> bool:
+        if (
+            isinstance(other, PairMap)
+            and self.names == other.names
+            and self.make_row == other.make_row
+        ):
+            mine, theirs = self.columns, other.columns
+            return all(
+                np.array_equal(getattr(mine, name), getattr(theirs, name))
+                for name in ("keys",) + self.names
+            )
+        return Mapping.__eq__(self, other)
+
+    def __reduce__(self):
+        return PairMap, (self.columns, self.names, self.make_row)
+
+    def __repr__(self) -> str:
+        return f"PairMap({len(self)} pairs, {self.materialized} materialized)"

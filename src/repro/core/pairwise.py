@@ -25,7 +25,7 @@ from ..data import Dataset
 from .contribution import posterior, same_value_scores_both
 from .index import count_shared_items_for
 from .params import CopyParams
-from .result import CostCounter, DecisionView, DetectionResult, PairDecision
+from .result import CostCounter, DetectionResult, PairDecision
 
 
 def detect_pairwise(
@@ -127,9 +127,9 @@ def _detect_pairwise_numpy(
     import numpy as np
 
     from .kernel import ColumnarEntries, PairTable, decide_pairs, scan_columnar
-    from .pairspace import PairValueMap
+    from .pairspace import PairMap
 
-    shared_items = PairValueMap.from_counts(
+    shared_items = PairMap.from_counts(
         count_shared_items_for(dataset, params)
         if shared_items is None
         else shared_items
@@ -139,7 +139,7 @@ def _detect_pairwise_numpy(
     table = scan_columnar(cols, accuracies, params, n_sources)
     # Pairs sharing items but never a value still get decided (their
     # score is pure penalty); splice zero-score rows into the table.
-    missing = np.setdiff1d(shared_items.keys, table.keys)
+    missing = np.setdiff1d(shared_items.columns.keys, table.keys)
     if len(missing):
         zeros = PairTable(
             n_sources=n_sources,
@@ -151,7 +151,7 @@ def _detect_pairwise_numpy(
         )
         table = PairTable.merge([table, zeros])
     columns = decide_pairs(table, shared_items, params, require_main=False)
-    total_shared = int(shared_items.column.sum())
+    total_shared = int(shared_items.columns.l.sum())
     cost = CostCounter(
         computations=2 * total_shared,
         values_examined=total_shared,
@@ -160,6 +160,6 @@ def _detect_pairwise_numpy(
     return DetectionResult(
         method="pairwise",
         n_sources=n_sources,
-        decisions=DecisionView(columns),
+        decisions=columns.decisions(),
         cost=cost,
     )

@@ -22,12 +22,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterator
 
 import numpy as np
 
 from .contribution import CopyPosterior
-from .pairspace import decode_pairs, encode_pairs, iter_pairs, key_row
+from .pairspace import PairMap, decode_pairs, encode_pairs
 
 
 class PairNotObservedError(LookupError):
@@ -187,125 +186,18 @@ class PairColumns:
             *(getattr(self, name)[rows] for name in PAIR_COLUMNS),
         )
 
-
-class DecisionView(Mapping):
-    """Read-only ``(s1, s2) -> PairDecision`` mapping over a column table.
-
-    What :attr:`DetectionResult.decisions` is when a numpy kernel
-    produced the result.  Length, membership and key iteration (in
-    ascending key order) read the columns only; a :class:`PairDecision`
-    is built — and memoised, so repeated reads return the same object —
-    the first time ``[]``/``get``/``values()``/``items()`` asks for it.
-
-    Out-of-range ids are reported missing, never answered with an
-    aliased neighbour's verdict (see :func:`~repro.core.pairspace.key_row`).
-    """
-
-    def __init__(self, columns: PairColumns):
-        self.columns = columns
-        self._built: dict[int, PairDecision] = {}
-
-    @property
-    def materialized(self) -> int:
-        """How many :class:`PairDecision` objects this view has built."""
-        return len(self._built)
-
-    def _build(self, start: int, stop: int) -> None:
-        """Materialise the not-yet-built decisions of rows ``[start, stop)``."""
-        cols = self.columns
-        rows = zip(
-            *(getattr(cols, name)[start:stop].tolist() for name in _VALUE_COLUMNS)
-        )
-        for row, (c_fwd, c_bwd, ind, fwd, bwd, copying, early) in enumerate(rows, start):
-            if row not in self._built:
-                self._built[row] = PairDecision(
-                    c_fwd, c_bwd, CopyPosterior(ind, fwd, bwd), copying, early
-                )
-
-    def __getitem__(self, key) -> PairDecision:
-        row = key_row(self.columns.keys, key)
-        if row < 0:
-            raise KeyError(key)
-        if row not in self._built:
-            self._build(row, row + 1)
-        return self._built[row]
-
-    def __contains__(self, key) -> bool:
-        return key_row(self.columns.keys, key) >= 0
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter_pairs(self.columns.keys)
-
-    def values(self) -> list[PairDecision]:
-        """Every decision, in key order (builds the ones not yet read)."""
-        if len(self._built) < len(self):
-            self._build(0, len(self))
-        return [self._built[row] for row in range(len(self))]
-
-    def items(self) -> list[tuple[tuple[int, int], PairDecision]]:
-        """``(pair, decision)`` for every row, in key order."""
-        return list(zip(self, self.values()))
-
-    def __eq__(self, other) -> bool:
-        mine = self.columns
-        if isinstance(other, DecisionView):
-            return all(
-                np.array_equal(getattr(mine, name), getattr(other.columns, name))
-                for name in ("keys",) + _VALUE_COLUMNS
-            )
-        return Mapping.__eq__(self, other)
-
-    def __reduce__(self):
-        return DecisionView, (self.columns,)
-
-    def __repr__(self) -> str:
-        return f"DecisionView({len(self)} pairs, {self.materialized} materialized)"
+    def decisions(self) -> PairMap:
+        """The table as a lazy ``(s1, s2) -> PairDecision`` mapping:
+        what :attr:`DetectionResult.decisions` is when a numpy kernel
+        produced the result."""
+        return PairMap(self, _VALUE_COLUMNS, _decision_row)
 
 
-class PairRowView(Mapping):
-    """Read-only ``(s1, s2) -> row object`` mapping over key-sorted columns.
-
-    How the numpy backend's per-pair INCREMENTAL state stays readable
-    without being built: :attr:`~repro.core.bound.ScanOutcome.bookkeeping`
-    and the columnar state's ``records()`` are views of this kind.
-    ``make_row(*values)`` receives one Python value per column, in
-    ``columns`` order, and is called only when a row is read — the
-    product path reads :attr:`columns` and never calls it.
-
-    Attributes:
-        keys: int64 pair keys, sorted ascending, unique.
-        columns: ``name -> array`` aligned with ``keys``.
-    """
-
-    def __init__(self, keys: np.ndarray, columns: dict, make_row):
-        self.keys = keys
-        self.columns = columns
-        self._make_row = make_row
-
-    def __getitem__(self, pair):
-        row = key_row(self.keys, pair)
-        if row < 0:
-            raise KeyError(pair)
-        return self._make_row(*(col[row].item() for col in self.columns.values()))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter_pairs(self.keys)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def values(self) -> list:
-        """Every row object, in key order."""
-        return list(
-            map(self._make_row, *(col.tolist() for col in self.columns.values()))
-        )
-
-    def items(self) -> list:
-        """``(pair, row object)`` for every row, in key order."""
-        return list(zip(self, self.values()))
+def _decision_row(c_fwd, c_bwd, independent, forward, backward, copying, early):
+    """One :class:`PairColumns` row as its :class:`PairDecision`."""
+    return PairDecision(
+        c_fwd, c_bwd, CopyPosterior(independent, forward, backward), copying, early
+    )
 
 
 @dataclass
@@ -319,9 +211,10 @@ class DetectionResult:
         method: name of the algorithm that produced the result.
         n_sources: number of sources in the dataset.
         decisions: per-pair verdicts keyed by sorted source-id pairs —
-            a read-only :class:`DecisionView` over the kernel's column
-            table under ``backend="numpy"`` (INCREMENTAL's patch rounds
-            included), a plain dict from the python reference.
+            a read-only :class:`~repro.core.pairspace.PairMap` over the
+            kernel's column table under ``backend="numpy"``
+            (INCREMENTAL's patch rounds included), a plain dict from the
+            python reference.
             Treat it as frozen either way; bulk consumers read
             :meth:`columns` instead of walking it.
         cost: the computation/incidence tally.
@@ -359,7 +252,7 @@ class DetectionResult:
         behind :attr:`decisions`); built from the dict once, and cached,
         otherwise.  Fusion and the snapshot publisher read only this.
         """
-        if isinstance(self.decisions, DecisionView):
+        if isinstance(self.decisions, PairMap):
             return self.decisions.columns
         if self._columns is None:
             self._columns = PairColumns.from_decisions(

@@ -16,7 +16,7 @@ benchmark verifies correctness while a writer republishes concurrently.
 
 **Speed.**  The hot lookups are wrapped in :func:`functools.lru_cache`
 (the C implementation), so a repeated query costs one dict probe.
-Caches are sized by ``cache_size`` (entries per view, per lookup kind)
+Caches hold :data:`CACHE_SIZE` entries per view, per lookup kind,
 and every view starts cold, so misses are the common case: a fresh
 reader misses 56% of the benchmark's skewed queries on the 57k pairs of
 ``batch_wide``.  A miss is one binary search with the key column's own
@@ -53,6 +53,9 @@ from .store import (
     merge_pair_rows,
     pairs_from_arrays,
 )
+
+#: LRU entries per snapshot view, per lookup kind (verdicts, truths).
+CACHE_SIZE = 65536
 
 
 class Verdict(NamedTuple):
@@ -255,10 +258,10 @@ class _SnapshotView:
     an older version.
     """
 
-    def __init__(self, snapshot: _Snapshot, cache_size: int):
+    def __init__(self, snapshot: _Snapshot):
         self.snapshot = snapshot
-        self.get_verdict = functools.lru_cache(maxsize=cache_size)(snapshot._verdict)
-        self.get_truth = functools.lru_cache(maxsize=cache_size)(snapshot._truth)
+        self.get_verdict = functools.lru_cache(maxsize=CACHE_SIZE)(snapshot._verdict)
+        self.get_truth = functools.lru_cache(maxsize=CACHE_SIZE)(snapshot._truth)
 
 
 class VerdictReader:
@@ -270,11 +273,10 @@ class VerdictReader:
     single writer republishes.
     """
 
-    def __init__(self, store: VerdictStore | Path | str, cache_size: int = 65536):
+    def __init__(self, store: VerdictStore | Path | str):
         self._store = (
             store if isinstance(store, VerdictStore) else VerdictStore(store, create=False)
         )
-        self._cache_size = cache_size
         self._view: _SnapshotView | None = None
         self.refresh()
 
@@ -313,7 +315,7 @@ class VerdictReader:
         if view is not None and view.snapshot.snapshot_id == current:
             return False
         snapshot = _Snapshot.load(self._store, current)
-        self._view = _SnapshotView(snapshot, self._cache_size)  # atomic publication
+        self._view = _SnapshotView(snapshot)  # atomic publication
         return True
 
     # ------------------------------------------------------------------

@@ -629,10 +629,11 @@ class SnapshotPublisher:
     """Publishes one store snapshot per fusion round (full, then deltas).
 
     The publisher keeps the state it last published — the merged pair
-    table and the item rows — and each round upserts what differs from
-    it: pair rows by :func:`pair_delta` (the contract in the module
-    docstring), item rows whose chosen value flipped or whose
-    probability moved by more than :data:`SCORE_TOLERANCE`.
+    table and the merged item rows — and each round upserts what differs
+    from it: pair rows by :func:`pair_delta` (the contract in the module
+    docstring), item rows whose chosen value or supporters changed or
+    whose probability sits more than :data:`SCORE_TOLERANCE` from the
+    published one.
 
     When the pair delta would touch more than
     :data:`FULL_REWRITE_FRACTION` of the published rows, a fresh full
@@ -735,6 +736,8 @@ class SnapshotPublisher:
                 round_no=round_no,
                 labels=self._delta_labels(),
             )
+            # What a reader now serves, the next delta's baseline.
+            items = merge_item_rows(self._prev_items, item_upserts, removed_item_ids)
         self.last_snapshot_id = snapshot_id
         self.snapshot_ids.append(snapshot_id)
         self._prev_pairs = merged_pairs
@@ -743,13 +746,32 @@ class SnapshotPublisher:
         return snapshot_id
 
     def _item_delta(self, items: ItemRows) -> tuple[ItemRows, np.ndarray]:
-        """Items whose truth or probability materially moved since last publish."""
+        """Items whose truth, supporters or probability materially moved
+        against the published rows."""
         prev = self._prev_items
         rows, known = member_rows(prev.ids, items.ids)
-        same, at = known.copy(), rows[known]
-        same[known] &= prev.truth[at] == items.truth[known]
-        same[known] &= (
-            np.abs(prev.probability[at] - items.probability[known]) <= SCORE_TOLERANCE
+        here = np.nonzero(known)[0]
+        at = rows[here]
+        same = known.copy()
+        moved = np.abs(prev.probability[at] - items.probability[here])
+        same[here] = (
+            (prev.truth[at] == items.truth[here])
+            & (moved <= SCORE_TOLERANCE)
+            & _same_supporters(prev, at, items, here)
         )
         removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]
         return items.take(np.nonzero(~same)[0]), removed_ids
+
+
+def _same_supporters(
+    prev: ItemRows, at: np.ndarray, items: ItemRows, here: np.ndarray
+) -> np.ndarray:
+    """Whether row ``at[i]`` of ``prev`` and row ``here[i]`` of ``items``
+    list the same supporters, in the same order, for every ``i``."""
+    size = np.diff(prev.prov_offsets)[at]
+    same = size == np.diff(items.prov_offsets)[here]
+    rows = np.nonzero(same)[0]
+    _, old = take_csr(prev.prov_offsets, prev.prov_sources, at[rows])
+    _, new = take_csr(items.prov_offsets, items.prov_sources, here[rows])
+    same[np.repeat(rows, size[rows])[old != new]] = False
+    return same

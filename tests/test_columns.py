@@ -2,13 +2,14 @@
 
 Under ``backend="numpy"`` every producer hands back one sorted-key
 :class:`~repro.core.result.PairColumns` table; ``DetectionResult.decisions``
-is a :class:`~repro.core.result.DecisionView` that builds a
-``PairDecision`` only when someone reads one.  These tests pin that
-contract: dict semantics, the key-aliasing guard, zero materialisation on
-the fuse-and-publish path, the table's round trip through the snapshot
-arrays, snapshots byte-identical to the ones the three-table design
-wrote, and the store's pair diff against the per-pair dict comparison it
-replaced.
+is a :class:`~repro.core.pairspace.PairMap` over it that builds a
+``PairDecision`` only when someone reads one (the mapping contract
+itself is pinned in ``tests/test_pairspace.py``).  These tests pin the
+verdict side: the python oracle, the key-aliasing guard, zero
+materialisation on the fuse-and-publish path, the table's round trip
+through the snapshot arrays, snapshots byte-identical to the ones the
+three-table design wrote, and the store's pair diff against the
+per-pair dict comparison it replaced.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from repro.core import (
     detect,
     detect_hybrid,
 )
-from repro.core.pairspace import ID_LIMIT, decode_pairs, pair_key
-from repro.core.result import PAIR_COLUMNS, DecisionView, PairColumns
+from repro.core.pairspace import ID_LIMIT, PairMap, decode_pairs, pair_key
+from repro.core.result import PAIR_COLUMNS, PairColumns
 from repro.fusion import run_fusion
 from repro.serving.store import (
     SCORE_TOLERANCE,
@@ -64,7 +65,7 @@ def _decision(seed: float, copying: bool = False, early: bool = False):
 def _columnar(decisions: dict, n_sources: int, **kwargs) -> DetectionResult:
     """A result backed by a column table holding ``decisions``."""
     columns = PairColumns.from_decisions(decisions)
-    return DetectionResult("test", n_sources, DecisionView(columns), **kwargs)
+    return DetectionResult("test", n_sources, columns.decisions(), **kwargs)
 
 
 def _sparse_world(seed: int = 0):
@@ -74,20 +75,13 @@ def _sparse_world(seed: int = 0):
 
 
 # ----------------------------------------------------------------------
-# The view is a dict to every reader
+# The verdict mapping reads like the oracle's dict
 # ----------------------------------------------------------------------
 class TestMappingSemantics:
     @pytest.fixture(scope="class")
     def result(self):
         dataset, probs, accs = _sparse_world()
         return detect(dataset, probs, accs, NUMPY, method="hybrid")
-
-    def test_equals_its_dict_both_ways(self, result):
-        as_dict = dict(result.decisions)
-        assert isinstance(result.decisions, DecisionView)
-        assert result.decisions == as_dict
-        assert as_dict == result.decisions
-        assert len(result.decisions) == len(as_dict) > 0
 
     def test_matches_the_python_oracle(self, result):
         dataset, probs, accs = _sparse_world()
@@ -96,13 +90,6 @@ class TestMappingSemantics:
         assert isinstance(oracle.decisions, dict)
         assert result.decisions == oracle.decisions
         assert result.copying_pairs() == oracle.copying_pairs()
-
-    def test_iterates_in_ascending_key_order(self, result):
-        pairs = list(result.decisions)
-        assert pairs == sorted(pairs)
-        assert all(type(s) is int for pair in pairs for s in pair)
-        assert [pair for pair, _ in result.decisions.items()] == pairs
-        assert list(result.decisions.keys()) == pairs
 
     def test_membership_and_get(self, result):
         pair = next(iter(result.decisions))
@@ -122,13 +109,6 @@ class TestMappingSemantics:
         assert isinstance(decision.posterior, CopyPosterior)
         assert decision.copying == (decision.posterior.independent <= 0.5) or decision.early
 
-    def test_read_only(self, result):
-        pair = next(iter(result.decisions))
-        with pytest.raises(TypeError):
-            result.decisions[pair] = None
-        with pytest.raises(TypeError):
-            hash(result.decisions)
-
     def test_copying_pairs_reads_columns_only(self):
         dataset, probs, accs = _sparse_world(1)
         result = detect(dataset, probs, accs, NUMPY, method="index")
@@ -141,7 +121,7 @@ class TestMappingSemantics:
         result.decisions[next(iter(result.decisions))]  # warm the memo
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
-        assert isinstance(clone.decisions, DecisionView)
+        assert isinstance(clone.decisions, PairMap)
         assert clone.decisions.materialized == 0
         assert clone.decisions == dict(result.decisions)
         assert clone.cost == result.cost
@@ -242,7 +222,7 @@ class TestNoMaterialisationOnTheProductPath:
         fusion = run_fusion(dataset, params, detector, snapshot_store=tmp_path)
         assert len(fusion.snapshot_ids) == fusion.n_rounds >= 2
         views = [record.detection.decisions for record in fusion.rounds]
-        assert all(isinstance(view, DecisionView) and len(view) for view in views)
+        assert all(isinstance(view, PairMap) and len(view) for view in views)
         assert [view.materialized for view in views] == [0] * len(views)
 
         final = views[-1]
@@ -273,7 +253,7 @@ class TestNoMaterialisationOnTheProductPath:
         fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
         assert len(fusion.snapshot_ids) == fusion.n_rounds >= 3
         for record in fusion.rounds:
-            assert isinstance(record.detection.decisions, DecisionView)
+            assert isinstance(record.detection.decisions, PairMap)
             assert record.detection.decisions.materialized == 0
         assert fusion.rounds[-1].detection.method == "incremental"
         assert built == []
@@ -619,7 +599,7 @@ class TestDeltaParity:
                 want_changed, want_removed = _dict_delta(current, previous)
                 published = previous.columns() if previous else PairColumns.from_decisions({})
                 upsert, removed = pair_delta(published, current.columns(), changed_pairs)
-                changed = DecisionView(current.columns().take(upsert))
+                changed = current.columns().take(upsert).decisions()
                 assert dict(changed) == want_changed
                 assert decode_pairs(removed) == sorted(want_removed)
                 assert changed.columns.keys.tolist() == sorted(

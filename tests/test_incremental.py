@@ -13,7 +13,8 @@ from repro.core import (
     max_score,
     prepare_incremental,
 )
-from repro.core.result import PAIR_FLOAT_COLUMNS, DecisionView
+from repro.core.pairspace import PairMap
+from repro.core.result import PAIR_FLOAT_COLUMNS
 from repro.fusion import FusionConfig, run_fusion
 from tests.strategies import worlds
 
@@ -421,7 +422,7 @@ def _lockstep(dataset, schedule, rho_value, rho_accuracy, pair_layout="auto"):
         got = incremental_round(state, probs, accs, params, rho_value, rho_accuracy)
         assert _result_bits(got) == _result_bits(want), round_no
         assert incremental_state_problems(reference, state) == [], round_no
-        assert isinstance(got.decisions, DecisionView)
+        assert isinstance(got.decisions, PairMap)
         assert got.decisions.materialized == 0
     return reference, state
 

@@ -12,10 +12,14 @@ Three groups of pins:
 * dense/sparse parity: forcing ``pair_layout`` must not change any
   verdict — bit-exactly for the bound family and the ACCUCOPY fusion
   round, within the property-tested 1e-9 re-association tolerance for
-  the exhaustive/index kernels.
+  the exhaustive/index kernels;
+* the :class:`~repro.core.pairspace.PairMap` contract, once for each
+  row shape the numpy backend serves through it: it reads like the
+  python reference's dict, lazily.
 """
 
 import logging
+import pickle
 import random
 from dataclasses import replace
 
@@ -26,8 +30,8 @@ from repro.conformance.generators import RandomChooser, large_sparse_world
 from repro.core import METHODS, CopyParams, IncrementalDetector, detect
 from repro.core.pairspace import (
     ID_LIMIT,
+    PairMap,
     PairSpace,
-    PairValueMap,
     decode_pair_keys,
     decode_pairs,
     encode_pair_keys,
@@ -551,6 +555,113 @@ class TestHugeSourceIds:
         assert decode_pairs(merged.keys) == pairs
         assert merged.c_fwd.tolist() == whole.c_fwd.tolist()
         assert merged.n_shared.tolist() == [2, 2, 2, 2]
-        shared = PairValueMap.from_counts(dict.fromkeys(pairs, 2))
+        shared = PairMap.from_counts(dict.fromkeys(pairs, 2))
         columns = decide_pairs(merged, shared, CopyParams())
         assert decode_pairs(columns.keys) == pairs
+
+
+# ----------------------------------------------------------------------
+# One pair-keyed mapping for every per-pair structure
+# ----------------------------------------------------------------------
+def _decision_table():
+    """HYBRID's verdicts: the numpy mapping and the reference's dict
+    (the bound family is bit-exact across backends)."""
+    dataset, probs, accs = sparse_problem(3)
+    got = detect(dataset, probs, accs, CopyParams(backend="numpy"), method="hybrid")
+    want = detect(dataset, probs, accs, CopyParams(backend="python"), method="hybrid")
+    return got.decisions, want.decisions
+
+
+def _bookkeeping():
+    """A tracked bound scan's ``pair -> PairBookkeeping``."""
+    from repro.core.bound import detect_hybrid
+
+    dataset, probs, accs = sparse_problem(3)
+    outcomes = [
+        detect_hybrid(dataset, probs, accs, CopyParams(backend=backend),
+                      track_bookkeeping=True)
+        for backend in ("numpy", "python")
+    ]
+    return tuple(outcome.bookkeeping for outcome in outcomes)
+
+
+def _shared_items():
+    """Section III's ``l(S1, S2)`` counts."""
+    from repro.core.index import count_shared_items
+    from repro.core.kernel import count_shared_items_columnar
+
+    dataset, _, _ = sparse_problem(3)
+    return count_shared_items_columnar(dataset), count_shared_items(dataset)
+
+
+ROW_SHAPES = {
+    "decisions": _decision_table,
+    "bookkeeping": _bookkeeping,
+    "shared_items": _shared_items,
+}
+
+
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+class TestPairMapContract:
+    """What every caller may rely on, whichever rows the map builds."""
+
+    def test_equals_its_dict_both_ways(self, shape):
+        mapping, want = ROW_SHAPES[shape]()
+        assert isinstance(mapping, PairMap) and isinstance(want, dict)
+        assert mapping == want and want == mapping
+        assert len(mapping) == len(want) > 0
+        assert mapping != {**want, (0, ID_LIMIT - 1): None}
+
+    def test_iterates_in_ascending_key_order(self, shape):
+        mapping, want = ROW_SHAPES[shape]()
+        pairs = list(mapping)
+        assert pairs == sorted(want)
+        assert all(type(s) is int for pair in pairs for s in pair)
+        assert list(mapping.keys()) == pairs
+        assert mapping.materialized == 0  # iteration reads the keys only
+
+    def test_lookups(self, shape):
+        mapping, want = ROW_SHAPES[shape]()
+        s1, s2 = pair = next(iter(mapping))
+        assert pair in mapping
+        assert mapping[pair] == want[pair]
+        assert mapping.get(pair) is mapping[pair]  # memoised
+        assert mapping[(np.int32(s1), np.int64(s2))] is mapping[pair]
+        assert mapping.materialized == 1
+        for missing in [(s2, s1), (s1, s1), (-1, s2), (s1, -s2), (s1, ID_LIMIT),
+                        (ID_LIMIT, ID_LIMIT + 1), (s1, 2**32 + s2),
+                        (s1 + 1, s2 - 2**32), (s1,), (s1, s2, 0), None, "ab",
+                        (float(s1), float(s2))]:
+            assert missing not in mapping
+            assert mapping.get(missing) is None
+            assert mapping.get(missing, "default") == "default"
+            with pytest.raises(KeyError):
+                mapping[missing]
+
+    def test_values_and_items_in_key_order(self, shape):
+        mapping, want = ROW_SHAPES[shape]()
+        first = mapping[next(iter(mapping))]
+        assert mapping.values() == [want[pair] for pair in sorted(want)]
+        assert mapping.items() == sorted(want.items())
+        assert mapping.values()[0] is first
+        assert mapping.materialized == len(mapping)
+
+    def test_read_only(self, shape):
+        mapping, _ = ROW_SHAPES[shape]()
+        pair = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[pair] = None
+        with pytest.raises(TypeError):
+            del mapping[pair]
+        with pytest.raises(TypeError):
+            hash(mapping)
+        for name in ("update", "pop", "setdefault", "clear"):
+            assert not hasattr(mapping, name)
+
+    def test_pickle_round_trip(self, shape):
+        mapping, want = ROW_SHAPES[shape]()
+        mapping[next(iter(mapping))]  # warm the memo
+        clone = pickle.loads(pickle.dumps(mapping))
+        assert clone.materialized == 0
+        assert clone == mapping and clone.materialized == 0  # compared in place
+        assert clone == want

@@ -39,12 +39,12 @@ from repro.core import CopyParams, IncrementalDetector, detect, posterior
 from repro.core.pairspace import decode_pairs
 from repro.core.result import (
     PAIR_FLOAT_COLUMNS,
-    DecisionView,
     DetectionResult,
     PairColumns,
     PairDecision,
 )
-from repro.data import DatasetBuilder, save_claims
+from repro.data import ClaimDelta, ClaimLedger, DatasetBuilder, save_claims
+from repro.data.examples import motivating_example, motivating_value_probabilities
 from repro.fusion import FusionConfig, run_fusion, vote_probabilities
 from repro.serving import (
     FORMAT_VERSION,
@@ -495,7 +495,7 @@ def _random_table(n_sources: int, seed: int) -> PairColumns:
 
 def _publish(publisher, round_no: int, table: PairColumns) -> dict:
     n_sources = publisher.dataset.n_sources
-    result = DetectionResult("test", n_sources, DecisionView(table))
+    result = DetectionResult("test", n_sources, table.decisions())
     sid = publisher.publish_round(round_no, result, [0.9])
     return publisher.store.load(sid)[0]
 
@@ -566,6 +566,57 @@ class TestPublishingContract:
                 republished.append(step)
             _assert_serves(_served(tmp_path), current)
         assert republished == [3, 6, 9]
+
+    def test_item_drift_is_bounded_against_the_published_value(self, tmp_path):
+        """(b) for truths: five rounds each add 0.6e-6 to one truth's
+        probability.  It is re-published when it sits past the tolerance
+        from what the store *holds* (rounds 3 and 5), and the reader never
+        serves it further than the tolerance from the round's.  Compared
+        with the last *round* instead, it never moves 1e-6 and is served
+        2.4e-6 off by round 5."""
+        dataset = motivating_example()
+        probs = np.array(motivating_value_probabilities(dataset))
+        truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
+        publisher = SnapshotPublisher(tmp_path, dataset)
+        republished = []
+        for round_no in range(1, 6):
+            current = probs.copy()
+            current[truth] += (round_no - 1) * 0.6e-6
+            sid = publisher.publish_round(round_no, None, current)
+            meta = publisher.store.load(sid)[0]
+            if meta["kind"] == "delta" and meta["n_items"]:
+                republished.append(round_no)
+            served = VerdictReader(tmp_path).get_truth(0)
+            assert abs(served.probability - current[truth]) <= SCORE_TOLERANCE
+        assert republished == [3, 5]
+
+    def test_a_new_supporter_is_republished(self, tmp_path):
+        """A source joins a truth's supporters while its value and
+        probability stay put: the delta re-publishes that item, so the
+        reader serves the grown provenance, not the published one."""
+        base = motivating_example()
+        ledger = ClaimLedger()
+        ledger.apply([
+            ClaimDelta(base.source_names[s], base.item_names[i], base.value_label[v])
+            for s, i, v in base.iter_claims()
+        ])
+        dataset = ledger.snapshot()
+        probs = motivating_value_probabilities(dataset)
+        publisher = SnapshotPublisher(tmp_path, dataset)
+        publisher.publish_round(1, None, probs)
+        truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
+        ledger.apply([
+            ClaimDelta("CLONE", dataset.item_names[0], dataset.value_label[truth])
+        ])
+        grown = ledger.snapshot()
+        publisher.rebind(grown)
+        sid = publisher.publish_round(2, None, motivating_value_probabilities(grown))
+        meta = publisher.store.load(sid)[0]
+        assert (meta["kind"], meta["n_items"]) == ("delta", 1)
+        served = VerdictReader(tmp_path).get_truth(0)
+        assert (served.value, served.probability) == (truth, probs[truth])
+        assert list(served.supporters) == grown.providers[truth]
+        assert len(served.supporters) == len(dataset.providers[truth]) + 1
 
     def test_a_reader_over_full_and_delta_serves_the_round(self, tmp_path):
         """(c) A third of the rows jitter inside the tolerance, a tenth
