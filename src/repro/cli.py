@@ -388,12 +388,12 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
 
 def _print_snapshots(root: str, result) -> None:
     """The table of what a ``fuse --store`` run published."""
-    from .serving import VerdictStore
+    from .serving import VerdictStore, read_snapshot_file
 
     store = VerdictStore(root)
     rows = []
-    for snapshot_id in result.snapshot_ids:
-        meta, _ = store.load(snapshot_id)
+    for snapshot_id in result.snapshot_ids:  # the meta only: derive nothing
+        meta, _ = read_snapshot_file(store.snapshot_path(snapshot_id))
         rows.append(
             [
                 snapshot_id,

@@ -91,11 +91,12 @@ retired: big worlds now run vectorized.
 
 from __future__ import annotations
 
-from math import exp, log
+from math import log
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .contribution import exact_posteriors
 from .kernel import (
     PairTable,
     clamp_accuracies,
@@ -229,34 +230,6 @@ def _walk_chains(
     return np.cumsum(marks[:-1]), stops, tails
 
 
-def exact_posteriors(
-    c_fwd: np.ndarray, c_bwd: np.ndarray, params: CopyParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. (2) per pair, bit-equal to the scalar reference.
-
-    Replays :func:`repro.core.contribution.posterior` bit for bit: its
-    additions, max and shift subtractions are IEEE order-independent
-    and run vectorized, ``exp`` is ``math.exp`` per scalar (NumPy's
-    SIMD exp can stray by an ulp), and the fold ``(e0 + e1) + e2`` and
-    the divisions run vectorized over the same operands in the same
-    order.
-
-    Returns:
-        ``(independent, forward, backward)`` probability arrays.
-    """
-    log_alpha = log(params.alpha)
-    log_beta = log(params.beta)
-    t1 = log_alpha + c_fwd
-    t2 = log_alpha + c_bwd
-    shift = np.maximum(np.maximum(t1, t2), log_beta)
-    e0, e1, e2 = (
-        np.fromiter(map(exp, arg.tolist()), np.float64, count=len(arg))
-        for arg in (log_beta - shift, t1 - shift, t2 - shift)
-    )
-    total = (e0 + e1) + e2
-    return e0 / total, e1 / total, e2 / total
-
-
 class EpochScan:
     """Mutable scan state for one epoch-batched pass over an index.
 
@@ -280,6 +253,11 @@ class EpochScan:
         track_bookkeeping: bool,
         epoch_size: int | None = None,
     ) -> None:
+        if not isinstance(index.shared_items, PairMap):
+            raise ValueError(
+                "the index was built under backend='python' but the scan runs under"
+                " backend='numpy': build the index under the scan's backend"
+            )
         self.n_sources = dataset.n_sources
         layout = resolve_pair_layout(
             params.pair_layout,
@@ -787,7 +765,7 @@ class EpochScan:
         :class:`~repro.core.result.PairColumns` table, and INCREMENTAL's
         bookkeeping, when tracked, in columns aligned with it; no
         per-pair object is built.  The posteriors come from
-        :func:`exact_posteriors`.
+        :func:`~repro.core.contribution.exact_posteriors`.
 
         Returns:
             ``(result, bookkeeping)`` matching the reference scan's

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .params import CopyParams
 
 
@@ -124,12 +126,35 @@ def posterior(c_fwd: float, c_bwd: float, params: CopyParams) -> CopyPosterior:
     )
     shift = max(log_terms)
     exps = [math.exp(t - shift) for t in log_terms]
-    total = sum(exps)
+    # Not ``sum``, which compensates since Python 3.12: the kernel adds plainly.
+    total = (exps[0] + exps[1]) + exps[2]
     return CopyPosterior(
         independent=exps[0] / total,
         forward=exps[1] / total,
         backward=exps[2] / total,
     )
+
+
+def exact_posteriors(
+    c_fwd: np.ndarray, c_bwd: np.ndarray, params: CopyParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. (2) per pair, bit-equal to :func:`posterior`: the scalar's IEEE
+    arithmetic vectorized in its order, and ``math.exp`` (NumPy's SIMD exp
+    can stray by an ulp) only where its argument is nonzero: the max-shift
+    leaves one of each pair's three at exactly 0.0, whose exp is 1.0."""
+    log_alpha = math.log(params.alpha)
+    log_beta = math.log(params.beta)
+    t1 = log_alpha + c_fwd
+    t2 = log_alpha + c_bwd
+    shift = np.maximum(np.maximum(t1, t2), log_beta)
+    terms = np.stack((log_beta - shift, t1 - shift, t2 - shift))
+    shifted = terms != 0.0
+    args = memoryview(terms[shifted])  # yields floats: no list of them
+    terms.fill(1.0)
+    terms[shifted] = np.fromiter(map(math.exp, args), np.float64, len(args))
+    e0, e1, e2 = terms
+    terms /= (e0 + e1) + e2
+    return tuple(terms)
 
 
 def no_copy_probability(c_fwd: float, c_bwd: float, params: CopyParams) -> float:

@@ -28,7 +28,7 @@ same categories, same passes, same floats — on a column table:
    reference's ``+=`` order), ``np.bincount`` for the small-change
    counts.  The pessimistic re-check is array arithmetic in the
    reference's association order with the posterior of
-   :func:`repro.core.bound_kernel.exact_posteriors`.
+   :func:`repro.core.contribution.exact_posteriors`.
 4. **Passes 2 and 3.**  A pair's shared positions are enumerated by
    walking the shorter of its two sources' position lists and probing
    the ``(position, source)`` keys; per-pair sums are
@@ -57,8 +57,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bound_kernel
+from ..data.columns import distinct
 from .bound import PairBookkeeping
+from .contribution import exact_posteriors
 from .incremental import _NEGLIGIBLE, RoundStats, _PairRecord
 from .index import InvertedIndex
 from .kernel import (
@@ -339,9 +340,7 @@ class ColumnarIncrementalState:
         ceiling = suffix_max_new[bound_pos] * self.n_after
         work_fwd = np.where(was_copy, base_fwd, base_fwd + ceiling)
         work_bwd = np.where(was_copy, base_bwd, base_bwd + ceiling)
-        independent, forward, backward = bound_kernel.exact_posteriors(
-            work_fwd, work_bwd, params
-        )
+        independent, forward, backward = exact_posteriors(work_fwd, work_bwd, params)
         confirmed = ~pending & ((independent <= 0.5) == was_copy)
         # Step 2 for copying pairs: minimum credit per after-decision entry.
         retry = np.nonzero(~pending & ~confirmed & was_copy & (self.n_after > 0))[0]
@@ -349,9 +348,7 @@ class ColumnarIncrementalState:
             credit = m_credit * self.n_after[retry]
             credit_fwd = work_fwd[retry] + credit
             credit_bwd = work_bwd[retry] + credit
-            ind, fwd, bwd = bound_kernel.exact_posteriors(
-                credit_fwd, credit_bwd, params
-            )
+            ind, fwd, bwd = exact_posteriors(credit_fwd, credit_bwd, params)
             ok = ind <= 0.5
             at = retry[ok]
             work_fwd[at], work_bwd[at] = credit_fwd[ok], credit_bwd[ok]
@@ -389,7 +386,7 @@ class ColumnarIncrementalState:
             )
             fwd2 = base_fwd[pass2] + after_fwd
             bwd2 = base_bwd[pass2] + after_bwd
-            ind, fwd, bwd = bound_kernel.exact_posteriors(fwd2, bwd2, params)
+            ind, fwd, bwd = exact_posteriors(fwd2, bwd2, params)
             ok = (ind <= 0.5) == was_copy[pass2]
             at = pass2[ok]
             work_fwd[at], work_bwd[at] = fwd2[ok], bwd2[ok]
@@ -417,7 +414,7 @@ class ColumnarIncrementalState:
             penalty = (self.l[rebuild] - self.n_total[rebuild]) * ln_diff
             c_fwd = cur_fwd + penalty
             c_bwd = cur_bwd + penalty
-            ind, fwd, bwd = bound_kernel.exact_posteriors(c_fwd, c_bwd, params)
+            ind, fwd, bwd = exact_posteriors(c_fwd, c_bwd, params)
             verdict = ind <= 0.5
             stats.flips = int((verdict != was_copy[rebuild]).sum())
             stats.done_pass3 = len(rebuild)
@@ -437,7 +434,7 @@ class ColumnarIncrementalState:
         self.s_ref[big] = new_scores[big]
         if refresh.any():
             a_ref[refresh] = accs[refresh]
-            touched = np.unique(
+            touched = distinct(
                 self._slot_keys[refresh[cols.providers]] // self.n_sources
             )
             sub = cols.take(touched)

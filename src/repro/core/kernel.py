@@ -47,13 +47,13 @@ document the paper's algorithms line-by-line.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..data.columns import take_csr
+from ..data.columns import distinct, take_csr
+from .contribution import exact_posteriors
 from .pairspace import (
     PairMap,
     PairSpace,
@@ -251,7 +251,7 @@ def expand_incidences(
     src2_parts: list[np.ndarray] = []
     prob_parts: list[np.ndarray] = []
     main_parts: list[np.ndarray] = []
-    for k in np.unique(counts):
+    for k in distinct(counts).tolist():
         if k < 2:
             continue
         rows = np.nonzero(counts == k)[0]
@@ -576,28 +576,6 @@ def shared_item_counts(shared_items: PairMap, keys: np.ndarray) -> np.ndarray:
     return shared_items.columns.l[rows]
 
 
-def posterior_arrays(
-    c_fwd: np.ndarray, c_bwd: np.ndarray, params: CopyParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Eq. (2): the three-way posterior per pair.
-
-    Same max-shift stabilisation as :func:`repro.core.contribution.posterior`.
-
-    Returns:
-        ``(independent, forward, backward)`` probability arrays.
-    """
-    log_beta = math.log(params.beta)
-    log_alpha = math.log(params.alpha)
-    t1 = log_alpha + c_fwd
-    t2 = log_alpha + c_bwd
-    shift = np.maximum(np.maximum(t1, t2), log_beta)
-    e0 = np.exp(log_beta - shift)
-    e1 = np.exp(t1 - shift)
-    e2 = np.exp(t2 - shift)
-    total = e0 + e1 + e2
-    return e0 / total, e1 / total, e2 / total
-
-
 def decide_pairs(
     table: PairTable,
     shared_items: PairMap,
@@ -608,9 +586,9 @@ def decide_pairs(
 
     Applies the different-value penalty ``ln(1-s) * (l - n)`` and Eq. (2)
     to every pair (dropping tail-only pairs when ``require_main``); the
-    posteriors come from the vectorized :func:`posterior_arrays`, which
-    performs the same stabilised computation as the scalar
-    :func:`~repro.core.contribution.posterior`.
+    posteriors come from
+    :func:`~repro.core.contribution.exact_posteriors`, bit-equal to the
+    scalar :func:`~repro.core.contribution.posterior`.
 
     Args:
         table: accumulated per-pair scores.
@@ -625,7 +603,7 @@ def decide_pairs(
     penalty = n_diff * params.ln_one_minus_s
     c_fwd = table.c_fwd[keep] + penalty
     c_bwd = table.c_bwd[keep] + penalty
-    independent, forward, backward = posterior_arrays(c_fwd, c_bwd, params)
+    independent, forward, backward = exact_posteriors(c_fwd, c_bwd, params)
     return PairColumns(
         keys,
         c_fwd,

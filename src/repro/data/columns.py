@@ -28,6 +28,15 @@ def _offsets(counts) -> np.ndarray:
     return out
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """:func:`numpy.unique` of a 1-D array with no ``return_*`` flag, which
+    under NumPy 2 imports ``numpy.ma`` on its first call: sort, mask."""
+    ordered = np.sort(values)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def take_csr(
     offsets: np.ndarray, flat: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

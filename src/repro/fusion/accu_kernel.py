@@ -68,7 +68,7 @@ from ..core.pairspace import (
 )
 from ..core.params import CopyParams
 from ..core.result import DetectionResult, PairColumns
-from ..data.columns import ClaimColumns
+from ..data.columns import ClaimColumns, distinct
 
 #: Largest dense copy-probability matrix (``n_sources ** 2`` floats) the
 #: ``"auto"`` layout will allocate for the ACCUCOPY discount; beyond it
@@ -172,7 +172,7 @@ def independence_weight_stream(
     else:
         verdicts = detection.columns()
     s = params.s
-    for k in np.unique(counts[counts >= 2]).tolist():
+    for k in distinct(counts[counts >= 2]).tolist():
         starts = cols.prov_offsets[np.nonzero(counts == k)[0]][:, None]
         provs = cols.prov_sources[starts + np.arange(k)]
         ranked_slots = starts + np.argsort(-accuracies[provs], axis=1, kind="stable")

@@ -299,8 +299,10 @@ def run_fusion(
         ValueError: for an unknown ``fusion_backend`` or
             ``config.fusion_method``, a credibility model or
             uncertainty reserve configured without ``fusion_method ==
-            "ds"``, a ``workspace`` built for a different dataset, or
-            mis-sized ``config.initial_accuracies``.
+            "ds"``, a ``snapshot_store`` beside a detector whose
+            ``params.alpha`` is not ``params.alpha``, a ``workspace``
+            built for a different dataset, or mis-sized
+            ``config.initial_accuracies``.
     """
     cfg = config or FusionConfig()
     backend = params.backend if fusion_backend is None else fusion_backend
@@ -336,6 +338,12 @@ def run_fusion(
             "initial_accuracies must have one entry per source "
             f"({len(cfg.initial_accuracies)} != {dataset.n_sources})"
         )
+    scorer = getattr(detector, "params", params)
+    if snapshot_store is not None and scorer.alpha != params.alpha:
+        raise ValueError(
+            f"the detector scores under alpha={scorer.alpha!r}, but the snapshot "
+            f"store derives posteriors under params.alpha={params.alpha!r}"
+        )
     if workspace is not None and workspace.dataset is not dataset:
         raise ValueError("the workspace was built for a different dataset")
     if workspace is not None and workspace.closed:
@@ -358,7 +366,7 @@ def run_fusion(
     if snapshot_store is not None:
         from ..serving.store import SnapshotPublisher
 
-        publisher = SnapshotPublisher(snapshot_store, dataset)
+        publisher = SnapshotPublisher(snapshot_store, dataset, params)
 
     detector_bound = workspace is not None and hasattr(detector, "bind_workspace")
     try:

@@ -36,7 +36,10 @@ MAGIC = b"RVSS"
 #: integer column at the smallest of int8/int16/int32/int64 that holds it
 #: and widens it back on load (a version-2 build would merge the narrow
 #: columns unwidened, and CSR offsets summed in int16 can wrap silently).
-FORMAT_VERSION = 3
+#: Version 4: a pair row stores ``pair_s1`` / ``pair_s2`` and its scores,
+#: not its key and posteriors, which load derives under the meta's
+#: ``alpha`` (a version-3 build would find no ``pair_keys`` to serve).
+FORMAT_VERSION = 4
 
 
 class ServingError(Exception):

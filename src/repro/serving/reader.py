@@ -24,11 +24,12 @@ reader misses 56% of the benchmark's skewed queries on the 57k pairs of
 ``__array_function__`` dispatch, twice the search) and then only Python
 objects: the snapshot keeps :class:`memoryview` s of its columns,
 whose items are plain ``bool`` / ``int`` / ``float``, and the reply is
-built positionally with ``tuple.__new__``.  The integer columns a file
-stores narrower than int64 are widened copies
-(:meth:`~repro.serving.store.VerdictStore.load`); only the pair keys
-and the float columns of a full snapshot stay zero-copy views of the
-bytes read.  No NumPy scalar is
+built positionally with ``tuple.__new__``.  A file stores a pair's
+source ids and scores; :meth:`~repro.serving.store.VerdictStore.load`
+derives its key and three posteriors (Eq. 2, bit-equal to the
+publishing round's) and widens the integer columns stored narrower than
+int64, so of a full snapshot only the two scores stay zero-copy views
+of the bytes read.  No NumPy scalar is
 made, so a verdict miss costs under half of what it did through NumPy
 scalars and a keyword constructor, and a truth's supporters are one
 slice, not one ``int()`` per source (docs/ARCHITECTURE.md, "What a read
@@ -139,15 +140,13 @@ class _Snapshot:
     def load(cls, store: VerdictStore, snapshot_id: int) -> "_Snapshot":
         chain = store.load_chain(snapshot_id)
         base_meta, base_arrays = chain[0]
-        pairs = pairs_from_arrays(
-            base_arrays, store.snapshot_path(base_meta["snapshot_id"])
-        )
+        pairs = pairs_from_arrays(base_arrays)
         items = ItemRows.from_arrays(base_arrays)
         labels = base_meta.get("labels")
         for meta, arrays in chain[1:]:
             pairs = merge_pair_rows(
                 pairs,
-                pairs_from_arrays(arrays, store.snapshot_path(meta["snapshot_id"])),
+                pairs_from_arrays(arrays),
                 arrays.get("removed_pair_keys", np.empty(0, dtype=np.int64)),
             )
             items = merge_item_rows(

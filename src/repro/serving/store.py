@@ -50,10 +50,12 @@ kernel to the file and back into a reader; only at the codec boundary
 columns fold into the ``pair_flags`` byte and the columns take their
 ``pair_`` names.
 
-In memory every integer column is int64.  On disk each is stored at the
-smallest of int8/int16/int32/int64 that holds it (:func:`narrowed`),
-and :meth:`VerdictStore.load` widens it back to read-only int64
-(:func:`widened`), so whatever reads a store sees the int64 schema.
+A file stores less than it serves (:func:`stored`): a pair row's key as
+``pair_s1`` / ``pair_s2``, no posterior (Eq. 2 makes the three a function
+of the scores and the ``alpha`` the meta records), every integer column
+at the narrowest width that holds it.  :meth:`VerdictStore.load` derives
+the rest (:func:`loaded`), so a reader sees the int64, five-float schema
+the store was handed, posteriors bit-equal to the detector's.
 
 Per-source "most copied" totals (``top_copiers``) are recomputed from
 the merged pair state at every publish; they are O(pairs) to build and
@@ -70,7 +72,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.pairspace import decode_pair_keys, encode_pairs, member_rows
+from ..core.contribution import exact_posteriors
+from ..core.pairspace import decode_pair_keys, encode_pair_keys, encode_pairs
+from ..core.pairspace import member_rows
+from ..core.params import CopyParams
 from ..core.result import PAIR_COLUMNS, PAIR_FLOAT_COLUMNS, PairColumns
 from ..data.columns import take_csr
 from .codec import (
@@ -117,12 +122,22 @@ _NO_PAIRS = PairColumns.from_decisions({})
 _STORED_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
-def narrowed(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The arrays as a snapshot stores them: each signed integer array at
-    the smallest width that holds its minimum and maximum (an empty one
-    at int8); every other array as it is."""
-    out = dict(arrays)
+#: What a file stores of a pair row; :func:`loaded` derives the rest.
+_STORED_PAIRS = ("s1", "s2", "c_fwd", "c_bwd", "flags", "decision_pos")
+_POSTERIORS = ("pair_independent", "pair_forward", "pair_backward")
+
+
+def stored(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrays as a snapshot stores them: ``pair_keys`` as ``pair_s1`` /
+    ``pair_s2``, no posterior, and each signed integer array at the
+    smallest width that holds its minimum and maximum (an empty one: int8)."""
+    out = {}
     for name, array in arrays.items():
+        if name == "pair_keys":
+            out["pair_s1"], out["pair_s2"] = decode_pair_keys(array)
+        elif name not in _POSTERIORS:
+            out[name] = array
+    for name, array in out.items():
         if array.dtype.kind == "i":
             lo, hi = int(array.min(initial=0)), int(array.max(initial=0))
             width = next(t for t in _STORED_INTS if t.min <= lo and hi <= t.max)
@@ -130,15 +145,48 @@ def narrowed(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     return out
 
 
-def widened(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The in-memory schema of stored arrays: every signed integer array
-    narrower than 8 bytes as a read-only int64 copy, the rest as stored."""
-    out = dict(arrays)
+def loaded(meta: dict, arrays: Mapping[str, np.ndarray], origin) -> tuple[dict, dict]:
+    """Invert :func:`stored` on a decoded snapshot: every array read-only
+    and every signed integer one int64, ``pair_keys`` rebuilt from its
+    halves, the posteriors from the scores under the meta's ``alpha``
+    (consumed).  Raises :class:`ServingError` naming ``origin`` on a
+    missing or invalid ``alpha``, a missing or ragged pair column, or a
+    ``pair_flags`` bit this build does not know."""
+    meta, out = dict(meta), {}
+    try:
+        params = CopyParams(alpha=meta.pop("alpha", None))
+    except (TypeError, ValueError) as exc:
+        raise ServingError(f"{origin}: snapshot records no valid alpha ({exc})") from exc
+    try:
+        lengths = {len(arrays["pair_" + name]) for name in _STORED_PAIRS}
+    except KeyError as exc:
+        raise ServingError(
+            f"{origin}: snapshot is missing pair column {exc.args[0]!r}"
+        ) from exc
+    if len(lengths) > 1:
+        raise ServingError(
+            f"{origin}: pair columns disagree in length ({sorted(lengths)})"
+        )
+    flags, known = arrays["pair_flags"], FLAG_COPYING | FLAG_EARLY
+    alien = flags[(flags | known) != known]
+    if len(alien):
+        raise ServingError(
+            f"{origin}: pair_flags carries unknown bits ({int(alien[0]) & ~known:#04x})"
+        )
     for name, array in arrays.items():
         if array.dtype.kind == "i" and array.dtype.itemsize < 8:
-            out[name] = array.astype(np.int64)
-            out[name].flags.writeable = False
-    return out
+            array = array.astype(np.int64)
+        if name == "pair_s1":
+            out["pair_keys"] = encode_pair_keys(array, arrays["pair_s2"])
+        elif name == "pair_c_bwd":
+            out[name] = array
+            posteriors = exact_posteriors(arrays["pair_c_fwd"], array, params)
+            out.update(zip(_POSTERIORS, posteriors))
+        elif name != "pair_s2":
+            out[name] = array
+    for array in out.values():
+        array.flags.writeable = False
+    return meta, out
 
 
 def pair_arrays(pairs: PairColumns) -> dict[str, np.ndarray]:
@@ -156,43 +204,17 @@ def pair_arrays(pairs: PairColumns) -> dict[str, np.ndarray]:
     }
 
 
-def pairs_from_arrays(arrays: Mapping[str, np.ndarray], origin) -> PairColumns:
-    """The pair table of a decoded snapshot (the read side).
-
-    Args:
-        arrays: the snapshot's array dict.
-        origin: the file they were read from, named in every error.
-
-    Raises:
-        ServingError: when a pair column is missing, the columns
-            disagree in length, or ``pair_flags`` carries a bit this
-            build does not know.
-    """
-    try:
-        flags = arrays["pair_flags"]
-        columns = [arrays["pair_keys"]]
-        columns += [arrays["pair_" + name] for name in PAIR_FLOAT_COLUMNS]
-        columns += [
-            flags & FLAG_COPYING != 0,
-            flags & FLAG_EARLY != 0,
-            arrays["pair_decision_pos"],
-        ]
-    except KeyError as exc:
-        raise ServingError(
-            f"{origin}: snapshot is missing pair column {exc.args[0]!r}"
-        ) from exc
-    lengths = {len(column) for column in columns}
-    if len(lengths) > 1:
-        raise ServingError(
-            f"{origin}: pair columns disagree in length ({sorted(lengths)})"
-        )
-    known = FLAG_COPYING | FLAG_EARLY
-    alien = flags[(flags | known) != known]
-    if len(alien):
-        raise ServingError(
-            f"{origin}: pair_flags carries unknown bits ({int(alien[0]) & ~known:#04x})"
-        )
-    return PairColumns(*columns)
+def pairs_from_arrays(arrays: Mapping[str, np.ndarray]) -> PairColumns:
+    """The pair table of :func:`pair_arrays`' arrays, or of a snapshot's
+    as :meth:`VerdictStore.load` returns them (the read side)."""
+    flags = arrays["pair_flags"]
+    return PairColumns(
+        arrays["pair_keys"],
+        *(arrays["pair_" + name] for name in PAIR_FLOAT_COLUMNS),
+        flags & FLAG_COPYING != 0,
+        flags & FLAG_EARLY != 0,
+        arrays["pair_decision_pos"],
+    )
 
 
 @dataclass
@@ -467,8 +489,8 @@ class VerdictStore:
         return sorted(ids)
 
     def _publish(self, meta: dict, arrays: Mapping[str, np.ndarray]) -> int:
-        """Encode the snapshot at its stored widths (:func:`narrowed`),
-        make it durable, then point ``CURRENT`` at it.
+        """Encode the snapshot as it is stored (:func:`stored`), make it
+        durable, then point ``CURRENT`` at it.
 
         Each file is fsynced before its rename and the directory after
         it, so a crash leaves ``CURRENT`` naming a snapshot that is whole
@@ -476,7 +498,7 @@ class VerdictStore:
         catalogue.
         """
         snapshot_id = meta["snapshot_id"]
-        data = encode_snapshot(meta, narrowed(arrays))
+        data = encode_snapshot(meta, stored(arrays))
         _replace_durably(self.snapshot_path(snapshot_id), data)
         pointer = {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
         _replace_durably(
@@ -502,11 +524,12 @@ class VerdictStore:
         pairs: PairColumns,
         items: ItemRows,
         n_sources: int,
+        alpha: float,
         method: str = "unknown",
         round_no: int | None = None,
         labels: Mapping[str, Sequence[str]] | None = None,
     ) -> int:
-        """Publish a full snapshot; returns its id."""
+        """Publish a full snapshot (posteriors under ``alpha``); returns its id."""
         snapshot_id = self._next_id()
         copier_sources, copier_scores = copier_totals(pairs, n_sources)
         meta = {
@@ -514,6 +537,7 @@ class VerdictStore:
             "kind": "full",
             "base_id": None,
             "n_sources": int(n_sources),
+            "alpha": float(alpha),
             "method": method,
             "round": round_no,
             "n_pairs": len(pairs),
@@ -538,6 +562,7 @@ class VerdictStore:
         removed_item_ids: np.ndarray,
         merged_pairs: PairColumns,
         n_sources: int,
+        alpha: float,
         method: str = "unknown",
         round_no: int | None = None,
         labels: Mapping[str, Sequence[str]] | None = None,
@@ -558,6 +583,7 @@ class VerdictStore:
             "kind": "delta",
             "base_id": int(base_id),
             "n_sources": int(n_sources),
+            "alpha": float(alpha),
             "method": method,
             "round": round_no,
             "n_pairs": len(pair_upserts),
@@ -581,8 +607,8 @@ class VerdictStore:
     # Reading
     # ------------------------------------------------------------------
     def load(self, snapshot_id: int) -> tuple[dict, dict]:
-        """Decode one snapshot file (meta, arrays), its integer arrays
-        widened back to int64 (:func:`widened`).
+        """Decode one snapshot file into the in-memory schema
+        (:func:`loaded`): the meta and arrays it was written from.
 
         Raises:
             ServingError: missing, truncated, corrupted or
@@ -592,7 +618,7 @@ class VerdictStore:
         if not path.is_file():
             raise ServingError(f"{path}: snapshot {snapshot_id} not found")
         meta, arrays = read_snapshot_file(path)
-        return meta, widened(arrays)
+        return loaded(meta, arrays, path)
 
     def load_chain(self, snapshot_id: int) -> list[tuple[dict, dict]]:
         """The snapshot plus its delta ancestry, base-full first.
@@ -641,9 +667,12 @@ class SnapshotPublisher:
     it is: no gather, no merge of rows about to be overwritten.
     """
 
-    def __init__(self, store: VerdictStore | Path | str, dataset: "Dataset"):
+    def __init__(
+        self, store: VerdictStore | Path | str, dataset: "Dataset", params: CopyParams
+    ):
         self.store = store if isinstance(store, VerdictStore) else VerdictStore(store)
         self.dataset = dataset
+        self.params = params
         self.last_snapshot_id: int | None = None
         self.snapshot_ids: list[int] = []
         self._prev_pairs = _NO_PAIRS
@@ -718,6 +747,7 @@ class SnapshotPublisher:
                 merged_pairs,
                 items,
                 n_sources,
+                self.params.alpha,
                 method=method,
                 round_no=round_no,
                 labels=self._labels(),
@@ -732,6 +762,7 @@ class SnapshotPublisher:
                 removed_item_ids,
                 merged_pairs,
                 n_sources,
+                self.params.alpha,
                 method=method,
                 round_no=round_no,
                 labels=self._delta_labels(),

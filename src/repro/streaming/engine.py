@@ -338,7 +338,7 @@ class StreamEngine:
         from ..serving.store import SnapshotPublisher
 
         if self._publisher is None:
-            self._publisher = SnapshotPublisher(self.store, state.dataset)
+            self._publisher = SnapshotPublisher(self.store, state.dataset, self.params)
         else:
             self._publisher.rebind(state.dataset)
 

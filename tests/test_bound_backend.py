@@ -806,3 +806,40 @@ class TestEpochSizeValidation:
                 CopyParams(backend=backend),
                 epoch_size=epoch_size,
             )
+
+
+class TestIndexBackendMismatch:
+    def test_a_numpy_scan_names_a_python_built_index(
+        self, example, example_probabilities, example_accuracies
+    ):
+        """A python-built index holds its ``l(S1, S2)`` counts as a dict,
+        not the column table the epoch scan reads: the scan says so and
+        names the remedy (it died on ``dict.columns``)."""
+        from repro.core.index import InvertedIndex
+
+        index = InvertedIndex.build(
+            example, example_probabilities, example_accuracies,
+            CopyParams(backend="python"),
+        )
+        message = (
+            "built under backend='python' but the scan runs under "
+            "backend='numpy': build the index under the scan's backend"
+        )
+        with pytest.raises(ValueError, match=message):
+            scan_with_bounds(
+                example, example_probabilities, example_accuracies,
+                CopyParams(backend="numpy"), index=index,
+            )
+        # The reference scan reads either build.
+        numpy_index = InvertedIndex.build(
+            example, example_probabilities, example_accuracies,
+            CopyParams(backend="numpy"),
+        )
+        outcomes = [
+            scan_with_bounds(
+                example, example_probabilities, example_accuracies,
+                CopyParams(backend="python"), index=built,
+            ).result.decisions
+            for built in (index, numpy_index)
+        ]
+        assert outcomes[0] == outcomes[1]

@@ -441,7 +441,7 @@ class TestByteIdentity:
             assert arrays["pair_flags"].tolist() == (
                 case.copying * 1 + case.early * 2
             ).tolist()
-            _assert_tables_identical(pairs_from_arrays(arrays, "memory"), case)
+            _assert_tables_identical(pairs_from_arrays(arrays), case)
 
     @staticmethod
     def _published(store_dir, params, detector) -> VerdictStore:
@@ -492,7 +492,7 @@ class TestByteIdentity:
             dataset, params, SingleRoundDetector(params, "hybrid"),
             snapshot_store=tmp_path / "columnar",
         )
-        publisher = SnapshotPublisher(tmp_path / "dicts", dataset)
+        publisher = SnapshotPublisher(tmp_path / "dicts", dataset, params)
         probabilities = fusion.probabilities
         for record in fusion.rounds:
             as_dict = replace(
@@ -522,7 +522,9 @@ class TestByteIdentity:
         result = detect(dataset, probs, accs, NUMPY, method="hybrid")
         files = []
         for name in ("first", "second"):
-            SnapshotPublisher(tmp_path / name, dataset).publish_round(1, result, probs)
+            SnapshotPublisher(tmp_path / name, dataset, NUMPY).publish_round(
+                1, result, probs
+            )
             files.append({
                 path.name: path.read_bytes()
                 for path in sorted((tmp_path / name).iterdir())

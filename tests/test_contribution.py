@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from repro.core import (
     same_value_score,
     same_value_scores_both,
 )
+from repro.core import contribution
+from repro.core.contribution import exact_posteriors
 from tests.strategies import accuracies, probabilities
 
 
@@ -140,3 +143,70 @@ class TestPosterior:
         low = no_copy_probability(1.0, 1.0, params)
         high = no_copy_probability(2.0, 2.0, params)
         assert high < low
+
+
+def _tie(params: CopyParams) -> list[float]:
+    """Scores around the one where ``ln(alpha) + c`` meets ``ln(beta)``."""
+    c = math.log(params.beta) - math.log(params.alpha)
+    return [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+
+
+#: Scores from deep underflow (every exp argument below ~-745 is 0.0)
+#: to far past exp overflow, with the signed zeros.
+_SCORES = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from([0.0, -0.0, -800.0, -745.2, 709.8, 1e5, -1e5]),
+)
+
+
+class TestExactPosteriors:
+    """The array Eq. (2) — every NumPy kernel's and the snapshot store's
+    load — is the scalar reference bit for bit."""
+
+    @given(
+        alpha=st.floats(min_value=0.001, max_value=0.499),
+        scores=st.lists(st.tuples(_SCORES, _SCORES), max_size=24),
+    )
+    def test_equals_the_scalar_posterior_bit_for_bit(self, alpha, scores):
+        params = CopyParams(alpha=alpha)
+        near = _tie(params)
+        # Three-way and two-way ties at the prior, each beside a drawn score.
+        scores = scores + [(a, b) for a in near for b in near]
+        scores += [(a, c) for a in near for c, _ in scores[:4]]
+        c_fwd, c_bwd = (np.array(column) for column in zip(*scores))
+        got = np.stack(exact_posteriors(c_fwd, c_bwd, params), axis=1)
+        want = np.array([tuple(posterior(f, b, params)) for f, b in scores])
+        assert got.tobytes() == want.tobytes()
+
+    def test_the_tie_is_exercised(self, params):
+        """At the paper's alpha one score puts all three exp arguments
+        at exactly 0.0, so the test above reaches the three-way tie."""
+        log_alpha, log_beta = math.log(params.alpha), math.log(params.beta)
+        assert any(log_alpha + c == log_beta for c in _tie(params))
+        near = np.array(_tie(params))
+        independent, _, _ = exact_posteriors(near, near, params)
+        assert 1.0 / 3.0 in independent.tolist()
+
+    def test_holds_under_a_compensated_sum(self, monkeypatch):
+        """Since Python 3.12 the builtin ``sum`` compensates float sums
+        (Neumaier); the reference must add plainly, as the kernel does.
+        At alpha = 0.2 and scores (0, 0) the two sums differ by an ulp."""
+
+        def compensated(values):
+            total = fix = 0.0
+            for x in values:
+                t = total + x
+                fix += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + fix
+
+        params = CopyParams(alpha=0.2)
+        exps = [math.exp(math.log(params.alpha) - math.log(params.beta))] * 2
+        assert compensated([1.0, *exps]) != (1.0 + exps[0]) + exps[1]
+        monkeypatch.setattr(contribution, "sum", compensated, raising=False)
+        got = np.stack(exact_posteriors(np.zeros(1), np.zeros(1), params), axis=1)
+        assert got.tobytes() == np.array([tuple(posterior(0.0, 0.0, params))]).tobytes()
+
+    def test_an_empty_table(self, params):
+        columns = exact_posteriors(np.empty(0), np.empty(0), params)
+        assert [len(column) for column in columns] == [0, 0, 0]

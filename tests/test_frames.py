@@ -17,6 +17,10 @@ narrowest width that holds it and widens it back on load) changed what
 :class:`~repro.serving.store.VerdictStore` puts in the array table, not
 the framing: ``snapshot.rvs`` goes through ``encode_snapshot`` as it is,
 so it too differs from its version-2 bytes in the version word alone.
+Snapshot version 4 (pair rows store their source ids and scores, the
+key and posteriors are derived on load) again changed only what the
+store puts in the table: ``snapshot.rvs`` differs from its version-3
+bytes in the version word alone (:data:`V3_SHA256`).
 """
 
 from __future__ import annotations
@@ -50,8 +54,13 @@ V2_SHA256 = {
     "world.rclw": "17e934d8244ad097388d6cd3dbbbc47e4cc182d381224b4568ae0763284d2f04",
 }
 
+#: SHA-256 of the snapshot fixture as committed at format version 3 (d42eee6).
+V3_SHA256 = {
+    "snapshot.rvs": "335f0663f47648ae5f56f5c838a7fa0d7cfbe1bb26877ea382f2b7f05a5d82b8",
+}
+
 #: The version each fixture's format is at now.
-CURRENT_VERSION = {"snapshot.rvs": 3, "task.rclw": 3, "world.rclw": 3}
+CURRENT_VERSION = {"snapshot.rvs": 4, "task.rclw": 3, "world.rclw": 3}
 
 
 def _decode(name: str, data: bytes):
@@ -81,7 +90,7 @@ class TestGoldenBytes:
         assert golden_frames() == GOLDEN
 
     def test_each_format_is_at_its_current_version(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (3, 3)
+        assert (FORMAT_VERSION, WIRE_VERSION) == (4, 3)
         for name, version in CURRENT_VERSION.items():
             assert struct.unpack_from("<4sI", GOLDEN[name])[1] == version, name
 
@@ -96,6 +105,11 @@ class TestGoldenBytes:
         nothing else."""
         as_v2 = _with_version(GOLDEN[name], 2)
         assert hashlib.sha256(as_v2).hexdigest() == V2_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(V3_SHA256))
+    def test_version_four_moved_the_version_word_only(self, name):
+        as_v3 = _with_version(GOLDEN[name], 3)
+        assert hashlib.sha256(as_v3).hexdigest() == V3_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_decode_then_reencode_is_byte_identical(self, name):

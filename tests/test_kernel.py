@@ -27,10 +27,9 @@ from repro.core import (
 from repro.core.kernel import (
     clamp_accuracies,
     count_shared_items_columnar,
-    posterior_arrays,
     score_incidences,
 )
-from repro.core.contribution import posterior
+from repro.core.contribution import exact_posteriors, posterior
 from repro.core.index import count_shared_items
 from repro.core.pairspace import decode_pairs, encode_pairs
 from tests.strategies import worlds
@@ -310,15 +309,15 @@ class TestSharedItemsColumnar:
 
 class TestPosteriorArrays:
     def test_matches_scalar(self, params):
+        """The array Eq. (2) every NumPy kernel runs equals the scalar
+        reference bit for bit."""
         rng = np.random.default_rng(7)
         c_fwd = rng.uniform(-50.0, 500.0, 64)
         c_bwd = rng.uniform(-50.0, 500.0, 64)
-        ind, fwd, bwd = posterior_arrays(c_fwd, c_bwd, params)
+        ind, fwd, bwd = exact_posteriors(c_fwd, c_bwd, params)
         for m in range(len(c_fwd)):
             ref = posterior(c_fwd[m], c_bwd[m], params)
-            assert ind[m] == pytest.approx(ref.independent, abs=1e-12)
-            assert fwd[m] == pytest.approx(ref.forward, abs=1e-12)
-            assert bwd[m] == pytest.approx(ref.backward, abs=1e-12)
+            assert (ind[m], fwd[m], bwd[m]) == tuple(ref)
 
 
 class TestBackendEquivalence:

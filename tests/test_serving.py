@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
+from repro.core.contribution import exact_posteriors
 from repro.core.pairspace import decode_pairs
 from repro.core.result import (
     PAIR_FLOAT_COLUMNS,
@@ -61,6 +62,10 @@ from repro.serving import (
 )
 from repro.serving.store import SCORE_TOLERANCE, pairs_from_arrays
 from repro.synth import make_profile
+
+
+#: The parameters the hand-built verdict tables are scored and published under.
+_PARAMS = CopyParams()
 
 
 def _decision(params: CopyParams, c_fwd: float, c_bwd: float) -> PairDecision:
@@ -194,7 +199,7 @@ class TestStoredWidths:
         )
         with tempfile.TemporaryDirectory() as root:
             store = VerdictStore(root)
-            sid = store.write_full(_no_pairs(), items, n_sources=0)
+            sid = store.write_full(_no_pairs(), items, n_sources=0, alpha=_PARAMS.alpha)
             _, stored = read_snapshot_file(store.snapshot_path(sid))
             _, loaded = store.load(sid)
         for name in ("item_ids", "item_truth", "item_prov_offsets", "item_prov_sources"):
@@ -230,11 +235,12 @@ class TestStoredWidths:
 
         store = VerdictStore(tmp_path)
         base, expected = rows(range(120), 0)  # offsets end at 30,000
-        full = store.write_full(_no_pairs(), base, n_sources)
+        full = store.write_full(_no_pairs(), base, n_sources, _PARAMS.alpha)
         upserts, moved = rows(range(100, 140), 11)  # 20 re-published, 20 new
         none = np.empty(0, dtype=np.int64)
         delta = store.write_delta(
-            full, _no_pairs(), none, upserts, none, _no_pairs(), n_sources
+            full, _no_pairs(), none, upserts, none, _no_pairs(), n_sources,
+            _PARAMS.alpha,
         )
         expected.update(moved)
         for sid in (full, delta):
@@ -274,19 +280,21 @@ class TestStore:
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         pairs = PairColumns.from_decisions(decisions)
-        sid = store.write_full(pairs, ItemRows.empty(), n_sources=3, method="t")
+        sid = store.write_full(
+            pairs, ItemRows.empty(), n_sources=3, alpha=params.alpha, method="t"
+        )
         assert store.current_id() == sid
         meta, arrays = store.load(sid)
         assert meta["kind"] == "full"
         assert meta["n_sources"] == 3
-        back = pairs_from_arrays(arrays, store.snapshot_path(sid))
+        back = pairs_from_arrays(arrays)
         assert back.keys.tolist() == [1]  # (0 << 32) | 1
         assert back.c_fwd[0] == 5.0
 
     def test_truncated_store_file_is_a_serving_error(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
+        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
         path = store.snapshot_path(sid)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(ServingError, match="truncated"):
@@ -295,7 +303,7 @@ class TestStore:
     def test_newer_versioned_snapshot_in_store(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        sid = store.write_full(pairs, ItemRows.empty(), n_sources=3)
+        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
         path = store.snapshot_path(sid)
         data = path.read_bytes()
         _, _, header_len = struct.unpack_from("<4sII", data)
@@ -312,7 +320,8 @@ class TestStore:
         # misread, and a build reads only the version it writes.
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))
+        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        path = store.snapshot_path(sid)
         data = path.read_bytes()
         path.write_bytes(data[:4] + struct.pack("<I", FORMAT_VERSION - 1) + data[8:])
         with pytest.raises(ServingError, match="older than this build.*re-publish"):
@@ -325,7 +334,8 @@ class TestStore:
         pairs = PairColumns.from_decisions(
             {(0, 1): _decision(params, 5.0, 4.0), (1, 2): _decision(params, -3.0, 2.0)}
         )
-        path = store.snapshot_path(store.write_full(pairs, ItemRows.empty(), 3))
+        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        path = store.snapshot_path(sid)
         meta, arrays = read_snapshot_file(path)
         arrays = {name: array.copy() for name, array in arrays.items()}
         edit(arrays)
@@ -347,7 +357,7 @@ class TestStore:
         # A short column must fail at open, naming the file — not as an
         # IndexError on whichever query first reaches the missing row.
         def edit(arrays):
-            arrays["pair_backward"] = arrays["pair_backward"][:1]
+            arrays["pair_c_bwd"] = arrays["pair_c_bwd"][:1]
 
         store, path = self._rewritten(tmp_path, params, edit)
         with pytest.raises(ServingError, match="disagree in length") as excinfo:
@@ -364,7 +374,7 @@ class TestStore:
             for s2 in range(s1 + 1, 5)
         }
         moved = [(0, 1), (1, 3), (2, 4)]
-        pub = SnapshotPublisher(tmp_path, example)
+        pub = SnapshotPublisher(tmp_path, example, params)
         probs = [0.9] * len(example.value_item)
         for round_no, position in ((1, 3), (2, 7)):
             result = _result(decisions, example.n_sources)
@@ -380,7 +390,7 @@ class TestStore:
             assert reader.get_verdict(*pair).decision_pos == want
 
     def test_delta_chain_with_missing_base(self, tmp_path, example, params):
-        pub = SnapshotPublisher(tmp_path, example)
+        pub = SnapshotPublisher(tmp_path, example, params)
         probs = [0.9] * len(example.value_item)
         decisions = {
             (s1, s2): _decision(params, 5.0 - s2, 4.0 - s1)
@@ -406,7 +416,7 @@ class TestStore:
             (0, 2): _decision(params, -3.0, -4.0),
             (1, 2): _decision(params, 6.0, 1.0),
         }
-        pub = SnapshotPublisher(tmp_path, _flat_world(3))
+        pub = SnapshotPublisher(tmp_path, _flat_world(3), params)
         pub.publish_round(1, _result(base, 3), [0.9])
         pub.rebind(_flat_world(5))
         grown = {**base, (2, 4): _decision(params, 7.0, 2.0)}
@@ -456,16 +466,16 @@ class TestStore:
         monkeypatch.setattr(Path, "glob", counting_glob)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         store = VerdictStore(tmp_path)
-        ids = [store.write_full(pairs, ItemRows.empty(), n_sources=3) for _ in range(3)]
+        ids = [store.write_full(pairs, ItemRows.empty(), 3, params.alpha) for _ in range(3)]
         assert ids == [5001, 5002, 5003]  # above the orphans beyond CURRENT
         assert globs == ["snap-*.rvs"]
         # A re-opened store lists once more and keeps counting upward.
         reopened = VerdictStore(tmp_path)
-        ids.append(reopened.write_full(pairs, ItemRows.empty(), n_sources=3))
+        ids.append(reopened.write_full(pairs, ItemRows.empty(), 3, params.alpha))
         ids.append(
             reopened.write_delta(
                 ids[-1], pairs, pairs.keys[:0], ItemRows.empty(), pairs.keys[:0],
-                pairs, n_sources=3,
+                pairs, 3, params.alpha,
             )
         )
         assert ids == [5001, 5002, 5003, 5004, 5005]
@@ -482,14 +492,26 @@ def _random_table(n_sources: int, seed: int) -> PairColumns:
     rng = np.random.default_rng(seed)
     s1, s2 = np.triu_indices(n_sources, 1)
     n = len(s1)
-    floats = [rng.uniform(-9.0, 9.0, n) for _ in range(2)]
-    floats += [rng.uniform(0.0, 1.0, n) for _ in range(3)]
+    c_fwd, c_bwd = (rng.uniform(-9.0, 9.0, n) for _ in range(2))
     return PairColumns(
         (s1.astype(np.int64) << 32) | s2,
-        *floats,
+        c_fwd,
+        c_bwd,
+        *exact_posteriors(c_fwd, c_bwd, _PARAMS),
         copying=rng.random(n) < 0.3,
         early=rng.random(n) < 0.5,
         decision_pos=rng.integers(-1, 40, n),
+    )
+
+
+def _rescored(table: PairColumns, c_fwd: np.ndarray, c_bwd: np.ndarray) -> PairColumns:
+    """``table`` with new scores and the posteriors Eq. (2) gives them:
+    a store keeps the scores and derives the posteriors, so a table whose
+    posteriors moved apart from its scores is not one it can hold."""
+    posteriors = exact_posteriors(c_fwd, c_bwd, _PARAMS)
+    return replace(
+        table, c_fwd=c_fwd, c_bwd=c_bwd,
+        **dict(zip(("independent", "forward", "backward"), posteriors)),
     )
 
 
@@ -514,9 +536,11 @@ def _assert_serves(served: PairColumns, table: PairColumns):
 
 
 #: ``tests.test_columns._store_digest`` of the two-snapshot store of
-#: ``test_a_rewrite_round_is_the_rounds_table``, as a840957 wrote it
-#: (through ``pairs.take`` + ``merge_pair_rows``).
-REWRITE_STORE_SHA256 = "344da387b456fc8f80130fb222435d218fd2867911d55351c90442013b37cd35"
+#: ``test_a_rewrite_round_is_the_rounds_table``.  First pinned as a840957
+#: wrote it (through ``pairs.take`` + ``merge_pair_rows``); re-pinned
+#: when ``_random_table`` began computing its posteriors from its scores,
+#: as d42eee6 (format 3, every column stored) writes those inputs.
+REWRITE_STORE_SHA256 = "c4fdb918aeb4af6105657fa39e7ce93ca99f458a0314d7a77dead25f9e235ce4"
 
 
 class TestPublishingContract:
@@ -526,7 +550,7 @@ class TestPublishingContract:
         """(a) One verdict, one ``early`` bit and one position change on
         rows whose scores moved 1e-9: exactly those rows are re-published."""
         table = _random_table(self.N, seed=1)
-        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N), _PARAMS)
         assert _publish(publisher, 1, table)["kind"] == "full"
         rows = [5, 17, 40]
         nudge = np.zeros(len(table))
@@ -536,8 +560,7 @@ class TestPublishingContract:
         early[17] ^= True
         pos[40] += 1
         moved = replace(
-            table,
-            **{name: getattr(table, name) + nudge for name in PAIR_FLOAT_COLUMNS},
+            _rescored(table, table.c_fwd + nudge, table.c_bwd + nudge),
             copying=copying, early=early, decision_pos=pos,
         )
         meta = _publish(publisher, 2, moved)
@@ -553,13 +576,13 @@ class TestPublishingContract:
         does the reader serve a score further than the tolerance from
         the round's (at the parent: re-published every round)."""
         table = _random_table(self.N, seed=2)
-        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N), _PARAMS)
         _publish(publisher, 0, table)
         republished = []
         for step in range(1, 11):
             c_fwd = table.c_fwd.copy()
             c_fwd[7] += step * 0.4e-6
-            current = replace(table, c_fwd=c_fwd)
+            current = _rescored(table, c_fwd, table.c_bwd)
             meta = _publish(publisher, step, current)
             assert meta["kind"] == "delta" and meta["n_pairs"] in (0, 1)
             if meta["n_pairs"]:
@@ -577,7 +600,7 @@ class TestPublishingContract:
         dataset = motivating_example()
         probs = np.array(motivating_value_probabilities(dataset))
         truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
-        publisher = SnapshotPublisher(tmp_path, dataset)
+        publisher = SnapshotPublisher(tmp_path, dataset, _PARAMS)
         republished = []
         for round_no in range(1, 6):
             current = probs.copy()
@@ -602,7 +625,7 @@ class TestPublishingContract:
         ])
         dataset = ledger.snapshot()
         probs = motivating_value_probabilities(dataset)
-        publisher = SnapshotPublisher(tmp_path, dataset)
+        publisher = SnapshotPublisher(tmp_path, dataset, _PARAMS)
         publisher.publish_round(1, None, probs)
         truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
         ledger.apply([
@@ -632,13 +655,15 @@ class TestPublishingContract:
         flipped = rng.random(n) < 0.05
         shifted = rng.random(n) < 0.05
         current = replace(
-            table,
-            **{name: getattr(table, name) + jitter * rng.uniform(0.5, 1.0, n)
-               for name in PAIR_FLOAT_COLUMNS},
+            _rescored(
+                table,
+                *(getattr(table, name) + jitter * rng.uniform(0.5, 1.0, n)
+                  for name in ("c_fwd", "c_bwd")),
+            ),
             copying=table.copying ^ flipped,
             decision_pos=table.decision_pos + shifted,
         )
-        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N), _PARAMS)
         _publish(publisher, 1, table)
         meta = _publish(publisher, 2, current)
         must_go = loud | flipped | shifted
@@ -657,15 +682,13 @@ class TestPublishingContract:
 
         table = _random_table(self.N, seed=5)
         moved = table.take(np.arange(3, len(table)))  # three pairs vanish as well
-        moved = replace(
-            moved, **{name: getattr(moved, name) + 0.5 for name in PAIR_FLOAT_COLUMNS}
-        )
-        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N))
+        moved = _rescored(moved, moved.c_fwd + 0.5, moved.c_bwd + 0.5)
+        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N), _PARAMS)
         _publish(publisher, 1, table)
         meta = _publish(publisher, 2, moved)
         assert (meta["kind"], meta["n_pairs"], meta["base_id"]) == ("full", len(moved), None)
         arrays = publisher.store.load(meta["snapshot_id"])[1]
-        _assert_tables_identical(pairs_from_arrays(arrays, "memory"), moved)
+        _assert_tables_identical(pairs_from_arrays(arrays), moved)
         _assert_tables_identical(_served(tmp_path), moved)
         assert _store_digest(publisher.store) == REWRITE_STORE_SHA256
 
@@ -681,7 +704,7 @@ class TestReader:
             (0, 1): _decision(params, 5.0, 4.0),
             (2, 5): _decision(params, -3.0, -4.0),
         }
-        pub = SnapshotPublisher(tmp_path, example)
+        pub = SnapshotPublisher(tmp_path, example, params)
         pub.publish_round(1, _result(decisions, example.n_sources), probs)
         return tmp_path, pub, decisions, probs
 
@@ -821,8 +844,7 @@ class TestServedValues:
         moved[base_rows] = rng.random(len(base)) < 0.2
         bump = np.where(moved, 1.0, 0.0)
         edited = replace(
-            table,
-            **{name: getattr(table, name) + bump for name in PAIR_FLOAT_COLUMNS},
+            _rescored(table, table.c_fwd + bump, table.c_bwd + bump),
             copying=table.copying ^ moved,
         )
         removed = rng.choice(base.keys, 4, replace=False)
@@ -843,9 +865,12 @@ class TestServedValues:
         )
 
         store = VerdictStore(tmp_path)
-        sid = store.write_full(base, base_items, self.N, labels=self.LABELS)
+        sid = store.write_full(
+            base, base_items, self.N, _PARAMS.alpha, labels=self.LABELS
+        )
         store.write_delta(
-            sid, upserts, removed, item_upserts, np.array([4]), pairs, self.N
+            sid, upserts, removed, item_upserts, np.array([4]), pairs, self.N,
+            _PARAMS.alpha,
         )
         kinds = [meta["kind"] for meta, _ in store.load_chain(store.current_id())]
         assert kinds == ["full", "delta"] and len(upserts) > 3
@@ -912,7 +937,9 @@ class TestServedValues:
 
     def test_an_unlabelled_store_refuses_names(self, tmp_path):
         store = VerdictStore(tmp_path)
-        store.write_full(_random_table(4, seed=1), _items([0], [0], [1.0], [[2]]), 4)
+        store.write_full(
+            _random_table(4, seed=1), _items([0], [0], [1.0], [[2]]), 4, _PARAMS.alpha
+        )
         reader = VerdictReader(store)
         message = "store was published without labels; query items by id"
         with pytest.raises(ServingError, match=f"^{message}$"):
@@ -977,7 +1004,7 @@ class TestConcurrentRefresh:
 
         # Dry run into a scratch store to learn the exact per-snapshot
         # state (ids are sequential, so the live store reproduces them).
-        scratch = SnapshotPublisher(tmp_path / "scratch", example)
+        scratch = SnapshotPublisher(tmp_path / "scratch", example, params)
         states: dict[int, dict[tuple[int, int], tuple[bool, float]]] = {}
         for round_no, decisions in enumerate(rounds):
             sid = scratch.publish_round(round_no, _result(decisions, n), probs)
@@ -990,7 +1017,7 @@ class TestConcurrentRefresh:
             assert states[sid].keys() == decisions.keys()
         last_sid = max(states)
 
-        live = SnapshotPublisher(tmp_path / "live", example)
+        live = SnapshotPublisher(tmp_path / "live", example, params)
         live.publish_round(0, _result(rounds[0], n), probs)
         reader = VerdictReader(tmp_path / "live")
         errors: list[str] = []
@@ -1093,6 +1120,126 @@ class TestIncrementalDeltas:
 
 
 # ----------------------------------------------------------------------
+# A file stores the scores; the key and posteriors are derived on load
+# ----------------------------------------------------------------------
+class TestDerivedColumns:
+    @pytest.mark.parametrize(
+        "backend, method",
+        [("python", "pairwise"), ("numpy", "hybrid"), ("numpy", "incremental"),
+         ("numpy", "index")],
+    )
+    def test_a_full_loads_as_the_rounds_table(self, tmp_path, world, backend, method):
+        """Every round's table, published as a full, loads back exactly:
+        keys, the five floats bit for bit, flags and positions — so every
+        producer's posteriors are Eq. (2) of its own scores (INCREMENTAL's
+        patch rounds, whose pass-1 scores are estimates, included)."""
+        from repro.core import SingleRoundDetector
+
+        params = CopyParams(backend=backend)
+        detector = (
+            IncrementalDetector(params) if method == "incremental"
+            else SingleRoundDetector(params, method)
+        )
+        fusion = run_fusion(
+            world.dataset, params, detector, FusionConfig(max_rounds=4, min_rounds=4)
+        )
+        store = VerdictStore(tmp_path)
+        for record in fusion.rounds:
+            table = record.detection.columns()
+            sid = store.write_full(
+                table, ItemRows.empty(), world.dataset.n_sources, params.alpha
+            )
+            meta, arrays = store.load(sid)
+            assert "alpha" not in meta
+            loaded = pairs_from_arrays(arrays)
+            for name in ("keys", *PAIR_FLOAT_COLUMNS, "copying", "early", "decision_pos"):
+                want, got = getattr(table, name), getattr(loaded, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            stored_meta, stored = read_snapshot_file(store.snapshot_path(sid))
+            assert stored_meta["alpha"] == params.alpha
+            assert [name for name in stored if name.startswith("pair_")] == [
+                "pair_s1", "pair_s2", "pair_c_fwd", "pair_c_bwd", "pair_flags",
+                "pair_decision_pos",
+            ]
+        if method == "incremental":
+            assert fusion.rounds[-1].detection.columns().early.any()
+
+    def test_what_the_derivation_needs_is_checked_at_open(self, tmp_path, params):
+        """A stored pair column missing or ragged, or no valid ``alpha``:
+        a ``ServingError`` naming the file, never a served guess."""
+        store = VerdictStore(tmp_path)
+        pairs = PairColumns.from_decisions(
+            {(0, 1): _decision(params, 5.0, 4.0), (1, 2): _decision(params, -3.0, 2.0)}
+        )
+        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        path = store.snapshot_path(sid)
+        meta, arrays = read_snapshot_file(path)
+        for edit_meta, edit, fragment in (
+            ({}, {"pair_s2": None}, "snapshot is missing pair column 'pair_s2'"),
+            ({}, {"pair_s1": arrays["pair_s1"][:1]}, "disagree in length \\(\\[1, 2\\]\\)"),
+            ({"alpha": None}, {}, "records no valid alpha"),
+            ({"alpha": 0.7}, {}, "alpha must be in \\(0, 0.5\\), got 0.7"),
+        ):
+            kept = {**arrays, **edit}
+            kept = {name: array for name, array in kept.items() if array is not None}
+            path.write_bytes(encode_snapshot({**meta, **edit_meta}, kept))
+            with pytest.raises(ServingError, match=fragment) as excinfo:
+                store.load(store.current_id())
+            assert str(path) in str(excinfo.value)
+
+    def test_run_fusion_rejects_a_detector_under_another_alpha(self, tmp_path):
+        """The store derives posteriors under ``run_fusion``'s alpha, so a
+        detector scoring under another prior would be served the wrong
+        posteriors: refused before the store directory exists."""
+        from repro.core import SingleRoundDetector
+
+        dataset, store = motivating_example(), tmp_path / "store"
+        detector = SingleRoundDetector(CopyParams(alpha=0.2), "index")
+        with pytest.raises(ValueError, match="alpha=0.2, .*params.alpha=0.1"):
+            run_fusion(dataset, CopyParams(alpha=0.1), detector, snapshot_store=store)
+        assert not store.exists()
+        run_fusion(dataset, CopyParams(alpha=0.1), detector)  # nothing derived
+        run_fusion(dataset, CopyParams(alpha=0.2), detector, snapshot_store=store)
+        assert VerdictStore(store).current_id() is not None
+
+
+def test_the_product_path_imports_no_masked_arrays():
+    """Fusing (INDEX, HYBRID, INCREMENTAL), publishing and reading load
+    no ``numpy.ma`` module: NumPy 2's plain ``np.unique`` imports it on
+    its first call, ~13 ms warm and 27-33 ms cold per fresh process.
+    Modules imported before the run do not count (NumPy 1 imports
+    ``numpy.ma`` eagerly)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = """
+import sys, tempfile
+from repro import CopyParams, IncrementalDetector, SingleRoundDetector, run_fusion
+from repro.serving import VerdictReader
+from repro.synth import make_profile
+dataset = make_profile("book_cs", scale=0.05, seed=11).dataset
+params = CopyParams(backend="numpy")
+before = set(sys.modules)
+for detector in (SingleRoundDetector(params, "index"),
+                 SingleRoundDetector(params, "hybrid"), IncrementalDetector(params)):
+    with tempfile.TemporaryDirectory() as store:
+        run_fusion(dataset, params, detector, snapshot_store=store)
+        VerdictReader(store).top_copiers(3)
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
 # Dense and sparse pair_layout serialize to the same store rows
 # ----------------------------------------------------------------------
 class TestLayoutParity:
@@ -1106,7 +1253,7 @@ class TestLayoutParity:
             detection = detect(
                 dataset, probs, accs, params, method="hybrid"
             )
-            pub = SnapshotPublisher(tmp_path / layout, dataset)
+            pub = SnapshotPublisher(tmp_path / layout, dataset, params)
             sid = pub.publish_round(1, detection, probs)
             stores[layout] = VerdictStore(tmp_path / layout).load(sid)
         meta_dense, arrays_dense = stores["dense"]
@@ -1281,7 +1428,7 @@ class TestCurrentPointerAtomicity:
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         for round_no in range(4):
             pairs = PairColumns.from_decisions(decisions)
-            store.write_full(pairs, ItemRows.empty(), n_sources=3)
+            store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
             current = store.current_id()
             pointer = json.loads((tmp_path / "CURRENT").read_text())
             assert pointer["snapshot_id"] == current
@@ -1315,7 +1462,7 @@ class TestCurrentPointerAtomicity:
         for _ in range(2):  # the second publish replaces an existing CURRENT
             events.clear()
             snap = store.snapshot_path(
-                store.write_full(pairs, ItemRows.empty(), n_sources=3)
+                store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
             )
             # A renamed file keeps its inode: name each fsync after the fact.
             names = {
