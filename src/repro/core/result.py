@@ -186,6 +186,14 @@ class PairColumns:
             *(getattr(self, name)[rows] for name in PAIR_COLUMNS),
         )
 
+    def stack(self, other: "PairColumns", rows: np.ndarray) -> "PairColumns":
+        """Rows ``rows`` of this table with ``other``'s appended (one
+        concatenation and one gather per column)."""
+        return PairColumns(
+            *(np.concatenate([getattr(self, name), getattr(other, name)])[rows]
+              for name in ("keys",) + PAIR_COLUMNS)
+        )
+
     def decisions(self) -> PairMap:
         """The table as a lazy ``(s1, s2) -> PairDecision`` mapping:
         what :attr:`DetectionResult.decisions` is when a numpy kernel

@@ -288,7 +288,7 @@ def run_fusion(
             store directory path) to publish each round's verdicts +
             fused truths into.  The first round writes a full snapshot;
             later rounds publish deltas against the published state
-            (:func:`repro.serving.store.pair_delta`).  A concurrent
+            (:func:`repro.serving.store.diff`).  A concurrent
             :class:`~repro.serving.VerdictReader` picks versions up via
             ``refresh()``.
 

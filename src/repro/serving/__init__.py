@@ -34,8 +34,6 @@ from .store import (
     SnapshotPublisher,
     VerdictStore,
     copier_totals,
-    merge_item_rows,
-    merge_pair_rows,
 )
 
 __all__ = [
@@ -55,6 +53,4 @@ __all__ = [
     "FLAG_COPYING",
     "FLAG_EARLY",
     "copier_totals",
-    "merge_pair_rows",
-    "merge_item_rows",
 ]

@@ -47,13 +47,7 @@ import numpy as np
 from ..core.pairspace import pair_key
 from .codec import ServingError
 from ..core.result import PairColumns
-from .store import (
-    ItemRows,
-    VerdictStore,
-    merge_item_rows,
-    merge_pair_rows,
-    pairs_from_arrays,
-)
+from .store import ItemRows, VerdictStore, pairs_from_arrays, upsert
 
 #: LRU entries per snapshot view, per lookup kind (verdicts, truths).
 CACHE_SIZE = 65536
@@ -130,7 +124,7 @@ class _Snapshot:
         self._item_probability = memoryview(items.probability)
         self._prov_offsets = memoryview(items.prov_offsets)
         self._prov_sources = memoryview(items.prov_sources)
-        self._item_index = dict(zip(items.ids.tolist(), range(len(items))))
+        self._item_index = dict(zip(items.keys.tolist(), range(len(items))))
         item_names = self.labels.get("items")
         self._item_by_name = (
             {name: i for i, name in enumerate(item_names)} if item_names else None
@@ -143,17 +137,12 @@ class _Snapshot:
         pairs = pairs_from_arrays(base_arrays)
         items = ItemRows.from_arrays(base_arrays)
         labels = base_meta.get("labels")
+        none = np.empty(0, dtype=np.int64)
         for meta, arrays in chain[1:]:
-            pairs = merge_pair_rows(
-                pairs,
-                pairs_from_arrays(arrays),
-                arrays.get("removed_pair_keys", np.empty(0, dtype=np.int64)),
-            )
-            items = merge_item_rows(
-                items,
-                ItemRows.from_arrays(arrays),
-                arrays.get("removed_item_ids", np.empty(0, dtype=np.int64)),
-            )
+            removed = arrays.get("removed_pair_keys", none)
+            pairs = upsert(pairs, pairs_from_arrays(arrays), removed)
+            removed = arrays.get("removed_item_ids", none)
+            items = upsert(items, ItemRows.from_arrays(arrays), removed)
             if meta.get("labels"):
                 labels = meta["labels"]
         tip_meta, tip_arrays = chain[-1]

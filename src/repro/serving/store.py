@@ -17,10 +17,9 @@ them:
 * **pair rows** — key ``(s1 << 32) | s2`` (``s1 < s2``, the int64 key
   codec of :mod:`repro.core.pairspace`; a pair's key does not depend on
   how many sources exist, so a chain extends across source growth), the
-  accumulated
-  scores ``C->``/``C<-``, the three-way posterior, the copying/early
-  flags and the decision position from
-  :class:`~repro.core.bound.PairBookkeeping` (-1 when untracked);
+  accumulated scores ``C->``/``C<-``, the copying/early flags and the
+  decision position from :class:`~repro.core.bound.PairBookkeeping` (-1
+  when untracked); the three-way posterior is served, not stored;
 * **item rows** — the fused truth (value id), its probability and its
   provenance (the sources supporting the chosen value, CSR-packed).
 
@@ -28,16 +27,16 @@ A **full** snapshot carries the complete state (plus optional display
 labels); a **delta** carries only upserted/removed rows over a ``base``
 snapshot.  :class:`SnapshotPublisher` drives the lifecycle for the
 fusion loop: the first round publishes full, and later rounds publish
-deltas against the state the publisher last published.  **A delta's
-pair row means: the detector reported the pair, or a stored bit or
-position of it changed, or a stored score moved past the tolerance** —
-when a result carries
-:attr:`~repro.core.result.DetectionResult.changed_pairs` (the
-INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it names
-are the only published pairs eligible; otherwise ``copying``, ``early``
-and the decision position are compared exactly and the five float
-columns against the *published* value with :data:`SCORE_TOLERANCE`.  A
-delta that would approach a rewrite anyway is written as a fresh full
+deltas against the state the publisher last published.  **One rule,
+for both row families (:func:`diff`): a delta's row is new, or a column
+a file stores moved against the *published* row** — the flags, the
+decision position, a truth and its supporters exactly, the scores and
+the probability past :data:`SCORE_TOLERANCE` — except that when a
+result carries :attr:`~repro.core.result.DetectionResult.changed_pairs`
+(the INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it
+names are the only published pairs eligible.  :func:`upsert` applies a
+delta, for the publisher and for a reader resolving a chain.  A delta
+that would approach a rewrite anyway is written as a fresh full
 snapshot instead.  **What a reader may assume:** with no report,
 verdict bits and positions are exact and a served score is within the
 tolerance of the exact score of the round that published the snapshot;
@@ -76,7 +75,7 @@ from ..core.contribution import exact_posteriors
 from ..core.pairspace import decode_pair_keys, encode_pair_keys, encode_pairs
 from ..core.pairspace import member_rows
 from ..core.params import CopyParams
-from ..core.result import PAIR_COLUMNS, PAIR_FLOAT_COLUMNS, PairColumns
+from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
 from ..data.columns import take_csr
 from .codec import (
     FORMAT_VERSION,
@@ -95,11 +94,10 @@ FLAG_EARLY = 2
 
 _SNAP_PATTERN = "snap-%08d.rvs"
 
-#: The store's one tolerance, for both row families: an item row is
-#: re-published when its truth flips or its probability moves by more
-#: than this, a pair row when a stored bit or position changes or one of
-#: its five float columns does — always against the *published* value,
-#: so a served score never drifts further than this from the exact one.
+#: The store's one tolerance, for both row families (:func:`diff`): a
+#: stored score or probability that moves by more than this against the
+#: *published* value is re-published, so a served one never drifts
+#: further than this from the exact one.
 SCORE_TOLERANCE = 1e-6
 
 #: A delta touching more than this share of the published pair rows is
@@ -221,20 +219,20 @@ def pairs_from_arrays(arrays: Mapping[str, np.ndarray]) -> PairColumns:
 class ItemRows:
     """Columnar fused truths + provenance, sorted by item id."""
 
-    ids: np.ndarray  #: int64 item ids, sorted unique
+    keys: np.ndarray  #: int64 item ids, sorted unique
     truth: np.ndarray  #: int64 chosen value id per item
     probability: np.ndarray  #: float64 probability of the chosen value
-    prov_offsets: np.ndarray  #: int64 CSR offsets (len(ids) + 1)
+    prov_offsets: np.ndarray  #: int64 CSR offsets (len(keys) + 1)
     prov_sources: np.ndarray  #: int64 supporting source ids, CSR-packed
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.keys)
 
     @classmethod
     def empty(cls) -> "ItemRows":
         """A zero-row item table (the state before any publish)."""
         return cls(
-            ids=np.empty(0, dtype=np.int64),
+            keys=np.empty(0, dtype=np.int64),
             truth=np.empty(0, dtype=np.int64),
             probability=np.empty(0),
             prov_offsets=np.zeros(1, dtype=np.int64),
@@ -260,7 +258,7 @@ class ItemRows:
         truth = choose_values_columnar(table, probabilities)
         offsets, sources = take_csr(table.prov_offsets, table.prov_sources, truth)
         return cls(
-            ids=table.seg_items,
+            keys=table.seg_items,
             truth=truth,
             probability=probabilities[truth],
             prov_offsets=offsets,
@@ -270,7 +268,7 @@ class ItemRows:
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The named arrays a snapshot stores (``item_*``)."""
         return {
-            "item_ids": self.ids,
+            "item_ids": self.keys,
             "item_truth": self.truth,
             "item_probability": self.probability,
             "item_prov_offsets": self.prov_offsets,
@@ -286,7 +284,7 @@ class ItemRows:
         """
         try:
             return cls(
-                ids=arrays["item_ids"],
+                keys=arrays["item_ids"],
                 truth=arrays["item_truth"],
                 probability=arrays["item_probability"],
                 prov_offsets=arrays["item_prov_offsets"],
@@ -301,11 +299,23 @@ class ItemRows:
         """A new :class:`ItemRows` holding the selected rows (re-packed CSR)."""
         offsets, flat = take_csr(self.prov_offsets, self.prov_sources, rows)
         return ItemRows(
-            ids=self.ids[rows],
+            keys=self.keys[rows],
             truth=self.truth[rows],
             probability=self.probability[rows],
             prov_offsets=offsets,
             prov_sources=flat,
+        )
+
+    def stack(self, other: "ItemRows", rows: np.ndarray) -> "ItemRows":
+        """Rows ``rows`` of this table with ``other``'s appended (one CSR)."""
+        offsets = np.concatenate(
+            [self.prov_offsets, self.prov_offsets[-1] + other.prov_offsets[1:]]
+        )
+        flat = np.concatenate([self.prov_sources, other.prov_sources])
+        return ItemRows(
+            *(np.concatenate([getattr(self, name), getattr(other, name)])[rows]
+              for name in ("keys", "truth", "probability")),
+            *take_csr(offsets, flat, rows),
         )
 
 
@@ -328,100 +338,75 @@ def copier_totals(pairs: PairColumns, n_sources: int) -> tuple[np.ndarray, np.nd
     return sources, totals[sources]
 
 
-def _upsert_rows(
-    base_keys: np.ndarray, upsert_keys: np.ndarray, removed_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows survive an upsert of one sorted-key table over another.
+#: What :func:`diff` compares of a row, per table type: the columns a
+#: file stores, ``(exactly, within SCORE_TOLERANCE)``; a ragged column is
+#: named by its ``(offsets, flat)`` pair.  The served posteriors are
+#: Eq. (2) of the two scores, so each moves at most half as far.
+_STORED_COLUMNS = {
+    PairColumns: (("copying", "early", "decision_pos"), ("c_fwd", "c_bwd")),
+    ItemRows: (("truth", ("prov_offsets", "prov_sources")), ("probability",)),
+}
+
+
+def diff(published, current, changed: np.ndarray | None = None):
+    """What ``current`` changes in ``published``, a table of its type:
+    the store's one delta rule, for both row families.
+
+    A row of ``current`` is upserted when its key is not published yet;
+    a published one when ``changed`` (the detector's report, as keys)
+    holds it — a pass-1 re-confirmation's scores are estimates and must
+    not replace the exact ones — or, with no report, when a stored
+    column moved: an exact one differs, or a score sits more than
+    :data:`SCORE_TOLERANCE` from the published value.  When both tables
+    hold the same keys (every round of a static world) the columns are
+    compared in place, no lookup and no gather.
 
     Returns:
-        ``(kept_keys, take)``: the merged table's keys, ascending, and
-        for each the row to read in ``concatenate([base, upserts])`` —
-        the upsert's where both tables hold the key.
+        ``(carried, removed_keys)``: a row mask over ``current`` and the
+        published keys ``current`` no longer holds.
     """
-    keys = np.concatenate([base_keys, upsert_keys])
-    order = np.argsort(keys, kind="stable")
-    uniq, first, counts = np.unique(keys[order], return_index=True, return_counts=True)
-    # Stable sort keeps base rows before upsert rows within one key, so
-    # the *last* row of each group is the newest.
-    take = order[first + counts - 1]
-    keep = ~np.isin(uniq, removed_keys)
-    return uniq[keep], take[keep]
-
-
-def merge_pair_rows(
-    base: PairColumns, upserts: PairColumns, removed_keys: np.ndarray
-) -> PairColumns:
-    """Apply a delta's pair upserts/removals over a base row set."""
-    keys, take = _upsert_rows(base.keys, upserts.keys, removed_keys)
-    return PairColumns(
-        keys,
-        *(
-            np.concatenate([getattr(base, name), getattr(upserts, name)])[take]
-            for name in PAIR_COLUMNS
-        ),
-    )
-
-
-def pair_delta(
-    published: PairColumns,
-    pairs: PairColumns,
-    changed_pairs: "set[tuple[int, int]] | None",
-) -> tuple[np.ndarray, np.ndarray]:
-    """What a round's table changes in the published pair state.
-
-    A row of ``pairs`` is upserted when its pair is not published yet;
-    a published one when ``changed_pairs`` (the detector's report) names
-    it — a pass-1 re-confirmation's scores are estimates and must not
-    replace the exact ones — or, with no report, when ``copying``,
-    ``early`` or ``decision_pos`` differs or a float column sits more
-    than :data:`SCORE_TOLERANCE` from the published value.  When both
-    tables hold the same pairs (every round of a static world) the
-    columns are compared in place, no lookup and no gather.
-
-    Returns:
-        ``(upsert, removed_keys)``: a row mask over ``pairs`` and the
-        published keys ``pairs`` no longer holds.
-    """
-    aligned = np.array_equal(published.keys, pairs.keys)
+    exact, close = _STORED_COLUMNS[type(current)]
+    aligned = np.array_equal(published.keys, current.keys)
     if aligned:
-        known, removed_keys = np.ones(len(pairs), dtype=bool), pairs.keys[:0]
+        known, removed_keys = np.ones(len(current), dtype=bool), current.keys[:0]
     else:
-        rows, known = member_rows(published.keys, pairs.keys)
-        removed_keys = published.keys[~member_rows(pairs.keys, published.keys)[1]]
-    if changed_pairs is not None:
-        return ~known | np.isin(pairs.keys, encode_pairs(changed_pairs)), removed_keys
+        rows, known = member_rows(published.keys, current.keys)
+        removed_keys = published.keys[~member_rows(current.keys, published.keys)[1]]
+    if changed is not None:
+        return ~known | np.isin(current.keys, changed), removed_keys
     if not aligned:
-        pairs, published = pairs.take(known), published.take(rows[known])
-    moved = np.zeros(len(pairs), dtype=bool)
-    for name in PAIR_COLUMNS:
-        new, old = getattr(pairs, name), getattr(published, name)
-        if name in PAIR_FLOAT_COLUMNS:
-            moved |= np.abs(new - old) > SCORE_TOLERANCE
-        else:
-            moved |= new != old
-    upsert = ~known
-    upsert[known] = moved
-    return upsert, removed_keys
+        here = np.nonzero(known)[0]
+        current, published = current.take(here), published.take(rows[here])
+    moved = np.zeros(len(current), dtype=bool)
+    for name in close:
+        change = getattr(current, name) - getattr(published, name)
+        moved |= np.abs(change) > SCORE_TOLERANCE
+    for name in exact:
+        if isinstance(name, str):
+            moved |= getattr(current, name) != getattr(published, name)
+            continue
+        # A ragged column: rows of one length compared element by element.
+        old, new = ([getattr(t, part) for part in name] for t in (published, current))
+        size = np.diff(old[0])
+        moved |= size != np.diff(new[0])
+        rest = np.nonzero(~moved)[0]
+        unequal = take_csr(*old, rest)[1] != take_csr(*new, rest)[1]
+        moved[np.repeat(rest, size[rest])[unequal]] = True
+    carried = ~known
+    carried[known] = moved
+    return carried, removed_keys
 
 
-def merge_item_rows(
-    base: ItemRows, upserts: ItemRows, removed_ids: np.ndarray
-) -> ItemRows:
-    """Apply a delta's item upserts/removals over a base row set."""
-    _, take = _upsert_rows(base.ids, upserts.ids, removed_ids)
-    combined = ItemRows(
-        ids=np.concatenate([base.ids, upserts.ids]),
-        truth=np.concatenate([base.truth, upserts.truth]),
-        probability=np.concatenate([base.probability, upserts.probability]),
-        prov_offsets=np.concatenate(
-            [
-                base.prov_offsets,
-                base.prov_offsets[-1] + upserts.prov_offsets[1:],
-            ]
-        ),
-        prov_sources=np.concatenate([base.prov_sources, upserts.prov_sources]),
-    )
-    return combined.take(take)
+def upsert(base, upserts, removed_keys: np.ndarray):
+    """``base`` with the rows of ``upserts`` (a table of its type) added or
+    replacing its own and the rows of ``removed_keys`` dropped: one delta
+    applied, sorted by key as both inputs are."""
+    keys = np.concatenate([base.keys, upserts.keys])
+    keep = ~np.isin(keys, removed_keys)
+    rows, replaced = member_rows(base.keys, upserts.keys)
+    keep[rows[replaced]] = False
+    rows = np.nonzero(keep)[0]
+    return base.stack(upserts, rows[np.argsort(keys[rows], kind="stable")])
 
 
 def _replace_durably(path: Path, data: bytes) -> None:
@@ -655,11 +640,8 @@ class SnapshotPublisher:
     """Publishes one store snapshot per fusion round (full, then deltas).
 
     The publisher keeps the state it last published — the merged pair
-    table and the merged item rows — and each round upserts what differs
-    from it: pair rows by :func:`pair_delta` (the contract in the module
-    docstring), item rows whose chosen value or supporters changed or
-    whose probability sits more than :data:`SCORE_TOLERANCE` from the
-    published one.
+    table and the merged item rows — and each round upserts what
+    :func:`diff` finds changed in it (the rule in the module docstring).
 
     When the pair delta would touch more than
     :data:`FULL_REWRITE_FRACTION` of the published rows, a fresh full
@@ -732,16 +714,15 @@ class SnapshotPublisher:
         if self.last_snapshot_id is None:  # all new: written as it is
             rewrite, merged_pairs = True, pairs
         else:
-            upsert, removed_keys = pair_delta(self._prev_pairs, pairs, reported)
-            touched = np.count_nonzero(upsert) + len(removed_keys)
+            changed = None if reported is None else encode_pairs(reported)
+            carried, removed_keys = diff(self._prev_pairs, pairs, changed)
+            touched = np.count_nonzero(carried) + len(removed_keys)
             rewrite = touched > FULL_REWRITE_FRACTION * max(len(self._prev_pairs), 1)
             if rewrite and reported is None:
                 merged_pairs = pairs  # the round's own table is the new state
             else:
-                pair_upserts = pairs.take(upsert)
-                merged_pairs = merge_pair_rows(
-                    self._prev_pairs, pair_upserts, removed_keys
-                )
+                pair_upserts = pairs.take(carried)
+                merged_pairs = upsert(self._prev_pairs, pair_upserts, removed_keys)
         if rewrite:
             snapshot_id = self.store.write_full(
                 merged_pairs,
@@ -753,7 +734,8 @@ class SnapshotPublisher:
                 labels=self._labels(),
             )
         else:
-            item_upserts, removed_item_ids = self._item_delta(items)
+            carried, removed_item_ids = diff(self._prev_items, items)
+            item_upserts = items.take(np.nonzero(carried)[0])
             snapshot_id = self.store.write_delta(
                 self.last_snapshot_id,
                 pair_upserts,
@@ -768,41 +750,10 @@ class SnapshotPublisher:
                 labels=self._delta_labels(),
             )
             # What a reader now serves, the next delta's baseline.
-            items = merge_item_rows(self._prev_items, item_upserts, removed_item_ids)
+            items = upsert(self._prev_items, item_upserts, removed_item_ids)
         self.last_snapshot_id = snapshot_id
         self.snapshot_ids.append(snapshot_id)
         self._prev_pairs = merged_pairs
         self._prev_items = items
         self._published_label_sizes = self._label_sizes()
         return snapshot_id
-
-    def _item_delta(self, items: ItemRows) -> tuple[ItemRows, np.ndarray]:
-        """Items whose truth, supporters or probability materially moved
-        against the published rows."""
-        prev = self._prev_items
-        rows, known = member_rows(prev.ids, items.ids)
-        here = np.nonzero(known)[0]
-        at = rows[here]
-        same = known.copy()
-        moved = np.abs(prev.probability[at] - items.probability[here])
-        same[here] = (
-            (prev.truth[at] == items.truth[here])
-            & (moved <= SCORE_TOLERANCE)
-            & _same_supporters(prev, at, items, here)
-        )
-        removed_ids = prev.ids[~np.isin(prev.ids, items.ids)]
-        return items.take(np.nonzero(~same)[0]), removed_ids
-
-
-def _same_supporters(
-    prev: ItemRows, at: np.ndarray, items: ItemRows, here: np.ndarray
-) -> np.ndarray:
-    """Whether row ``at[i]`` of ``prev`` and row ``here[i]`` of ``items``
-    list the same supporters, in the same order, for every ``i``."""
-    size = np.diff(prev.prov_offsets)[at]
-    same = size == np.diff(items.prov_offsets)[here]
-    rows = np.nonzero(same)[0]
-    _, old = take_csr(prev.prov_offsets, prev.prov_sources, at[rows])
-    _, new = take_csr(items.prov_offsets, items.prov_sources, here[rows])
-    same[np.repeat(rows, size[rows])[old != new]] = False
-    return same

@@ -36,15 +36,15 @@ from repro.core import (
     detect,
     detect_hybrid,
 )
-from repro.core.pairspace import ID_LIMIT, PairMap, decode_pairs, pair_key
+from repro.core.pairspace import ID_LIMIT, PairMap, decode_pairs, encode_pairs, pair_key
 from repro.core.result import PAIR_COLUMNS, PairColumns
 from repro.fusion import run_fusion
 from repro.serving.store import (
     SCORE_TOLERANCE,
     SnapshotPublisher,
     VerdictStore,
+    diff,
     pair_arrays,
-    pair_delta,
     pairs_from_arrays,
 )
 from tests.strategies import worlds
@@ -600,7 +600,8 @@ class TestDeltaParity:
             for previous in (wrap(dict(before)), None):
                 want_changed, want_removed = _dict_delta(current, previous)
                 published = previous.columns() if previous else PairColumns.from_decisions({})
-                upsert, removed = pair_delta(published, current.columns(), changed_pairs)
+                report = None if changed_pairs is None else encode_pairs(changed_pairs)
+                upsert, removed = diff(published, current.columns(), report)
                 changed = current.columns().take(upsert).decisions()
                 assert dict(changed) == want_changed
                 assert decode_pairs(removed) == sorted(want_removed)
@@ -615,7 +616,7 @@ class TestDeltaParity:
         after = _columnar(
             {(0, 1): _decision(1.0), (1, 2): _decision(2.5), (2, 4): _decision(3.0)}, 5
         ).columns()
-        upsert, removed = pair_delta(before, after, None)
+        upsert, removed = diff(before, after)
         assert decode_pairs(after.keys[upsert]) == [(1, 2), (2, 4)]
         assert len(removed) == 0
-        assert decode_pairs(pair_delta(after, before, None)[1]) == [(2, 4)]
+        assert decode_pairs(diff(after, before)[1]) == [(2, 4)]

@@ -28,6 +28,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import CopyParams, IncrementalDetector, detect, posterior
 from repro.core.contribution import exact_posteriors
-from repro.core.pairspace import decode_pairs
+from repro.conformance.generators import DrawChooser
+from repro.core.pairspace import decode_pairs, encode_pairs
 from repro.core.result import (
     PAIR_FLOAT_COLUMNS,
     DetectionResult,
@@ -45,7 +47,7 @@ from repro.core.result import (
     PairDecision,
 )
 from repro.data import ClaimDelta, ClaimLedger, DatasetBuilder, save_claims
-from repro.data.examples import motivating_example, motivating_value_probabilities
+from repro.data.examples import motivating_example
 from repro.fusion import FusionConfig, run_fusion, vote_probabilities
 from repro.serving import (
     FORMAT_VERSION,
@@ -60,7 +62,7 @@ from repro.serving import (
     encode_snapshot,
     read_snapshot_file,
 )
-from repro.serving.store import SCORE_TOLERANCE, pairs_from_arrays
+from repro.serving.store import FULL_REWRITE_FRACTION, SCORE_TOLERANCE, pairs_from_arrays
 from repro.synth import make_profile
 
 
@@ -187,7 +189,7 @@ class TestStoredWidths:
     def test_integer_columns_round_trip_at_the_narrowest_width(self, values):
         column = np.array(values, dtype=np.int64)
         items = ItemRows(
-            ids=column,
+            keys=column,
             truth=column[::-1].copy(),
             probability=np.linspace(0.0, 1.0, len(column)),
             prov_offsets=column,
@@ -225,7 +227,7 @@ class TestStoredWidths:
                 item: (np.arange(width) * 7 + item + shift) % n_sources for item in ids
             }
             table = ItemRows(
-                ids=np.array(ids, dtype=np.int64),
+                keys=np.array(ids, dtype=np.int64),
                 truth=np.array(ids, dtype=np.int64) * 2,
                 probability=np.full(len(ids), 0.5),
                 prov_offsets=np.arange(len(ids) + 1, dtype=np.int64) * width,
@@ -537,37 +539,195 @@ def _assert_serves(served: PairColumns, table: PairColumns):
 
 #: ``tests.test_columns._store_digest`` of the two-snapshot store of
 #: ``test_a_rewrite_round_is_the_rounds_table``.  First pinned as a840957
-#: wrote it (through ``pairs.take`` + ``merge_pair_rows``); re-pinned
+#: wrote it (gathering the moved rows with ``pairs.take`` and merging them
+#: over the published table, where the round's own table is now written); re-pinned
 #: when ``_random_table`` began computing its posteriors from its scores,
 #: as d42eee6 (format 3, every column stored) writes those inputs.
 REWRITE_STORE_SHA256 = "c4fdb918aeb4af6105657fa39e7ce93ca99f458a0314d7a77dead25f9e235ce4"
 
 
+#: A score or probability step below the tolerance; two of them pass it.
+_CREEP = 0.6e-6
+
+
+def _rule_rows(table: PairColumns | ItemRows) -> dict:
+    """``key -> (exact columns, float columns)``: a table's rows as the
+    store's rule reads them, the columns a file stores of a pair or item."""
+    if isinstance(table, ItemRows):
+        offsets, flat = table.prov_offsets.tolist(), table.prov_sources.tolist()
+        supporters = [tuple(flat[a:b]) for a, b in zip(offsets, offsets[1:])]
+        exact = zip(table.truth.tolist(), supporters)
+        close = zip(table.probability.tolist())
+    else:
+        exact = zip(*(getattr(table, name).tolist()
+                      for name in ("copying", "early", "decision_pos")))
+        close = zip(table.c_fwd.tolist(), table.c_bwd.tolist())
+    return dict(zip(table.keys.tolist(), zip(exact, close)))
+
+
+def _required(served: dict, rows: dict, report: set | None = None) -> set:
+    """The keys a delta from ``served`` to ``rows`` must carry: new ones,
+    and of the published ones those reported or, with no report, those
+    whose exact columns differ or whose floats sit past the tolerance."""
+
+    def moved(old, new):
+        far = (abs(was - now) > SCORE_TOLERANCE for was, now in zip(old[1], new[1]))
+        return old[0] != new[0] or any(far)
+
+    return {
+        key for key, row in rows.items()
+        if key not in served
+        or (key in report if report is not None else moved(served[key], row))
+    }
+
+
+class _Schedule:
+    """Rounds over a small world that grows, drawn one at a time.
+
+    Each round moves a few pairs (new, vanished, a score that creeps
+    below the tolerance or jumps, a flipped bit, a shifted position) and
+    a few truths (a probability that creeps or jumps, a rival overtaking
+    by 1e-9, a source joining the supporters through the ledger), and
+    may creep every score or probability at once.  A round is plain, or
+    reported (its ``changed_pairs`` name every pair it moved and a few it
+    did not), or copy-oblivious (``detection=None``)."""
+
+    def __init__(self, chooser):
+        self.chooser = chooser
+        self.ledger = ClaimLedger()
+        self.ledger.apply([
+            ClaimDelta(f"S{source}", f"I{item}", chooser.choice("abc"))
+            for source in range(5)
+            for item in range(3)
+        ])
+        dataset = self.ledger.snapshot()
+        self.probabilities = [chooser.integer(1, 9) / 10 for _ in range(dataset.n_values)]
+        self.pairs = {
+            pair: self._fresh() for pair in combinations(range(dataset.n_sources), 2)
+        }
+
+    def _fresh(self) -> list:
+        """``[c_fwd, c_bwd, copying, early, decision_pos]`` of a new pair."""
+        draw = self.chooser
+        scores = [draw.unit_float(-9.0, 9.0), draw.unit_float(-9.0, 9.0)]
+        return scores + [draw.boolean(), draw.boolean(), draw.integer(-1, 40)]
+
+    def _move_items(self) -> None:
+        draw, probs = self.chooser, self.probabilities
+        dataset = self.ledger.snapshot()
+        truth = ItemRows.from_probabilities(dataset, probs).truth.tolist()
+        for item in draw.subset(0, dataset.n_items - 1, 2):
+            value = truth[item]
+            move = draw.choice(("creep", "jump", "flip", "support"))
+            if move == "creep":
+                probs[value] += _CREEP
+            elif move == "jump":
+                probs[value] = draw.integer(1, 9) / 10
+            elif move == "flip":
+                # The item's values; a lone one can only overtake itself.
+                rivals = [v for v, i in enumerate(dataset.value_item) if i == item]
+                probs[draw.choice(rivals)] = probs[value] + 1e-9
+            else:
+                source = draw.choice([*dataset.source_names, f"N{dataset.n_sources}"])
+                self.ledger.apply([ClaimDelta(
+                    source, dataset.item_names[item], dataset.value_label[value]
+                )])
+        if draw.boolean():
+            self.probabilities = [p + _CREEP for p in probs]
+
+    def next_round(self):
+        """``(dataset, detection, probabilities, pair table or None for
+        the published one, reported keys or None)``."""
+        draw = self.chooser
+        kind = draw.choice(("plain", "reported", "oblivious"))
+        self._move_items()
+        dataset = self.ledger.snapshot()
+        if kind == "oblivious":
+            return dataset, None, list(self.probabilities), None, set()
+        universe = list(combinations(range(dataset.n_sources), 2))
+        moved = {universe[i] for i in draw.subset(0, len(universe) - 1, 3)}
+        for pair in moved:
+            row = self.pairs.get(pair)
+            if row is None:
+                self.pairs[pair] = self._fresh()
+                continue
+            move = draw.choice(("creep", "jump", "copying", "early", "position", "vanish"))
+            if move == "vanish":
+                del self.pairs[pair]
+            elif move == "creep":
+                row[draw.integer(0, 1)] += _CREEP
+            elif move == "jump":
+                row[draw.integer(0, 1)] = draw.unit_float(-9.0, 9.0)
+            elif move == "position":
+                row[4] += 1
+            else:
+                row[2 if move == "copying" else 3] ^= True
+        report = None
+        if kind == "reported":
+            report = moved | {universe[i] for i in draw.subset(0, len(universe) - 1, 2)}
+        elif draw.boolean():
+            for row in self.pairs.values():
+                row[0] += _CREEP
+        pairs = sorted(self.pairs)
+        c_fwd, c_bwd, copying, early, position = (
+            np.array([self.pairs[pair][i] for pair in pairs]) for i in range(5)
+        )
+        table = PairColumns(
+            encode_pairs(pairs), c_fwd, c_bwd, *exact_posteriors(c_fwd, c_bwd, _PARAMS),
+            copying.astype(bool), early.astype(bool), position.astype(np.int64),
+        )
+        detection = DetectionResult(
+            "test", dataset.n_sources, table.decisions(), changed_pairs=report
+        )
+        reported = None if report is None else set(encode_pairs(report).tolist())
+        return dataset, detection, list(self.probabilities), table, reported
+
+
 class TestPublishingContract:
     N = 12  # 66 pairs
 
-    def test_a_flip_inside_the_tolerance_is_republished(self, tmp_path):
-        """(a) One verdict, one ``early`` bit and one position change on
-        rows whose scores moved 1e-9: exactly those rows are re-published."""
-        table = _random_table(self.N, seed=1)
-        publisher = SnapshotPublisher(tmp_path, _flat_world(self.N), _PARAMS)
-        assert _publish(publisher, 1, table)["kind"] == "full"
-        rows = [5, 17, 40]
-        nudge = np.zeros(len(table))
-        nudge[rows] = 1e-9
-        copying, early, pos = table.copying.copy(), table.early.copy(), table.decision_pos.copy()
-        copying[5] ^= True
-        early[17] ^= True
-        pos[40] += 1
-        moved = replace(
-            _rescored(table, table.c_fwd + nudge, table.c_bwd + nudge),
-            copying=copying, early=early, decision_pos=pos,
-        )
-        meta = _publish(publisher, 2, moved)
-        assert (meta["kind"], meta["n_pairs"]) == ("delta", 3)
-        arrays = publisher.store.load(meta["snapshot_id"])[1]
-        assert arrays["pair_keys"].tolist() == table.keys[rows].tolist()
-        _assert_serves(_served(tmp_path), moved)
+    @given(data=st.data())
+    def test_a_reader_at_the_tip_serves_every_round(self, data):
+        """The contract, for any schedule of rounds: after each publish a
+        reader at the tip serves the round's pair keys, bits, positions,
+        truths and supporters exactly and every float within the
+        tolerance; a delta carries exactly the rows the rule requires
+        against what was served before, and a full is written exactly
+        when the rule touches more than ``FULL_REWRITE_FRACTION`` of it."""
+        chooser = DrawChooser(data.draw)
+        n_rounds = chooser.integer(2, 6)
+        schedule = _Schedule(chooser)
+        served_pairs, served_items = {}, {}
+        with tempfile.TemporaryDirectory() as root:
+            publisher = SnapshotPublisher(root, schedule.ledger.snapshot(), _PARAMS)
+            for round_no in range(n_rounds):
+                dataset, detection, probabilities, table, report = schedule.next_round()
+                publisher.rebind(dataset)
+                sid = publisher.publish_round(round_no, detection, probabilities)
+                pairs = served_pairs if table is None else _rule_rows(table)
+                items = _rule_rows(ItemRows.from_probabilities(dataset, probabilities))
+                tip = VerdictReader(root)._view.snapshot
+                tip_pairs, tip_items = _rule_rows(tip.pairs), _rule_rows(tip.items)
+                for served, rows in ((tip_pairs, pairs), (tip_items, items)):
+                    assert served.keys() == rows.keys()
+                    assert not _required(served, rows), round_no
+
+                must = _required(served_pairs, pairs, report)
+                gone = served_pairs.keys() - pairs.keys()
+                touched = len(must) + len(gone)
+                full = round_no == 0 or (
+                    touched > FULL_REWRITE_FRACTION * max(len(served_pairs), 1)
+                )
+                meta, arrays = publisher.store.load(sid)
+                assert meta["kind"] == ("full" if full else "delta"), round_no
+                if not full:
+                    assert set(arrays["pair_keys"].tolist()) == must
+                    assert set(arrays["removed_pair_keys"].tolist()) == gone
+                    assert set(arrays["item_ids"].tolist()) == _required(served_items, items)
+                    assert set(arrays["removed_item_ids"].tolist()) == (
+                        served_items.keys() - items.keys()
+                    )
+                served_pairs, served_items = tip_pairs, tip_items
 
     def test_drift_is_bounded_against_the_published_value(self, tmp_path):
         """(b) Ten rounds each add 0.4e-6 to one score: the row is
@@ -589,57 +749,6 @@ class TestPublishingContract:
                 republished.append(step)
             _assert_serves(_served(tmp_path), current)
         assert republished == [3, 6, 9]
-
-    def test_item_drift_is_bounded_against_the_published_value(self, tmp_path):
-        """(b) for truths: five rounds each add 0.6e-6 to one truth's
-        probability.  It is re-published when it sits past the tolerance
-        from what the store *holds* (rounds 3 and 5), and the reader never
-        serves it further than the tolerance from the round's.  Compared
-        with the last *round* instead, it never moves 1e-6 and is served
-        2.4e-6 off by round 5."""
-        dataset = motivating_example()
-        probs = np.array(motivating_value_probabilities(dataset))
-        truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
-        publisher = SnapshotPublisher(tmp_path, dataset, _PARAMS)
-        republished = []
-        for round_no in range(1, 6):
-            current = probs.copy()
-            current[truth] += (round_no - 1) * 0.6e-6
-            sid = publisher.publish_round(round_no, None, current)
-            meta = publisher.store.load(sid)[0]
-            if meta["kind"] == "delta" and meta["n_items"]:
-                republished.append(round_no)
-            served = VerdictReader(tmp_path).get_truth(0)
-            assert abs(served.probability - current[truth]) <= SCORE_TOLERANCE
-        assert republished == [3, 5]
-
-    def test_a_new_supporter_is_republished(self, tmp_path):
-        """A source joins a truth's supporters while its value and
-        probability stay put: the delta re-publishes that item, so the
-        reader serves the grown provenance, not the published one."""
-        base = motivating_example()
-        ledger = ClaimLedger()
-        ledger.apply([
-            ClaimDelta(base.source_names[s], base.item_names[i], base.value_label[v])
-            for s, i, v in base.iter_claims()
-        ])
-        dataset = ledger.snapshot()
-        probs = motivating_value_probabilities(dataset)
-        publisher = SnapshotPublisher(tmp_path, dataset, _PARAMS)
-        publisher.publish_round(1, None, probs)
-        truth = int(ItemRows.from_probabilities(dataset, probs).truth[0])
-        ledger.apply([
-            ClaimDelta("CLONE", dataset.item_names[0], dataset.value_label[truth])
-        ])
-        grown = ledger.snapshot()
-        publisher.rebind(grown)
-        sid = publisher.publish_round(2, None, motivating_value_probabilities(grown))
-        meta = publisher.store.load(sid)[0]
-        assert (meta["kind"], meta["n_items"]) == ("delta", 1)
-        served = VerdictReader(tmp_path).get_truth(0)
-        assert (served.value, served.probability) == (truth, probs[truth])
-        assert list(served.supporters) == grown.providers[truth]
-        assert len(served.supporters) == len(dataset.providers[truth]) + 1
 
     def test_a_reader_over_full_and_delta_serves_the_round(self, tmp_path):
         """(c) A third of the rows jitter inside the tolerance, a tenth
@@ -813,7 +922,7 @@ _VERDICT_TYPES = (int, int, bool, bool, float, float, float, float, float, int, 
 
 def _items(ids, truth, probability, supporters) -> ItemRows:
     return ItemRows(
-        ids=np.asarray(ids, dtype=np.int64),
+        keys=np.asarray(ids, dtype=np.int64),
         truth=np.asarray(truth, dtype=np.int64),
         probability=np.asarray(probability, dtype=np.float64),
         prov_offsets=np.cumsum([0] + [len(s) for s in supporters], dtype=np.int64),
@@ -917,7 +1026,7 @@ class TestServedValues:
         path, _, items = chain
         reader = VerdictReader(path)
         sid = reader.snapshot_id
-        for row, item in enumerate(items.ids.tolist()):
+        for row, item in enumerate(items.keys.tolist()):
             value = items.truth[row].item()
             start, end = items.prov_offsets[row : row + 2].tolist()
             expected = (
@@ -964,7 +1073,7 @@ class TestServedValues:
             assert verdict == self._expected_verdict(pairs, row, sid)
             if pair in warm:
                 assert verdict is warm[pair]
-        for row, item in enumerate(items.ids.tolist()):
+        for row, item in enumerate(items.keys.tolist()):
             assert reader.get_truth(item).probability == items.probability[row]
         assert reader.top_copiers(5) == top
         with pytest.raises(ServingError, match="no published snapshot"):
