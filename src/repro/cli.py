@@ -32,6 +32,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
     BACKENDS,
     EXECUTORS,
@@ -43,6 +45,7 @@ from .core import (
     detect,
     make_detector,
 )
+from .core.pairspace import decode_pairs
 from .core.params import validate_execution
 from .data import load_claims, load_gold, save_claims, save_gold
 from .eval import render_table
@@ -294,29 +297,24 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             cluster.close()
         raise
     seconds = time.perf_counter() - start
-    copying = sorted(
-        (pair for pair, d in result.decisions.items() if d.copying),
-        key=lambda pair: result.decisions[pair].posterior.independent,
-    )
-    rows = []
-    for s1, s2 in copying:
-        decision = result.decisions[(s1, s2)]
-        rows.append(
-            [
-                dataset.source_names[s1],
-                dataset.source_names[s2],
-                decision.posterior.independent,
-                decision.posterior.forward,
-                decision.posterior.backward,
-            ]
+    cols = result.columns()
+    rows = np.flatnonzero(cols.copying)
+    rows = rows[np.argsort(cols.independent[rows], kind="stable")]
+    copying = decode_pairs(cols.keys[rows])
+    posteriors = (cols.independent, cols.forward, cols.backward)
+    table = [
+        [dataset.source_names[s1], dataset.source_names[s2], *posterior]
+        for (s1, s2), *posterior in zip(
+            copying, *(column[rows].tolist() for column in posteriors)
         )
+    ]
     print(
         render_table(
             f"Copying detected by {args.method} "
             f"({seconds:.3f}s, "
             f"{result.cost.computations:,} computations)",
             ["source 1", "source 2", "Pr(indep)", "Pr(1->2)", "Pr(2->1)"],
-            rows,
+            table,
         )
     )
     if cluster is not None:

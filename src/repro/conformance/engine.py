@@ -56,6 +56,7 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import asdict, dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from ..core import (
@@ -306,9 +307,10 @@ def _compare_decisions(
     problems = _key_mismatch("decision", reference.decisions, candidate.decisions)
     if problems:
         return problems
-    for pair in sorted(reference.decisions):
+    # One pass over the candidate's rows in key order (a table's items
+    # already are): no per-pair lookup into it.
+    for pair, got in sorted(candidate.decisions.items(), key=itemgetter(0)):
         ref = reference.decisions[pair]
-        got = candidate.decisions[pair]
         if contract == "bitexact":
             if got != ref:
                 problems.append(

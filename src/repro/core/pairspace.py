@@ -49,7 +49,7 @@ tens of thousands of pairs out of 10\\ :sup:`8` cells.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from functools import lru_cache
 from itertools import chain
 from operator import index
@@ -70,6 +70,11 @@ _ID_MASK = (1 << _ID_BITS) - 1
 #: Source ids in ``[0, ID_LIMIT)`` have keys: the key of any two of
 #: them, in either order, is a non-negative int64.
 ID_LIMIT = 1 << (_ID_BITS - 1)
+
+#: Rows a :class:`PairMap` pass decodes per block: enough that the one
+#: ``tolist()`` per column per block amortises, few enough that a pass
+#: over a large table holds about a megabyte, not the table.
+BLOCK_ROWS = 4096
 
 
 def encode_pair_keys(
@@ -373,9 +378,12 @@ class PairMap(Mapping):
     Section III's shared-item counts ``l(S1, S2)`` (ints, from
     :meth:`from_counts`).  The kernels read :attr:`columns` as they are.
     Length, membership and iteration (ascending key order) read the key
-    column only; ``make_row`` builds a row the first time
-    ``[]`` / ``get`` / ``values()`` / ``items()`` reads it, and the row
-    is memoised, so repeated reads return the same object.  Out-of-range
+    column only.  The mapping keeps no rows: ``[]`` / ``get`` build the
+    one row asked for on every call (repeated reads are equal, not the
+    same object), and ``values()`` / ``items()`` are views whose every
+    pass builds the rows anew in key order.  A pass — over the keys
+    too — decodes :data:`BLOCK_ROWS` rows at a time and drops each block
+    as it leaves it, so it holds one block, not the table.  Out-of-range
     ids are reported missing (see :func:`key_row`).
 
     Attributes:
@@ -387,13 +395,12 @@ class PairMap(Mapping):
         make_row: called with one Python value per column of ``names``.
     """
 
-    __slots__ = ("columns", "names", "make_row", "_built")
+    __slots__ = ("columns", "names", "make_row")
 
     def __init__(self, columns, names: tuple[str, ...], make_row) -> None:
         self.columns = columns
         self.names = names
         self.make_row = make_row
-        self._built: dict[int, object] = {}
 
     @classmethod
     def of(cls, keys: np.ndarray, make_row, **columns: np.ndarray) -> "PairMap":
@@ -411,46 +418,43 @@ class PairMap(Mapping):
         order = np.argsort(keys, kind="stable")
         return cls.of(keys[order], int, l=column[order])
 
-    @property
-    def materialized(self) -> int:
-        """How many rows this mapping has built."""
-        return len(self._built)
-
-    def _build(self, start: int, stop: int) -> None:
-        """Memoise the rows ``[start, stop)`` not built yet."""
-        built = self._built
-        values = (
-            getattr(self.columns, name)[start:stop].tolist() for name in self.names
-        )
-        for row, made in enumerate(map(self.make_row, *values), start):
-            built.setdefault(row, made)
+    def _rows(self, start: int, stop: int) -> Iterator:
+        """Build the rows ``[start, stop)`` in order: one ``tolist()`` per
+        column per block of :data:`BLOCK_ROWS`, each row made when the
+        iterator reaches it."""
+        columns = [getattr(self.columns, name) for name in self.names]
+        for low in range(start, stop, BLOCK_ROWS):
+            high = min(low + BLOCK_ROWS, stop)
+            yield from map(
+                self.make_row, *(column[low:high].tolist() for column in columns)
+            )
 
     def __getitem__(self, pair):
         row = key_row(self.columns.keys, pair)
         if row < 0:
             raise KeyError(pair)
-        if row not in self._built:
-            self._build(row, row + 1)
-        return self._built[row]
+        return next(self._rows(row, row + 1))
 
     def __contains__(self, pair) -> bool:
         return key_row(self.columns.keys, pair) >= 0
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter_pairs(self.columns.keys)
+        keys = self.columns.keys
+        return chain.from_iterable(
+            iter_pairs(keys[low : low + BLOCK_ROWS])
+            for low in range(0, len(keys), BLOCK_ROWS)
+        )
 
     def __len__(self) -> int:
         return len(self.columns.keys)
 
-    def values(self) -> list:
-        """Every row, in key order (builds the ones not yet read)."""
-        if len(self._built) < len(self):
-            self._build(0, len(self))
-        return [self._built[row] for row in range(len(self))]
+    def values(self) -> "_Rows":
+        """Every row, in key order (a view: each pass builds them anew)."""
+        return _Rows(self)
 
-    def items(self) -> list:
-        """``(pair, row)`` for every row, in key order."""
-        return list(zip(self, self.values()))
+    def items(self) -> "_Items":
+        """``(pair, row)`` for every row, in key order (a view)."""
+        return _Items(self)
 
     def __eq__(self, other) -> bool:
         if (
@@ -469,4 +473,19 @@ class PairMap(Mapping):
         return PairMap, (self.columns, self.names, self.make_row)
 
     def __repr__(self) -> str:
-        return f"PairMap({len(self)} pairs, {self.materialized} materialized)"
+        return f"PairMap({len(self)} pairs)"
+
+
+class _Rows(ValuesView):
+    """:meth:`PairMap.values`: the rows in key order, built per pass."""
+
+    def __iter__(self):
+        return self._mapping._rows(0, len(self._mapping))
+
+
+class _Items(ItemsView):
+    """:meth:`PairMap.items`: ``(pair, row)`` in key order, built per pass."""
+
+    def __iter__(self):
+        mapping = self._mapping
+        return zip(mapping, mapping._rows(0, len(mapping)))

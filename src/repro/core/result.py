@@ -26,7 +26,7 @@ from itertools import repeat
 import numpy as np
 
 from .contribution import CopyPosterior
-from .pairspace import PairMap, decode_pairs, encode_pairs
+from .pairspace import PairMap, decode_pairs, encode_pairs, key_row
 
 
 class PairNotObservedError(LookupError):
@@ -287,6 +287,12 @@ class DetectionResult:
         if copier == original:
             raise ValueError("a source cannot copy from itself")
         key = (copier, original) if copier < original else (original, copier)
+        if isinstance(self.decisions, PairMap):  # one cell, no row built
+            cols = self.decisions.columns
+            row = key_row(cols.keys, key)
+            if row < 0:
+                return 0.0
+            return (cols.forward if copier < original else cols.backward).item(row)
         decision = self.decisions.get(key)
         if decision is None:
             return 0.0

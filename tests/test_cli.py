@@ -46,6 +46,38 @@ class TestDetect:
         assert "Copying detected" in out
         assert "computations" in out
 
+    def test_ties_print_in_pair_order_on_either_backend(
+        self, dataset_dir, capsys, monkeypatch
+    ):
+        """Copying pairs print by Pr(indep), equal ones in ``(s1, s2)``
+        order, whether the result holds a dict (the python backend's, in
+        scan order) or a column table."""
+        from repro import cli
+        from repro.core import CopyPosterior, DetectionResult, PairDecision
+        from repro.core.result import PairColumns
+        from repro.data import load_claims
+
+        claims = str(dataset_dir / "claims.csv")
+        names = load_claims(claims).source_names
+
+        def verdict(independent, copying=True):
+            posterior = CopyPosterior(independent, *[(1 - independent) / 2] * 2)
+            return PairDecision(1.0, 1.0, posterior, copying)
+
+        decisions = {pair: verdict(0.1) for pair in [(2, 3), (0, 3), (1, 2), (0, 1)]}
+        decisions[(1, 3)] = verdict(0.9, copying=False)
+        decisions[(0, 2)] = verdict(0.05)
+        table = PairColumns.from_decisions(decisions).decisions()
+        printed = []
+        for held in (decisions, table):
+            result = DetectionResult("index", len(names), held)
+            monkeypatch.setattr(cli, "detect", lambda *_, _r=result, **__: _r)
+            assert main(["detect", claims]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed.append([line.split()[:3:2] for line in lines[4:]])
+        order = [(0, 2), (0, 1), (0, 3), (1, 2), (2, 3)]
+        assert printed[0] == printed[1] == [[names[a], names[b]] for a, b in order]
+
 
 class TestDetectParallel:
     """--n-partitions/--executor/--reduce round-trips."""

@@ -18,7 +18,10 @@ import hashlib
 import json
 import pickle
 import random
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +53,21 @@ from repro.serving.store import (
 from tests.strategies import worlds
 
 NUMPY = CopyParams(backend="numpy")
+
+
+@contextmanager
+def counting_inits(*classes):
+    """Record the name of each object of ``classes`` built in the block
+    (yields the list the names go to)."""
+    built = []
+    with ExitStack() as stack:
+        for cls in classes:
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            stack.enter_context(mock.patch.object(cls, "__init__", counting))
+        yield built
 
 
 def _decision(seed: float, copying: bool = False, early: bool = False):
@@ -94,7 +112,7 @@ class TestMappingSemantics:
     def test_membership_and_get(self, result):
         pair = next(iter(result.decisions))
         assert pair in result.decisions
-        assert result.decisions.get(pair) is result.decisions[pair]
+        assert result.decisions.get(pair) == result.decisions[pair]
         assert result.decision_for(pair[1], pair[0]) == result.decisions[pair]
         missing = (0, 0)
         assert missing not in result.decisions
@@ -113,18 +131,40 @@ class TestMappingSemantics:
         dataset, probs, accs = _sparse_world(1)
         result = detect(dataset, probs, accs, NUMPY, method="index")
         expected = {p for p, d in dict(result.decisions).items() if d.copying}
-        fresh = detect(dataset, probs, accs, NUMPY, method="index")
-        assert fresh.copying_pairs() == expected
-        assert fresh.decisions.materialized == 0
+        with counting_inits(PairDecision) as built:
+            fresh = detect(dataset, probs, accs, NUMPY, method="index")
+            assert fresh.copying_pairs() == expected
+        assert built == []
 
     def test_pickle_round_trip(self, result):
-        result.decisions[next(iter(result.decisions))]  # warm the memo
         clone = pickle.loads(pickle.dumps(result))
-        assert clone == result
+        with counting_inits(PairDecision) as built:
+            assert clone == result  # the tables compare in place
+        assert built == []
         assert isinstance(clone.decisions, PairMap)
-        assert clone.decisions.materialized == 0
         assert clone.decisions == dict(result.decisions)
         assert clone.cost == result.cost
+
+    def test_copy_probability_reads_one_cell(self, result):
+        as_dict = replace(result, decisions=dict(result.decisions))
+        directed = [
+            ordered for pair in result.decisions for ordered in (pair, pair[::-1])
+        ]
+        with counting_inits(PairDecision) as built:
+            got = [result.copy_probability(*pair) for pair in directed]
+        assert built == []
+        assert got == [as_dict.copy_probability(*pair) for pair in directed]
+        assert all(type(p) is float for p in got) and max(got) > 0.0
+        unopened = next(
+            pair
+            for pair in combinations(range(result.n_sources), 2)
+            if pair not in result.decisions
+        )
+        for pair in (unopened, unopened[::-1]):
+            assert result.copy_probability(*pair) == 0.0
+            assert as_dict.copy_probability(*pair) == 0.0
+        with pytest.raises(ValueError):
+            result.copy_probability(1, 1)
 
     def test_columns_accessor(self, result):
         assert result.columns() is result.decisions.columns
@@ -219,47 +259,38 @@ class TestNoMaterialisationOnTheProductPath:
         dataset, _, _ = _sparse_world()
         params = CopyParams(backend="numpy", pair_layout="sparse")
         detector = SingleRoundDetector(params, **PRODUCERS[producer])
-        fusion = run_fusion(dataset, params, detector, snapshot_store=tmp_path)
-        assert len(fusion.snapshot_ids) == fusion.n_rounds >= 2
-        views = [record.detection.decisions for record in fusion.rounds]
-        assert all(isinstance(view, PairMap) and len(view) for view in views)
-        assert [view.materialized for view in views] == [0] * len(views)
+        with counting_inits(PairDecision) as built:
+            fusion = run_fusion(dataset, params, detector, snapshot_store=tmp_path)
+            assert len(fusion.snapshot_ids) == fusion.n_rounds >= 2
+            views = [record.detection.decisions for record in fusion.rounds]
+            assert all(isinstance(view, PairMap) and len(view) for view in views)
+            assert built == []
 
-        final = views[-1]
-        pair = next(iter(final))
-        first = final[pair]
-        assert final.materialized == 1
-        assert final[pair] is first and final.get(pair) is first
-        assert final.materialized == 1
-        assert len(final.values()) == len(final) == final.materialized
-        assert final[pair] is first
+            # The guard counts: each read builds its row afresh.
+            final = views[-1]
+            pair = next(iter(final))
+            assert final[pair] == final.get(pair)
+            assert len(built) == 2
+            assert len(list(final.values())) == len(final) == len(built) - 2
 
-    def test_incremental_prep_round_is_columnar(self, tmp_path, monkeypatch):
+    def test_incremental_prep_round_is_columnar(self, tmp_path):
         """Every INCREMENTAL round — preparation and patches alike — is a
         column table, and a fuse + publish builds no per-pair object."""
         from repro.core.bound import PairBookkeeping
         from repro.core.incremental import _PairRecord
 
-        built = []
-        for cls in (_PairRecord, PairBookkeeping, PairDecision):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
-                built.append(_name)
-                _init(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
-
         dataset, _, _ = _sparse_world()
         detector = IncrementalDetector(NUMPY)
-        fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
-        assert len(fusion.snapshot_ids) == fusion.n_rounds >= 3
-        for record in fusion.rounds:
-            assert isinstance(record.detection.decisions, PairMap)
-            assert record.detection.decisions.materialized == 0
-        assert fusion.rounds[-1].detection.method == "incremental"
-        assert built == []
-        # The guard counts: reading one record through the view builds it.
-        assert next(iter(detector.state.records().values())).n_total >= 1
-        assert sorted(set(built)) == ["PairBookkeeping", "_PairRecord"]
+        with counting_inits(_PairRecord, PairBookkeeping, PairDecision) as built:
+            fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
+            assert len(fusion.snapshot_ids) == fusion.n_rounds >= 3
+            for record in fusion.rounds:
+                assert isinstance(record.detection.decisions, PairMap)
+            assert fusion.rounds[-1].detection.method == "incremental"
+            assert built == []
+            # The guard counts: reading one record through the view builds it.
+            assert next(iter(detector.state.records().values())).n_total >= 1
+            assert sorted(set(built)) == ["PairBookkeeping", "_PairRecord"]
 
     def test_the_pair_space_never_leaves_its_columns(self, monkeypatch):
         """From ``count_shared_items_columnar`` to ``EpochScan.finalize``

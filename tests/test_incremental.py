@@ -14,9 +14,10 @@ from repro.core import (
     prepare_incremental,
 )
 from repro.core.pairspace import PairMap
-from repro.core.result import PAIR_FLOAT_COLUMNS
+from repro.core.result import PAIR_FLOAT_COLUMNS, PairDecision
 from repro.fusion import FusionConfig, run_fusion
 from tests.strategies import worlds
+from tests.test_columns import counting_inits
 
 
 def _drift(probs, rng_value, magnitude):
@@ -419,11 +420,12 @@ def _lockstep(dataset, schedule, rho_value, rho_accuracy, pair_layout="auto"):
         want = incremental_round(
             reference, probs, accs, reference_params, rho_value, rho_accuracy
         )
-        got = incremental_round(state, probs, accs, params, rho_value, rho_accuracy)
-        assert _result_bits(got) == _result_bits(want), round_no
-        assert incremental_state_problems(reference, state) == [], round_no
+        with counting_inits(PairDecision) as built:
+            got = incremental_round(state, probs, accs, params, rho_value, rho_accuracy)
+            assert _result_bits(got) == _result_bits(want), round_no
+            assert incremental_state_problems(reference, state) == [], round_no
         assert isinstance(got.decisions, PairMap)
-        assert got.decisions.materialized == 0
+        assert built == []
     return reference, state
 
 

@@ -601,6 +601,17 @@ ROW_SHAPES = {
 }
 
 
+def _counting(mapping):
+    """``mapping`` with a ``make_row`` that records each row it builds."""
+    built = []
+
+    def make_row(*values):
+        built.append(values)
+        return mapping.make_row(*values)
+
+    return PairMap(mapping.columns, mapping.names, make_row), built
+
+
 @pytest.mark.parametrize("shape", ROW_SHAPES)
 class TestPairMapContract:
     """What every caller may rely on, whichever rows the map builds."""
@@ -614,20 +625,23 @@ class TestPairMapContract:
 
     def test_iterates_in_ascending_key_order(self, shape):
         mapping, want = ROW_SHAPES[shape]()
+        mapping, built = _counting(mapping)
         pairs = list(mapping)
         assert pairs == sorted(want)
         assert all(type(s) is int for pair in pairs for s in pair)
         assert list(mapping.keys()) == pairs
-        assert mapping.materialized == 0  # iteration reads the keys only
+        assert pairs[0] in mapping and len(mapping) == len(want)
+        assert built == []  # iteration, membership and length read the keys only
 
     def test_lookups(self, shape):
         mapping, want = ROW_SHAPES[shape]()
+        mapping, built = _counting(mapping)
         s1, s2 = pair = next(iter(mapping))
         assert pair in mapping
         assert mapping[pair] == want[pair]
-        assert mapping.get(pair) is mapping[pair]  # memoised
-        assert mapping[(np.int32(s1), np.int64(s2))] is mapping[pair]
-        assert mapping.materialized == 1
+        assert mapping.get(pair) == mapping[pair]
+        assert mapping[(np.int32(s1), np.int64(s2))] == want[pair]
+        assert len(built) == 4  # each read builds its one row afresh
         for missing in [(s2, s1), (s1, s1), (-1, s2), (s1, -s2), (s1, ID_LIMIT),
                         (ID_LIMIT, ID_LIMIT + 1), (s1, 2**32 + s2),
                         (s1 + 1, s2 - 2**32), (s1,), (s1, s2, 0), None, "ab",
@@ -637,14 +651,20 @@ class TestPairMapContract:
             assert mapping.get(missing, "default") == "default"
             with pytest.raises(KeyError):
                 mapping[missing]
+        assert len(built) == 4  # a missing pair builds nothing
 
     def test_values_and_items_in_key_order(self, shape):
         mapping, want = ROW_SHAPES[shape]()
-        first = mapping[next(iter(mapping))]
-        assert mapping.values() == [want[pair] for pair in sorted(want)]
-        assert mapping.items() == sorted(want.items())
-        assert mapping.values()[0] is first
-        assert mapping.materialized == len(mapping)
+        mapping, built = _counting(mapping)
+        values, items = mapping.values(), mapping.items()
+        assert len(values) == len(items) == len(want)
+        assert built == []  # a view builds its rows per pass
+        assert list(values) == [want[pair] for pair in sorted(want)]
+        assert list(items) == sorted(want.items())
+        assert len(built) == 2 * len(want)
+        pair = next(iter(mapping))
+        assert want[pair] in values and (pair, want[pair]) in items
+        assert list(values) == list(values)  # each pass builds the rows anew
 
     def test_read_only(self, shape):
         mapping, _ = ROW_SHAPES[shape]()
@@ -658,10 +678,45 @@ class TestPairMapContract:
         for name in ("update", "pop", "setdefault", "clear"):
             assert not hasattr(mapping, name)
 
-    def test_pickle_round_trip(self, shape):
+    def test_pickle_round_trip(self, shape, monkeypatch):
         mapping, want = ROW_SHAPES[shape]()
-        mapping[next(iter(mapping))]  # warm the memo
         clone = pickle.loads(pickle.dumps(mapping))
-        assert clone.materialized == 0
-        assert clone == mapping and clone.materialized == 0  # compared in place
+        assert clone.columns is not mapping.columns  # pickled by value
+        with monkeypatch.context() as patched:
+            patched.setattr(PairMap, "_rows", None)  # a built row would raise
+            assert clone == mapping  # compared in place
         assert clone == want
+
+
+def test_a_pass_over_the_rows_holds_one_block_not_the_table():
+    """A full ``values()`` and ``items()`` pass over a 60k-row verdict
+    table keeps no row, and at no point holds more than one block's
+    worth (a memoising map pinned the table: ~450 B per row)."""
+    import tracemalloc
+
+    from repro.core.pairspace import BLOCK_ROWS
+    from repro.core.result import PairColumns
+
+    n_rows = 60_000
+    rng = np.random.default_rng(0)
+    floats = rng.random((5, n_rows))
+    flags = rng.random((2, n_rows)) < 0.5
+    columns = PairColumns(np.arange(1, n_rows + 1, dtype=np.int64), *floats, *flags)
+    decisions = columns.decisions()
+    row_bytes = 512  # a PairDecision, its posterior and five floats, rounded up
+
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        early = sum(1 for decision in decisions.values() if decision.early)
+        copying = sum(1 for _, decision in decisions.items() if decision.copying)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (early, copying) == (int(flags[1].sum()), int(flags[0].sum()))
+    assert retained - before < 64 * 1024
+    assert peak - before < BLOCK_ROWS * row_bytes
+
+    # Rows across the block seams are the table's, in key order.
+    assert [d.c_fwd for d in decisions.values()] == floats[0].tolist()
+    assert [pair for pair, _ in decisions.items()] == list(decisions)
