@@ -146,14 +146,6 @@ class Dataset:
             self._columns = ClaimColumns(self)
         return self._columns
 
-    def values_of_item(self, item_id: int) -> list[int]:
-        """Return the distinct value ids observed for ``item_id``."""
-        return [
-            value_id
-            for value_id in range(self.n_values)
-            if self.value_item[value_id] == item_id
-        ]
-
     def item_value_table(self) -> list[list[int]]:
         """Return, for each item id, the list of its observed value ids."""
         table: list[list[int]] = [[] for _ in range(self.n_items)]

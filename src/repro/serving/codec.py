@@ -39,7 +39,9 @@ MAGIC = b"RVSS"
 #: Version 4: a pair row stores ``pair_s1`` / ``pair_s2`` and its scores,
 #: not its key and posteriors, which load derives under the meta's
 #: ``alpha`` (a version-3 build would find no ``pair_keys`` to serve).
-FORMAT_VERSION = 4
+#: Version 5: the labels hold each item row's truth label, not every
+#: value's (a version-4 build would find no ``values`` and serve none).
+FORMAT_VERSION = 5
 
 
 class ServingError(Exception):

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import functools
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class _Snapshot:
         items: ItemRows,
         copier_sources: np.ndarray,
         copier_scores: np.ndarray,
-        labels: dict | None,
+        labels: Mapping[str, list],
+        value_labels: dict[int, str],
     ):
         self.snapshot_id = snapshot_id
         self.meta = meta
@@ -113,7 +115,8 @@ class _Snapshot:
         self.items = items
         self.copier_sources = copier_sources
         self.copier_scores = copier_scores
-        self.labels = labels or {}
+        self.labels = MappingProxyType({k: tuple(v) for k, v in labels.items()})
+        self._value_labels = value_labels
         # Memoryviews of the columns a read touches: indexing one
         # yields a plain bool / int / float, never a NumPy scalar.
         self._pair_keys = memoryview(pairs.keys)
@@ -136,15 +139,19 @@ class _Snapshot:
         base_meta, base_arrays = chain[0]
         pairs = pairs_from_arrays(base_arrays)
         items = ItemRows.from_arrays(base_arrays)
-        labels = base_meta.get("labels")
         none = np.empty(0, dtype=np.int64)
         for meta, arrays in chain[1:]:
             removed = arrays.get("removed_pair_keys", none)
             pairs = upsert(pairs, pairs_from_arrays(arrays), removed)
             removed = arrays.get("removed_item_ids", none)
             items = upsert(items, ItemRows.from_arrays(arrays), removed)
-            if meta.get("labels"):
-                labels = meta["labels"]
+        # Value ids are append-only, so a label once stored never changes.
+        labels, value_labels = {}, {}
+        for meta, arrays in chain:
+            stored = dict(meta.get("labels") or {})
+            truths = stored.pop("truths", ())
+            value_labels.update(zip(arrays["item_truth"].tolist(), truths))
+            labels.update(stored)
         tip_meta, tip_arrays = chain[-1]
         try:
             copier_sources = tip_arrays["copier_sources"]
@@ -162,6 +169,7 @@ class _Snapshot:
             copier_sources=copier_sources,
             copier_scores=copier_scores,
             labels=labels,
+            value_labels=value_labels,
         )
 
     def _check_source(self, source: int) -> None:
@@ -207,12 +215,11 @@ class _Snapshot:
         value = self._item_truth[row]
         offsets = self._prov_offsets
         item_names = self.labels.get("items")
-        value_labels = self.labels.get("values")
         return tuple.__new__(Truth, (
             item_id,
             item_names[item_id] if item_names else None,
             value,
-            value_labels[value] if value_labels else None,
+            self._value_labels.get(value),
             self._item_probability[row],
             tuple(self._prov_sources[offsets[row] : offsets[row + 1]].tolist()),
             self.snapshot_id,
@@ -221,18 +228,13 @@ class _Snapshot:
     def top_copiers(self, k: int) -> list[TopCopier]:
         if k < 0:
             raise ValueError("k must be non-negative")
-        source_names = self.labels.get("sources")
-        out = []
-        for source, score in zip(self.copier_sources[:k], self.copier_scores[:k]):
-            source = int(source)
-            out.append(
-                TopCopier(
-                    source=source,
-                    source_name=source_names[source] if source_names else None,
-                    score=float(score),
-                )
-            )
-        return out
+        names = self.labels.get("sources")
+        sources = self.copier_sources[:k].tolist()
+        scores = self.copier_scores[:k].tolist()
+        return [
+            TopCopier(source, names[source] if names else None, score)
+            for source, score in zip(sources, scores)
+        ]
 
 
 class _SnapshotView:
@@ -279,8 +281,9 @@ class VerdictReader:
         return self._view.snapshot.n_sources
 
     @property
-    def labels(self) -> dict:
-        """Display labels published with the store (may be empty)."""
+    def labels(self) -> Mapping[str, tuple[str, ...]]:
+        """The ``sources`` / ``items`` name tables published with the
+        store, read-only (may be empty); a truth carries its value's label."""
         return self._view.snapshot.labels
 
     def refresh(self) -> bool:

@@ -23,11 +23,11 @@ them:
 * **item rows** — the fused truth (value id), its probability and its
   provenance (the sources supporting the chosen value, CSR-packed).
 
-A **full** snapshot carries the complete state (plus optional display
-labels); a **delta** carries only upserted/removed rows over a ``base``
-snapshot.  :class:`SnapshotPublisher` drives the lifecycle for the
-fusion loop: the first round publishes full, and later rounds publish
-deltas against the state the publisher last published.  **One rule,
+A **full** snapshot carries the complete state, a **delta** only
+upserted/removed rows over a ``base`` snapshot; each labels the truths
+it writes (:func:`stored_labels`).  :class:`SnapshotPublisher` drives
+the lifecycle for the fusion loop: the first round publishes full, and
+later rounds deltas against the state it last published.  **One rule,
 for both row families (:func:`diff`): a delta's row is new, or a column
 a file stores moved against the *published* row** — the flags, the
 decision position, a truth and its supporters exactly, the scores and
@@ -319,6 +319,15 @@ class ItemRows:
         )
 
 
+def stored_labels(labels: Mapping[str, Sequence[str]], items: ItemRows) -> dict:
+    """The label tables a snapshot stores: each name table it is handed,
+    and for ``values`` only ``truths``, ``items``' chosen values' labels."""
+    out = {name: list(table) for name, table in labels.items() if name != "values"}
+    if "values" in labels:
+        out["truths"] = [labels["values"][value] for value in items.truth.tolist()]
+    return out
+
+
 def copier_totals(pairs: PairColumns, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-source copying mass, ranked — the ``top_copiers`` index.
 
@@ -529,7 +538,7 @@ class VerdictStore:
             "n_items": len(items),
         }
         if labels is not None:
-            meta["labels"] = {k: list(v) for k, v in labels.items()}
+            meta["labels"] = stored_labels(labels, items)
         arrays = {
             **pair_arrays(pairs),
             **items.to_arrays(),
@@ -555,11 +564,8 @@ class VerdictStore:
         """Publish a delta over ``base_id``; returns the new snapshot id.
 
         ``merged_pairs`` is the post-delta pair state, used only to
-        recompute the (always-complete) copier ranking.  ``labels``
-        replaces the chain's display-label tables when given — a
-        streaming publisher passes the full (grown) tables whenever new
-        items or values were interned since the last snapshot, so
-        readers never hold a value id with no label.
+        recompute the (always-complete) copier ranking.  The name tables
+        in ``labels`` replace the chain's (:func:`stored_labels`).
         """
         snapshot_id = self._next_id()
         copier_sources, copier_scores = copier_totals(merged_pairs, n_sources)
@@ -577,7 +583,7 @@ class VerdictStore:
             "n_removed_items": int(len(removed_item_ids)),
         }
         if labels is not None:
-            meta["labels"] = {k: list(v) for k, v in labels.items()}
+            meta["labels"] = stored_labels(labels, item_upserts)
         arrays = {
             **pair_arrays(pair_upserts),
             **item_upserts.to_arrays(),
@@ -612,9 +618,8 @@ class VerdictStore:
             ServingError: on a missing base or a malformed chain.
         """
         chain: list[tuple[dict, dict]] = []
-        current: int | None = snapshot_id
-        seen: set[int] = set()
-        while current is not None:
+        current, seen = snapshot_id, set()
+        while True:
             if current in seen:
                 raise ServingError(
                     f"snapshot {snapshot_id}: base chain contains a cycle "
@@ -631,9 +636,6 @@ class VerdictStore:
                     f"snapshot {current}: delta snapshot without a base_id"
                 )
             current = int(base)
-        raise ServingError(  # pragma: no cover - unreachable
-            f"snapshot {snapshot_id}: broken base chain"
-        )
 
 
 class SnapshotPublisher:
@@ -659,7 +661,7 @@ class SnapshotPublisher:
         self.snapshot_ids: list[int] = []
         self._prev_pairs = _NO_PAIRS
         self._prev_items: ItemRows = ItemRows.empty()
-        self._published_label_sizes: tuple[int, int, int] | None = None
+        self._published_label_sizes: tuple[int, int] | None = None
 
     def _labels(self) -> dict[str, Sequence[str]]:
         return {
@@ -668,21 +670,21 @@ class SnapshotPublisher:
             "values": self.dataset.value_label,
         }
 
-    def _label_sizes(self) -> tuple[int, int, int]:
-        dataset = self.dataset
-        return (dataset.n_sources, dataset.n_items, dataset.n_values)
+    def _label_sizes(self) -> tuple[int, int]:
+        return (self.dataset.n_sources, self.dataset.n_items)
 
-    def _delta_labels(self) -> dict[str, Sequence[str]] | None:
-        """Full label tables when they grew since the last publish.
+    def _delta_labels(self) -> dict[str, Sequence[str]]:
+        """The value table, to label the delta's truths, and the name
+        tables too when they grew since the last publish.
 
-        A streaming epoch can intern new sources, items and values, so a
-        delta must re-ship the label tables whenever their sizes moved;
-        otherwise a reader resolving a freshly-interned value id against
-        the stale tables would fall off the end.  Unchanged sizes ship no
-        labels: interning is append-only, so same size means same tables.
+        A streaming epoch can intern new sources and items, so a delta
+        must re-ship the name tables whenever their sizes moved; otherwise
+        a reader resolving a freshly-interned id against the stale tables
+        would fall off the end.  Interning is append-only, so same size
+        means same tables.
         """
         if self._published_label_sizes == self._label_sizes():
-            return None
+            return {"values": self.dataset.value_label}
         return self._labels()
 
     def rebind(self, dataset: "Dataset") -> None:
@@ -692,7 +694,7 @@ class SnapshotPublisher:
         :class:`~repro.data.Dataset` each time the claim ledger moves.
         Growth in sources, items or values is fine: interning is
         append-only, ids — and therefore pair keys — are stable, and the
-        next delta re-ships the label tables via :meth:`_delta_labels`.
+        next delta re-ships the name tables via :meth:`_delta_labels`.
         """
         self.dataset = dataset
 

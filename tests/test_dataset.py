@@ -65,9 +65,9 @@ class TestDerived:
 
     def test_providers_disjoint_per_item(self, example):
         """A source appears in at most one value per item (Definition 3.2)."""
-        for item_id in range(example.n_items):
+        for values in example.item_value_table():
             seen: set[int] = set()
-            for value_id in example.values_of_item(item_id):
+            for value_id in values:
                 for source in example.providers[value_id]:
                     assert source not in seen
                     seen.add(source)

@@ -354,7 +354,7 @@ class TestVoteContract:
         probs = vote_probabilities(dataset)
         x_id = next(
             v
-            for v in dataset.values_of_item(item)
+            for v in dataset.item_value_table()[item]
             if dataset.value_label[v] == "x"
         )
         assert probs[x_id] == 0.0

@@ -20,7 +20,10 @@ so it too differs from its version-2 bytes in the version word alone.
 Snapshot version 4 (pair rows store their source ids and scores, the
 key and posteriors are derived on load) again changed only what the
 store puts in the table: ``snapshot.rvs`` differs from its version-3
-bytes in the version word alone (:data:`V3_SHA256`).
+bytes in the version word alone (:data:`V3_SHA256`).  Snapshot version 5
+(the labels hold each item row's truth label, not every value's) changed
+only what the store puts in the meta: ``snapshot.rvs`` differs from its
+version-4 bytes in the version word alone (:data:`V4_SHA256`).
 """
 
 from __future__ import annotations
@@ -59,8 +62,13 @@ V3_SHA256 = {
     "snapshot.rvs": "335f0663f47648ae5f56f5c838a7fa0d7cfbe1bb26877ea382f2b7f05a5d82b8",
 }
 
+#: SHA-256 of the snapshot fixture as committed at format version 4 (37c34fa).
+V4_SHA256 = {
+    "snapshot.rvs": "762c595d76c28d82e2ec438310139752e7db2694d1bbcc3ccd5dbb4bb9873d01",
+}
+
 #: The version each fixture's format is at now.
-CURRENT_VERSION = {"snapshot.rvs": 4, "task.rclw": 3, "world.rclw": 3}
+CURRENT_VERSION = {"snapshot.rvs": 5, "task.rclw": 3, "world.rclw": 3}
 
 
 def _decode(name: str, data: bytes):
@@ -90,7 +98,7 @@ class TestGoldenBytes:
         assert golden_frames() == GOLDEN
 
     def test_each_format_is_at_its_current_version(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (4, 3)
+        assert (FORMAT_VERSION, WIRE_VERSION) == (5, 3)
         for name, version in CURRENT_VERSION.items():
             assert struct.unpack_from("<4sI", GOLDEN[name])[1] == version, name
 
@@ -110,6 +118,11 @@ class TestGoldenBytes:
     def test_version_four_moved_the_version_word_only(self, name):
         as_v3 = _with_version(GOLDEN[name], 3)
         assert hashlib.sha256(as_v3).hexdigest() == V3_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(V4_SHA256))
+    def test_version_five_moved_the_version_word_only(self, name):
+        as_v4 = _with_version(GOLDEN[name], 4)
+        assert hashlib.sha256(as_v4).hexdigest() == V4_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_decode_then_reencode_is_byte_identical(self, name):

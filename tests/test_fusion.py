@@ -43,8 +43,8 @@ class TestVote:
     def test_vote_probabilities_sum_to_one_per_item(self):
         ds = motivating_example()
         probs = vote_probabilities(ds)
-        for item_id in range(ds.n_items):
-            total = sum(probs[v] for v in ds.values_of_item(item_id))
+        for values in ds.item_value_table():
+            total = sum(probs[v] for v in values)
             assert total == pytest.approx(1.0)
 
 
@@ -83,8 +83,8 @@ class TestValueProbabilities:
         params = CopyParams()
         probs = value_probabilities(dataset, accs, params)
         assert all(0.0 <= p <= 1.0 for p in probs)
-        for item_id in range(dataset.n_items):
-            total = sum(probs[v] for v in dataset.values_of_item(item_id))
+        for values in dataset.item_value_table():
+            total = sum(probs[v] for v in values)
             assert total <= 1.0 + 1e-9
 
     def test_copy_discount_weakens_copied_value(self, params):

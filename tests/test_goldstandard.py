@@ -27,7 +27,7 @@ class TestResolution:
 class TestAccuracy:
     def _value_id(self, ds, item, label):
         item_id = ds.item_names.index(item)
-        for value_id in ds.values_of_item(item_id):
+        for value_id in ds.item_value_table()[item_id]:
             if ds.value_label[value_id] == label:
                 return value_id
         raise AssertionError(f"{item}.{label} not in dataset")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import struct
 import tempfile
 import threading
@@ -317,16 +318,18 @@ class TestStore:
             VerdictReader(store)
 
     def test_older_versioned_snapshot_in_store(self, tmp_path, params):
-        # An older store is refused by name, with the remedy (a store is
-        # derived data): version 1 held stride keys this build would
-        # misread, and a build reads only the version it writes.
+        # An older store is refused by file name, with the remedy (a store
+        # is derived data): version 4 labelled every value, where this
+        # build reads each truth's label, and a build reads only the
+        # version it writes.
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
         path = store.snapshot_path(sid)
         data = path.read_bytes()
-        path.write_bytes(data[:4] + struct.pack("<I", FORMAT_VERSION - 1) + data[8:])
-        with pytest.raises(ServingError, match="older than this build.*re-publish"):
+        path.write_bytes(data[:4] + struct.pack("<I", 4) + data[8:])
+        message = f"^{re.escape(str(path))}: .*version 4 is older than this build"
+        with pytest.raises(ServingError, match=message + ".*re-publish"):
             VerdictReader(store)
 
     def _rewritten(self, tmp_path, params, edit):
@@ -431,7 +434,7 @@ class TestStore:
         assert decode_pairs(arrays["pair_keys"]) == [(2, 4)]
         reader = VerdictReader(tmp_path)
         assert reader.n_sources == 5
-        assert reader.labels["sources"] == [f"S{i}" for i in range(5)]
+        assert reader.labels["sources"] == tuple(f"S{i}" for i in range(5))
         for (s1, s2), decision in grown.items():
             verdict = reader.get_verdict(s2, s1)
             assert (verdict.c_fwd, verdict.copying) == (decision.c_fwd, decision.copying)
@@ -543,7 +546,10 @@ def _assert_serves(served: PairColumns, table: PairColumns):
 #: over the published table, where the round's own table is now written); re-pinned
 #: when ``_random_table`` began computing its posteriors from its scores,
 #: as d42eee6 (format 3, every column stored) writes those inputs.
-REWRITE_STORE_SHA256 = "c4fdb918aeb4af6105657fa39e7ce93ca99f458a0314d7a77dead25f9e235ce4"
+#: Re-pinned at format 5 (was c4fdb918...): 37c34fa's store with each
+#: meta's value table replaced by its truths' labels and re-encoded is
+#: byte-identical to what format 5 writes.
+REWRITE_STORE_SHA256 = "87f498898b6eb5916107d0773c690bb4676f6464e20b98d362e6df6331c8337b"
 
 
 #: A score or probability step below the tolerance; two of them pass it.
@@ -587,8 +593,9 @@ class _Schedule:
     Each round moves a few pairs (new, vanished, a score that creeps
     below the tolerance or jumps, a flipped bit, a shifted position) and
     a few truths (a probability that creeps or jumps, a rival overtaking
-    by 1e-9, a source joining the supporters through the ledger), and
-    may creep every score or probability at once.  A round is plain, or
+    by 1e-9, a source joining the supporters through the ledger, a value
+    the ledger interns overtaking by 1e-9, on the item or on a new one),
+    and may creep every score or probability at once.  A round is plain, or
     reported (its ``changed_pairs`` name every pair it moved and a few it
     did not), or copy-oblivious (``detection=None``)."""
 
@@ -618,7 +625,7 @@ class _Schedule:
         truth = ItemRows.from_probabilities(dataset, probs).truth.tolist()
         for item in draw.subset(0, dataset.n_items - 1, 2):
             value = truth[item]
-            move = draw.choice(("creep", "jump", "flip", "support"))
+            move = draw.choice(("creep", "jump", "flip", "support", "intern"))
             if move == "creep":
                 probs[value] += _CREEP
             elif move == "jump":
@@ -627,6 +634,11 @@ class _Schedule:
                 # The item's values; a lone one can only overtake itself.
                 rivals = [v for v, i in enumerate(dataset.value_item) if i == item]
                 probs[draw.choice(rivals)] = probs[value] + 1e-9
+            elif move == "intern":  # value id len(probs): no round labelled it
+                name = draw.choice([dataset.item_names[item], f"I{dataset.n_items}"])
+                source = draw.choice(dataset.source_names)
+                self.ledger.apply([ClaimDelta(source, name, f"new{len(probs)}")])
+                probs.append(probs[value] + 1e-9)
             else:
                 source = draw.choice([*dataset.source_names, f"N{dataset.n_sources}"])
                 self.ledger.apply([ClaimDelta(
@@ -693,7 +705,9 @@ class TestPublishingContract:
         truths and supporters exactly and every float within the
         tolerance; a delta carries exactly the rows the rule requires
         against what was served before, and a full is written exactly
-        when the rule touches more than ``FULL_REWRITE_FRACTION`` of it."""
+        when the rule touches more than ``FULL_REWRITE_FRACTION`` of it.
+        Every truth is served with the round's item name and value label,
+        whichever snapshot of the chain labelled it."""
         chooser = DrawChooser(data.draw)
         n_rounds = chooser.integer(2, 6)
         schedule = _Schedule(chooser)
@@ -706,11 +720,17 @@ class TestPublishingContract:
                 sid = publisher.publish_round(round_no, detection, probabilities)
                 pairs = served_pairs if table is None else _rule_rows(table)
                 items = _rule_rows(ItemRows.from_probabilities(dataset, probabilities))
-                tip = VerdictReader(root)._view.snapshot
+                reader = VerdictReader(root)
+                tip = reader._view.snapshot
                 tip_pairs, tip_items = _rule_rows(tip.pairs), _rule_rows(tip.items)
                 for served, rows in ((tip_pairs, pairs), (tip_items, items)):
                     assert served.keys() == rows.keys()
                     assert not _required(served, rows), round_no
+                for item in tip_items:
+                    truth = reader.get_truth(item)
+                    assert truth.item_name == dataset.item_names[item], round_no
+                    label = dataset.value_label[truth.value]
+                    assert truth.value_label == label, round_no
 
                 must = _required(served_pairs, pairs, report)
                 gone = served_pairs.keys() - pairs.keys()
@@ -979,7 +999,7 @@ class TestServedValues:
         )
         store.write_delta(
             sid, upserts, removed, item_upserts, np.array([4]), pairs, self.N,
-            _PARAMS.alpha,
+            _PARAMS.alpha, labels={"values": self.LABELS["values"]},
         )
         kinds = [meta["kind"] for meta, _ in store.load_chain(store.current_id())]
         assert kinds == ["full", "delta"] and len(upserts) > 3
@@ -1043,6 +1063,40 @@ class TestServedValues:
         assert reader.get_truth(2).value_label == "v5"  # the delta's truth
         for missing in (4, "I4", 3, -1, 10**12, "no-such-item"):
             assert reader.get_truth(missing) is None
+
+    def test_a_snapshot_labels_the_truths_it_writes(self, chain):
+        """A full stores the name tables and its truths' labels, the delta
+        its upserted truths' labels; no file stores the value table."""
+        path, _, _ = chain
+        store = VerdictStore(path)
+        (full, _), (delta, _) = store.load_chain(store.current_id())
+        assert full["labels"] == {
+            "sources": self.LABELS["sources"],
+            "items": self.LABELS["items"],
+            "truths": ["v0", "v1", "v2", "v3", "v4"],
+        }
+        assert delta["labels"] == {"truths": ["v5", "v1"]}
+
+    def test_labels_are_read_only(self, chain):
+        """``labels`` is one read-only mapping of tuples per view: a caller
+        cannot change what a later read serves (at the parent, after
+        ``reader.labels["values"][5] = "CLOBBERED"`` an uncached truth of
+        value 5 was served with that label)."""
+        path, _, _ = chain
+        reader = VerdictReader(path)
+        labels = reader.labels
+        assert reader.labels is labels
+        assert dict(labels) == {
+            "sources": tuple(self.LABELS["sources"]),
+            "items": tuple(self.LABELS["items"]),
+        }
+        with pytest.raises(TypeError):
+            labels["items"] = ["CLOBBERED"] * 10
+        with pytest.raises(TypeError):
+            labels["items"][2] = "CLOBBERED"
+        truth = reader.get_truth("I2")
+        assert (truth.item_name, truth.value_label) == ("I2", "v5")
+        assert reader.top_copiers(1)[0].source_name in labels["sources"]
 
     def test_an_unlabelled_store_refuses_names(self, tmp_path):
         store = VerdictStore(tmp_path)
