@@ -261,10 +261,10 @@ def _execution_from_args(args, params: CopyParams) -> dict:
         return {}
     cluster = None
     if args.executor == "remote":
-        from .cluster import ClusterError, resolve_cluster
+        from .cluster import ClusterError, ClusterExecutor
 
         try:
-            cluster = resolve_cluster(args.workers)
+            cluster = ClusterExecutor(args.workers)
         except ClusterError as exc:
             raise SystemExit(str(exc))
     return dict(

@@ -28,7 +28,6 @@ from .executor import (
     ClusterStats,
     WorkerStats,
     parse_worker_spec,
-    resolve_cluster,
 )
 from .local import LocalCluster
 from .wire import WIRE_VERSION, ClusterError
@@ -43,6 +42,5 @@ __all__ = [
     "WorkerServer",
     "WorkerStats",
     "parse_worker_spec",
-    "resolve_cluster",
     "serve_worker",
 ]

@@ -503,19 +503,3 @@ class ClusterExecutor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def resolve_cluster(spec) -> ClusterExecutor:
-    """Resolve a ``cluster=`` argument into a :class:`ClusterExecutor`.
-
-    A live executor is returned as-is; anything else — a worker list
-    (string or sequence) or None for ``REPRO_CLUSTER_WORKERS``, see
-    :func:`parse_worker_spec` — dials a new session the caller closes.
-
-    Raises:
-        ClusterError: when no worker list can be found anywhere, or a
-            worker cannot be reached.
-    """
-    if isinstance(spec, ClusterExecutor):
-        return spec
-    return ClusterExecutor(spec)

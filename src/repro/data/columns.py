@@ -59,6 +59,21 @@ def take_csr(
     return out, flat[slots]
 
 
+def choose_values_columnar(cols: ClaimColumns, probabilities: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`repro.fusion.accu.choose_values`: the chosen
+    value id per item segment, aligned with ``cols.seg_items``.
+
+    The highest probability of each segment wins; values ascend within a
+    segment, so the first maximum is the reference's tie-break (lowest
+    value id).
+    """
+    starts = cols.seg_starts[:-1]
+    sorted_probs = np.asarray(probabilities, dtype=np.float64)[cols.item_order]
+    best = np.repeat(np.maximum.reduceat(sorted_probs, starts), cols.seg_sizes)
+    winners = np.nonzero(sorted_probs == best)[0]
+    return cols.item_order[winners[np.searchsorted(winners, starts)]]
+
+
 class ClaimColumns:
     """The static claim structure of a dataset, in columnar layout.
 

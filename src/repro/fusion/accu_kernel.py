@@ -259,18 +259,3 @@ def update_accuracies_columnar(
     counts = np.diff(cols.claim_offsets)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
     return np.clip(means, params.accuracy_clamp, 1.0 - params.accuracy_clamp)
-
-
-def choose_values_columnar(cols: ClaimColumns, probabilities: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.fusion.accu.choose_values`: the chosen
-    value id per item segment, aligned with ``cols.seg_items``.
-
-    The highest probability of each segment wins; values ascend within a
-    segment, so the first maximum is the reference's tie-break (lowest
-    value id).
-    """
-    starts = cols.seg_starts[:-1]
-    sorted_probs = np.asarray(probabilities, dtype=np.float64)[cols.item_order]
-    best = np.repeat(np.maximum.reduceat(sorted_probs, starts), cols.seg_sizes)
-    winners = np.nonzero(sorted_probs == best)[0]
-    return cols.item_order[winners[np.searchsorted(winners, starts)]]

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from ..core.params import BACKENDS, CopyParams
 from ..core.result import DetectionResult
 from ..data import Dataset
+from ..data.columns import choose_values_columnar
 from .accu import choose_values, update_accuracies, value_probabilities
 from .credibility import CredibilityModel
 from .ds import ds_value_probabilities
@@ -181,8 +182,6 @@ def _chosen(dataset: Dataset, probabilities) -> dict[int, int]:
     insertion order (items by their lowest value id) on either path."""
     if not hasattr(probabilities, "tolist"):
         return choose_values(dataset, probabilities)
-    from .accu_kernel import choose_values_columnar
-
     cols = dataset.columns
     truth = choose_values_columnar(cols, probabilities)
     order = cols.item_order[cols.seg_starts[:-1]].argsort()

@@ -11,11 +11,12 @@ the rounds of a :func:`~repro.fusion.run_fusion` call is what
 * ``shared_items`` — the ``l(S1, S2)`` counts, computed once with the
   backend-appropriate counter.
 * the **executors** (:meth:`FusionWorkspace.executor`): one per kind —
-  and, for ``"remote"``, per worker list — created on first use and
-  reused across rounds.  Each owns its own lifetime state (see
-  :mod:`repro.parallel.executors`): the thread pool; the forked workers
-  of ``"processes"`` and the cluster session of ``"remote"``, whose
-  per-round broadcast shrinks to a ``world-update`` diff.
+  and, for ``"remote"``, per worker list — built on first use by
+  :func:`repro.parallel.executors.open_executor` and reused across
+  rounds.  Each owns its own lifetime state: the thread pool; the
+  forked workers of ``"processes"`` and the cluster session of
+  ``"remote"``, whose per-round broadcast shrinks to a ``world-update``
+  diff.
 
 Lifecycle: the workspace is a context manager.  ``run_fusion`` creates
 one internally when none is passed and closes it on the way out —
@@ -31,7 +32,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..core.index import count_shared_items_for
-from ..core.params import EXECUTORS, CopyParams
+from ..core.params import CopyParams
 from ..data import Dataset
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,20 +76,13 @@ class FusionWorkspace:
     # Persistent executors
     # ------------------------------------------------------------------
     def executor(self, kind: str, cluster=None):
-        """The persistent executor of one kind, created on first use.
-
-        Every round of a fusion run gets the same object back until
-        :meth:`close`, so the executor's pool, forked workers or cluster
-        session stay warm across rounds.
-
-        Args:
-            kind: one of :data:`~repro.core.params.EXECUTORS`.
-            cluster: for ``"remote"``: a live
-                :class:`~repro.cluster.ClusterExecutor` (returned as-is;
-                it stays the caller's to close), a worker list, or None
-                for ``REPRO_CLUSTER_WORKERS``.  Dialed sessions are keyed
-                by address list, so one workspace can serve runs against
-                different clusters.
+        """The persistent executor of one kind:
+        :func:`~repro.parallel.executors.open_executor` over this
+        workspace's executors, so every round of a fusion run gets the
+        same object back until :meth:`close` and its pool, forked
+        workers or cluster session stay warm.  Dialed sessions are keyed
+        by worker list; a caller's live ``cluster`` executor is returned
+        as-is and stays the caller's to close.
 
         Raises:
             RuntimeError: when the workspace is closed.
@@ -97,22 +91,9 @@ class FusionWorkspace:
         """
         if self.closed:
             raise RuntimeError("the fusion workspace is closed")
-        if kind not in EXECUTORS:
-            raise ValueError(f"unknown executor {kind!r}")
-        key = kind
-        if kind == "remote":
-            from ..cluster.executor import ClusterExecutor, parse_worker_spec
+        from ..parallel.executors import open_executor
 
-            if isinstance(cluster, ClusterExecutor):
-                return cluster
-            key = tuple(parse_worker_spec(cluster))
-        if key not in self._executors:
-            from ..parallel.executors import LOCAL_EXECUTORS
-
-            self._executors[key] = (
-                ClusterExecutor(key) if kind == "remote" else LOCAL_EXECUTORS[kind]()
-            )
-        return self._executors[key]
+        return open_executor(kind, cluster, self._executors)
 
     # ------------------------------------------------------------------
     # Lifecycle

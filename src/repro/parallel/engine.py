@@ -24,7 +24,8 @@ partitions and hand it to one executor through one call
 (:mod:`repro.parallel.executors`) and ``"remote"``
 (:class:`repro.cluster.ClusterExecutor`) are four implementations of the
 same ``map_reduce`` protocol, each owning its own pool, forked workers
-or session.
+or session, and all built by
+:func:`repro.parallel.executors.open_executor`.
 
 Reduction topologies (``reduce=``):
 
@@ -197,29 +198,31 @@ def _map_reduce(
     The single dispatch point INDEX and HYBRID share.  Returns the merged
     partial — a dict under the python backend, a
     :class:`~repro.core.kernel.PairTable` under numpy — or None when
-    nothing was scanned.  Executors live in a
-    :class:`~repro.fusion.FusionWorkspace`; a call without one opens a
-    transient workspace, so pools, forked workers and dialed cluster
-    sessions are torn down on the way out exactly as a fusion run's are.
+    nothing was scanned.  Without a ``workspace`` to keep it, the
+    executor opened for the call — pool, forked workers or dialed
+    session, never a caller's live ``cluster`` — is closed on the way out.
     """
     parts = [part for part in partitions if part]
     if not parts:
         # Every partition was empty (a world with no shared values).
         return None
-    if workspace is None:
-        from ..fusion.workspace import FusionWorkspace
-
-        with FusionWorkspace(dataset, params) as transient:
-            return _map_reduce(
-                dataset, index, parts, accuracies, params, executor,
-                reduce_mode, transient, cluster,
-            )
     world = ScanWorld(
         index, list(accuracies), dataset.n_sources, params.backend == "numpy"
     )
-    return workspace.executor(executor, cluster).map_reduce(
-        world, parts, params, reduce_mode
-    )
+    if workspace is not None:
+        return workspace.executor(executor, cluster).map_reduce(
+            world, parts, params, reduce_mode
+        )
+    from .executors import open_executor  # imports repro.cluster
+
+    opened: dict = {}
+    try:
+        return open_executor(executor, cluster, opened).map_reduce(
+            world, parts, params, reduce_mode
+        )
+    finally:
+        for each in opened.values():
+            each.close()
 
 
 def detect_index_parallel(
@@ -255,7 +258,8 @@ def detect_index_parallel(
         workspace: a :class:`~repro.fusion.FusionWorkspace` whose
             persistent executor (pool, forked workers, cluster
             session) is reused when the engine runs once per fusion
-            round; a transient one is opened when omitted.
+            round; when omitted, the call opens its own executor and
+            closes it on the way out.
         cluster: for ``executor="remote"``: a live
             :class:`~repro.cluster.ClusterExecutor`, a worker list
             (``"host:port,host:port"`` or a sequence), or None to read

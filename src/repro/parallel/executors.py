@@ -11,8 +11,9 @@ An *executor* is anything with::
 ``reduce_mode`` ``"flat"`` or ``"tree"``; the result is None when every
 partial came back empty.
 Each implementation owns its lifetime state and releases it in an
-idempotent ``close()``; a :class:`~repro.fusion.FusionWorkspace` holds
-the executors, which is what keeps that state alive across fusion rounds.
+idempotent ``close()``.  :func:`open_executor` builds them all; a
+:class:`~repro.fusion.FusionWorkspace` keeps its executors alive across
+fusion rounds, and a call without one closes its own before returning.
 ``"remote"`` is :class:`repro.cluster.ClusterExecutor`, which speaks the
 same protocol over its TCP session; ``"processes"`` is that executor
 over workers forked on this host.
@@ -29,7 +30,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from ..cluster import ClusterError, LocalCluster
+from ..cluster import ClusterError, ClusterExecutor, LocalCluster, parse_worker_spec
+from ..core.params import EXECUTORS
 
 
 class SerialExecutor:
@@ -107,7 +109,7 @@ class ProcessesExecutor(SerialExecutor):
             self._cluster = self._remote = None
 
 
-#: The executor classes a workspace builds on its own, by
+#: The executor classes :func:`open_executor` builds on this host, by
 #: :data:`~repro.core.params.EXECUTORS` name (``"remote"`` is a
 #: :class:`repro.cluster.ClusterExecutor` over the caller's worker list).
 LOCAL_EXECUTORS = {
@@ -115,3 +117,31 @@ LOCAL_EXECUTORS = {
     "threads": ThreadsExecutor,
     "processes": ProcessesExecutor,
 }
+
+
+def open_executor(kind: str, cluster, opened: dict):
+    """The executor of one :data:`~repro.core.params.EXECUTORS` kind.
+
+    ``opened`` holds what this function built, keyed by kind (for
+    ``"remote"``, by the :func:`~repro.cluster.parse_worker_spec` list of
+    ``cluster``): a hit is returned, so its pool, forked workers or
+    session stay warm, and whoever holds ``opened`` closes what is in
+    it.  A live :class:`~repro.cluster.ClusterExecutor` passed as
+    ``cluster`` is returned as-is, never recorded: its owner closes it.
+
+    Raises:
+        ValueError: for an unknown kind.
+        ClusterError: when a worker cannot be reached.
+    """
+    if kind not in EXECUTORS:
+        raise ValueError(f"unknown executor {kind!r}")
+    key = kind
+    if kind == "remote":
+        if isinstance(cluster, ClusterExecutor):
+            return cluster
+        key = tuple(parse_worker_spec(cluster))
+    if key not in opened:
+        opened[key] = (
+            ClusterExecutor(key) if kind == "remote" else LOCAL_EXECUTORS[kind]()
+        )
+    return opened[key]

@@ -76,7 +76,7 @@ from ..core.pairspace import decode_pair_keys, encode_pair_keys, encode_pairs
 from ..core.pairspace import member_rows
 from ..core.params import CopyParams
 from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
-from ..data.columns import take_csr
+from ..data.columns import choose_values_columnar, take_csr
 from .codec import (
     FORMAT_VERSION,
     ServingError,
@@ -245,14 +245,12 @@ class ItemRows:
     ) -> "ItemRows":
         """Fuse item rows out of a round's value probabilities.
 
-        Each item's truth is :func:`repro.fusion.accu.choose_values`'
+        Each item's truth is :func:`~repro.data.columns.choose_values_columnar`'s
         pick (highest probability, ties to the lowest value id) and its
         provenance the chosen value's provider list — the sources whose
         claim supports the published truth — all gathered from the
         dataset's claim table.
         """
-        from ..fusion.accu_kernel import choose_values_columnar
-
         table = dataset.columns
         probabilities = np.asarray(probabilities, dtype=np.float64)
         truth = choose_values_columnar(table, probabilities)

@@ -17,9 +17,8 @@ from repro.core import CopyParams, EntryOrdering, InvertedIndex
 from repro.core.index import count_shared_items
 from repro.core.kernel import ColumnarEntries, count_shared_items_columnar
 from repro.data import DatasetBuilder, motivating_example
-from repro.data.columns import ClaimColumns, take_csr
+from repro.data.columns import ClaimColumns, choose_values_columnar, take_csr
 from repro.fusion.accu import choose_values
-from repro.fusion.accu_kernel import choose_values_columnar
 from repro.serving.store import ItemRows
 from tests.strategies import saturated_worlds, worlds
 

@@ -34,7 +34,6 @@ from repro.cluster import (
     ClusterExecutor,
     LocalCluster,
     parse_worker_spec,
-    resolve_cluster,
     serve_worker,
 )
 from repro.cluster.executor import assign_buckets_lpt
@@ -195,7 +194,7 @@ class TestWorkerSpec:
     def test_no_worker_list_anywhere_raises(self, monkeypatch):
         monkeypatch.delenv("REPRO_CLUSTER_WORKERS", raising=False)
         with pytest.raises(ClusterError, match="REPRO_CLUSTER_WORKERS"):
-            resolve_cluster(None)
+            ClusterExecutor(None)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +446,6 @@ class TestStats:
         assert ws.executor("remote", parse_worker_spec(spec)) is first
         # A live executor passes through and stays the caller's to close.
         assert ws.executor("remote", executor) is executor
-        assert resolve_cluster(executor) is executor
         ws.close()
         assert first.closed
         assert not executor.closed

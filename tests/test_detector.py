@@ -309,14 +309,30 @@ class TestOneDispatcherStructure:
 
 
 class TestReachability:
-    """A structural guard: side packages nothing reaches must not grow back."""
+    """A structural guard: side packages nothing reaches must not grow back,
+    and imports run down the layer stack."""
+
+    @staticmethod
+    def imported(root, path):
+        """The dotted names the module at ``path`` imports — module-level,
+        function-level and ``TYPE_CHECKING`` imports alike — with relative
+        imports resolved against its package under ``root``."""
+        import ast
+        from importlib.util import resolve_name
+
+        package = ".".join(("repro", *path.relative_to(root).parts[:-1]))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                source = "." * node.level + (node.module or "")
+                module = resolve_name(source, package)
+                yield from (f"{module}.{alias.name}" for alias in node.names)
 
     def test_every_package_is_imported_from_the_cli_or_the_package_root(self):
         """Walking imports (module- and function-level) from ``repro.cli``,
         ``repro/__init__.py`` and ``repro/__main__.py`` reaches every
         package directory under ``src/repro``."""
-        import ast
-        from importlib.util import resolve_name
         from pathlib import Path
 
         import repro
@@ -329,29 +345,70 @@ class TestReachability:
                 if candidate.is_file():
                     return candidate
 
-        def imported(path):
-            package = ".".join(("repro", *path.relative_to(root).parts[:-1]))
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    yield from (alias.name for alias in node.names)
-                elif isinstance(node, ast.ImportFrom):
-                    source = "." * node.level + (node.module or "")
-                    module = resolve_name(source, package)
-                    yield from (f"{module}.{alias.name}" for alias in node.names)
-
         seen = set()
         todo = [root / name for name in ("__init__.py", "cli.py", "__main__.py")]
         while todo:
             path = todo.pop()
             if path not in seen:
                 seen.add(path)
-                for dotted in imported(path):
+                for dotted in self.imported(root, path):
                     parts = dotted.split(".")  # importing a.b.c runs a and a.b too
                     prefixes = (".".join(parts[:n]) for n in range(1, len(parts) + 1))
                     todo.extend(filter(None, map(module_file, prefixes)))
         packages = {init.parent for init in root.rglob("__init__.py")}
         unreached = packages - {path.parent for path in seen}
         assert sorted(d.relative_to(root).as_posix() for d in unreached) == []
+
+    #: The layer stack, lowest first: a layer imports only the layers
+    #: before it.  ``serving`` sits below ``fusion``: the store keeps
+    #: verdict tables and does not know how they were fused.
+    LAYERS = (
+        "data", "core", "cluster", "parallel", "serving", "fusion", "streaming", "cli",
+    )
+    #: The packages beside the stack, and what each may import.
+    BESIDE = {
+        "synth": {"data"},
+        "sampling": {"data"},
+        "eval": {*LAYERS[:6], "synth", "sampling"},
+        "conformance": {*LAYERS[:6], "synth", "sampling"},
+    }
+    #: Imports against the order that stay, as (module, package).
+    #: ``core/detector.py`` runs a partitioned round through
+    #: ``repro.parallel``: the benchmark builds
+    #: ``SingleRoundDetector(n_partitions=2)`` and wraps
+    #: ``repro.parallel.detect_hybrid_parallel`` at call time, so the cut
+    #: waits on the decision about the executors.
+    LAYER_EXCEPTIONS = {("core/detector.py", "parallel")}
+
+    def test_imports_run_down_the_layer_stack(self):
+        """Every import of one ``repro`` package by another — at module
+        level, in a function or under ``TYPE_CHECKING`` — goes down the
+        stack, except the named ones, each of which must still exist."""
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        allowed = {
+            layer: set(self.LAYERS[:rank]) for rank, layer in enumerate(self.LAYERS)
+        }
+        allowed.update(self.BESIDE)
+        allowed["cli"] |= set(self.BESIDE)
+        assert set(allowed) == {
+            path.parent.name for path in root.glob("*/__init__.py")
+        } | {"cli"}
+        against = set()
+        for path in root.rglob("*.py"):
+            module = path.relative_to(root)
+            layer = module.parts[0].removesuffix(".py")
+            if layer in ("__init__", "__main__"):  # the package root: above all
+                continue
+            for dotted in self.imported(root, path):
+                top, _, rest = dotted.partition(".")
+                target = rest.split(".")[0]
+                if top == "repro" and target not in (layer, *allowed[layer]):
+                    against.add((module.as_posix(), target))
+        assert against == self.LAYER_EXCEPTIONS
 
     #: Modules on the numpy product path: they gather from
     #: ``dataset.columns`` / ``index.columnar_entries()`` and must not

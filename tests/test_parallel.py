@@ -663,3 +663,57 @@ class TestExecutorParity:
                 (name, inspect.Parameter.empty)
                 for name in ("self", "world", "partitions", "params", "reduce_mode")
             ], cls.__name__
+
+
+class TestNoWorkspaceLeaks:
+    """A partitioned ``detect()`` without a workspace opens its own
+    executor and closes it before it returns; a caller's live cluster
+    session is used, never closed."""
+
+    @pytest.fixture(scope="class")
+    def book_round(self):
+        from repro.fusion.accu import value_probabilities
+        from repro.synth import make_profile
+
+        dataset = make_profile("book_cs", scale=0.1).dataset
+        params = CopyParams()
+        accuracies = [0.8] * dataset.n_sources
+        return dataset, value_probabilities(dataset, accuracies, params), accuracies, params
+
+    def _detect(self, book_round, method, executor, cluster=None):
+        from repro.core import detect
+
+        return detect(
+            *book_round, method=method, n_partitions=2, executor=executor,
+            cluster=cluster,
+        )
+
+    @pytest.mark.parametrize("method", ["index", "hybrid"])
+    def test_threads_leave_no_pool_thread(self, book_round, method):
+        import threading
+
+        before = set(threading.enumerate())
+        got = self._detect(book_round, method, "threads")
+        assert set(threading.enumerate()) == before
+        assert got.decisions == self._detect(book_round, method, "serial").decisions
+
+    @pytest.mark.cluster
+    @pytest.mark.parametrize("method", ["index", "hybrid"])
+    def test_processes_leave_no_child(self, book_round, method):
+        from multiprocessing import active_children
+
+        before = set(active_children())
+        got = self._detect(book_round, method, "processes")
+        assert set(active_children()) == before
+        assert got.decisions == self._detect(book_round, method, "serial").decisions
+
+    @pytest.mark.cluster
+    def test_a_callers_cluster_session_stays_open(self, book_round):
+        from repro.cluster import LocalCluster
+
+        with LocalCluster(2) as cluster, cluster.executor() as session:
+            first = self._detect(book_round, "index", "remote", session)
+            assert not session.closed
+            second = self._detect(book_round, "index", "remote", session)
+            assert second.decisions == first.decisions
+            assert session.stats.rounds == 2
