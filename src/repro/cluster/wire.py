@@ -33,8 +33,9 @@ MAGIC = b"RCLW"
 #: each other's frames with a clear :class:`ClusterError` instead of
 #: misreading.  Version 2: partial tables carry ``(s1 << 32) | s2`` keys.
 #: Version 3: a ``task`` is answered with its ``partial``; the ``merge``
-#: and ``fetch`` messages are gone.
-WIRE_VERSION = 3
+#: and ``fetch`` messages are gone.  Version 4: the shipped ``params``
+#: have no ``accuracy_clamp`` (it is a constant on both ends).
+WIRE_VERSION = 4
 
 
 class ClusterError(Exception):

@@ -68,25 +68,11 @@ def _decode_world(payload: dict) -> World:
     )
 
 
-def _encode_config(config: CaseConfig) -> dict:
-    payload = asdict(config)
-    if payload["band"] is not None:
-        payload["band"] = list(payload["band"])
-    return payload
-
-
-def _decode_config(payload: dict) -> CaseConfig:
-    payload = dict(payload)
-    if payload.get("band") is not None:
-        payload["band"] = tuple(payload["band"])
-    return CaseConfig(**payload)
-
-
 def case_id(world: World, config: CaseConfig) -> str:
     """Deterministic fixture name: config label + world kind + digest."""
     digest = hashlib.sha256(
         json.dumps(
-            [_encode_world(world), _encode_config(config)], sort_keys=True
+            [_encode_world(world), asdict(config)], sort_keys=True
         ).encode()
     ).hexdigest()[:10]
     label = f"{config.label}-{world.kind}".replace(":", "-").replace("+", "plus")
@@ -107,7 +93,7 @@ def save_case(
         "version": CORPUS_VERSION,
         "id": case_id(world, config),
         "origin": origin,
-        "config": _encode_config(config),
+        "config": asdict(config),
         "world": _encode_world(world),
         "divergence_at_capture": details,
     }
@@ -135,7 +121,7 @@ def load_case(path: str | Path) -> tuple[World, CaseConfig, dict]:
         raise ValueError(f"{path}: unknown config field(s) {', '.join(unknown)}")
     return (
         _decode_world(payload["world"]),
-        _decode_config(payload["config"]),
+        CaseConfig(**payload["config"]),
         {k: v for k, v in payload.items() if k not in ("world", "config")},
     )
 

@@ -72,13 +72,21 @@ from ..core.index import EntryOrdering
 from ..core.params import validate_execution
 from ..core.result import DetectionResult
 from ..fusion.accu import choose_values
-from ..fusion.pipeline import FUSION_METHOD_VALUES, FusionConfig, fusion_steps
+from ..fusion.pipeline import (
+    FUSION_METHOD_VALUES,
+    INITIAL_ACCURACY,
+    FusionConfig,
+    fusion_steps,
+)
 from .generators import World, generate_world
 
 #: Absolute tolerance of the ``numeric`` contract — the property-tested
 #: re-association bound of the vectorized kernels.
 NUMERIC_TOL = 1e-9
 
+#: Candidate evaluations :func:`run_grid` grants the shrinker per
+#: divergence.
+MAX_SHRINK_CHECKS = 150
 
 #: Methods valid per mode.
 SCAN_METHODS = ("bound", "bound+", "hybrid")
@@ -108,7 +116,6 @@ class CaseConfig:
     epoch_size: int | None = None
     ordering: str = "by_contribution"
     hybrid_threshold: int | None = None
-    band: tuple[float, float] | None = None
     rounds: int = 4
     pair_layout: str = "auto"
     #: Truth-finding update under test in ``fusion`` mode: ``"accu"``
@@ -175,8 +182,6 @@ class CaseConfig:
             parts.append(self.ordering)
         if self.hybrid_threshold is not None:
             parts.append(f"t{self.hybrid_threshold}")
-        if self.band is not None:
-            parts.append("band")
         if self.mode == "fusion":
             parts.append(f"r{self.rounds}")
         if self.fusion_method != "accu":
@@ -277,7 +282,6 @@ def _run(dataset, probabilities, accuracies, config: CaseConfig):
         *world,
         use_timers=config.method != "bound",
         track_bookkeeping=True,
-        band=config.band,
         epoch_size=config.epoch_size,
         **execution,
     )
@@ -509,8 +513,7 @@ def _fusion_case(dataset, config: CaseConfig) -> list[str]:
             if abs(got[item] - ref[item]) > update_tol
         )
 
-    # The cold start (FusionConfig.initial_accuracy's default).
-    accuracies = [0.8] * dataset.n_sources
+    accuracies = [INITIAL_ACCURACY] * dataset.n_sources
     cand_probs, cand_conflict = candidate_probs(accuracies)
     probabilities = [float(p) for p in cand_probs]
     ref_probs, ref_conflict = reference_probs(accuracies)
@@ -645,11 +648,9 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("scan", "bound+"),
         CaseConfig("scan", "hybrid", epoch_size=3),
         CaseConfig("scan", "hybrid"),
-        # One-entry epochs seed every timer chain from the epoch before;
-        # banded thresholds move both conclusion flags.
+        # One-entry epochs seed every timer chain from the epoch before.
         CaseConfig("scan", "bound", epoch_size=1),
         CaseConfig("scan", "hybrid", epoch_size=1),
-        CaseConfig("scan", "bound+", band=(0.1, 0.9), epoch_size=3),
         # The parallel engine: threads + processes, flat + tree,
         # python + numpy payloads.
         CaseConfig("detect", "index", n_partitions=2, executor="threads",
@@ -673,7 +674,7 @@ def smoke_grid() -> list[CaseConfig]:
         CaseConfig("detect", "bound+", pair_layout="sparse"),
         CaseConfig("detect", "hybrid", pair_layout="sparse"),
         CaseConfig("scan", "bound+", epoch_size=3, pair_layout="sparse"),
-        # Mass-derived epochs under sparse slots; with 38 configurations
+        # Mass-derived epochs under sparse slots; with 37 configurations
         # against nine world kinds every configuration meets every kind,
         # so the saturated worlds' probability-keyed log grid is
         # refereed under both layouts at push time.
@@ -699,7 +700,7 @@ def smoke_grid() -> list[CaseConfig]:
 
 def full_grid() -> list[CaseConfig]:
     """The nightly grid: the smoke grid plus orderings, epoch sweeps,
-    banded thresholds, deeper partitioning and longer fusion runs."""
+    deeper partitioning and longer fusion runs."""
     configs = smoke_grid()
     configs += [
         # Alternative orderings and hybrid thresholds for the scans.
@@ -823,7 +824,6 @@ def run_grid(
     seed: int = 7,
     corpus_dir=None,
     shrink: bool = True,
-    max_shrink_checks: int = 150,
     configs: Sequence[CaseConfig] | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> ConformanceReport:
@@ -881,7 +881,7 @@ def run_grid(
                 return case.diverged
 
             shrunk = shrink_world(
-                world, still_diverges, max_checks=max_shrink_checks
+                world, still_diverges, max_checks=MAX_SHRINK_CHECKS
             )
             remembered = seen.get(id(shrunk))
             if remembered is not None and remembered[0] is shrunk:

@@ -194,7 +194,6 @@ def scan_with_bounds(
     hybrid_threshold: int = 0,
     track_bookkeeping: bool = False,
     method_name: str = "bound+",
-    band: tuple[float, float] | None = None,
     epoch_size: int | None = None,
     stop_at: int | None = None,
     suffix: Partial | PairTable | None = None,
@@ -217,11 +216,6 @@ def scan_with_bounds(
         track_bookkeeping: record :class:`PairBookkeeping` per pair (the
             preparation step of INCREMENTAL).
         method_name: label stored on the result.
-        band: Section IV-A's confidence band ``(p_low, p_high)``: early
-            *copying* conclusions then guarantee ``Pr(indep) <= p_low``
-            and early *no-copy* conclusions ``Pr(indep) > p_high`` (up to
-            the Eq. 10 estimate); pairs in between resolve exactly at
-            scan end.  ``None`` keeps the binary 0.5/0.5 thresholds.
         epoch_size: entries per epoch for the numpy backend — the
             conformance grid's boundary-stress axis, offered here and on
             :class:`~repro.core.bound_kernel.EpochScan` only.  ``None``
@@ -244,8 +238,7 @@ def scan_with_bounds(
             reference path).
 
     Raises:
-        ValueError: if the band is not ``0 < p_low <= p_high < 1``, or
-            ``epoch_size < 1``.
+        ValueError: if ``epoch_size < 1``.
     """
     if epoch_size is not None and epoch_size < 1:
         raise ValueError(f"epoch_size must be >= 1, got {epoch_size}")
@@ -259,15 +252,8 @@ def scan_with_bounds(
         )
     cost = CostCounter()
     ln_diff = params.ln_one_minus_s
-    if band is None:
-        theta_cp = params.theta_cp
-        theta_ind = params.theta_ind
-    else:
-        p_low, p_high = band
-        if not 0.0 < p_low <= p_high < 1.0:
-            raise ValueError(f"band must satisfy 0 < p_low <= p_high < 1, got {band}")
-        theta_cp = params.theta_cp_at(p_low)
-        theta_ind = params.theta_ind_at(p_high)
+    theta_cp = params.theta_cp
+    theta_ind = params.theta_ind
     if params.backend == "numpy" and eval_log is None:
         # Every world size runs vectorized: the epoch scan picks its
         # pair-state layout from ``params.pair_layout``.
@@ -576,8 +562,6 @@ def detect_bound(
     accuracies: Sequence[float],
     params: CopyParams,
     index: InvertedIndex | None = None,
-    ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
-    band: tuple[float, float] | None = None,
 ) -> DetectionResult:
     """BOUND: bounds evaluated at every shared entry (Section IV-A)."""
     return scan_with_bounds(
@@ -586,11 +570,9 @@ def detect_bound(
         accuracies,
         params,
         index=index,
-        ordering=ordering,
         use_timers=False,
         hybrid_threshold=0,
         method_name="bound",
-        band=band,
     ).result
 
 
@@ -600,8 +582,6 @@ def detect_bound_plus(
     accuracies: Sequence[float],
     params: CopyParams,
     index: InvertedIndex | None = None,
-    ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
-    band: tuple[float, float] | None = None,
 ) -> DetectionResult:
     """BOUND+: BOUND with lazy bound re-evaluation timers (Section IV-B)."""
     return scan_with_bounds(
@@ -610,11 +590,9 @@ def detect_bound_plus(
         accuracies,
         params,
         index=index,
-        ordering=ordering,
         use_timers=True,
         hybrid_threshold=0,
         method_name="bound+",
-        band=band,
     ).result
 
 
@@ -629,7 +607,6 @@ def detect_hybrid(
     accuracies: Sequence[float],
     params: CopyParams,
     index: InvertedIndex | None = None,
-    ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
     hybrid_threshold: int = DEFAULT_HYBRID_THRESHOLD,
     track_bookkeeping: bool = False,
 ) -> ScanOutcome:
@@ -644,7 +621,6 @@ def detect_hybrid(
         accuracies,
         params,
         index=index,
-        ordering=ordering,
         use_timers=True,
         hybrid_threshold=hybrid_threshold,
         track_bookkeeping=track_bookkeeping,

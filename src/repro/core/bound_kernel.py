@@ -295,7 +295,7 @@ class EpochScan:
         self.hybrid_threshold = hybrid_threshold
         self.track = track_bookkeeping
         self.ln_diff = params.ln_one_minus_s
-        self.acc = clamp_accuracies(accuracies, params)
+        self.acc = clamp_accuracies(accuracies)
         # Factorized accuracies for the grid-deduplicated log path (see
         # _exact_contributions): every incidence's log argument is one of
         # (probability, acc, acc) grid cells.

@@ -125,7 +125,7 @@ def max_scores(
     n_entries = len(probs)
     if n_entries == 0:
         return np.empty(0)
-    acc = clamp_accuracies(accuracies, params)[providers]
+    acc = clamp_accuracies(accuracies)[providers]
     row = np.repeat(np.arange(n_entries), np.diff(offsets))
     ranked = acc[np.lexsort((acc, row))]
     first, last = offsets[:-1], offsets[1:] - 1
@@ -292,8 +292,8 @@ class ColumnarIncrementalState:
         stats.refresh_pairs = int(pending.sum()) - len(reopened)
 
         # --- pass 1: apply big changes, count small ones ---------------
-        ref_acc = clamp_accuracies(a_ref, params)
-        cur_acc = clamp_accuracies(accs, params)
+        ref_acc = clamp_accuracies(a_ref)
+        cur_acc = clamp_accuracies(accs)
         n_dec = np.zeros(n_pairs, dtype=np.int64)
         n_inc = np.zeros(n_pairs, dtype=np.int64)
         big_incidences = 0

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from ..data import Dataset
 from .contribution import posterior
-from .index import EntryOrdering, InvertedIndex
+from .index import InvertedIndex
 from .kernel import decide_pairs, scan_columnar
 from .params import CopyParams
 from .result import CostCounter, DetectionResult, PairDecision
@@ -52,7 +52,6 @@ def detect_index(
     accuracies: Sequence[float],
     params: CopyParams,
     index: InvertedIndex | None = None,
-    ordering: EntryOrdering = EntryOrdering.BY_CONTRIBUTION,
 ) -> DetectionResult:
     """Run the INDEX algorithm.
 
@@ -62,18 +61,14 @@ def detect_index(
         accuracies: ``A(S)`` per source id.
         params: model parameters.
         index: a prebuilt index to reuse (must have been built from the
-            same dataset/probabilities/accuracies); built here if omitted.
-        ordering: entry ordering when the index is built here.  INDEX's
-            results are order-independent; the knob exists for the
-            ordering ablation (Fig. 3).
+            same dataset/probabilities/accuracies); built here, in the
+            default order, if omitted.
 
     Returns:
         Verdicts for every pair co-occurring in a non-tail entry.
     """
     if index is None:
-        index = InvertedIndex.build(
-            dataset, probabilities, accuracies, params, ordering=ordering
-        )
+        index = InvertedIndex.build(dataset, probabilities, accuracies, params)
     partial = scan_share(
         index, range(index.n_entries), accuracies, params, dataset.n_sources
     )

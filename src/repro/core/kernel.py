@@ -64,7 +64,7 @@ from .pairspace import (
     reduce_keys,
     resolve_pair_layout,
 )
-from .params import CopyParams
+from .params import ACCURACY_CLAMP, CopyParams
 from .result import PairColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -353,12 +353,12 @@ def score_incidence_args(
     return arg_fwd, arg_bwd
 
 
-def clamp_accuracies(accuracies: Sequence[float], params: CopyParams) -> np.ndarray:
+def clamp_accuracies(accuracies: Sequence[float]) -> np.ndarray:
     """Vectorized :meth:`CopyParams.clamp_accuracy` over a source array."""
     return np.clip(
         np.asarray(accuracies, dtype=np.float64),
-        params.accuracy_clamp,
-        1.0 - params.accuracy_clamp,
+        ACCURACY_CLAMP,
+        1.0 - ACCURACY_CLAMP,
     )
 
 
@@ -506,7 +506,7 @@ def scan_columnar(
     The map step of every numpy executor, the cluster workers' included.
     """
     src1, src2, probs, main = expand_incidences(cols)
-    acc = clamp_accuracies(accuracies, params)
+    acc = clamp_accuracies(accuracies)
     fwd, bwd = score_incidences(probs, acc[src1], acc[src2], params)
     return PairTable.from_incidences(
         n_sources, src1, src2, fwd, bwd, main, layout=params.pair_layout

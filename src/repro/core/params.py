@@ -52,6 +52,11 @@ REDUCE_MODES = ("flat", "tree")
 #: so validation stays NumPy-free.
 PAIR_LAYOUTS = ("auto", "dense", "sparse")
 
+#: Accuracies are clamped into ``[ACCURACY_CLAMP, 1 - ACCURACY_CLAMP]``
+#: before any log/ratio computation so that scores stay finite (a source
+#: with accuracy exactly 0 or 1 would otherwise produce infinities).
+ACCURACY_CLAMP = 0.005
+
 
 @dataclass(frozen=True)
 class CopyParams:
@@ -64,10 +69,6 @@ class CopyParams:
         alpha: prior probability of directed copying.
         s: copy selectivity (probability the copier copies a given item).
         n: number of false values per data item domain.
-        accuracy_clamp: accuracies are clamped into
-            ``[accuracy_clamp, 1 - accuracy_clamp]`` before any log/ratio
-            computation so that scores stay finite (sources with accuracy
-            exactly 0 or 1 would otherwise produce infinities).
         backend: score-accumulation backend.  ``"numpy"`` (the default
             since the conformance soak completed) routes PAIRWISE,
             INDEX and the parallel engine through the vectorized kernel
@@ -97,7 +98,6 @@ class CopyParams:
     alpha: float = 0.1
     s: float = 0.8
     n: int = 50
-    accuracy_clamp: float = 0.005
     backend: str = "numpy"
     pair_layout: str = "auto"
 
@@ -108,10 +108,6 @@ class CopyParams:
             raise ValueError(f"s must be in (0, 1), got {self.s}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.accuracy_clamp < 0.5:
-            raise ValueError(
-                f"accuracy_clamp must be in (0, 0.5), got {self.accuracy_clamp}"
-            )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
@@ -137,45 +133,6 @@ class CopyParams:
         """No-copying threshold ``ln(beta/(2*alpha))`` (Section IV-A)."""
         return math.log(self.beta / (2.0 * self.alpha))
 
-    def theta_cp_at(self, p_independent: float) -> float:
-        """Copying threshold guaranteeing ``Pr(indep | Phi) <= p_independent``.
-
-        Section IV-A's banded variant: to *conclude copying with
-        confidence* (e.g. posterior independence below 0.1 rather than
-        merely below 0.5), require either direction's lower bound to reach
-        ``ln(beta (1-p) / (alpha p))``.  At ``p = 0.5`` this reduces to
-        :attr:`theta_cp`.
-
-        Raises:
-            ValueError: if ``p_independent`` is not in (0, 1).
-        """
-        if not 0.0 < p_independent < 1.0:
-            raise ValueError(
-                f"p_independent must be in (0, 1), got {p_independent}"
-            )
-        return math.log(
-            self.beta * (1.0 - p_independent) / (self.alpha * p_independent)
-        )
-
-    def theta_ind_at(self, p_independent: float) -> float:
-        """No-copy threshold guaranteeing ``Pr(indep | Phi) > p_independent``.
-
-        Both directions' upper bounds below
-        ``ln(beta (1-p) / (2 alpha p))`` force the posterior independence
-        probability above ``p`` (e.g. 0.9).  At ``p = 0.5`` this reduces
-        to :attr:`theta_ind`.
-
-        Raises:
-            ValueError: if ``p_independent`` is not in (0, 1).
-        """
-        if not 0.0 < p_independent < 1.0:
-            raise ValueError(
-                f"p_independent must be in (0, 1), got {p_independent}"
-            )
-        return math.log(
-            self.beta * (1.0 - p_independent) / (2.0 * self.alpha * p_independent)
-        )
-
     @property
     def ln_one_minus_s(self) -> float:
         """``ln(1-s)``, the contribution of a differing data item (Eq. 8)."""
@@ -183,8 +140,8 @@ class CopyParams:
 
     def clamp_accuracy(self, accuracy: float) -> float:
         """Clamp an accuracy into the open interval the math requires."""
-        low = self.accuracy_clamp
-        high = 1.0 - self.accuracy_clamp
+        low = ACCURACY_CLAMP
+        high = 1.0 - ACCURACY_CLAMP
         if accuracy < low:
             return low
         if accuracy > high:

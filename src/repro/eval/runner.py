@@ -44,7 +44,7 @@ from ..core import (
 )
 from ..core.fagin_input import build_fagin_input
 from ..data import Dataset, GoldStandard
-from ..fusion import FusionConfig, FusionResult, run_fusion
+from ..fusion import FusionResult, run_fusion
 from ..sampling import sample_by_cell, sample_by_item, scale_sample
 from .metrics import (
     PrecisionRecall,
@@ -150,9 +150,7 @@ def run_method(
     method: str,
     dataset: Dataset,
     params: CopyParams,
-    fusion_config: FusionConfig | None = None,
     sample_fraction: float = 0.1,
-    min_items_per_source: int = 4,
     seed: int = 0,
 ) -> MethodRun:
     """Run one method's full iterative protocol on a dataset.
@@ -161,10 +159,8 @@ def run_method(
         method: one of :data:`RUNNER_METHODS`.
         dataset: the full dataset.
         params: model parameters.
-        fusion_config: fusion loop configuration.
         sample_fraction: item fraction for the sampled methods (the
             paper: 10%, or 1% on Stock-2wk).
-        min_items_per_source: SCALESAMPLE's per-source floor (paper: 4).
         seed: RNG seed for sampling.
 
     Returns:
@@ -174,7 +170,6 @@ def run_method(
         raise ValueError(
             f"unknown method {method!r}; expected one of {RUNNER_METHODS}"
         )
-    cfg = fusion_config or FusionConfig()
     rng = random.Random(seed)
 
     sampling_seconds = 0.0
@@ -187,25 +182,20 @@ def run_method(
         elif method == "sample2":
             items = sample_by_cell(dataset, sample_fraction, rng)
         else:
-            items = scale_sample(
-                dataset,
-                sample_fraction,
-                rng,
-                min_items_per_source=min_items_per_source,
-            )
+            items = scale_sample(dataset, sample_fraction, rng)
         detect_dataset = dataset.project_items(items)
         sampling_seconds = time.perf_counter() - start
         sampled_items = len(items)
 
     detector = _make_detector(method, params)
-    detect_fusion = run_fusion(detect_dataset, params, detector=detector, config=cfg)
+    detect_fusion = run_fusion(detect_dataset, params, detector=detector)
     detection = detect_fusion.final_detection()
     assert detection is not None
 
     if method in _SAMPLED:
         # Fuse the full dataset under the sampled copy decisions.
         fusion = run_fusion(
-            dataset, params, detector=_FixedDetector(detection), config=cfg
+            dataset, params, detector=_FixedDetector(detection)
         )
     else:
         fusion = detect_fusion

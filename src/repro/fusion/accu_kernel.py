@@ -66,7 +66,7 @@ from ..core.pairspace import (
     encode_pair_keys,
     resolve_pair_layout,
 )
-from ..core.params import CopyParams
+from ..core.params import ACCURACY_CLAMP, CopyParams
 from ..core.result import DetectionResult, PairColumns
 from ..data.columns import ClaimColumns, distinct
 
@@ -85,8 +85,8 @@ def accuracy_scores(
     """Vectorized ``A'(S) = ln(n A / (1 - A))`` with the standard clamp."""
     a = np.clip(
         np.asarray(accuracies, dtype=np.float64),
-        params.accuracy_clamp,
-        1.0 - params.accuracy_clamp,
+        ACCURACY_CLAMP,
+        1.0 - ACCURACY_CLAMP,
     )
     return np.log(params.n * a / (1.0 - a))
 
@@ -258,4 +258,4 @@ def update_accuracies_columnar(
     )
     counts = np.diff(cols.claim_offsets)
     means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.5)
-    return np.clip(means, params.accuracy_clamp, 1.0 - params.accuracy_clamp)
+    return np.clip(means, ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)

@@ -75,7 +75,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from ..core.params import CopyParams
+from ..core.params import ACCURACY_CLAMP, CopyParams
 from ..core.result import DetectionResult
 from .accu import independence_weights
 
@@ -251,7 +251,7 @@ def ds_value_probabilities_columnar(
     from .accu_kernel import independence_weight_stream
 
     acc = np.asarray(accuracies, dtype=np.float64)
-    a = np.clip(acc, params.accuracy_clamp, 1.0 - params.accuracy_clamp)
+    a = np.clip(acc, ACCURACY_CLAMP, 1.0 - ACCURACY_CLAMP)
     odds = params.n * a / (1.0 - a)
     w_source = (1.0 - 1.0 / odds) * (1.0 - uncertainty)
     if credibility is not None:

@@ -41,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: credibility priors and per-item conflict diagnostics.
 FUSION_METHOD_VALUES = ("accu", "ds")
 
+#: Every source's starting accuracy in a cold fusion run.
+INITIAL_ACCURACY = 0.8
+
 
 class RoundDetector(Protocol):
     """Anything that can detect copying once per fusion round."""
@@ -69,9 +72,8 @@ class FusionConfig:
             paper's runs finish in a similar number of rounds).
         min_rounds: never stop before this many rounds (copy decisions
             swing in the first two rounds; see Section VI footnote 7).
-        initial_accuracy: the uniform starting accuracy.
         initial_accuracies: per-source starting accuracies overriding the
-            uniform ``initial_accuracy``.  The streaming engine warm-starts
+            uniform :data:`INITIAL_ACCURACY`.  The streaming engine warm-starts
             each epoch from the previous epoch's converged accuracies so
             the loop re-converges in a couple of rounds instead of from
             scratch.  Must have one entry per source when given.
@@ -96,7 +98,6 @@ class FusionConfig:
     max_rounds: int = 12
     tolerance: float = 0.02
     min_rounds: int = 3
-    initial_accuracy: float = 0.8
     initial_accuracies: Sequence[float] | None = None
     fusion_method: str = "accu"
     credibility: CredibilityModel | None = None
@@ -374,7 +375,7 @@ def run_fusion(
         if cfg.initial_accuracies is not None:
             accuracies = [float(a) for a in cfg.initial_accuracies]
         else:
-            accuracies = [cfg.initial_accuracy] * dataset.n_sources
+            accuracies = [INITIAL_ACCURACY] * dataset.n_sources
         probabilities, _ = _value_probs(accuracies)
         rounds: list[RoundRecord] = []
         converged = False

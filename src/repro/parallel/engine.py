@@ -77,6 +77,7 @@ from ..core.kernel import PairTable
 from ..core.params import CopyParams, validate_execution
 from ..core.result import DetectionResult
 from ..data import Dataset
+from .executors import open_executor
 
 Executor = Literal["serial", "threads", "processes", "remote"]
 ReduceMode = Literal["flat", "tree"]
@@ -213,8 +214,6 @@ def _map_reduce(
         return workspace.executor(executor, cluster).map_reduce(
             world, parts, params, reduce_mode
         )
-    from .executors import open_executor  # imports repro.cluster
-
     opened: dict = {}
     try:
         return open_executor(executor, cluster, opened).map_reduce(

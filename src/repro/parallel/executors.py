@@ -23,6 +23,9 @@ sized to the core count, never to that round's task count — a later
 round with more partitions must not be capped by an earlier, narrower
 one.  A round with a single partition has nothing to overlap, so every
 local executor runs it inline without starting a pool or a worker.
+Only ``"processes"`` and ``"remote"`` import :mod:`repro.cluster`, and
+only when they first need it: a ``serial`` or ``threads`` round never
+pays for the socket and forking machinery.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-from ..cluster import ClusterError, ClusterExecutor, LocalCluster, parse_worker_spec
 from ..core.params import EXECUTORS
 
 
@@ -93,6 +95,8 @@ class ProcessesExecutor(SerialExecutor):
         """Scan the partitions on the forked workers and reduce the partials."""
         if len(partitions) < 2:
             return super().map_reduce(world, partitions, params, reduce_mode)
+        from ..cluster import ClusterError, LocalCluster
+
         if self._cluster is None:
             self._cluster = LocalCluster(os.cpu_count() or 1)
             self._remote = self._cluster.executor()
@@ -137,6 +141,8 @@ def open_executor(kind: str, cluster, opened: dict):
         raise ValueError(f"unknown executor {kind!r}")
     key = kind
     if kind == "remote":
+        from ..cluster import ClusterExecutor, parse_worker_spec
+
         if isinstance(cluster, ClusterExecutor):
             return cluster
         key = tuple(parse_worker_spec(cluster))

@@ -25,7 +25,7 @@ map in ``docs/ARCHITECTURE.md``.
 
 from .client import StreamClient, StreamClientError
 from .engine import EpochResult, EpochState, StreamEngine, replay_epochs
-from .http import StreamingServer, serve
+from .http import StreamingServer
 from .service import StreamingService
 
 __all__ = [
@@ -37,5 +37,4 @@ __all__ = [
     "StreamingServer",
     "StreamingService",
     "replay_epochs",
-    "serve",
 ]

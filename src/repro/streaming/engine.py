@@ -66,7 +66,12 @@ from ..core.detector import SingleRoundDetector
 from ..core.explain import PairExplanation, explain_pair
 from ..core.params import CopyParams
 from ..data import ClaimDelta, ClaimLedger, Dataset, LedgerUpdate
-from ..fusion.pipeline import FusionConfig, FusionResult, run_fusion
+from ..fusion.pipeline import (
+    INITIAL_ACCURACY,
+    FusionConfig,
+    FusionResult,
+    run_fusion,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.result import DetectionResult
@@ -206,7 +211,7 @@ class StreamEngine:
             only ``initial_accuracies`` for warm starts.
         warm_start: seed each epoch's fusion with the previous epoch's
             converged accuracies (new sources start at
-            ``config.initial_accuracy``).  Cuts rounds-to-reconverge on
+            :data:`~repro.fusion.pipeline.INITIAL_ACCURACY`).  Cuts rounds-to-reconverge on
             quiet feeds; turn off to make every epoch bit-identical to a
             cold batch run over the accumulated claims.
     """
@@ -308,7 +313,7 @@ class StreamEngine:
         if self.warm_start and self.state is not None:
             previous = list(self.state.accuracies)
             if cfg.credibility is None:
-                pad = [cfg.initial_accuracy] * (dataset.n_sources - len(previous))
+                pad = [INITIAL_ACCURACY] * (dataset.n_sources - len(previous))
             else:
                 # Sources that appeared mid-stream never saw the cold
                 # start, so their pad must honour the same credibility
@@ -318,7 +323,7 @@ class StreamEngine:
                 names = dataset.source_names
                 pad = [
                     cfg.credibility.initial_accuracy_for(
-                        cfg.initial_accuracy, source_id=sid, name=names[sid]
+                        INITIAL_ACCURACY, source_id=sid, name=names[sid]
                     )
                     for sid in range(len(previous), dataset.n_sources)
                 ]
@@ -368,7 +373,6 @@ def replay_epochs(
     epochs: Sequence[Sequence[ClaimDelta]],
     store: "VerdictStore | Path | str | None" = None,
     params: CopyParams | None = None,
-    config: FusionConfig | None = None,
     warm_start: bool = True,
 ) -> list[EpochResult]:
     """Drive a fresh :class:`StreamEngine` over pre-partitioned epochs.
@@ -378,10 +382,5 @@ def replay_epochs(
     tests feed the same partitions to both and assert exact equality of
     every epoch's verdicts, accuracies and truths.
     """
-    with StreamEngine(
-        store=store,
-        params=params,
-        config=config,
-        warm_start=warm_start,
-    ) as engine:
+    with StreamEngine(store=store, params=params, warm_start=warm_start) as engine:
         return [engine.run_epoch(epoch) for epoch in epochs]

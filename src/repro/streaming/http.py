@@ -174,13 +174,6 @@ class StreamingServer:
             self._server = None
         await self.service.stop(drain=drain)
 
-    async def serve_forever(self) -> None:
-        """Block until cancelled (the CLI's foreground mode)."""
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
@@ -334,21 +327,3 @@ class StreamingServer:
         finally:
             self.service.unsubscribe(queue)
             writer.close()
-
-
-async def serve(
-    server: StreamingServer, shutdown: asyncio.Event | None = None
-) -> None:
-    """Run a server until ``shutdown`` is set (or forever), then drain.
-
-    The CLI wires ``SIGINT``/``SIGTERM`` to the event, so Ctrl-C performs
-    a graceful drain-on-shutdown instead of dropping accepted claims.
-    """
-    await server.start()
-    try:
-        if shutdown is None:
-            await server.serve_forever()
-        else:
-            await shutdown.wait()
-    finally:
-        await server.stop(drain=True)

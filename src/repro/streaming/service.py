@@ -83,6 +83,10 @@ _log = logging.getLogger(__name__)
 #: debounce, which a ~30 ms prepare still fits in.
 SPECULATION_GRACE = 0.002
 
+#: Per-subscriber event queue capacity: a slow subscriber drops its
+#: oldest events rather than stalling epochs.
+SUBSCRIBER_QUEUE_SIZE = 256
+
 
 class StreamingService:
     """Micro-batching asyncio front end over a :class:`StreamEngine`.
@@ -96,8 +100,6 @@ class StreamingService:
             arrival to its epoch — the staleness bound.
         debounce: quiet period (seconds) a bursty source must hold
             before the batch flushes ahead of the deadline.
-        queue_size: per-subscriber event queue capacity; a slow
-            subscriber drops oldest events rather than stalling epochs.
     """
 
     def __init__(
@@ -106,21 +108,15 @@ class StreamingService:
         max_batch: int = 512,
         max_delay: float = 0.5,
         debounce: float = 0.05,
-        queue_size: int = 256,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if queue_size < 1:
-            # asyncio.Queue(maxsize=0) is unbounded: a slow subscriber
-            # would never drop events, and memory would grow without limit.
-            raise ValueError("queue_size must be at least 1")
         if not max_delay > 0 or not debounce >= 0:  # NaN fails both
             raise ValueError("max_delay must be > 0 and debounce >= 0")
         self.engine = engine
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.debounce = min(debounce, max_delay)
-        self.queue_size = queue_size
 
         self._pending: list[ClaimDelta] = []
         self._first_arrival: float | None = None
@@ -359,7 +355,7 @@ class StreamingService:
     # ------------------------------------------------------------------
     def subscribe(self) -> asyncio.Queue:
         """A fresh queue receiving one event dict per published epoch."""
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_size)
+        queue: asyncio.Queue = asyncio.Queue(maxsize=SUBSCRIBER_QUEUE_SIZE)
         self._subscribers.append(queue)
         return queue
 

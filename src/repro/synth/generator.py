@@ -14,8 +14,8 @@ structural marginals (see DESIGN.md, "Substitutions"):
   copiers that copy a ``copy_selectivity`` fraction of an upstream
   member's claims — errors included, which is exactly the signal copy
   detection keys on — and fill the rest of their coverage with their own
-  (error-prone) claims.  With ``chain_copying`` a copier may copy from a
-  previously created copier, yielding transitive copying.
+  (error-prone) claims.  A copier may copy from a previously created
+  copier of its group, yielding transitive copying.
 
 Everything is driven by a seeded :class:`numpy.random.Generator`; the same
 config and seed always produce byte-identical datasets.
@@ -57,8 +57,6 @@ class GeneratorConfig:
         copier_accuracy: accuracy of a copier's own (non-copied) claims.
         copier_extra_coverage: fraction of items a copier adds from its
             own observation on top of the copied ones.
-        chain_copying: allow copiers to copy from earlier copiers in
-            their group (creates transitive copying).
         gold_size: number of items exposed in the gold standard.
         seed: RNG seed.
     """
@@ -75,7 +73,6 @@ class GeneratorConfig:
     copy_selectivity: float = 0.8
     copier_accuracy: float = 0.6
     copier_extra_coverage: float = 0.1
-    chain_copying: bool = True
     gold_size: int = 200
     seed: int = 7
 
@@ -247,7 +244,7 @@ def generate(config: GeneratorConfig) -> SyntheticWorld:
         members = [original]
         for k in range(config.copiers_per_group):
             name = f"copy{group}.{k}"
-            if config.chain_copying and len(members) > 1:
+            if len(members) > 1:
                 upstream = members[int(rng.integers(0, len(members)))]
             else:
                 upstream = original

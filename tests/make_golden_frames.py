@@ -4,14 +4,15 @@
 (``snapshot.rvs``) and two cluster frames (``world.rclw``, ``task.rclw``)
 exactly as the public encoders wrote them at commit 465d2c0 — the last
 one where ``serving/codec.py`` and ``cluster/wire.py`` each carried their
-own framing — and since regenerated five times, each time moving the
+own framing — and since regenerated six times.  Five of them moved the
 4-byte version word and nothing else: for version 2 of both formats
 (stride-free pair keys), for wire version 3 (a ``task`` is answered
 with its ``partial``), for snapshot version 3 (the store's narrow
 integer columns, which ``encode_snapshot`` itself does not apply), for
 snapshot version 4 (the store's derived pair columns, likewise applied
 above ``encode_snapshot``), and for snapshot version 5 (the store's
-truth labels, likewise).
+truth labels, likewise).  Wire version 4 also dropped ``accuracy_clamp``
+from ``task.rclw``'s params, since ``CopyParams`` no longer has it.
 ``tests/test_frames.py`` decodes them with the shared framing module and
 re-encodes them byte for byte, so neither on-disk nor on-wire format can
 drift without a ``FORMAT_VERSION``/``WIRE_VERSION`` bump.

@@ -8,8 +8,8 @@ scores included — must be **bit-identical** to the pure-Python reference
 (``PairDecision``/``PairBookkeeping`` are compared with plain ``==``
 throughout, i.e. exact float equality).  These tests lock that down on
 random worlds, adversarial threshold-edge worlds, every
-:class:`~repro.core.index.EntryOrdering`, hybrid thresholds {0, 1, 16},
-the banded thresholds, and a multi-round INCREMENTAL run.
+:class:`~repro.core.index.EntryOrdering`, hybrid thresholds {0, 1, 16}
+and a multi-round INCREMENTAL run.
 """
 
 import pytest
@@ -50,7 +50,6 @@ def assert_scan_identical(
     world,
     ordering=EntryOrdering.BY_CONTRIBUTION,
     epoch_sizes=EPOCH_SIZES,
-    band=None,
 ):
     """Both backends must produce bit-identical scan outcomes."""
     dataset, probs, accs = world
@@ -64,7 +63,6 @@ def assert_scan_identical(
             use_timers=use_timers,
             hybrid_threshold=threshold,
             track_bookkeeping=True,
-            band=band,
         )
         for epoch_size in epoch_sizes:
             batched = scan_with_bounds(
@@ -76,7 +74,6 @@ def assert_scan_identical(
                 use_timers=use_timers,
                 hybrid_threshold=threshold,
                 track_bookkeeping=True,
-                band=band,
                 epoch_size=epoch_size,
             )
             context = (label, ordering, epoch_size)
@@ -110,11 +107,6 @@ class TestDecisionEquivalence:
     @given(world=adversarial_worlds())
     def test_adversarial_worlds(self, world):
         assert_scan_identical(world)
-
-    @settings(max_examples=15, deadline=None)
-    @given(world=worlds())
-    def test_banded_thresholds(self, world):
-        assert_scan_identical(world, band=(0.1, 0.9), epoch_sizes=(3,))
 
     def test_theta_edge_worlds(self, params):
         """Adjacent-float probability edges: the >=/< tie-breaks agree."""

@@ -430,6 +430,40 @@ class TestConformance:
         assert "FAIL" in out
         assert list((tmp_path / "corpus").glob("*.json"))
 
+    def test_no_shrink_reports_the_divergent_world_whole(
+        self, capsys, monkeypatch
+    ):
+        import repro.conformance.engine as engine
+        import repro.fusion.accu_kernel as accu_kernel
+        from repro.conformance import CaseConfig, generate_world
+
+        true_update = accu_kernel.update_accuracies_columnar
+        monkeypatch.setattr(
+            accu_kernel,
+            "update_accuracies_columnar",
+            lambda cols, probabilities, params: true_update(
+                cols, probabilities, params
+            )
+            * 0.999,
+        )
+        monkeypatch.setattr(
+            engine, "GRIDS", {"smoke": lambda: [CaseConfig("fusion", "none", rounds=2)]}
+        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("--no-shrink ran the shrinker")
+
+        monkeypatch.setattr(engine, "shrink_world", never)
+        code = main(
+            ["conformance", "--smoke", "--cases", "1", "--seed", "13", "--no-shrink"]
+        )
+        assert code == 1
+        world = generate_world(0, 13)
+        assert (
+            f"({world.n_sources} sources, {world.n_claims} claims)"
+            in capsys.readouterr().out
+        )
+
     def test_unknown_grid_rejected(self):
         with pytest.raises(SystemExit):
             main(["conformance", "--grid", "nope"])

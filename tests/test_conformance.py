@@ -394,13 +394,12 @@ class TestGridRunner:
             )
             * 0.999,
         )
+        import repro.conformance.engine as engine
+
+        monkeypatch.setattr(engine, "MAX_SHRINK_CHECKS", 30)
         configs = [CaseConfig("fusion", "none", rounds=2)]
         report = run_grid(
-            n_cases=2,
-            seed=13,
-            configs=configs,
-            corpus_dir=tmp_path,
-            max_shrink_checks=30,
+            n_cases=2, seed=13, configs=configs, corpus_dir=tmp_path
         )
         assert not report.ok
         assert report.divergences

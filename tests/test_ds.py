@@ -22,6 +22,7 @@ from repro.fusion import (
     vote,
     vote_probabilities,
 )
+from repro.fusion.pipeline import INITIAL_ACCURACY
 from repro.fusion.ds import MAX_SUPPORT, ds_value_probabilities_columnar, support_masses
 from repro.streaming import StreamEngine
 
@@ -407,9 +408,9 @@ class TestStreamingDS:
         dataset = engine.ledger.snapshot()
 
         pad = cred.initial_accuracy_for(
-            cfg.initial_accuracy, source_id=len(previous), name="late"
+            INITIAL_ACCURACY, source_id=len(previous), name="late"
         )
-        assert pad == pytest.approx(cfg.initial_accuracy * 0.6)
+        assert pad == pytest.approx(INITIAL_ACCURACY * 0.6)
         manual = run_fusion(
             dataset,
             params,

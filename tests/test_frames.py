@@ -23,7 +23,13 @@ store puts in the table: ``snapshot.rvs`` differs from its version-3
 bytes in the version word alone (:data:`V3_SHA256`).  Snapshot version 5
 (the labels hold each item row's truth label, not every value's) changed
 only what the store puts in the meta: ``snapshot.rvs`` differs from its
-version-4 bytes in the version word alone (:data:`V4_SHA256`).
+version-4 bytes in the version word alone (:data:`V4_SHA256`).  Wire
+version 4 (``CopyParams`` lost ``accuracy_clamp``, now a constant on
+both ends) changed what a ``task`` ships, not the framing:
+``world.rclw`` differs from its version-3 bytes in the version word
+alone, and ``task.rclw`` re-encoded with the dropped key (at its old
+default) and the old version word is its version-3 bytes exactly
+(:data:`V3_SHA256`).
 """
 
 from __future__ import annotations
@@ -57,9 +63,12 @@ V2_SHA256 = {
     "world.rclw": "17e934d8244ad097388d6cd3dbbbc47e4cc182d381224b4568ae0763284d2f04",
 }
 
-#: SHA-256 of the snapshot fixture as committed at format version 3 (d42eee6).
+#: SHA-256 of the fixtures as committed at format/wire version 3 (the
+#: snapshot at d42eee6, the cluster frames at f2ddc4a).
 V3_SHA256 = {
     "snapshot.rvs": "335f0663f47648ae5f56f5c838a7fa0d7cfbe1bb26877ea382f2b7f05a5d82b8",
+    "task.rclw": "0bed48ec8531d3df66eb0b1301e6a4173e5a813c7513a9c32ee8213c9a47ea07",
+    "world.rclw": "2038e33a4c6f2ebfe6e8b7047052d93a6e7a2061fa0177e3284f327388354c9b",
 }
 
 #: SHA-256 of the snapshot fixture as committed at format version 4 (37c34fa).
@@ -68,7 +77,7 @@ V4_SHA256 = {
 }
 
 #: The version each fixture's format is at now.
-CURRENT_VERSION = {"snapshot.rvs": 5, "task.rclw": 3, "world.rclw": 3}
+CURRENT_VERSION = {"snapshot.rvs": 5, "task.rclw": 4, "world.rclw": 4}
 
 
 def _decode(name: str, data: bytes):
@@ -90,6 +99,23 @@ def _encode(kind, meta, arrays) -> bytes:
     return encode_message(kind, meta, arrays)
 
 
+def _before_wire_v4(name: str) -> bytes:
+    """A fixture's bytes before wire version 4, but for the version word.
+
+    Version 3's ``task`` params carried ``accuracy_clamp`` (default
+    0.005, right after ``n``); every other fixture is unchanged.
+    """
+    if name != "task.rclw":
+        return GOLDEN[name]
+    kind, meta, arrays = _decode(name, GOLDEN[name])
+    params = {}
+    for key, value in meta["params"].items():
+        params[key] = value
+        if key == "n":
+            params["accuracy_clamp"] = 0.005
+    return _encode(kind, {**meta, "params": params}, arrays)
+
+
 class TestGoldenBytes:
     def test_fixture_set(self):
         assert set(GOLDEN) == {"snapshot.rvs", "world.rclw", "task.rclw"}
@@ -98,26 +124,33 @@ class TestGoldenBytes:
         assert golden_frames() == GOLDEN
 
     def test_each_format_is_at_its_current_version(self):
-        assert (FORMAT_VERSION, WIRE_VERSION) == (5, 3)
+        assert (FORMAT_VERSION, WIRE_VERSION) == (5, 4)
         for name, version in CURRENT_VERSION.items():
             assert struct.unpack_from("<4sI", GOLDEN[name])[1] == version, name
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_version_two_moved_the_version_word_only(self, name):
-        as_v1 = _with_version(GOLDEN[name], 1)
+        as_v1 = _with_version(_before_wire_v4(name), 1)
         assert hashlib.sha256(as_v1).hexdigest() == V1_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_version_three_moved_the_version_word_only(self, name):
         """Each format's bump to version 3 moved its version word and
         nothing else."""
-        as_v2 = _with_version(GOLDEN[name], 2)
+        as_v2 = _with_version(_before_wire_v4(name), 2)
         assert hashlib.sha256(as_v2).hexdigest() == V2_SHA256[name]
 
     @pytest.mark.parametrize("name", sorted(V3_SHA256))
     def test_version_four_moved_the_version_word_only(self, name):
-        as_v3 = _with_version(GOLDEN[name], 3)
+        """Each format's bump to version 4 moved its version word and,
+        for ``task.rclw``, dropped the params' ``accuracy_clamp``."""
+        as_v3 = _with_version(_before_wire_v4(name), 3)
         assert hashlib.sha256(as_v3).hexdigest() == V3_SHA256[name]
+
+    def test_wire_version_four_dropped_only_the_clamp(self):
+        kind, meta, _ = _decode("task.rclw", GOLDEN["task.rclw"])
+        assert kind == "task"
+        assert list(meta["params"]) == ["alpha", "s", "n", "backend", "pair_layout"]
 
     @pytest.mark.parametrize("name", sorted(V4_SHA256))
     def test_version_five_moved_the_version_word_only(self, name):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import CopyParams, SingleRoundDetector, detect_pairwise
+from repro.core.params import ACCURACY_CLAMP
 from repro.data import DatasetBuilder, motivating_example, motivating_gold
 from repro.fusion import (
     FusionConfig,
@@ -127,7 +128,7 @@ class TestUpdateAccuracies:
     def test_clamped(self, params):
         ds = _simple_dataset()
         accs = update_accuracies(ds, [1.0, 0.0], params)
-        assert all(params.accuracy_clamp <= a <= 1 - params.accuracy_clamp for a in accs)
+        assert all(ACCURACY_CLAMP <= a <= 1 - ACCURACY_CLAMP for a in accs)
 
 
 class TestChooseValues:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.core import (
     CopyParams,
     EntryOrdering,
+    InvertedIndex,
     detect_index,
     detect_pairwise,
 )
@@ -88,7 +89,12 @@ class TestEquivalence:
         dataset, probs, accs = world
         params = CopyParams()
         results = [
-            detect_index(dataset, probs, accs, params, ordering=ordering)
+            detect_index(
+                dataset, probs, accs, params,
+                index=InvertedIndex.build(
+                    dataset, probs, accs, params, ordering=ordering
+                ),
+            )
             for ordering in EntryOrdering
         ]
         first = results[0].copying_pairs()

@@ -39,7 +39,7 @@ METHODS = ("pairwise", "index", "bound", "bound+", "hybrid")
 
 def _entry_triangle(p_true, accuracies, params):
     """One entry's provider triangle through the scan's own scoring calls."""
-    acc = clamp_accuracies(accuracies, params)
+    acc = clamp_accuracies(accuracies)
     iu, ju = np.triu_indices(len(acc), 1)
     return score_incidences(np.full(len(iu), p_true), acc[iu], acc[ju], params)
 

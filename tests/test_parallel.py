@@ -717,3 +717,31 @@ class TestNoWorkspaceLeaks:
             second = self._detect(book_round, "index", "remote", session)
             assert second.decisions == first.decisions
             assert session.stats.rounds == 2
+
+
+def test_a_local_partitioned_round_never_imports_the_cluster():
+    """``serial`` and ``threads`` rounds run without :mod:`repro.cluster`:
+    only ``processes`` and ``remote`` import its sockets and forking."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "from repro.core import CopyParams, detect\n"
+        "from repro.synth import make_profile\n"
+        "ds = make_profile('book_cs', scale=0.05).dataset\n"
+        "for executor in ('serial', 'threads'):\n"
+        "    detect(ds, [0.5] * ds.n_values, [0.8] * ds.n_sources, CopyParams(),\n"
+        "           method='index', n_partitions=2, executor=executor)\n"
+        "assert 'repro.parallel.executors' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.cluster')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.core import CopyParams
+from repro.core.params import ACCURACY_CLAMP
 
 
 class TestValidation:
@@ -27,11 +28,6 @@ class TestValidation:
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             CopyParams(n=0)
-
-    @pytest.mark.parametrize("clamp", [0.0, 0.5, 0.7])
-    def test_clamp_out_of_range(self, clamp):
-        with pytest.raises(ValueError):
-            CopyParams(accuracy_clamp=clamp)
 
     def test_frozen(self):
         params = CopyParams()
@@ -61,19 +57,18 @@ class TestDerived:
 
 class TestClamp:
     def test_inside_range_unchanged(self):
-        params = CopyParams(accuracy_clamp=0.01)
-        assert params.clamp_accuracy(0.5) == 0.5
+        assert CopyParams().clamp_accuracy(0.5) == 0.5
 
     def test_extremes_clamped(self):
-        params = CopyParams(accuracy_clamp=0.01)
-        assert params.clamp_accuracy(0.0) == 0.01
-        assert params.clamp_accuracy(1.0) == 0.99
-        assert params.clamp_accuracy(-5.0) == 0.01
+        params = CopyParams()
+        assert params.clamp_accuracy(0.0) == ACCURACY_CLAMP
+        assert params.clamp_accuracy(1.0) == 1.0 - ACCURACY_CLAMP
+        assert params.clamp_accuracy(-5.0) == ACCURACY_CLAMP
 
     def test_boundaries_exact(self):
-        params = CopyParams(accuracy_clamp=0.05)
-        assert params.clamp_accuracy(0.05) == 0.05
-        assert params.clamp_accuracy(0.95) == 0.95
+        params = CopyParams()
+        assert params.clamp_accuracy(ACCURACY_CLAMP) == ACCURACY_CLAMP
+        assert params.clamp_accuracy(1.0 - ACCURACY_CLAMP) == 1.0 - ACCURACY_CLAMP
 
 
 class TestExecutionValidation:

@@ -577,8 +577,6 @@ class TestServiceValidation:
         with pytest.raises(ValueError):
             StreamingService(StreamEngine(), debounce=float("nan"))
         StreamingService(StreamEngine(), max_delay=float("inf"))  # no deadline
-        with pytest.raises(ValueError, match="queue_size"):
-            StreamingService(StreamEngine(), queue_size=0)
 
     def test_debounce_capped_at_max_delay(self, tmp_path):
         service = StreamingService(

@@ -76,3 +76,28 @@ class TestCliBench:
         out = capsys.readouterr().out
         assert "Detection cost" in out
         assert "total wall time" in out
+
+    def test_sample_fraction_reaches_the_sampled_methods(
+        self, tmp_path, capsys, monkeypatch, world
+    ):
+        import repro.eval.suite as suite_module
+        from repro.cli import main
+        from repro.data import save_claims
+
+        seen = []
+        real = suite_module.run_method
+
+        def spy(method, dataset, params, **kwargs):
+            seen.append((method, kwargs["sample_fraction"]))
+            return real(method, dataset, params, **kwargs)
+
+        monkeypatch.setattr(suite_module, "run_method", spy)
+        claims = tmp_path / "claims.csv"
+        save_claims(world.dataset, claims)
+        code = main(
+            ["bench", str(claims), "--methods", "pairwise,sample1",
+             "--sample-fraction", "0.25"]
+        )
+        assert code == 0
+        assert seen == [("pairwise", 0.25), ("sample1", 0.25)]
+        assert "sample1" in capsys.readouterr().out

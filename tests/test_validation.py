@@ -86,42 +86,3 @@ class TestExtremeInputs:
         result = detect_pairwise(ds, [0.5], [0.0, 1.0], params)
         decision = result.decision_for(0, 1)
         assert abs(decision.c_fwd) < 1e6  # finite thanks to the clamp
-
-    def test_band_validation(self, params):
-        from repro.core import detect_bound_plus
-
-        ds = _tiny()
-        with pytest.raises(ValueError):
-            detect_bound_plus(ds, [0.5], [0.8, 0.8], params, band=(0.9, 0.1))
-
-    def test_theta_at_validation(self, params):
-        with pytest.raises(ValueError):
-            params.theta_cp_at(0.0)
-        with pytest.raises(ValueError):
-            params.theta_ind_at(1.0)
-
-    def test_theta_at_reduces_to_defaults(self, params):
-        assert params.theta_cp_at(0.5) == pytest.approx(params.theta_cp)
-        assert params.theta_ind_at(0.5) == pytest.approx(params.theta_ind)
-
-    def test_banded_conclusions_respect_band(
-        self, example, example_probabilities, example_accuracies, params
-    ):
-        """Early copy conclusions under a (p_low, p_high) band guarantee
-        the exact posterior is at most p_low (C^min is sound)."""
-        from repro.core import detect_bound_plus
-
-        exact = detect_pairwise(
-            example, example_probabilities, example_accuracies, params
-        )
-        banded = detect_bound_plus(
-            example,
-            example_probabilities,
-            example_accuracies,
-            params,
-            band=(0.1, 0.9),
-        )
-        for pair, decision in banded.decisions.items():
-            if decision.early and decision.copying:
-                reference = exact.decision_for(*pair)
-                assert reference.posterior.independent <= 0.1 + 1e-9

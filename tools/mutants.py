@@ -12,7 +12,8 @@ Usage::
     python tools/mutants.py --check     # each old text matches exactly once
     python tools/mutants.py [ID ...]    # run the ledger, or the named mutants
 
-A run copies ``src/``, ``tests/``, ``benchmarks/`` and ``pyproject.toml``
+A run copies ``src/``, ``tests/``, ``benchmarks/``, ``examples/``,
+``README.md`` (the knob census names lines there) and ``pyproject.toml``
 to a temporary directory and checks that every named node passes there
 unmutated.  Then, one mutant at a time, it applies the substitution,
 runs only that mutant's nodes under ``HYPOTHESIS_PROFILE=ci``, and puts
@@ -33,7 +34,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 LEDGER = Path(__file__).with_name("mutants.json")
-COPIED = ("src", "tests", "benchmarks", "pyproject.toml")
+COPIED = ("src", "tests", "benchmarks", "examples", "README.md", "pyproject.toml")
 #: Seconds one mutant's nodes may run before the mutant counts as hung.
 TIMEOUT_S = 600
 
