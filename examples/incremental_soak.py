@@ -34,35 +34,51 @@ from repro.fusion import FusionConfig, run_fusion
 from repro.synth import book_cs
 
 
+class CopyingPerRound:
+    """A round detector that notes each round's copying pairs.
+
+    ``run_fusion`` keeps only the final round's verdict table (each
+    ``RoundRecord`` carries a summary), so a caller that compares rounds
+    wraps its detector.  Every other attribute is the wrapped detector's.
+    """
+
+    def __init__(self, detector):
+        self.detector, self.pairs = detector, []
+
+    def __getattr__(self, name):
+        return getattr(self.detector, name)
+
+    def run_round(self, *args):
+        result = self.detector.run_round(*args)
+        self.pairs.append(result.copying_pairs())
+        return result
+
+
 def run_backend(dataset, backend: str, fusion_backend: str | None = None):
+    """One INCREMENTAL fusion run; returns it and each round's copying pairs."""
     params = CopyParams(backend=backend)
-    detector = IncrementalDetector(params)
-    return run_fusion(
+    detector = CopyingPerRound(IncrementalDetector(params))
+    result = run_fusion(
         dataset,
         params,
         detector=detector,
         config=FusionConfig(max_rounds=10),
         fusion_backend=fusion_backend,
     )
+    return result, detector.pairs
 
 
-def assert_parity(reference, soaked, label: str, accuracy_tolerance: float):
-    """Round/verdict/truth identity plus bounded accuracy drift."""
+def assert_parity(reference_run, soaked_run, label: str, accuracy_tolerance: float):
+    """Round/verdict/truth identity plus bounded accuracy drift; each run is
+    what :func:`run_backend` returns."""
+    (reference, ref_pairs), (soaked, soak_pairs) = reference_run, soaked_run
     assert soaked.n_rounds == reference.n_rounds, (
         f"{label}: round count diverged: "
         f"{soaked.n_rounds} != {reference.n_rounds}"
     )
     assert soaked.converged == reference.converged, f"{label}: convergence"
-    for ref_round, soak_round in zip(reference.rounds, soaked.rounds):
-        ref_pairs = (
-            ref_round.detection.copying_pairs() if ref_round.detection else set()
-        )
-        soak_pairs = (
-            soak_round.detection.copying_pairs() if soak_round.detection else set()
-        )
-        assert soak_pairs == ref_pairs, (
-            f"{label}: round {ref_round.round_no}: copying pairs diverged"
-        )
+    for round_no, (want, got) in enumerate(zip(ref_pairs, soak_pairs), 1):
+        assert got == want, f"{label}: round {round_no}: copying pairs diverged"
     assert soaked.chosen == reference.chosen, f"{label}: fused truths diverged"
     max_drift = max(
         abs(a - b) for a, b in zip(soaked.accuracies, reference.accuracies)
@@ -102,7 +118,7 @@ def main() -> None:
     # Report.
     # ------------------------------------------------------------------
     rows = []
-    for backend, result in (
+    for backend, (result, _) in (
         ("python", reference),
         ("numpy detect", detect_only),
         ("numpy", full_numpy),
@@ -125,7 +141,7 @@ def main() -> None:
             rows,
         )
     )
-    gold_accuracy = world.gold.accuracy_of(dataset, reference.chosen)
+    gold_accuracy = world.gold.accuracy_of(dataset, reference[0].chosen)
     print(f"fusion accuracy vs gold: {gold_accuracy:.3f}")
     print(
         f"parity: rounds/verdicts/truths identical; accuracy drift "

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from ..core.params import BACKENDS, CopyParams
-from ..core.result import DetectionResult
+from ..core.result import CostCounter, DetectionResult
 from ..data import Dataset
 from ..data.columns import choose_values_columnar
 from .accu import choose_values, update_accuracies, value_probabilities
@@ -85,14 +85,11 @@ class FusionConfig:
             pignistic truths).
         credibility: per-source priors for the DS method
             (:class:`~repro.fusion.credibility.CredibilityModel`);
-            ``None`` means the flat model.  Rejected when
-            ``fusion_method == "accu"`` — the ACCU math has no slot for
-            it, and silently ignoring a configured prior would be worse
-            than failing.
+            ``None`` means the flat model.  Rejected under ``"accu"``,
+            whose math has no slot for it.
         ds_uncertainty: mass reserve each DS claim leaves on Θ
-            (``0 <= ds_uncertainty < 1``); like ``credibility``, a
-            non-default value is rejected when ``fusion_method`` is
-            ``"accu"``.
+            (``0 <= ds_uncertainty < 1``); a non-default value is
+            rejected under ``"accu"`` too.
     """
 
     max_rounds: int = 12
@@ -102,6 +99,18 @@ class FusionConfig:
     fusion_method: str = "accu"
     credibility: CredibilityModel | None = None
     ds_uncertainty: float = 0.0
+
+
+@dataclass(frozen=True)
+class DetectionSummary:
+    """What a round keeps of its detection: the method, the paper's cost
+    and the number of pairs scored.  The verdict table itself is dropped
+    once the round is fused and published; the final round's table lives
+    on as :attr:`FusionResult.detection`."""
+
+    method: str
+    cost: CostCounter
+    n_pairs: int
 
 
 @dataclass
@@ -114,7 +123,7 @@ class RoundRecord:
     """
 
     round_no: int
-    detection: DetectionResult | None
+    detection: DetectionSummary | None
     accuracy_change: float
     detection_seconds: float
     fusion_seconds: float
@@ -129,13 +138,15 @@ class FusionResult:
         probabilities: final ``P(D.v)`` per value id.
         accuracies: final ``A(S)`` per source id.
         chosen: fused truth — ``item_id -> value_id``.
-        rounds: per-round records (detection results, timings).
+        rounds: per-round records (detection summaries, timings).
         converged: whether the tolerance was met before ``max_rounds``.
         snapshot_ids: per-round verdict-store snapshot ids, when the run
             published to one (``run_fusion(snapshot_store=...)``); empty
             otherwise.
         credibility: effective per-source credibility under the final
             accuracies (``"ds"`` runs only; ``None`` under ``"accu"``).
+        detection: the last round's detection result, the one verdict
+            table the run keeps (``None`` without a detector).
     """
 
     probabilities: list[float]
@@ -145,6 +156,7 @@ class FusionResult:
     converged: bool = False
     snapshot_ids: list[int] = field(default_factory=list)
     credibility: list[float] | None = None
+    detection: DetectionResult | None = None
 
     @property
     def n_rounds(self) -> int:
@@ -153,10 +165,8 @@ class FusionResult:
 
     def final_conflict(self) -> dict[int, float] | None:
         """The last round's per-item conflict degrees (DS runs only)."""
-        for record in reversed(self.rounds):
-            if record.conflict is not None:
-                return record.conflict
-        return None
+        found = [r.conflict for r in self.rounds if r.conflict is not None]
+        return found[-1] if found else None
 
     @property
     def detection_seconds(self) -> float:
@@ -172,10 +182,7 @@ class FusionResult:
 
     def final_detection(self) -> DetectionResult | None:
         """The last round's detection result (the converged verdicts)."""
-        for record in reversed(self.rounds):
-            if record.detection is not None:
-                return record.detection
-        return None
+        return self.detection
 
 
 def _chosen(dataset: Dataset, probabilities) -> dict[int, int]:
@@ -191,9 +198,7 @@ def _chosen(dataset: Dataset, probabilities) -> dict[int, int]:
 
 def _as_float_list(values) -> list[float]:
     """Materialise a probability/accuracy vector as a plain float list."""
-    if hasattr(values, "tolist"):
-        return values.tolist()
-    return list(values)
+    return values.tolist() if hasattr(values, "tolist") else list(values)
 
 
 def fusion_steps(
@@ -271,26 +276,18 @@ def run_fusion(
         detector: per-round copy detector; ``None`` runs plain ACCU
             (accuracy-aware fusion that ignores copying).
         config: loop configuration.
-        workspace: a :class:`~repro.fusion.FusionWorkspace` carrying the
-            round-invariant state (shared-item counts, persistent pools
-            and cluster sessions).  One is created — and closed on
-            the way out, detector exceptions included — when omitted and
-            the detector binds one; pass an open workspace
-            to amortise its setup across several fusion runs (the caller
-            keeps ownership and closes it).
-        fusion_backend: backend for the ACCU/ACCUCOPY updates
-            themselves; defaults to ``params.backend``.  ``"numpy"``
-            runs the vectorized kernel (:mod:`repro.fusion.accu_kernel`,
-            1e-9-equivalent to the reference); ``"python"`` keeps the
-            reference loops — e.g. to isolate detection-backend effects
-            while fusing bit-identically.
-        snapshot_store: a :class:`~repro.serving.VerdictStore` (or a
-            store directory path) to publish each round's verdicts +
-            fused truths into.  The first round writes a full snapshot;
-            later rounds publish deltas against the published state
-            (:func:`repro.serving.store.diff`).  A concurrent
-            :class:`~repro.serving.VerdictReader` picks versions up via
-            ``refresh()``.
+        workspace: a :class:`~repro.fusion.FusionWorkspace` with the
+            round-invariant state (shared-item counts, pools, cluster
+            sessions), shared across runs; the caller closes it.  When
+            omitted and the detector binds one, a workspace is created
+            and closed on the way out, detector exceptions included.
+        fusion_backend: backend of the ACCU/ACCUCOPY updates; defaults
+            to ``params.backend``.  ``"python"`` keeps the reference
+            loops, e.g. to fuse bit-identically under a numpy detector.
+        snapshot_store: a :class:`~repro.serving.VerdictStore` (or its
+            directory) to publish each round's verdicts and truths into:
+            a full snapshot first, then deltas against the published
+            state (:func:`repro.serving.store.diff`).
 
     Returns:
         The converged :class:`FusionResult`.
@@ -381,14 +378,18 @@ def run_fusion(
         converged = False
 
         for round_no in range(1, cfg.max_rounds + 1):
-            detection = None
-            detection_seconds = 0.0
+            # Drop the last round's table before this round scans (only a
+            # publisher's delta baseline may still hold it).
+            detection, summary, detection_seconds = None, None, 0.0
             if detector is not None:
                 start = time.perf_counter()
                 detection = detector.run_round(
                     round_no, dataset, probabilities, accuracies
                 )
                 detection_seconds = time.perf_counter() - start
+                summary = DetectionSummary(
+                    detection.method, detection.cost, len(detection.decisions)
+                )
 
             start = time.perf_counter()
             probabilities, conflict = _value_probs(accuracies, detection=detection)
@@ -402,11 +403,7 @@ def run_fusion(
             accuracies = new_accuracies
             rounds.append(
                 RoundRecord(
-                    round_no=round_no,
-                    detection=detection,
-                    accuracy_change=change,
-                    detection_seconds=detection_seconds,
-                    fusion_seconds=fusion_seconds,
+                    round_no, summary, change, detection_seconds, fusion_seconds,
                     conflict=conflict,
                 )
             )
@@ -429,6 +426,7 @@ def run_fusion(
             converged=converged,
             snapshot_ids=list(publisher.snapshot_ids) if publisher else [],
             credibility=credibility,
+            detection=detection,
         )
     finally:
         # Detectors outlive fusion runs; never leave one holding a

@@ -14,6 +14,12 @@ or writes a full where a delta belonged fails tier-1.
 Each workload runs its own detector; ``stream_book``, which has none
 (``serve`` runs it), runs INDEX, as every ``serve`` epoch does.
 
+The same file pins the paper's Figure 2 under :data:`FIGURE_2`: the
+``computations`` of :func:`repro.eval.run_method` for INDEX, BOUND,
+BOUND+ and HYBRID on each paper-bench world, at the scales and with the
+parameters ``benchmarks/conftest.py`` gives the benches
+(``benchmarks/bench_fig02_single_round.py``).
+
 Regenerate (only together with a change that moves a count on
 purpose, named in CHANGES.md)::
 
@@ -27,6 +33,11 @@ import tempfile
 from pathlib import Path
 
 COUNTS_PATH = Path(__file__).parent / "data" / "cost_counts.json"
+
+#: The key of the Figure 2 pins in ``cost_counts.json``.
+FIGURE_2 = "fig02_single_round"
+#: Figure 2's single-round methods, in the figure's order.
+FIGURE_2_METHODS = ("index", "bound", "bound+", "hybrid")
 
 
 def measure(name: str) -> dict:
@@ -53,7 +64,7 @@ def measure(name: str) -> dict:
             {
                 "computations": record.detection.cost.computations,
                 "values_examined": record.detection.cost.values_examined,
-                "pairs": len(record.detection.decisions),
+                "pairs": record.detection.n_pairs,
             }
             for record in fusion.rounds
         ],
@@ -62,11 +73,31 @@ def measure(name: str) -> dict:
     }
 
 
+def figure_2_counts() -> dict[str, dict[str, int]]:
+    """Bench world -> method -> all-round computations (Figure 2)."""
+    from benchmarks.conftest import BENCH_SCALES, bench_params
+    from repro.eval import run_method
+    from repro.synth import make_profile
+
+    params = bench_params.__wrapped__()
+    counts = {}
+    for profile, scale in BENCH_SCALES.items():
+        dataset = make_profile(profile, scale=scale).dataset
+        counts[profile] = {
+            method: run_method(method, dataset, params).computations
+            for method in FIGURE_2_METHODS
+        }
+    return counts
+
+
 def cost_counts() -> dict[str, dict]:
-    """Workload name -> :func:`measure`, in registry order."""
+    """Workload name -> :func:`measure`, in registry order, then the
+    Figure 2 pins under :data:`FIGURE_2`."""
     from benchmarks.e2e.registry import WORKLOADS
 
-    return {name: measure(name) for name in WORKLOADS}
+    counts = {name: measure(name) for name in WORKLOADS}
+    counts[FIGURE_2] = figure_2_counts()
+    return counts
 
 
 if __name__ == "__main__":

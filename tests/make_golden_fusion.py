@@ -24,9 +24,10 @@ import json
 from pathlib import Path
 
 from repro.core import CopyParams, IncrementalDetector, SingleRoundDetector
-from repro.fusion import FusionConfig, run_fusion
+from repro.fusion import FusionConfig
 
 from tests.make_golden_bound import WORLD_CONFIG  # the shared golden world
+from tests.rounds import fuse_keeping_rounds
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_fusion.json"
 
@@ -52,16 +53,25 @@ def _detector(method: str, params: CopyParams):
     return SingleRoundDetector(params, method=method)
 
 
+def round_copying(detections) -> list[list[list[int]]]:
+    """Each round's copying pairs, sorted (``[]`` for a round without
+    detection)."""
+    return [
+        sorted(list(pair) for pair in (d.copying_pairs() if d else set()))
+        for d in detections
+    ]
+
+
 def golden_payload() -> dict:
     """Full reference-backend fusion outcome for every method."""
     dataset = golden_world()
     params = CopyParams(backend="python")
     payload: dict = {"methods": {}}
     for method in METHODS:
-        result = run_fusion(
+        result, detections = fuse_keeping_rounds(
             dataset,
             params,
-            detector=_detector(method, params),
+            _detector(method, params),
             config=ROUNDS,
             fusion_backend="python",
         )
@@ -73,17 +83,7 @@ def golden_payload() -> dict:
             ],
             "accuracies": [a.hex() for a in result.accuracies],
             "probabilities": [p.hex() for p in result.probabilities],
-            "round_copying": [
-                sorted(
-                    list(pair)
-                    for pair in (
-                        record.detection.copying_pairs()
-                        if record.detection
-                        else set()
-                    )
-                )
-                for record in result.rounds
-            ],
+            "round_copying": round_copying(detections),
         }
     return payload
 

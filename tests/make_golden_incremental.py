@@ -38,8 +38,9 @@ from repro.core import (
     prepare_incremental,
 )
 from repro.data import DatasetBuilder
-from repro.fusion import FusionConfig, run_fusion
+from repro.fusion import FusionConfig
 from repro.synth import make_profile
+from tests.rounds import fuse_keeping_rounds
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_incremental.json"
 
@@ -172,7 +173,7 @@ def run_fusion_profile(
     params = CopyParams(backend=backend)
     if detector is None:
         detector = IncrementalDetector(params)
-    fusion = run_fusion(
+    _, results = fuse_keeping_rounds(
         make_profile(profile, scale).dataset,
         params,
         detector=detector,
@@ -182,11 +183,11 @@ def run_fusion_profile(
     payload = {
         "rounds": [
             {
-                "decisions_sha256": _digest(decision_rows(record.detection)),
-                "n_decisions": len(record.detection.decisions),
-                "cost": cost_row(record.detection),
+                "decisions_sha256": _digest(decision_rows(result)),
+                "n_decisions": len(result.decisions),
+                "cost": cost_row(result),
             }
-            for record in fusion.rounds
+            for result in results
         ],
         "history": [asdict(stats) for stats in detector.state.history],
         "records_sha256": _digest(record_rows(detector.state)),

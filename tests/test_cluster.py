@@ -50,6 +50,7 @@ from repro.fusion import FusionConfig, run_fusion
 from repro.fusion.workspace import FusionWorkspace
 from repro.parallel import detect_hybrid_parallel, detect_index_parallel
 from repro.parallel.engine import ScanWorld
+from tests.rounds import fuse_keeping_rounds
 from tests.test_parallel import _indexed, scan_round
 
 
@@ -620,8 +621,12 @@ def _after_broadcast(monkeypatch, round_no, fault):
 THREE_ROUNDS = FusionConfig(max_rounds=3, min_rounds=3, tolerance=0.0)
 
 
-def _verdicts(result):
-    return [r.detection.copying_pairs() for r in result.rounds], result.chosen
+def _verdicts(example, params, detector, **kwargs):
+    """Every round's copying pairs, then the fused truths, of one run."""
+    fusion, results = fuse_keeping_rounds(
+        example, params, detector, config=THREE_ROUNDS, **kwargs
+    )
+    return [r.copying_pairs() for r in results], fusion.chosen
 
 
 @pytest.mark.cluster
@@ -638,14 +643,11 @@ class TestProcessesFaults:
     @pytest.fixture
     def serial(self, example, params):
         detector = SingleRoundDetector(params, "index", n_partitions=3)
-        return _verdicts(
-            run_fusion(example, params, detector=detector, config=THREE_ROUNDS)
-        )
+        return _verdicts(example, params, detector)
 
     def _fuse(self, example, params, workspace, hook=None):
-        return run_fusion(
-            example, params, detector=_HookedIndex(params, hook),
-            config=THREE_ROUNDS, workspace=workspace,
+        return _verdicts(
+            example, params, _HookedIndex(params, hook), workspace=workspace
         )
 
     def test_a_worker_killed_between_rounds_is_dropped(
@@ -664,7 +666,7 @@ class TestProcessesFaults:
             dead, survivor = stats.workers.values()
             assert (dead.failures, survivor.failures) == (1, 0)
             assert survivor.tasks > dead.tasks
-        assert _verdicts(got) == serial
+        assert got == serial
 
     def test_a_worker_killed_mid_round_is_retried_on_the_survivor(
         self, example, params, serial, monkeypatch
@@ -678,7 +680,7 @@ class TestProcessesFaults:
             )
             got = self._fuse(example, params, ws)
             assert ws.executor("processes")._remote.stats.retries == 1
-        assert _verdicts(got) == serial
+        assert got == serial
 
     def test_a_stalled_worker_times_out_and_the_round_is_retried(
         self, example, params, serial, monkeypatch
@@ -723,21 +725,21 @@ class TestProcessesFaults:
                     for resume in resumes:
                         resume.join()
                     ws.close()
-            assert _verdicts(got) == serial
+            assert got == serial
             assert len(stalled) == 1 and not stalled[0].is_alive()
 
     def test_losing_every_worker_fails_the_round_and_the_next_forks_afresh(
         self, example, params, serial
     ):
         with FusionWorkspace(example, params) as ws:
-            assert _verdicts(self._fuse(example, params, ws)) == serial
+            assert self._fuse(example, params, ws) == serial
             executor = ws.executor("processes")
             first = executor._cluster
             first.kill_worker(0)
             first.kill_worker(1)
             with pytest.raises(ClusterError, match="no cluster workers left"):
                 self._fuse(example, params, ws)
-            assert _verdicts(self._fuse(example, params, ws)) == serial
+            assert self._fuse(example, params, ws) == serial
             second = executor._cluster
             assert second is not first
         children = first.processes + second.processes

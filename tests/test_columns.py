@@ -50,6 +50,7 @@ from repro.serving.store import (
     pair_arrays,
     pairs_from_arrays,
 )
+from tests.rounds import fuse_keeping_rounds
 from tests.strategies import worlds
 
 NUMPY = CopyParams(backend="numpy")
@@ -260,9 +261,11 @@ class TestNoMaterialisationOnTheProductPath:
         params = CopyParams(backend="numpy", pair_layout="sparse")
         detector = SingleRoundDetector(params, **PRODUCERS[producer])
         with counting_inits(PairDecision) as built:
-            fusion = run_fusion(dataset, params, detector, snapshot_store=tmp_path)
+            fusion, results = fuse_keeping_rounds(
+                dataset, params, detector, snapshot_store=tmp_path
+            )
             assert len(fusion.snapshot_ids) == fusion.n_rounds >= 2
-            views = [record.detection.decisions for record in fusion.rounds]
+            views = [result.decisions for result in results]
             assert all(isinstance(view, PairMap) and len(view) for view in views)
             assert built == []
 
@@ -282,10 +285,12 @@ class TestNoMaterialisationOnTheProductPath:
         dataset, _, _ = _sparse_world()
         detector = IncrementalDetector(NUMPY)
         with counting_inits(_PairRecord, PairBookkeeping, PairDecision) as built:
-            fusion = run_fusion(dataset, NUMPY, detector, snapshot_store=tmp_path)
+            fusion, results = fuse_keeping_rounds(
+                dataset, NUMPY, detector, snapshot_store=tmp_path
+            )
             assert len(fusion.snapshot_ids) == fusion.n_rounds >= 3
-            for record in fusion.rounds:
-                assert isinstance(record.detection.decisions, PairMap)
+            for result in results:
+                assert isinstance(result.decisions, PairMap)
             assert fusion.rounds[-1].detection.method == "incremental"
             assert built == []
             # The guard counts: reading one record through the view builds it.
@@ -523,17 +528,15 @@ class TestByteIdentity:
         field, fulls and deltas alike."""
         dataset, _, _ = _sparse_world(3)
         params = CopyParams(backend="numpy", pair_layout=layout)
-        fusion = run_fusion(
+        fusion, results = fuse_keeping_rounds(
             dataset, params, SingleRoundDetector(params, "hybrid"),
             snapshot_store=tmp_path / "columnar",
         )
         publisher = SnapshotPublisher(tmp_path / "dicts", dataset, params)
         probabilities = fusion.probabilities
-        for record in fusion.rounds:
-            as_dict = replace(
-                record.detection, decisions=dict(record.detection.decisions)
-            )
-            publisher.publish_round(record.round_no, as_dict, probabilities)
+        for round_no, result in enumerate(results, 1):
+            as_dict = replace(result, decisions=dict(result.decisions))
+            publisher.publish_round(round_no, as_dict, probabilities)
         columnar, dicts = VerdictStore(tmp_path / "columnar"), publisher.store
         assert columnar.snapshot_ids() == dicts.snapshot_ids()
         for snapshot_id in columnar.snapshot_ids():

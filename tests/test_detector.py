@@ -244,7 +244,7 @@ class TestDispatchParity:
         later read of the kept index's columns re-columnarizes it with
         ``ColumnarEntries.from_index``."""
         from repro.core.kernel import ColumnarEntries
-        from repro.fusion import run_fusion
+        from tests.rounds import fuse_keeping_rounds
 
         calls = []
         original = ColumnarEntries.from_index.__func__
@@ -256,9 +256,9 @@ class TestDispatchParity:
         monkeypatch.setattr(ColumnarEntries, "from_index", classmethod(counting))
         params = CopyParams(backend="numpy")
         detector = IncrementalDetector(params)
-        result = run_fusion(book_world[0], params, detector=detector)
+        result, results = fuse_keeping_rounds(book_world[0], params, detector)
         assert result.n_rounds > PREPARE_ROUND  # incremental rounds ran too
-        prepared = result.rounds[PREPARE_ROUND - 1].detection.columns()
+        prepared = results[PREPARE_ROUND - 1].columns()
         assert len(prepared) and (prepared.decision_pos >= 0).all()
         index = detector.state.index
         assert index.columnar_entries().n_entries == index.n_entries

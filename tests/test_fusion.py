@@ -1,9 +1,16 @@
 """Truth finding: VOTE, ACCU probabilities, ACCUCOPY discounting, the loop."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 
-from repro.core import CopyParams, SingleRoundDetector, detect_pairwise
+from repro.core import (
+    CopyParams,
+    IncrementalDetector,
+    SingleRoundDetector,
+    detect_pairwise,
+)
 from repro.core.params import ACCURACY_CLAMP
 from repro.data import DatasetBuilder, motivating_example, motivating_gold
 from repro.fusion import (
@@ -16,6 +23,8 @@ from repro.fusion import (
     vote,
     vote_probabilities,
 )
+from repro.synth import book_cs
+from tests.rounds import KeepRounds
 from tests.strategies import worlds
 
 
@@ -194,3 +203,64 @@ class TestFusionLoop:
         )
         assert result.detection_seconds >= 0.0
         assert result.total_computations > 0
+
+
+class _WatchedTables(KeepRounds):
+    """Keeps a weak reference to each round's verdict table, not the
+    result, and notes, as each round starts, which earlier tables live."""
+
+    def __init__(self, detector):
+        super().__init__(detector)
+        self.alive_at_start: list[list[int]] = []
+
+    def alive(self) -> list[int]:
+        """The round numbers whose table is still referenced."""
+        return [n for n, table in enumerate(self.results, 1) if table() is not None]
+
+    def run_round(self, round_no, dataset, probabilities, accuracies):
+        self.alive_at_start.append(self.alive())
+        result = self.detector.run_round(round_no, dataset, probabilities, accuracies)
+        self.results.append(weakref.ref(result.columns()))
+        return result
+
+
+class TestOneVerdictTable:
+    """A fusion run keeps one verdict table, the final round's: every
+    ``RoundRecord`` carries a summary, and the loop drops a round's table
+    before the next round scans."""
+
+    ROUNDS = FusionConfig(max_rounds=4, min_rounds=4, tolerance=0.0)
+
+    @pytest.mark.parametrize("store", [False, True], ids=["no-store", "store"])
+    @pytest.mark.parametrize(
+        "backend, method",
+        [("numpy", "index"), ("numpy", "hybrid"), ("python", "pairwise"),
+         ("numpy", "incremental"), ("python", "incremental")],
+    )
+    def test_only_the_final_table_outlives_the_run(
+        self, backend, method, store, tmp_path
+    ):
+        params = CopyParams(backend=backend)
+        detector = _WatchedTables(
+            IncrementalDetector(params) if method == "incremental"
+            else SingleRoundDetector(params, method)
+        )
+        fusion = run_fusion(
+            book_cs(scale=0.06).dataset, params, detector, self.ROUNDS,
+            snapshot_store=tmp_path if store else None,
+        )
+        assert fusion.n_rounds == len(detector.results) == 4
+        assert detector.alive() == [4]
+        assert detector.results[-1]() is fusion.final_detection().columns()
+        final, summary = fusion.final_detection(), fusion.rounds[-1].detection
+        assert (summary.method, summary.cost) == (final.method, final.cost)
+        assert summary.n_pairs == len(final.decisions)
+
+    @pytest.mark.parametrize("method", ["index", "hybrid"])
+    def test_a_rounds_table_is_gone_before_the_next_round_scans(self, method):
+        """No store, so no publisher baseline: when round N+1 starts,
+        no earlier round's table is referenced."""
+        params = CopyParams(backend="numpy")
+        detector = _WatchedTables(SingleRoundDetector(params, method))
+        run_fusion(book_cs(scale=0.06).dataset, params, detector, self.ROUNDS)
+        assert detector.alive_at_start == [[]] * 4

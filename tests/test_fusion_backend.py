@@ -33,6 +33,7 @@ from repro.fusion.accu_kernel import (
 )
 from repro.fusion.workspace import FusionWorkspace
 from repro.synth import book_cs
+from tests.rounds import fuse_keeping_rounds
 from tests.strategies import ACCURACY_MENUS, worlds
 
 TOL = 1e-9
@@ -303,13 +304,13 @@ class TestFusionBackendParity:
         world (the book_cs regime the soak example pins): identical
         truths and verdicts, <= 1e-9 end-state drift."""
         dataset = book_cs(scale=0.06).dataset
-        reference = run_fusion(
+        reference, ref_rounds = fuse_keeping_rounds(
             dataset,
             CopyParams(backend="python"),
             detector=_detector_for("index", CopyParams(backend="python")),
             config=FIVE_ROUNDS,
         )
-        vectorized = run_fusion(
+        vectorized, vec_rounds = fuse_keeping_rounds(
             dataset,
             CopyParams(backend="numpy"),
             detector=_detector_for("index", CopyParams(backend="numpy")),
@@ -318,11 +319,8 @@ class TestFusionBackendParity:
         assert vectorized.n_rounds == reference.n_rounds == 5
         assert vectorized.converged == reference.converged
         assert vectorized.chosen == reference.chosen
-        for ref_round, vec_round in zip(reference.rounds, vectorized.rounds):
-            assert (
-                vec_round.detection.copying_pairs()
-                == ref_round.detection.copying_pairs()
-            )
+        for ref_round, vec_round in zip(ref_rounds, vec_rounds, strict=True):
+            assert vec_round.copying_pairs() == ref_round.copying_pairs()
         assert _drift(reference.probabilities, vectorized.probabilities) <= TOL
         assert _drift(reference.accuracies, vectorized.accuracies) <= TOL
 
@@ -331,13 +329,13 @@ class TestFusionBackendParity:
         """The fuse-level parallel knobs reproduce the sequential loop."""
         dataset = book_cs(scale=0.08).dataset
         params = CopyParams(backend="numpy")
-        sequential = run_fusion(
+        sequential, seq_rounds = fuse_keeping_rounds(
             dataset,
             params,
             detector=SingleRoundDetector(params, method="index"),
             config=FIVE_ROUNDS,
         )
-        parallel = run_fusion(
+        parallel, par_rounds = fuse_keeping_rounds(
             dataset,
             params,
             detector=SingleRoundDetector(
@@ -351,11 +349,8 @@ class TestFusionBackendParity:
         )
         assert parallel.chosen == sequential.chosen
         assert _drift(sequential.accuracies, parallel.accuracies) <= TOL
-        for seq_round, par_round in zip(sequential.rounds, parallel.rounds):
-            assert (
-                par_round.detection.copying_pairs()
-                == seq_round.detection.copying_pairs()
-            )
+        for seq_round, par_round in zip(seq_rounds, par_rounds, strict=True):
+            assert par_round.copying_pairs() == seq_round.copying_pairs()
 
     def test_fusion_backend_override_isolates_detection_backend(self):
         """fusion_backend='python' + backend='numpy' fuses bit-identically

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core import CopyParams
-from repro.fusion import FusionConfig, run_fusion
+from repro.fusion import FusionConfig
 
 from tests.make_golden_fusion import (
     GOLDEN_PATH,
@@ -21,7 +21,9 @@ from tests.make_golden_fusion import (
     _detector,
     golden_payload,
     golden_world,
+    round_copying,
 )
+from tests.rounds import fuse_keeping_rounds
 
 
 @pytest.fixture(scope="module")
@@ -53,10 +55,10 @@ class TestGoldenFusion:
         pytest.importorskip("numpy")
         dataset = golden_world()
         params = CopyParams(backend="numpy")
-        result = run_fusion(
+        result, detections = fuse_keeping_rounds(
             dataset,
             params,
-            detector=_detector(method, params),
+            _detector(method, params),
             config=ROUNDS,
             fusion_backend="numpy",
         )
@@ -71,13 +73,7 @@ class TestGoldenFusion:
         # lockstep fusion mode; truths and verdicts stay exact here.
         for got, frozen_hex in zip(result.accuracies, frozen["accuracies"]):
             assert got == pytest.approx(float.fromhex(frozen_hex), abs=1e-6)
-        got_rounds = [
-            sorted(list(pair) for pair in (
-                record.detection.copying_pairs() if record.detection else set()
-            ))
-            for record in result.rounds
-        ]
-        assert got_rounds == frozen["round_copying"]
+        assert round_copying(detections) == frozen["round_copying"]
 
     def test_pinned_rounds_never_converge(self):
         """The fixture's schedule assumption: tolerance 0 pins 5 rounds."""

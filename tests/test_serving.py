@@ -65,6 +65,7 @@ from repro.serving import (
 )
 from repro.serving.store import FULL_REWRITE_FRACTION, SCORE_TOLERANCE, pairs_from_arrays
 from repro.synth import make_profile
+from tests.rounds import fuse_keeping_rounds
 
 
 #: The parameters the hand-built verdict tables are scored and published under.
@@ -1241,27 +1242,26 @@ class TestConcurrentRefresh:
 class TestIncrementalDeltas:
     def test_delta_rows_equal_changed_pairs(self, tmp_path, world):
         params = CopyParams()
-        detector = IncrementalDetector(params)
-        result = run_fusion(
+        result, detections = fuse_keeping_rounds(
             world.dataset,
             params,
-            detector=detector,
+            IncrementalDetector(params),
             config=FusionConfig(max_rounds=6),
             snapshot_store=tmp_path,
         )
         assert result.snapshot_ids  # one per round
         store = VerdictStore(tmp_path)
         previous = None
-        for record, sid in zip(result.rounds, result.snapshot_ids):
+        for detection, sid in zip(detections, result.snapshot_ids, strict=True):
             meta, arrays = store.load(sid)
             if meta["kind"] == "delta":
                 # Every delta of this run is a patch round's: the rows
                 # are the reported pairs plus any newly opened one.
-                reported = record.detection.changed_pairs
+                reported = detection.changed_pairs
                 assert reported is not None
-                opened = set(record.detection.decisions) - set(previous.decisions)
+                opened = set(detection.decisions) - set(previous.decisions)
                 assert decode_pairs(arrays["pair_keys"]) == sorted(reported | opened)
-            previous = record.detection
+            previous = detection
         # Later rounds change few pairs, so real deltas must appear.
         kinds = [store.load(sid)[0]["kind"] for sid in result.snapshot_ids]
         assert "delta" in kinds
@@ -1275,7 +1275,7 @@ class TestIncrementalDeltas:
             detector=detector,
             config=FusionConfig(max_rounds=6),
         )
-        last = result.rounds[-1].detection
+        last = result.final_detection()
         assert last.changed_pairs is not None
         assert set(last.changed_pairs) <= set(last.decisions)
         # The whole point: most pairs re-confirm in pass 1 and stay out.
@@ -1303,12 +1303,12 @@ class TestDerivedColumns:
             IncrementalDetector(params) if method == "incremental"
             else SingleRoundDetector(params, method)
         )
-        fusion = run_fusion(
+        fusion, detections = fuse_keeping_rounds(
             world.dataset, params, detector, FusionConfig(max_rounds=4, min_rounds=4)
         )
         store = VerdictStore(tmp_path)
-        for record in fusion.rounds:
-            table = record.detection.columns()
+        for detection in detections:
+            table = detection.columns()
             sid = store.write_full(
                 table, ItemRows.empty(), world.dataset.n_sources, params.alpha
             )
@@ -1325,7 +1325,7 @@ class TestDerivedColumns:
                 "pair_decision_pos",
             ]
         if method == "incremental":
-            assert fusion.rounds[-1].detection.columns().early.any()
+            assert fusion.final_detection().columns().early.any()
 
     def test_what_the_derivation_needs_is_checked_at_open(self, tmp_path, params):
         """A stored pair column missing or ragged, or no valid ``alpha``:
