@@ -123,27 +123,25 @@ def _add_fusion_method(parser: argparse.ArgumentParser) -> None:
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     """A :class:`FusionConfig` from the shared CLI flags.
 
-    Rejects credibility/uncertainty flags without ``--fusion ds`` here,
-    with a clean ``SystemExit``, rather than letting ``run_fusion``'s
-    ValueError surface as a traceback.
+    The config checks its own rules; a broken one (``--max-rounds 0``,
+    credibility/uncertainty flags without ``--fusion ds``) exits here
+    with one line rather than a traceback.
     """
-    if args.fusion != "ds":
-        if args.credibility_file is not None:
-            raise SystemExit("--credibility-file requires --fusion ds")
-        if args.ds_uncertainty != 0.0:
-            raise SystemExit("--ds-uncertainty requires --fusion ds")
     credibility = None
     if args.credibility_file is not None:
         try:
             credibility = CredibilityModel.from_file(args.credibility_file)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--credibility-file: {exc}")
-    return FusionConfig(
-        max_rounds=args.max_rounds,
-        fusion_method=args.fusion,
-        credibility=credibility,
-        ds_uncertainty=args.ds_uncertainty,
-    )
+    try:
+        return FusionConfig(
+            max_rounds=args.max_rounds,
+            fusion_method=args.fusion,
+            credibility=credibility,
+            ds_uncertainty=args.ds_uncertainty,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -531,13 +529,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if not args.debounce >= 0:
         raise SystemExit(f"--debounce must be >= 0, got {args.debounce}")
     params = _params(args)
+    fusion_config = _fusion_config(args)
     store = args.store or tempfile.mkdtemp(prefix="repro-verdicts-")
 
     async def _run() -> None:
         engine = StreamEngine(
             store=store,
             params=params,
-            config=_fusion_config(args),
+            config=fusion_config,
             warm_start=not args.cold_epochs,
         )
         service = StreamingService(

@@ -73,7 +73,6 @@ from ..core.params import validate_execution
 from ..core.result import DetectionResult
 from ..fusion.accu import choose_values
 from ..fusion.pipeline import (
-    FUSION_METHOD_VALUES,
     INITIAL_ACCURACY,
     FusionConfig,
     fusion_steps,
@@ -149,10 +148,7 @@ class CaseConfig:
                 f"n_partitions > 1 supports methods {PARALLEL_METHODS} "
                 f"outside mode 'scan', not {self.mode!r}/{self.method!r}"
             )
-        if self.fusion_method not in FUSION_METHOD_VALUES:
-            raise ValueError(
-                f"unknown fusion method {self.fusion_method!r}"
-            )
+        FusionConfig(fusion_method=self.fusion_method)  # the config's own rules
         if self.fusion_method != "accu" and self.mode != "fusion":
             raise ValueError(
                 f"fusion_method {self.fusion_method!r} applies to mode "

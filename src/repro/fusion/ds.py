@@ -174,7 +174,7 @@ def ds_value_probabilities(
         detection: a detection result; a copier's mass is deflated by
             :func:`~repro.fusion.accu.independence_weights` before
             combination, exactly as ACCUCOPY discounts its votes.
-        credibility: *effective* per-source credibility weights (see
+        credibility: per-source credibility weights (see
             :meth:`~repro.fusion.credibility.CredibilityModel.effective`);
             ``None`` is the flat model.
         uncertainty: global mass reserve shifted from every claim onto

@@ -61,11 +61,11 @@ class RoundDetector(Protocol):
 
 @dataclass(frozen=True)
 class FusionConfig:
-    """Knobs of the iterative loop.
+    """Knobs of the iterative loop, checked when the config is built.
 
     Attributes:
         max_rounds: hard cap on rounds (the paper's datasets converge in
-            5-9).
+            5-9); at least 1.
         tolerance: convergence threshold on the maximum accuracy change.
             The default stops once accuracies move by less than 0.02 —
             past that point copy decisions no longer change (and the
@@ -99,6 +99,27 @@ class FusionConfig:
     fusion_method: str = "accu"
     credibility: CredibilityModel | None = None
     ds_uncertainty: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds!r}")
+        if self.fusion_method not in FUSION_METHOD_VALUES:
+            raise ValueError(
+                f"fusion_method must be one of {FUSION_METHOD_VALUES}, "
+                f"got {self.fusion_method!r}"
+            )
+        if not 0.0 <= self.ds_uncertainty < 1.0:
+            raise ValueError(
+                f"ds_uncertainty must be in [0, 1), got {self.ds_uncertainty!r}"
+            )
+        if self.fusion_method != "ds":
+            if self.credibility is not None:
+                raise ValueError(
+                    "credibility priors require fusion_method='ds' "
+                    "(the ACCU softmax has no slot for them)"
+                )
+            if self.ds_uncertainty != 0.0:
+                raise ValueError("ds_uncertainty requires fusion_method='ds'")
 
 
 @dataclass(frozen=True)
@@ -143,8 +164,9 @@ class FusionResult:
         snapshot_ids: per-round verdict-store snapshot ids, when the run
             published to one (``run_fusion(snapshot_store=...)``); empty
             otherwise.
-        credibility: effective per-source credibility under the final
-            accuracies (``"ds"`` runs only; ``None`` under ``"accu"``).
+        credibility: the per-source credibility weights the run's DS
+            masses were scaled by (``"ds"`` runs only; ``None`` under
+            ``"accu"``).
         detection: the last round's detection result, the one verdict
             table the run keeps (``None`` without a detector).
     """
@@ -233,7 +255,12 @@ def fusion_steps(
         world = columns
 
     if config.fusion_method == "ds":
-        cred_model = config.credibility
+        # The weights do not move with the accuracies: one vector a run.
+        credibility = (
+            None
+            if config.credibility is None
+            else config.credibility.effective(dataset.source_names)
+        )
 
         def value_probs(accs, detection=None):
             round_ = ds(
@@ -241,9 +268,7 @@ def fusion_steps(
                 accs,
                 params,
                 detection=detection,
-                credibility=None
-                if cred_model is None
-                else cred_model.effective(dataset.source_names, accs),
+                credibility=credibility,
                 uncertainty=config.ds_uncertainty,
             )
             return round_.probabilities, round_.conflict
@@ -293,41 +318,22 @@ def run_fusion(
         The converged :class:`FusionResult`.
 
     Raises:
-        ValueError: for an unknown ``fusion_backend`` or
-            ``config.fusion_method``, a credibility model or
-            uncertainty reserve configured without ``fusion_method ==
-            "ds"``, a ``snapshot_store`` beside a detector whose
-            ``params.alpha`` is not ``params.alpha``, a ``workspace``
-            built for a different dataset, or mis-sized
-            ``config.initial_accuracies``.
+        ValueError: for an unknown ``fusion_backend``, a
+            ``snapshot_store`` beside a detector whose ``params.alpha``
+            is not ``params.alpha``, a ``workspace`` built for a
+            different dataset, or mis-sized ``config.initial_accuracies``
+            (:class:`FusionConfig` checks its own rules when built).
     """
     cfg = config or FusionConfig()
     backend = params.backend if fusion_backend is None else fusion_backend
-    # Every config check lives up here, before the workspace, the
-    # snapshot publisher (whose VerdictStore mkdirs its directory!) or
-    # the detector binding exist: an invalid config must raise with
+    # Every check of the arguments lives up here, before the workspace,
+    # the snapshot publisher (whose VerdictStore mkdirs its directory!)
+    # or the detector binding exist: an invalid call must raise with
     # zero side effects on the store or the detector.
     if backend not in BACKENDS:
         raise ValueError(
             f"fusion_backend must be one of {BACKENDS}, got {backend!r}"
         )
-    if cfg.fusion_method not in FUSION_METHOD_VALUES:
-        raise ValueError(
-            f"fusion_method must be one of {FUSION_METHOD_VALUES}, "
-            f"got {cfg.fusion_method!r}"
-        )
-    if not 0.0 <= cfg.ds_uncertainty < 1.0:
-        raise ValueError(
-            f"ds_uncertainty must be in [0, 1), got {cfg.ds_uncertainty!r}"
-        )
-    if cfg.fusion_method != "ds":
-        if cfg.credibility is not None:
-            raise ValueError(
-                "credibility priors require fusion_method='ds' "
-                "(the ACCU softmax has no slot for them)"
-            )
-        if cfg.ds_uncertainty != 0.0:
-            raise ValueError("ds_uncertainty requires fusion_method='ds'")
     if cfg.initial_accuracies is not None and (
         len(cfg.initial_accuracies) != dataset.n_sources
     ):
@@ -416,7 +422,7 @@ def run_fusion(
         credibility = None
         if cfg.fusion_method == "ds":
             credibility = (cfg.credibility or CredibilityModel.flat()).effective(
-                dataset.source_names, accuracies
+                dataset.source_names
             )
         return FusionResult(
             probabilities=_as_float_list(probabilities),

@@ -101,8 +101,8 @@ class EpochState:
             (None when the engine runs without a store).
         conflict: the final round's Dempster conflict ``K`` per item id
             (``fusion_method == "ds"`` only; None under ``"accu"``).
-        credibility: effective per-source credibility at convergence
-            (``"ds"`` only; None under ``"accu"``).
+        credibility: the per-source credibility weights of the epoch's
+            DS run (``"ds"`` only; None under ``"accu"``).
     """
 
     epoch: int
@@ -312,21 +312,10 @@ class StreamEngine:
         cfg = self.config
         if self.warm_start and self.state is not None:
             previous = list(self.state.accuracies)
-            if cfg.credibility is None:
-                pad = [INITIAL_ACCURACY] * (dataset.n_sources - len(previous))
-            else:
-                # Sources that appeared mid-stream never saw the cold
-                # start, so their pad must honour the same credibility
-                # prior a cold run would apply — otherwise a grown DS
-                # epoch and a cold batch run over the accumulated claims
-                # would disagree on the newcomers' starting accuracies.
-                names = dataset.source_names
-                pad = [
-                    cfg.credibility.initial_accuracy_for(
-                        INITIAL_ACCURACY, source_id=sid, name=names[sid]
-                    )
-                    for sid in range(len(previous), dataset.n_sources)
-                ]
+            # A source that appeared mid-stream starts where a cold run
+            # starts it; its credibility prior weights its DS masses in
+            # every round already.
+            pad = [INITIAL_ACCURACY] * (dataset.n_sources - len(previous))
             cfg = replace(cfg, initial_accuracies=previous + pad)
 
         return run_fusion(

@@ -18,7 +18,11 @@ The same file pins the paper's Figure 2 under :data:`FIGURE_2`: the
 ``computations`` of :func:`repro.eval.run_method` for INDEX, BOUND,
 BOUND+ and HYBRID on each paper-bench world, at the scales and with the
 parameters ``benchmarks/conftest.py`` gives the benches
-(``benchmarks/bench_fig02_single_round.py``).
+(``benchmarks/bench_fig02_single_round.py``), and Table VIII under
+:data:`TABLE_8`: on the same worlds and under ``FusionConfig(max_rounds=8)``,
+HYBRID's and INCREMENTAL's per-round ``computations`` and INCREMENTAL's
+pass counts summed over its rounds
+(``benchmarks/bench_table08_incremental.py``).
 
 Regenerate (only together with a change that moves a count on
 purpose, named in CHANGES.md)::
@@ -38,6 +42,10 @@ COUNTS_PATH = Path(__file__).parent / "data" / "cost_counts.json"
 FIGURE_2 = "fig02_single_round"
 #: Figure 2's single-round methods, in the figure's order.
 FIGURE_2_METHODS = ("index", "bound", "bound+", "hybrid")
+#: The key of the Table VIII pins in ``cost_counts.json``.
+TABLE_8 = "table08_incremental"
+#: INCREMENTAL's ``RoundStats`` counts that Table VIII sums.
+TABLE_8_PASSES = ("pairs_total", "done_pass1", "done_pass2", "done_pass3", "flips")
 
 
 def measure(name: str) -> dict:
@@ -90,13 +98,47 @@ def figure_2_counts() -> dict[str, dict[str, int]]:
     return counts
 
 
+def table_8_counts() -> dict[str, dict]:
+    """Bench world -> HYBRID's and INCREMENTAL's per-round computations
+    and INCREMENTAL's summed pass counts (Table VIII)."""
+    from benchmarks.conftest import BENCH_SCALES, bench_params
+    from repro import IncrementalDetector, SingleRoundDetector, run_fusion
+    from repro.fusion import FusionConfig
+    from repro.synth import make_profile
+
+    params = bench_params.__wrapped__()
+    config = FusionConfig(max_rounds=8)
+    counts = {}
+    for profile, scale in BENCH_SCALES.items():
+        dataset = make_profile(profile, scale=scale).dataset
+        hybrid = run_fusion(
+            dataset, params, SingleRoundDetector(params, "hybrid"), config
+        )
+        detector = IncrementalDetector(params)
+        incremental = run_fusion(dataset, params, detector, config)
+        history = detector.state.history
+        counts[profile] = {
+            "hybrid": [r.detection.cost.computations for r in hybrid.rounds],
+            "incremental": [
+                r.detection.cost.computations for r in incremental.rounds
+            ],
+            **{
+                name: sum(getattr(stats, name) for stats in history)
+                for name in TABLE_8_PASSES
+            },
+        }
+    return counts
+
+
 def cost_counts() -> dict[str, dict]:
     """Workload name -> :func:`measure`, in registry order, then the
-    Figure 2 pins under :data:`FIGURE_2`."""
+    Figure 2 pins under :data:`FIGURE_2` and the Table VIII pins under
+    :data:`TABLE_8`."""
     from benchmarks.e2e.registry import WORKLOADS
 
     counts = {name: measure(name) for name in WORKLOADS}
     counts[FIGURE_2] = figure_2_counts()
+    counts[TABLE_8] = table_8_counts()
     return counts
 
 

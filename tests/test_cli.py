@@ -322,6 +322,13 @@ class TestFuse:
         assert "copying pairs" in out
         assert "Fused truths" in out
 
+    def test_zero_rounds_is_a_one_line_exit(self, dataset_dir):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuse", str(dataset_dir / "claims.csv"), "--max-rounds", "0"])
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "max_rounds" in message
+
     def test_no_detector(self, dataset_dir, capsys):
         code = main(["fuse", str(dataset_dir / "claims.csv"), "--method", "none"])
         assert code == 0
@@ -374,6 +381,16 @@ class TestServeFlags:
         monkeypatch.setattr(repro.streaming, "StreamingServer", no_server)
         with pytest.raises(SystemExit, match=f"^{flag} must be"):
             main(["serve", "--port", "0", flag, value])
+
+    def test_zero_rounds_exits_before_binding_a_port(self, monkeypatch):
+        import repro.streaming
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a port was bound for a refused config")
+
+        monkeypatch.setattr(repro.streaming, "StreamingServer", no_server)
+        with pytest.raises(SystemExit, match="^max_rounds must be"):
+            main(["serve", "--port", "0", "--max-rounds", "0"])
 
 
 class TestConformance:

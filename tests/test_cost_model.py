@@ -4,8 +4,8 @@
 holds each benchmark workload's per-round ``computations``,
 ``values_examined`` and scored pairs, its round count, the kind of every
 snapshot it publishes and the bytes those take, on the registry's tiny
-worlds, and the computations of the paper's Figure 2 on the paper
-benches' worlds.  A change that moves one of them fails here unless it
+worlds, and the computations of the paper's Figure 2 and Table VIII on
+the paper benches' worlds.  A change that moves one of them fails here unless it
 re-commits the file and says why.
 """
 
@@ -19,12 +19,16 @@ from tests.make_cost_counts import (
     COUNTS_PATH,
     FIGURE_2,
     FIGURE_2_METHODS,
+    TABLE_8,
+    TABLE_8_PASSES,
     figure_2_counts,
     measure,
+    table_8_counts,
 )
 
 PINNED = json.loads(COUNTS_PATH.read_text())
 FIGURE_2_PINS = PINNED.pop(FIGURE_2)
+TABLE_8_PINS = PINNED.pop(TABLE_8)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -59,3 +63,24 @@ def test_figure_2_has_the_papers_shape():
         assert list(counts) == list(FIGURE_2_METHODS), profile
         assert counts["bound+"] < counts["bound"], profile
         assert counts["hybrid"] <= 1.2 * counts["bound+"], profile
+
+
+def test_table_8_counts_match_the_pins():
+    assert table_8_counts() == TABLE_8_PINS
+
+
+def test_table_8_has_the_papers_shape():
+    """What ``bench_table08_incremental.py`` asserts, in tier-1 and in
+    computations rather than seconds: the first pass concludes at least
+    70% of INCREMENTAL's pairs, and each round from the third on costs
+    INCREMENTAL fewer computations than HYBRID's same round."""
+    from benchmarks.conftest import BENCH_SCALES
+
+    assert sorted(TABLE_8_PINS) == sorted(BENCH_SCALES)
+    for profile, counts in TABLE_8_PINS.items():
+        assert list(counts) == ["hybrid", "incremental", *TABLE_8_PASSES], profile
+        assert counts["done_pass1"] >= 0.7 * counts["pairs_total"], profile
+        later = list(zip(counts["incremental"], counts["hybrid"]))[2:]
+        assert later, profile
+        for incremental, hybrid in later:
+            assert incremental < hybrid, profile

@@ -14,6 +14,7 @@ from repro.core import (
 from repro.core.params import ACCURACY_CLAMP
 from repro.data import DatasetBuilder, motivating_example, motivating_gold
 from repro.fusion import (
+    CredibilityModel,
     FusionConfig,
     accuracy_score,
     choose_values,
@@ -23,6 +24,7 @@ from repro.fusion import (
     vote,
     vote_probabilities,
 )
+from repro.streaming import StreamEngine
 from repro.synth import book_cs
 from tests.rounds import KeepRounds
 from tests.strategies import worlds
@@ -203,6 +205,35 @@ class TestFusionLoop:
         )
         assert result.detection_seconds >= 0.0
         assert result.total_computations > 0
+
+
+class TestFusionConfigRules:
+    """A config's rules run when it is built, so nothing downstream (a
+    streaming engine, the CLI, a fusion run) holds a broken one."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_rounds": 0},
+            {"fusion_method": "bogus"},
+            {"ds_uncertainty": 0.2},
+            {"fusion_method": "ds", "ds_uncertainty": 1.0},
+            {"credibility": CredibilityModel.flat()},
+        ],
+    )
+    def test_a_broken_config_raises_when_built(self, fields):
+        with pytest.raises(ValueError):
+            FusionConfig(**fields)
+
+    def test_a_stream_engine_never_holds_a_broken_config(self):
+        with pytest.raises(ValueError, match="fusion_method"):
+            StreamEngine(config=FusionConfig(fusion_method="bogus"))
+
+    def test_zero_rounds_is_refused_by_name(self, params):
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_fusion(
+                motivating_example(), params, config=FusionConfig(max_rounds=0)
+            )
 
 
 class _WatchedTables(KeepRounds):
