@@ -120,12 +120,22 @@ def _add_fusion_method(parser: argparse.ArgumentParser) -> None:
     )
 
 
+#: The flag behind each :class:`FusionConfig` field its rules name.
+_FUSION_FLAGS = {
+    "max_rounds": "--max-rounds",
+    "fusion_method='ds'": "--fusion ds",
+    "fusion_method": "--fusion",
+    "ds_uncertainty": "--ds-uncertainty",
+    "credibility priors require": "--credibility-file requires",
+}
+
+
 def _fusion_config(args: argparse.Namespace) -> FusionConfig:
     """A :class:`FusionConfig` from the shared CLI flags.
 
     The config checks its own rules; a broken one (``--max-rounds 0``,
     credibility/uncertainty flags without ``--fusion ds``) exits here
-    with one line rather than a traceback.
+    with one line naming the flags, rather than a traceback.
     """
     credibility = None
     if args.credibility_file is not None:
@@ -141,7 +151,20 @@ def _fusion_config(args: argparse.Namespace) -> FusionConfig:
             ds_uncertainty=args.ds_uncertainty,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        message = str(exc)
+        for field, flag in _FUSION_FLAGS.items():
+            message = message.replace(field, flag)
+        raise SystemExit(message)
+
+
+def _read(loader, path: str, flag: str):
+    """``loader(path)``, :func:`load_claims` or :func:`load_gold`: a
+    missing, unreadable or malformed file exits with one line naming
+    ``flag`` (the loader's message names the path)."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{flag}: {exc}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -171,7 +194,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    dataset = load_claims(args.claims)
+    dataset = _read(load_claims, args.claims, "claims")
     stats = dataset.stats()
     print(
         render_table(
@@ -274,7 +297,7 @@ def _execution_from_args(args, params: CopyParams) -> dict:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    dataset = load_claims(args.claims)
+    dataset = _read(load_claims, args.claims, "claims")
     params = _params(args)
     probabilities = vote_probabilities(dataset)
     accuracies = [0.8] * dataset.n_sources
@@ -332,7 +355,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuse(args: argparse.Namespace) -> int:
-    dataset = load_claims(args.claims)
+    dataset = _read(load_claims, args.claims, "claims")
+    gold = _read(load_gold, args.gold, "--gold") if args.gold else None
     params = _params(args)
     config = _fusion_config(args)
     execution = _execution_from_args(args, params)
@@ -361,8 +385,7 @@ def _cmd_fuse(args: argparse.Namespace) -> int:
             f"DS conflict: mean K = {mean_k:.4f}, max K = {worst_k:.4f} "
             f"on {dataset.item_names[worst_item]!r}"
         )
-    if args.gold:
-        gold = load_gold(args.gold)
+    if gold is not None:
         print(f"fusion accuracy: {gold.accuracy_of(dataset, result.chosen):.3f}")
     detection = result.final_detection()
     if detection is not None:
@@ -530,6 +553,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit(f"--debounce must be >= 0, got {args.debounce}")
     params = _params(args)
     fusion_config = _fusion_config(args)
+    seed = _read(load_claims, args.seed_claims, "--seed-claims") if args.seed_claims else None
     store = args.store or tempfile.mkdtemp(prefix="repro-verdicts-")
 
     async def _run() -> None:
@@ -554,17 +578,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover - non-unix
                 pass
         await server.start()
-        if args.seed_claims:
-            dataset = load_claims(args.seed_claims)
+        if seed is not None:
             from .data import ClaimDelta
 
             service.submit(
                 ClaimDelta(
-                    dataset.source_names[s],
-                    dataset.item_names[i],
-                    dataset.value_label[v],
+                    seed.source_names[s],
+                    seed.item_names[i],
+                    seed.value_label[v],
                 )
-                for s, i, v in dataset.iter_claims()
+                for s, i, v in seed.iter_claims()
             )
             await service.flush()
             state = service.state
@@ -685,8 +708,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .eval import run_suite
 
-    dataset = load_claims(args.claims)
-    gold = load_gold(args.gold) if args.gold else None
+    dataset = _read(load_claims, args.claims, "claims")
+    gold = _read(load_gold, args.gold, "--gold") if args.gold else None
     params = _params(args)
     methods = tuple(args.methods.split(",")) if args.methods else None
     suite = run_suite(

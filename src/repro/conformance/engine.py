@@ -148,7 +148,9 @@ class CaseConfig:
                 f"n_partitions > 1 supports methods {PARALLEL_METHODS} "
                 f"outside mode 'scan', not {self.mode!r}/{self.method!r}"
             )
-        FusionConfig(fusion_method=self.fusion_method)  # the config's own rules
+        # The config's own rules; a fusion case's rounds are its max_rounds.
+        rounds = {"max_rounds": self.rounds} if self.mode == "fusion" else {}
+        FusionConfig(fusion_method=self.fusion_method, **rounds)
         if self.fusion_method != "accu" and self.mode != "fusion":
             raise ValueError(
                 f"fusion_method {self.fusion_method!r} applies to mode "

@@ -5,10 +5,14 @@ them.  Three pieces:
 
 * :mod:`~repro.serving.codec` — the versioned binary snapshot format
   (CRC-checked, refuses newer versions with :class:`ServingError`);
-* :mod:`~repro.serving.store` — :class:`VerdictStore` (a directory of
-  immutable snapshots + atomic ``CURRENT`` pointer, full or delta) and
-  :class:`SnapshotPublisher` (one snapshot per fusion round, deltas
-  against the state it last published);
+* :mod:`~repro.serving.store` — :class:`Snapshot` (one version: meta,
+  pair table, item rows, a delta's removed keys and ids, the copier
+  ranking; its ``encode`` / ``decode`` are the store's one encoder and
+  one decoder), :class:`VerdictStore` (a directory of immutable
+  snapshots + atomic ``CURRENT`` pointer, full or delta: ``write`` one
+  :class:`Snapshot`, ``load`` one back) and :class:`SnapshotPublisher`
+  (one snapshot per fusion round, deltas against the state it last
+  published);
 * :mod:`~repro.serving.reader` — :class:`VerdictReader`, the LRU-cached
   ``get_verdict`` / ``get_truth`` / ``top_copiers`` API that stays
   consistent under concurrent refresh.
@@ -31,6 +35,7 @@ from .store import (
     FLAG_COPYING,
     FLAG_EARLY,
     ItemRows,
+    Snapshot,
     SnapshotPublisher,
     VerdictStore,
     copier_totals,
@@ -48,6 +53,7 @@ __all__ = [
     "TopCopier",
     "VerdictReader",
     "VerdictStore",
+    "Snapshot",
     "SnapshotPublisher",
     "ItemRows",
     "FLAG_COPYING",

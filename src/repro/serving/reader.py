@@ -25,11 +25,11 @@ reader misses 56% of the benchmark's skewed queries on the 57k pairs of
 objects: the snapshot keeps :class:`memoryview` s of its columns,
 whose items are plain ``bool`` / ``int`` / ``float``, and the reply is
 built positionally with ``tuple.__new__``.  A file stores a pair's
-source ids and scores; :meth:`~repro.serving.store.VerdictStore.load`
-derives its key and three posteriors (Eq. 2, bit-equal to the
-publishing round's) and widens the integer columns stored narrower than
-int64, so of a full snapshot only the two scores stay zero-copy views
-of the bytes read.  No NumPy scalar is
+source ids and scores; the store's decoder
+(:meth:`~repro.serving.store.Snapshot.decode`) derives its key and three
+posteriors (Eq. 2, bit-equal to the publishing round's) and widens the
+integer columns stored narrower than int64, so of a full snapshot only
+the two scores stay zero-copy views of the bytes read.  No NumPy scalar is
 made, so a verdict miss costs under half of what it did through NumPy
 scalars and a keyword constructor, and a truth's supporters are one
 slice, not one ``int()`` per source (docs/ARCHITECTURE.md, "What a read
@@ -48,7 +48,7 @@ import numpy as np
 from ..core.pairspace import pair_key
 from .codec import ServingError
 from ..core.result import PairColumns
-from .store import ItemRows, VerdictStore, pairs_from_arrays, upsert
+from .store import ItemRows, VerdictStore, upsert
 
 #: LRU entries per snapshot view, per lookup kind (verdicts, truths).
 CACHE_SIZE = 65536
@@ -94,8 +94,8 @@ class TopCopier(NamedTuple):
 _VERDICT_COLUMNS = Verdict._fields[2:-1]
 
 
-class _Snapshot:
-    """One immutable loaded snapshot version: merged arrays and labels."""
+class _ServedSnapshot:
+    """One immutable loaded snapshot version: its chain merged, and labels."""
 
     def __init__(
         self,
@@ -134,40 +134,27 @@ class _Snapshot:
         )
 
     @classmethod
-    def load(cls, store: VerdictStore, snapshot_id: int) -> "_Snapshot":
+    def load(cls, store: VerdictStore, snapshot_id: int) -> "_ServedSnapshot":
         chain = store.load_chain(snapshot_id)
-        base_meta, base_arrays = chain[0]
-        pairs = pairs_from_arrays(base_arrays)
-        items = ItemRows.from_arrays(base_arrays)
-        none = np.empty(0, dtype=np.int64)
-        for meta, arrays in chain[1:]:
-            removed = arrays.get("removed_pair_keys", none)
-            pairs = upsert(pairs, pairs_from_arrays(arrays), removed)
-            removed = arrays.get("removed_item_ids", none)
-            items = upsert(items, ItemRows.from_arrays(arrays), removed)
+        pairs, items = chain[0].pairs, chain[0].items
+        for delta in chain[1:]:
+            pairs = upsert(pairs, delta.pairs, delta.removed_pair_keys)
+            items = upsert(items, delta.items, delta.removed_item_ids)
         # Value ids are append-only, so a label once stored never changes.
         labels, value_labels = {}, {}
-        for meta, arrays in chain:
-            stored = dict(meta.get("labels") or {})
+        for snapshot in chain:
+            stored = dict(snapshot.meta.get("labels") or {})
             truths = stored.pop("truths", ())
-            value_labels.update(zip(arrays["item_truth"].tolist(), truths))
+            value_labels.update(zip(snapshot.items.truth.tolist(), truths))
             labels.update(stored)
-        tip_meta, tip_arrays = chain[-1]
-        try:
-            copier_sources = tip_arrays["copier_sources"]
-            copier_scores = tip_arrays["copier_scores"]
-        except KeyError as exc:
-            raise ServingError(
-                f"snapshot {snapshot_id} is missing the copier ranking "
-                f"({exc.args[0]!r})"
-            ) from exc
+        tip = chain[-1]
         return cls(
             snapshot_id=snapshot_id,
-            meta=tip_meta,
+            meta=tip.meta,
             pairs=pairs,
             items=items,
-            copier_sources=copier_sources,
-            copier_scores=copier_scores,
+            copier_sources=tip.copier_sources,
+            copier_scores=tip.copier_scores,
             labels=labels,
             value_labels=value_labels,
         )
@@ -248,7 +235,7 @@ class _SnapshotView:
     an older version.
     """
 
-    def __init__(self, snapshot: _Snapshot):
+    def __init__(self, snapshot: _ServedSnapshot):
         self.snapshot = snapshot
         self.get_verdict = functools.lru_cache(maxsize=CACHE_SIZE)(snapshot._verdict)
         self.get_truth = functools.lru_cache(maxsize=CACHE_SIZE)(snapshot._truth)
@@ -305,7 +292,7 @@ class VerdictReader:
         view = self._view
         if view is not None and view.snapshot.snapshot_id == current:
             return False
-        snapshot = _Snapshot.load(self._store, current)
+        snapshot = _ServedSnapshot.load(self._store, current)
         self._view = _SnapshotView(snapshot)  # atomic publication
         return True
 

@@ -9,7 +9,7 @@ an atomically-updated ``CURRENT`` pointer::
       snap-00000003.rvs     # delta over 2
       CURRENT               # {"snapshot_id": 3}
 
-Each snapshot is encoded by :mod:`repro.serving.codec` and carries two
+Each snapshot is framed by :mod:`repro.serving.codec` and carries two
 row families in one schema, whatever detector (and whatever
 ``pair_layout`` — dense and sparse runs serialize identically) produced
 them:
@@ -25,36 +25,34 @@ them:
 
 A **full** snapshot carries the complete state, a **delta** only
 upserted/removed rows over a ``base`` snapshot; each labels the truths
-it writes (:func:`stored_labels`).  :class:`SnapshotPublisher` drives
-the lifecycle for the fusion loop: the first round publishes full, and
-later rounds deltas against the state it last published.  **One rule,
-for both row families (:func:`diff`): a delta's row is new, or a column
-a file stores moved against the *published* row** — the flags, the
-decision position, a truth and its supporters exactly, the scores and
-the probability past :data:`SCORE_TOLERANCE` — except that when a
-result carries :attr:`~repro.core.result.DetectionResult.changed_pairs`
-(the INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it
-names are the only published pairs eligible.  :func:`upsert` applies a
-delta, for the publisher and for a reader resolving a chain.  A delta
-that would approach a rewrite anyway is written as a fresh full
-snapshot instead.  **What a reader may assume:** with no report,
-verdict bits and positions are exact and a served score is within the
-tolerance of the exact score of the round that published the snapshot;
-under a report the ``copying`` bit is exact and the other columns are
-those of the round that last re-resolved the pair.
+it writes.  :class:`SnapshotPublisher` drives the lifecycle for the
+fusion loop: the first round publishes full, and later rounds deltas
+against the state it last published.  **One rule, for both row
+families (:func:`diff`): a delta's row is new, or a column a file
+stores moved against the *published* row** — the flags, the decision
+position, a truth and its supporters exactly, the scores and the
+probability past :data:`SCORE_TOLERANCE` — except that when a result
+carries :attr:`~repro.core.result.DetectionResult.changed_pairs` (the
+INCREMENTAL bookkeeping's re-opened/rebuilt pairs) the rows it names are
+the only published pairs eligible.  :func:`upsert` applies a delta, for
+the publisher and for a reader resolving a chain.  A delta that would
+approach a rewrite anyway is written as a fresh full snapshot instead.
+**What a reader may assume:** with no report, verdict bits and
+positions are exact and a served score is within the tolerance of the
+exact score of the round that published the snapshot; under a report
+the ``copying`` bit is exact and the other columns are those of the
+round that last re-resolved the pair.
 
-Pair rows are a :class:`~repro.core.result.PairColumns` table from the
-kernel to the file and back into a reader; only at the codec boundary
-(:func:`pair_arrays` / :func:`pairs_from_arrays`) do the two bool
-columns fold into the ``pair_flags`` byte and the columns take their
-``pair_`` names.
-
-A file stores less than it serves (:func:`stored`): a pair row's key as
-``pair_s1`` / ``pair_s2``, no posterior (Eq. 2 makes the three a function
-of the scores and the ``alpha`` the meta records), every integer column
-at the narrowest width that holds it.  :meth:`VerdictStore.load` derives
-the rest (:func:`loaded`), so a reader sees the int64, five-float schema
-the store was handed, posteriors bit-equal to the detector's.
+A version is one :class:`Snapshot` value — meta, the pair table (a
+:class:`~repro.core.result.PairColumns`), the item rows, a delta's
+removed keys and ids, the copier ranking — from the publisher through
+:meth:`VerdictStore.write` to the file, and from the file through
+:meth:`VerdictStore.load` back to a reader.  The one encoder
+(:meth:`Snapshot.encode`) stores less than a version serves: a pair
+row's key as ``pair_s1`` / ``pair_s2``, its two bool columns as the
+``pair_flags`` byte, no posterior, every integer column at the
+narrowest width that holds it; the one decoder (:meth:`Snapshot.decode`)
+derives the rest, posteriors bit-equal to the detector's.
 
 Per-source "most copied" totals (``top_copiers``) are recomputed from
 the merged pair state at every publish; they are O(pairs) to build and
@@ -67,7 +65,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,7 +73,7 @@ from ..core.contribution import exact_posteriors
 from ..core.pairspace import decode_pair_keys, encode_pair_keys, encode_pairs
 from ..core.pairspace import member_rows
 from ..core.params import CopyParams
-from ..core.result import PAIR_FLOAT_COLUMNS, PairColumns
+from ..core.result import PairColumns
 from ..data.columns import choose_values_columnar, take_csr
 from .codec import (
     FORMAT_VERSION,
@@ -115,104 +113,11 @@ FULL_REWRITE_FRACTION = 0.6
 
 #: The zero-row pair table (the state before any publish).
 _NO_PAIRS = PairColumns.from_decisions({})
+#: The zero-length key column: a full's removed keys and ids.
+_NO_KEYS = np.empty(0, dtype=np.int64)
 
 #: The widths a signed integer column may be stored at, narrowest first.
 _STORED_INTS = tuple(np.iinfo(t) for t in (np.int8, np.int16, np.int32, np.int64))
-
-
-#: What a file stores of a pair row; :func:`loaded` derives the rest.
-_STORED_PAIRS = ("s1", "s2", "c_fwd", "c_bwd", "flags", "decision_pos")
-_POSTERIORS = ("pair_independent", "pair_forward", "pair_backward")
-
-
-def stored(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The arrays as a snapshot stores them: ``pair_keys`` as ``pair_s1`` /
-    ``pair_s2``, no posterior, and each signed integer array at the
-    smallest width that holds its minimum and maximum (an empty one: int8)."""
-    out = {}
-    for name, array in arrays.items():
-        if name == "pair_keys":
-            out["pair_s1"], out["pair_s2"] = decode_pair_keys(array)
-        elif name not in _POSTERIORS:
-            out[name] = array
-    for name, array in out.items():
-        if array.dtype.kind == "i":
-            lo, hi = int(array.min(initial=0)), int(array.max(initial=0))
-            width = next(t for t in _STORED_INTS if t.min <= lo and hi <= t.max)
-            out[name] = array.astype(width.dtype, copy=False)
-    return out
-
-
-def loaded(meta: dict, arrays: Mapping[str, np.ndarray], origin) -> tuple[dict, dict]:
-    """Invert :func:`stored` on a decoded snapshot: every array read-only
-    and every signed integer one int64, ``pair_keys`` rebuilt from its
-    halves, the posteriors from the scores under the meta's ``alpha``
-    (consumed).  Raises :class:`ServingError` naming ``origin`` on a
-    missing or invalid ``alpha``, a missing or ragged pair column, or a
-    ``pair_flags`` bit this build does not know."""
-    meta, out = dict(meta), {}
-    try:
-        params = CopyParams(alpha=meta.pop("alpha", None))
-    except (TypeError, ValueError) as exc:
-        raise ServingError(f"{origin}: snapshot records no valid alpha ({exc})") from exc
-    try:
-        lengths = {len(arrays["pair_" + name]) for name in _STORED_PAIRS}
-    except KeyError as exc:
-        raise ServingError(
-            f"{origin}: snapshot is missing pair column {exc.args[0]!r}"
-        ) from exc
-    if len(lengths) > 1:
-        raise ServingError(
-            f"{origin}: pair columns disagree in length ({sorted(lengths)})"
-        )
-    flags, known = arrays["pair_flags"], FLAG_COPYING | FLAG_EARLY
-    alien = flags[(flags | known) != known]
-    if len(alien):
-        raise ServingError(
-            f"{origin}: pair_flags carries unknown bits ({int(alien[0]) & ~known:#04x})"
-        )
-    for name, array in arrays.items():
-        if array.dtype.kind == "i" and array.dtype.itemsize < 8:
-            array = array.astype(np.int64)
-        if name == "pair_s1":
-            out["pair_keys"] = encode_pair_keys(array, arrays["pair_s2"])
-        elif name == "pair_c_bwd":
-            out[name] = array
-            posteriors = exact_posteriors(arrays["pair_c_fwd"], array, params)
-            out.update(zip(_POSTERIORS, posteriors))
-        elif name != "pair_s2":
-            out[name] = array
-    for array in out.values():
-        array.flags.writeable = False
-    return meta, out
-
-
-def pair_arrays(pairs: PairColumns) -> dict[str, np.ndarray]:
-    """A pair table as the named arrays a snapshot stores (the write side).
-
-    ``copying`` and ``early`` fold into the ``pair_flags`` byte; every
-    other column goes in as it is under its ``pair_`` name.
-    """
-    flags = pairs.copying * FLAG_COPYING + pairs.early * FLAG_EARLY
-    return {
-        "pair_keys": pairs.keys,
-        **{"pair_" + name: getattr(pairs, name) for name in PAIR_FLOAT_COLUMNS},
-        "pair_flags": flags.astype(np.uint8),
-        "pair_decision_pos": pairs.decision_pos,
-    }
-
-
-def pairs_from_arrays(arrays: Mapping[str, np.ndarray]) -> PairColumns:
-    """The pair table of :func:`pair_arrays`' arrays, or of a snapshot's
-    as :meth:`VerdictStore.load` returns them (the read side)."""
-    flags = arrays["pair_flags"]
-    return PairColumns(
-        arrays["pair_keys"],
-        *(arrays["pair_" + name] for name in PAIR_FLOAT_COLUMNS),
-        flags & FLAG_COPYING != 0,
-        flags & FLAG_EARLY != 0,
-        arrays["pair_decision_pos"],
-    )
 
 
 @dataclass
@@ -263,36 +168,6 @@ class ItemRows:
             prov_sources=sources,
         )
 
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """The named arrays a snapshot stores (``item_*``)."""
-        return {
-            "item_ids": self.keys,
-            "item_truth": self.truth,
-            "item_probability": self.probability,
-            "item_prov_offsets": self.prov_offsets,
-            "item_prov_sources": self.prov_sources,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ItemRows":
-        """Rebuild from a decoded snapshot's column dict.
-
-        Raises:
-            ServingError: when an item column is missing.
-        """
-        try:
-            return cls(
-                keys=arrays["item_ids"],
-                truth=arrays["item_truth"],
-                probability=arrays["item_probability"],
-                prov_offsets=arrays["item_prov_offsets"],
-                prov_sources=arrays["item_prov_sources"],
-            )
-        except KeyError as exc:
-            raise ServingError(
-                f"snapshot is missing item column {exc.args[0]!r}"
-            ) from exc
-
     def take(self, rows: np.ndarray) -> "ItemRows":
         """A new :class:`ItemRows` holding the selected rows (re-packed CSR)."""
         offsets, flat = take_csr(self.prov_offsets, self.prov_sources, rows)
@@ -317,13 +192,135 @@ class ItemRows:
         )
 
 
-def stored_labels(labels: Mapping[str, Sequence[str]], items: ItemRows) -> dict:
-    """The label tables a snapshot stores: each name table it is handed,
-    and for ``values`` only ``truths``, ``items``' chosen values' labels."""
-    out = {name: list(table) for name, table in labels.items() if name != "values"}
-    if "values" in labels:
-        out["truths"] = [labels["values"][value] for value in items.truth.tolist()]
-    return out
+#: The columns a snapshot file holds, per row family, in written order
+#: (a delta adds ``removed_pair_keys`` and ``removed_item_ids``).
+_PAIR_COLUMNS = (
+    "pair_s1", "pair_s2", "pair_c_fwd", "pair_c_bwd", "pair_flags", "pair_decision_pos",
+)
+_ITEM_COLUMNS = (
+    "item_ids", "item_truth", "item_probability", "item_prov_offsets", "item_prov_sources",
+)
+_COPIER_COLUMNS = ("copier_sources", "copier_scores")
+
+
+class Snapshot(NamedTuple):
+    """One published version: the value :meth:`VerdictStore.write` takes
+    and :meth:`VerdictStore.load` returns.
+
+    ``meta`` names the version: a delta's ``base_id`` (absent or None
+    for a full), ``n_sources``, ``alpha``, ``method``, ``round`` and,
+    optionally, ``labels``; :meth:`encode` adds the id, the kind and the
+    row counts, and a loaded snapshot's meta is all of it, as written.
+    A full's removed keys and ids are empty.  The copier ranking is the
+    complete one of the state after the version, a delta's included.
+    """
+
+    meta: dict
+    pairs: PairColumns
+    items: ItemRows
+    removed_pair_keys: np.ndarray
+    removed_item_ids: np.ndarray
+    copier_sources: np.ndarray
+    copier_scores: np.ndarray
+
+    def encode(self, snapshot_id: int) -> bytes:
+        """The file bytes of this version published as ``snapshot_id``:
+        the store's one encoder.
+
+        A file stores less than it serves: a pair row's key as
+        ``pair_s1`` / ``pair_s2``, its two bool columns folded into the
+        ``pair_flags`` byte, no posterior (Eq. 2 makes the three a
+        function of the scores and the ``alpha`` the meta records), and
+        each signed integer array at the smallest width that holds its
+        minimum and maximum (an empty one: int8).
+        """
+        given, pairs = self.meta, self.pairs
+        base_id = given.get("base_id")
+        meta = {
+            "snapshot_id": snapshot_id,
+            "kind": "full" if base_id is None else "delta",
+            "base_id": base_id,
+            "n_sources": int(given["n_sources"]),
+            "alpha": float(given["alpha"]),
+            "method": given["method"],
+            "round": given["round"],
+            "n_pairs": len(pairs),
+            "n_items": len(self.items),
+        }
+        flags = pairs.copying * FLAG_COPYING + pairs.early * FLAG_EARLY
+        columns = (
+            *decode_pair_keys(pairs.keys), pairs.c_fwd, pairs.c_bwd,
+            flags.astype(np.uint8), pairs.decision_pos,
+        )
+        arrays = dict(zip(_PAIR_COLUMNS, columns))
+        arrays.update(zip(_ITEM_COLUMNS, vars(self.items).values()))
+        if base_id is not None:
+            meta["n_removed_pairs"] = len(self.removed_pair_keys)
+            meta["n_removed_items"] = len(self.removed_item_ids)
+            arrays["removed_pair_keys"] = self.removed_pair_keys
+            arrays["removed_item_ids"] = self.removed_item_ids
+        if "labels" in given:
+            meta["labels"] = given["labels"]
+        arrays.update(zip(_COPIER_COLUMNS, (self.copier_sources, self.copier_scores)))
+        for name, array in arrays.items():
+            if array.dtype.kind == "i":
+                lo, hi = int(array.min(initial=0)), int(array.max(initial=0))
+                width = next(t for t in _STORED_INTS if t.min <= lo and hi <= t.max)
+                arrays[name] = array.astype(width.dtype, copy=False)
+        return encode_snapshot(meta, arrays)
+
+    @classmethod
+    def decode(cls, path: Path) -> "Snapshot":
+        """The version a snapshot file holds: the store's one decoder.
+
+        Inverts :meth:`encode`: every signed integer array widened to
+        int64, a pair row's key rebuilt from its halves, its flags
+        unpacked and its posteriors derived under the meta's ``alpha``,
+        bit-equal to the publishing round's; every array read-only.
+
+        Raises:
+            ServingError: naming ``path``, when :func:`read_snapshot_file`
+                refuses it, or it records no valid ``alpha``, misses a
+                column, holds pair columns of unequal length, or a
+                ``pair_flags`` bit this build does not know.
+        """
+        meta, arrays = read_snapshot_file(path)
+        try:
+            params = CopyParams(alpha=meta.get("alpha"))
+        except (TypeError, ValueError) as exc:
+            raise ServingError(f"{path}: snapshot records no valid alpha ({exc})") from exc
+        for name in (*_PAIR_COLUMNS, *_ITEM_COLUMNS, *_COPIER_COLUMNS):
+            if name not in arrays:
+                family = name.split("_")[0]
+                raise ServingError(f"{path}: snapshot is missing {family} column {name!r}")
+        lengths = {len(arrays[name]) for name in _PAIR_COLUMNS}
+        if len(lengths) > 1:
+            raise ServingError(
+                f"{path}: pair columns disagree in length ({sorted(lengths)})"
+            )
+        flags, known = arrays["pair_flags"], FLAG_COPYING | FLAG_EARLY
+        alien = flags[(flags | known) != known]
+        if len(alien):
+            raise ServingError(
+                f"{path}: pair_flags carries unknown bits ({int(alien[0]) & ~known:#04x})"
+            )
+        wide = {"removed_pair_keys": _NO_KEYS, "removed_item_ids": _NO_KEYS}
+        for name, array in arrays.items():
+            narrow = array.dtype.kind == "i" and array.dtype.itemsize < 8
+            wide[name] = array.astype(np.int64) if narrow else array
+        s1, s2, c_fwd, c_bwd, _, decision_pos = (wide[name] for name in _PAIR_COLUMNS)
+        pairs = PairColumns(
+            encode_pair_keys(s1, s2), c_fwd, c_bwd, *exact_posteriors(c_fwd, c_bwd, params),
+            flags & FLAG_COPYING != 0, flags & FLAG_EARLY != 0, decision_pos,
+        )
+        items = ItemRows(*(wide[name] for name in _ITEM_COLUMNS))
+        snapshot = cls(
+            meta, pairs, items, wide["removed_pair_keys"], wide["removed_item_ids"],
+            *(wide[name] for name in _COPIER_COLUMNS),
+        )
+        for array in (*vars(pairs).values(), *vars(items).values(), *snapshot[3:]):
+            array.flags.writeable = False
+        return snapshot
 
 
 def copier_totals(pairs: PairColumns, n_sources: int) -> tuple[np.ndarray, np.ndarray]:
@@ -480,24 +477,6 @@ class VerdictStore:
                 continue
         return sorted(ids)
 
-    def _publish(self, meta: dict, arrays: Mapping[str, np.ndarray]) -> int:
-        """Encode the snapshot as it is stored (:func:`stored`), make it
-        durable, then point ``CURRENT`` at it.
-
-        Each file is fsynced before its rename and the directory after
-        it, so a crash leaves ``CURRENT`` naming a snapshot that is whole
-        on disk: a catalogued snapshot is durable, or it is not in the
-        catalogue.
-        """
-        snapshot_id = meta["snapshot_id"]
-        data = encode_snapshot(meta, stored(arrays))
-        _replace_durably(self.snapshot_path(snapshot_id), data)
-        pointer = {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
-        _replace_durably(
-            self.root / "CURRENT", (json.dumps(pointer) + "\n").encode("utf-8")
-        )
-        return snapshot_id
-
     def _next_id(self) -> int:
         """One past the highest snapshot id: the directory is listed once
         per store object, at its first publish (so ids rise above all an
@@ -508,96 +487,25 @@ class VerdictStore:
         self._last_id += 1
         return self._last_id
 
-    # ------------------------------------------------------------------
-    # Writing
-    # ------------------------------------------------------------------
-    def write_full(
-        self,
-        pairs: PairColumns,
-        items: ItemRows,
-        n_sources: int,
-        alpha: float,
-        method: str = "unknown",
-        round_no: int | None = None,
-        labels: Mapping[str, Sequence[str]] | None = None,
-    ) -> int:
-        """Publish a full snapshot (posteriors under ``alpha``); returns its id."""
-        snapshot_id = self._next_id()
-        copier_sources, copier_scores = copier_totals(pairs, n_sources)
-        meta = {
-            "snapshot_id": snapshot_id,
-            "kind": "full",
-            "base_id": None,
-            "n_sources": int(n_sources),
-            "alpha": float(alpha),
-            "method": method,
-            "round": round_no,
-            "n_pairs": len(pairs),
-            "n_items": len(items),
-        }
-        if labels is not None:
-            meta["labels"] = stored_labels(labels, items)
-        arrays = {
-            **pair_arrays(pairs),
-            **items.to_arrays(),
-            "copier_sources": copier_sources,
-            "copier_scores": copier_scores,
-        }
-        return self._publish(meta, arrays)
+    def write(self, snapshot: Snapshot) -> int:
+        """Publish ``snapshot`` as the next id (:meth:`Snapshot.encode`),
+        make it durable, then point ``CURRENT`` at it; returns the id.
 
-    def write_delta(
-        self,
-        base_id: int,
-        pair_upserts: PairColumns,
-        removed_pair_keys: np.ndarray,
-        item_upserts: ItemRows,
-        removed_item_ids: np.ndarray,
-        merged_pairs: PairColumns,
-        n_sources: int,
-        alpha: float,
-        method: str = "unknown",
-        round_no: int | None = None,
-        labels: Mapping[str, Sequence[str]] | None = None,
-    ) -> int:
-        """Publish a delta over ``base_id``; returns the new snapshot id.
-
-        ``merged_pairs`` is the post-delta pair state, used only to
-        recompute the (always-complete) copier ranking.  The name tables
-        in ``labels`` replace the chain's (:func:`stored_labels`).
+        Each file is fsynced before its rename and the directory after
+        it, so a crash leaves ``CURRENT`` naming a snapshot that is whole
+        on disk: a catalogued snapshot is durable, or it is not in the
+        catalogue.
         """
         snapshot_id = self._next_id()
-        copier_sources, copier_scores = copier_totals(merged_pairs, n_sources)
-        meta = {
-            "snapshot_id": snapshot_id,
-            "kind": "delta",
-            "base_id": int(base_id),
-            "n_sources": int(n_sources),
-            "alpha": float(alpha),
-            "method": method,
-            "round": round_no,
-            "n_pairs": len(pair_upserts),
-            "n_items": len(item_upserts),
-            "n_removed_pairs": int(len(removed_pair_keys)),
-            "n_removed_items": int(len(removed_item_ids)),
-        }
-        if labels is not None:
-            meta["labels"] = stored_labels(labels, item_upserts)
-        arrays = {
-            **pair_arrays(pair_upserts),
-            **item_upserts.to_arrays(),
-            "removed_pair_keys": np.asarray(removed_pair_keys, dtype=np.int64),
-            "removed_item_ids": np.asarray(removed_item_ids, dtype=np.int64),
-            "copier_sources": copier_sources,
-            "copier_scores": copier_scores,
-        }
-        return self._publish(meta, arrays)
+        _replace_durably(self.snapshot_path(snapshot_id), snapshot.encode(snapshot_id))
+        pointer = {"snapshot_id": snapshot_id, "format_version": FORMAT_VERSION}
+        _replace_durably(
+            self.root / "CURRENT", (json.dumps(pointer) + "\n").encode("utf-8")
+        )
+        return snapshot_id
 
-    # ------------------------------------------------------------------
-    # Reading
-    # ------------------------------------------------------------------
-    def load(self, snapshot_id: int) -> tuple[dict, dict]:
-        """Decode one snapshot file into the in-memory schema
-        (:func:`loaded`): the meta and arrays it was written from.
+    def load(self, snapshot_id: int) -> Snapshot:
+        """The version one snapshot file holds (:meth:`Snapshot.decode`).
 
         Raises:
             ServingError: missing, truncated, corrupted or
@@ -606,16 +514,15 @@ class VerdictStore:
         path = self.snapshot_path(snapshot_id)
         if not path.is_file():
             raise ServingError(f"{path}: snapshot {snapshot_id} not found")
-        meta, arrays = read_snapshot_file(path)
-        return loaded(meta, arrays, path)
+        return Snapshot.decode(path)
 
-    def load_chain(self, snapshot_id: int) -> list[tuple[dict, dict]]:
+    def load_chain(self, snapshot_id: int) -> list[Snapshot]:
         """The snapshot plus its delta ancestry, base-full first.
 
         Raises:
             ServingError: on a missing base or a malformed chain.
         """
-        chain: list[tuple[dict, dict]] = []
+        chain: list[Snapshot] = []
         current, seen = snapshot_id, set()
         while True:
             if current in seen:
@@ -624,11 +531,11 @@ class VerdictStore:
                     f"at {current}"
                 )
             seen.add(current)
-            meta, arrays = self.load(current)
-            chain.append((meta, arrays))
-            if meta.get("kind") == "full":
+            snapshot = self.load(current)
+            chain.append(snapshot)
+            if snapshot.meta.get("kind") == "full":
                 return list(reversed(chain))
-            base = meta.get("base_id")
+            base = snapshot.meta.get("base_id")
             if base is None:
                 raise ServingError(
                     f"snapshot {current}: delta snapshot without a base_id"
@@ -661,19 +568,13 @@ class SnapshotPublisher:
         self._prev_items: ItemRows = ItemRows.empty()
         self._published_label_sizes: tuple[int, int] | None = None
 
-    def _labels(self) -> dict[str, Sequence[str]]:
-        return {
-            "sources": self.dataset.source_names,
-            "items": self.dataset.item_names,
-            "values": self.dataset.value_label,
-        }
-
     def _label_sizes(self) -> tuple[int, int]:
         return (self.dataset.n_sources, self.dataset.n_items)
 
-    def _delta_labels(self) -> dict[str, Sequence[str]]:
-        """The value table, to label the delta's truths, and the name
-        tables too when they grew since the last publish.
+    def _labels(self, items: ItemRows, full: bool) -> dict[str, list[str]]:
+        """The labels a snapshot writing ``items`` stores: each truth's
+        label, and the source and item name tables in a full or when they
+        grew since the last publish.
 
         A streaming epoch can intern new sources and items, so a delta
         must re-ship the name tables whenever their sizes moved; otherwise
@@ -681,9 +582,11 @@ class SnapshotPublisher:
         would fall off the end.  Interning is append-only, so same size
         means same tables.
         """
-        if self._published_label_sizes == self._label_sizes():
-            return {"values": self.dataset.value_label}
-        return self._labels()
+        dataset, labels = self.dataset, {}
+        if full or self._published_label_sizes != self._label_sizes():
+            labels = {"sources": list(dataset.source_names), "items": list(dataset.item_names)}
+        labels["truths"] = [dataset.value_label[value] for value in items.truth.tolist()]
+        return labels
 
     def rebind(self, dataset: "Dataset") -> None:
         """Point the publisher at a grown snapshot of the same world.
@@ -692,7 +595,7 @@ class SnapshotPublisher:
         :class:`~repro.data.Dataset` each time the claim ledger moves.
         Growth in sources, items or values is fine: interning is
         append-only, ids — and therefore pair keys — are stable, and the
-        next delta re-ships the name tables via :meth:`_delta_labels`.
+        next delta re-ships the name tables via :meth:`_labels`.
         """
         self.dataset = dataset
 
@@ -724,36 +627,29 @@ class SnapshotPublisher:
                 pair_upserts = pairs.take(carried)
                 merged_pairs = upsert(self._prev_pairs, pair_upserts, removed_keys)
         if rewrite:
-            snapshot_id = self.store.write_full(
-                merged_pairs,
-                items,
-                n_sources,
-                self.params.alpha,
-                method=method,
-                round_no=round_no,
-                labels=self._labels(),
-            )
+            base_id, pair_rows, item_rows, merged_items = None, merged_pairs, items, items
+            removed_keys = removed_item_ids = _NO_KEYS
         else:
+            base_id, pair_rows = self.last_snapshot_id, pair_upserts
             carried, removed_item_ids = diff(self._prev_items, items)
-            item_upserts = items.take(np.nonzero(carried)[0])
-            snapshot_id = self.store.write_delta(
-                self.last_snapshot_id,
-                pair_upserts,
-                removed_keys,
-                item_upserts,
-                removed_item_ids,
-                merged_pairs,
-                n_sources,
-                self.params.alpha,
-                method=method,
-                round_no=round_no,
-                labels=self._delta_labels(),
-            )
-            # What a reader now serves, the next delta's baseline.
-            items = upsert(self._prev_items, item_upserts, removed_item_ids)
+            item_rows = items.take(np.nonzero(carried)[0])
+            merged_items = upsert(self._prev_items, item_rows, removed_item_ids)
+        meta = {
+            "base_id": base_id,
+            "n_sources": n_sources,
+            "alpha": self.params.alpha,
+            "method": method,
+            "round": round_no,
+            "labels": self._labels(item_rows, full=rewrite),
+        }
+        snapshot_id = self.store.write(Snapshot(
+            meta, pair_rows, item_rows, removed_keys, removed_item_ids,
+            *copier_totals(merged_pairs, n_sources),
+        ))
         self.last_snapshot_id = snapshot_id
         self.snapshot_ids.append(snapshot_id)
+        # What a reader now serves: the next delta's baseline.
         self._prev_pairs = merged_pairs
-        self._prev_items = items
+        self._prev_items = merged_items
         self._published_label_sizes = self._label_sizes()
         return snapshot_id

@@ -22,7 +22,11 @@ parameters ``benchmarks/conftest.py`` gives the benches
 :data:`TABLE_8`: on the same worlds and under ``FusionConfig(max_rounds=8)``,
 HYBRID's and INCREMENTAL's per-round ``computations`` and INCREMENTAL's
 pass counts summed over its rounds
-(``benchmarks/bench_table08_incremental.py``).
+(``benchmarks/bench_table08_incremental.py``), and Table VII under
+:data:`TABLE_7`: on the same worlds, each of the table's seven methods'
+``computations`` and ``rounds`` from :func:`repro.eval.run_method`, at
+the bench's sample fractions and seed
+(``benchmarks/bench_table07_time.py``).
 
 Regenerate (only together with a change that moves a count on
 purpose, named in CHANGES.md)::
@@ -46,6 +50,12 @@ FIGURE_2_METHODS = ("index", "bound", "bound+", "hybrid")
 TABLE_8 = "table08_incremental"
 #: INCREMENTAL's ``RoundStats`` counts that Table VIII sums.
 TABLE_8_PASSES = ("pairs_total", "done_pass1", "done_pass2", "done_pass3", "flips")
+#: The key of the Table VII pins in ``cost_counts.json``.
+TABLE_7 = "table07_time"
+#: Table VII's methods, in the table's order.
+TABLE_7_METHODS = (
+    "pairwise", "sample1", "sample2", "index", "hybrid", "incremental", "scalesample",
+)
 
 
 def measure(name: str) -> dict:
@@ -130,15 +140,41 @@ def table_8_counts() -> dict[str, dict]:
     return counts
 
 
+def table_7_counts() -> dict[str, dict[str, dict[str, int]]]:
+    """Bench world -> method -> its ``computations`` and ``rounds`` over
+    the whole run (Table VII), sampled as the bench samples."""
+    from benchmarks.conftest import BENCH_SCALES, SAMPLE_FRACTIONS, bench_params
+    from repro.eval import run_method
+    from repro.synth import make_profile
+
+    params = bench_params.__wrapped__()
+    counts = {}
+    for profile, scale in BENCH_SCALES.items():
+        dataset = make_profile(profile, scale=scale).dataset
+        runs = {
+            method: run_method(
+                method, dataset, params,
+                sample_fraction=SAMPLE_FRACTIONS[profile], seed=11,
+            )
+            for method in TABLE_7_METHODS
+        }
+        counts[profile] = {
+            method: {"computations": run.computations, "rounds": run.rounds}
+            for method, run in runs.items()
+        }
+    return counts
+
+
 def cost_counts() -> dict[str, dict]:
     """Workload name -> :func:`measure`, in registry order, then the
-    Figure 2 pins under :data:`FIGURE_2` and the Table VIII pins under
-    :data:`TABLE_8`."""
+    Figure 2 pins under :data:`FIGURE_2`, the Table VIII pins under
+    :data:`TABLE_8` and the Table VII pins under :data:`TABLE_7`."""
     from benchmarks.e2e.registry import WORKLOADS
 
     counts = {name: measure(name) for name in WORKLOADS}
     counts[FIGURE_2] = figure_2_counts()
     counts[TABLE_8] = table_8_counts()
+    counts[TABLE_7] = table_7_counts()
     return counts
 
 

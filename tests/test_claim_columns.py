@@ -153,8 +153,8 @@ class TestTruthsFromTheTable:
         assert dict(zip(table.seg_items.tolist(), truth.tolist())) == chosen
         got = ItemRows.from_probabilities(dataset, probabilities)
         want = _item_rows_from_truths(dataset, chosen, probabilities)
-        for name, column in want.to_arrays().items():
-            other = got.to_arrays()[name]
+        for name, column in vars(want).items():
+            other = getattr(got, name)
             assert other.dtype == column.dtype, name
             assert other.tobytes() == column.tobytes(), name
 

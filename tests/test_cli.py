@@ -15,6 +15,58 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
+def _one_line_exit(argv: list[str]) -> str:
+    """The message ``main(argv)`` exits with: one line, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    message = exit_info.value.code
+    assert isinstance(message, str) and "\n" not in message
+    return message
+
+
+class TestInputFiles:
+    """A missing or malformed input file is a one-line exit naming the
+    argument or flag that gave it, whichever command reads it."""
+
+    MISSING = "/nonexistent/claims.csv"
+
+    @pytest.fixture(scope="class")
+    def two_columns(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bad") / "claims.csv"
+        path.write_text("source,item\nS0,I0\n")
+        return str(path)
+
+    def test_detect_missing_claims(self):
+        message = _one_line_exit(["detect", self.MISSING])
+        assert message.startswith("claims: ") and self.MISSING in message
+
+    def test_fuse_missing_gold(self, dataset_dir):
+        message = _one_line_exit(
+            ["fuse", str(dataset_dir / "claims.csv"), "--gold", self.MISSING]
+        )
+        assert message.startswith("--gold: ") and self.MISSING in message
+
+    def test_stats_malformed_header(self, two_columns):
+        message = _one_line_exit(["stats", two_columns])
+        assert message.startswith(f"claims: {two_columns}: expected header")
+
+    def test_bench_missing_gold(self, dataset_dir):
+        message = _one_line_exit(
+            ["bench", str(dataset_dir / "claims.csv"), "--gold", self.MISSING]
+        )
+        assert message.startswith("--gold: ") and self.MISSING in message
+
+    def test_serve_missing_seed_exits_before_binding_a_port(self, monkeypatch):
+        import repro.streaming
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a port was bound for an unreadable seed")
+
+        monkeypatch.setattr(repro.streaming, "StreamingServer", no_server)
+        message = _one_line_exit(["serve", "--port", "0", "--seed-claims", self.MISSING])
+        assert message.startswith("--seed-claims: ") and self.MISSING in message
+
+
 class TestGenerate:
     def test_writes_files(self, dataset_dir):
         assert (dataset_dir / "claims.csv").exists()
@@ -327,7 +379,7 @@ class TestFuse:
             main(["fuse", str(dataset_dir / "claims.csv"), "--max-rounds", "0"])
         message = exit_info.value.code
         assert isinstance(message, str) and "\n" not in message
-        assert "max_rounds" in message
+        assert message == "--max-rounds must be >= 1, got 0"
 
     def test_no_detector(self, dataset_dir, capsys):
         code = main(["fuse", str(dataset_dir / "claims.csv"), "--method", "none"])
@@ -389,7 +441,7 @@ class TestServeFlags:
             raise AssertionError("a port was bound for a refused config")
 
         monkeypatch.setattr(repro.streaming, "StreamingServer", no_server)
-        with pytest.raises(SystemExit, match="^max_rounds must be"):
+        with pytest.raises(SystemExit, match="^--max-rounds must be"):
             main(["serve", "--port", "0", "--max-rounds", "0"])
 
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import pickle
 import random
+import tempfile
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from itertools import combinations
@@ -42,14 +43,8 @@ from repro.core import (
 from repro.core.pairspace import ID_LIMIT, PairMap, decode_pairs, encode_pairs, pair_key
 from repro.core.result import PAIR_COLUMNS, PairColumns
 from repro.fusion import run_fusion
-from repro.serving.store import (
-    SCORE_TOLERANCE,
-    SnapshotPublisher,
-    VerdictStore,
-    diff,
-    pair_arrays,
-    pairs_from_arrays,
-)
+from repro.serving import read_snapshot_file
+from repro.serving.store import SCORE_TOLERANCE, SnapshotPublisher, VerdictStore, diff
 from tests.rounds import fuse_keeping_rounds
 from tests.strategies import worlds
 
@@ -395,14 +390,24 @@ def _assert_tables_identical(got: PairColumns, want: PairColumns):
         np.testing.assert_array_equal(other, column, err_msg=name)
 
 
+def snapshot_arrays(snapshot):
+    """Every array a loaded :class:`~repro.serving.Snapshot` holds, in
+    field order, named ``pairs.keys`` ... ``copier_scores``."""
+    for field, value in zip(snapshot._fields[1:], snapshot[1:]):
+        if isinstance(value, np.ndarray):
+            yield field, value
+        else:
+            yield from ((f"{field}.{name}", array) for name, array in vars(value).items())
+
+
 def _store_digest(store: VerdictStore) -> str:
-    """SHA-256 over every snapshot of a store: every meta field, then
-    every array's name, dtype, shape and bytes."""
+    """SHA-256 over every snapshot of a store as it loads: every meta
+    field, then every array's name, dtype, shape and bytes."""
     digest = hashlib.sha256()
     for snapshot_id in store.snapshot_ids():
-        meta, arrays = store.load(snapshot_id)
-        digest.update(json.dumps(meta, sort_keys=True).encode())
-        for name, array in arrays.items():
+        snapshot = store.load(snapshot_id)
+        digest.update(json.dumps(snapshot.meta, sort_keys=True).encode())
+        for name, array in snapshot_arrays(snapshot):
             digest.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
             digest.update(array.tobytes())
     return digest.hexdigest()
@@ -423,9 +428,15 @@ def _store_digest(store: VerdictStore) -> str:
 #: not the value table; was 2e3e8994... / d4f2fdec...): 37c34fa's stores,
 #: each snapshot decoded, its meta's labels so transformed and re-encoded,
 #: are byte-identical to what format 5 writes, every array untouched.
+#: Both re-pinned when ``load`` began returning one ``Snapshot`` (was
+#: 8c121cbe... / eed712d8..., hashing the ``pair_*`` array dict): every
+#: snapshot file 1ce74c4 writes for these runs has the SHA-256 this
+#: build's files have, and this digest, computed at 1ce74c4 from its
+#: loaded arrays put in ``Snapshot`` field order and its files' meta
+#: (``alpha`` included), is the value pinned here.
 PARENT_STORE_SHA256 = {
-    "incremental": "8c121cbe9f0c180b33cc6d95881a719bca4a78324f8222e6c783c4c11ad20229",
-    "hybrid-partitioned": "eed712d894554ee8353b85381024d1a8cac64caba042c3d1f5d3456e6a4d1a64",
+    "incremental": "dd9f2c0ec98766a8d1cf1b2fed8876645f22948540dc3e3f3a9b2ab6ecc55092",
+    "hybrid-partitioned": "096262f013631706d5b85f8d245061b48469a686572ecf4c576cf971d06401c5",
 }
 
 
@@ -454,9 +465,11 @@ class TestByteIdentity:
     @settings(max_examples=40, deadline=None)
     @given(world=worlds(), data=st.data())
     def test_table_round_trips_through_the_snapshot_arrays(self, world, data):
-        """``PairColumns -> arrays -> PairColumns`` loses nothing — the
+        """``PairColumns -> file -> PairColumns`` loses nothing — the
         flag byte unpacks to the two bool columns it packed, positions
         at -1, 0 and ``n_entries`` survive — and an empty table too."""
+        from tests.test_serving import _snapshot
+
         dataset, probs, accs = world
         outcome = detect_hybrid(dataset, probs, accs, NUMPY, track_bookkeeping=True)
         columns = outcome.result.columns()
@@ -472,16 +485,20 @@ class TestByteIdentity:
         )
         table = replace(columns, decision_pos=positions, early=early)
         for case in (table, table.take(np.zeros(len(table), dtype=bool))):
-            arrays = pair_arrays(case)
-            assert list(arrays) == [
-                "pair_keys", "pair_c_fwd", "pair_c_bwd", "pair_independent",
-                "pair_forward", "pair_backward", "pair_flags", "pair_decision_pos",
+            with tempfile.TemporaryDirectory() as root:
+                store = VerdictStore(root)
+                sid = store.write(_snapshot(case, n_sources=dataset.n_sources))
+                _, arrays = read_snapshot_file(store.snapshot_path(sid))
+                loaded = store.load(sid).pairs
+            assert [name for name in arrays if name.startswith("pair_")] == [
+                "pair_s1", "pair_s2", "pair_c_fwd", "pair_c_bwd", "pair_flags",
+                "pair_decision_pos",
             ]
             assert arrays["pair_flags"].dtype == np.uint8
             assert arrays["pair_flags"].tolist() == (
                 case.copying * 1 + case.early * 2
             ).tolist()
-            _assert_tables_identical(pairs_from_arrays(arrays), case)
+            _assert_tables_identical(loaded, case)
 
     @staticmethod
     def _published(store_dir, params, detector) -> VerdictStore:
@@ -510,7 +527,7 @@ class TestByteIdentity:
             )
             assert _store_digest(store) == PARENT_STORE_SHA256["incremental"], backend
         positions = np.concatenate(
-            [store.load(sid)[1]["pair_decision_pos"] for sid in (1, 2, 3)]
+            [store.load(sid).pairs.decision_pos for sid in (1, 2, 3)]
         )
         assert -1 in positions and positions.max() >= 0  # round 1 books nothing
 
@@ -519,7 +536,7 @@ class TestByteIdentity:
         store = self._published(tmp_path, NUMPY, detector)
         assert _store_digest(store) == PARENT_STORE_SHA256["hybrid-partitioned"]
         for sid in store.snapshot_ids():  # no bookkeeping: nothing tracked
-            assert (store.load(sid)[1]["pair_decision_pos"] == -1).all()
+            assert (store.load(sid).pairs.decision_pos == -1).all()
 
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_snapshots_equal_the_dict_backed_run(self, layout, tmp_path):
@@ -540,8 +557,9 @@ class TestByteIdentity:
         columnar, dicts = VerdictStore(tmp_path / "columnar"), publisher.store
         assert columnar.snapshot_ids() == dicts.snapshot_ids()
         for snapshot_id in columnar.snapshot_ids():
-            meta_a, arrays_a = columnar.load(snapshot_id)
-            meta_b, arrays_b = dicts.load(snapshot_id)
+            snapshot_a, snapshot_b = (store.load(snapshot_id) for store in (columnar, dicts))
+            meta_a, meta_b = dict(snapshot_a.meta), dict(snapshot_b.meta)
+            arrays_a, arrays_b = (dict(snapshot_arrays(s)) for s in (snapshot_a, snapshot_b))
             # Item rows (and their truths' labels) follow the probabilities
             # handed in, which differ by design here; the pair half is
             # what this test pins.
@@ -550,9 +568,20 @@ class TestByteIdentity:
                 meta.get("labels", {}).pop("truths", None)
             assert meta_a == meta_b
             for name in arrays_a:
-                if name.startswith(("pair_", "removed_pair", "copier_")):
+                if name.startswith(("pairs.", "removed_pair", "copier_")):
                     assert arrays_a[name].dtype == arrays_b[name].dtype
                     np.testing.assert_array_equal(arrays_a[name], arrays_b[name])
+
+    def test_a_loaded_snapshot_writes_back_its_own_file(self, tmp_path):
+        """``Snapshot.decode`` inverts ``Snapshot.encode``: each version of
+        a store of fulls and deltas, loaded and written in order into a
+        fresh store, is the same file byte for byte."""
+        store = self._published(tmp_path / "a", NUMPY, IncrementalDetector(NUMPY))
+        copy = VerdictStore(tmp_path / "b")
+        for snapshot_id in store.snapshot_ids():
+            assert copy.write(store.load(snapshot_id)) == snapshot_id
+            written, original = (s.snapshot_path(snapshot_id) for s in (copy, store))
+            assert written.read_bytes() == original.read_bytes()
 
     def test_one_round_published_twice_writes_identical_files(self, tmp_path):
         """A store's bytes depend on what it holds, not on the clock: one

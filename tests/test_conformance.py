@@ -174,6 +174,13 @@ class TestCaseConfig:
         with pytest.raises(ValueError, match=match):
             CaseConfig("scan", "bound+", epoch_size=epoch_size)
 
+    @pytest.mark.parametrize("rounds", (0, -3))
+    def test_a_fusion_case_without_rounds_is_rejected(self, rounds):
+        """``FusionConfig``'s own rule: not a case that compares nothing
+        past round 0 and reports no divergence."""
+        with pytest.raises(ValueError, match=f"max_rounds must be >= 1, got {rounds}"):
+            CaseConfig("fusion", "hybrid", rounds=rounds)
+
     def test_every_configuration_meets_every_world_kind(self):
         """Case ``i`` runs configuration ``i % len(grid)`` on world kind
         ``i % len(WORLD_KINDS)``: that covers every pairing only while the

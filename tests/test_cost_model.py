@@ -4,8 +4,8 @@
 holds each benchmark workload's per-round ``computations``,
 ``values_examined`` and scored pairs, its round count, the kind of every
 snapshot it publishes and the bytes those take, on the registry's tiny
-worlds, and the computations of the paper's Figure 2 and Table VIII on
-the paper benches' worlds.  A change that moves one of them fails here unless it
+worlds, and the computations of the paper's Figure 2, Table VII and
+Table VIII on the paper benches' worlds.  A change that moves one of them fails here unless it
 re-commits the file and says why.
 """
 
@@ -19,16 +19,20 @@ from tests.make_cost_counts import (
     COUNTS_PATH,
     FIGURE_2,
     FIGURE_2_METHODS,
+    TABLE_7,
+    TABLE_7_METHODS,
     TABLE_8,
     TABLE_8_PASSES,
     figure_2_counts,
     measure,
+    table_7_counts,
     table_8_counts,
 )
 
 PINNED = json.loads(COUNTS_PATH.read_text())
 FIGURE_2_PINS = PINNED.pop(FIGURE_2)
 TABLE_8_PINS = PINNED.pop(TABLE_8)
+TABLE_7_PINS = PINNED.pop(TABLE_7)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -84,3 +88,24 @@ def test_table_8_has_the_papers_shape():
         assert later, profile
         for incremental, hybrid in later:
             assert incremental < hybrid, profile
+
+
+def test_table_7_counts_match_the_pins():
+    assert table_7_counts() == TABLE_7_PINS
+
+
+def test_table_7_has_the_papers_cascade():
+    """Table VII's cascade in computations, on every world: HYBRID below
+    INDEX, INCREMENTAL below HYBRID, SCALESAMPLE below INCREMENTAL.
+    INDEX is not asserted below PAIRWISE: on ``book_full`` it costs more
+    per round (two updates per opened pair on top of its incidences,
+    where PAIRWISE charges nothing for a pair sharing no item)."""
+    from benchmarks.conftest import BENCH_SCALES
+
+    assert sorted(TABLE_7_PINS) == sorted(BENCH_SCALES)
+    for profile, runs in TABLE_7_PINS.items():
+        assert list(runs) == list(TABLE_7_METHODS), profile
+        cost = {method: run["computations"] for method, run in runs.items()}
+        assert cost["hybrid"] < cost["index"], profile
+        assert cost["incremental"] < cost["hybrid"], profile
+        assert cost["scalesample"] < cost["incremental"], profile

@@ -475,14 +475,14 @@ class TestReachability:
 
     @staticmethod
     def _numpy_names(source: str) -> list[str]:
-        """``np`` / ``numpy`` names inside ``_Snapshot``'s read methods, as
+        """``np`` / ``numpy`` names inside ``_ServedSnapshot``'s read methods, as
         ``method:line`` strings."""
         import ast
 
         (snapshot,) = (
             node
             for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.ClassDef) and node.name == "_Snapshot"
+            if isinstance(node, ast.ClassDef) and node.name == "_ServedSnapshot"
         )
         bodies = [
             node
@@ -509,7 +509,7 @@ class TestReachability:
         assert self._numpy_names(reader) == []
         # The guard bites: the parent's lookup.
         bad = (
-            "class _Snapshot:\n"
+            "class _ServedSnapshot:\n"
             "    def _verdict(self, key):\n"
             "        return int(np.searchsorted(self.keys, key))\n"
             "    def _truth(self, item):\n"

@@ -539,10 +539,14 @@ class TestCLIFusionDS:
         priors = tmp_path / "priors.json"
         priors.write_text("{}", encoding="utf-8")
         claims = str(dataset_dir / "claims.csv")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="^--credibility-file requires --fusion ds "):
             main(["fuse", claims, "--credibility-file", str(priors)])
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="^--ds-uncertainty requires --fusion ds$"):
             main(["fuse", claims, "--ds-uncertainty", "0.1"])
+        with pytest.raises(
+            SystemExit, match=r"^--ds-uncertainty must be in \[0, 1\), got 1.5$"
+        ):
+            main(["fuse", claims, "--fusion", "ds", "--ds-uncertainty", "1.5"])
 
     def test_unreadable_credibility_file_is_a_clean_exit(self, dataset_dir):
         from repro.cli import main

@@ -54,18 +54,21 @@ from repro.serving import (
     FORMAT_VERSION,
     ItemRows,
     ServingError,
+    Snapshot,
     SnapshotPublisher,
     Truth,
     Verdict,
     VerdictReader,
     VerdictStore,
+    copier_totals,
     decode_snapshot,
     encode_snapshot,
     read_snapshot_file,
 )
-from repro.serving.store import FULL_REWRITE_FRACTION, SCORE_TOLERANCE, pairs_from_arrays
+from repro.serving.store import FULL_REWRITE_FRACTION, SCORE_TOLERANCE
 from repro.synth import make_profile
 from tests.rounds import fuse_keeping_rounds
+from tests.test_columns import snapshot_arrays
 
 
 #: The parameters the hand-built verdict tables are scored and published under.
@@ -180,6 +183,34 @@ def _no_pairs() -> PairColumns:
     return PairColumns.from_decisions({})
 
 
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+def _snapshot(
+    pairs: PairColumns,
+    items: ItemRows | None = None,
+    n_sources: int = 3,
+    base_id: int | None = None,
+    removed_pairs: np.ndarray = _NO_KEYS,
+    removed_items: np.ndarray = _NO_KEYS,
+    merged: PairColumns | None = None,
+    labels: dict | None = None,
+    alpha: float = _PARAMS.alpha,
+) -> Snapshot:
+    """A version as the publisher builds one (a delta when ``base_id`` is
+    set), ranking the copiers of ``merged``, the state after it
+    (default: ``pairs``)."""
+    meta = {"base_id": base_id, "n_sources": n_sources, "alpha": alpha,
+            "method": "test", "round": None}
+    if labels is not None:
+        meta["labels"] = labels
+    return Snapshot(
+        meta, pairs, ItemRows.empty() if items is None else items,
+        removed_pairs, removed_items,
+        *copier_totals(pairs if merged is None else merged, n_sources),
+    )
+
+
 class TestStoredWidths:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -203,19 +234,21 @@ class TestStoredWidths:
         )
         with tempfile.TemporaryDirectory() as root:
             store = VerdictStore(root)
-            sid = store.write_full(_no_pairs(), items, n_sources=0, alpha=_PARAMS.alpha)
+            sid = store.write(_snapshot(_no_pairs(), items, n_sources=0))
             _, stored = read_snapshot_file(store.snapshot_path(sid))
-            _, loaded = store.load(sid)
-        for name in ("item_ids", "item_truth", "item_prov_offsets", "item_prov_sources"):
+            loaded = store.load(sid).items
+        for name, field in (("item_ids", "keys"), ("item_truth", "truth"),
+                            ("item_prov_offsets", "prov_offsets"),
+                            ("item_prov_sources", "prov_sources")):
             assert stored[name].dtype == narrowest, name
-            assert loaded[name].dtype == np.int64, name
-            assert not loaded[name].flags.writeable, name
-        assert loaded["item_ids"].tolist() == values
-        assert loaded["item_truth"].tolist() == values[::-1]
+            assert getattr(loaded, field).dtype == np.int64, name
+            assert not getattr(loaded, field).flags.writeable, name
+        assert loaded.keys.tolist() == values
+        assert loaded.truth.tolist() == values[::-1]
         # Floats and the flag byte are stored as they are.
         assert stored["item_probability"].dtype == np.float64
         assert stored["pair_flags"].dtype == np.uint8
-        assert loaded["item_probability"].tolist() == items.probability.tolist()
+        assert loaded.probability.tolist() == items.probability.tolist()
 
     def test_merged_offsets_past_int16_are_served_exactly(self, tmp_path):
         """A full whose CSR offsets fit int16, then a delta that pushes the
@@ -239,13 +272,9 @@ class TestStoredWidths:
 
         store = VerdictStore(tmp_path)
         base, expected = rows(range(120), 0)  # offsets end at 30,000
-        full = store.write_full(_no_pairs(), base, n_sources, _PARAMS.alpha)
+        full = store.write(_snapshot(_no_pairs(), base, n_sources))
         upserts, moved = rows(range(100, 140), 11)  # 20 re-published, 20 new
-        none = np.empty(0, dtype=np.int64)
-        delta = store.write_delta(
-            full, _no_pairs(), none, upserts, none, _no_pairs(), n_sources,
-            _PARAMS.alpha,
-        )
+        delta = store.write(_snapshot(_no_pairs(), upserts, n_sources, base_id=full))
         expected.update(moved)
         for sid in (full, delta):
             _, stored = read_snapshot_file(store.snapshot_path(sid))
@@ -284,21 +313,18 @@ class TestStore:
         store = VerdictStore(tmp_path)
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         pairs = PairColumns.from_decisions(decisions)
-        sid = store.write_full(
-            pairs, ItemRows.empty(), n_sources=3, alpha=params.alpha, method="t"
-        )
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         assert store.current_id() == sid
-        meta, arrays = store.load(sid)
+        meta, back = store.load(sid)[:2]
         assert meta["kind"] == "full"
         assert meta["n_sources"] == 3
-        back = pairs_from_arrays(arrays)
         assert back.keys.tolist() == [1]  # (0 << 32) | 1
         assert back.c_fwd[0] == 5.0
 
     def test_truncated_store_file_is_a_serving_error(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         path = store.snapshot_path(sid)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(ServingError, match="truncated"):
@@ -307,7 +333,7 @@ class TestStore:
     def test_newer_versioned_snapshot_in_store(self, tmp_path, params):
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         path = store.snapshot_path(sid)
         data = path.read_bytes()
         _, _, header_len = struct.unpack_from("<4sII", data)
@@ -325,7 +351,7 @@ class TestStore:
         # version it writes.
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
-        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         path = store.snapshot_path(sid)
         data = path.read_bytes()
         path.write_bytes(data[:4] + struct.pack("<I", 4) + data[8:])
@@ -340,7 +366,7 @@ class TestStore:
         pairs = PairColumns.from_decisions(
             {(0, 1): _decision(params, 5.0, 4.0), (1, 2): _decision(params, -3.0, 2.0)}
         )
-        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         path = store.snapshot_path(sid)
         meta, arrays = read_snapshot_file(path)
         arrays = {name: array.copy() for name, array in arrays.items()}
@@ -386,10 +412,10 @@ class TestStore:
             result = _result(decisions, example.n_sources)
             result.decision_pos = dict.fromkeys(moved, position)
             sid = pub.publish_round(round_no, result, probs)
-        meta, arrays = VerdictStore(tmp_path).load(sid)
+        meta, pairs = VerdictStore(tmp_path).load(sid)[:2]
         assert (meta["kind"], meta["n_pairs"]) == ("delta", len(moved))
-        assert decode_pairs(arrays["pair_keys"]) == moved
-        assert arrays["pair_decision_pos"].tolist() == [7] * len(moved)
+        assert decode_pairs(pairs.keys) == moved
+        assert pairs.decision_pos.tolist() == [7] * len(moved)
         reader = VerdictReader(tmp_path)
         for pair in decisions:
             want = 7 if pair in moved else -1
@@ -430,9 +456,9 @@ class TestStore:
         result.changed_pairs = {(2, 4)}
         sid = pub.publish_round(2, result, [0.9])
 
-        meta, arrays = VerdictStore(tmp_path).load(sid)
+        meta, pairs = VerdictStore(tmp_path).load(sid)[:2]
         assert (meta["kind"], meta["base_id"], meta["n_sources"]) == ("delta", 1, 5)
-        assert decode_pairs(arrays["pair_keys"]) == [(2, 4)]
+        assert decode_pairs(pairs.keys) == [(2, 4)]
         reader = VerdictReader(tmp_path)
         assert reader.n_sources == 5
         assert reader.labels["sources"] == tuple(f"S{i}" for i in range(5))
@@ -451,6 +477,23 @@ class TestStore:
             {source: mass for source, mass in enumerate(totals) if mass > 0.0}
         )
         assert 4 in ranking
+
+    @pytest.mark.parametrize(
+        "base_id, message",
+        [(2, "snapshot 2: base chain contains a cycle at 2"),
+         (None, "snapshot 2: delta snapshot without a base_id")],
+    )
+    def test_a_malformed_chain_is_a_serving_error(self, tmp_path, params, base_id, message):
+        """A delta naming itself as its base, or no base at all: refused
+        when the chain is resolved, not looped over or read as a full."""
+        store = VerdictStore(tmp_path)
+        pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
+        full = store.write(_snapshot(pairs))
+        path = store.snapshot_path(store.write(_snapshot(pairs, base_id=full)))
+        meta, arrays = read_snapshot_file(path)
+        path.write_bytes(encode_snapshot({**meta, "base_id": base_id}, arrays))
+        with pytest.raises(ServingError, match=f"^{message}$"):
+            VerdictReader(store)
 
     def test_publish_lists_the_directory_once(self, tmp_path, params, monkeypatch):
         """Publishing costs the same in a full store as in an empty one:
@@ -472,18 +515,13 @@ class TestStore:
         monkeypatch.setattr(Path, "glob", counting_glob)
         pairs = PairColumns.from_decisions({(0, 1): _decision(params, 5.0, 4.0)})
         store = VerdictStore(tmp_path)
-        ids = [store.write_full(pairs, ItemRows.empty(), 3, params.alpha) for _ in range(3)]
+        ids = [store.write(_snapshot(pairs, alpha=params.alpha)) for _ in range(3)]
         assert ids == [5001, 5002, 5003]  # above the orphans beyond CURRENT
         assert globs == ["snap-*.rvs"]
         # A re-opened store lists once more and keeps counting upward.
         reopened = VerdictStore(tmp_path)
-        ids.append(reopened.write_full(pairs, ItemRows.empty(), 3, params.alpha))
-        ids.append(
-            reopened.write_delta(
-                ids[-1], pairs, pairs.keys[:0], ItemRows.empty(), pairs.keys[:0],
-                pairs, 3, params.alpha,
-            )
-        )
+        ids.append(reopened.write(_snapshot(pairs, alpha=params.alpha)))
+        ids.append(reopened.write(_snapshot(pairs, base_id=ids[-1], alpha=params.alpha)))
         assert ids == [5001, 5002, 5003, 5004, 5005]
         assert globs == ["snap-*.rvs"] * 2
         assert reopened.current_id() == 5005
@@ -549,8 +587,11 @@ def _assert_serves(served: PairColumns, table: PairColumns):
 #: as d42eee6 (format 3, every column stored) writes those inputs.
 #: Re-pinned at format 5 (was c4fdb918...): 37c34fa's store with each
 #: meta's value table replaced by its truths' labels and re-encoded is
-#: byte-identical to what format 5 writes.
-REWRITE_STORE_SHA256 = "87f498898b6eb5916107d0773c690bb4676f6464e20b98d362e6df6331c8337b"
+#: byte-identical to what format 5 writes.  Re-pinned when ``load`` began
+#: returning one ``Snapshot`` (was 87f49889...): 1ce74c4 writes both files
+#: byte for byte as this build does, and its loaded arrays in ``Snapshot``
+#: field order, under its files' meta, hash to this value.
+REWRITE_STORE_SHA256 = "487266fe275b612caa80881eac35ad3bb145778b33f6352b059e52d7f4d4fedb"
 
 
 #: A score or probability step below the tolerance; two of them pass it.
@@ -739,13 +780,13 @@ class TestPublishingContract:
                 full = round_no == 0 or (
                     touched > FULL_REWRITE_FRACTION * max(len(served_pairs), 1)
                 )
-                meta, arrays = publisher.store.load(sid)
-                assert meta["kind"] == ("full" if full else "delta"), round_no
+                snapshot = publisher.store.load(sid)
+                assert snapshot.meta["kind"] == ("full" if full else "delta"), round_no
                 if not full:
-                    assert set(arrays["pair_keys"].tolist()) == must
-                    assert set(arrays["removed_pair_keys"].tolist()) == gone
-                    assert set(arrays["item_ids"].tolist()) == _required(served_items, items)
-                    assert set(arrays["removed_item_ids"].tolist()) == (
+                    assert set(snapshot.pairs.keys.tolist()) == must
+                    assert set(snapshot.removed_pair_keys.tolist()) == gone
+                    assert set(snapshot.items.keys.tolist()) == _required(served_items, items)
+                    assert set(snapshot.removed_item_ids.tolist()) == (
                         served_items.keys() - items.keys()
                     )
                 served_pairs, served_items = tip_pairs, tip_items
@@ -799,7 +840,7 @@ class TestPublishingContract:
         must_go = loud | flipped | shifted
         assert 0 < must_go.sum() and (must_go | quiet).sum() < 0.6 * n
         chain = publisher.store.load_chain(meta["snapshot_id"])
-        assert [m["kind"] for m, _ in chain] == ["full", "delta"]
+        assert [snapshot.meta["kind"] for snapshot in chain] == ["full", "delta"]
         served = _served(tmp_path)
         _assert_serves(served, current)
         np.testing.assert_array_equal(served.c_fwd[must_go], current.c_fwd[must_go])
@@ -817,8 +858,7 @@ class TestPublishingContract:
         _publish(publisher, 1, table)
         meta = _publish(publisher, 2, moved)
         assert (meta["kind"], meta["n_pairs"], meta["base_id"]) == ("full", len(moved), None)
-        arrays = publisher.store.load(meta["snapshot_id"])[1]
-        _assert_tables_identical(pairs_from_arrays(arrays), moved)
+        _assert_tables_identical(publisher.store.load(meta["snapshot_id"]).pairs, moved)
         _assert_tables_identical(_served(tmp_path), moved)
         assert _store_digest(publisher.store) == REWRITE_STORE_SHA256
 
@@ -994,15 +1034,19 @@ class TestServedValues:
             [[0, 3, 5], [1], [0, 1, 10], [11], []],
         )
 
+        def truths(table: ItemRows) -> dict:
+            return {"truths": [self.LABELS["values"][v] for v in table.truth.tolist()]}
+
         store = VerdictStore(tmp_path)
-        sid = store.write_full(
-            base, base_items, self.N, _PARAMS.alpha, labels=self.LABELS
+        names = {"sources": self.LABELS["sources"], "items": self.LABELS["items"]}
+        sid = store.write(
+            _snapshot(base, base_items, self.N, labels={**names, **truths(base_items)})
         )
-        store.write_delta(
-            sid, upserts, removed, item_upserts, np.array([4]), pairs, self.N,
-            _PARAMS.alpha, labels={"values": self.LABELS["values"]},
-        )
-        kinds = [meta["kind"] for meta, _ in store.load_chain(store.current_id())]
+        store.write(_snapshot(
+            upserts, item_upserts, self.N, base_id=sid, removed_pairs=removed,
+            removed_items=np.array([4]), merged=pairs, labels=truths(item_upserts),
+        ))
+        kinds = [s.meta["kind"] for s in store.load_chain(store.current_id())]
         assert kinds == ["full", "delta"] and len(upserts) > 3
         return tmp_path, pairs, items
 
@@ -1070,7 +1114,7 @@ class TestServedValues:
         its upserted truths' labels; no file stores the value table."""
         path, _, _ = chain
         store = VerdictStore(path)
-        (full, _), (delta, _) = store.load_chain(store.current_id())
+        full, delta = (snapshot.meta for snapshot in store.load_chain(store.current_id()))
         assert full["labels"] == {
             "sources": self.LABELS["sources"],
             "items": self.LABELS["items"],
@@ -1101,9 +1145,7 @@ class TestServedValues:
 
     def test_an_unlabelled_store_refuses_names(self, tmp_path):
         store = VerdictStore(tmp_path)
-        store.write_full(
-            _random_table(4, seed=1), _items([0], [0], [1.0], [[2]]), 4, _PARAMS.alpha
-        )
+        store.write(_snapshot(_random_table(4, seed=1), _items([0], [0], [1.0], [[2]]), 4))
         reader = VerdictReader(store)
         message = "store was published without labels; query items by id"
         with pytest.raises(ServingError, match=f"^{message}$"):
@@ -1253,14 +1295,14 @@ class TestIncrementalDeltas:
         store = VerdictStore(tmp_path)
         previous = None
         for detection, sid in zip(detections, result.snapshot_ids, strict=True):
-            meta, arrays = store.load(sid)
+            meta, pairs = store.load(sid)[:2]
             if meta["kind"] == "delta":
                 # Every delta of this run is a patch round's: the rows
                 # are the reported pairs plus any newly opened one.
                 reported = detection.changed_pairs
                 assert reported is not None
                 opened = set(detection.decisions) - set(previous.decisions)
-                assert decode_pairs(arrays["pair_keys"]) == sorted(reported | opened)
+                assert decode_pairs(pairs.keys) == sorted(reported | opened)
             previous = detection
         # Later rounds change few pairs, so real deltas must appear.
         kinds = [store.load(sid)[0]["kind"] for sid in result.snapshot_ids]
@@ -1309,12 +1351,11 @@ class TestDerivedColumns:
         store = VerdictStore(tmp_path)
         for detection in detections:
             table = detection.columns()
-            sid = store.write_full(
-                table, ItemRows.empty(), world.dataset.n_sources, params.alpha
+            sid = store.write(
+                _snapshot(table, n_sources=world.dataset.n_sources, alpha=params.alpha)
             )
-            meta, arrays = store.load(sid)
-            assert "alpha" not in meta
-            loaded = pairs_from_arrays(arrays)
+            meta, loaded = store.load(sid)[:2]
+            assert meta["alpha"] == params.alpha
             for name in ("keys", *PAIR_FLOAT_COLUMNS, "copying", "early", "decision_pos"):
                 want, got = getattr(table, name), getattr(loaded, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
@@ -1328,13 +1369,14 @@ class TestDerivedColumns:
             assert fusion.final_detection().columns().early.any()
 
     def test_what_the_derivation_needs_is_checked_at_open(self, tmp_path, params):
-        """A stored pair column missing or ragged, or no valid ``alpha``:
-        a ``ServingError`` naming the file, never a served guess."""
+        """A stored pair column missing or ragged, no valid ``alpha``, or
+        an item or copier column missing: a ``ServingError`` naming the
+        file, never a served guess."""
         store = VerdictStore(tmp_path)
         pairs = PairColumns.from_decisions(
             {(0, 1): _decision(params, 5.0, 4.0), (1, 2): _decision(params, -3.0, 2.0)}
         )
-        sid = store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+        sid = store.write(_snapshot(pairs, alpha=params.alpha))
         path = store.snapshot_path(sid)
         meta, arrays = read_snapshot_file(path)
         for edit_meta, edit, fragment in (
@@ -1342,6 +1384,8 @@ class TestDerivedColumns:
             ({}, {"pair_s1": arrays["pair_s1"][:1]}, "disagree in length \\(\\[1, 2\\]\\)"),
             ({"alpha": None}, {}, "records no valid alpha"),
             ({"alpha": 0.7}, {}, "alpha must be in \\(0, 0.5\\), got 0.7"),
+            ({}, {"item_truth": None}, "snapshot is missing item column 'item_truth'"),
+            ({}, {"copier_scores": None}, "snapshot is missing copier column 'copier_scores'"),
         ):
             kept = {**arrays, **edit}
             kept = {name: array for name, array in kept.items() if array is not None}
@@ -1410,7 +1454,7 @@ class TestLayoutParity:
         dataset = world.dataset
         probs = vote_probabilities(dataset)
         accs = [0.8] * dataset.n_sources
-        stores = {}
+        snapshots = {}
         for layout in ("dense", "sparse"):
             params = CopyParams(backend="numpy", pair_layout=layout)
             detection = detect(
@@ -1418,11 +1462,11 @@ class TestLayoutParity:
             )
             pub = SnapshotPublisher(tmp_path / layout, dataset, params)
             sid = pub.publish_round(1, detection, probs)
-            stores[layout] = VerdictStore(tmp_path / layout).load(sid)
-        meta_dense, arrays_dense = stores["dense"]
-        meta_sparse, arrays_sparse = stores["sparse"]
-        assert meta_dense["n_pairs"] == meta_sparse["n_pairs"] > 0
-        assert set(arrays_dense) == set(arrays_sparse)
+            snapshots[layout] = VerdictStore(tmp_path / layout).load(sid)
+        dense, sparse = snapshots["dense"], snapshots["sparse"]
+        assert dense.meta == sparse.meta and dense.meta["n_pairs"] > 0
+        arrays_dense, arrays_sparse = (dict(snapshot_arrays(s)) for s in (dense, sparse))
+        assert list(arrays_dense) == list(arrays_sparse)
         for name, arr in arrays_dense.items():
             assert np.array_equal(arr, arrays_sparse[name]), name
 
@@ -1498,10 +1542,9 @@ class TestPipelineHook:
         # Round 1 runs HYBRID without bookkeeping (all positions -1);
         # the prepare round (2) builds PairBookkeeping, and its decision
         # positions must reach the published rows.
-        _, round1 = VerdictStore(tmp_path).load(1)
-        assert (round1["pair_decision_pos"] == -1).all()
-        _, round2 = VerdictStore(tmp_path).load(2)
-        assert (round2["pair_decision_pos"] >= 0).any()
+        round1, round2 = (VerdictStore(tmp_path).load(sid).pairs for sid in (1, 2))
+        assert (round1.decision_pos == -1).all()
+        assert (round2.decision_pos >= 0).any()
         reader = VerdictReader(tmp_path)
         pairs = reader._view.snapshot.pairs
         assert (pairs.decision_pos >= 0).any()
@@ -1591,11 +1634,11 @@ class TestCurrentPointerAtomicity:
         decisions = {(0, 1): _decision(params, 5.0, 4.0)}
         for round_no in range(4):
             pairs = PairColumns.from_decisions(decisions)
-            store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+            store.write(_snapshot(pairs, alpha=params.alpha))
             current = store.current_id()
             pointer = json.loads((tmp_path / "CURRENT").read_text())
             assert pointer["snapshot_id"] == current
-            meta, _ = store.load(current)  # decodes cleanly, CRC included
+            meta = store.load(current).meta  # decodes cleanly, CRC included
             assert meta["snapshot_id"] == current
 
     def test_a_snapshot_is_durable_before_current_names_it(
@@ -1625,7 +1668,7 @@ class TestCurrentPointerAtomicity:
         for _ in range(2):  # the second publish replaces an existing CURRENT
             events.clear()
             snap = store.snapshot_path(
-                store.write_full(pairs, ItemRows.empty(), 3, params.alpha)
+                store.write(_snapshot(pairs, alpha=params.alpha))
             )
             # A renamed file keeps its inode: name each fsync after the fact.
             names = {
